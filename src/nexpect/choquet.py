@@ -4,13 +4,16 @@ The upper capacity of an event is the largest reweighted probability over the
 family, the lower capacity the smallest.  Integration uses the survival-curve
 form: integral of c(X > x) over positive levels plus integral of c(X > x) - 1
 over negative levels.  Payoffs taking few distinct values are integrated
-exactly as simple functions; everything else goes through a level quadrature.
+exactly as simple functions; everything else goes through one sort of the
+sample and running sums of the weights in sorted order, evaluated either at
+every sample (the exact sum) or at the levels of a quadrature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +24,11 @@ from .paths import PathBundle
 SIMPLE_FUNCTION_LIMIT = 64
 
 DEFAULT_LEVEL_COUNT = 513
+
+# Rows per block of the running-sum sweep over a sorted sample.  A block of a
+# 29-control weight matrix is about 1 MB, so its gather, scaling and running
+# sum stay in cache; the sweep's extra memory is O(PREFIX_BLOCK * m).
+PREFIX_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -212,48 +220,41 @@ class Capacity:
         sums = ev.astype(np.float64) @ self.weights
         return np.clip(self._reduce(sums / self.totals[None, :]), 0.0, 1.0)
 
-    def _tail_prefix(self, values: np.ndarray):
-        x = np.asarray(values, dtype=float)
-        order = np.argsort(x, kind="stable")
-        sorted_x = x[order]
-        prefix = np.vstack([np.zeros((1, len(self.family))), np.cumsum(self.weights[order], axis=0)])
-        return sorted_x, prefix
-
-    def _tails_at(self, sorted_x: np.ndarray, prefix: np.ndarray,
-                  levels: np.ndarray, strict: bool) -> np.ndarray:
-        denom = prefix[-1]
-        side = "right" if strict else "left"
-        idx = np.searchsorted(sorted_x, np.asarray(levels, dtype=float), side=side)
-        tails = denom[None, :] - prefix[idx]
-        return np.clip(self._reduce(tails / denom[None, :]), 0.0, 1.0)
+    def _tail_curve(self, prefix: np.ndarray, total: np.ndarray) -> np.ndarray:
+        """Capacity of the complement of each prefix row's event, given the
+        weight total of the full event."""
+        # (total - prefix) / total per control, laid out control-major so each
+        # ufunc loop runs along the rows instead of across a few controls.
+        tails = np.subtract(total[:, None], prefix.T, order="C")
+        tails /= total[:, None]
+        return np.clip(self._reduce(tails.T), 0.0, 1.0)
 
     def survival_curve(
         self, values: np.ndarray, levels: np.ndarray, strict: bool = True
     ) -> np.ndarray:
         """Capacity of {values > level} (or >= when strict=False) per level.
 
-        One sort plus one running sum per control covers every level, which is
-        what keeps integration affordable on large path counts.
+        One stable sort of the sample plus one blocked running sum of the
+        weights per control covers every level, which is what keeps
+        integration affordable on large path counts.  Only the running-sum
+        rows at the levels are kept, so the extra memory is
+        O(PREFIX_BLOCK * m) for m controls, not O(n * m).
         """
-        sorted_x, prefix = self._tail_prefix(values)
-        return self._tails_at(sorted_x, prefix, levels, strict)
+        strict_curve, loose_curve = self.survival_curves(values, levels)
+        return strict_curve if strict else loose_curve
 
     def survival_curves(
         self, values: np.ndarray, levels: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Both one-sided survival curves, sharing a single sort and prefix sum.
+        """Both one-sided survival curves, sharing a single sort and running sum.
 
         Returns (strict, loose): capacities of {values > level} and of
         {values >= level} per level.  The two differ exactly where sample
         mass sits on a level, which is what integration needs to handle
         atoms sitting on quadrature levels without smearing them.
         """
-        sorted_x, prefix = self._tail_prefix(values)
-        lv = np.asarray(levels, dtype=float)
-        return (
-            self._tails_at(sorted_x, prefix, lv, strict=True),
-            self._tails_at(sorted_x, prefix, lv, strict=False),
-        )
+        sample = _SortedSample(np.asarray(values, dtype=float))
+        return sample.curves(self, np.asarray(levels, dtype=float))
 
 
 def build_capacity(
@@ -281,69 +282,147 @@ def build_capacity(
 # the integral
 # ---------------------------------------------------------------------------
 
-def choquet_integral(
-    payoff_values: np.ndarray,
-    capacity: Capacity,
-    quadrature: LevelQuadrature | None = None,
-    method: str = "auto",
-) -> float:
-    """Choquet integral of sampled payoff values against a capacity.
+class _SortedSample:
+    """A payoff sample sorted once, integrable against any capacity on its paths.
 
-    The sampled capacity is a step function of the level, so the level-set
-    integral is a finite sum over the distinct values; method "exact"
-    computes that sum outright (a telescoping loop for a few distinct
-    values, one sort plus per-control suffix sums otherwise, O(n m) cost)
-    and carries no discretization error at any sample size.
-
-    method "quadrature" instead integrates the survival curve by the
-    trapezoidal rule on the given levels, using one-sided limits so atoms
-    sitting on a level integrate exactly; between levels the curve is
-    endpoint-averaged, which overestimates on convex stretches such as far
-    tails.  It exists for resolution-controlled work (error bootstraps,
-    level-placement studies) where a fixed level budget matters more than
-    the last digits.
-
-    method "auto" (default) uses "exact" unless an explicit quadrature is
-    passed, in which case the requested levels are honoured.
+    The tail weight of {X > x} per control is a total minus a running sum of
+    the weights in ascending order of X.  Those running sums come from a
+    sweep over blocks of PREFIX_BLOCK sorted rows: each block gathers its
+    weights, scales them by a resample's path multiplicities if there are
+    any, adds the total carried over from the previous block into its first
+    row and takes its running sum in place.  Every sum is thus formed by the
+    same additions in the same order as one running sum over all n rows, and
+    is bitwise equal to it, while only one block is alive at a time.
+    Multiplicities never change the order, so every bootstrap resample
+    reuses the one sort.
     """
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    @cached_property
+    def distinct(self) -> np.ndarray:
+        return np.unique(self.values)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return np.argsort(self.values, kind="stable")
+
+    @cached_property
+    def sorted(self) -> np.ndarray:
+        return self.values[self.order]
+
+    def _running_sums(self, weights: np.ndarray, mult: np.ndarray | None):
+        """Yield (start, block): block[i] is the weight per control of the
+        start + i + 1 smallest samples."""
+        carry = None
+        for start in range(0, self.order.size, PREFIX_BLOCK):
+            idx = self.order[start:start + PREFIX_BLOCK]
+            block = weights.take(idx, axis=0)
+            if mult is not None:
+                # Scaling through the transpose runs each ufunc loop along
+                # the block's long axis; the products are the same.
+                np.multiply(block.T, mult[idx], out=block.T)
+            if carry is not None:
+                block[0] += carry
+            np.cumsum(block, axis=0, out=block)
+            carry = block[-1].copy()
+            yield start, block
+
+    def prefix_rows(
+        self, weights: np.ndarray, rows: np.ndarray, mult: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Selected rows of the prefix table, and its last row (the total).
+
+        The prefix table is vstack([0, cumsum((weights * mult[:, None])[order])]),
+        shape (n + 1, m): row i is the weight per control of the i smallest
+        samples.  `rows` index into it in any order; the table itself is
+        never materialised.
+        """
+        perm = np.argsort(rows, kind="stable")
+        wanted = rows[perm]
+        picked = np.zeros((rows.size, weights.shape[1]))
+        for start, block in self._running_sums(weights, mult):
+            lo = np.searchsorted(wanted, start + 1, side="left")
+            hi = np.searchsorted(wanted, start + block.shape[0], side="right")
+            picked[perm[lo:hi]] = block[wanted[lo:hi] - start - 1]
+        return picked, block[-1]
+
+    def curves(
+        self, capacity: Capacity, levels: np.ndarray, mult: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Capacities of {X > level} and of {X >= level} per level."""
+        strict = np.searchsorted(self.sorted, levels, side="right")
+        loose = np.searchsorted(self.sorted, levels, side="left")
+        prefix, denom = self.prefix_rows(capacity.weights, np.concatenate([strict, loose]), mult)
+        curve = capacity._tail_curve(prefix, denom)
+        return curve[:levels.size], curve[levels.size:]
+
+    def exact_integral(self, capacity: Capacity) -> float:
+        """The smallest sample plus every gap between consecutive sorted
+        samples times the capacity of the tail above the gap's lower end.
+
+        Two sweeps: the first finds the total, the second turns each block
+        into its stretch of the tail curve.
+        """
+        weights = capacity.weights
+        _, denom = self.prefix_rows(weights, np.empty(0, dtype=np.intp))
+        n = self.values.size
+        curve = np.empty(n - 1)
+        for start, block in self._running_sums(weights, None):
+            # Prefix rows 1 .. n-1: the last row is the total, whose tail is
+            # empty.  Duplicate positions carry zero width in the dot product,
+            # so they need no special case.
+            rows = block[: n - 1 - start]
+            curve[start:start + rows.shape[0]] = capacity._tail_curve(rows, denom)
+        return float(self.sorted[0]) + float(np.dot(np.diff(self.sorted), curve))
+
+    def quadrature_integral(
+        self, capacity: Capacity, levels: np.ndarray, mult: np.ndarray | None = None
+    ) -> float:
+        """Trapezoidal rule on the survival curve at the given levels."""
+        if levels.size == 1:
+            return float(levels[0])
+        strict_curve, loose_curve = self.curves(capacity, levels, mult)
+        widths = np.diff(levels)
+        # On [l_j, l_{j+1}] the survival curve is c(X > l_j) just right of the
+        # left endpoint and c(X >= l_{j+1}) just left of the right one; using
+        # those one-sided limits keeps atoms sitting on levels exact instead of
+        # smearing their jump across the segment.
+        total = float(np.dot(widths, 0.5 * (strict_curve[:-1] + loose_curve[1:])))
+        # Below zero the integrand is c(X > x) - 1; zero is a level whenever the
+        # range straddles it, so each segment lies entirely on one side.
+        negative = levels[1:] <= 0.0
+        total -= float(widths[negative].sum())
+        # Regions between 0 and the range of the levels contribute exactly 1 or 0.
+        total += max(float(levels[0]), 0.0) + min(float(levels[-1]), 0.0)
+        return total
+
+
+def _payoff_sample(payoff_values: np.ndarray, capacity: Capacity) -> np.ndarray:
     x = np.asarray(payoff_values, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("payoff_values must be a nonempty 1-d array")
     if not np.all(np.isfinite(x)):
         raise ValueError("payoff_values must be finite")
-    if method not in ("auto", "exact", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
+    if x.size != capacity.n_paths:
+        raise ValueError(
+            f"payoff array length {x.size} does not match capacity paths {capacity.n_paths}"
+        )
+    return x
 
-    if capacity.weights.shape[1] == 1:
-        # A one-member family makes the capacity additive, so the integral
-        # collapses to the normalized weighted mean.  Computing it directly
-        # is exact and keeps a degenerate family consistent with the plain
-        # Monte Carlo estimate to the last bit.
-        w = capacity.weights[:, 0]
-        if w.size != x.size:
-            raise ValueError(
-                f"payoff array length {x.size} does not match capacity paths {w.size}"
-            )
-        return float(np.mean(w * x) * (x.size / float(capacity.totals[0])))
 
-    if method == "exact" or (method == "auto" and quadrature is None):
-        distinct = np.unique(x)
-        if distinct.size <= SIMPLE_FUNCTION_LIMIT:
-            # The evaluate()-based loop keeps indicator payoffs bitwise
-            # consistent with capacity.evaluate on the same event.
-            total = float(distinct[0])
-            for i in range(1, distinct.size):
-                total += (distinct[i] - distinct[i - 1]) * capacity.evaluate(x >= distinct[i])
-            return total
-        sorted_x, prefix = capacity._tail_prefix(x)
-        denom = prefix[-1]
-        # Tail weight just left of each sorted sample; duplicate positions
-        # carry zero width in the dot product, so they need no special case.
-        per_control = (denom[None, :] - prefix[1:-1]) / denom[None, :]
-        curve = np.clip(capacity._reduce(per_control), 0.0, 1.0)
-        return float(sorted_x[0]) + float(np.dot(np.diff(sorted_x), curve))
+def _additive_integral(x: np.ndarray, weights: np.ndarray, total: float) -> float:
+    # A one-member family makes the capacity additive, so the integral
+    # collapses to the normalized weighted mean.  Computing it directly is
+    # exact and keeps a degenerate family consistent with the plain Monte
+    # Carlo estimate to the last bit.
+    return float(np.mean(weights * x) * (x.size / float(total)))
 
-    distinct = np.unique(x)
+
+def _quadrature_levels(sample: _SortedSample, quadrature: LevelQuadrature | None) -> np.ndarray:
+    x = sample.values
+    distinct = sample.distinct
     quad = quadrature or LevelQuadrature.from_values(x, DEFAULT_LEVEL_COUNT)
     levels = quad.levels
     span_slack = 1e-12 * max(1.0, float(np.abs(x).max()))
@@ -354,23 +433,104 @@ def choquet_integral(
         )
     if levels[0] < 0.0 < levels[-1] and not np.any(levels == 0.0):
         levels = np.insert(levels, np.searchsorted(levels, 0.0), 0.0)
-    if levels.size == 1:
-        return float(levels[0])
+    return levels
 
-    strict_curve, loose_curve = capacity.survival_curves(x, levels)
-    widths = np.diff(levels)
-    # On [l_j, l_{j+1}] the survival curve is c(X > l_j) just right of the
-    # left endpoint and c(X >= l_{j+1}) just left of the right one; using
-    # those one-sided limits keeps atoms sitting on levels exact instead of
-    # smearing their jump across the segment.
-    total = float(np.dot(widths, 0.5 * (strict_curve[:-1] + loose_curve[1:])))
-    # Below zero the integrand is c(X > x) - 1; zero is a level whenever the
-    # range straddles it, so each segment lies entirely on one side.
-    negative = levels[1:] <= 0.0
-    total -= float(widths[negative].sum())
-    # Regions between 0 and the range of the levels contribute exactly 1 or 0.
-    total += max(float(levels[0]), 0.0) + min(float(levels[-1]), 0.0)
-    return total
+
+def choquet_integral(
+    payoff_values: np.ndarray,
+    capacity: Capacity,
+    quadrature: LevelQuadrature | None = None,
+    method: str = "auto",
+) -> float:
+    """Choquet integral of sampled payoff values against a capacity.
+
+    The sampled capacity is a step function of the level, so the level-set
+    integral is a finite sum over the distinct values; method "exact"
+    computes that sum outright and carries no discretization error at any
+    sample size.  A payoff with a few distinct values is summed as a simple
+    function through capacity.evaluate; otherwise the sample is sorted once
+    (stably) and the tail capacity just left of every sorted sample comes
+    from running sums of the weights in sorted order, O(n m) time for n
+    paths and m controls.  The running sums are swept in blocks of
+    PREFIX_BLOCK rows with the total carried between blocks, which is
+    bitwise equal to one running sum over all rows but needs only
+    O(PREFIX_BLOCK * m) extra memory instead of several (n, m) arrays.
+
+    method "quadrature" instead integrates the survival curve by the
+    trapezoidal rule on the given levels, using one-sided limits so atoms
+    sitting on a level integrate exactly; between levels the curve is
+    endpoint-averaged, which overestimates on convex stretches such as far
+    tails.  It shares the one sort and the blocked sweep, keeping only the
+    running-sum rows at the levels.  It exists for resolution-controlled
+    work (error bootstraps, level-placement studies) where a fixed level
+    budget matters more than the last digits.
+
+    method "auto" (default) uses "exact" unless an explicit quadrature is
+    passed, in which case the requested levels are honoured.
+    """
+    if method not in ("auto", "exact", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    x = _payoff_sample(payoff_values, capacity)
+
+    if capacity.weights.shape[1] == 1:
+        return _additive_integral(x, capacity.weights[:, 0], capacity.totals[0])
+
+    sample = _SortedSample(x)
+    if method == "exact" or (method == "auto" and quadrature is None):
+        distinct = sample.distinct
+        if distinct.size <= SIMPLE_FUNCTION_LIMIT:
+            # The evaluate()-based loop keeps indicator payoffs bitwise
+            # consistent with capacity.evaluate on the same event.
+            total = float(distinct[0])
+            for i in range(1, distinct.size):
+                total += (distinct[i] - distinct[i - 1]) * capacity.evaluate(x >= distinct[i])
+            return total
+        return sample.exact_integral(capacity)
+    return sample.quadrature_integral(capacity, _quadrature_levels(sample, quadrature))
+
+
+class _PayoffBootstrap:
+    """Payoff samples on one capacity's paths, integrated in-sample and under
+    multinomial resamples of the paths.
+
+    Each sample comes with the quadrature its integrals use and is sorted
+    once for all resamples.  A resample draws path multiplicities exactly as
+    rng.multinomial(n, [1/n] * n) and gives, bit for bit, what
+    choquet_integral returns against the capacity with its weight rows
+    scaled by them; one draw is shared by every sample.
+    """
+
+    def __init__(
+        self,
+        samples: Sequence[tuple[np.ndarray, LevelQuadrature]],
+        capacity: Capacity,
+    ) -> None:
+        self.capacity = capacity
+        self.additive = capacity.weights.shape[1] == 1
+        self.samples = []
+        for values, quadrature in samples:
+            sample = _SortedSample(_payoff_sample(values, capacity))
+            levels = None if self.additive else _quadrature_levels(sample, quadrature)
+            self.samples.append((sample, levels))
+
+    def integrals(self, mult: np.ndarray | None = None) -> list[float]:
+        """Integral of every sample, under the given multiplicities if any."""
+        cap = self.capacity
+        if self.additive:
+            if mult is None:
+                weights, total = cap.weights[:, 0], cap.totals[0]
+            else:
+                weights, total = cap.weights[:, 0] * mult, (mult @ cap.weights)[0]
+            return [_additive_integral(s.values, weights, total) for s, _ in self.samples]
+        return [s.quadrature_integral(cap, levels, mult) for s, levels in self.samples]
+
+    def resample(self, count: int, rng: np.random.Generator) -> list[list[float]]:
+        """Integrals of every sample under `count` multinomial resamples."""
+        n = self.capacity.n_paths
+        return [
+            self.integrals(rng.multinomial(n, np.full(n, 1.0 / n)).astype(float))
+            for _ in range(count)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -523,30 +683,23 @@ def choquet_holder_check(
     if xa.shape != ya.shape:
         raise ValueError("x and y must have equal length")
 
-    def margin_parts(cap: Capacity) -> tuple[float, float, float]:
-        lhs = choquet_integral(xa * ya, cap, LevelQuadrature.from_values(xa * ya, quadrature_count))
-        fx = choquet_integral(xa**p, cap, LevelQuadrature.from_values(xa**p, quadrature_count))
-        fy = choquet_integral(ya**q, cap, LevelQuadrature.from_values(ya**q, quadrature_count))
+    boot = _PayoffBootstrap(
+        [(a, LevelQuadrature.from_values(a, quadrature_count)) for a in (xa * ya, xa**p, ya**q)],
+        capacity,
+    )
+
+    def margin_parts(lhs: float, fx: float, fy: float) -> tuple[float, float, float]:
         return lhs, max(fx, 0.0) ** (1.0 / p), max(fy, 0.0) ** (1.0 / q)
 
-    lhs, factor_x, factor_y = margin_parts(capacity)
+    lhs, factor_x, factor_y = margin_parts(*boot.integrals())
     rhs = factor_x * factor_y
     margin = rhs - lhs
 
     boot_sd = 0.0
     if bootstrap > 0:
-        rng = rng or np.random.default_rng(0)
-        n = capacity.n_paths
         margins = np.empty(bootstrap)
-        for b in range(bootstrap):
-            mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-            resampled = Capacity(
-                orientation=capacity.orientation,
-                family=capacity.family,
-                weights=capacity.weights * mult[:, None],
-                totals=mult @ capacity.weights,
-            )
-            bl, bx, by = margin_parts(resampled)
+        for b, parts in enumerate(boot.resample(bootstrap, rng or np.random.default_rng(0))):
+            bl, bx, by = margin_parts(*parts)
             margins[b] = bx * by - bl
         boot_sd = float(margins.std(ddof=1))
 

@@ -29,6 +29,7 @@ from .choquet import (
     Capacity,
     LevelQuadrature,
     Payoff,
+    _PayoffBootstrap,
     build_capacity,
     choquet_integral,
     choquet_holder_check,
@@ -37,10 +38,10 @@ from .choquet import (
 )
 from .errors import GridTooCoarseError, ScenarioError
 from .measures import (
+    DensityWeights,
     ThetaControl,
     default_control_family,
     expectation_profile,
-    girsanov_weights,
     weight_matrix,
 )
 from .minimax import (
@@ -444,6 +445,16 @@ class RunContext:
         return sub_bundle, self.values[:m], self.weights[:m]
 
 
+def _aux_rng(seed: int) -> np.random.Generator:
+    """Generator for an auxiliary stream derived from the scenario seed.
+
+    The derived value is folded into [0, 2**64) the way generate_brownian
+    folds the path seed, so negative scenario seeds work; values already in
+    that range are unchanged.
+    """
+    return np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+
+
 def _choquet_std_error(
     values: np.ndarray,
     capacity: Capacity,
@@ -458,17 +469,11 @@ def _choquet_std_error(
     sub_values = values[:m]
     sub_weights = capacity.weights[:m]
     quad = LevelQuadrature.from_values(sub_values, min(level_count, m))
-    rng = np.random.default_rng(seed ^ 0x5EB007)
-    outcomes = np.empty(resamples)
-    for b in range(resamples):
-        mult = rng.multinomial(m, np.full(m, 1.0 / m)).astype(float)
-        resampled = Capacity(
-            orientation=capacity.orientation,
-            family=capacity.family,
-            weights=sub_weights * mult[:, None],
-            totals=mult @ sub_weights,
-        )
-        outcomes[b] = choquet_integral(sub_values, resampled, quad)
+    sub_cap = Capacity(capacity.orientation, capacity.family, sub_weights,
+                       np.ones(m) @ sub_weights)
+    rng = _aux_rng(seed ^ 0x5EB007)
+    resampled = _PayoffBootstrap([(sub_values, quad)], sub_cap).resample(resamples, rng)
+    outcomes = np.array([row[0] for row in resampled])
     return float(outcomes.std(ddof=1) * math.sqrt(m / n))
 
 
@@ -658,7 +663,7 @@ def _check_duality(ctx: RunContext) -> CheckOutcome:
     _, sub_values, sub_weights = ctx.subsample()
     cap_u = Capacity("upper", ctx.family, sub_weights, np.ones(sub_weights.shape[0]) @ sub_weights)
     cap_l = Capacity("lower", ctx.family, sub_weights, np.ones(sub_weights.shape[0]) @ sub_weights)
-    rng = np.random.default_rng(ctx.scenario.seed ^ 0xD0A1)
+    rng = _aux_rng(ctx.scenario.seed ^ 0xD0A1)
     gap_cap = 0.0
     for a, _ in random_threshold_pairs(sub_values, 20, rng):
         gap_cap = max(gap_cap, abs(cap_l.evaluate(a) - (1.0 - cap_u.evaluate(~a))))
@@ -729,8 +734,9 @@ def _check_normalization(ctx: RunContext) -> CheckOutcome:
 
 def _check_martingale(ctx: RunContext) -> CheckOutcome:
     worst = (0.0, "")
-    for control in ctx.family:
-        dw = girsanov_weights(control, ctx.bundle)
+    for j, control in enumerate(ctx.family):
+        # The shared weight matrix holds exactly girsanov_weights' columns.
+        dw = DensityWeights(control, np.ascontiguousarray(ctx.weights[:, j]))
         if dw.std_error == 0.0:
             continue
         pull = abs(dw.mean - 1.0) / dw.std_error
@@ -784,7 +790,7 @@ def _check_submodularity(ctx: RunContext) -> CheckOutcome:
     _, sub_values, sub_weights = ctx.subsample()
     m = sub_values.size
     cap = Capacity("upper", ctx.family, sub_weights, np.ones(m) @ sub_weights)
-    rng = np.random.default_rng(ctx.scenario.seed ^ 0x5B0D)
+    rng = _aux_rng(ctx.scenario.seed ^ 0x5B0D)
     pairs = random_threshold_pairs(sub_values, 200, rng)
     tol = 3.0 / math.sqrt(m)
     report = submodularity_check(cap, pairs, tolerance=tol)
@@ -820,7 +826,7 @@ def _check_holder(ctx: RunContext) -> CheckOutcome:
         (np.abs(terminal - s0), np.abs(terminal) / s0),
         (sub_values, sub_values),
     ]
-    rng = np.random.default_rng(ctx.scenario.seed ^ 0x401D)
+    rng = _aux_rng(ctx.scenario.seed ^ 0x401D)
     worst = (math.inf, "")
     for i, (x, y) in enumerate(pairs):
         rep = choquet_holder_check(x, y, cap, p=2.0, q=2.0, bootstrap=8, rng=rng)

@@ -152,11 +152,20 @@ def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> DensityWeight
     Warns (without failing) when the sample mean is more than 4 standard
     errors away from its theoretical value 1.
     """
+    return _density(control, bundle, None)
+
+
+def _density(
+    control: ThetaControl, bundle: PathBundle, terminal_brownian: np.ndarray | None
+) -> DensityWeights:
+    """girsanov_weights, reusing B_T when the caller has already summed it."""
     grid = bundle.grid
     dt = grid.dt
     if control.kind == "constant":
         theta0 = control.theta0
-        log_w = theta0 * bundle.terminal_brownian() - 0.5 * theta0 * theta0 * grid.horizon
+        if terminal_brownian is None:
+            terminal_brownian = bundle.terminal_brownian()
+        log_w = theta0 * terminal_brownian - 0.5 * theta0 * theta0 * grid.horizon
     else:
         theta = control.theta_on_grid(grid)
         log_w = bundle.brownian_increments @ theta - 0.5 * float(theta @ theta) * dt
@@ -166,7 +175,7 @@ def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> DensityWeight
             f"density mean {dw.mean:.6f} deviates from 1 by more than 4 SE "
             f"({dw.std_error:.2e}) for control {control.label()}",
             MartingaleDeviationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return dw
 
@@ -204,12 +213,14 @@ def weight_matrix(
     if not family:
         raise ValueError("control family must be nonempty")
     out = np.empty((bundle.n_paths, len(family)))
+    # Every constant control needs the same B_T; sum the increments once.
+    terminal = bundle.terminal_brownian()
     if threads <= 1 or len(family) == 1:
         for j, control in enumerate(family):
-            out[:, j] = girsanov_weights(control, bundle).weights
+            out[:, j] = _density(control, bundle, terminal).weights
         return out
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        futures = {pool.submit(girsanov_weights, c, bundle): j for j, c in enumerate(family)}
+        futures = {pool.submit(_density, c, bundle, terminal): j for j, c in enumerate(family)}
         for fut, j in futures.items():
             out[:, j] = fut.result().weights
     return out

@@ -16,12 +16,17 @@ from nexpect import (
     build_capacity,
     choquet_holder_check,
     choquet_integral,
+    default_control_family,
     expectation_under,
+    generate_brownian,
     girsanov_weights,
     is_comonotone,
     random_threshold_pairs,
+    simulate_sde,
     submodularity_check,
 )
+from nexpect.choquet import PREFIX_BLOCK, SIMPLE_FUNCTION_LIMIT, _SortedSample
+from nexpect.cli import _choquet_std_error
 from tests.conftest import CALL_ATM_DRIFT_UP, DIGITAL_ATM_DRIFT_UP
 
 
@@ -419,3 +424,147 @@ def test_integral_quadrature_bias_is_one_sided(family_k01, bundle_50k, weights_5
     )
     assert quad >= exact - 1e-9
     assert abs(quad - exact) < 0.03 * exact
+
+
+# ---------------------------------------------------------------------------
+# the sorted-prefix engine against the dense formulas
+# ---------------------------------------------------------------------------
+
+def dense_prefix(x, weights, mult=None):
+    scaled = weights if mult is None else weights * mult[:, None]
+    order = np.argsort(x, kind="stable")
+    return np.vstack([np.zeros((1, weights.shape[1])), np.cumsum(scaled[order], axis=0)])
+
+
+def dense_tails(x, cap, levels, side, mult=None):
+    prefix = dense_prefix(x, cap.weights, mult)
+    denom = prefix[-1]
+    idx = np.searchsorted(np.sort(x, kind="stable"), levels, side=side)
+    return np.clip(cap._reduce((denom[None, :] - prefix[idx]) / denom[None, :]), 0.0, 1.0)
+
+
+def dense_exact(x, cap):
+    sorted_x = np.sort(x, kind="stable")
+    prefix = dense_prefix(x, cap.weights)
+    denom = prefix[-1]
+    curve = np.clip(cap._reduce((denom[None, :] - prefix[1:-1]) / denom[None, :]), 0.0, 1.0)
+    return float(sorted_x[0]) + float(np.dot(np.diff(sorted_x), curve))
+
+
+def dense_quadrature(x, cap, levels, mult=None):
+    strict = dense_tails(x, cap, levels, "right", mult)
+    loose = dense_tails(x, cap, levels, "left", mult)
+    widths = np.diff(levels)
+    total = float(np.dot(widths, 0.5 * (strict[:-1] + loose[1:])))
+    total -= float(widths[levels[1:] <= 0.0].sum())
+    return total + max(float(levels[0]), 0.0) + min(float(levels[-1]), 0.0)
+
+
+def dense_resampled(x, cap, quad, mult):
+    """What choquet_integral returned against the capacity with its weight
+    rows scaled by the multiplicities, computed with a full prefix table."""
+    weights = cap.weights * mult[:, None]
+    if weights.shape[1] == 1:
+        total = (mult @ cap.weights)[0]
+        return float(np.mean(weights[:, 0] * x) * (x.size / float(total)))
+    assert quad.levels[0] >= 0.0  # no zero level to insert
+    return dense_quadrature(x, cap, quad.levels, mult)
+
+
+def engine_case(n, controls, orientation, seed):
+    rng = np.random.default_rng(seed)
+    # Rounded draws tie often; the stable sort must keep tied rows in order.
+    x = np.round(rng.standard_normal(n), 1) * 3.0
+    weights = np.exp(0.3 * rng.standard_normal((n, controls)))
+    family = (ThetaControl.constant(0.0, 0.0),) * controls
+    cap = Capacity(orientation, family, weights, np.ones(n) @ weights)
+    mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
+    mult[: max(1, n // 3)] = 0.0
+    mult[-1] = max(mult[-1], 1.0)  # keep the resampled total positive
+    levels = np.unique(np.concatenate([
+        [x.min() - 0.5, 0.0, x.max() + 0.5], x[: min(n, 7)], rng.uniform(x.min(), x.max(), 11),
+    ]))
+    return x, cap, mult, levels
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, PREFIX_BLOCK - 1, PREFIX_BLOCK, PREFIX_BLOCK + 1, 3 * PREFIX_BLOCK + 17]
+)
+@pytest.mark.parametrize("controls", [1, 2, 29])
+def test_sorted_prefix_engine_is_bitwise_dense(n, controls):
+    for orientation in ("upper", "lower"):
+        x, cap, mult, levels = engine_case(n, controls, orientation, seed=n * 31 + controls)
+        sample = _SortedSample(x)
+        rows = np.random.default_rng(n).permutation(n + 1)
+        for m in (None, mult):
+            reference = dense_prefix(x, cap.weights, m)
+            picked, total = sample.prefix_rows(cap.weights, rows, m)
+            assert np.array_equal(picked, reference[rows])
+            assert np.array_equal(total, reference[-1])
+            strict, loose = sample.curves(cap, levels, m)
+            assert np.array_equal(strict, dense_tails(x, cap, levels, "right", m))
+            assert np.array_equal(loose, dense_tails(x, cap, levels, "left", m))
+            got = sample.quadrature_integral(cap, levels, m)
+            assert got == dense_quadrature(x, cap, levels, m)
+        assert sample.exact_integral(cap) == dense_exact(x, cap)
+        if controls > 1:
+            assert np.array_equal(cap.survival_curve(x, levels, strict=False),
+                                  dense_tails(x, cap, levels, "left"))
+            assert choquet_integral(x, cap, LevelQuadrature(levels, "given")) == (
+                dense_quadrature(x, cap, levels)
+            )
+            if np.unique(x).size > SIMPLE_FUNCTION_LIMIT:
+                assert choquet_integral(x, cap) == dense_exact(x, cap)
+
+
+def test_exact_integral_is_bitwise_dense_on_bundle(caps, bundle_200k):
+    values = np.maximum(bundle_200k.terminal() - 100.0, 0.0)
+    for cap in caps:
+        assert choquet_integral(values, cap) == dense_exact(values, cap)
+
+
+@pytest.mark.parametrize("family", [
+    default_control_family(0.0),  # k = 0: one member with unit weights
+    (ThetaControl.constant(0.05, 0.1),),  # one member with non-unit weights
+    default_control_family(0.1),  # 29 members
+], ids=["k0", "one-tilt", "k0.1"])
+def test_bootstraps_match_dense_resamples(acc_model, grid8, family):
+    bundle = simulate_sde(acc_model, generate_brownian(grid8, 3000, 17))
+    upper = build_capacity("upper", family, bundle)
+    values = np.maximum(bundle.terminal() - 100.0, 0.0)
+
+    # The Choquet error bar on a 2000-path prefix.
+    m = 2000
+    sub = Capacity("upper", family, upper.weights[:m], np.ones(m) @ upper.weights[:m])
+    quad = LevelQuadrature.from_values(values[:m], 129)
+    rng = np.random.default_rng(41 ^ 0x5EB007)
+    outcomes = np.empty(8)
+    for b in range(8):
+        mult = rng.multinomial(m, np.full(m, 1.0 / m)).astype(float)
+        outcomes[b] = dense_resampled(values[:m], sub, quad, mult)
+    expected = float(outcomes.std(ddof=1) * math.sqrt(m / bundle.n_paths))
+    assert _choquet_std_error(values, upper, 129, 41, resamples=8, limit=m) == expected
+
+    # The Hoelder check shares one draw across its three arrays.
+    x, y = values, bundle.terminal() / 100.0
+    arrays = (x * y, x**2, y**2)
+    quads = [LevelQuadrature.from_values(a, 513) for a in arrays]
+
+    def parts(integrals):
+        lhs, fx, fy = integrals
+        return lhs, max(fx, 0.0) ** 0.5, max(fy, 0.0) ** 0.5
+
+    lhs, fx, fy = parts([choquet_integral(a, upper, q) for a, q in zip(arrays, quads)])
+    if len(family) > 1:
+        assert lhs == dense_quadrature(arrays[0], upper, quads[0].levels)
+    rng = np.random.default_rng(5)
+    margins = np.empty(6)
+    for b in range(6):
+        mult = rng.multinomial(3000, np.full(3000, 1.0 / 3000)).astype(float)
+        bl, bx, by = parts([dense_resampled(a, upper, q, mult) for a, q in zip(arrays, quads)])
+        margins[b] = bx * by - bl
+    report = choquet_holder_check(x, y, upper, bootstrap=6, rng=np.random.default_rng(5))
+    assert (report.lhs, report.factor_x, report.factor_y) == (lhs, fx, fy)
+    assert report.margin == fx * fy - lhs
+    rhs = fx * fy
+    assert report.tolerance == 3.0 * float(margins.std(ddof=1)) + 1e-3 * max(abs(rhs), abs(lhs), 1e-12)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -378,6 +380,20 @@ def test_main_grid_rejection_exit_code(tmp_path, capsys):
     assert main(["--scenario", path]) == EXIT_GRID_REJECTED
     err = capsys.readouterr().err
     assert "grid rejected" in err and "time steps" in err
+
+
+def test_main_negative_seed_runs_without_traceback(tmp_path):
+    # Every auxiliary stream (error bars, duality, submodularity and Hoelder
+    # checks) is derived from the seed, so all of them see a negative value.
+    path = write_scn(tmp_path, BASE + "checks = duality, submodularity, holder\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nexpect.cli", "--scenario", path, "--format", "csv",
+         "--seed", "-5"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode in (EXIT_OK, EXIT_CHECK_FAILED), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("estimator,value,std_error\n")
 
 
 def test_known_checks_cover_registry():
