@@ -577,10 +577,13 @@ class SubmodularityReport:
 def submodularity_check(
     capacity: Capacity,
     event_pairs: Iterable[tuple[np.ndarray, np.ndarray]],
-    chunk: int = 64,
+    chunk: int = 16,
     tolerance: float = 0.0,
 ) -> SubmodularityReport:
     """Evaluate the 2-alternating defect on each event pair.
+
+    The four events of each pair are scored in stacks of `chunk` pairs, one
+    float matrix of 4 * chunk rows by n paths at a time.
 
     For an upper capacity the defect is c(A|B) + c(A&B) - c(A) - c(B), which
     should be <= 0; for a lower capacity the inequality (and so the sign)

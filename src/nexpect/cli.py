@@ -38,7 +38,6 @@ from .choquet import (
 )
 from .errors import GridTooCoarseError, ScenarioError
 from .measures import (
-    DensityWeights,
     ThetaControl,
     default_control_family,
     expectation_profile,
@@ -345,8 +344,9 @@ def _validate_scenario(fields: dict, path: str) -> Scenario:
         raise ScenarioError(f"horizon must be positive, got {fields['horizon']}")
     if fields["k"] < 0:
         raise ScenarioError(f"k must be >= 0, got {fields['k']}")
-    if fields["n_paths"] < 1:
-        raise ScenarioError(f"n_paths must be >= 1, got {fields['n_paths']}")
+    if fields["n_paths"] < 2:
+        # Every standard error needs at least two paths.
+        raise ScenarioError(f"n_paths must be >= 2, got {fields['n_paths']}")
     if fields["steps"] < 1:
         raise ScenarioError(f"steps must be >= 1, got {fields['steps']}")
     if fields["nodes"] < 5:
@@ -481,6 +481,12 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
                  extra_checks: tuple[str, ...] = ()) -> Report:
     """Execute the full pipeline on a validated scenario."""
     start = time.perf_counter()
+    requested: list[str] = list(scenario.checks)
+    for name in extra_checks:
+        if name not in KNOWN_CHECKS:
+            raise ScenarioError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
+        if name not in requested:
+            requested.append(name)
     model = scenario.build_model()
     payoff = scenario.build_payoff()
 
@@ -496,7 +502,10 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         payoff.check_monotonicity(probe)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    values = payoff.map(terminal)
+    try:
+        values = payoff.map(terminal)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
     family = default_control_family(scenario.k, scenario.theta_grid)
     weights = weight_matrix(family, bundle, threads=threads)
@@ -512,13 +521,16 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     fd_note = ""
     if payoff.kind == "digital":
         fd_note = "discontinuous terminal condition: grid bias larger than for smooth payoffs"
+    # Only the zsign check reads a surface, and only the upper solve's.
     sol_upper = solve_fd(
         model, payoff, Generator.abs_upper(scenario.k), scenario.horizon,
         nodes=scenario.nodes, time_steps=scenario.time_steps, substep=scenario.fd_substep,
+        store_surfaces="zsign" in requested,
     )
     sol_lower = solve_fd(
         model, payoff, Generator.abs_lower(scenario.k), scenario.horizon,
         nodes=scenario.nodes, time_steps=scenario.time_steps, substep=scenario.fd_substep,
+        store_surfaces=False,
     )
 
     if payoff.monotonicity == "none":
@@ -560,12 +572,6 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         entries=entries, threads=threads,
     )
 
-    requested: list[str] = list(scenario.checks)
-    for name in extra_checks:
-        if name not in KNOWN_CHECKS:
-            raise ScenarioError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-        if name not in requested:
-            requested.append(name)
     outcomes = [CHECK_REGISTRY[name](ctx) for name in requested]
 
     order = [entries[name] for name in ESTIMATOR_ORDER]
@@ -733,13 +739,14 @@ def _check_normalization(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_martingale(ctx: RunContext) -> CheckOutcome:
+    # The mean of each density column is its expectation of the payoff 1.
+    means, ses = expectation_profile(np.ones(ctx.bundle.n_paths), ctx.family, ctx.bundle,
+                                     weights=ctx.weights)
     worst = (0.0, "")
-    for j, control in enumerate(ctx.family):
-        # The shared weight matrix holds exactly girsanov_weights' columns.
-        dw = DensityWeights(control, np.ascontiguousarray(ctx.weights[:, j]))
-        if dw.std_error == 0.0:
+    for control, mean, se in zip(ctx.family, means, ses):
+        if se == 0.0:
             continue
-        pull = abs(dw.mean - 1.0) / dw.std_error
+        pull = abs(mean - 1.0) / se
         if pull > worst[0]:
             worst = (pull, control.label())
     ok = worst[0] <= 4.0

@@ -22,6 +22,10 @@ import numpy as np
 from .errors import InvalidControlError
 from .paths import PathBundle, TimeGrid
 
+# Rows per block of the weight passes.  A block of 4096 rows by C controls
+# stays in cache; the passes' extra memory is O(ROW_BLOCK * C).
+ROW_BLOCK = 4096
+
 __all__ = [
     "ThetaControl",
     "DensityWeights",
@@ -150,34 +154,10 @@ def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> DensityWeight
     """Density of the control's measure against the reference, path by path.
 
     Warns (without failing) when the sample mean is more than 4 standard
-    errors away from its theoretical value 1.
+    errors away from its theoretical value 1.  The weights are the column
+    weight_matrix builds for the one-member family (control,).
     """
-    return _density(control, bundle, None)
-
-
-def _density(
-    control: ThetaControl, bundle: PathBundle, terminal_brownian: np.ndarray | None
-) -> DensityWeights:
-    """girsanov_weights, reusing B_T when the caller has already summed it."""
-    grid = bundle.grid
-    dt = grid.dt
-    if control.kind == "constant":
-        theta0 = control.theta0
-        if terminal_brownian is None:
-            terminal_brownian = bundle.terminal_brownian()
-        log_w = theta0 * terminal_brownian - 0.5 * theta0 * theta0 * grid.horizon
-    else:
-        theta = control.theta_on_grid(grid)
-        log_w = bundle.brownian_increments @ theta - 0.5 * float(theta @ theta) * dt
-    dw = DensityWeights(control=control, weights=np.exp(log_w))
-    if dw.std_error > 0.0 and abs(dw.mean - 1.0) > 4.0 * dw.std_error:
-        warnings.warn(
-            f"density mean {dw.mean:.6f} deviates from 1 by more than 4 SE "
-            f"({dw.std_error:.2e}) for control {control.label()}",
-            MartingaleDeviationWarning,
-            stacklevel=3,
-        )
-    return dw
+    return DensityWeights(control=control, weights=weight_matrix((control,), bundle)[:, 0])
 
 
 def expectation_under(
@@ -199,6 +179,46 @@ def expectation_under(
     return estimate, se
 
 
+def _column_moments(weights: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard error of weights * x[:, None].
+
+    The results are bitwise equal to the dense products.mean(axis=0) and
+    products.std(axis=0, ddof=1) / sqrt(n).  numpy reduces axis 0 of a
+    C-ordered (n, C > 1) array with one running sum per column, so two
+    sweeps over ROW_BLOCK rows repeat those additions exactly when each
+    block first adds the column totals carried from the block before into
+    its first row: one sweep sums the products, the other their squared
+    deviations from the mean.  Only one block is alive at a time, so the
+    extra memory is O(ROW_BLOCK * C).  numpy reduces an (n, 1) array
+    pairwise instead, so a single column keeps the dense formula.
+    """
+    n = weights.shape[0]
+    if weights.shape[1] == 1:
+        products = weights * x[:, None]
+        return products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(n)
+
+    def blocks():
+        for start in range(0, n, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            yield weights[rows] * x[rows, None]
+
+    def carried_sum(block: np.ndarray, total: np.ndarray | None) -> np.ndarray:
+        if total is not None:
+            block[0] += total
+        return block.sum(axis=0)
+
+    total = None
+    for block in blocks():
+        total = carried_sum(block, total)
+    mean = total / n
+    total = None
+    for block in blocks():
+        block -= mean
+        np.square(block, out=block)
+        total = carried_sum(block, total)
+    return mean, np.sqrt(total / (n - 1)) / np.sqrt(n)
+
+
 def weight_matrix(
     family: tuple[ThetaControl, ...] | list[ThetaControl],
     bundle: PathBundle,
@@ -206,23 +226,70 @@ def weight_matrix(
 ) -> np.ndarray:
     """Stack of density weights, one column per control, shape (n_paths, C).
 
-    With threads > 1 the columns are computed concurrently but assembled by
-    index, so the result does not depend on the thread count.
+    The matrix is filled in blocks of ROW_BLOCK contiguous rows.  In each
+    block every constant control's log-density is theta0 * B_T - theta0^2 T / 2
+    at once, every bang-bang control's is one matrix-vector product of the
+    block's increments with its theta path, and one exp then writes the
+    block's rows.  Every entry is bitwise what the per-column formula gives.
+    With threads > 1 a pool fills the same blocks, so the result does not
+    depend on the thread count.
+
+    Raises ValueError unless every weight is finite and strictly positive,
+    and warns (without failing) for each column whose sample mean is more
+    than 4 standard errors from 1; those statistics are sequential sums
+    (see _column_moments), so they can differ from DensityWeights' pairwise
+    ones in the last place.
     """
     family = tuple(family)
     if not family:
         raise ValueError("control family must be nonempty")
-    out = np.empty((bundle.n_paths, len(family)))
+    grid = bundle.grid
+    n = bundle.n_paths
+    out = np.empty((n, len(family)))
+    increments = bundle.brownian_increments
+    const_cols = [j for j, c in enumerate(family) if c.kind == "constant"]
+    theta0 = np.array([family[j].theta0 for j in const_cols])
+    const_shift = 0.5 * theta0 * theta0 * grid.horizon
+    bang = []
+    for j, control in enumerate(family):
+        if control.kind != "constant":
+            theta = control.theta_on_grid(grid)
+            bang.append((j, theta, 0.5 * float(theta @ theta) * grid.dt))
     # Every constant control needs the same B_T; sum the increments once.
-    terminal = bundle.terminal_brownian()
-    if threads <= 1 or len(family) == 1:
-        for j, control in enumerate(family):
-            out[:, j] = _density(control, bundle, terminal).weights
-        return out
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        futures = {pool.submit(_density, c, bundle, terminal): j for j, c in enumerate(family)}
-        for fut, j in futures.items():
-            out[:, j] = fut.result().weights
+    terminal = bundle.terminal_brownian() if const_cols else None
+
+    def fill(start: int) -> None:
+        rows = slice(start, start + ROW_BLOCK)
+        block = out[rows]
+        if const_cols:
+            block[:, const_cols] = terminal[rows, None] * theta0 - const_shift
+        # One product per column: stacking the thetas into one matmul
+        # would change the bits.
+        for j, theta, shift in bang:
+            block[:, j] = increments[rows] @ theta - shift
+        np.exp(block, out=block)
+        # min > 0 fails on zeros and NaN, max < inf on overflow.
+        if not (block.min() > 0.0 and block.max() < np.inf):
+            raise ValueError("density weights must be finite and strictly positive")
+
+    starts = range(0, n, ROW_BLOCK)
+    if threads <= 1:
+        for start in starts:
+            fill(start)
+    else:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            list(pool.map(fill, starts))
+
+    if n > 1:
+        means, ses = _column_moments(out, np.ones(n))
+        for control, mean, se in zip(family, means, ses):
+            if se > 0.0 and abs(mean - 1.0) > 4.0 * se:
+                warnings.warn(
+                    f"density mean {mean:.6f} deviates from 1 by more than 4 SE "
+                    f"({se:.2e}) for control {control.label()}",
+                    MartingaleDeviationWarning,
+                    stacklevel=2,
+                )
     return out
 
 
@@ -233,7 +300,13 @@ def expectation_profile(
     weights: np.ndarray | None = None,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and standard errors of E[payoff] under every family member."""
+    """Estimates and standard errors of E[payoff] under every family member.
+
+    Bitwise equal to (weights * x[:, None]).mean(axis=0) and
+    .std(axis=0, ddof=1) / sqrt(n_paths), computed in two sweeps over
+    ROW_BLOCK-row blocks with O(ROW_BLOCK * C) extra memory instead of the
+    (n_paths, C) products; one-member families use that dense formula.
+    """
     family = tuple(family)
     if weights is None:
         weights = weight_matrix(family, bundle, threads=threads)
@@ -245,10 +318,7 @@ def expectation_profile(
     x = np.asarray(payoff_values, dtype=float)
     if x.shape != (bundle.n_paths,):
         raise ValueError(f"payoff array shape {x.shape} does not match paths {bundle.n_paths}")
-    products = weights * x[:, None]
-    estimates = products.mean(axis=0)
-    ses = products.std(axis=0, ddof=1) / np.sqrt(bundle.n_paths)
-    return estimates, ses
+    return _column_moments(weights, x)
 
 
 def default_control_family(

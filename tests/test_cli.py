@@ -144,7 +144,7 @@ def test_load_scenario_range_validation(tmp_path):
         ("s0 = 100", "s0 = -5", "s0 must be positive"),
         ("horizon = 1.0", "horizon = 0", "horizon must be positive"),
         ("k = 0.1", "k = -0.1", "k must be >= 0"),
-        ("n_paths = 20000", "n_paths = 0", "n_paths must be >= 1"),
+        ("n_paths = 20000", "n_paths = 0", "n_paths must be >= 2"),
         ("strike = 100", "strike = -1", "strike must be positive"),
     ]
     for old, new, msg in cases:
@@ -394,6 +394,44 @@ def test_main_negative_seed_runs_without_traceback(tmp_path):
     assert proc.returncode in (EXIT_OK, EXIT_CHECK_FAILED), proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.startswith("estimator,value,std_error\n")
+
+
+@pytest.mark.parametrize("args, body", [
+    (["--paths", "1"], BASE),
+    ([], BASE.replace("payoff = call", "payoff = custom").replace(
+        "strike = 100\n", "expr = 1/(s-s)\n")),
+], ids=["one-path", "non-finite-payoff"])
+def test_main_bad_inputs_exit_2_without_traceback(tmp_path, args, body):
+    path = write_scn(tmp_path, body)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nexpect.cli", "--scenario", path, "--format", "csv", *args],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_BAD_SCENARIO, proc.stderr
+    assert "scenario error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("extra", [(), ("zsign",)], ids=["no-zsign", "zsign"])
+def test_fd_surfaces_stored_only_for_zsign(tmp_path, monkeypatch, extra):
+    from nexpect import cli
+    seen = []
+    real = cli.CHECK_REGISTRY["normalization"]
+
+    def capture(ctx):
+        seen.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setitem(cli.CHECK_REGISTRY, "normalization", capture)
+    scn = load_scenario(write_scn(tmp_path, BASE + "checks = normalization\n"))
+    run_scenario(scn, extra_checks=extra)
+    (ctx,) = seen
+    lower = ctx.solution_lower
+    assert lower.value_surface is None and lower.z_surface is None
+    upper = ctx.solution_upper
+    stored = "zsign" in extra
+    assert (upper.value_surface is not None) == stored
+    assert (upper.z_surface is not None) == stored
 
 
 def test_known_checks_cover_registry():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from nexpect import (
     InvalidControlError,
     MarketModel,
+    MartingaleDeviationWarning,
     ThetaControl,
     TimeGrid,
     default_control_family,
@@ -21,6 +23,7 @@ from nexpect import (
     simulate_sde,
     weight_matrix,
 )
+from nexpect.measures import ROW_BLOCK
 from nexpect.minimax import closed_under_negation
 from tests.conftest import CALL_ATM_FLAT, MEAN_ST_DRIFT_UP
 
@@ -187,6 +190,63 @@ def test_expectation_profile_shapes(family_k01, bundle_50k, weights_50k):
     assert np.all(ses > 0.0)
     with pytest.raises(ValueError):
         expectation_profile(values[:10], family_k01, bundle_50k, weights=weights_50k)
+
+
+B = ROW_BLOCK
+TWO_KINDS = (
+    ThetaControl.constant(0.1, 0.1),
+    ThetaControl.bang_bang((0.25, 0.75), (1, -1, 1), 0.1, 0.1),
+)
+
+
+def dense_weights(family, bundle):
+    """The per-column density formula, one full column at a time."""
+    grid = bundle.grid
+    columns = []
+    for control in family:
+        if control.kind == "constant":
+            t = control.theta0
+            log_w = t * bundle.terminal_brownian() - 0.5 * t * t * grid.horizon
+        else:
+            theta = control.theta_on_grid(grid)
+            log_w = bundle.brownian_increments @ theta - 0.5 * float(theta @ theta) * grid.dt
+        columns.append(np.exp(log_w))
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 3 * B + 17])
+@pytest.mark.parametrize("family", [
+    default_control_family(0.0), TWO_KINDS, default_control_family(0.1),
+], ids=["C1", "C2", "C29"])
+def test_blocked_weight_passes_are_bitwise_dense(n, family, grid8):
+    bundle = generate_brownian(grid8, n, 1000 + n)
+    dense = dense_weights(family, bundle)
+    with warnings.catch_warnings():
+        # Tiny samples may stray; the warning is tested separately.
+        warnings.simplefilter("ignore", MartingaleDeviationWarning)
+        serial = weight_matrix(family, bundle, threads=1)
+        pooled = weight_matrix(family, bundle, threads=2)
+        single = girsanov_weights(family[-1], bundle)
+    assert np.array_equal(serial, dense)
+    assert np.array_equal(pooled, dense)
+    assert np.array_equal(single.weights, dense[:, -1])
+
+    x = np.maximum(bundle.terminal_brownian() * 30.0 + 1.0, 0.0)
+    products = dense * x[:, None]
+    est, ses = expectation_profile(x, family, bundle, weights=serial)
+    assert np.array_equal(est, products.mean(axis=0))
+    assert np.array_equal(ses, products.std(axis=0, ddof=1) / np.sqrt(n))
+
+
+def test_weight_matrix_warns_on_stray_column(grid8):
+    base = generate_brownian(grid8, 3 * B + 17, 4242)
+    # Shift every increment up, so B_T is no longer centred under the reference.
+    shifted = replace(base, brownian_increments=base.brownian_increments + 0.05)
+    family = (ThetaControl.constant(0.0, 0.5), ThetaControl.constant(0.5, 0.5))
+    with pytest.warns(MartingaleDeviationWarning, match="theta=") as record:
+        weight_matrix(family, shifted)
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 1 and "theta=+0.5" in messages[0]
 
 
 def test_default_family_structure():
