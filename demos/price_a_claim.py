@@ -15,14 +15,12 @@ a fraction of a percent of each other.
 Run:  python3 demos/price_a_claim.py
 """
 
-import numpy as np
-
 from nexpect import (
-    Capacity,
     Generator,
     MarketModel,
     Payoff,
     TimeGrid,
+    build_capacity,
     choquet_integral,
     default_control_family,
     extremal_price,
@@ -59,9 +57,8 @@ def main() -> None:
           f"   (argmax tilt {mm.argmax_control.label()})")
 
     # Route 2: Choquet integrals against the family's capacity envelopes.
-    totals = np.ones(N_PATHS) @ weights
-    cap_up = Capacity("upper", family, weights, totals)
-    cap_lo = Capacity("lower", family, weights, totals)
+    cap_up = build_capacity("upper", family, bundle, weights=weights)
+    cap_lo = build_capacity("lower", family, bundle, weights=weights)
     cho_up = choquet_integral(values, cap_up)
     cho_lo = choquet_integral(values, cap_lo)
     print(f"choquet      upper {cho_up:9.5f}   lower {cho_lo:9.5f}")

@@ -18,10 +18,10 @@ Run:  python3 demos/straddle_gap.py
 import numpy as np
 
 from nexpect import (
-    Capacity,
     MarketModel,
     Payoff,
     TimeGrid,
+    build_capacity,
     choquet_integral,
     default_control_family,
     generate_brownian,
@@ -40,8 +40,7 @@ def main() -> None:
     bundle = simulate_sde(model, generate_brownian(grid, N_PATHS, SEED))
     family = default_control_family(K_RADIUS, 21)
     weights = weight_matrix(family, bundle)
-    totals = np.ones(N_PATHS) @ weights
-    cap_up = Capacity("upper", family, weights, totals)
+    cap_up = build_capacity("upper", family, bundle, weights=weights)
 
     claims = [
         Payoff.call(STRIKE),
@@ -51,7 +50,7 @@ def main() -> None:
                       lambda s: np.maximum(10.0 - np.abs(s - STRIKE), 0.0)),
     ]
 
-    cap_lo = Capacity("lower", family, weights, totals)
+    cap_lo = build_capacity("lower", family, bundle, weights=weights)
 
     print("claim       minimax_up   choquet_up    gap_up/se"
           "   minimax_lo   choquet_lo    gap_lo/se")

@@ -38,12 +38,10 @@ from .errors import (
     SimulationFailureError,
 )
 from .measures import (
-    DensityWeights,
     MartingaleDeviationWarning,
     ThetaControl,
     default_control_family,
     expectation_profile,
-    expectation_under,
     girsanov_weights,
     weight_matrix,
 )
@@ -66,9 +64,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TimeGrid", "MarketModel", "PathBundle", "generate_brownian", "simulate_sde",
-    "ThetaControl", "DensityWeights", "MartingaleDeviationWarning",
-    "girsanov_weights", "expectation_under", "weight_matrix",
-    "expectation_profile", "default_control_family",
+    "ThetaControl", "MartingaleDeviationWarning", "girsanov_weights",
+    "weight_matrix", "expectation_profile", "default_control_family",
     "Payoff", "Capacity", "LevelQuadrature", "build_capacity", "choquet_integral",
     "is_comonotone", "submodularity_check", "random_threshold_pairs",
     "choquet_holder_check", "SubmodularityReport", "HolderReport",

@@ -175,27 +175,26 @@ def _log_coefficients(model: MarketModel):
     return mv, sv, False
 
 
-def minimal_time_steps(
-    model: MarketModel,
-    horizon: float,
-    nodes: int = DEFAULT_NODES,
-    width_sds: float = DEFAULT_WIDTH_SDS,
-    lipschitz_z: float = 0.0,
-    safety: float = STABILITY_SAFETY,
-) -> int:
-    """Smallest explicit-scheme step count stable on the implied grid.
-
-    The binding constraint is dt <= safety * dx^2 / max(sv)^2; an advection
-    bound dt <= safety * dx / max(|mv| + L * sv) covers degenerate diffusion.
-    """
-    mv, sv, _ = _log_coefficients(model)
+def _log_grid(model: MarketModel, sv, horizon: float, nodes: int, width_sds: float):
+    """(x0, sigma_ref, x, dx): `nodes` log-state nodes centred at x0 = log(s0),
+    `width_sds` reference standard deviations sigma_ref = sv(0, x0) to each
+    side; sigma_ref is floored to 1e-8 when not positive."""
     x0 = math.log(model.s0)
     sigma_ref = float(sv(0.0, np.array([x0]))[0])
     if sigma_ref <= 0.0:
         sigma_ref = 1e-8
     half = width_sds * sigma_ref * math.sqrt(horizon)
-    dx = 2.0 * half / (nodes - 1)
     x = x0 + np.linspace(-half, half, nodes)
+    return x0, sigma_ref, x, x[1] - x[0]
+
+
+def _stable_steps(mv, sv, x: np.ndarray, dx: float, horizon: float,
+                  lipschitz_z: float, safety: float) -> int:
+    """Smallest explicit-scheme step count stable on the grid x.
+
+    The binding constraint is dt <= safety * dx^2 / max(sv)^2; an advection
+    bound dt <= safety * dx / max(|mv| + L * sv) covers degenerate diffusion.
+    """
     sv_max = 0.0
     adv_max = 0.0
     for t in np.linspace(0.0, horizon, 5):
@@ -211,6 +210,20 @@ def minimal_time_steps(
     if not dt_bounds:
         return 1
     return max(1, int(math.ceil(horizon / min(dt_bounds))))
+
+
+def minimal_time_steps(
+    model: MarketModel,
+    horizon: float,
+    nodes: int = DEFAULT_NODES,
+    width_sds: float = DEFAULT_WIDTH_SDS,
+    lipschitz_z: float = 0.0,
+    safety: float = STABILITY_SAFETY,
+) -> int:
+    """Smallest explicit-scheme step count stable on the grid solve_fd builds."""
+    mv, sv, _ = _log_coefficients(model)
+    _, _, x, dx = _log_grid(model, sv, horizon, nodes, width_sds)
+    return _stable_steps(mv, sv, x, dx, horizon, lipschitz_z, safety)
 
 
 def solve_fd(
@@ -240,15 +253,8 @@ def solve_fd(
         raise ValueError(f"horizon must be positive, got {horizon}")
 
     mv_fn, sv_fn, constant_coeffs = _log_coefficients(model)
-    x0 = math.log(model.s0)
-    sigma_ref = float(sv_fn(0.0, np.array([x0]))[0])
-    if sigma_ref <= 0.0:
-        sigma_ref = 1e-8
-    half = width_sds * sigma_ref * math.sqrt(horizon)
-    x = x0 + np.linspace(-half, half, nodes)
-    dx = x[1] - x[0]
-
-    m_min = minimal_time_steps(model, horizon, nodes, width_sds, generator.lipschitz_z)
+    x0, sigma_ref, x, dx = _log_grid(model, sv_fn, horizon, nodes, width_sds)
+    m_min = _stable_steps(mv_fn, sv_fn, x, dx, horizon, generator.lipschitz_z, STABILITY_SAFETY)
     if time_steps < m_min:
         if not substep:
             raise GridTooCoarseError(
@@ -401,10 +407,9 @@ def comparison_check(
     then solves both equations on the same grid and compares.  The default
     tolerance is 0.5% of the value scale, covering scheme error only.
     """
-    x0 = math.log(model.s0)
     _, sv_fn, _ = _log_coefficients(model)
-    sigma_ref = float(sv_fn(0.0, np.array([x0]))[0])
-    spread = 3.0 * max(sigma_ref, 1e-8) * math.sqrt(horizon)
+    _, sigma_ref, _, _ = _log_grid(model, sv_fn, horizon, nodes, DEFAULT_WIDTH_SDS)
+    spread = 3.0 * sigma_ref * math.sqrt(horizon)
     sample_states = model.s0 * np.exp(np.linspace(-spread, spread, 9))
     y_scale = max(1.0, float(np.abs(payoff.map(sample_states)).max()))
     z_scale = max(1.0, sigma_ref * y_scale)

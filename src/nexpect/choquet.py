@@ -135,7 +135,6 @@ class LevelQuadrature:
     """Strictly increasing payoff levels at which survival curves are sampled."""
 
     levels: np.ndarray
-    scheme: str
 
     def __post_init__(self) -> None:
         lv = np.asarray(self.levels, dtype=float)
@@ -148,24 +147,13 @@ class LevelQuadrature:
         object.__setattr__(self, "levels", lv)
 
     @classmethod
-    def from_values(
-        cls, values: np.ndarray, count: int = DEFAULT_LEVEL_COUNT, scheme: str = "quantile"
-    ) -> "LevelQuadrature":
-        """Build levels spanning [min(values), max(values)].
-
-        "quantile" places levels at empirical quantiles so they cluster where
-        the sample mass is; "uniform" spaces them evenly.
-        """
+    def from_values(cls, values: np.ndarray, count: int = DEFAULT_LEVEL_COUNT) -> "LevelQuadrature":
+        """Levels at `count` empirical quantiles spanning [min(values), max(values)],
+        so they cluster where the sample mass is."""
         if count < 2:
             raise ValueError(f"count must be >= 2, got {count}")
-        x = np.asarray(values, dtype=float)
-        if scheme == "quantile":
-            raw = np.quantile(x, np.linspace(0.0, 1.0, count))
-        elif scheme == "uniform":
-            raw = np.linspace(x.min(), x.max(), count)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        return cls(levels=np.unique(raw), scheme=scheme)
+        raw = np.quantile(np.asarray(values, dtype=float), np.linspace(0.0, 1.0, count))
+        return cls(levels=np.unique(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -229,45 +217,19 @@ class Capacity:
         tails /= total[:, None]
         return np.clip(self._reduce(tails.T), 0.0, 1.0)
 
-    def survival_curve(
-        self, values: np.ndarray, levels: np.ndarray, strict: bool = True
-    ) -> np.ndarray:
-        """Capacity of {values > level} (or >= when strict=False) per level.
-
-        One stable sort of the sample plus one blocked running sum of the
-        weights per control covers every level, which is what keeps
-        integration affordable on large path counts.  Only the running-sum
-        rows at the levels are kept, so the extra memory is
-        O(PREFIX_BLOCK * m) for m controls, not O(n * m).
-        """
-        strict_curve, loose_curve = self.survival_curves(values, levels)
-        return strict_curve if strict else loose_curve
-
-    def survival_curves(
-        self, values: np.ndarray, levels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both one-sided survival curves, sharing a single sort and running sum.
-
-        Returns (strict, loose): capacities of {values > level} and of
-        {values >= level} per level.  The two differ exactly where sample
-        mass sits on a level, which is what integration needs to handle
-        atoms sitting on quadrature levels without smearing them.
-        """
-        sample = _SortedSample(np.asarray(values, dtype=float))
-        return sample.curves(self, np.asarray(levels, dtype=float))
-
 
 def build_capacity(
     orientation: str,
     family: tuple[ThetaControl, ...] | list[ThetaControl],
-    bundle: PathBundle,
+    bundle: PathBundle | None,
     weights: np.ndarray | None = None,
     threads: int = 1,
 ) -> Capacity:
     """Assemble a capacity from a control family on a simulated bundle.
 
     A precomputed weight matrix may be passed so that upper and lower
-    capacities (and the minimax search) share one set of densities.
+    capacities (and the minimax search) share one set of densities; the
+    bundle is only read when it is not.
     """
     family = tuple(family)
     if weights is None:
@@ -420,11 +382,10 @@ def _additive_integral(x: np.ndarray, weights: np.ndarray, total: float) -> floa
     return float(np.mean(weights * x) * (x.size / float(total)))
 
 
-def _quadrature_levels(sample: _SortedSample, quadrature: LevelQuadrature | None) -> np.ndarray:
+def _quadrature_levels(sample: _SortedSample, quadrature: LevelQuadrature) -> np.ndarray:
     x = sample.values
     distinct = sample.distinct
-    quad = quadrature or LevelQuadrature.from_values(x, DEFAULT_LEVEL_COUNT)
-    levels = quad.levels
+    levels = quadrature.levels
     span_slack = 1e-12 * max(1.0, float(np.abs(x).max()))
     if levels[0] > distinct[0] + span_slack or levels[-1] < distinct[-1] - span_slack:
         raise ValueError(
@@ -440,23 +401,22 @@ def choquet_integral(
     payoff_values: np.ndarray,
     capacity: Capacity,
     quadrature: LevelQuadrature | None = None,
-    method: str = "auto",
 ) -> float:
     """Choquet integral of sampled payoff values against a capacity.
 
     The sampled capacity is a step function of the level, so the level-set
-    integral is a finite sum over the distinct values; method "exact"
-    computes that sum outright and carries no discretization error at any
-    sample size.  A payoff with a few distinct values is summed as a simple
-    function through capacity.evaluate; otherwise the sample is sorted once
-    (stably) and the tail capacity just left of every sorted sample comes
-    from running sums of the weights in sorted order, O(n m) time for n
-    paths and m controls.  The running sums are swept in blocks of
+    integral is a finite sum over the distinct values.  Without a quadrature
+    (the default) that sum is computed outright, with no discretization
+    error at any sample size.  A payoff with a few distinct values is summed
+    as a simple function through capacity.evaluate; otherwise the sample is
+    sorted once (stably) and the tail capacity just left of every sorted
+    sample comes from running sums of the weights in sorted order, O(n m)
+    time for n paths and m controls.  The running sums are swept in blocks of
     PREFIX_BLOCK rows with the total carried between blocks, which is
     bitwise equal to one running sum over all rows but needs only
     O(PREFIX_BLOCK * m) extra memory instead of several (n, m) arrays.
 
-    method "quadrature" instead integrates the survival curve by the
+    Passing a quadrature instead integrates the survival curve by the
     trapezoidal rule on the given levels, using one-sided limits so atoms
     sitting on a level integrate exactly; between levels the curve is
     endpoint-averaged, which overestimates on convex stretches such as far
@@ -464,19 +424,14 @@ def choquet_integral(
     running-sum rows at the levels.  It exists for resolution-controlled
     work (error bootstraps, level-placement studies) where a fixed level
     budget matters more than the last digits.
-
-    method "auto" (default) uses "exact" unless an explicit quadrature is
-    passed, in which case the requested levels are honoured.
     """
-    if method not in ("auto", "exact", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     x = _payoff_sample(payoff_values, capacity)
 
     if capacity.weights.shape[1] == 1:
         return _additive_integral(x, capacity.weights[:, 0], capacity.totals[0])
 
     sample = _SortedSample(x)
-    if method == "exact" or (method == "auto" and quadrature is None):
+    if quadrature is None:
         distinct = sample.distinct
         if distinct.size <= SIMPLE_FUNCTION_LIMIT:
             # The evaluate()-based loop keeps indicator payoffs bitwise

@@ -139,7 +139,9 @@ def parse_payoff_expression(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     inner = build(tree)
 
     def fn(s: np.ndarray) -> np.ndarray:
-        out = np.asarray(inner(np.asarray(s, dtype=float)), dtype=float)
+        # Payoff.map rejects non-finite results; numpy need not warn first.
+        with np.errstate(all="ignore"):
+            out = np.asarray(inner(np.asarray(s, dtype=float)), dtype=float)
         if out.shape != np.shape(s):
             out = np.broadcast_to(out, np.shape(s)).copy()
         return out
@@ -338,8 +340,9 @@ def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
 def _validate_scenario(fields: dict, path: str) -> Scenario:
     if fields["s0"] <= 0:
         raise ScenarioError(f"s0 must be positive, got {fields['s0']}")
-    if fields["sigma"] < 0:
-        raise ScenarioError(f"sigma must be >= 0, got {fields['sigma']}")
+    if fields["sigma"] <= 0:
+        # At sigma = 0 the solver's grid collapses and its step count explodes.
+        raise ScenarioError(f"sigma must be > 0, got {fields['sigma']}")
     if fields["horizon"] <= 0:
         raise ScenarioError(f"horizon must be positive, got {fields['horizon']}")
     if fields["k"] < 0:
@@ -469,8 +472,7 @@ def _choquet_std_error(
     sub_values = values[:m]
     sub_weights = capacity.weights[:m]
     quad = LevelQuadrature.from_values(sub_values, min(level_count, m))
-    sub_cap = Capacity(capacity.orientation, capacity.family, sub_weights,
-                       np.ones(m) @ sub_weights)
+    sub_cap = build_capacity(capacity.orientation, capacity.family, None, weights=sub_weights)
     rng = _aux_rng(seed ^ 0x5EB007)
     resampled = _PayoffBootstrap([(sub_values, quad)], sub_cap).resample(resamples, rng)
     outcomes = np.array([row[0] for row in resampled])
@@ -666,9 +668,9 @@ def _check_duality(ctx: RunContext) -> CheckOutcome:
     mm_neg = minimax_expectation(neg_payoff, ctx.family, ctx.bundle, weights=ctx.weights)
     gap_minimax = abs(ctx.minimax.lower + mm_neg.upper)
 
-    _, sub_values, sub_weights = ctx.subsample()
-    cap_u = Capacity("upper", ctx.family, sub_weights, np.ones(sub_weights.shape[0]) @ sub_weights)
-    cap_l = Capacity("lower", ctx.family, sub_weights, np.ones(sub_weights.shape[0]) @ sub_weights)
+    sub_bundle, sub_values, sub_weights = ctx.subsample()
+    cap_u = build_capacity("upper", ctx.family, sub_bundle, weights=sub_weights)
+    cap_l = build_capacity("lower", ctx.family, sub_bundle, weights=sub_weights)
     rng = _aux_rng(ctx.scenario.seed ^ 0xD0A1)
     gap_cap = 0.0
     for a, _ in random_threshold_pairs(sub_values, 20, rng):
@@ -794,9 +796,9 @@ def _check_attainment(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_submodularity(ctx: RunContext) -> CheckOutcome:
-    _, sub_values, sub_weights = ctx.subsample()
+    sub_bundle, sub_values, sub_weights = ctx.subsample()
     m = sub_values.size
-    cap = Capacity("upper", ctx.family, sub_weights, np.ones(m) @ sub_weights)
+    cap = build_capacity("upper", ctx.family, sub_bundle, weights=sub_weights)
     rng = _aux_rng(ctx.scenario.seed ^ 0x5B0D)
     pairs = random_threshold_pairs(sub_values, 200, rng)
     tol = 3.0 / math.sqrt(m)
@@ -823,9 +825,9 @@ def _check_l2bound(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_holder(ctx: RunContext) -> CheckOutcome:
-    _, sub_values, sub_weights = ctx.subsample()
+    sub_bundle, sub_values, sub_weights = ctx.subsample()
     m = sub_values.size
-    cap = Capacity("upper", ctx.family, sub_weights, np.ones(m) @ sub_weights)
+    cap = build_capacity("upper", ctx.family, sub_bundle, weights=sub_weights)
     terminal = ctx.bundle.terminal()[:m]
     s0 = ctx.scenario.s0
     pairs = [

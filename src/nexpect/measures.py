@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,8 @@ ROW_BLOCK = 4096
 
 __all__ = [
     "ThetaControl",
-    "DensityWeights",
     "MartingaleDeviationWarning",
     "girsanov_weights",
-    "expectation_under",
     "weight_matrix",
     "expectation_profile",
     "default_control_family",
@@ -130,53 +128,13 @@ class ThetaControl:
         return f"bang_bang[{pattern}] level={self.level:+.6g}"
 
 
-@dataclass(frozen=True)
-class DensityWeights:
-    """Per-path Radon-Nikodym weights for one control on one bundle."""
-
-    control: ThetaControl
-    weights: np.ndarray
-    mean: float = field(init=False)
-    std_error: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        w = self.weights
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-d array")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("density weights must be finite and strictly positive")
-        object.__setattr__(self, "mean", float(w.mean()))
-        se = float(w.std(ddof=1) / np.sqrt(w.size)) if w.size > 1 else 0.0
-        object.__setattr__(self, "std_error", se)
-
-
-def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> DensityWeights:
+def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> np.ndarray:
     """Density of the control's measure against the reference, path by path.
 
-    Warns (without failing) when the sample mean is more than 4 standard
-    errors away from its theoretical value 1.  The weights are the column
-    weight_matrix builds for the one-member family (control,).
+    The column weight_matrix builds for the one-member family (control,),
+    with the same validation and martingale warning.
     """
-    return DensityWeights(control=control, weights=weight_matrix((control,), bundle)[:, 0])
-
-
-def expectation_under(
-    control: ThetaControl,
-    payoff_values: np.ndarray,
-    weights: DensityWeights,
-) -> tuple[float, float]:
-    """Reweighted Monte Carlo mean and its standard error under one control."""
-    if weights.control != control:
-        raise ValueError("weights were computed for a different control")
-    x = np.asarray(payoff_values, dtype=float)
-    if x.shape != weights.weights.shape:
-        raise ValueError(
-            f"payoff array shape {x.shape} does not match weights shape {weights.weights.shape}"
-        )
-    products = weights.weights * x
-    estimate = float(products.mean())
-    se = float(products.std(ddof=1) / np.sqrt(products.size)) if products.size > 1 else 0.0
-    return estimate, se
+    return weight_matrix((control,), bundle)[:, 0]
 
 
 def _column_moments(weights: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,9 +194,7 @@ def weight_matrix(
 
     Raises ValueError unless every weight is finite and strictly positive,
     and warns (without failing) for each column whose sample mean is more
-    than 4 standard errors from 1; those statistics are sequential sums
-    (see _column_moments), so they can differ from DensityWeights' pairwise
-    ones in the last place.
+    than 4 standard errors from 1.
     """
     family = tuple(family)
     if not family:

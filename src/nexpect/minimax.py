@@ -214,13 +214,15 @@ def extremal_price(
 
     if bundle is None or bundle.states is None:
         raise ValueError("reweighting route requires a simulated bundle")
-    from .measures import expectation_under, girsanov_weights
-
     values = payoff.map(bundle.terminal())
-    plus = ThetaControl.constant(k, k)
-    minus = ThetaControl.constant(-k, k)
-    est_plus, se_plus = expectation_under(plus, values, girsanov_weights(plus, bundle))
-    est_minus, se_minus = expectation_under(minus, values, girsanov_weights(minus, bundle))
+
+    def profile(theta: float) -> tuple[float, float]:
+        # A one-member family keeps the dense pairwise reductions.
+        est, se = expectation_profile(values, (ThetaControl.constant(theta, k),), bundle)
+        return float(est[0]), float(se[0])
+
+    est_plus, se_plus = profile(k)
+    est_minus, se_minus = profile(-k)
     if mono == "increasing":
         return ExtremalReport(upper=est_plus, lower=est_minus, method="reweighting",
                               upper_se=se_plus, lower_se=se_minus)

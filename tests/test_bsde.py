@@ -167,12 +167,14 @@ def test_fd_duality_with_negated_payoff(model):
 # stability contract
 # ---------------------------------------------------------------------------
 
-def test_fd_substeps_by_default(model):
+@pytest.mark.parametrize("nodes, requested", [(101, 50), (401, 1000), (801, 2000), (1601, 2000)],
+                         ids=["101", "401", "801", "1601"])
+def test_fd_substeps_by_default(model, nodes, requested):
     sol = solve_fd(model, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON,
-                   nodes=801, time_steps=2000)
-    need = minimal_time_steps(model, HORIZON, nodes=801, lipschitz_z=0.1)
+                   nodes=nodes, time_steps=requested, store_surfaces=False)
+    need = minimal_time_steps(model, HORIZON, nodes=nodes, lipschitz_z=0.1)
     assert sol.time_steps == need
-    assert sol.time_steps > 2000  # the requested count is below the bound here
+    assert sol.time_steps > requested  # the requested count is below the bound here
 
 
 def test_fd_grid_too_coarse_error(model):

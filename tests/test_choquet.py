@@ -17,7 +17,7 @@ from nexpect import (
     choquet_holder_check,
     choquet_integral,
     default_control_family,
-    expectation_under,
+    expectation_profile,
     generate_brownian,
     girsanov_weights,
     is_comonotone,
@@ -103,8 +103,8 @@ def test_capacity_upper_digital_value(caps, bundle_200k, family_k01):
     # The maximiser is the +k control; compare against its own normalised mean
     # and the frozen oracle P(S_T > 100) = 0.5 under drift +k sigma.
     plus = ThetaControl.constant(0.1, 0.1)
-    dw = girsanov_weights(plus, bundle_200k)
-    est = float((dw.weights * event).sum() / dw.weights.sum())
+    w = girsanov_weights(plus, bundle_200k)
+    est = float((w * event).sum() / w.sum())
     se = 0.5 / math.sqrt(bundle_200k.n_paths)  # binomial bound
     assert value >= est - 1e-12
     assert abs(value - DIGITAL_ATM_DRIFT_UP) < 4.0 * se
@@ -144,20 +144,16 @@ def test_quadrature_spans_and_sorted():
     assert quad.levels[0] == -1.0
     assert quad.levels[-1] == 7.5
     assert np.all(np.diff(quad.levels) > 0)
-    uni = LevelQuadrature.from_values(values, 9, scheme="uniform")
-    assert uni.levels.size == 9
     with pytest.raises(ValueError):
-        LevelQuadrature(levels=np.array([1.0, 1.0]), scheme="quantile")
-    with pytest.raises(ValueError):
-        LevelQuadrature.from_values(values, 9, scheme="cubic")
+        LevelQuadrature(levels=np.array([1.0, 1.0]))
 
 
 def test_quadrature_must_span_payoff(caps):
     upper, _ = caps
     values = np.linspace(0.0, 10.0, upper.n_paths)
-    short = LevelQuadrature(levels=np.linspace(0.0, 5.0, 33), scheme="uniform")
+    short = LevelQuadrature(levels=np.linspace(0.0, 5.0, 33))
     with pytest.raises(ValueError, match="span"):
-        choquet_integral(values, upper, short, method="quadrature")
+        choquet_integral(values, upper, short)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +186,8 @@ def test_integral_simple_function_agreement(caps, bundle_200k):
     upper, _ = caps
     term = bundle_200k.terminal()
     values = np.clip(np.round(np.maximum(term - 100.0, 0.0) / 5.0) * 5.0, 0.0, 40.0)
-    exact = choquet_integral(values, upper, method="exact")
-    quad = choquet_integral(
-        values, upper, LevelQuadrature.from_values(values, 513), method="quadrature"
-    )
+    exact = choquet_integral(values, upper)
+    quad = choquet_integral(values, upper, LevelQuadrature.from_values(values, 513))
     assert abs(exact - quad) < 1e-8 * max(1.0, abs(exact))
 
 
@@ -212,7 +206,7 @@ def test_integral_negative_payoff(caps, bundle_200k):
     values = -Payoff.put(100.0).map(bundle_200k.terminal())
     estimate = choquet_integral(values, upper)
     plus = ThetaControl.constant(0.1, 0.1)
-    ref, se = expectation_under(plus, values, girsanov_weights(plus, bundle_200k))
+    (ref,), (se,) = expectation_profile(values, (plus,), bundle_200k)
     assert estimate <= 0.0
     assert abs(estimate - ref) < max(3.0 * se, 0.02 * abs(ref))
 
@@ -419,9 +413,7 @@ def test_integral_quadrature_bias_is_one_sided(family_k01, bundle_50k, weights_5
     upper = build_capacity("upper", family_k01, bundle_50k, weights=weights_50k)
     values = np.maximum(bundle_50k.terminal() - 100.0, 0.0)
     exact = choquet_integral(values, upper)
-    quad = choquet_integral(
-        values, upper, LevelQuadrature.from_values(values, 513), method="quadrature"
-    )
+    quad = choquet_integral(values, upper, LevelQuadrature.from_values(values, 513))
     assert quad >= exact - 1e-9
     assert abs(quad - exact) < 0.03 * exact
 
@@ -508,9 +500,7 @@ def test_sorted_prefix_engine_is_bitwise_dense(n, controls):
             assert got == dense_quadrature(x, cap, levels, m)
         assert sample.exact_integral(cap) == dense_exact(x, cap)
         if controls > 1:
-            assert np.array_equal(cap.survival_curve(x, levels, strict=False),
-                                  dense_tails(x, cap, levels, "left"))
-            assert choquet_integral(x, cap, LevelQuadrature(levels, "given")) == (
+            assert choquet_integral(x, cap, LevelQuadrature(levels)) == (
                 dense_quadrature(x, cap, levels)
             )
             if np.unique(x).size > SIMPLE_FUNCTION_LIMIT:

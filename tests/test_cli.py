@@ -146,6 +146,7 @@ def test_load_scenario_range_validation(tmp_path):
         ("k = 0.1", "k = -0.1", "k must be >= 0"),
         ("n_paths = 20000", "n_paths = 0", "n_paths must be >= 2"),
         ("strike = 100", "strike = -1", "strike must be positive"),
+        ("sigma = 0.2", "sigma = 0", "sigma must be > 0"),
     ]
     for old, new, msg in cases:
         with pytest.raises(ScenarioError, match=msg):
@@ -400,7 +401,8 @@ def test_main_negative_seed_runs_without_traceback(tmp_path):
     (["--paths", "1"], BASE),
     ([], BASE.replace("payoff = call", "payoff = custom").replace(
         "strike = 100\n", "expr = 1/(s-s)\n")),
-], ids=["one-path", "non-finite-payoff"])
+    ([], BASE.replace("sigma = 0.2", "sigma = 0")),
+], ids=["one-path", "non-finite-payoff", "zero-sigma"])
 def test_main_bad_inputs_exit_2_without_traceback(tmp_path, args, body):
     path = write_scn(tmp_path, body)
     proc = subprocess.run(
@@ -410,6 +412,7 @@ def test_main_bad_inputs_exit_2_without_traceback(tmp_path, args, body):
     assert proc.returncode == EXIT_BAD_SCENARIO, proc.stderr
     assert "scenario error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("extra", [(), ("zsign",)], ids=["no-zsign", "zsign"])

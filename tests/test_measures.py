@@ -17,7 +17,6 @@ from nexpect import (
     TimeGrid,
     default_control_family,
     expectation_profile,
-    expectation_under,
     generate_brownian,
     girsanov_weights,
     simulate_sde,
@@ -75,44 +74,46 @@ def test_negated_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_zero_control_weights_are_one(bundle_50k):
-    dw = girsanov_weights(ThetaControl.constant(0.0, 0.1), bundle_50k)
-    assert np.all(dw.weights == 1.0)
-    assert dw.mean == 1.0
+    control = ThetaControl.constant(0.0, 0.1)
+    w = girsanov_weights(control, bundle_50k)
+    assert np.all(w == 1.0)
+    (mean,), _ = expectation_profile(np.ones(bundle_50k.n_paths), (control,), bundle_50k)
+    assert mean == 1.0
 
 
 def test_constant_weights_match_formula(bundle_50k):
     k = 0.1
-    dw = girsanov_weights(ThetaControl.constant(k, k), bundle_50k)
+    w = girsanov_weights(ThetaControl.constant(k, k), bundle_50k)
     bt = bundle_50k.terminal_brownian()
     expected = np.exp(k * bt - 0.5 * k * k * bundle_50k.grid.horizon)
-    assert np.allclose(dw.weights, expected, rtol=1e-12)
-    assert np.all(dw.weights > 0.0)
+    assert np.allclose(w, expected, rtol=1e-12)
+    assert np.all(w > 0.0)
 
 
 def test_bang_bang_weights_match_manual():
     grid = TimeGrid(1.0, 4)
     bundle = generate_brownian(grid, 1000, 77)
     control = ThetaControl.bang_bang((0.5,), (1, -1), 0.1, 0.1)
-    dw = girsanov_weights(control, bundle)
+    w = girsanov_weights(control, bundle)
     inc = bundle.brownian_increments
     theta = np.array([0.1, 0.1, -0.1, -0.1])
     manual = np.exp(inc @ theta - 0.5 * 0.01 * 1.0)
-    assert np.allclose(dw.weights, manual, rtol=1e-12)
+    assert np.allclose(w, manual, rtol=1e-12)
 
 
 def test_weights_martingale_mean(acc_model, grid8):
     bundle = simulate_sde(acc_model, generate_brownian(grid8, 500_000, 2024))
+    control = ThetaControl.constant(0.1, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a deviation warning would fail the test
-        dw = girsanov_weights(ThetaControl.constant(0.1, 0.1), bundle)
-    assert abs(dw.mean - 1.0) <= 4.0 * dw.std_error
+        (mean,), (se,) = expectation_profile(np.ones(bundle.n_paths), (control,), bundle)
+    assert abs(mean - 1.0) <= 4.0 * se
 
 
 def test_weights_second_moment_bound(bundle_200k):
     # E[w^2] = e^{k^2 T} for a constant control at the bound.
     k, horizon = 0.1, 1.0
-    dw = girsanov_weights(ThetaControl.constant(k, k), bundle_200k)
-    w2 = dw.weights**2
+    w2 = girsanov_weights(ThetaControl.constant(k, k), bundle_200k) ** 2
     se = w2.std(ddof=1) / math.sqrt(w2.size)
     assert w2.mean() <= math.exp(k * k * horizon) + 4.0 * se
 
@@ -123,9 +124,8 @@ def test_weights_second_moment_bound(bundle_200k):
 
 def test_expectation_constant_payoff_exact_at_zero(bundle_50k):
     control = ThetaControl.constant(0.0, 0.1)
-    dw = girsanov_weights(control, bundle_50k)
     values = np.full(bundle_50k.n_paths, 3.25)
-    est, se = expectation_under(control, values, dw)
+    (est,), (se,) = expectation_profile(values, (control,), bundle_50k)
     assert est == 3.25
     assert se == 0.0
 
@@ -133,16 +133,14 @@ def test_expectation_constant_payoff_exact_at_zero(bundle_50k):
 def test_expectation_drift_shift(bundle_200k):
     # theta = +k on a driftless market prices S_T at 100 e^{+k sigma T}.
     control = ThetaControl.constant(0.1, 0.1)
-    dw = girsanov_weights(control, bundle_200k)
-    est, se = expectation_under(control, bundle_200k.terminal(), dw)
+    (est,), (se,) = expectation_profile(bundle_200k.terminal(), (control,), bundle_200k)
     assert abs(est - MEAN_ST_DRIFT_UP) < 3.0 * se
 
 
 def test_expectation_flat_call(bundle_200k):
     control = ThetaControl.constant(0.0, 0.1)
-    dw = girsanov_weights(control, bundle_200k)
     values = np.maximum(bundle_200k.terminal() - 100.0, 0.0)
-    est, se = expectation_under(control, values, dw)
+    (est,), (se,) = expectation_profile(values, (control,), bundle_200k)
     assert abs(est - CALL_ATM_FLAT) < 3.0 * se
 
 
@@ -157,20 +155,14 @@ def test_measure_change_matches_direct_simulation(grid8):
     flat = MarketModel.gbm(100.0, 0.0, 0.2)
     base = simulate_sde(flat, generate_brownian(grid8, 200_000, 556))
     control = ThetaControl.constant(0.1, 0.1)
-    est, se = expectation_under(
-        control, np.maximum(base.terminal() - 100.0, 0.0), girsanov_weights(control, base)
-    )
+    (est,), (se,) = expectation_profile(np.maximum(base.terminal() - 100.0, 0.0), (control,), base)
     assert abs(est - direct_est) < 4.0 * math.hypot(se, direct_se)
 
 
 def test_expectation_validation(bundle_50k):
     control = ThetaControl.constant(0.05, 0.1)
-    other = ThetaControl.constant(0.03, 0.1)
-    dw = girsanov_weights(control, bundle_50k)
     with pytest.raises(ValueError):
-        expectation_under(other, np.ones(bundle_50k.n_paths), dw)
-    with pytest.raises(ValueError):
-        expectation_under(control, np.ones(10), dw)
+        expectation_profile(np.ones(10), (control,), bundle_50k)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +221,7 @@ def test_blocked_weight_passes_are_bitwise_dense(n, family, grid8):
         single = girsanov_weights(family[-1], bundle)
     assert np.array_equal(serial, dense)
     assert np.array_equal(pooled, dense)
-    assert np.array_equal(single.weights, dense[:, -1])
+    assert np.array_equal(single, dense[:, -1])
 
     x = np.maximum(bundle.terminal_brownian() * 30.0 + 1.0, 0.0)
     products = dense * x[:, None]

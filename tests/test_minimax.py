@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import stats
 
 from nexpect import (
     MarketModel,
+    MartingaleDeviationWarning,
     Payoff,
     ThetaControl,
     attainment_check,
@@ -24,6 +26,7 @@ from nexpect import (
     pooled_tolerance,
     simulate_sde,
 )
+from nexpect.measures import ROW_BLOCK
 from tests.conftest import (
     CALL_ATM_DRIFT_DOWN,
     CALL_ATM_DRIFT_UP,
@@ -115,6 +118,27 @@ def test_extremal_reweighting_digital(acc_model, bundle_50k):
     assert abs(report.upper - DIGITAL_ATM_DRIFT_UP) < 3.0 * report.upper_se
     oracle_low = lognormal_digital_value(100.0, -0.02, 0.2, 1.0, 100.0)
     assert abs(report.lower - oracle_low) < 3.0 * report.lower_se
+
+
+@pytest.mark.parametrize("n", [2, ROW_BLOCK - 1, ROW_BLOCK + 1, 50_000])
+@pytest.mark.parametrize("payoff", [Payoff.call(100.0), Payoff.put(100.0)], ids=["call", "put"])
+def test_extremal_reweighting_is_bitwise_dense(acc_model, grid8, n, payoff):
+    bundle = simulate_sde(acc_model, generate_brownian(grid8, n, 700 + n))
+    x = payoff.map(bundle.terminal())
+    k, bt = acc_model.k, bundle.terminal_brownian()
+
+    def dense(theta):
+        products = np.exp(theta * bt - 0.5 * theta * theta * HORIZON) * x
+        return products.mean(), products.std(ddof=1) / np.sqrt(n)
+
+    (hi, hi_se), (lo, lo_se) = dense(k), dense(-k)
+    if payoff.monotonicity == "decreasing":
+        (hi, hi_se), (lo, lo_se) = (lo, lo_se), (hi, hi_se)
+    with warnings.catch_warnings():
+        # Tiny samples may stray from the martingale mean.
+        warnings.simplefilter("ignore", MartingaleDeviationWarning)
+        report = extremal_price(payoff, acc_model, HORIZON, bundle=bundle)
+    assert (report.upper, report.upper_se, report.lower, report.lower_se) == (hi, hi_se, lo, lo_se)
 
 
 def test_extremal_closed_form_rejects_digital(acc_model):
