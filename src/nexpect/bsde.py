@@ -11,7 +11,8 @@ measure whose drift distortion is nu.
 
 solve_fd marches an explicit scheme backward from the terminal condition;
 solve_tree is an independent recombining-lattice oracle for proportional
-(GBM) coefficients.
+(GBM) coefficients.  Every solve streams the extreme of z on the central
+band that z_sign_check reads, so no caller has to store surfaces for it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ DEFAULT_NODES = 801
 DEFAULT_TIME_STEPS = 2000
 DEFAULT_WIDTH_SDS = 6.0
 STABILITY_SAFETY = 0.9
+# The explicit march needs a step count that grows like 1/sigma^2; solve_fd
+# refuses grids whose stable count exceeds this instead of marching for hours.
+MAX_TIME_STEPS = 1_000_000
+# Fraction of space nodes, centred, on which z_sign_check reads z.
+Z_SIGN_BAND = 0.9
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,12 @@ class GridSolution:
     (row 0 is t = 0) and one column per node.  `z_surface` is the volatility
     times the state-derivative of the value, the integrand-of-noise term of
     the backward equation.  Surfaces are None when storage was disabled.
+
+    `z_extreme` is kept whether or not surfaces are stored: the min of z for
+    an increasing payoff, the max for a decreasing one, over every row before
+    the terminal one and the central Z_SIGN_BAND of the nodes.  It equals that
+    extreme of the stored `z_surface` exactly, and is NaN for payoffs
+    without a declared monotonicity.
     """
 
     model: MarketModel
@@ -142,6 +154,7 @@ class GridSolution:
     dt: float
     time_steps: int
     y0: float
+    z_extreme: float
     value_surface: Optional[np.ndarray] = None
     z_surface: Optional[np.ndarray] = None
 
@@ -243,7 +256,14 @@ def solve_fd(
     standard deviations.  When the requested `time_steps` violates the
     stability bound, the scheme substeps to the minimal stable count by
     default; with substep=False it raises GridTooCoarseError naming that
-    count instead.  Boundary rows extrapolate linearly (zero curvature).
+    count instead.  A stable count above MAX_TIME_STEPS raises ValueError
+    naming it before any work.  Boundary rows extrapolate linearly (zero
+    curvature).
+
+    The z-sign extreme is folded in as the march goes.  With constant
+    coefficients and a band that leaves out the boundary columns, each step
+    reuses the interior z it computes anyway, which is bitwise the z of the
+    row it reads; otherwise z is recomputed on the band of each new row.
     """
     if nodes < 5:
         raise ValueError(f"nodes must be >= 5, got {nodes}")
@@ -255,6 +275,11 @@ def solve_fd(
     mv_fn, sv_fn, constant_coeffs = _log_coefficients(model)
     x0, sigma_ref, x, dx = _log_grid(model, sv_fn, horizon, nodes, width_sds)
     m_min = _stable_steps(mv_fn, sv_fn, x, dx, horizon, generator.lipschitz_z, STABILITY_SAFETY)
+    if m_min > MAX_TIME_STEPS:
+        raise ValueError(
+            f"explicit scheme needs {m_min} time steps on {nodes} nodes, "
+            f"above the limit of {MAX_TIME_STEPS}"
+        )
     if time_steps < m_min:
         if not substep:
             raise GridTooCoarseError(
@@ -290,6 +315,16 @@ def solve_fd(
         value_surface[m] = u
         z_surface[m] = z_row(horizon, u)
 
+    # Running elementwise extreme of z on the band, folded once per row
+    # before the terminal one; payoffs without monotonicity track nothing.
+    fold = {"increasing": np.minimum, "decreasing": np.maximum}.get(payoff.monotonicity)
+    margin = int(round(0.5 * (1.0 - Z_SIGN_BAND) * nodes))
+    hi = nodes - margin
+    if fold is not None:
+        track = np.full(hi - margin, np.inf if fold is np.minimum else -np.inf)
+    reuse_z = fold is not None and constant_coeffs and margin >= 1
+    recompute_z = fold is not None and not reuse_z
+
     for step in range(m, 0, -1):
         t_known = step * dt
         if not constant_coeffs:
@@ -298,6 +333,8 @@ def solve_fd(
         d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
         d1 = (u[2:] - u[:-2]) / (2.0 * dx)
         z = sv_row * d1
+        if reuse_z and step < m:
+            fold(track, z[margin - 1:hi - 1], out=track)
         interior = u[1:-1] + dt * (
             0.5 * sv_row * sv_row * d2 + mv_row * d1 + generator.g(t_known, u[1:-1], z)
         )
@@ -309,6 +346,11 @@ def solve_fd(
         if store_surfaces:
             value_surface[step - 1] = u
             z_surface[step - 1] = z_row(t_known - dt, u)
+        if recompute_z:
+            fold(track, z_row(t_known - dt, u)[margin:hi], out=track)
+
+    if reuse_z:
+        fold(track, z_row(0.0, u)[margin:hi], out=track)
 
     if not np.all(np.isfinite(u)):
         raise GridTooCoarseError(
@@ -329,6 +371,7 @@ def solve_fd(
         dt=dt,
         time_steps=m,
         y0=y0,
+        z_extreme=math.nan if fold is None else float(fold.reduce(track)),
         value_surface=value_surface,
         z_surface=z_surface,
     )
@@ -459,32 +502,23 @@ class ZSignReport:
         return self.status != "fail"
 
 
-def z_sign_check(solution: GridSolution, band: float = 0.9, threshold: Optional[float] = None) -> ZSignReport:
-    """Check the sign of the z-surface implied by the payoff's monotonicity.
+def z_sign_check(solution: GridSolution, threshold: Optional[float] = None) -> ZSignReport:
+    """Check the sign of z implied by the payoff's monotonicity.
 
     Increasing payoffs must keep z >= -threshold and decreasing payoffs
-    z <= +threshold on the central `band` fraction of space nodes at all
-    times before the terminal one.  Payoffs without declared monotonicity
-    yield a not_applicable report.
+    z <= +threshold on the central Z_SIGN_BAND of space nodes at all times
+    before the terminal one.  The extreme is the one solve_fd streamed into
+    `solution.z_extreme`, so stored surfaces are not needed.  Payoffs without
+    declared monotonicity yield a not_applicable report.
     """
-    if solution.z_surface is None:
-        raise ValueError("solution was computed without stored surfaces")
-    if not (0.0 < band <= 1.0):
-        raise ValueError(f"band must be in (0, 1], got {band}")
     mono = solution.payoff.monotonicity
     thr = 1e-6 * solution.model.s0 if threshold is None else threshold
+    extreme = solution.z_extreme
     if mono == "none":
-        return ZSignReport(status="not_applicable", monotonicity=mono, extreme=float("nan"),
-                           threshold=thr, band=band)
-    nodes = solution.space_grid.size
-    margin = int(round(0.5 * (1.0 - band) * nodes))
-    hi = nodes - margin
-    core = solution.z_surface[:-1, margin:hi]
-    if mono == "increasing":
-        extreme = float(core.min())
-        ok = extreme >= -thr
+        status = "not_applicable"
+    elif mono == "increasing":
+        status = "pass" if extreme >= -thr else "fail"
     else:
-        extreme = float(core.max())
-        ok = extreme <= thr
-    return ZSignReport(status="pass" if ok else "fail", monotonicity=mono,
-                       extreme=extreme, threshold=thr, band=band)
+        status = "pass" if extreme <= thr else "fail"
+    return ZSignReport(status=status, monotonicity=mono, extreme=extreme,
+                       threshold=thr, band=Z_SIGN_BAND)

@@ -231,7 +231,7 @@ def test_criterion_06_z_sign(market):
                          (Payoff.put(scenario.strike), "put")):
         sol = solve_fd(model, payoff, Generator.abs_upper(scenario.k), scenario.horizon,
                        nodes=scenario.nodes, time_steps=scenario.time_steps)
-        report = z_sign_check(sol, band=0.9, threshold=threshold)
+        report = z_sign_check(sol, threshold=threshold)
         assert report.status == "pass", (side, report)
         if side == "call":
             assert report.extreme >= -threshold

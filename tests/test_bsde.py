@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nexpect import (
     Generator,
@@ -20,6 +21,7 @@ from nexpect import (
     solve_tree,
     z_sign_check,
 )
+from nexpect.bsde import MAX_TIME_STEPS, Z_SIGN_BAND
 from tests.conftest import (
     CALL_ATM_DRIFT_DOWN,
     CALL_ATM_DRIFT_UP,
@@ -193,6 +195,16 @@ def test_fd_accepts_stable_requests(model):
     assert sol.time_steps == need + 10
 
 
+def test_fd_rejects_step_count_above_limit():
+    # The explicit bound grows like 1/sigma^2: a near-deterministic market
+    # would march for hours, so the solve refuses before any work.
+    tiny = MarketModel.gbm(100.0, 0.05, 1e-8, k=0.1)
+    need = minimal_time_steps(tiny, HORIZON, nodes=801, lipschitz_z=0.1)
+    assert need > MAX_TIME_STEPS
+    with pytest.raises(ValueError, match=str(need)):
+        solve_fd(tiny, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON, nodes=801)
+
+
 def test_fd_argument_validation(model):
     payoff = Payoff.call(100.0)
     gen = Generator.linear(0.0)
@@ -289,8 +301,74 @@ def test_z_sign_not_applicable(model):
     assert report.passed
 
 
-def test_z_sign_requires_surfaces(model):
-    sol = solve_fd(model, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON,
-                   nodes=101, store_surfaces=False)
-    with pytest.raises(ValueError):
-        z_sign_check(sol)
+def test_z_sign_needs_no_surfaces(model):
+    args = (model, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON)
+    stored = solve_fd(*args, nodes=101)
+    streamed = solve_fd(*args, nodes=101, store_surfaces=False)
+    assert streamed.z_surface is None and stored.z_surface is not None
+    assert z_sign_check(streamed) == z_sign_check(stored)
+
+
+def _surface_extreme(sol):
+    """The z-sign extreme read from the stored surface, as it used to be."""
+    nodes = sol.space_grid.size
+    margin = int(round(0.5 * (1.0 - Z_SIGN_BAND) * nodes))
+    core = sol.z_surface[:-1, margin:nodes - margin]
+    return core.min() if sol.payoff.monotonicity == "increasing" else core.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # Grids of 10 nodes or fewer have a band reaching the boundary columns.
+    nodes=st.one_of(st.integers(5, 12), st.integers(5, 401)),
+    s0=st.floats(10.0, 500.0),
+    sigma=st.floats(0.05, 0.4),
+    mu=st.floats(-0.1, 0.1),
+    k=st.floats(0.0, 0.5),
+    moneyness=st.floats(0.7, 1.3),
+    kind=st.sampled_from(["call", "put", "digital", "forward", "straddle"]),
+    driver=st.sampled_from(["abs_upper", "abs_lower", "linear"]),
+    general=st.booleans(),
+    # Requests above the stable count give coarse grids more than one row.
+    time_steps=st.integers(1, 60),
+)
+# Pinned cases: the extreme on row 0 (a falling forward), next to the
+# terminal row (a rising one), in a boundary column of a 7-node grid, and on
+# an inner row of a general model whose time argument differs in the last bit.
+@example(nodes=101, s0=100.0, sigma=0.2, mu=-0.1, k=0.1, moneyness=1.0, kind="forward",
+         driver="linear", general=False, time_steps=1)
+@example(nodes=101, s0=100.0, sigma=0.2, mu=0.1, k=0.1, moneyness=1.0, kind="forward",
+         driver="abs_upper", general=False, time_steps=1)
+@example(nodes=7, s0=100.0, sigma=0.2, mu=0.1, k=0.1, moneyness=1.0, kind="forward",
+         driver="abs_upper", general=False, time_steps=20)
+@example(nodes=11, s0=100.0, sigma=0.2, mu=-0.1, k=0.1, moneyness=1.0, kind="forward",
+         driver="linear", general=True, time_steps=29)
+def test_streamed_z_extreme_is_bitwise_surface_extreme(nodes, s0, sigma, mu, k, moneyness,
+                                                         kind, driver, general, time_steps):
+    if general:
+        # Level- and time-dependent volatility: z is recomputed every row.
+        # The oscillation puts the extreme on inner rows, where the step's
+        # own time and the next row's time can differ in the last bit.
+        def vol(t, s):
+            return sigma * (1.0 + 0.5 * np.sin(20.0 * t)) * s0**0.2 * s**0.8
+
+        market = MarketModel.general(s0, lambda t, s: mu * s, vol)
+    else:
+        market = MarketModel.gbm(s0, mu, sigma, k=k)
+    strike = moneyness * s0
+    if kind == "straddle":
+        payoff = Payoff.custom("straddle", lambda s: np.abs(s - strike))
+    elif kind == "forward":
+        # z = sv * s * exp(drift * (T - t)): its extreme sits on row 0 or
+        # next to the terminal row, depending on the sign of the drift.
+        payoff = Payoff.custom("forward", lambda s: s - strike, monotonicity="increasing")
+    else:
+        payoff = getattr(Payoff, kind)(strike)
+    gen = Generator.linear(-k) if driver == "linear" else getattr(Generator, driver)(k)
+    sol = solve_fd(market, payoff, gen, HORIZON, nodes=nodes, time_steps=time_steps)
+    if kind == "straddle":
+        assert math.isnan(sol.z_extreme)
+        return
+    reference = _surface_extreme(sol)
+    assert sol.z_extreme == reference
+    assert np.signbit(sol.z_extreme) == np.signbit(reference)

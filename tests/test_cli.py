@@ -402,7 +402,8 @@ def test_main_negative_seed_runs_without_traceback(tmp_path):
     ([], BASE.replace("payoff = call", "payoff = custom").replace(
         "strike = 100\n", "expr = 1/(s-s)\n")),
     ([], BASE.replace("sigma = 0.2", "sigma = 0")),
-], ids=["one-path", "non-finite-payoff", "zero-sigma"])
+    ([], BASE.replace("sigma = 0.2", "sigma = 1e-8").replace("mu = 0.0", "mu = 0.05")),
+], ids=["one-path", "non-finite-payoff", "zero-sigma", "tiny-sigma"])
 def test_main_bad_inputs_exit_2_without_traceback(tmp_path, args, body):
     path = write_scn(tmp_path, body)
     proc = subprocess.run(
@@ -415,26 +416,73 @@ def test_main_bad_inputs_exit_2_without_traceback(tmp_path, args, body):
     assert "RuntimeWarning" not in proc.stderr
 
 
-@pytest.mark.parametrize("extra", [(), ("zsign",)], ids=["no-zsign", "zsign"])
-def test_fd_surfaces_stored_only_for_zsign(tmp_path, monkeypatch, extra):
+def test_run_scenario_rejects_unbounded_fd_steps(tmp_path, monkeypatch):
     from nexpect import cli
-    seen = []
-    real = cli.CHECK_REGISTRY["normalization"]
+    from nexpect.bsde import MAX_TIME_STEPS, minimal_time_steps
 
-    def capture(ctx):
-        seen.append(ctx)
-        return real(ctx)
+    body = BASE.replace("sigma = 0.2", "sigma = 1e-8").replace("mu = 0.0", "mu = 0.05")
+    scn = load_scenario(write_scn(tmp_path, body))
+    need = minimal_time_steps(scn.build_model(), scn.horizon, scn.nodes, lipschitz_z=scn.k)
+    assert need > MAX_TIME_STEPS
 
-    monkeypatch.setitem(cli.CHECK_REGISTRY, "normalization", capture)
-    scn = load_scenario(write_scn(tmp_path, BASE + "checks = normalization\n"))
-    run_scenario(scn, extra_checks=extra)
-    (ctx,) = seen
-    lower = ctx.solution_lower
-    assert lower.value_surface is None and lower.z_surface is None
-    upper = ctx.solution_upper
-    stored = "zsign" in extra
-    assert (upper.value_surface is not None) == stored
-    assert (upper.z_surface is not None) == stored
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths drawn before the step bound was checked")
+
+    monkeypatch.setattr(cli, "generate_brownian", no_paths)
+    with pytest.raises(ScenarioError, match=str(need)):
+        run_scenario(scn)
+
+
+@pytest.mark.parametrize("extra", [(), ("zsign",)], ids=["no-zsign", "zsign"])
+def test_cli_solves_store_no_surfaces(tmp_path, monkeypatch, extra):
+    from nexpect import cli
+    flags = []
+    real = cli.solve_fd
+
+    def spy(*args, **kwargs):
+        flags.append(kwargs.get("store_surfaces", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_fd", spy)
+    scn = load_scenario(write_scn(tmp_path, BASE + "checks = comparison\n"))
+    report = run_scenario(scn, extra_checks=extra)
+    assert flags == [False] * 5  # upper, lower, and three linear drivers
+    assert all(c.status == "pass" for c in report.checks)
+    assert [c.name for c in report.checks] == ["comparison", *extra]
+
+
+# Estimates of the digital `fd_put` benchmark scenario at seed 3 (1601
+# nodes, 100k paths): the reweighted extremal upper price sits 0.0053 below
+# the FD value, outside the FD tolerance alone but inside it plus 3 SE.
+DIGITAL_SEED3 = {
+    "choquet_upper": (0.4965800916063296, 0.001553053874154639),
+    "choquet_lower": (0.41748106216697156, 0.001761136197657699),
+    "minimax_upper": (0.49619476089381476, 0.0017166406535267414),
+    "minimax_lower": (0.4177894511703169, 0.0014448605150124735),
+    "bsde_upper": (0.5014960156706261, 0.0),
+    "bsde_lower": (0.4222066964030818, 0.0),
+    "extremal_upper": (0.49619476089381626, 0.001716640653527812),
+    "extremal_lower": (0.4177894511703143, 0.0014448605150131275),
+    "plain": (0.45682, 0.0015752395658428903),
+}
+
+
+@pytest.mark.parametrize("extremal_se, status", [(True, "pass"), (False, "fail")],
+                         ids=["reweighted", "zero-se"])
+def test_sandwich_tolerates_extremal_monte_carlo_error(extremal_se, status):
+    from types import SimpleNamespace
+
+    from nexpect.cli import EstimatorEntry, _check_sandwich
+
+    entries = {}
+    for name, (value, se) in DIGITAL_SEED3.items():
+        if name.startswith("extremal") and not extremal_se:
+            se = 0.0
+        entries[name] = EstimatorEntry(name, value, se)
+    outcome = _check_sandwich(SimpleNamespace(entries=entries))
+    assert outcome.status == status, outcome.detail
+    if status == "fail":
+        assert outcome.detail.startswith("bsde_upper <= extremal_upper violated by 0.0053")
 
 
 def test_known_checks_cover_registry():
