@@ -20,11 +20,11 @@ from .bsde import (
 from .choquet import (
     Capacity,
     HolderReport,
-    LevelQuadrature,
     Payoff,
     SubmodularityReport,
     build_capacity,
     choquet_holder_check,
+    choquet_influence,
     choquet_integral,
     is_comonotone,
     random_threshold_pairs,
@@ -66,7 +66,7 @@ __all__ = [
     "TimeGrid", "MarketModel", "PathBundle", "generate_brownian", "simulate_sde",
     "ThetaControl", "MartingaleDeviationWarning", "girsanov_weights",
     "weight_matrix", "expectation_profile", "default_control_family",
-    "Payoff", "Capacity", "LevelQuadrature", "build_capacity", "choquet_integral",
+    "Payoff", "Capacity", "build_capacity", "choquet_integral", "choquet_influence",
     "is_comonotone", "submodularity_check", "random_threshold_pairs",
     "choquet_holder_check", "SubmodularityReport", "HolderReport",
     "Generator", "GridSolution", "solve_fd", "solve_tree", "minimal_time_steps",

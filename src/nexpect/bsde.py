@@ -256,9 +256,9 @@ def solve_fd(
     standard deviations.  When the requested `time_steps` violates the
     stability bound, the scheme substeps to the minimal stable count by
     default; with substep=False it raises GridTooCoarseError naming that
-    count instead.  A stable count above MAX_TIME_STEPS raises ValueError
-    naming it before any work.  Boundary rows extrapolate linearly (zero
-    curvature).
+    count instead.  A requested or stable count above MAX_TIME_STEPS raises
+    ValueError naming it before any work.  Boundary rows extrapolate
+    linearly (zero curvature).
 
     The z-sign extreme is folded in as the march goes.  With constant
     coefficients and a band that leaves out the boundary columns, each step
@@ -267,8 +267,9 @@ def solve_fd(
     """
     if nodes < 5:
         raise ValueError(f"nodes must be >= 5, got {nodes}")
-    if time_steps < 1:
-        raise ValueError(f"time_steps must be >= 1, got {time_steps}")
+    if not 1 <= time_steps <= MAX_TIME_STEPS:
+        raise ValueError(f"time_steps must be in [1, MAX_TIME_STEPS = {MAX_TIME_STEPS}], "
+                         f"got {time_steps}")
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
 

@@ -5,15 +5,17 @@ family, the lower capacity the smallest.  Integration uses the survival-curve
 form: integral of c(X > x) over positive levels plus integral of c(X > x) - 1
 over negative levels.  Payoffs taking few distinct values are integrated
 exactly as simple functions; everything else goes through one sort of the
-sample and running sums of the weights in sorted order, evaluated either at
-every sample (the exact sum) or at the levels of a quadrature.
+sample and running sums of the weights in sorted order, evaluated at every
+sample, so the in-sample integral is exact.  The same sweep gives each
+path's influence on that integral, and from it the integral's standard
+error (the infinitesimal jackknife).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -23,11 +25,9 @@ from .paths import PathBundle
 # Payoffs with at most this many distinct values use the exact telescoping sum.
 SIMPLE_FUNCTION_LIMIT = 64
 
-DEFAULT_LEVEL_COUNT = 513
-
 # Rows per block of the running-sum sweep over a sorted sample.  A block of a
-# 29-control weight matrix is about 1 MB, so its gather, scaling and running
-# sum stay in cache; the sweep's extra memory is O(PREFIX_BLOCK * m).
+# 29-control weight matrix is about 1 MB and stays in cache while it is
+# gathered and summed; the sweep's extra memory is O(PREFIX_BLOCK * m).
 PREFIX_BLOCK = 4096
 
 
@@ -127,36 +127,6 @@ class Payoff:
 
 
 # ---------------------------------------------------------------------------
-# level quadratures
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelQuadrature:
-    """Strictly increasing payoff levels at which survival curves are sampled."""
-
-    levels: np.ndarray
-
-    def __post_init__(self) -> None:
-        lv = np.asarray(self.levels, dtype=float)
-        if lv.ndim != 1 or lv.size < 1:
-            raise ValueError("levels must be a nonempty 1-d array")
-        if not np.all(np.isfinite(lv)):
-            raise ValueError("levels must be finite")
-        if lv.size > 1 and not np.all(np.diff(lv) > 0.0):
-            raise ValueError("levels must be strictly increasing")
-        object.__setattr__(self, "levels", lv)
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, count: int = DEFAULT_LEVEL_COUNT) -> "LevelQuadrature":
-        """Levels at `count` empirical quantiles spanning [min(values), max(values)],
-        so they cluster where the sample mass is."""
-        if count < 2:
-            raise ValueError(f"count must be >= 2, got {count}")
-        raw = np.quantile(np.asarray(values, dtype=float), np.linspace(0.0, 1.0, count))
-        return cls(levels=np.unique(raw))
-
-
-# ---------------------------------------------------------------------------
 # capacities
 # ---------------------------------------------------------------------------
 
@@ -217,6 +187,12 @@ class Capacity:
         tails /= total[:, None]
         return np.clip(self._reduce(tails.T), 0.0, 1.0)
 
+    def _attaining(self, per_control: np.ndarray) -> np.ndarray:
+        """Index of the control that _reduce picks in each row."""
+        if self.orientation == "upper":
+            return per_control.argmax(axis=-1)
+        return per_control.argmin(axis=-1)
+
 
 def build_capacity(
     orientation: str,
@@ -250,21 +226,14 @@ class _SortedSample:
     The tail weight of {X > x} per control is a total minus a running sum of
     the weights in ascending order of X.  Those running sums come from a
     sweep over blocks of PREFIX_BLOCK sorted rows: each block gathers its
-    weights, scales them by a resample's path multiplicities if there are
-    any, adds the total carried over from the previous block into its first
-    row and takes its running sum in place.  Every sum is thus formed by the
+    weights, adds the total carried over from the previous block into its
+    first row and takes its running sum.  Every sum is thus formed by the
     same additions in the same order as one running sum over all n rows, and
     is bitwise equal to it, while only one block is alive at a time.
-    Multiplicities never change the order, so every bootstrap resample
-    reuses the one sort.
     """
 
     def __init__(self, values: np.ndarray) -> None:
         self.values = values
-
-    @cached_property
-    def distinct(self) -> np.ndarray:
-        return np.unique(self.values)
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -274,51 +243,32 @@ class _SortedSample:
     def sorted(self) -> np.ndarray:
         return self.values[self.order]
 
-    def _running_sums(self, weights: np.ndarray, mult: np.ndarray | None):
-        """Yield (start, block): block[i] is the weight per control of the
-        start + i + 1 smallest samples."""
+    def _running_sums(self, weights: np.ndarray):
+        """Yield (start, rows, sums) per block: rows[i] is the weight row of
+        the (start + i + 1)-th smallest sample and sums[i] the weight per
+        control of the start + i + 1 smallest samples.  Both are views of two
+        buffers that every block reuses, so a caller may overwrite them."""
+        n, m = weights.shape
+        rows_buf = np.empty((min(n, PREFIX_BLOCK), m))
+        sums_buf = np.empty_like(rows_buf)
         carry = None
-        for start in range(0, self.order.size, PREFIX_BLOCK):
+        for start in range(0, n, PREFIX_BLOCK):
             idx = self.order[start:start + PREFIX_BLOCK]
-            block = weights.take(idx, axis=0)
-            if mult is not None:
-                # Scaling through the transpose runs each ufunc loop along
-                # the block's long axis; the products are the same.
-                np.multiply(block.T, mult[idx], out=block.T)
-            if carry is not None:
-                block[0] += carry
-            np.cumsum(block, axis=0, out=block)
-            carry = block[-1].copy()
-            yield start, block
-
-    def prefix_rows(
-        self, weights: np.ndarray, rows: np.ndarray, mult: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Selected rows of the prefix table, and its last row (the total).
-
-        The prefix table is vstack([0, cumsum((weights * mult[:, None])[order])]),
-        shape (n + 1, m): row i is the weight per control of the i smallest
-        samples.  `rows` index into it in any order; the table itself is
-        never materialised.
-        """
-        perm = np.argsort(rows, kind="stable")
-        wanted = rows[perm]
-        picked = np.zeros((rows.size, weights.shape[1]))
-        for start, block in self._running_sums(weights, mult):
-            lo = np.searchsorted(wanted, start + 1, side="left")
-            hi = np.searchsorted(wanted, start + block.shape[0], side="right")
-            picked[perm[lo:hi]] = block[wanted[lo:hi] - start - 1]
-        return picked, block[-1]
-
-    def curves(
-        self, capacity: Capacity, levels: np.ndarray, mult: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Capacities of {X > level} and of {X >= level} per level."""
-        strict = np.searchsorted(self.sorted, levels, side="right")
-        loose = np.searchsorted(self.sorted, levels, side="left")
-        prefix, denom = self.prefix_rows(capacity.weights, np.concatenate([strict, loose]), mult)
-        curve = capacity._tail_curve(prefix, denom)
-        return curve[:levels.size], curve[levels.size:]
+            # The indices are in range; mode="clip" lets take write straight
+            # into the buffer, which it would not under the default "raise".
+            rows = weights.take(idx, axis=0, out=rows_buf[:idx.size], mode="clip")
+            sums = sums_buf[:idx.size]
+            if carry is None:
+                np.cumsum(rows, axis=0, out=sums)
+            else:
+                # The carry enters the running sum through the first row,
+                # which then gets its own weights back.
+                first = rows[0].copy()
+                rows[0] += carry
+                np.cumsum(rows, axis=0, out=sums)
+                rows[0] = first
+            carry = sums[-1].copy()
+            yield start, rows, sums
 
     def exact_integral(self, capacity: Capacity) -> float:
         """The smallest sample plus every gap between consecutive sorted
@@ -327,38 +277,66 @@ class _SortedSample:
         Two sweeps: the first finds the total, the second turns each block
         into its stretch of the tail curve.
         """
-        weights = capacity.weights
-        _, denom = self.prefix_rows(weights, np.empty(0, dtype=np.intp))
+        for _, _, sums in self._running_sums(capacity.weights):
+            pass
+        denom = sums[-1].copy()
         n = self.values.size
         curve = np.empty(n - 1)
-        for start, block in self._running_sums(weights, None):
+        for start, _, sums in self._running_sums(capacity.weights):
             # Prefix rows 1 .. n-1: the last row is the total, whose tail is
             # empty.  Duplicate positions carry zero width in the dot product,
             # so they need no special case.
-            rows = block[: n - 1 - start]
-            curve[start:start + rows.shape[0]] = capacity._tail_curve(rows, denom)
+            prefix = sums[: n - 1 - start]
+            curve[start:start + prefix.shape[0]] = capacity._tail_curve(prefix, denom)
         return float(self.sorted[0]) + float(np.dot(np.diff(self.sorted), curve))
 
-    def quadrature_integral(
-        self, capacity: Capacity, levels: np.ndarray, mult: np.ndarray | None = None
-    ) -> float:
-        """Trapezoidal rule on the survival curve at the given levels."""
-        if levels.size == 1:
-            return float(levels[0])
-        strict_curve, loose_curve = self.curves(capacity, levels, mult)
-        widths = np.diff(levels)
-        # On [l_j, l_{j+1}] the survival curve is c(X > l_j) just right of the
-        # left endpoint and c(X >= l_{j+1}) just left of the right one; using
-        # those one-sided limits keeps atoms sitting on levels exact instead of
-        # smearing their jump across the segment.
-        total = float(np.dot(widths, 0.5 * (strict_curve[:-1] + loose_curve[1:])))
-        # Below zero the integrand is c(X > x) - 1; zero is a level whenever the
-        # range straddles it, so each segment lies entirely on one side.
-        negative = levels[1:] <= 0.0
-        total -= float(widths[negative].sum())
-        # Regions between 0 and the range of the levels contribute exactly 1 or 0.
-        total += max(float(levels[0]), 0.0) + min(float(levels[-1]), 0.0)
-        return total
+    def influence(self, capacity: Capacity) -> np.ndarray:
+        """Each path's influence on exact_integral, in the paths' own order.
+
+        Scaling path l's weights by 1 + eps moves the tail capacity c_i above
+        gap i by eps * w_lj / T_j * ([l lies above gap i] - c_i), taken at
+        the control j = j*_i attaining c_i (Danskin's theorem).  Summed over
+        the gaps and scaled by n:
+
+            IF_l = n * sum_j w_lj / T_j * (A_j(l) - B_j),
+
+        with A_j(l) the sum of the gaps below l where j attains and B_j the
+        sum of gap_i * c_i over those gaps.  T is the capacity's totals, not
+        the sweep's last row, so the sweep is needed once; they differ only
+        by rounding.  A / T comes from the same sweep, carried between blocks
+        like the running sums; B is known only at the end, so its term is one
+        product with the weight matrix.
+        """
+        weights, total = capacity.weights, capacity.totals
+        n, m = weights.shape
+        gaps = np.diff(self.sorted)
+        below = np.zeros(m)  # A / T at the first position of the next block
+        attained = np.zeros(m)  # B so far
+        out = np.empty(n)
+        for start, rows, sums in self._running_sums(weights):
+            size = rows.shape[0]
+            g = min(size, n - 1 - start)  # rows with a gap above them
+            block_gaps = gaps[start:start + g]
+            # The tail capacities above the block's gaps, in place.
+            tails = sums[:g]
+            np.subtract(total, tails, out=tails)
+            tails /= total
+            j = capacity._attaining(tails)
+            attained += np.bincount(j, weights=block_gaps * tails[np.arange(g), j], minlength=m)
+            # A / T at every position of the block, in the same buffer: the
+            # carried value, then each gap one row above its own.
+            inner = min(g, size - 1)
+            sums.fill(0.0)
+            sums[0] = below
+            sums[np.arange(1, inner + 1), j[:inner]] = block_gaps[:inner] / total[j[:inner]]
+            np.cumsum(sums, axis=0, out=sums)
+            below = sums[-1].copy()
+            if g == size:
+                below[j[-1]] += block_gaps[-1] / total[j[-1]]
+            out[self.order[start:start + size]] = np.einsum("ij,ij->i", rows, sums)
+        out -= weights @ (attained / total)
+        out *= n
+        return out
 
 
 def _payoff_sample(payoff_values: np.ndarray, capacity: Capacity) -> np.ndarray:
@@ -382,110 +360,51 @@ def _additive_integral(x: np.ndarray, weights: np.ndarray, total: float) -> floa
     return float(np.mean(weights * x) * (x.size / float(total)))
 
 
-def _quadrature_levels(sample: _SortedSample, quadrature: LevelQuadrature) -> np.ndarray:
-    x = sample.values
-    distinct = sample.distinct
-    levels = quadrature.levels
-    span_slack = 1e-12 * max(1.0, float(np.abs(x).max()))
-    if levels[0] > distinct[0] + span_slack or levels[-1] < distinct[-1] - span_slack:
-        raise ValueError(
-            f"quadrature levels [{levels[0]:.6g}, {levels[-1]:.6g}] do not span "
-            f"the payoff range [{distinct[0]:.6g}, {distinct[-1]:.6g}]"
-        )
-    if levels[0] < 0.0 < levels[-1] and not np.any(levels == 0.0):
-        levels = np.insert(levels, np.searchsorted(levels, 0.0), 0.0)
-    return levels
-
-
-def choquet_integral(
-    payoff_values: np.ndarray,
-    capacity: Capacity,
-    quadrature: LevelQuadrature | None = None,
-) -> float:
+def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:
     """Choquet integral of sampled payoff values against a capacity.
 
     The sampled capacity is a step function of the level, so the level-set
-    integral is a finite sum over the distinct values.  Without a quadrature
-    (the default) that sum is computed outright, with no discretization
-    error at any sample size.  A payoff with a few distinct values is summed
-    as a simple function through capacity.evaluate; otherwise the sample is
-    sorted once (stably) and the tail capacity just left of every sorted
-    sample comes from running sums of the weights in sorted order, O(n m)
-    time for n paths and m controls.  The running sums are swept in blocks of
-    PREFIX_BLOCK rows with the total carried between blocks, which is
-    bitwise equal to one running sum over all rows but needs only
-    O(PREFIX_BLOCK * m) extra memory instead of several (n, m) arrays.
-
-    Passing a quadrature instead integrates the survival curve by the
-    trapezoidal rule on the given levels, using one-sided limits so atoms
-    sitting on a level integrate exactly; between levels the curve is
-    endpoint-averaged, which overestimates on convex stretches such as far
-    tails.  It shares the one sort and the blocked sweep, keeping only the
-    running-sum rows at the levels.  It exists for resolution-controlled
-    work (error bootstraps, level-placement studies) where a fixed level
-    budget matters more than the last digits.
+    integral is a finite sum over the distinct values, computed outright
+    with no discretization error at any sample size.  A one-member family
+    gives the normalized weighted mean.  A payoff with a few distinct values
+    is summed as a simple function through capacity.evaluate; otherwise the
+    sample is sorted once (stably) and the tail capacity just left of every
+    sorted sample comes from running sums of the weights in sorted order,
+    swept in blocks (see _SortedSample): O(n m) time for n paths and m
+    controls, and O(PREFIX_BLOCK * m) extra memory.  choquet_influence gives
+    the error bar of this value.
     """
     x = _payoff_sample(payoff_values, capacity)
 
     if capacity.weights.shape[1] == 1:
         return _additive_integral(x, capacity.weights[:, 0], capacity.totals[0])
 
-    sample = _SortedSample(x)
-    if quadrature is None:
-        distinct = sample.distinct
-        if distinct.size <= SIMPLE_FUNCTION_LIMIT:
-            # The evaluate()-based loop keeps indicator payoffs bitwise
-            # consistent with capacity.evaluate on the same event.
-            total = float(distinct[0])
-            for i in range(1, distinct.size):
-                total += (distinct[i] - distinct[i - 1]) * capacity.evaluate(x >= distinct[i])
-            return total
-        return sample.exact_integral(capacity)
-    return sample.quadrature_integral(capacity, _quadrature_levels(sample, quadrature))
+    distinct = np.unique(x)
+    if distinct.size <= SIMPLE_FUNCTION_LIMIT:
+        # The evaluate()-based loop keeps indicator payoffs bitwise
+        # consistent with capacity.evaluate on the same event.
+        total = float(distinct[0])
+        for i in range(1, distinct.size):
+            total += (distinct[i] - distinct[i - 1]) * capacity.evaluate(x >= distinct[i])
+        return total
+    return _SortedSample(x).exact_integral(capacity)
 
 
-class _PayoffBootstrap:
-    """Payoff samples on one capacity's paths, integrated in-sample and under
-    multinomial resamples of the paths.
+def choquet_influence(payoff_values: np.ndarray, capacity: Capacity) -> np.ndarray:
+    """Influence of each path on choquet_integral(payoff_values, capacity).
 
-    Each sample comes with the quadrature its integrals use and is sorted
-    once for all resamples.  A resample draws path multiplicities exactly as
-    rng.multinomial(n, [1/n] * n) and gives, bit for bit, what
-    choquet_integral returns against the capacity with its weight rows
-    scaled by them; one draw is shared by every sample.
+    Entry l is n times the derivative of the integral when path l's weight
+    row is scaled by 1 + eps (the infinitesimal jackknife).  The capacity
+    self-normalises, so the entries sum to zero, and std(IF, ddof=1) / sqrt(n)
+    is the integral's standard error.  A one-member family gives
+    n * w_l / T * (x_l - integral); larger families differentiate the max
+    (or min) at the attaining control, see _SortedSample.influence.
     """
-
-    def __init__(
-        self,
-        samples: Sequence[tuple[np.ndarray, LevelQuadrature]],
-        capacity: Capacity,
-    ) -> None:
-        self.capacity = capacity
-        self.additive = capacity.weights.shape[1] == 1
-        self.samples = []
-        for values, quadrature in samples:
-            sample = _SortedSample(_payoff_sample(values, capacity))
-            levels = None if self.additive else _quadrature_levels(sample, quadrature)
-            self.samples.append((sample, levels))
-
-    def integrals(self, mult: np.ndarray | None = None) -> list[float]:
-        """Integral of every sample, under the given multiplicities if any."""
-        cap = self.capacity
-        if self.additive:
-            if mult is None:
-                weights, total = cap.weights[:, 0], cap.totals[0]
-            else:
-                weights, total = cap.weights[:, 0] * mult, (mult @ cap.weights)[0]
-            return [_additive_integral(s.values, weights, total) for s, _ in self.samples]
-        return [s.quadrature_integral(cap, levels, mult) for s, levels in self.samples]
-
-    def resample(self, count: int, rng: np.random.Generator) -> list[list[float]]:
-        """Integrals of every sample under `count` multinomial resamples."""
-        n = self.capacity.n_paths
-        return [
-            self.integrals(rng.multinomial(n, np.full(n, 1.0 / n)).astype(float))
-            for _ in range(count)
-        ]
+    x = _payoff_sample(payoff_values, capacity)
+    if capacity.weights.shape[1] == 1:
+        weights, total = capacity.weights[:, 0], capacity.totals[0]
+        return x.size * weights / total * (x - _additive_integral(x, weights, total))
+    return _SortedSample(x).influence(capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -623,16 +542,17 @@ def choquet_holder_check(
     capacity: Capacity,
     p: float = 2.0,
     q: float = 2.0,
-    quadrature_count: int = DEFAULT_LEVEL_COUNT,
-    bootstrap: int = 12,
-    rng: np.random.Generator | None = None,
     relative_slack: float = 1e-3,
 ) -> HolderReport:
     """Check integral of |XY| <= (integral |X|^p)^(1/p) (integral |Y|^q)^(1/q).
 
-    The tolerance combines a bootstrap estimate of the sampling noise of the
-    margin with a small relative slack for quadrature error.  Exponents must
-    be conjugate: 1/p + 1/q = 1 with p, q > 1.
+    All three integrals are exact.  The tolerance is three standard errors
+    of the margin plus a small relative slack for rounding.  The standard
+    error comes from the delta method on the integrals' influence
+    functions: with Fx and Fy the integrals of |X|^p and |Y|^q, the margin
+    rhs - lhs has influence rhs * (IF_Fx / (p Fx) + IF_Fy / (q Fy)) - IF_lhs
+    (a factor whose integral is 0 contributes nothing).  Exponents must be
+    conjugate: 1/p + 1/q = 1 with p, q > 1.
     """
     if not (p > 1.0 and q > 1.0) or abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
         raise ValueError(f"exponents must be conjugate with p, q > 1, got p={p}, q={q}")
@@ -641,28 +561,19 @@ def choquet_holder_check(
     if xa.shape != ya.shape:
         raise ValueError("x and y must have equal length")
 
-    boot = _PayoffBootstrap(
-        [(a, LevelQuadrature.from_values(a, quadrature_count)) for a in (xa * ya, xa**p, ya**q)],
-        capacity,
-    )
-
-    def margin_parts(lhs: float, fx: float, fy: float) -> tuple[float, float, float]:
-        return lhs, max(fx, 0.0) ** (1.0 / p), max(fy, 0.0) ** (1.0 / q)
-
-    lhs, factor_x, factor_y = margin_parts(*boot.integrals())
+    product, x_power, y_power = xa * ya, xa**p, ya**q
+    lhs, fx, fy = (choquet_integral(a, capacity) for a in (product, x_power, y_power))
+    factor_x, factor_y = max(fx, 0.0) ** (1.0 / p), max(fy, 0.0) ** (1.0 / q)
     rhs = factor_x * factor_y
-    margin = rhs - lhs
 
-    boot_sd = 0.0
-    if bootstrap > 0:
-        margins = np.empty(bootstrap)
-        for b, parts in enumerate(boot.resample(bootstrap, rng or np.random.default_rng(0))):
-            bl, bx, by = margin_parts(*parts)
-            margins[b] = bx * by - bl
-        boot_sd = float(margins.std(ddof=1))
+    influence = -choquet_influence(product, capacity)
+    for a, e, integral in ((x_power, p, fx), (y_power, q, fy)):
+        if integral > 0.0:
+            influence += rhs / (e * integral) * choquet_influence(a, capacity)
+    se = float(influence.std(ddof=1) / np.sqrt(influence.size))
 
-    tolerance = 3.0 * boot_sd + relative_slack * max(abs(rhs), abs(lhs), 1e-12)
+    tolerance = 3.0 * se + relative_slack * max(abs(rhs), abs(lhs), 1e-12)
     return HolderReport(
         p=p, q=q, lhs=lhs, factor_x=factor_x, factor_y=factor_y,
-        rhs=rhs, margin=margin, tolerance=tolerance,
+        rhs=rhs, margin=rhs - lhs, tolerance=tolerance,
     )

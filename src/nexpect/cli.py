@@ -34,12 +34,11 @@ from .bsde import (
 )
 from .choquet import (
     Capacity,
-    LevelQuadrature,
     Payoff,
-    _PayoffBootstrap,
     build_capacity,
-    choquet_integral,
     choquet_holder_check,
+    choquet_influence,
+    choquet_integral,
     random_threshold_pairs,
     submodularity_check,
 )
@@ -195,7 +194,6 @@ class Scenario:
     nodes: int = 801
     time_steps: int = 2000
     theta_grid: int = 21
-    quantile_levels: int = 513
     fd_substep: bool = True
     checks: tuple[str, ...] = ()
 
@@ -292,6 +290,12 @@ def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
     if payoff_kind not in ("call", "put", "digital", "custom"):
         raise ScenarioError(f"payoff must be call/put/digital/custom, got {payoff_kind!r}", payoff_line)
 
+    # quantile_levels sized the retired quadrature error bars.  Files that
+    # set it still parse, and are still validated, but the value is unused.
+    if get_int("quantile_levels", 2) < 2:
+        value, lineno = raw["quantile_levels"]
+        raise ScenarioError(f"quantile_levels must be >= 2, got {value}", lineno)
+
     checks: tuple[str, ...] = ()
     if "checks" in raw:
         value, lineno = raw["checks"]
@@ -326,7 +330,6 @@ def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
         nodes=get_int("nodes", 801),
         time_steps=get_int("time_steps", 2000),
         theta_grid=get_int("theta_grid", 21),
-        quantile_levels=get_int("quantile_levels", 513),
         fd_substep=(
             _parse_bool(raw["fd_substep"][0], "fd_substep", raw["fd_substep"][1])
             if "fd_substep" in raw
@@ -361,12 +364,13 @@ def _validate_scenario(fields: dict, path: str) -> Scenario:
         raise ScenarioError(f"steps must be >= 1, got {fields['steps']}")
     if fields["nodes"] < 5:
         raise ScenarioError(f"nodes must be >= 5, got {fields['nodes']}")
-    if fields["time_steps"] < 1:
-        raise ScenarioError(f"time_steps must be >= 1, got {fields['time_steps']}")
+    if not 1 <= fields["time_steps"] <= MAX_TIME_STEPS:
+        # The solver marches at least the requested count, five times with
+        # `comparison`, so a huge count would run for hours.
+        raise ScenarioError(f"time_steps must be in [1, {MAX_TIME_STEPS}] (bsde.MAX_TIME_STEPS), "
+                            f"got {fields['time_steps']}")
     if fields["theta_grid"] < 2:
         raise ScenarioError(f"theta_grid must be >= 2, got {fields['theta_grid']}")
-    if fields["quantile_levels"] < 2:
-        raise ScenarioError(f"quantile_levels must be >= 2, got {fields['quantile_levels']}")
     kind = fields["payoff_kind"]
     if kind in ("call", "put", "digital"):
         if fields["strike"] is None:
@@ -465,25 +469,11 @@ def _aux_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
 
 
-def _choquet_std_error(
-    values: np.ndarray,
-    capacity: Capacity,
-    level_count: int,
-    seed: int,
-    resamples: int = 8,
-    limit: int = 200_000,
-) -> float:
-    """Bootstrap the integral's sampling error on a deterministic prefix."""
-    n = capacity.n_paths
-    m = min(n, limit)
-    sub_values = values[:m]
-    sub_weights = capacity.weights[:m]
-    quad = LevelQuadrature.from_values(sub_values, min(level_count, m))
-    sub_cap = build_capacity(capacity.orientation, capacity.family, None, weights=sub_weights)
-    rng = _aux_rng(seed ^ 0x5EB007)
-    resampled = _PayoffBootstrap([(sub_values, quad)], sub_cap).resample(resamples, rng)
-    outcomes = np.array([row[0] for row in resampled])
-    return float(outcomes.std(ddof=1) * math.sqrt(m / n))
+def _choquet_std_error(values: np.ndarray, capacity: Capacity) -> float:
+    """Standard error of the exact integral: the spread of each path's
+    influence on it (the infinitesimal jackknife), over sqrt(n)."""
+    influence = choquet_influence(values, capacity)
+    return float(influence.std(ddof=1) / math.sqrt(influence.size))
 
 
 def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: int = 1,
@@ -531,8 +521,8 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     cap_lower = build_capacity("lower", family, bundle, weights=weights)
     cho_upper = choquet_integral(values, cap_upper)
     cho_lower = choquet_integral(values, cap_lower)
-    cho_upper_se = _choquet_std_error(values, cap_upper, scenario.quantile_levels, scenario.seed)
-    cho_lower_se = _choquet_std_error(values, cap_lower, scenario.quantile_levels, scenario.seed + 1)
+    cho_upper_se = _choquet_std_error(values, cap_upper)
+    cho_lower_se = _choquet_std_error(values, cap_lower)
 
     fd_note = ""
     if payoff.kind == "digital":
@@ -604,7 +594,6 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         "time_steps_used": sol_upper.time_steps,
         "theta_grid": scenario.theta_grid,
         "family_size": len(family),
-        "quantile_levels": scenario.quantile_levels,
         "threads": threads,
         "runtime_seconds": elapsed,
     }
@@ -854,10 +843,9 @@ def _check_holder(ctx: RunContext) -> CheckOutcome:
         (np.abs(terminal - s0), np.abs(terminal) / s0),
         (sub_values, sub_values),
     ]
-    rng = _aux_rng(ctx.scenario.seed ^ 0x401D)
     worst = (math.inf, "")
     for i, (x, y) in enumerate(pairs):
-        rep = choquet_holder_check(x, y, cap, p=2.0, q=2.0, bootstrap=8, rng=rng)
+        rep = choquet_holder_check(x, y, cap, p=2.0, q=2.0)
         margin_over_tol = rep.margin + rep.tolerance
         if margin_over_tol < worst[0]:
             worst = (margin_over_tol, f"pair {i}: margin {rep.margin:.3g} (tol {rep.tolerance:.3g})")
@@ -954,7 +942,7 @@ def emit_structured(report: Report) -> str:
             "monotonicity": s.monotonicity,
             "n_paths": s.n_paths, "steps": s.steps, "seed": s.seed,
             "nodes": s.nodes, "time_steps": s.time_steps,
-            "theta_grid": s.theta_grid, "quantile_levels": s.quantile_levels,
+            "theta_grid": s.theta_grid,
         },
         "estimators": [
             {"name": e.name, "value": clean(e.value), "std_error": clean(e.std_error),

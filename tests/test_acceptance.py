@@ -5,7 +5,7 @@ criterion number in its name, so a verbose run gives one pass/fail line per
 criterion.  Tolerances are pinned here, not inherited from library defaults:
 1% relative or 3 pooled standard errors for cross-estimator agreement, 0.5%
 scheme tolerance for the backward solver, 1e-12 of scale for the exact
-identities, and bootstrap-calibrated tolerances for the inequality sweeps.
+identities, and standard-error tolerances for the inequality sweeps.
 """
 
 from __future__ import annotations
@@ -265,14 +265,10 @@ def test_criterion_07_choquet_holder(market):
 
     violations = []
     for i in range(100):
-        report = choquet_holder_check(random_payoff(), random_payoff(), cap,
-                                      p=2.0, q=2.0, quadrature_count=257,
-                                      bootstrap=6, rng=rng)
+        report = choquet_holder_check(random_payoff(), random_payoff(), cap, p=2.0, q=2.0)
         if not report.passed:
             violations.append((i, report.margin, report.tolerance))
-    asym = choquet_holder_check(random_payoff(), random_payoff(), cap,
-                                p=3.0, q=1.5, quadrature_count=257,
-                                bootstrap=6, rng=rng)
+    asym = choquet_holder_check(random_payoff(), random_payoff(), cap, p=3.0, q=1.5)
     if not asym.passed:
         violations.append(("p=3,q=1.5", asym.margin, asym.tolerance))
     assert violations == [], violations

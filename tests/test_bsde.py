@@ -205,6 +205,14 @@ def test_fd_rejects_step_count_above_limit():
         solve_fd(tiny, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON, nodes=801)
 
 
+def test_fd_rejects_requested_steps_above_limit(model):
+    # The march runs at least the requested count, so a huge request is
+    # refused up front rather than marched.
+    with pytest.raises(ValueError, match=f"MAX_TIME_STEPS = {MAX_TIME_STEPS}.*{MAX_TIME_STEPS + 1}"):
+        solve_fd(model, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON, nodes=11,
+                 time_steps=MAX_TIME_STEPS + 1)
+
+
 def test_fd_argument_validation(model):
     payoff = Payoff.call(100.0)
     gen = Generator.linear(0.0)

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from nexpect import (
     Capacity,
-    LevelQuadrature,
     Payoff,
     ThetaControl,
     build_capacity,
     choquet_holder_check,
+    choquet_influence,
     choquet_integral,
     default_control_family,
     expectation_profile,
@@ -24,6 +24,7 @@ from nexpect import (
     random_threshold_pairs,
     simulate_sde,
     submodularity_check,
+    weight_matrix,
 )
 from nexpect.choquet import PREFIX_BLOCK, SIMPLE_FUNCTION_LIMIT, _SortedSample
 from nexpect.cli import _choquet_std_error
@@ -135,28 +136,6 @@ def test_capacity_shape_validation(caps):
 
 
 # ---------------------------------------------------------------------------
-# level quadratures
-# ---------------------------------------------------------------------------
-
-def test_quadrature_spans_and_sorted():
-    values = np.array([3.0, -1.0, 2.0, 2.0, 7.5])
-    quad = LevelQuadrature.from_values(values, 9)
-    assert quad.levels[0] == -1.0
-    assert quad.levels[-1] == 7.5
-    assert np.all(np.diff(quad.levels) > 0)
-    with pytest.raises(ValueError):
-        LevelQuadrature(levels=np.array([1.0, 1.0]))
-
-
-def test_quadrature_must_span_payoff(caps):
-    upper, _ = caps
-    values = np.linspace(0.0, 10.0, upper.n_paths)
-    short = LevelQuadrature(levels=np.linspace(0.0, 5.0, 33))
-    with pytest.raises(ValueError, match="span"):
-        choquet_integral(values, upper, short)
-
-
-# ---------------------------------------------------------------------------
 # the integral
 # ---------------------------------------------------------------------------
 
@@ -178,17 +157,14 @@ def test_integral_indicator_equals_capacity(caps, bundle_200k):
 
 
 def test_integral_simple_function_agreement(caps, bundle_200k):
-    """Quadrature and exact paths coincide on a few-valued payoff.
-
-    Every atom of this payoff carries enough mass for the quantile levels to
-    land on it, and one-sided survival limits make the trapezoid exact there.
-    """
-    upper, _ = caps
+    """The simple-function sum and the sorted sweep coincide on a few-valued
+    payoff; choquet_integral takes the first, the error bar the second."""
     term = bundle_200k.terminal()
     values = np.clip(np.round(np.maximum(term - 100.0, 0.0) / 5.0) * 5.0, 0.0, 40.0)
-    exact = choquet_integral(values, upper)
-    quad = choquet_integral(values, upper, LevelQuadrature.from_values(values, 513))
-    assert abs(exact - quad) < 1e-8 * max(1.0, abs(exact))
+    assert np.unique(values).size <= SIMPLE_FUNCTION_LIMIT
+    for cap in caps:
+        exact = choquet_integral(values, cap)
+        assert _SortedSample(values).exact_integral(cap) == pytest.approx(exact, rel=1e-12)
 
 
 def test_integral_call_against_oracle(caps, bundle_200k):
@@ -234,12 +210,9 @@ def test_integral_translation_covariance(shift):
     values = rng.normal(0.0, 1.5, size=n)
     base = choquet_integral(values, cap)
     shifted = choquet_integral(values + shift, cap)
-    # Exact for the true integral; the sampled quadrature moves its levels
-    # with the shift, so what remains is level-placement rounding (levels
-    # that round onto sample values flip one path in or out), observed at
-    # ~1e-5 of the value scale.  A genuine translation bug would show at
-    # the 1e-3 scale of a whole quadrature segment.
-    assert shifted == pytest.approx(base + shift, rel=1e-4, abs=1e-4)
+    # The shift moves the smallest sample and leaves the gaps and the tail
+    # capacities as they are, up to the rounding of the shifted values.
+    assert shifted == pytest.approx(base + shift, rel=1e-9, abs=1e-9)
 
 
 def test_integral_monotone_in_payoff(caps, bundle_200k):
@@ -253,8 +226,7 @@ def test_integral_monotone_in_payoff(caps, bundle_200k):
 def test_integral_upper_dominates_lower(caps, bundle_200k):
     upper, lower = caps
     values = Payoff.call(100.0).map(bundle_200k.terminal())
-    quad = LevelQuadrature.from_values(values, 513)
-    assert choquet_integral(values, lower, quad) <= choquet_integral(values, upper, quad)
+    assert choquet_integral(values, lower) <= choquet_integral(values, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +268,11 @@ def test_comonotone_additivity_of_upper_integral(caps, bundle_200k):
     a = Payoff.call(100.0).map(term)
     b = Payoff.call(115.0).map(term)
     assert is_comonotone(a, b)[0]
-    quad_joint = LevelQuadrature.from_values(a + b, 2049)
-    joint = choquet_integral(a + b, upper, quad_joint)
-    parts = choquet_integral(a, upper, LevelQuadrature.from_values(a, 2049)) + choquet_integral(
-        b, upper, LevelQuadrature.from_values(b, 2049)
-    )
-    assert joint == pytest.approx(parts, rel=2e-3)
+    # Comonotone payoffs share one sort, and every tail event of a + b is a
+    # tail event of both, so the exact sums agree up to rounding.
+    joint = choquet_integral(a + b, upper)
+    parts = choquet_integral(a, upper) + choquet_integral(b, upper)
+    assert joint == pytest.approx(parts, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +328,9 @@ def test_holder_exponent_validation(caps):
 def test_holder_self_pair_near_equality(family_k01, bundle_50k, weights_50k):
     upper = build_capacity("upper", family_k01, bundle_50k, weights=weights_50k)
     x = bundle_50k.terminal() / 100.0
-    report = choquet_holder_check(x, x, upper, p=2.0, q=2.0, bootstrap=8)
+    report = choquet_holder_check(x, x, upper, p=2.0, q=2.0)
     assert report.passed
-    # X = Y makes the inequality tight up to quadrature error.
+    # X = Y makes the inequality tight up to rounding.
     assert abs(report.margin) < 0.01 * report.rhs
 
 
@@ -372,7 +343,7 @@ def test_holder_random_pairs(family_k01, bundle_50k, weights_50k):
         (term / 100.0, (term > 100.0).astype(float)),
     ]
     for x, y in pairs:
-        report = choquet_holder_check(x, y, upper, p=2.0, q=2.0, bootstrap=8)
+        report = choquet_holder_check(x, y, upper, p=2.0, q=2.0)
         assert report.passed, (report.margin, report.tolerance)
 
 
@@ -380,7 +351,7 @@ def test_holder_asymmetric_exponents(family_k01, bundle_50k, weights_50k):
     upper = build_capacity("upper", family_k01, bundle_50k, weights=weights_50k)
     term = bundle_50k.terminal()
     report = choquet_holder_check(
-        np.maximum(term - 100.0, 0.0), term / 100.0, upper, p=3.0, q=1.5, bootstrap=8
+        np.maximum(term - 100.0, 0.0), term / 100.0, upper, p=3.0, q=1.5
     )
     assert report.passed
 
@@ -407,32 +378,15 @@ def test_integral_exact_dominates_every_member(family_k01, bundle_50k, weights_5
     assert total == pytest.approx(member_means.max(), rel=2e-3)
 
 
-def test_integral_quadrature_bias_is_one_sided(family_k01, bundle_50k, weights_50k):
-    # Endpoint averaging overestimates on the convex tail of the survival
-    # curve; the documented trade-off of the level-budgeted method.
-    upper = build_capacity("upper", family_k01, bundle_50k, weights=weights_50k)
-    values = np.maximum(bundle_50k.terminal() - 100.0, 0.0)
-    exact = choquet_integral(values, upper)
-    quad = choquet_integral(values, upper, LevelQuadrature.from_values(values, 513))
-    assert quad >= exact - 1e-9
-    assert abs(quad - exact) < 0.03 * exact
 
 
 # ---------------------------------------------------------------------------
 # the sorted-prefix engine against the dense formulas
 # ---------------------------------------------------------------------------
 
-def dense_prefix(x, weights, mult=None):
-    scaled = weights if mult is None else weights * mult[:, None]
+def dense_prefix(x, weights):
     order = np.argsort(x, kind="stable")
-    return np.vstack([np.zeros((1, weights.shape[1])), np.cumsum(scaled[order], axis=0)])
-
-
-def dense_tails(x, cap, levels, side, mult=None):
-    prefix = dense_prefix(x, cap.weights, mult)
-    denom = prefix[-1]
-    idx = np.searchsorted(np.sort(x, kind="stable"), levels, side=side)
-    return np.clip(cap._reduce((denom[None, :] - prefix[idx]) / denom[None, :]), 0.0, 1.0)
+    return np.vstack([np.zeros((1, weights.shape[1])), np.cumsum(weights[order], axis=0)])
 
 
 def dense_exact(x, cap):
@@ -443,24 +397,22 @@ def dense_exact(x, cap):
     return float(sorted_x[0]) + float(np.dot(np.diff(sorted_x), curve))
 
 
-def dense_quadrature(x, cap, levels, mult=None):
-    strict = dense_tails(x, cap, levels, "right", mult)
-    loose = dense_tails(x, cap, levels, "left", mult)
-    widths = np.diff(levels)
-    total = float(np.dot(widths, 0.5 * (strict[:-1] + loose[1:])))
-    total -= float(widths[levels[1:] <= 0.0].sum())
-    return total + max(float(levels[0]), 0.0) + min(float(levels[-1]), 0.0)
-
-
-def dense_resampled(x, cap, quad, mult):
-    """What choquet_integral returned against the capacity with its weight
-    rows scaled by the multiplicities, computed with a full prefix table."""
-    weights = cap.weights * mult[:, None]
-    if weights.shape[1] == 1:
-        total = (mult @ cap.weights)[0]
-        return float(np.mean(weights[:, 0] * x) * (x.size / float(total)))
-    assert quad.levels[0] >= 0.0  # no zero level to insert
-    return dense_quadrature(x, cap, quad.levels, mult)
+def dense_influence(x, cap):
+    """IF_l = n * sum_j w_lj / T_j * (A_j(l) - B_j) from the full prefix table
+    and an argmax (argmin) per row, with the capacity's totals as T."""
+    n, m = cap.weights.shape
+    order = np.argsort(x, kind="stable")
+    gaps = np.diff(x[order])
+    denom = cap.totals
+    tails = (denom[None, :] - dense_prefix(x, cap.weights)[1:-1]) / denom[None, :]
+    attain = tails.argmax(axis=1) if cap.orientation == "upper" else tails.argmin(axis=1)
+    hits = np.zeros((n - 1, m))
+    hits[np.arange(n - 1), attain] = gaps
+    below = np.vstack([np.zeros((1, m)), np.cumsum(hits, axis=0)])  # A_j at each position
+    attained = hits.T @ tails[np.arange(n - 1), attain]  # B_j
+    out = np.empty(n)
+    out[order] = n * ((cap.weights[order] / denom) * (below - attained)).sum(axis=1)
+    return out
 
 
 def engine_case(n, controls, orientation, seed):
@@ -469,42 +421,20 @@ def engine_case(n, controls, orientation, seed):
     x = np.round(rng.standard_normal(n), 1) * 3.0
     weights = np.exp(0.3 * rng.standard_normal((n, controls)))
     family = (ThetaControl.constant(0.0, 0.0),) * controls
-    cap = Capacity(orientation, family, weights, np.ones(n) @ weights)
-    mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-    mult[: max(1, n // 3)] = 0.0
-    mult[-1] = max(mult[-1], 1.0)  # keep the resampled total positive
-    levels = np.unique(np.concatenate([
-        [x.min() - 0.5, 0.0, x.max() + 0.5], x[: min(n, 7)], rng.uniform(x.min(), x.max(), 11),
-    ]))
-    return x, cap, mult, levels
+    return x, Capacity(orientation, family, weights, np.ones(n) @ weights)
 
 
-@pytest.mark.parametrize(
-    "n", [1, 2, PREFIX_BLOCK - 1, PREFIX_BLOCK, PREFIX_BLOCK + 1, 3 * PREFIX_BLOCK + 17]
-)
+ENGINE_SIZES = [1, 2, PREFIX_BLOCK - 1, PREFIX_BLOCK, PREFIX_BLOCK + 1, 3 * PREFIX_BLOCK + 17]
+
+
+@pytest.mark.parametrize("n", ENGINE_SIZES)
 @pytest.mark.parametrize("controls", [1, 2, 29])
 def test_sorted_prefix_engine_is_bitwise_dense(n, controls):
     for orientation in ("upper", "lower"):
-        x, cap, mult, levels = engine_case(n, controls, orientation, seed=n * 31 + controls)
-        sample = _SortedSample(x)
-        rows = np.random.default_rng(n).permutation(n + 1)
-        for m in (None, mult):
-            reference = dense_prefix(x, cap.weights, m)
-            picked, total = sample.prefix_rows(cap.weights, rows, m)
-            assert np.array_equal(picked, reference[rows])
-            assert np.array_equal(total, reference[-1])
-            strict, loose = sample.curves(cap, levels, m)
-            assert np.array_equal(strict, dense_tails(x, cap, levels, "right", m))
-            assert np.array_equal(loose, dense_tails(x, cap, levels, "left", m))
-            got = sample.quadrature_integral(cap, levels, m)
-            assert got == dense_quadrature(x, cap, levels, m)
-        assert sample.exact_integral(cap) == dense_exact(x, cap)
-        if controls > 1:
-            assert choquet_integral(x, cap, LevelQuadrature(levels)) == (
-                dense_quadrature(x, cap, levels)
-            )
-            if np.unique(x).size > SIMPLE_FUNCTION_LIMIT:
-                assert choquet_integral(x, cap) == dense_exact(x, cap)
+        x, cap = engine_case(n, controls, orientation, seed=n * 31 + controls)
+        assert _SortedSample(x).exact_integral(cap) == dense_exact(x, cap)
+        if controls > 1 and np.unique(x).size > SIMPLE_FUNCTION_LIMIT:
+            assert choquet_integral(x, cap) == dense_exact(x, cap)
 
 
 def test_exact_integral_is_bitwise_dense_on_bundle(caps, bundle_200k):
@@ -513,48 +443,115 @@ def test_exact_integral_is_bitwise_dense_on_bundle(caps, bundle_200k):
         assert choquet_integral(values, cap) == dense_exact(values, cap)
 
 
+# ---------------------------------------------------------------------------
+# influence functions and standard errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", ENGINE_SIZES)
+@pytest.mark.parametrize("controls", [1, 2, 29])
+def test_influence_matches_dense_reference(n, controls):
+    # One control takes the additive formula, so the dense Danskin sweep
+    # checks it too.
+    for orientation in ("upper", "lower"):
+        x, cap = engine_case(n, controls, orientation, seed=n * 37 + controls)
+        got = choquet_influence(x, cap)
+        ref = dense_influence(x, cap)
+        scale = max(np.abs(ref).max(), np.abs(x).max())
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("orientation", ["upper", "lower"])
+@pytest.mark.parametrize("controls", [1, 29])
+def test_influence_is_the_weight_derivative(orientation, controls):
+    # Scaling one path's weights by 1 + eps moves the integral by about
+    # eps * IF_l / n.  The payoff has enough distinct values for the sorted
+    # route; eps is large enough for rounding in the integral not to show.
+    rng = np.random.default_rng(controls)
+    n = 3000
+    x = rng.standard_normal(n) * 2.0
+    weights = np.exp(0.3 * rng.standard_normal((n, controls)))
+    family = (ThetaControl.constant(0.0, 0.0),) * controls
+    cap = Capacity(orientation, family, weights, np.ones(n) @ weights)
+    base = choquet_integral(x, cap)
+    influence = choquet_influence(x, cap)
+    eps = 1e-4
+    for l in (0, 7, 1500, n - 1):
+        bumped = weights.copy()
+        bumped[l] *= 1.0 + eps
+        moved = choquet_integral(x, Capacity(orientation, family, bumped, np.ones(n) @ bumped))
+        assert (moved - base) / eps * n == pytest.approx(influence[l], rel=1e-5, abs=1e-6)
+
+
+def test_influence_sums_to_zero(caps, bundle_200k):
+    # The capacity self-normalises: scaling every weight changes nothing.
+    term = bundle_200k.terminal()
+    for values in (np.maximum(term - 100.0, 0.0), np.abs(term - 100.0), (term > 100.0) * 1.0):
+        for cap in caps:
+            influence = choquet_influence(values, cap)
+            scale = np.abs(influence).max()
+            assert abs(influence.sum()) <= 1e-12 * scale * values.size
+
+
+def test_choquet_se_at_zero_k_is_plain_se(bundle_50k):
+    family = default_control_family(0.0)
+    values = np.maximum(bundle_50k.terminal() - 100.0, 0.0)
+    plain_se = values.std(ddof=1) / math.sqrt(values.size)
+    for orientation in ("upper", "lower"):
+        cap = build_capacity(orientation, family, bundle_50k)
+        assert _choquet_std_error(values, cap) == pytest.approx(plain_se, rel=1e-12)
+
+
+@pytest.mark.parametrize("payoff", ["call", "straddle"])
+def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payoff):
+    n = 20_000
+    bundle = simulate_sde(acc_model, generate_brownian(grid8, n, 2024))
+    weights = weight_matrix(family_k01, bundle)
+    term = bundle.terminal()
+    values = np.maximum(term - 100.0, 0.0) if payoff == "call" else np.abs(term - 100.0)
+    sample = _SortedSample(values)
+    rng = np.random.default_rng(7)
+    for orientation in ("upper", "lower"):
+        cap = Capacity(orientation, family_k01, weights, np.ones(n) @ weights)
+        # A resample scales each weight row by its multinomial count; the
+        # exact integral against that capacity is the resampled estimator.
+        boot = np.empty(200)
+        scaled = np.empty_like(weights)
+        for b in range(boot.size):
+            mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
+            np.multiply(weights, mult[:, None], out=scaled)
+            boot[b] = sample.exact_integral(
+                Capacity(orientation, family_k01, scaled, np.ones(n) @ scaled))
+        ratio = _choquet_std_error(values, cap) / boot.std(ddof=1)
+        assert 0.8 <= ratio <= 1.25, (orientation, ratio)
+
+
 @pytest.mark.parametrize("family", [
     default_control_family(0.0),  # k = 0: one member with unit weights
     (ThetaControl.constant(0.05, 0.1),),  # one member with non-unit weights
     default_control_family(0.1),  # 29 members
 ], ids=["k0", "one-tilt", "k0.1"])
-def test_bootstraps_match_dense_resamples(acc_model, grid8, family):
-    bundle = simulate_sde(acc_model, generate_brownian(grid8, 3000, 17))
+def test_error_bars_match_dense_influences(acc_model, grid8, family):
+    n = 3000
+    bundle = simulate_sde(acc_model, generate_brownian(grid8, n, 17))
     upper = build_capacity("upper", family, bundle)
     values = np.maximum(bundle.terminal() - 100.0, 0.0)
 
-    # The Choquet error bar on a 2000-path prefix.
-    m = 2000
-    sub = Capacity("upper", family, upper.weights[:m], np.ones(m) @ upper.weights[:m])
-    quad = LevelQuadrature.from_values(values[:m], 129)
-    rng = np.random.default_rng(41 ^ 0x5EB007)
-    outcomes = np.empty(8)
-    for b in range(8):
-        mult = rng.multinomial(m, np.full(m, 1.0 / m)).astype(float)
-        outcomes[b] = dense_resampled(values[:m], sub, quad, mult)
-    expected = float(outcomes.std(ddof=1) * math.sqrt(m / bundle.n_paths))
-    assert _choquet_std_error(values, upper, 129, 41, resamples=8, limit=m) == expected
+    # The Choquet error bar of the report.
+    se = dense_influence(values, upper).std(ddof=1) / math.sqrt(n)
+    assert _choquet_std_error(values, upper) == pytest.approx(se, rel=1e-12)
 
-    # The Hoelder check shares one draw across its three arrays.
+    # The Hoelder tolerance: the delta method on the three integrals, with
+    # d rhs / d Fx = rhs / (p Fx) and likewise for Fy.
     x, y = values, bundle.terminal() / 100.0
-    arrays = (x * y, x**2, y**2)
-    quads = [LevelQuadrature.from_values(a, 513) for a in arrays]
-
-    def parts(integrals):
-        lhs, fx, fy = integrals
-        return lhs, max(fx, 0.0) ** 0.5, max(fy, 0.0) ** 0.5
-
-    lhs, fx, fy = parts([choquet_integral(a, upper, q) for a, q in zip(arrays, quads)])
-    if len(family) > 1:
-        assert lhs == dense_quadrature(arrays[0], upper, quads[0].levels)
-    rng = np.random.default_rng(5)
-    margins = np.empty(6)
-    for b in range(6):
-        mult = rng.multinomial(3000, np.full(3000, 1.0 / 3000)).astype(float)
-        bl, bx, by = parts([dense_resampled(a, upper, q, mult) for a, q in zip(arrays, quads)])
-        margins[b] = bx * by - bl
-    report = choquet_holder_check(x, y, upper, bootstrap=6, rng=np.random.default_rng(5))
-    assert (report.lhs, report.factor_x, report.factor_y) == (lhs, fx, fy)
-    assert report.margin == fx * fy - lhs
-    rhs = fx * fy
-    assert report.tolerance == 3.0 * float(margins.std(ddof=1)) + 1e-3 * max(abs(rhs), abs(lhs), 1e-12)
+    p, q = 3.0, 1.5
+    report = choquet_holder_check(x, y, upper, p=p, q=q)
+    lhs, fx, fy = (choquet_integral(a, upper) for a in (x * y, x**p, y**q))
+    rhs = fx ** (1.0 / p) * fy ** (1.0 / q)
+    assert (report.lhs, report.rhs, report.margin) == (lhs, rhs, rhs - lhs)
+    influence = (rhs / (p * fx) * dense_influence(x**p, upper)
+                 + rhs / (q * fy) * dense_influence(y**q, upper)
+                 - dense_influence(x * y, upper))
+    se = influence.std(ddof=1) / math.sqrt(n)
+    slack = 1e-3 * max(rhs, lhs)
+    assert 3.0 * se > slack  # the sampling term is not swamped by the slack
+    assert report.tolerance == pytest.approx(3.0 * se + slack, rel=1e-9)

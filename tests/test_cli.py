@@ -96,7 +96,7 @@ def test_load_scenario_roundtrip(tmp_path):
     assert scn.payoff_kind == "call" and scn.strike == 100.0
     assert scn.n_paths == 20000 and scn.steps == 4 and scn.seed == 31
     assert scn.nodes == 101 and scn.time_steps == 200
-    assert scn.theta_grid == 11 and scn.quantile_levels == 129
+    assert scn.theta_grid == 11 and not hasattr(scn, "quantile_levels")  # parsed, ignored
     assert scn.fd_substep is True
     assert scn.checks == ("chain", "sandwich")
 
@@ -105,7 +105,9 @@ def test_load_scenario_defaults(tmp_path):
     minimal = "\n".join(BASE.splitlines()[:10])  # required keys only
     scn = load_scenario(write_scn(tmp_path, minimal))
     assert scn.nodes == 801 and scn.time_steps == 2000
-    assert scn.theta_grid == 21 and scn.quantile_levels == 513
+    assert scn.theta_grid == 21
+    bad = write_scn(tmp_path, BASE.replace("quantile_levels = 129", "quantile_levels = 1"))
+    assert main(["--scenario", bad]) == EXIT_BAD_SCENARIO  # ignored, still validated
     assert scn.fd_substep is True and scn.checks == ()
 
 
@@ -147,6 +149,9 @@ def test_load_scenario_range_validation(tmp_path):
         ("n_paths = 20000", "n_paths = 0", "n_paths must be >= 2"),
         ("strike = 100", "strike = -1", "strike must be positive"),
         ("sigma = 0.2", "sigma = 0", "sigma must be > 0"),
+        ("time_steps = 200", "time_steps = 0", r"time_steps must be in \[1, 1000000\]"),
+        ("time_steps = 200", "time_steps = 1000001",
+         r"time_steps must be in \[1, 1000000\] \(bsde.MAX_TIME_STEPS\), got 1000001"),
     ]
     for old, new, msg in cases:
         with pytest.raises(ScenarioError, match=msg):
@@ -384,8 +389,8 @@ def test_main_grid_rejection_exit_code(tmp_path, capsys):
 
 
 def test_main_negative_seed_runs_without_traceback(tmp_path):
-    # Every auxiliary stream (error bars, duality, submodularity and Hoelder
-    # checks) is derived from the seed, so all of them see a negative value.
+    # The auxiliary streams of the duality and submodularity checks are
+    # derived from the seed, so both see a negative value.
     path = write_scn(tmp_path, BASE + "checks = duality, submodularity, holder\n")
     proc = subprocess.run(
         [sys.executable, "-m", "nexpect.cli", "--scenario", path, "--format", "csv",
@@ -403,12 +408,13 @@ def test_main_negative_seed_runs_without_traceback(tmp_path):
         "strike = 100\n", "expr = 1/(s-s)\n")),
     ([], BASE.replace("sigma = 0.2", "sigma = 0")),
     ([], BASE.replace("sigma = 0.2", "sigma = 1e-8").replace("mu = 0.0", "mu = 0.05")),
-], ids=["one-path", "non-finite-payoff", "zero-sigma", "tiny-sigma"])
+    ([], BASE.replace("time_steps = 200", "time_steps = 100000000")),
+], ids=["one-path", "non-finite-payoff", "zero-sigma", "tiny-sigma", "huge-time-steps"])
 def test_main_bad_inputs_exit_2_without_traceback(tmp_path, args, body):
     path = write_scn(tmp_path, body)
     proc = subprocess.run(
         [sys.executable, "-m", "nexpect.cli", "--scenario", path, "--format", "csv", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == EXIT_BAD_SCENARIO, proc.stderr
     assert "scenario error:" in proc.stderr
