@@ -4,17 +4,16 @@ The upper capacity of an event is the largest reweighted probability over the
 family, the lower capacity the smallest.  Integration uses the survival-curve
 form: integral of c(X > x) over positive levels plus integral of c(X > x) - 1
 over negative levels.  Payoffs taking few distinct values are integrated
-exactly as simple functions; everything else goes through one sort of the
-sample and running sums of the weights in sorted order, evaluated at every
-sample, so the in-sample integral is exact.  The same sweep gives each
-path's influence on that integral, and from it the integral's standard
-error (the infinitesimal jackknife).
+exactly as simple functions; everything else goes through running sums of
+the weights in sorted order, evaluated at every sample, so the in-sample
+integral is exact.  A sample is sorted once for the upper and the lower
+capacity, and one sweep per capacity gives the integral and each path's
+influence on it, hence its standard error (the infinitesimal jackknife).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -187,12 +186,6 @@ class Capacity:
         tails /= total[:, None]
         return np.clip(self._reduce(tails.T), 0.0, 1.0)
 
-    def _attaining(self, per_control: np.ndarray) -> np.ndarray:
-        """Index of the control that _reduce picks in each row."""
-        if self.orientation == "upper":
-            return per_control.argmax(axis=-1)
-        return per_control.argmin(axis=-1)
-
 
 def build_capacity(
     orientation: str,
@@ -221,7 +214,8 @@ def build_capacity(
 # ---------------------------------------------------------------------------
 
 class _SortedSample:
-    """A payoff sample sorted once, integrable against any capacity on its paths.
+    """A payoff sample sorted once, with its weights summed once in sorted
+    order, integrable against any capacity on that weight matrix.
 
     The tail weight of {X > x} per control is a total minus a running sum of
     the weights in ascending order of X.  Those running sums come from a
@@ -232,23 +226,20 @@ class _SortedSample:
     is bitwise equal to it, while only one block is alive at a time.
     """
 
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
+    def __init__(self, values: np.ndarray, weights: np.ndarray) -> None:
+        self.values, self.weights = values, weights
+        self.order = np.argsort(values, kind="stable")
+        self.gaps = np.diff(values[self.order])  # the sorted copy is not kept
+        for _, _, sums in self._running_sums():
+            pass
+        self.total = sums[-1].copy()  # the last running sum
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        return np.argsort(self.values, kind="stable")
-
-    @cached_property
-    def sorted(self) -> np.ndarray:
-        return self.values[self.order]
-
-    def _running_sums(self, weights: np.ndarray):
+    def _running_sums(self):
         """Yield (start, rows, sums) per block: rows[i] is the weight row of
         the (start + i + 1)-th smallest sample and sums[i] the weight per
         control of the start + i + 1 smallest samples.  Both are views of two
         buffers that every block reuses, so a caller may overwrite them."""
-        n, m = weights.shape
+        n, m = self.weights.shape
         rows_buf = np.empty((min(n, PREFIX_BLOCK), m))
         sums_buf = np.empty_like(rows_buf)
         carry = None
@@ -256,7 +247,7 @@ class _SortedSample:
             idx = self.order[start:start + PREFIX_BLOCK]
             # The indices are in range; mode="clip" lets take write straight
             # into the buffer, which it would not under the default "raise".
-            rows = weights.take(idx, axis=0, out=rows_buf[:idx.size], mode="clip")
+            rows = self.weights.take(idx, axis=0, out=rows_buf[:idx.size], mode="clip")
             sums = sums_buf[:idx.size]
             if carry is None:
                 np.cumsum(rows, axis=0, out=sums)
@@ -270,28 +261,11 @@ class _SortedSample:
             carry = sums[-1].copy()
             yield start, rows, sums
 
-    def exact_integral(self, capacity: Capacity) -> float:
-        """The smallest sample plus every gap between consecutive sorted
-        samples times the capacity of the tail above the gap's lower end.
-
-        Two sweeps: the first finds the total, the second turns each block
-        into its stretch of the tail curve.
-        """
-        for _, _, sums in self._running_sums(capacity.weights):
-            pass
-        denom = sums[-1].copy()
-        n = self.values.size
-        curve = np.empty(n - 1)
-        for start, _, sums in self._running_sums(capacity.weights):
-            # Prefix rows 1 .. n-1: the last row is the total, whose tail is
-            # empty.  Duplicate positions carry zero width in the dot product,
-            # so they need no special case.
-            prefix = sums[: n - 1 - start]
-            curve[start:start + prefix.shape[0]] = capacity._tail_curve(prefix, denom)
-        return float(self.sorted[0]) + float(np.dot(np.diff(self.sorted), curve))
-
-    def influence(self, capacity: Capacity) -> np.ndarray:
-        """Each path's influence on exact_integral, in the paths' own order.
+    def estimate(self, capacity: Capacity) -> tuple[float, np.ndarray]:
+        """The exact integral (the smallest sample plus each gap between
+        consecutive sorted samples times the capacity of the tail above it,
+        with tail weights against self.total) and each path's influence on
+        it, in the paths' own order, from one sweep that fills both.
 
         Scaling path l's weights by 1 + eps moves the tail capacity c_i above
         gap i by eps * w_lj / T_j * ([l lies above gap i] - c_i), taken at
@@ -301,63 +275,97 @@ class _SortedSample:
             IF_l = n * sum_j w_lj / T_j * (A_j(l) - B_j),
 
         with A_j(l) the sum of the gaps below l where j attains and B_j the
-        sum of gap_i * c_i over those gaps.  T is the capacity's totals, not
-        the sweep's last row, so the sweep is needed once; they differ only
-        by rounding.  A / T comes from the same sweep, carried between blocks
-        like the running sums; B is known only at the end, so its term is one
-        product with the weight matrix.
+        sum of gap_i * c_i over those gaps.  T is the capacity's totals,
+        which differ from self.total only by rounding.  A / T is carried
+        between blocks like the running sums; B is known only at the end, so
+        its term is one product with the weight matrix.
         """
-        weights, total = capacity.weights, capacity.totals
-        n, m = weights.shape
-        gaps = np.diff(self.sorted)
+        total = capacity.totals
+        n, m = self.weights.shape
+        curve = np.empty(n - 1)
         below = np.zeros(m)  # A / T at the first position of the next block
         attained = np.zeros(m)  # B so far
         out = np.empty(n)
-        for start, rows, sums in self._running_sums(weights):
+        column = np.empty(min(n, PREFIX_BLOCK))
+        for start, rows, sums in self._running_sums():
             size = rows.shape[0]
             g = min(size, n - 1 - start)  # rows with a gap above them
-            block_gaps = gaps[start:start + g]
-            # The tail capacities above the block's gaps, in place.
+            block_gaps = self.gaps[start:start + g]
+            # Prefix rows 1 .. n-1: the last row is the total, whose tail is
+            # empty.  Duplicate positions carry zero width in the dot product,
+            # so they need no special case.
             tails = sums[:g]
+            curve[start:start + g] = capacity._tail_curve(tails, self.total)
+            # Then the tail capacities against T, in place.
             np.subtract(total, tails, out=tails)
             tails /= total
-            j = capacity._attaining(tails)
+            j = tails.argmax(axis=1) if capacity.orientation == "upper" else tails.argmin(axis=1)
             attained += np.bincount(j, weights=block_gaps * tails[np.arange(g), j], minlength=m)
             # A / T at every position of the block, in the same buffer: the
-            # carried value, then each gap one row above its own.
+            # carried value, then each gap one row above its own.  Only the
+            # columns of controls attaining in the block (often one) move.
             inner = min(g, size - 1)
-            sums.fill(0.0)
-            sums[0] = below
-            sums[np.arange(1, inner + 1), j[:inner]] = block_gaps[:inner] / total[j[:inner]]
-            np.cumsum(sums, axis=0, out=sums)
+            sums[:] = below
+            rise = block_gaps[:inner] / total[j[:inner]]
+            for c in np.flatnonzero(np.bincount(j[:inner], minlength=m)):
+                column[0] = below[c]
+                np.multiply(rise, j[:inner] == c, out=column[1:inner + 1])
+                np.cumsum(column[:inner + 1], out=sums[:inner + 1, c])
             below = sums[-1].copy()
             if g == size:
                 below[j[-1]] += block_gaps[-1] / total[j[-1]]
             out[self.order[start:start + size]] = np.einsum("ij,ij->i", rows, sums)
-        out -= weights @ (attained / total)
+        value = float(self.values[self.order[0]]) + float(np.dot(self.gaps, curve))
+        del curve  # before the n-vector below
+        out -= self.weights @ (attained / total)
         out *= n
-        return out
+        return value, out
+
+    def simple_integral(self, capacity: Capacity) -> float:
+        """The integral as a simple function: the smallest value plus each
+        step between distinct values times the capacity of reaching it."""
+        levels = self.values[self.order[np.concatenate(([0], np.flatnonzero(self.gaps) + 1))]]
+        value = float(levels[0])
+        for lo, hi in zip(levels[:-1], levels[1:]):
+            value += (hi - lo) * capacity.evaluate(self.values >= hi)
+        return float(value)
 
 
-def _payoff_sample(payoff_values: np.ndarray, capacity: Capacity) -> np.ndarray:
+def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity]):
+    """Yield (choquet_integral, choquet_influence) of one payoff sample
+    against each capacity in turn.  The capacities share one weight matrix,
+    as a family's upper and lower capacities do: the sample is sorted and
+    its weights summed once for all of them, and each takes one sweep
+    (_SortedSample.estimate) in turn, so one sweep's arrays are alive at a
+    time."""
+    capacities = tuple(capacities)
+    weights = capacities[0].weights
+    if any(c.weights is not weights for c in capacities):
+        raise ValueError("capacities must share one weight matrix")
     x = np.asarray(payoff_values, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("payoff_values must be a nonempty 1-d array")
     if not np.all(np.isfinite(x)):
         raise ValueError("payoff_values must be finite")
-    if x.size != capacity.n_paths:
-        raise ValueError(
-            f"payoff array length {x.size} does not match capacity paths {capacity.n_paths}"
-        )
-    return x
-
-
-def _additive_integral(x: np.ndarray, weights: np.ndarray, total: float) -> float:
-    # A one-member family makes the capacity additive, so the integral
-    # collapses to the normalized weighted mean.  Computing it directly is
-    # exact and keeps a degenerate family consistent with the plain Monte
-    # Carlo estimate to the last bit.
-    return float(np.mean(weights * x) * (x.size / float(total)))
+    if x.size != weights.shape[0]:
+        raise ValueError(f"payoff array length {x.size} does not match paths {weights.shape[0]}")
+    if weights.shape[1] == 1:
+        # A one-member family makes the capacity additive, so the integral
+        # collapses to the normalized weighted mean.  Computing it directly
+        # is exact and keeps a degenerate family consistent with the plain
+        # Monte Carlo estimate to the last bit.
+        for capacity in capacities:
+            w, total = weights[:, 0], capacity.totals[0]
+            value = float(np.mean(w * x) * (x.size / float(total)))
+            yield value, x.size * w / total * (x - value)
+        return
+    sample = _SortedSample(x, weights)
+    # Distinct finite values differ by a nonzero gap.
+    simple = 1 + np.count_nonzero(sample.gaps) <= SIMPLE_FUNCTION_LIMIT
+    for capacity in capacities:
+        value, influence = sample.estimate(capacity)
+        yield (sample.simple_integral(capacity) if simple else value), influence
+        del influence  # the caller may free it before the next sweep
 
 
 def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:
@@ -366,28 +374,13 @@ def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:
     The sampled capacity is a step function of the level, so the level-set
     integral is a finite sum over the distinct values, computed outright
     with no discretization error at any sample size.  A one-member family
-    gives the normalized weighted mean.  A payoff with a few distinct values
-    is summed as a simple function through capacity.evaluate; otherwise the
-    sample is sorted once (stably) and the tail capacity just left of every
-    sorted sample comes from running sums of the weights in sorted order,
-    swept in blocks (see _SortedSample): O(n m) time for n paths and m
-    controls, and O(PREFIX_BLOCK * m) extra memory.  choquet_influence gives
-    the error bar of this value.
+    gives the normalized weighted mean, a payoff with a few distinct values
+    a simple-function sum through capacity.evaluate (bitwise consistent
+    with it on indicators), and any other payoff a sweep of running sums
+    over the stably sorted sample (see _SortedSample): O(n m) time for n
+    paths and m controls, O(PREFIX_BLOCK * m) extra memory.
     """
-    x = _payoff_sample(payoff_values, capacity)
-
-    if capacity.weights.shape[1] == 1:
-        return _additive_integral(x, capacity.weights[:, 0], capacity.totals[0])
-
-    distinct = np.unique(x)
-    if distinct.size <= SIMPLE_FUNCTION_LIMIT:
-        # The evaluate()-based loop keeps indicator payoffs bitwise
-        # consistent with capacity.evaluate on the same event.
-        total = float(distinct[0])
-        for i in range(1, distinct.size):
-            total += (distinct[i] - distinct[i - 1]) * capacity.evaluate(x >= distinct[i])
-        return total
-    return _SortedSample(x).exact_integral(capacity)
+    return next(choquet_estimates(payoff_values, (capacity,)))[0]
 
 
 def choquet_influence(payoff_values: np.ndarray, capacity: Capacity) -> np.ndarray:
@@ -398,13 +391,9 @@ def choquet_influence(payoff_values: np.ndarray, capacity: Capacity) -> np.ndarr
     self-normalises, so the entries sum to zero, and std(IF, ddof=1) / sqrt(n)
     is the integral's standard error.  A one-member family gives
     n * w_l / T * (x_l - integral); larger families differentiate the max
-    (or min) at the attaining control, see _SortedSample.influence.
+    (or min) at the attaining control, see _SortedSample.estimate.
     """
-    x = _payoff_sample(payoff_values, capacity)
-    if capacity.weights.shape[1] == 1:
-        weights, total = capacity.weights[:, 0], capacity.totals[0]
-        return x.size * weights / total * (x - _additive_integral(x, weights, total))
-    return _SortedSample(x).influence(capacity)
+    return next(choquet_estimates(payoff_values, (capacity,)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +525,9 @@ class HolderReport:
         return self.margin >= -self.tolerance
 
 
-def choquet_holder_check(
-    x_values: np.ndarray,
-    y_values: np.ndarray,
-    capacity: Capacity,
-    p: float = 2.0,
-    q: float = 2.0,
-    relative_slack: float = 1e-3,
-) -> HolderReport:
+def choquet_holder_check(x_values: np.ndarray, y_values: np.ndarray, capacity: Capacity,
+                         p: float = 2.0, q: float = 2.0,
+                         relative_slack: float = 1e-3) -> HolderReport:
     """Check integral of |XY| <= (integral |X|^p)^(1/p) (integral |Y|^q)^(1/q).
 
     All three integrals are exact.  The tolerance is three standard errors
@@ -554,26 +538,40 @@ def choquet_holder_check(
     (a factor whose integral is 0 contributes nothing).  Exponents must be
     conjugate: 1/p + 1/q = 1 with p, q > 1.
     """
+    return choquet_holder_checks([(x_values, y_values)], capacity, p, q, relative_slack)[0]
+
+
+def choquet_holder_checks(pairs: Iterable[tuple[np.ndarray, np.ndarray]], capacity: Capacity,
+                          p: float = 2.0, q: float = 2.0,
+                          relative_slack: float = 1e-3) -> list[HolderReport]:
+    """choquet_holder_check on each (x, y) pair.  Pairs may share an array
+    (the same Y; or X = Y, whose product and powers coincide): each distinct
+    array, by its bytes, is integrated once."""
     if not (p > 1.0 and q > 1.0) or abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
         raise ValueError(f"exponents must be conjugate with p, q > 1, got p={p}, q={q}")
-    xa = np.abs(np.asarray(x_values, dtype=float))
-    ya = np.abs(np.asarray(y_values, dtype=float))
-    if xa.shape != ya.shape:
-        raise ValueError("x and y must have equal length")
+    estimates: dict[bytes, tuple[float, np.ndarray]] = {}
 
-    product, x_power, y_power = xa * ya, xa**p, ya**q
-    lhs, fx, fy = (choquet_integral(a, capacity) for a in (product, x_power, y_power))
-    factor_x, factor_y = max(fx, 0.0) ** (1.0 / p), max(fy, 0.0) ** (1.0 / q)
-    rhs = factor_x * factor_y
+    def estimate(a: np.ndarray) -> tuple[float, np.ndarray]:
+        key = a.tobytes()
+        if key not in estimates:
+            estimates[key] = next(choquet_estimates(a, (capacity,)))
+        return estimates[key]
 
-    influence = -choquet_influence(product, capacity)
-    for a, e, integral in ((x_power, p, fx), (y_power, q, fy)):
-        if integral > 0.0:
-            influence += rhs / (e * integral) * choquet_influence(a, capacity)
-    se = float(influence.std(ddof=1) / np.sqrt(influence.size))
-
-    tolerance = 3.0 * se + relative_slack * max(abs(rhs), abs(lhs), 1e-12)
-    return HolderReport(
-        p=p, q=q, lhs=lhs, factor_x=factor_x, factor_y=factor_y,
-        rhs=rhs, margin=rhs - lhs, tolerance=tolerance,
-    )
+    reports = []
+    for x_values, y_values in pairs:
+        xa = np.abs(np.asarray(x_values, dtype=float))
+        ya = np.abs(np.asarray(y_values, dtype=float))
+        if xa.shape != ya.shape:
+            raise ValueError("x and y must have equal length")
+        (lhs, if_lhs), (fx, if_fx), (fy, if_fy) = (estimate(a) for a in (xa * ya, xa**p, ya**q))
+        factor_x, factor_y = max(fx, 0.0) ** (1.0 / p), max(fy, 0.0) ** (1.0 / q)
+        rhs = factor_x * factor_y
+        influence = -if_lhs
+        for e, integral, if_a in ((p, fx, if_fx), (q, fy, if_fy)):
+            if integral > 0.0:
+                influence += rhs / (e * integral) * if_a
+        se = float(influence.std(ddof=1) / np.sqrt(influence.size))
+        tolerance = 3.0 * se + relative_slack * max(abs(rhs), abs(lhs), 1e-12)
+        reports.append(HolderReport(p=p, q=q, lhs=lhs, factor_x=factor_x, factor_y=factor_y,
+                                    rhs=rhs, margin=rhs - lhs, tolerance=tolerance))
+    return reports

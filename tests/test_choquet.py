@@ -26,7 +26,7 @@ from nexpect import (
     submodularity_check,
     weight_matrix,
 )
-from nexpect.choquet import PREFIX_BLOCK, SIMPLE_FUNCTION_LIMIT, _SortedSample
+from nexpect.choquet import PREFIX_BLOCK, SIMPLE_FUNCTION_LIMIT, _SortedSample, choquet_estimates
 from nexpect.cli import _choquet_std_error
 from tests.conftest import CALL_ATM_DRIFT_UP, DIGITAL_ATM_DRIFT_UP
 
@@ -164,7 +164,8 @@ def test_integral_simple_function_agreement(caps, bundle_200k):
     assert np.unique(values).size <= SIMPLE_FUNCTION_LIMIT
     for cap in caps:
         exact = choquet_integral(values, cap)
-        assert _SortedSample(values).exact_integral(cap) == pytest.approx(exact, rel=1e-12)
+        swept, _ = _SortedSample(values, cap.weights).estimate(cap)
+        assert swept == pytest.approx(exact, rel=1e-12)
 
 
 def test_integral_call_against_oracle(caps, bundle_200k):
@@ -432,7 +433,7 @@ ENGINE_SIZES = [1, 2, PREFIX_BLOCK - 1, PREFIX_BLOCK, PREFIX_BLOCK + 1, 3 * PREF
 def test_sorted_prefix_engine_is_bitwise_dense(n, controls):
     for orientation in ("upper", "lower"):
         x, cap = engine_case(n, controls, orientation, seed=n * 31 + controls)
-        assert _SortedSample(x).exact_integral(cap) == dense_exact(x, cap)
+        assert _SortedSample(x, cap.weights).estimate(cap)[0] == dense_exact(x, cap)
         if controls > 1 and np.unique(x).size > SIMPLE_FUNCTION_LIMIT:
             assert choquet_integral(x, cap) == dense_exact(x, cap)
 
@@ -458,6 +459,33 @@ def test_influence_matches_dense_reference(n, controls):
         ref = dense_influence(x, cap)
         scale = max(np.abs(ref).max(), np.abs(x).max())
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", ENGINE_SIZES)
+@pytest.mark.parametrize("controls", [1, 2, 29])
+def test_joint_estimates_match_dense_references(n, controls):
+    # Both sides from one sort: each value and influence equals the dense
+    # reference, and the single-side functions give the same bits.
+    x, upper = engine_case(n, controls, "upper", seed=n * 41 + controls)
+    lower = Capacity("lower", upper.family, upper.weights, upper.totals)
+    swept = controls > 1 and np.unique(x).size > SIMPLE_FUNCTION_LIMIT
+    for cap, (value, influence) in zip((upper, lower), choquet_estimates(x, (upper, lower))):
+        if swept:
+            assert value == dense_exact(x, cap)
+        else:
+            assert value == pytest.approx(dense_exact(x, cap), rel=1e-12, abs=1e-12)
+        ref = dense_influence(x, cap)
+        scale = max(np.abs(ref).max(), np.abs(x).max())
+        np.testing.assert_allclose(influence, ref, rtol=1e-12, atol=1e-12 * scale)
+        assert value == choquet_integral(x, cap)
+        assert np.array_equal(influence, choquet_influence(x, cap))
+
+
+def test_joint_estimates_need_one_weight_matrix(caps):
+    upper, _ = caps
+    other = Capacity("lower", upper.family, upper.weights.copy(), upper.totals)
+    with pytest.raises(ValueError, match="one weight matrix"):
+        next(choquet_estimates(np.arange(float(upper.n_paths)), (upper, other)))
 
 
 @pytest.mark.parametrize("orientation", ["upper", "lower"])
@@ -498,7 +526,8 @@ def test_choquet_se_at_zero_k_is_plain_se(bundle_50k):
     plain_se = values.std(ddof=1) / math.sqrt(values.size)
     for orientation in ("upper", "lower"):
         cap = build_capacity(orientation, family, bundle_50k)
-        assert _choquet_std_error(values, cap) == pytest.approx(plain_se, rel=1e-12)
+        assert _choquet_std_error(choquet_influence(values, cap)) == pytest.approx(
+            plain_se, rel=1e-12)
 
 
 @pytest.mark.parametrize("payoff", ["call", "straddle"])
@@ -508,7 +537,6 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
     weights = weight_matrix(family_k01, bundle)
     term = bundle.terminal()
     values = np.maximum(term - 100.0, 0.0) if payoff == "call" else np.abs(term - 100.0)
-    sample = _SortedSample(values)
     rng = np.random.default_rng(7)
     for orientation in ("upper", "lower"):
         cap = Capacity(orientation, family_k01, weights, np.ones(n) @ weights)
@@ -519,9 +547,9 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
         for b in range(boot.size):
             mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
             np.multiply(weights, mult[:, None], out=scaled)
-            boot[b] = sample.exact_integral(
+            boot[b], _ = _SortedSample(values, scaled).estimate(
                 Capacity(orientation, family_k01, scaled, np.ones(n) @ scaled))
-        ratio = _choquet_std_error(values, cap) / boot.std(ddof=1)
+        ratio = _choquet_std_error(choquet_influence(values, cap)) / boot.std(ddof=1)
         assert 0.8 <= ratio <= 1.25, (orientation, ratio)
 
 
@@ -538,7 +566,7 @@ def test_error_bars_match_dense_influences(acc_model, grid8, family):
 
     # The Choquet error bar of the report.
     se = dense_influence(values, upper).std(ddof=1) / math.sqrt(n)
-    assert _choquet_std_error(values, upper) == pytest.approx(se, rel=1e-12)
+    assert _choquet_std_error(choquet_influence(values, upper)) == pytest.approx(se, rel=1e-12)
 
     # The Hoelder tolerance: the delta method on the three integrals, with
     # d rhs / d Fx = rhs / (p Fx) and likewise for Fy.

@@ -16,6 +16,7 @@ from nexpect.cli import (
     EXIT_BAD_SCENARIO,
     EXIT_CHECK_FAILED,
     EXIT_GRID_REJECTED,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     KNOWN_CHECKS,
     emit,
@@ -388,6 +389,29 @@ def test_main_grid_rejection_exit_code(tmp_path, capsys):
     assert "grid rejected" in err and "time steps" in err
 
 
+def test_main_internal_error_exit_4_without_traceback(tmp_path, monkeypatch, capsys):
+    from nexpect import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    assert main(["--scenario", write_scn(tmp_path, BASE)]) == EXIT_INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError('boom')\n"
+    assert captured.out == ""
+
+
+def test_main_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.csv"
+    code = main(["--scenario", write_scn(tmp_path, BASE), "--format", "csv", "--out", str(out)])
+    assert code == EXIT_BAD_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write --out file:") and str(out) in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 def test_main_negative_seed_runs_without_traceback(tmp_path):
     # The auxiliary streams of the duality and submodularity checks are
     # derived from the seed, so both see a negative value.
@@ -455,6 +479,45 @@ def test_cli_solves_store_no_surfaces(tmp_path, monkeypatch, extra):
     assert flags == [False] * 5  # upper, lower, and three linear drivers
     assert all(c.status == "pass" for c in report.checks)
     assert [c.name for c in report.checks] == ["comparison", *extra]
+
+
+def test_holder_run_sorts_each_distinct_array_once(tmp_path, monkeypatch):
+    # The reported Choquet pair shares one sort.  The holder check's nine
+    # integrals are of five distinct arrays: pairs 0 and 1 share Y, and in
+    # pair 2 (X = Y) |XY|, |X|^2 and |Y|^2 coincide.
+    from nexpect import choquet
+    sorts = []
+
+    class CountingSample(choquet._SortedSample):
+        def __init__(self, values, weights):
+            sorts.append(values.size)
+            super().__init__(values, weights)
+
+    monkeypatch.setattr(choquet, "_SortedSample", CountingSample)
+    report = run_scenario(load_scenario(write_scn(tmp_path, BASE + "checks = holder\n")))
+    assert [c.status for c in report.checks] == ["pass"]
+    assert len(sorts) == 1 + 5
+
+
+def test_holder_check_reports_equal_single_pair_checks(tmp_path, monkeypatch):
+    from nexpect import cli
+    from nexpect.choquet import choquet_holder_check
+    calls = []
+    real = cli.choquet_holder_checks
+
+    def spy(pairs, capacity, **kwargs):
+        reports = real(pairs, capacity, **kwargs)
+        calls.append((pairs, capacity, kwargs, reports))
+        return reports
+
+    monkeypatch.setattr(cli, "choquet_holder_checks", spy)
+    report = run_scenario(load_scenario(write_scn(tmp_path, BASE + "checks = holder\n")))
+    [(pairs, capacity, kwargs, reports)] = calls
+    assert len(reports) == 3
+    assert reports == [choquet_holder_check(x, y, capacity, **kwargs) for x, y in pairs]
+    # The detail names every pair's margin and tolerance.
+    assert report.checks[0].detail == "; ".join(
+        f"pair {i}: margin {r.margin:.3g} (tol {r.tolerance:.3g})" for i, r in enumerate(reports))
 
 
 # Estimates of the digital `fd_put` benchmark scenario at seed 3 (1601
