@@ -191,14 +191,19 @@ def _log_coefficients(model: MarketModel):
 def _log_grid(model: MarketModel, sv, horizon: float, nodes: int, width_sds: float):
     """(x0, sigma_ref, x, dx): `nodes` log-state nodes centred at x0 = log(s0),
     `width_sds` reference standard deviations sigma_ref = sv(0, x0) to each
-    side; sigma_ref is floored to 1e-8 when not positive."""
+    side; sigma_ref is floored to 1e-8 when not positive.  Raises ValueError
+    when the nodes are not distinct in float64."""
     x0 = math.log(model.s0)
     sigma_ref = float(sv(0.0, np.array([x0]))[0])
     if sigma_ref <= 0.0:
         sigma_ref = 1e-8
     half = width_sds * sigma_ref * math.sqrt(horizon)
     x = x0 + np.linspace(-half, half, nodes)
-    return x0, sigma_ref, x, x[1] - x[0]
+    dx = x[1] - x[0]
+    if not dx > 0.0:
+        raise ValueError(f"the log grid collapses: {nodes} nodes within {half:.3g} of "
+                         f"log(s0) = {x0:.6g} are not distinct in float64")
+    return x0, sigma_ref, x, dx
 
 
 def _stable_steps(mv, sv, x: np.ndarray, dx: float, horizon: float,
@@ -216,13 +221,20 @@ def _stable_steps(mv, sv, x: np.ndarray, dx: float, horizon: float,
         sv_max = max(sv_max, float(sv_t.max()))
         adv_max = max(adv_max, float((mv_t + lipschitz_z * sv_t).max()))
     dt_bounds = []
-    if sv_max > 0.0:
-        dt_bounds.append(safety * dx * dx / (sv_max * sv_max))
-    if adv_max > 0.0:
-        dt_bounds.append(safety * dx / adv_max)
-    if not dt_bounds:
-        return 1
-    return max(1, int(math.ceil(horizon / min(dt_bounds))))
+    # Squares of a tiny dx or sigma can underflow to 0; the result is then
+    # rejected below instead of warned about.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if sv_max > 0.0:
+            dt_bounds.append(safety * dx * dx / (sv_max * sv_max))
+        if adv_max > 0.0:
+            dt_bounds.append(safety * dx / adv_max)
+        if not dt_bounds:
+            return 1
+        steps = horizon / min(dt_bounds)
+    if not math.isfinite(steps):
+        raise ValueError(f"the stable time step count is not finite in float64 "
+                         f"(dx = {dx:.3g}, max sigma = {sv_max:.3g})")
+    return max(1, int(math.ceil(steps)))
 
 
 def minimal_time_steps(

@@ -19,15 +19,14 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .measures import ThetaControl, weight_matrix
-from .paths import PathBundle
+from .paths import ROW_BLOCK, PathBundle
 
 # Payoffs with at most this many distinct values use the exact telescoping sum.
 SIMPLE_FUNCTION_LIMIT = 64
 
-# Rows per block of the running-sum sweep over a sorted sample.  A block of a
-# 29-control weight matrix is about 1 MB and stays in cache while it is
-# gathered and summed; the sweep's extra memory is O(PREFIX_BLOCK * m).
-PREFIX_BLOCK = 4096
+# Rows per block of the running-sum sweep over a sorted sample; the sweep's
+# extra memory is O(PREFIX_BLOCK * m).
+PREFIX_BLOCK = ROW_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +439,18 @@ class SubmodularityReport:
 def submodularity_check(
     capacity: Capacity,
     event_pairs: Iterable[tuple[np.ndarray, np.ndarray]],
-    chunk: int = 16,
+    chunk: int = 2,
     tolerance: float = 0.0,
 ) -> SubmodularityReport:
     """Evaluate the 2-alternating defect on each event pair.
 
     The four events of each pair are scored in stacks of `chunk` pairs, one
-    float matrix of 4 * chunk rows by n paths at a time.
+    float matrix of 4 * chunk rows by n paths at a time, so the check's extra
+    memory is about 4 * chunk * n * 8 bytes (6.4 MB at the default chunk on
+    100k paths).  Every stack has at least four rows, so it goes through the
+    BLAS matrix-matrix product; how the BLAS blocks that product can move a
+    capacity by an ulp between stack heights, far below any tolerance the
+    defects are read against.
 
     For an upper capacity the defect is c(A|B) + c(A&B) - c(A) - c(B), which
     should be <= 0; for a lower capacity the inequality (and so the sign)

@@ -8,9 +8,10 @@ and the plain single-measure Monte Carlo price, plus any requested
 consistency checks.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 scenario or
-argument validation failed or the --out file could not be written, 3 the
-backward solver's grid was rejected, 4 an internal error (an unexpected
-exception, reported on one `internal error:` line without a traceback).
+argument validation failed, the scenario's numbers overflow float64, or the
+--out file could not be written, 3 the backward solver's grid was rejected,
+4 an internal error (an unexpected exception, reported on one
+`internal error:` line without a traceback).
 """
 
 from __future__ import annotations
@@ -461,14 +462,21 @@ class RunContext:
         return sub_bundle, self.values[:m], self.weights[:m]
 
 
-def _aux_rng(seed: int) -> np.random.Generator:
-    """Generator for an auxiliary stream derived from the scenario seed.
+# Spawn keys of the auxiliary streams, one per check that draws events.
+_DUALITY_STREAM = 0
+_SUBMODULARITY_STREAM = 1
 
-    The derived value is folded into [0, 2**64) the way generate_brownian
-    folds the path seed, so negative scenario seeds work; values already in
-    that range are unchanged.
+
+def _aux_rng(seed: int, stream: int) -> np.random.Generator:
+    """Generator for one auxiliary stream of the scenario seed.
+
+    Each check that draws random events gets its own stream, spawned from
+    the one scenario seed and told apart by its spawn key.  The seed is
+    folded into [0, 2**64) the way generate_brownian folds the path seed, so
+    negative seeds work.
     """
-    return np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    return np.random.default_rng(
+        np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(stream,)))
 
 
 def _choquet_std_error(influence: np.ndarray) -> float:
@@ -490,8 +498,11 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     model = scenario.build_model()
     payoff = scenario.build_payoff()
     # Every solve below uses a driver Lipschitz in z with constant <= k.
-    fd_steps = minimal_time_steps(model, scenario.horizon, scenario.nodes,
-                                  lipschitz_z=scenario.k)
+    try:
+        fd_steps = minimal_time_steps(model, scenario.horizon, scenario.nodes,
+                                      lipschitz_z=scenario.k)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     if fd_steps > MAX_TIME_STEPS:
         raise ScenarioError(
             f"the FD grid needs {fd_steps} time steps on {scenario.nodes} nodes, above the "
@@ -515,7 +526,10 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         raise ScenarioError(str(exc)) from exc
 
     family = default_control_family(scenario.k, scenario.theta_grid)
-    weights = weight_matrix(family, bundle, threads=threads)
+    try:
+        weights = weight_matrix(family, bundle, threads=threads)
+    except ValueError as exc:
+        raise ScenarioError(f"{exc}: k or the horizon is too large") from exc
 
     mm = minimax_expectation(payoff, family, bundle, weights=weights)
     cap_upper = build_capacity("upper", family, bundle, weights=weights)
@@ -676,7 +690,7 @@ def _check_duality(ctx: RunContext) -> CheckOutcome:
     sub_bundle, sub_values, sub_weights = ctx.subsample()
     cap_u = build_capacity("upper", ctx.family, sub_bundle, weights=sub_weights)
     cap_l = build_capacity("lower", ctx.family, sub_bundle, weights=sub_weights)
-    rng = _aux_rng(ctx.scenario.seed ^ 0xD0A1)
+    rng = _aux_rng(ctx.scenario.seed, _DUALITY_STREAM)
     gap_cap = 0.0
     for a, _ in random_threshold_pairs(sub_values, 20, rng):
         gap_cap = max(gap_cap, abs(cap_l.evaluate(a) - (1.0 - cap_u.evaluate(~a))))
@@ -809,7 +823,7 @@ def _check_submodularity(ctx: RunContext) -> CheckOutcome:
     sub_bundle, sub_values, sub_weights = ctx.subsample()
     m = sub_values.size
     cap = build_capacity("upper", ctx.family, sub_bundle, weights=sub_weights)
-    rng = _aux_rng(ctx.scenario.seed ^ 0x5B0D)
+    rng = _aux_rng(ctx.scenario.seed, _SUBMODULARITY_STREAM)
     pairs = random_threshold_pairs(sub_values, 200, rng)
     tol = 3.0 / math.sqrt(m)
     report = submodularity_check(cap, pairs, tolerance=tol)
@@ -995,8 +1009,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         scenario = load_scenario(args.scenario, overrides)
         if args.threads < 1:
             raise ScenarioError(f"--threads must be >= 1, got {args.threads}")
-        report = run_scenario(scenario, scenario_path=args.scenario, threads=args.threads,
-                              extra_checks=tuple(args.check))
+        # A scenario whose scale overflows float64 is a bad scenario: numpy
+        # raises at the first overflow, as Python's math functions do,
+        # instead of warning and going on with infinities.
+        with np.errstate(over="raise"):
+            report = run_scenario(scenario, scenario_path=args.scenario, threads=args.threads,
+                                  extra_checks=tuple(args.check))
         rendered = emit(report, args.format)
         if args.out:
             try:
@@ -1009,6 +1027,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write(rendered)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_BAD_SCENARIO
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"scenario error: the scenario leaves the float64 range ({exc})", file=sys.stderr)
         return EXIT_BAD_SCENARIO
     except GridTooCoarseError as exc:
         print(f"grid rejected: {exc}", file=sys.stderr)

@@ -20,11 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidControlError
-from .paths import PathBundle, TimeGrid
-
-# Rows per block of the weight passes.  A block of 4096 rows by C controls
-# stays in cache; the passes' extra memory is O(ROW_BLOCK * C).
-ROW_BLOCK = 4096
+from .paths import ROW_BLOCK, PathBundle, TimeGrid
 
 __all__ = [
     "ThetaControl",

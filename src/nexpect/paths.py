@@ -29,6 +29,12 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 # scheme before the whole simulation is declared unusable.
 _MAX_INVALID_FRACTION = 1e-3
 
+# Rows per block of every row-blocked pass over the paths: the terminal
+# simulation here, the weight passes in `measures` and the sorted-prefix
+# sweep in `choquet`.  A block of 4096 rows by a few dozen columns is about
+# 1 MB and stays in cache; a pass's extra memory is O(ROW_BLOCK * columns).
+ROW_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -100,12 +106,13 @@ class MarketModel:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """A batch of Brownian increments and, once simulated, state paths.
+    """A batch of Brownian increments and, once simulated, terminal states.
 
-    `brownian_increments` has shape (n_paths, steps); `states` has shape
-    (n_paths, steps + 1) with states[:, 0] == s0 exactly.  `valid` flags the
-    paths whose Euler iteration stayed positive; exact simulation leaves it
-    all-True.
+    `brownian_increments` has shape (n_paths, steps).  Every claim priced
+    here depends on the path only through S_T, so `states` holds S_T alone,
+    shape (n_paths,); the intermediate states are never stored.  `valid`
+    flags the paths whose Euler iteration stayed positive; exact simulation
+    leaves it all-True.
     """
 
     grid: TimeGrid
@@ -116,9 +123,10 @@ class PathBundle:
     valid: Optional[np.ndarray] = None
 
     def terminal(self) -> np.ndarray:
+        """S_T per path."""
         if self.states is None:
             raise ValueError("bundle has no simulated states; call simulate_sde first")
-        return self.states[:, -1]
+        return self.states
 
     def terminal_brownian(self) -> np.ndarray:
         """B at the horizon, the sum of increments per path."""
@@ -146,42 +154,45 @@ def generate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> PathBundle:
 
 
 def _simulate_exact_gbm(model: MarketModel, bundle: PathBundle) -> np.ndarray:
+    # Block by block, the same elementwise arithmetic as exponentiating the
+    # full cumulative log path and keeping its last column.
     mu, sigma = model.gbm_constants
     dt = bundle.grid.dt
-    log_steps = (mu - 0.5 * sigma * sigma) * dt + sigma * bundle.brownian_increments
-    log_path = np.cumsum(log_steps, axis=1)
-    states = np.empty((bundle.n_paths, bundle.grid.steps + 1))
-    states[:, 0] = model.s0
-    states[:, 1:] = model.s0 * np.exp(log_path)
-    return states
+    terminal = np.empty(bundle.n_paths)
+    for start in range(0, bundle.n_paths, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        log_steps = (mu - 0.5 * sigma * sigma) * dt + sigma * bundle.brownian_increments[rows]
+        terminal[rows] = model.s0 * np.exp(np.cumsum(log_steps, axis=1)[:, -1])
+    return terminal
 
 
 def _simulate_euler(model: MarketModel, bundle: PathBundle) -> tuple[np.ndarray, np.ndarray]:
     grid = bundle.grid
     dt = grid.dt
     times = grid.times()
-    states = np.empty((bundle.n_paths, grid.steps + 1))
-    states[:, 0] = model.s0
+    s = np.full(bundle.n_paths, model.s0)
     alive = np.ones(bundle.n_paths, dtype=bool)
     for i in range(grid.steps):
-        s = states[:, i]
         step = model.drift(times[i], s) * dt + model.vol(times[i], s) * bundle.brownian_increments[:, i]
         nxt = s + step
         # Paths that left the positive half-line are frozen at the offending
         # value and flagged; they are not clamped back into the domain.
-        nxt = np.where(alive, nxt, s)
-        states[:, i + 1] = nxt
-        alive = alive & (nxt > 0.0) & np.isfinite(nxt)
-    return states, alive
+        s = np.where(alive, nxt, s)
+        alive = alive & (s > 0.0) & np.isfinite(s)
+    return s, alive
 
 
 def simulate_sde(model: MarketModel, bundle: PathBundle) -> PathBundle:
-    """Fill in state paths for the bundle's increments under `model`.
+    """Fill in the terminal states S_T for the bundle's increments under `model`.
 
     GBM coefficients use the exact lognormal step, so the scheme introduces
-    no discretisation bias.  Anything else is advanced by Euler steps; paths
-    that hit a nonpositive or non-finite state are flagged invalid, and the
-    simulation fails outright when more than 0.1% of paths do so.
+    no discretisation bias; the log steps are summed in blocks of ROW_BLOCK
+    paths, bit for bit the running sum over the whole path matrix.  Anything
+    else is advanced by Euler steps on one column of current states; paths
+    that hit a nonpositive or non-finite state are frozen there and flagged
+    invalid, and the simulation fails outright when more than 0.1% of paths
+    do so.  Extra memory is O(n_paths + ROW_BLOCK * steps), never a
+    (n_paths, steps) matrix.
     """
     if model.gbm_constants is not None:
         states = _simulate_exact_gbm(model, bundle)

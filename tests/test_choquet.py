@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,24 @@ def test_lower_capacity_superadditive(caps, bundle_200k):
     report = submodularity_check(lower, random_threshold_pairs(term, 300, rng))
     assert report.orientation == "lower"
     assert report.max_violation <= 1e-12
+
+
+def test_submodularity_event_stack_is_bounded(family_k01, bundle_50k, weights_50k):
+    # numpy reports its allocations to tracemalloc.  The default stacks of
+    # two pairs hold 8 float event rows of n paths; at 16 pairs they would
+    # hold 64 rows.
+    upper = build_capacity("upper", family_k01, None, weights=weights_50k)
+    term = bundle_50k.terminal()
+    n = term.size
+    pairs = list(random_threshold_pairs(term, 40, np.random.default_rng(5)))
+    tracemalloc.start()
+    try:
+        report = submodularity_check(upper, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.count == 40
+    assert 8 * n * 8 <= peak <= 1.5 * 8 * n * 8
 
 
 def test_submodularity_requires_pairs(caps):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nexpect import ScenarioError
 from nexpect.cli import (
@@ -557,3 +561,135 @@ def test_sandwich_tolerates_extremal_monte_carlo_error(extremal_se, status):
 def test_known_checks_cover_registry():
     from nexpect.cli import CHECK_REGISTRY
     assert set(KNOWN_CHECKS) == set(CHECK_REGISTRY)
+
+
+# Scenarios that load but whose numbers leave the float64 range somewhere in
+# the pipeline: an overflow in numpy or in Python's math module, density
+# weights that underflow, or a finite-difference grid that collapses.
+OUT_OF_RANGE = {
+    "s0-1e300": {"s0 = 100": "s0 = 1e300"},
+    "horizon-1e5-digital": {"horizon = 1.0": "horizon = 1e5", "k = 0.1": "k = 0.8",
+                            "mu = 0.0": "mu = 0.05", "sigma = 0.2": "sigma = 0.05",
+                            "payoff = call": "payoff = digital"},
+    "horizon-1e5-call": {"horizon = 1.0": "horizon = 1e5", "s0 = 100": "s0 = 2500"},
+    "sigma-1e-300": {"sigma = 0.2": "sigma = 1e-300", "s0 = 100": "s0 = 1"},
+    "horizon-1e-300": {"horizon = 1.0": "horizon = 1e-300"},
+    "mu-800": {"mu = 0.0": "mu = 800", "sigma = 0.2": "sigma = 40", "s0 = 100": "s0 = 1",
+               "payoff = call": "payoff = put", "strike = 100": "strike = 1e6"},
+    "k-60": {"k = 0.1": "k = 60", "horizon = 1.0": "horizon = 3"},
+}
+
+
+def run_main_quietly(argv):
+    """main's exit code and stderr, with every warning recorded, not shown."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, err.getvalue(), runtime
+
+
+@pytest.mark.parametrize("edits", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_main_out_of_range_scenario_exit_2(tmp_path, edits):
+    body = BASE
+    for old, new in edits.items():
+        body = body.replace(old, new)
+    code, stderr, runtime = run_main_quietly(
+        ["--scenario", write_scn(tmp_path, body), "--paths=300", "--format", "csv"])
+    assert code == EXIT_BAD_SCENARIO, stderr
+    assert stderr.startswith("scenario error:") and stderr.count("\n") == 1
+    assert not runtime
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the entry point
+# ---------------------------------------------------------------------------
+
+# Each key's values that load, with tiny path, node and time-step counts so
+# that a full run takes well under a second.
+FUZZ_VALID = {
+    "s0": ["100", "1", "2500"],
+    "mu": ["0.0", "0.05", "-0.4"],
+    "sigma": ["0.2", "0.05", "1.5"],
+    "horizon": ["1.0", "0.1", "3"],
+    "k": ["0.1", "0", "0.8"],
+    "payoff": ["call", "put", "digital", "custom"],
+    "strike": ["100", "1", "1e6"],
+    "expr": ["max(s - 100, 100 - s)", "s", "1 / s", "min(s, 90) - 5", "0 * s"],
+    "monotonicity": ["none", "increasing", "decreasing"],
+    "n_paths": ["2", "3", "40", "300"],
+    "steps": ["1", "3"],
+    "seed": ["0", "5", "-7", "18446744073709551621"],
+    "nodes": ["5", "12", "41"],
+    "time_steps": ["1", "60"],
+    "theta_grid": ["2", "5"],
+    "quantile_levels": ["2", "513"],
+    "fd_substep": ["true", "false"],
+    "checks": [", ".join(KNOWN_CHECKS), "chain, holder", "submodularity, duality", "zsign"],
+}
+# Values each key rejects, or that push the pipeline to an extreme.
+FUZZ_INVALID = {
+    "s0": ["0", "-1", "1e300", "nan"],
+    "mu": ["inf", "800"],
+    "sigma": ["0", "-0.2", "1e-300", "1e-9", "40"],
+    "horizon": ["0", "1e-300", "1e5"],
+    "k": ["-0.1", "60"],
+    "payoff": ["warrant", ""],
+    "strike": ["0", "-5", "1e300"],
+    "expr": ["s /", "s ** 2", "max(s)", "1 / (s - s)", "__import__"],
+    "monotonicity": ["up"],
+    "n_paths": ["1", "0", "2.5"],
+    "steps": ["0", "-3"],
+    "seed": ["x", "1.5"],
+    "nodes": ["4", "-1"],
+    "time_steps": ["0", "1000001"],
+    "theta_grid": ["1", "0"],
+    "quantile_levels": ["1"],
+    "fd_substep": ["maybe"],
+    "checks": ["wat", ",,"],
+}
+# Random text without decimal digits, so that it never parses as a large
+# path, node or step count.
+FUZZ_TEXT = st.characters(blacklist_categories=("Nd", "Cs"))
+
+
+@st.composite
+def fuzz_scenario_text(draw):
+    keys = {key: draw(st.sampled_from(values)) for key, values in FUZZ_VALID.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(FUZZ_VALID)))
+        action = draw(st.sampled_from(["invalid", "drop", "text"]))
+        if action == "invalid":
+            keys[key] = draw(st.sampled_from(FUZZ_INVALID[key]))
+        elif action == "drop":
+            keys.pop(key, None)
+        else:
+            keys[key] = draw(st.text(FUZZ_TEXT, max_size=8))
+    lines = [f"{key} = {value}" for key, value in keys.items()]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(FUZZ_TEXT, max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    text=fuzz_scenario_text(),
+    paths=st.none() | st.integers(-2, 300),
+    steps=st.none() | st.integers(-1, 4),
+    theta_grid=st.none() | st.integers(-1, 6),
+)
+def test_main_fuzz_exits_with_documented_code(tmp_path_factory, text, paths, steps, theta_grid):
+    path = tmp_path_factory.getbasetemp() / "fuzz.scn"
+    path.write_text(text, encoding="utf-8")
+    argv = ["--scenario", str(path), "--threads", "1", "--format", "csv"]
+    for flag, value in (("--paths", paths), ("--steps", steps), ("--theta-grid", theta_grid)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    code, stderr, runtime = run_main_quietly(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_BAD_SCENARIO, EXIT_GRID_REJECTED,
+                    EXIT_INTERNAL_ERROR), (code, stderr)
+    assert "Traceback" not in stderr
+    assert "RuntimeWarning" not in stderr
+    assert not runtime, runtime

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nexpect import (
     generate_brownian,
     simulate_sde,
 )
+from nexpect.paths import ROW_BLOCK, _simulate_euler
 from tests.conftest import MEAN_ST_MU5
 
 
@@ -80,7 +82,6 @@ def test_degenerate_gbm_is_constant():
 def test_exact_gbm_starts_at_s0_and_martingale():
     model = MarketModel.gbm(100.0, 0.0, 0.2)
     bundle = simulate_sde(model, generate_brownian(TimeGrid(1.0, 8), 100_000, 5))
-    assert np.all(bundle.states[:, 0] == 100.0)
     term = bundle.terminal()
     se = term.std(ddof=1) / math.sqrt(term.size)
     assert abs(term.mean() - 100.0) < 3.0 * se
@@ -138,8 +139,8 @@ def test_euler_flags_nonpositive_paths():
     bundle = simulate_sde(model, generate_brownian(TimeGrid(1.0, 1), 100_000, 31))
     n_bad = int((~bundle.valid).sum())
     assert 0 < n_bad < 100
-    assert np.all(bundle.states[~bundle.valid, -1] <= 0.0)
-    assert np.all(bundle.states[bundle.valid, -1] > 0.0)
+    assert np.all(bundle.states[~bundle.valid] <= 0.0)
+    assert np.all(bundle.states[bundle.valid] > 0.0)
 
 
 def test_euler_failure_above_threshold():
@@ -153,3 +154,83 @@ def test_terminal_requires_states():
     bundle = generate_brownian(TimeGrid(1.0, 4), 10, 1)
     with pytest.raises(ValueError):
         bundle.terminal()
+
+
+# ---------------------------------------------------------------------------
+# terminal-only simulation: the same bits as the full path matrix
+# ---------------------------------------------------------------------------
+
+def dense_gbm_states(model, bundle):
+    """The (n, steps + 1) state matrix, filled the way the full-path
+    simulation did."""
+    mu, sigma = model.gbm_constants
+    log_steps = (mu - 0.5 * sigma * sigma) * bundle.grid.dt + sigma * bundle.brownian_increments
+    states = np.empty((bundle.n_paths, bundle.grid.steps + 1))
+    states[:, 0] = model.s0
+    states[:, 1:] = model.s0 * np.exp(np.cumsum(log_steps, axis=1))
+    return states
+
+
+def dense_euler_states(model, bundle):
+    """The full-matrix Euler loop, kept as the reference for the one-column march."""
+    grid = bundle.grid
+    times = grid.times()
+    states = np.empty((bundle.n_paths, grid.steps + 1))
+    states[:, 0] = model.s0
+    alive = np.ones(bundle.n_paths, dtype=bool)
+    for i in range(grid.steps):
+        s = states[:, i]
+        step = model.drift(times[i], s) * grid.dt + model.vol(times[i], s) * bundle.brownian_increments[:, i]
+        nxt = np.where(alive, s + step, s)
+        states[:, i + 1] = nxt
+        alive = alive & (nxt > 0.0) & np.isfinite(nxt)
+    return states, alive
+
+
+@pytest.mark.parametrize("steps", [1, 8])
+@pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 17])
+def test_exact_gbm_terminal_is_bitwise_dense(n, steps):
+    model = MarketModel.gbm(100.0, 0.03, 0.25)
+    bundle = simulate_sde(model, generate_brownian(TimeGrid(1.5, steps), n, 1000 + n))
+    dense = dense_gbm_states(model, bundle)
+    assert bundle.states.shape == (n,)
+    assert np.array_equal(bundle.terminal(), dense[:, -1])
+    assert np.all(bundle.valid)
+
+
+def test_euler_terminal_is_bitwise_dense_with_frozen_paths():
+    # A 0.6-sigma coefficient over 4 steps drives some paths nonpositive
+    # mid-way; they stay frozen at the offending value for the later steps.
+    model = MarketModel.general(1.0, lambda t, s: 0.05 * s * (1.0 + t), lambda t, s: 0.6 * s)
+    bundle = generate_brownian(TimeGrid(1.0, 4), 20_000, 37)
+    terminal, valid = _simulate_euler(model, bundle)
+    dense, dense_valid = dense_euler_states(model, bundle)
+    frozen = ~dense_valid & (dense[:, -2] == dense[:, -1])
+    assert frozen.sum() > 10
+    assert np.array_equal(valid, dense_valid)
+    assert np.array_equal(terminal, dense[:, -1])
+
+    safe = MarketModel.general(100.0, lambda t, s: 0.02 * s, lambda t, s: 0.2 * s)
+    sim = simulate_sde(safe, bundle)
+    dense, dense_valid = dense_euler_states(safe, bundle)
+    assert np.array_equal(sim.terminal(), dense[:, -1])
+    assert np.array_equal(sim.valid, dense_valid)
+
+
+@pytest.mark.parametrize("model", [
+    MarketModel.gbm(100.0, 0.0, 0.2),
+    MarketModel.general(100.0, lambda t, s: 0.0 * s, lambda t, s: 0.2 * s),
+], ids=["exact", "euler"])
+def test_simulation_memory_is_linear_in_paths(model):
+    # numpy reports its allocations to tracemalloc.  One (n, steps) float
+    # matrix is 25.6 MB here; the simulation may hold a few columns of n
+    # and a few ROW_BLOCK-row blocks, about 10 MB at most.
+    n, steps = 50_000, 64
+    bundle = generate_brownian(TimeGrid(1.0, steps), n, 3)
+    tracemalloc.start()
+    try:
+        simulate_sde(model, bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n * 8 <= peak < 4 * n * 8 + 4 * ROW_BLOCK * steps * 8
