@@ -9,6 +9,7 @@ the weights in sorted order, evaluated at every sample, so the in-sample
 integral is exact.  A sample is sorted once for the upper and the lower
 capacity, and one sweep per capacity gives the integral and each path's
 influence on it, hence its standard error (the infinitesimal jackknife).
+Every capacity value is normalised by the capacity's own totals.
 """
 
 from __future__ import annotations
@@ -176,15 +177,6 @@ class Capacity:
         sums = ev.astype(np.float64) @ self.weights
         return np.clip(self._reduce(sums / self.totals[None, :]), 0.0, 1.0)
 
-    def _tail_curve(self, prefix: np.ndarray, total: np.ndarray) -> np.ndarray:
-        """Capacity of the complement of each prefix row's event, given the
-        weight total of the full event."""
-        # (total - prefix) / total per control, laid out control-major so each
-        # ufunc loop runs along the rows instead of across a few controls.
-        tails = np.subtract(total[:, None], prefix.T, order="C")
-        tails /= total[:, None]
-        return np.clip(self._reduce(tails.T), 0.0, 1.0)
-
 
 def build_capacity(
     orientation: str,
@@ -213,25 +205,23 @@ def build_capacity(
 # ---------------------------------------------------------------------------
 
 class _SortedSample:
-    """A payoff sample sorted once, with its weights summed once in sorted
-    order, integrable against any capacity on that weight matrix.
+    """A payoff sample sorted once, integrable against any capacity on that
+    weight matrix.
 
-    The tail weight of {X > x} per control is a total minus a running sum of
-    the weights in ascending order of X.  Those running sums come from a
-    sweep over blocks of PREFIX_BLOCK sorted rows: each block gathers its
-    weights, adds the total carried over from the previous block into its
-    first row and takes its running sum.  Every sum is thus formed by the
-    same additions in the same order as one running sum over all n rows, and
-    is bitwise equal to it, while only one block is alive at a time.
+    The tail weight of {X > x} per control is the capacity's total minus a
+    running sum of the weights in ascending order of X.  Those running sums
+    come from a sweep over blocks of PREFIX_BLOCK sorted rows: each block
+    gathers its weights, adds the total carried over from the previous block
+    into its first row and takes its running sum.  Every sum is thus formed
+    by the same additions in the same order as one running sum over all n
+    rows, and is bitwise equal to it, while only one block is alive at a
+    time.
     """
 
     def __init__(self, values: np.ndarray, weights: np.ndarray) -> None:
         self.values, self.weights = values, weights
         self.order = np.argsort(values, kind="stable")
         self.gaps = np.diff(values[self.order])  # the sorted copy is not kept
-        for _, _, sums in self._running_sums():
-            pass
-        self.total = sums[-1].copy()  # the last running sum
 
     def _running_sums(self):
         """Yield (start, rows, sums) per block: rows[i] is the weight row of
@@ -262,9 +252,9 @@ class _SortedSample:
 
     def estimate(self, capacity: Capacity) -> tuple[float, np.ndarray]:
         """The exact integral (the smallest sample plus each gap between
-        consecutive sorted samples times the capacity of the tail above it,
-        with tail weights against self.total) and each path's influence on
-        it, in the paths' own order, from one sweep that fills both.
+        consecutive sorted samples times the capacity of the tail above it)
+        and each path's influence on it, in the paths' own order, from one
+        sweep that fills both.
 
         Scaling path l's weights by 1 + eps moves the tail capacity c_i above
         gap i by eps * w_lj / T_j * ([l lies above gap i] - c_i), taken at
@@ -274,10 +264,11 @@ class _SortedSample:
             IF_l = n * sum_j w_lj / T_j * (A_j(l) - B_j),
 
         with A_j(l) the sum of the gaps below l where j attains and B_j the
-        sum of gap_i * c_i over those gaps.  T is the capacity's totals,
-        which differ from self.total only by rounding.  A / T is carried
-        between blocks like the running sums; B is known only at the end, so
-        its term is one product with the weight matrix.
+        sum of gap_i * c_i over those gaps.  T is the capacity's totals, the
+        normaliser of capacity.evaluate, and c_i, clipped to [0, 1], is also
+        the integral's tail curve.  A / T is carried between blocks like the
+        running sums; B is known only at the end, so its term is one product
+        with the weight matrix.
         """
         total = capacity.totals
         n, m = self.weights.shape
@@ -292,14 +283,15 @@ class _SortedSample:
             block_gaps = self.gaps[start:start + g]
             # Prefix rows 1 .. n-1: the last row is the total, whose tail is
             # empty.  Duplicate positions carry zero width in the dot product,
-            # so they need no special case.
+            # so they need no special case.  The tail capacities against T,
+            # in place, and the one attained above each gap.
             tails = sums[:g]
-            curve[start:start + g] = capacity._tail_curve(tails, self.total)
-            # Then the tail capacities against T, in place.
             np.subtract(total, tails, out=tails)
             tails /= total
             j = tails.argmax(axis=1) if capacity.orientation == "upper" else tails.argmin(axis=1)
-            attained += np.bincount(j, weights=block_gaps * tails[np.arange(g), j], minlength=m)
+            c = tails[np.arange(g), j]
+            np.clip(c, 0.0, 1.0, out=curve[start:start + g])
+            attained += np.bincount(j, weights=block_gaps * c, minlength=m)
             # A / T at every position of the block, in the same buffer: the
             # carried value, then each gap one row above its own.  Only the
             # columns of controls attaining in the block (often one) move.
@@ -333,9 +325,9 @@ class _SortedSample:
 def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity]):
     """Yield (choquet_integral, choquet_influence) of one payoff sample
     against each capacity in turn.  The capacities share one weight matrix,
-    as a family's upper and lower capacities do: the sample is sorted and
-    its weights summed once for all of them, and each takes one sweep
-    (_SortedSample.estimate) in turn, so one sweep's arrays are alive at a
+    as a family's upper and lower capacities do: the sample is sorted once
+    for all of them, and each takes one sweep (_SortedSample.estimate)
+    against its own totals in turn, so one sweep's arrays are alive at a
     time."""
     capacities = tuple(capacities)
     weights = capacities[0].weights

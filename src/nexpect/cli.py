@@ -380,6 +380,10 @@ def _validate_scenario(fields: dict, path: str) -> Scenario:
             raise ScenarioError(f"payoff {kind} requires a strike")
         if fields["strike"] <= 0:
             raise ScenarioError(f"strike must be positive, got {fields['strike']}")
+        if kind in ("call", "put") and fields["s0"] / fields["strike"] == 0.0:
+            # The call and put closed forms take log(s0 / strike).
+            raise ScenarioError(f"s0 / strike underflows to 0 in float64 "
+                                f"(s0 = {fields['s0']}, strike = {fields['strike']})")
     else:
         if not fields["expr"]:
             raise ScenarioError("custom payoff requires an expr")

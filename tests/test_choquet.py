@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nexpect import (
     Capacity,
@@ -157,16 +157,35 @@ def test_integral_indicator_equals_capacity(caps, bundle_200k):
         assert choquet_integral(values, cap) == cap.evaluate(event)
 
 
-def test_integral_simple_function_agreement(caps, bundle_200k):
-    """The simple-function sum and the sorted sweep coincide on a few-valued
-    payoff; choquet_integral takes the first, the error bar the second."""
-    term = bundle_200k.terminal()
-    values = np.clip(np.round(np.maximum(term - 100.0, 0.0) / 5.0) * 5.0, 0.0, 40.0)
+@settings(deadline=None, max_examples=25)
+@given(case=st.tuples(
+    st.sampled_from([2, PREFIX_BLOCK - 1, PREFIX_BLOCK + 1, 3 * PREFIX_BLOCK + 17]),
+    st.integers(2, 29),  # controls
+    st.integers(1, SIMPLE_FUNCTION_LIMIT),  # levels drawn, ties included
+    st.integers(0, 2**32 - 1),  # seed
+))
+@example(case=None)  # a rounded call on the shared bundle
+def test_integral_simple_function_agreement(caps, bundle_200k, case):
+    """The simple-function sum through Capacity.evaluate and the sorted
+    sweep coincide on a few-valued payoff, on both sides: choquet_integral
+    takes the first, the error bar the second, and both normalise by the
+    capacity's totals."""
+    if case is None:
+        term = bundle_200k.terminal()
+        values = np.clip(np.round(np.maximum(term - 100.0, 0.0) / 5.0) * 5.0, 0.0, 40.0)
+        pair = caps
+    else:
+        n, controls, levels, seed = case
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.round(rng.standard_normal(levels) * 10.0 ** rng.integers(-2, 4), 3), n)
+        weights = np.exp(0.3 * rng.standard_normal((n, controls)))
+        family = (ThetaControl.constant(0.0, 0.0),) * controls
+        pair = [Capacity(side, family, weights, np.ones(n) @ weights) for side in ("upper", "lower")]
     assert np.unique(values).size <= SIMPLE_FUNCTION_LIMIT
-    for cap in caps:
-        exact = choquet_integral(values, cap)
+    for cap in pair:
         swept, _ = _SortedSample(values, cap.weights).estimate(cap)
-        assert swept == pytest.approx(exact, rel=1e-12)
+        exact = choquet_integral(values, cap)
+        assert abs(swept - exact) <= 1e-12 * max(1.0, np.abs(values).max())
 
 
 def test_integral_call_against_oracle(caps, bundle_200k):
@@ -412,7 +431,7 @@ def dense_prefix(x, weights):
 def dense_exact(x, cap):
     sorted_x = np.sort(x, kind="stable")
     prefix = dense_prefix(x, cap.weights)
-    denom = prefix[-1]
+    denom = cap.totals
     curve = np.clip(cap._reduce((denom[None, :] - prefix[1:-1]) / denom[None, :]), 0.0, 1.0)
     return float(sorted_x[0]) + float(np.dot(np.diff(sorted_x), curve))
 
@@ -498,6 +517,26 @@ def test_joint_estimates_match_dense_references(n, controls):
         np.testing.assert_allclose(influence, ref, rtol=1e-12, atol=1e-12 * scale)
         assert value == choquet_integral(x, cap)
         assert np.array_equal(influence, choquet_influence(x, cap))
+
+
+def test_each_capacity_is_swept_once(monkeypatch):
+    # Every running sum comes from the sweep that integrates a capacity; no
+    # pass is made for the weight totals alone.
+    sweeps = []
+    running_sums = _SortedSample._running_sums
+
+    def counted(self):
+        sweeps.append(self)
+        return running_sums(self)
+
+    monkeypatch.setattr(_SortedSample, "_running_sums", counted)
+    x, upper = engine_case(3 * PREFIX_BLOCK + 17, 29, "upper", seed=3)
+    lower = Capacity("lower", upper.family, upper.weights, upper.totals)
+    list(choquet_estimates(x, (upper, lower)))
+    assert len(sweeps) == 2
+    sweeps.clear()
+    choquet_integral(x, upper)
+    assert len(sweeps) == 1
 
 
 def test_joint_estimates_need_one_weight_matrix(caps):

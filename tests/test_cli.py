@@ -577,6 +577,10 @@ OUT_OF_RANGE = {
     "mu-800": {"mu = 0.0": "mu = 800", "sigma = 0.2": "sigma = 40", "s0 = 100": "s0 = 1",
                "payoff = call": "payoff = put", "strike = 100": "strike = 1e6"},
     "k-60": {"k = 0.1": "k = 60", "horizon = 1.0": "horizon = 3"},
+    # s0 / strike underflows to 0, and the closed form takes its log.
+    "s0-over-strike-underflow-call": {"s0 = 100": "s0 = 1e-300", "strike = 100": "strike = 1e150"},
+    "s0-over-strike-underflow-put": {"s0 = 100": "s0 = 1e-300", "strike = 100": "strike = 1e150",
+                                     "payoff = call": "payoff = put"},
 }
 
 
