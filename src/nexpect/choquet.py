@@ -7,7 +7,7 @@ over negative levels.  Payoffs taking few distinct values are integrated
 exactly as simple functions; everything else goes through running sums of
 the weights in sorted order, evaluated at every sample, so the in-sample
 integral is exact.  A sample is sorted once for the upper and the lower
-capacity, and one sweep per capacity gives the integral and each path's
+capacity, and one sweep serves both, giving each integral and each path's
 influence on it, hence its standard error (the infinitesimal jackknife).
 Every capacity value is normalised by the capacity's own totals.
 """
@@ -205,17 +205,18 @@ def build_capacity(
 # ---------------------------------------------------------------------------
 
 class _SortedSample:
-    """A payoff sample sorted once, integrable against any capacity on that
-    weight matrix.
+    """A payoff sample sorted once, integrable against every capacity on
+    that weight matrix in one sweep.
 
-    The tail weight of {X > x} per control is the capacity's total minus a
+    The tail weight of {X > x} per control is a capacity's total minus a
     running sum of the weights in ascending order of X.  Those running sums
     come from a sweep over blocks of PREFIX_BLOCK sorted rows: each block
     gathers its weights, adds the total carried over from the previous block
     into its first row and takes its running sum.  Every sum is thus formed
     by the same additions in the same order as one running sum over all n
     rows, and is bitwise equal to it, while only one block is alive at a
-    time.
+    time.  The sums do not depend on the capacity, so each block serves
+    every capacity before the next is gathered.
     """
 
     def __init__(self, values: np.ndarray, weights: np.ndarray) -> None:
@@ -250,11 +251,11 @@ class _SortedSample:
             carry = sums[-1].copy()
             yield start, rows, sums
 
-    def estimate(self, capacity: Capacity) -> tuple[float, np.ndarray]:
+    def estimate(self, capacities: tuple[Capacity, ...]) -> list[tuple[float, np.ndarray]]:
         """The exact integral (the smallest sample plus each gap between
         consecutive sorted samples times the capacity of the tail above it)
-        and each path's influence on it, in the paths' own order, from one
-        sweep that fills both.
+        against each capacity, and each path's influence on it in the paths'
+        own order, from one sweep whose every block serves each capacity.
 
         Scaling path l's weights by 1 + eps moves the tail capacity c_i above
         gap i by eps * w_lj / T_j * ([l lies above gap i] - c_i), taken at
@@ -268,49 +269,56 @@ class _SortedSample:
         normaliser of capacity.evaluate, and c_i, clipped to [0, 1], is also
         the integral's tail curve.  A / T is carried between blocks like the
         running sums; B is known only at the end, so its term is one product
-        with the weight matrix.
+        with the weight matrix.  Every result is bitwise that of a sweep
+        against its capacity alone.
         """
-        total = capacity.totals
         n, m = self.weights.shape
-        curve = np.empty(n - 1)
-        below = np.zeros(m)  # A / T at the first position of the next block
-        attained = np.zeros(m)  # B so far
-        out = np.empty(n)
+        curves = [np.empty(n - 1) for _ in capacities]
+        below = [np.zeros(m) for _ in capacities]  # A / T at the next block's first row
+        attained = [np.zeros(m) for _ in capacities]  # B so far
+        outs = [np.empty(n) for _ in capacities]
+        # A capacity's tails, then its A / T; only the last overwrites the sums.
+        scratch = np.empty((min(n, PREFIX_BLOCK), m))
         column = np.empty(min(n, PREFIX_BLOCK))
         for start, rows, sums in self._running_sums():
             size = rows.shape[0]
             g = min(size, n - 1 - start)  # rows with a gap above them
-            block_gaps = self.gaps[start:start + g]
-            # Prefix rows 1 .. n-1: the last row is the total, whose tail is
-            # empty.  Duplicate positions carry zero width in the dot product,
-            # so they need no special case.  The tail capacities against T,
-            # in place, and the one attained above each gap.
-            tails = sums[:g]
-            np.subtract(total, tails, out=tails)
-            tails /= total
-            j = tails.argmax(axis=1) if capacity.orientation == "upper" else tails.argmin(axis=1)
-            c = tails[np.arange(g), j]
-            np.clip(c, 0.0, 1.0, out=curve[start:start + g])
-            attained += np.bincount(j, weights=block_gaps * c, minlength=m)
-            # A / T at every position of the block, in the same buffer: the
-            # carried value, then each gap one row above its own.  Only the
-            # columns of controls attaining in the block (often one) move.
             inner = min(g, size - 1)
-            sums[:] = below
-            rise = block_gaps[:inner] / total[j[:inner]]
-            for c in np.flatnonzero(np.bincount(j[:inner], minlength=m)):
-                column[0] = below[c]
-                np.multiply(rise, j[:inner] == c, out=column[1:inner + 1])
-                np.cumsum(column[:inner + 1], out=sums[:inner + 1, c])
-            below = sums[-1].copy()
-            if g == size:
-                below[j[-1]] += block_gaps[-1] / total[j[-1]]
-            out[self.order[start:start + size]] = np.einsum("ij,ij->i", rows, sums)
-        value = float(self.values[self.order[0]]) + float(np.dot(self.gaps, curve))
-        del curve  # before the n-vector below
-        out -= self.weights @ (attained / total)
-        out *= n
-        return value, out
+            block_gaps = self.gaps[start:start + g]
+            for s, capacity in enumerate(capacities):
+                buf = sums if s == len(capacities) - 1 else scratch
+                total = capacity.totals
+                # Prefix rows 1 .. n-1: the last row is the total, whose tail
+                # is empty.  Duplicate positions carry zero width in the dot
+                # product, so they need no special case.  The tail capacities
+                # against T, and the one attained above each gap.
+                tails = np.subtract(total, sums[:g], out=buf[:g])
+                tails /= total
+                j = tails.argmax(axis=1) if capacity.orientation == "upper" else tails.argmin(axis=1)
+                c = tails[np.arange(g), j]
+                np.clip(c, 0.0, 1.0, out=curves[s][start:start + g])
+                attained[s] += np.bincount(j, weights=block_gaps * c, minlength=m)
+                # A / T at every position of the block: the carried value,
+                # then each gap one row above its own.  Only the columns of
+                # controls attaining in the block (often one) move.
+                carried = buf[:size]
+                carried[:] = below[s]
+                rise = block_gaps[:inner] / total[j[:inner]]
+                for col in np.flatnonzero(np.bincount(j[:inner], minlength=m)):
+                    column[0] = below[s][col]
+                    np.multiply(rise, j[:inner] == col, out=column[1:inner + 1])
+                    np.cumsum(column[:inner + 1], out=carried[:inner + 1, col])
+                below[s] = carried[-1].copy()
+                if g == size:
+                    below[s][j[-1]] += block_gaps[-1] / total[j[-1]]
+                outs[s][self.order[start:start + size]] = np.einsum("ij,ij->i", rows, carried)
+        values = [float(self.values[self.order[0]]) + float(np.dot(self.gaps, curve))
+                  for curve in curves]
+        del curves  # before the n-vectors below
+        for capacity, b, out in zip(capacities, attained, outs):
+            out -= self.weights @ (b / capacity.totals)
+            out *= n
+        return list(zip(values, outs))
 
     def simple_integral(self, capacity: Capacity) -> float:
         """The integral as a simple function: the smallest value plus each
@@ -326,9 +334,7 @@ def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity])
     """Yield (choquet_integral, choquet_influence) of one payoff sample
     against each capacity in turn.  The capacities share one weight matrix,
     as a family's upper and lower capacities do: the sample is sorted once
-    for all of them, and each takes one sweep (_SortedSample.estimate)
-    against its own totals in turn, so one sweep's arrays are alive at a
-    time."""
+    and one sweep of running sums serves them all (_SortedSample.estimate)."""
     capacities = tuple(capacities)
     weights = capacities[0].weights
     if any(c.weights is not weights for c in capacities):
@@ -353,10 +359,11 @@ def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity])
     sample = _SortedSample(x, weights)
     # Distinct finite values differ by a nonzero gap.
     simple = 1 + np.count_nonzero(sample.gaps) <= SIMPLE_FUNCTION_LIMIT
+    estimates = sample.estimate(capacities)
     for capacity in capacities:
-        value, influence = sample.estimate(capacity)
+        value, influence = estimates.pop(0)
         yield (sample.simple_integral(capacity) if simple else value), influence
-        del influence  # the caller may free it before the next sweep
+        del influence  # the caller may free it before the next one
 
 
 def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:

@@ -22,7 +22,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,14 +46,8 @@ from .choquet import (
     submodularity_check,
 )
 from .errors import GridTooCoarseError, ScenarioError
-from .measures import (
-    ThetaControl,
-    default_control_family,
-    expectation_profile,
-    weight_matrix,
-)
+from .measures import ThetaControl, default_control_family, weight_matrix
 from .minimax import (
-    MinimaxResult,
     attainment_check,
     extremal_price,
     minimax_expectation,
@@ -445,7 +440,7 @@ class RunContext:
     values: np.ndarray
     family: tuple[ThetaControl, ...]
     weights: np.ndarray
-    minimax: MinimaxResult
+    moments: dict  # each weight column's "means" and "ses", from weight_matrix
     cap_upper: Capacity
     cap_lower: Capacity
     solution_upper: GridSolution
@@ -464,6 +459,13 @@ class RunContext:
             valid=None if self.bundle.valid is None else self.bundle.valid[:m],
         )
         return sub_bundle, self.values[:m], self.weights[:m]
+
+    @cached_property
+    def sub_capacities(self) -> tuple[Capacity, Capacity]:
+        """The upper and lower capacity on the subsample, sharing its totals."""
+        sub_bundle, _, sub_weights = self.subsample()
+        upper = build_capacity("upper", self.family, sub_bundle, weights=sub_weights)
+        return upper, replace(upper, orientation="lower")
 
 
 # Spawn keys of the auxiliary streams, one per check that draws events.
@@ -530,16 +532,17 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         raise ScenarioError(str(exc)) from exc
 
     family = default_control_family(scenario.k, scenario.theta_grid)
+    moments: dict = {}
     try:
-        weights = weight_matrix(family, bundle, threads=threads)
+        weights = weight_matrix(family, bundle, threads=threads, moments=moments)
     except ValueError as exc:
         raise ScenarioError(f"{exc}: k or the horizon is too large") from exc
 
     mm = minimax_expectation(payoff, family, bundle, weights=weights)
     cap_upper = build_capacity("upper", family, bundle, weights=weights)
-    cap_lower = build_capacity("lower", family, bundle, weights=weights)
-    # Both sides from one sort of the payoff.  map keeps no reference, so
-    # each influence is freed once its SE is taken, before the next sweep.
+    cap_lower = replace(cap_upper, orientation="lower")
+    # Both sides from one sort and one sweep of the payoff.  map keeps no
+    # reference, so each influence is freed once its SE is taken.
     (cho_upper, cho_upper_se), (cho_lower, cho_lower_se) = map(
         lambda estimate: (estimate[0], _choquet_std_error(estimate[1])),
         choquet_estimates(values, (cap_upper, cap_lower)))
@@ -548,24 +551,15 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     if payoff.kind == "digital":
         fd_note = "discontinuous terminal condition: grid bias larger than for smooth payoffs"
     # The zsign check reads the extreme each solve streams, not a surface.
-    sol_upper = solve_fd(
-        model, payoff, Generator.abs_upper(scenario.k), scenario.horizon,
-        nodes=scenario.nodes, time_steps=scenario.time_steps, substep=scenario.fd_substep,
-        store_surfaces=False,
-    )
-    sol_lower = solve_fd(
-        model, payoff, Generator.abs_lower(scenario.k), scenario.horizon,
-        nodes=scenario.nodes, time_steps=scenario.time_steps, substep=scenario.fd_substep,
-        store_surfaces=False,
-    )
+    sol_upper, sol_lower = (
+        solve_fd(model, payoff, side(scenario.k), scenario.horizon, nodes=scenario.nodes,
+                 time_steps=scenario.time_steps, substep=scenario.fd_substep, store_surfaces=False)
+        for side in (Generator.abs_upper, Generator.abs_lower))
 
     if payoff.monotonicity == "none":
-        ext_entries = [
-            EstimatorEntry("extremal_upper", float("nan"), float("nan"),
-                           "not applicable: payoff lacks a monotone direction"),
-            EstimatorEntry("extremal_lower", float("nan"), float("nan"),
-                           "not applicable: payoff lacks a monotone direction"),
-        ]
+        ext_entries = [EstimatorEntry(name, float("nan"), float("nan"),
+                                      "not applicable: payoff lacks a monotone direction")
+                       for name in ("extremal_upper", "extremal_lower")]
     else:
         use_closed = model.gbm_constants is not None and payoff.kind in ("call", "put")
         ext = extremal_price(payoff, model, scenario.horizon, bundle=bundle, closed_form=use_closed)
@@ -593,8 +587,8 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
 
     ctx = RunContext(
         scenario=scenario, model=model, payoff=payoff, bundle=bundle, values=values,
-        family=family, weights=weights, minimax=mm, cap_upper=cap_upper, cap_lower=cap_lower,
-        solution_upper=sol_upper, solution_lower=sol_lower,
+        family=family, weights=weights, moments=moments, cap_upper=cap_upper,
+        cap_lower=cap_lower, solution_upper=sol_upper, solution_lower=sol_lower,
         entries=entries, threads=threads,
     )
 
@@ -679,30 +673,25 @@ def _check_degeneracy(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_duality(ctx: RunContext) -> CheckOutcome:
-    """Exact conjugacy: lower(X) = -upper(-X) and lower cap = 1 - upper cap of complement."""
+    """Exact conjugacy on the subsample: the Choquet integrals satisfy
+    lower(X) = -upper(-X), and lower cap = 1 - upper cap of the complement."""
     scale = max(1.0, abs(ctx.entries["minimax_upper"].value))
-    neg_payoff = Payoff.custom(
-        name="negated",
-        fn=lambda s, f=ctx.payoff.fn: -np.asarray(f(s), dtype=float),
-        monotonicity={"increasing": "decreasing", "decreasing": "increasing", "none": "none"}[
-            ctx.payoff.monotonicity
-        ],
-    )
-    mm_neg = minimax_expectation(neg_payoff, ctx.family, ctx.bundle, weights=ctx.weights)
-    gap_minimax = abs(ctx.minimax.lower + mm_neg.upper)
+    _, sub_values, _ = ctx.subsample()
+    cap_u, cap_l = ctx.sub_capacities
+    # Two sorts, -X's ties reversed, and an argmin against an argmax.
+    [(lower, _)] = choquet_estimates(sub_values, (cap_l,))
+    [(upper_neg, _)] = choquet_estimates(-sub_values, (cap_u,))
+    gap_choquet = abs(lower + upper_neg)
 
-    sub_bundle, sub_values, sub_weights = ctx.subsample()
-    cap_u = build_capacity("upper", ctx.family, sub_bundle, weights=sub_weights)
-    cap_l = build_capacity("lower", ctx.family, sub_bundle, weights=sub_weights)
     rng = _aux_rng(ctx.scenario.seed, _DUALITY_STREAM)
     gap_cap = 0.0
     for a, _ in random_threshold_pairs(sub_values, 20, rng):
         gap_cap = max(gap_cap, abs(cap_l.evaluate(a) - (1.0 - cap_u.evaluate(~a))))
 
     tol = 1e-10 * scale
-    ok = gap_minimax <= tol and gap_cap <= 1e-10
-    detail = (f"|lower(X) + upper(-X)| = {gap_minimax:.2e} (tol {tol:.1e}); "
-              f"max capacity conjugacy gap = {gap_cap:.2e} over 20 events")
+    ok = gap_choquet <= tol and gap_cap <= 1e-10
+    detail = (f"|choquet lower(X) + upper(-X)| = {gap_choquet:.2e} (tol {tol:.1e}) on "
+              f"{sub_values.size} paths; max capacity conjugacy gap = {gap_cap:.2e} over 20 events")
     return CheckOutcome("duality", "pass" if ok else "fail", detail)
 
 
@@ -769,11 +758,10 @@ def _check_normalization(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_martingale(ctx: RunContext) -> CheckOutcome:
-    # The mean of each density column is its expectation of the payoff 1.
-    means, ses = expectation_profile(np.ones(ctx.bundle.n_paths), ctx.family, ctx.bundle,
-                                     weights=ctx.weights)
+    # The mean of each density column is its expectation of the payoff 1,
+    # reduced once by weight_matrix for its own warning.
     worst = (0.0, "")
-    for control, mean, se in zip(ctx.family, means, ses):
+    for control, mean, se in zip(ctx.family, ctx.moments["means"], ctx.moments["ses"]):
         if se == 0.0:
             continue
         pull = abs(mean - 1.0) / se
@@ -824,13 +812,11 @@ def _check_attainment(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_submodularity(ctx: RunContext) -> CheckOutcome:
-    sub_bundle, sub_values, sub_weights = ctx.subsample()
-    m = sub_values.size
-    cap = build_capacity("upper", ctx.family, sub_bundle, weights=sub_weights)
+    _, sub_values, _ = ctx.subsample()
     rng = _aux_rng(ctx.scenario.seed, _SUBMODULARITY_STREAM)
     pairs = random_threshold_pairs(sub_values, 200, rng)
-    tol = 3.0 / math.sqrt(m)
-    report = submodularity_check(cap, pairs, tolerance=tol)
+    tol = 3.0 / math.sqrt(sub_values.size)
+    report = submodularity_check(ctx.sub_capacities[0], pairs, tolerance=tol)
     detail = (f"max 2-alternating defect {report.max_violation:.2e} over {report.count} "
               f"threshold pairs (tol {tol:.2e})")
     return CheckOutcome("submodularity", "pass" if report.passed else "fail", detail)
@@ -853,14 +839,12 @@ def _check_l2bound(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_holder(ctx: RunContext) -> CheckOutcome:
-    sub_bundle, sub_values, sub_weights = ctx.subsample()
-    m = sub_values.size
-    cap = build_capacity("upper", ctx.family, sub_bundle, weights=sub_weights)
-    terminal = ctx.bundle.terminal()[:m]
+    _, sub_values, _ = ctx.subsample()
+    terminal = ctx.bundle.terminal()[:sub_values.size]
     s0 = ctx.scenario.s0
     level = np.abs(terminal) / s0
     pairs = [(sub_values, level), (np.abs(terminal - s0), level), (sub_values, sub_values)]
-    reports = choquet_holder_checks(pairs, cap, p=2.0, q=2.0)
+    reports = choquet_holder_checks(pairs, ctx.sub_capacities[0], p=2.0, q=2.0)
     ok = all(rep.passed for rep in reports)
     detail = "; ".join(f"pair {i}: margin {rep.margin:.3g} (tol {rep.tolerance:.3g})"
                        for i, rep in enumerate(reports))

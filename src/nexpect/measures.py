@@ -128,7 +128,9 @@ def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> np.ndarray:
     """Density of the control's measure against the reference, path by path.
 
     The column weight_matrix builds for the one-member family (control,),
-    with the same validation and martingale warning.
+    with the same validation and martingale warning.  The pricing pipeline
+    does not call it; it is kept as library API for one density, and the
+    benchmark's tracer (perfbench/tracer.py) resolves it by name.
     """
     return weight_matrix((control,), bundle)[:, 0]
 
@@ -177,6 +179,8 @@ def weight_matrix(
     family: tuple[ThetaControl, ...] | list[ThetaControl],
     bundle: PathBundle,
     threads: int = 1,
+    *,
+    moments: dict | None = None,
 ) -> np.ndarray:
     """Stack of density weights, one column per control, shape (n_paths, C).
 
@@ -190,7 +194,8 @@ def weight_matrix(
 
     Raises ValueError unless every weight is finite and strictly positive,
     and warns (without failing) for each column whose sample mean is more
-    than 4 standard errors from 1.
+    than 4 standard errors from 1.  A `moments` dict receives those "means"
+    and "ses" (bitwise expectation_profile of the payoff 1) for reuse.
     """
     family = tuple(family)
     if not family:
@@ -234,6 +239,8 @@ def weight_matrix(
 
     if n > 1:
         means, ses = _column_moments(out, np.ones(n))
+        if moments is not None:
+            moments.update(means=means, ses=ses)
         for control, mean, se in zip(family, means, ses):
             if se > 0.0 and abs(mean - 1.0) > 4.0 * se:
                 warnings.warn(

@@ -183,7 +183,7 @@ def test_integral_simple_function_agreement(caps, bundle_200k, case):
         pair = [Capacity(side, family, weights, np.ones(n) @ weights) for side in ("upper", "lower")]
     assert np.unique(values).size <= SIMPLE_FUNCTION_LIMIT
     for cap in pair:
-        swept, _ = _SortedSample(values, cap.weights).estimate(cap)
+        [(swept, _)] = _SortedSample(values, cap.weights).estimate((cap,))
         exact = choquet_integral(values, cap)
         assert abs(swept - exact) <= 1e-12 * max(1.0, np.abs(values).max())
 
@@ -471,7 +471,7 @@ ENGINE_SIZES = [1, 2, PREFIX_BLOCK - 1, PREFIX_BLOCK, PREFIX_BLOCK + 1, 3 * PREF
 def test_sorted_prefix_engine_is_bitwise_dense(n, controls):
     for orientation in ("upper", "lower"):
         x, cap = engine_case(n, controls, orientation, seed=n * 31 + controls)
-        assert _SortedSample(x, cap.weights).estimate(cap)[0] == dense_exact(x, cap)
+        assert _SortedSample(x, cap.weights).estimate((cap,))[0][0] == dense_exact(x, cap)
         if controls > 1 and np.unique(x).size > SIMPLE_FUNCTION_LIMIT:
             assert choquet_integral(x, cap) == dense_exact(x, cap)
 
@@ -490,13 +490,22 @@ def test_exact_integral_is_bitwise_dense_on_bundle(caps, bundle_200k):
 @pytest.mark.parametrize("controls", [1, 2, 29])
 def test_influence_matches_dense_reference(n, controls):
     # One control takes the additive formula, so the dense Danskin sweep
-    # checks it too.
+    # checks it too.  A capacity swept alone matches the dense reference,
+    # and one swept with the other side, in either order, gives its bits.
     for orientation in ("upper", "lower"):
         x, cap = engine_case(n, controls, orientation, seed=n * 37 + controls)
-        got = choquet_influence(x, cap)
+        value, got = next(choquet_estimates(x, (cap,)))
         ref = dense_influence(x, cap)
         scale = max(np.abs(ref).max(), np.abs(x).max())
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+        other = Capacity({"upper": "lower", "lower": "upper"}[orientation],
+                         cap.family, cap.weights, cap.totals)
+        for sides in ((cap, other), (other, cap)):
+            [(pair_value, pair_influence)] = [
+                estimate for side, estimate in zip(sides, choquet_estimates(x, sides))
+                if side is cap]
+            assert pair_value == value
+            assert np.array_equal(pair_influence, got)
 
 
 @pytest.mark.parametrize("n", ENGINE_SIZES)
@@ -520,8 +529,8 @@ def test_joint_estimates_match_dense_references(n, controls):
 
 
 def test_each_capacity_is_swept_once(monkeypatch):
-    # Every running sum comes from the sweep that integrates a capacity; no
-    # pass is made for the weight totals alone.
+    # One sweep of running sums serves the upper and the lower capacity; no
+    # pass is made per capacity or for the weight totals alone.
     sweeps = []
     running_sums = _SortedSample._running_sums
 
@@ -533,7 +542,7 @@ def test_each_capacity_is_swept_once(monkeypatch):
     x, upper = engine_case(3 * PREFIX_BLOCK + 17, 29, "upper", seed=3)
     lower = Capacity("lower", upper.family, upper.weights, upper.totals)
     list(choquet_estimates(x, (upper, lower)))
-    assert len(sweeps) == 2
+    assert len(sweeps) == 1
     sweeps.clear()
     choquet_integral(x, upper)
     assert len(sweeps) == 1
@@ -605,8 +614,8 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
         for b in range(boot.size):
             mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
             np.multiply(weights, mult[:, None], out=scaled)
-            boot[b], _ = _SortedSample(values, scaled).estimate(
-                Capacity(orientation, family_k01, scaled, np.ones(n) @ scaled))
+            [(boot[b], _)] = _SortedSample(values, scaled).estimate(
+                (Capacity(orientation, family_k01, scaled, np.ones(n) @ scaled),))
         ratio = _choquet_std_error(choquet_influence(values, cap)) / boot.std(ddof=1)
         assert 0.8 <= ratio <= 1.25, (orientation, ratio)
 

@@ -6,15 +6,17 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nexpect import ScenarioError
+from nexpect import ScenarioError, expectation_profile
 from nexpect.cli import (
     ESTIMATOR_ORDER,
     EXIT_BAD_SCENARIO,
@@ -522,6 +524,132 @@ def test_holder_check_reports_equal_single_pair_checks(tmp_path, monkeypatch):
     # The detail names every pair's margin and tolerance.
     assert report.checks[0].detail == "; ".join(
         f"pair {i}: margin {r.margin:.3g} (tol {r.tolerance:.3g})" for i, r in enumerate(reports))
+
+
+# ---------------------------------------------------------------------------
+# the duality and martingale checks; the stages the benchmark traces
+# ---------------------------------------------------------------------------
+
+DUALITY_PAYOFFS = {
+    "call": "payoff = call\nstrike = {strike!r}\n",
+    "put": "payoff = put\nstrike = {strike!r}\n",
+    "digital": "payoff = digital\nstrike = {strike!r}\n",
+    "straddle": "payoff = custom\nexpr = max(s - {strike!r}, {strike!r} - s)\n",
+}
+
+
+def duality_outcome(tmp_path, payoff="call", strike=100.0, k=0.1, n=3000, seed=31):
+    """The duality check's outcome on a small scenario, and the Choquet gap
+    and tolerance and the capacity gap it reports."""
+    body = (BASE.replace("payoff = call\nstrike = 100\n", DUALITY_PAYOFFS[payoff].format(strike=strike))
+                .replace("k = 0.1", f"k = {k!r}").replace("seed = 31", f"seed = {seed}")
+                .replace("nodes = 101", "nodes = 21") + "checks = duality\n")
+    scn = load_scenario(write_scn(tmp_path, body), {"n_paths": n})
+    [outcome] = run_scenario(scn).checks
+    match = re.fullmatch(r"\|choquet lower\(X\) \+ upper\(-X\)\| = (\S+) \(tol (\S+)\) "
+                         rf"on {n} paths; max capacity conjugacy gap = (\S+) over 20 events",
+                         outcome.detail)
+    assert match, outcome.detail
+    return outcome, *map(float, match.groups())
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32), strike=st.floats(70.0, 140.0),
+       k=st.just(0.0) | st.floats(0.01, 0.5), n=st.integers(2, 4000),
+       payoff=st.sampled_from(sorted(DUALITY_PAYOFFS)))
+@example(seed=31, strike=100.0, k=0.0, n=3000, payoff="call")
+@example(seed=31, strike=100.0, k=0.1, n=4000, payoff="straddle")
+@pytest.mark.filterwarnings("ignore::nexpect.MartingaleDeviationWarning")  # tiny samples stray
+def test_duality_check_passes(tmp_path, seed, strike, k, n, payoff):
+    outcome, gap, tol, cap_gap = duality_outcome(tmp_path, payoff, strike, k, n, seed)
+    assert outcome.status == "pass", outcome.detail
+    assert gap <= tol and cap_gap <= 1e-10
+
+
+def mutate_lower_sweeps(monkeypatch, mutation):
+    """Make every Choquet sweep the pipeline runs take the lower capacity
+    as `mutation` changes it.  Capacity.evaluate, and so the capacity
+    half of the duality check, is left alone."""
+    from nexpect import cli
+    real = cli.choquet_estimates
+
+    def mutated(values, capacities):
+        return real(values, [mutation(c) if c.orientation == "lower" else c for c in capacities])
+
+    monkeypatch.setattr(cli, "choquet_estimates", mutated)
+
+
+@pytest.mark.parametrize("mutation", [
+    # The sweep reads the orientation only to take the argmax or the argmin.
+    lambda c: replace(c, orientation="upper"),
+    # Tails divided by the path count, a plain mean's normaliser.
+    lambda c: replace(c, totals=np.full_like(c.totals, c.n_paths)),
+], ids=["argmax-on-the-lower-side", "tail-normalised-by-the-wrong-total"])
+def test_duality_fails_on_a_mutated_lower_sweep(tmp_path, monkeypatch, mutation):
+    mutate_lower_sweeps(monkeypatch, mutation)
+    outcome, gap, tol, cap_gap = duality_outcome(tmp_path)
+    assert outcome.status == "fail"
+    assert gap > tol and cap_gap <= 1e-10
+
+
+def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
+    # The martingale check reads the moments of the matrix's own warning:
+    # the full matrix is reduced by the warning and by minimax only.
+    from nexpect import cli, measures
+    reductions, contexts = [], []
+    real_moments, real_check = measures._column_moments, cli.CHECK_REGISTRY["martingale"]
+
+    def counted(weights, x):
+        reductions.append(weights.shape[0])
+        return real_moments(weights, x)
+
+    def kept(ctx):
+        contexts.append(ctx)
+        return real_check(ctx)
+
+    monkeypatch.setattr(measures, "_column_moments", counted)
+    monkeypatch.setitem(cli.CHECK_REGISTRY, "martingale", kept)
+    scn = load_scenario(write_scn(tmp_path, BASE + "checks = martingale, duality\n"))
+    report = run_scenario(scn)
+    assert reductions.count(scn.n_paths) == 2
+    [ctx] = contexts
+    means, ses = expectation_profile(np.ones(scn.n_paths), ctx.family, ctx.bundle,
+                                     weights=ctx.weights)
+    assert np.array_equal(ctx.moments["means"], means) and np.array_equal(ctx.moments["ses"], ses)
+    expected = real_check(replace(ctx, moments={"means": means, "ses": ses}))
+    assert report.checks[0] == expected and expected.status == "pass"
+
+
+# Functions the benchmark's tracer (perfbench/tracer.py) times by replacing
+# them wherever a `nexpect` module holds them.
+TRACED = (("measures", "weight_matrix"), ("choquet", "build_capacity"),
+          ("minimax", "minimax_expectation"), ("measures", "expectation_profile"),
+          ("bsde", "solve_fd"), ("choquet", "submodularity_check"), ("cli", "_choquet_std_error"))
+
+
+def test_pipeline_calls_traced_functions_through_module_globals(tmp_path, monkeypatch):
+    # A stage reached in any other way would leave its per-layer metric at 0.
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name == "nexpect" or name.startswith("nexpect.")]
+    calls = {}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module_name, attr in TRACED:
+        original = getattr(sys.modules[f"nexpect.{module_name}"], attr)
+        wrapper = counting(f"{module_name}.{attr}", original)
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, wrapper)
+    body = BASE + f"checks = {', '.join(KNOWN_CHECKS)}\n"
+    run_scenario(load_scenario(write_scn(tmp_path, body), {"n_paths": 3000}))
+    assert sorted(calls) == sorted(f"{m}.{a}" for m, a in TRACED)
 
 
 # Estimates of the digital `fd_put` benchmark scenario at seed 3 (1601
