@@ -66,9 +66,9 @@ def main() -> None:
     # Route 3: backward solves with drivers +k|z| and -k|z|.  The solver
     # substeps the time grid on its own when stability demands it.
     fd_up = solve_fd(model, payoff, Generator.abs_upper(K_RADIUS), T,
-                     nodes=401, time_steps=500, store_surfaces=False)
+                     nodes=401, time_steps=500)
     fd_lo = solve_fd(model, payoff, Generator.abs_lower(K_RADIUS), T,
-                     nodes=401, time_steps=500, store_surfaces=False)
+                     nodes=401, time_steps=500)
     print(f"backward pde upper {fd_up.y0:9.5f}   lower {fd_lo.y0:9.5f}"
           f"   ({fd_up.time_steps} time steps used)")
 

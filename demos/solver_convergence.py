@@ -39,7 +39,7 @@ def main() -> None:
     prev_err = None
     for nodes in (101, 201, 401, 801):
         sol = solve_fd(model, payoff, Generator.abs_upper(K_RADIUS), T,
-                       nodes=nodes, time_steps=250, store_surfaces=False)
+                       nodes=nodes, time_steps=250)
         err = abs(sol.y0 - target)
         ratio = "" if prev_err is None else f"{err / prev_err:7.2f}"
         print(f"{nodes:5d}   {sol.time_steps:15d}  {sol.y0:9.6f}  {err:11.2e} {ratio}")
@@ -53,13 +53,13 @@ def main() -> None:
     print()
     print("   nu      value")
     lo = solve_fd(model, payoff, Generator.abs_lower(K_RADIUS), T,
-                  nodes=401, time_steps=250, store_surfaces=False).y0
+                  nodes=401, time_steps=250).y0
     hi = solve_fd(model, payoff, Generator.abs_upper(K_RADIUS), T,
-                  nodes=401, time_steps=250, store_surfaces=False).y0
+                  nodes=401, time_steps=250).y0
     values = []
     for nu in np.linspace(-K_RADIUS, K_RADIUS, 9):
         y0 = solve_fd(model, payoff, Generator.linear(float(nu)), T,
-                      nodes=401, time_steps=250, store_surfaces=False).y0
+                      nodes=401, time_steps=250).y0
         values.append(y0)
         print(f"{nu:+6.3f}  {y0:9.6f}")
     inside = all(lo - 1e-6 <= v <= hi + 1e-6 for v in values)

@@ -139,7 +139,7 @@ class GridSolution:
     `space_grid` holds log-state nodes; surfaces have one row per time level
     (row 0 is t = 0) and one column per node.  `z_surface` is the volatility
     times the state-derivative of the value, the integrand-of-noise term of
-    the backward equation.  Surfaces are None when storage was disabled.
+    the backward equation.  Surfaces are None unless store_surfaces was set.
 
     `z_extreme` is kept whether or not surfaces are stored: the min of z for
     an increasing payoff, the max for a decreasing one, over every row before
@@ -157,9 +157,6 @@ class GridSolution:
     z_extreme: float
     value_surface: Optional[np.ndarray] = None
     z_surface: Optional[np.ndarray] = None
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.time_steps + 1) * self.dt
 
 
 def _log_coefficients(model: MarketModel):
@@ -260,7 +257,7 @@ def solve_fd(
     time_steps: int = DEFAULT_TIME_STEPS,
     substep: bool = True,
     width_sds: float = DEFAULT_WIDTH_SDS,
-    store_surfaces: bool = True,
+    store_surfaces: bool = False,
 ) -> GridSolution:
     """March the semilinear equation backward on an explicit log-space grid.
 

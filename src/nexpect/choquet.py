@@ -3,9 +3,8 @@
 The upper capacity of an event is the largest reweighted probability over the
 family, the lower capacity the smallest.  Integration uses the survival-curve
 form: integral of c(X > x) over positive levels plus integral of c(X > x) - 1
-over negative levels.  Payoffs taking few distinct values are integrated
-exactly as simple functions; everything else goes through running sums of
-the weights in sorted order, evaluated at every sample, so the in-sample
+over negative levels.  Every payoff, tied or not, goes through running sums
+of the weights in sorted order, evaluated at every sample, so the in-sample
 integral is exact.  A sample is sorted once for the upper and the lower
 capacity, and one sweep serves both, giving each integral and each path's
 influence on it, hence its standard error (the infinitesimal jackknife).
@@ -21,13 +20,6 @@ import numpy as np
 
 from .measures import ThetaControl, weight_matrix
 from .paths import ROW_BLOCK, PathBundle
-
-# Payoffs with at most this many distinct values use the exact telescoping sum.
-SIMPLE_FUNCTION_LIMIT = 64
-
-# Rows per block of the running-sum sweep over a sorted sample; the sweep's
-# extra memory is O(PREFIX_BLOCK * m).
-PREFIX_BLOCK = ROW_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +175,6 @@ def build_capacity(
     family: tuple[ThetaControl, ...] | list[ThetaControl],
     bundle: PathBundle | None,
     weights: np.ndarray | None = None,
-    threads: int = 1,
 ) -> Capacity:
     """Assemble a capacity from a control family on a simulated bundle.
 
@@ -193,7 +184,7 @@ def build_capacity(
     """
     family = tuple(family)
     if weights is None:
-        weights = weight_matrix(family, bundle, threads=threads)
+        weights = weight_matrix(family, bundle)
     # Totals use the same matrix product as evaluate() so that the full event
     # normalises to exactly 1.0 in floating point.
     totals = np.ones(weights.shape[0]) @ weights
@@ -210,7 +201,7 @@ class _SortedSample:
 
     The tail weight of {X > x} per control is a capacity's total minus a
     running sum of the weights in ascending order of X.  Those running sums
-    come from a sweep over blocks of PREFIX_BLOCK sorted rows: each block
+    come from a sweep over blocks of ROW_BLOCK sorted rows: each block
     gathers its weights, adds the total carried over from the previous block
     into its first row and takes its running sum.  Every sum is thus formed
     by the same additions in the same order as one running sum over all n
@@ -230,11 +221,11 @@ class _SortedSample:
         control of the start + i + 1 smallest samples.  Both are views of two
         buffers that every block reuses, so a caller may overwrite them."""
         n, m = self.weights.shape
-        rows_buf = np.empty((min(n, PREFIX_BLOCK), m))
+        rows_buf = np.empty((min(n, ROW_BLOCK), m))
         sums_buf = np.empty_like(rows_buf)
         carry = None
-        for start in range(0, n, PREFIX_BLOCK):
-            idx = self.order[start:start + PREFIX_BLOCK]
+        for start in range(0, n, ROW_BLOCK):
+            idx = self.order[start:start + ROW_BLOCK]
             # The indices are in range; mode="clip" lets take write straight
             # into the buffer, which it would not under the default "raise".
             rows = self.weights.take(idx, axis=0, out=rows_buf[:idx.size], mode="clip")
@@ -278,8 +269,8 @@ class _SortedSample:
         attained = [np.zeros(m) for _ in capacities]  # B so far
         outs = [np.empty(n) for _ in capacities]
         # A capacity's tails, then its A / T; only the last overwrites the sums.
-        scratch = np.empty((min(n, PREFIX_BLOCK), m))
-        column = np.empty(min(n, PREFIX_BLOCK))
+        scratch = np.empty((min(n, ROW_BLOCK), m))
+        column = np.empty(min(n, ROW_BLOCK))
         for start, rows, sums in self._running_sums():
             size = rows.shape[0]
             g = min(size, n - 1 - start)  # rows with a gap above them
@@ -320,21 +311,13 @@ class _SortedSample:
             out *= n
         return list(zip(values, outs))
 
-    def simple_integral(self, capacity: Capacity) -> float:
-        """The integral as a simple function: the smallest value plus each
-        step between distinct values times the capacity of reaching it."""
-        levels = self.values[self.order[np.concatenate(([0], np.flatnonzero(self.gaps) + 1))]]
-        value = float(levels[0])
-        for lo, hi in zip(levels[:-1], levels[1:]):
-            value += (hi - lo) * capacity.evaluate(self.values >= hi)
-        return float(value)
 
-
-def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity]):
-    """Yield (choquet_integral, choquet_influence) of one payoff sample
-    against each capacity in turn.  The capacities share one weight matrix,
-    as a family's upper and lower capacities do: the sample is sorted once
-    and one sweep of running sums serves them all (_SortedSample.estimate)."""
+def choquet_estimates(payoff_values: np.ndarray,
+                      capacities: Iterable[Capacity]) -> list[tuple[float, np.ndarray]]:
+    """(choquet_integral, choquet_influence) of one payoff sample against
+    each capacity.  The capacities share one weight matrix, as a family's
+    upper and lower capacities do: the sample is sorted once and one sweep
+    of running sums serves them all (_SortedSample.estimate)."""
     capacities = tuple(capacities)
     weights = capacities[0].weights
     if any(c.weights is not weights for c in capacities):
@@ -351,19 +334,13 @@ def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity])
         # collapses to the normalized weighted mean.  Computing it directly
         # is exact and keeps a degenerate family consistent with the plain
         # Monte Carlo estimate to the last bit.
+        estimates = []
         for capacity in capacities:
             w, total = weights[:, 0], capacity.totals[0]
             value = float(np.mean(w * x) * (x.size / float(total)))
-            yield value, x.size * w / total * (x - value)
-        return
-    sample = _SortedSample(x, weights)
-    # Distinct finite values differ by a nonzero gap.
-    simple = 1 + np.count_nonzero(sample.gaps) <= SIMPLE_FUNCTION_LIMIT
-    estimates = sample.estimate(capacities)
-    for capacity in capacities:
-        value, influence = estimates.pop(0)
-        yield (sample.simple_integral(capacity) if simple else value), influence
-        del influence  # the caller may free it before the next one
+            estimates.append((value, x.size * w / total * (x - value)))
+        return estimates
+    return _SortedSample(x, weights).estimate(capacities)
 
 
 def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:
@@ -372,13 +349,11 @@ def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:
     The sampled capacity is a step function of the level, so the level-set
     integral is a finite sum over the distinct values, computed outright
     with no discretization error at any sample size.  A one-member family
-    gives the normalized weighted mean, a payoff with a few distinct values
-    a simple-function sum through capacity.evaluate (bitwise consistent
-    with it on indicators), and any other payoff a sweep of running sums
-    over the stably sorted sample (see _SortedSample): O(n m) time for n
-    paths and m controls, O(PREFIX_BLOCK * m) extra memory.
+    gives the normalized weighted mean, and any other a sweep of running
+    sums over the stably sorted sample (see _SortedSample): O(n m) time for
+    n paths and m controls, O(ROW_BLOCK * m) extra memory.
     """
-    return next(choquet_estimates(payoff_values, (capacity,)))[0]
+    return choquet_estimates(payoff_values, (capacity,))[0][0]
 
 
 def choquet_influence(payoff_values: np.ndarray, capacity: Capacity) -> np.ndarray:
@@ -391,7 +366,7 @@ def choquet_influence(payoff_values: np.ndarray, capacity: Capacity) -> np.ndarr
     n * w_l / T * (x_l - integral); larger families differentiate the max
     (or min) at the attaining control, see _SortedSample.estimate.
     """
-    return next(choquet_estimates(payoff_values, (capacity,)))[1]
+    return choquet_estimates(payoff_values, (capacity,))[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +532,7 @@ def choquet_holder_checks(pairs: Iterable[tuple[np.ndarray, np.ndarray]], capaci
     def estimate(a: np.ndarray) -> tuple[float, np.ndarray]:
         key = a.tobytes()
         if key not in estimates:
-            estimates[key] = next(choquet_estimates(a, (capacity,)))
+            [estimates[key]] = choquet_estimates(a, (capacity,))
         return estimates[key]
 
     reports = []

@@ -444,9 +444,7 @@ class RunContext:
     cap_upper: Capacity
     cap_lower: Capacity
     solution_upper: GridSolution
-    solution_lower: GridSolution
     entries: dict[str, EstimatorEntry]
-    threads: int = 1
 
     def subsample(self, limit: int = CHECK_SUBSAMPLE):
         m = min(self.bundle.n_paths, limit)
@@ -541,11 +539,11 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     mm = minimax_expectation(payoff, family, bundle, weights=weights)
     cap_upper = build_capacity("upper", family, bundle, weights=weights)
     cap_lower = replace(cap_upper, orientation="lower")
-    # Both sides from one sort and one sweep of the payoff.  map keeps no
-    # reference, so each influence is freed once its SE is taken.
-    (cho_upper, cho_upper_se), (cho_lower, cho_lower_se) = map(
-        lambda estimate: (estimate[0], _choquet_std_error(estimate[1])),
-        choquet_estimates(values, (cap_upper, cap_lower)))
+    # Both sides from one sort and one sweep of the payoff.  The list of
+    # influences is a temporary, freed once both SEs are taken.
+    (cho_upper, cho_upper_se), (cho_lower, cho_lower_se) = [
+        (value, _choquet_std_error(influence))
+        for value, influence in choquet_estimates(values, (cap_upper, cap_lower))]
 
     fd_note = ""
     if payoff.kind == "digital":
@@ -553,7 +551,7 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     # The zsign check reads the extreme each solve streams, not a surface.
     sol_upper, sol_lower = (
         solve_fd(model, payoff, side(scenario.k), scenario.horizon, nodes=scenario.nodes,
-                 time_steps=scenario.time_steps, substep=scenario.fd_substep, store_surfaces=False)
+                 time_steps=scenario.time_steps, substep=scenario.fd_substep)
         for side in (Generator.abs_upper, Generator.abs_lower))
 
     if payoff.monotonicity == "none":
@@ -588,8 +586,7 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     ctx = RunContext(
         scenario=scenario, model=model, payoff=payoff, bundle=bundle, values=values,
         family=family, weights=weights, moments=moments, cap_upper=cap_upper,
-        cap_lower=cap_lower, solution_upper=sol_upper, solution_lower=sol_lower,
-        entries=entries, threads=threads,
+        cap_lower=cap_lower, solution_upper=sol_upper, entries=entries,
     )
 
     outcomes = [CHECK_REGISTRY[name](ctx) for name in requested]
@@ -787,8 +784,7 @@ def _check_comparison(ctx: RunContext) -> CheckOutcome:
     tol = 0.005 * max(1.0, abs(lo), abs(hi))
     for nu in (-s.k, 0.0, s.k):
         sol = solve_fd(ctx.model, ctx.payoff, Generator.linear(nu), s.horizon,
-                       nodes=s.nodes, time_steps=s.time_steps, substep=s.fd_substep,
-                       store_surfaces=False)
+                       nodes=s.nodes, time_steps=s.time_steps, substep=s.fd_substep)
         if not (lo - tol <= sol.y0 <= hi + tol):
             return CheckOutcome(
                 "comparison", "fail",

@@ -257,7 +257,6 @@ def expectation_profile(
     family: tuple[ThetaControl, ...] | list[ThetaControl],
     bundle: PathBundle,
     weights: np.ndarray | None = None,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and standard errors of E[payoff] under every family member.
 
@@ -268,7 +267,7 @@ def expectation_profile(
     """
     family = tuple(family)
     if weights is None:
-        weights = weight_matrix(family, bundle, threads=threads)
+        weights = weight_matrix(family, bundle)
     if weights.shape != (bundle.n_paths, len(family)):
         raise ValueError(
             f"weight matrix shape {weights.shape} does not match "

@@ -126,23 +126,21 @@ def minimax_expectation(
     family: Sequence[ThetaControl],
     bundle: PathBundle,
     weights: Optional[np.ndarray] = None,
-    threads: int = 1,
-    require_negation_closure: bool = True,
 ) -> MinimaxResult:
     """Maximise and minimise the reweighted expectation over the family.
 
     Every control is evaluated on the same paths, so upper >= lower holds by
     construction and the duality with the negated payoff is exact.  The
-    family must be nonempty and (by default) closed under negation, which is
-    what makes that duality meaningful.
+    family must be nonempty and closed under negation, which is what makes
+    that duality meaningful.
     """
     family = tuple(family)
     if not family:
         raise ValueError("control family must be nonempty")
-    if require_negation_closure and not closed_under_negation(family):
+    if not closed_under_negation(family):
         raise ValueError("control family is not closed under negation")
     values = payoff.map(bundle.terminal())
-    estimates, ses = expectation_profile(values, family, bundle, weights=weights, threads=threads)
+    estimates, ses = expectation_profile(values, family, bundle, weights=weights)
     hi = int(np.argmax(estimates))
     lo = int(np.argmin(estimates))
     return MinimaxResult(
@@ -162,20 +160,13 @@ def minimax_expectation(
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """Price band from the two constant controls of maximal modulus.
-
-    Iterable as (upper, lower) for convenience.
-    """
+    """Price band from the two constant controls of maximal modulus."""
 
     upper: float
     lower: float
     method: str  # "closed_form" | "reweighting"
     upper_se: float = 0.0
     lower_se: float = 0.0
-
-    def __iter__(self):
-        yield self.upper
-        yield self.lower
 
 
 def extremal_price(
@@ -190,7 +181,8 @@ def extremal_price(
     Valid only for payoffs with declared monotone direction; the direction
     decides which extreme is the maximiser.  The closed-form route requires
     proportional coefficients and a call or put payoff; otherwise a bundle
-    is reweighted under the two extreme controls.
+    is reweighted under the two extreme controls at once, bitwise the +k and
+    -k entries of the minimax_expectation profile of default_control_family.
     """
     mono = payoff.monotonicity
     if mono == "none":
@@ -215,14 +207,9 @@ def extremal_price(
     if bundle is None or bundle.states is None:
         raise ValueError("reweighting route requires a simulated bundle")
     values = payoff.map(bundle.terminal())
-
-    def profile(theta: float) -> tuple[float, float]:
-        # A one-member family keeps the dense pairwise reductions.
-        est, se = expectation_profile(values, (ThetaControl.constant(theta, k),), bundle)
-        return float(est[0]), float(se[0])
-
-    est_plus, se_plus = profile(k)
-    est_minus, se_minus = profile(-k)
+    est, se = expectation_profile(
+        values, (ThetaControl.constant(k, k), ThetaControl.constant(-k, k)), bundle)
+    (est_plus, est_minus), (se_plus, se_minus) = est.tolist(), se.tolist()
     if mono == "increasing":
         return ExtremalReport(upper=est_plus, lower=est_minus, method="reweighting",
                               upper_se=se_plus, lower_se=se_minus)
@@ -251,7 +238,6 @@ def attainment_check(
     k: float,
     bundle: PathBundle,
     fine_grid_count: int = 21,
-    threads: int = 1,
 ) -> AttainmentReport:
     """Profile the expectation over constant controls on a fine grid.
 
@@ -264,7 +250,7 @@ def attainment_check(
         raise ValueError(f"fine_grid_count must be >= 11, got {fine_grid_count}")
     thetas = np.linspace(-k, k, fine_grid_count)
     family = tuple(ThetaControl.constant(t, k) for t in thetas)
-    weights = weight_matrix(family, bundle, threads=threads)
+    weights = weight_matrix(family, bundle)
     values = payoff.map(bundle.terminal())
     estimates, ses = expectation_profile(values, family, bundle, weights=weights)
 

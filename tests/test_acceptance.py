@@ -209,8 +209,7 @@ def test_criterion_05_comparison_ordering(acc_report, market):
     nus = np.linspace(-scenario.k, scenario.k, 11)
     values = [
         solve_fd(model, payoff, Generator.linear(float(nu)), scenario.horizon,
-                 nodes=scenario.nodes, time_steps=scenario.time_steps,
-                 store_surfaces=False).y0
+                 nodes=scenario.nodes, time_steps=scenario.time_steps).y0
         for nu in nus
     ]
     for nu, y0 in zip(nus, values):

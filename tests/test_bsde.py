@@ -118,21 +118,23 @@ def test_fd_linear_driver_matches_shifted_drift(model):
 
 def test_fd_constant_payoff_invariant(model):
     const = Payoff.custom("const", lambda s: np.full_like(s, 3.0))
-    sol = solve_fd(model, const, Generator.abs_upper(0.1), HORIZON, nodes=101, time_steps=200)
+    sol = solve_fd(model, const, Generator.abs_upper(0.1), HORIZON, nodes=101, time_steps=200,
+                   store_surfaces=True)
     assert sol.y0 == pytest.approx(3.0, abs=1e-12)
     assert np.allclose(sol.value_surface, 3.0, atol=1e-12)
 
 
 def test_fd_terminal_slice_is_exact(model):
     payoff = Payoff.call(100.0)
-    sol = solve_fd(model, payoff, Generator.abs_upper(0.1), HORIZON, nodes=101, time_steps=200)
+    sol = solve_fd(model, payoff, Generator.abs_upper(0.1), HORIZON, nodes=101, time_steps=200,
+                   store_surfaces=True)
     states = np.exp(sol.space_grid)
     assert np.array_equal(sol.value_surface[-1], payoff.map(states))
 
 
 def test_fd_value_stays_in_payoff_envelope(model):
     payoff = Payoff.put(100.0)
-    sol = solve_fd(model, payoff, Generator.abs_upper(0.1), HORIZON)
+    sol = solve_fd(model, payoff, Generator.abs_upper(0.1), HORIZON, store_surfaces=True)
     eps = 1e-9 * 100.0
     assert sol.value_surface.min() >= 0.0 - eps
     assert sol.value_surface.max() <= 100.0 + eps
@@ -142,7 +144,7 @@ def test_fd_grid_refinement_contracts(model):
     """Halving dx shrinks the change in y0 by roughly the scheme order."""
     payoff = Payoff.call(100.0)
     gen = Generator.abs_upper(0.1)
-    y = [solve_fd(model, payoff, gen, HORIZON, nodes=n, store_surfaces=False).y0
+    y = [solve_fd(model, payoff, gen, HORIZON, nodes=n).y0
          for n in (201, 401, 801)]
     e1 = abs(y[1] - y[0])
     e2 = abs(y[2] - y[1])
@@ -158,10 +160,8 @@ def test_fd_duality_with_negated_payoff(model):
     payoff = Payoff.call(100.0)
     neg = Payoff.custom("neg_call", lambda s: -np.maximum(s - 100.0, 0.0),
                         monotonicity="decreasing")
-    low = solve_fd(model, payoff, Generator.abs_lower(0.1), HORIZON, nodes=201,
-                   store_surfaces=False)
-    upneg = solve_fd(model, neg, Generator.abs_upper(0.1), HORIZON, nodes=201,
-                     store_surfaces=False)
+    low = solve_fd(model, payoff, Generator.abs_lower(0.1), HORIZON, nodes=201)
+    upneg = solve_fd(model, neg, Generator.abs_upper(0.1), HORIZON, nodes=201)
     assert abs(low.y0 + upneg.y0) < 1e-12 * max(1.0, abs(low.y0))
 
 
@@ -173,7 +173,7 @@ def test_fd_duality_with_negated_payoff(model):
                          ids=["101", "401", "801", "1601"])
 def test_fd_substeps_by_default(model, nodes, requested):
     sol = solve_fd(model, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON,
-                   nodes=nodes, time_steps=requested, store_surfaces=False)
+                   nodes=nodes, time_steps=requested)
     need = minimal_time_steps(model, HORIZON, nodes=nodes, lipschitz_z=0.1)
     assert sol.time_steps == need
     assert sol.time_steps > requested  # the requested count is below the bound here
@@ -235,8 +235,7 @@ def test_tree_matches_closed_form_flat(model):
 
 def test_tree_matches_fd_abs_driver(model):
     tree = solve_tree(model, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON, 2000)
-    fd = solve_fd(model, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON,
-                  store_surfaces=False)
+    fd = solve_fd(model, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON)
     assert abs(tree - fd.y0) < 0.005 * fd.y0
     assert abs(tree - CALL_ATM_DRIFT_UP) < 0.005 * CALL_ATM_DRIFT_UP
 
@@ -311,8 +310,8 @@ def test_z_sign_not_applicable(model):
 
 def test_z_sign_needs_no_surfaces(model):
     args = (model, Payoff.call(100.0), Generator.abs_upper(0.1), HORIZON)
-    stored = solve_fd(*args, nodes=101)
-    streamed = solve_fd(*args, nodes=101, store_surfaces=False)
+    stored = solve_fd(*args, nodes=101, store_surfaces=True)
+    streamed = solve_fd(*args, nodes=101)
     assert streamed.z_surface is None and stored.z_surface is not None
     assert z_sign_check(streamed) == z_sign_check(stored)
 
@@ -373,7 +372,8 @@ def test_streamed_z_extreme_is_bitwise_surface_extreme(nodes, s0, sigma, mu, k, 
     else:
         payoff = getattr(Payoff, kind)(strike)
     gen = Generator.linear(-k) if driver == "linear" else getattr(Generator, driver)(k)
-    sol = solve_fd(market, payoff, gen, HORIZON, nodes=nodes, time_steps=time_steps)
+    sol = solve_fd(market, payoff, gen, HORIZON, nodes=nodes, time_steps=time_steps,
+                   store_surfaces=True)
     if kind == "straddle":
         assert math.isnan(sol.z_extreme)
         return

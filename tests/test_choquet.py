@@ -27,8 +27,9 @@ from nexpect import (
     submodularity_check,
     weight_matrix,
 )
-from nexpect.choquet import PREFIX_BLOCK, SIMPLE_FUNCTION_LIMIT, _SortedSample, choquet_estimates
+from nexpect.choquet import _SortedSample, choquet_estimates
 from nexpect.cli import _choquet_std_error
+from nexpect.paths import ROW_BLOCK
 from tests.conftest import CALL_ATM_DRIFT_UP, DIGITAL_ATM_DRIFT_UP
 
 
@@ -154,22 +155,32 @@ def test_integral_indicator_equals_capacity(caps, bundle_200k):
     event = bundle_200k.terminal() > 110.0
     values = event.astype(float)
     for cap in caps:
-        assert choquet_integral(values, cap) == cap.evaluate(event)
+        integral = choquet_integral(values, cap)
+        assert integral == dense_exact(values, cap)
+        assert integral == pytest.approx(cap.evaluate(event), rel=0.0, abs=1e-12)
+
+
+def level_sum(values, cap):
+    """The integral of a simple function through capacity.evaluate: the
+    smallest value plus each step between distinct values times the
+    capacity of reaching it."""
+    levels = np.unique(values)
+    return sum(((hi - lo) * cap.evaluate(values >= hi) for lo, hi in zip(levels[:-1], levels[1:])),
+               float(levels[0]))
 
 
 @settings(deadline=None, max_examples=25)
 @given(case=st.tuples(
-    st.sampled_from([2, PREFIX_BLOCK - 1, PREFIX_BLOCK + 1, 3 * PREFIX_BLOCK + 17]),
+    st.sampled_from([2, ROW_BLOCK - 1, ROW_BLOCK + 1, 3 * ROW_BLOCK + 17]),
     st.integers(2, 29),  # controls
-    st.integers(1, SIMPLE_FUNCTION_LIMIT),  # levels drawn, ties included
+    st.integers(1, 64),  # levels drawn, ties included
     st.integers(0, 2**32 - 1),  # seed
 ))
 @example(case=None)  # a rounded call on the shared bundle
 def test_integral_simple_function_agreement(caps, bundle_200k, case):
-    """The simple-function sum through Capacity.evaluate and the sorted
-    sweep coincide on a few-valued payoff, on both sides: choquet_integral
-    takes the first, the error bar the second, and both normalise by the
-    capacity's totals."""
+    """The sorted sweep of choquet_integral agrees with the simple-function
+    sum through Capacity.evaluate on a few-valued payoff, on both sides:
+    both normalise by the capacity's totals."""
     if case is None:
         term = bundle_200k.terminal()
         values = np.clip(np.round(np.maximum(term - 100.0, 0.0) / 5.0) * 5.0, 0.0, 40.0)
@@ -181,11 +192,10 @@ def test_integral_simple_function_agreement(caps, bundle_200k, case):
         weights = np.exp(0.3 * rng.standard_normal((n, controls)))
         family = (ThetaControl.constant(0.0, 0.0),) * controls
         pair = [Capacity(side, family, weights, np.ones(n) @ weights) for side in ("upper", "lower")]
-    assert np.unique(values).size <= SIMPLE_FUNCTION_LIMIT
+    assert np.unique(values).size <= 64
     for cap in pair:
-        [(swept, _)] = _SortedSample(values, cap.weights).estimate((cap,))
-        exact = choquet_integral(values, cap)
-        assert abs(swept - exact) <= 1e-12 * max(1.0, np.abs(values).max())
+        swept = choquet_integral(values, cap)
+        assert abs(swept - level_sum(values, cap)) <= 1e-12 * max(1.0, np.abs(values).max())
 
 
 def test_integral_call_against_oracle(caps, bundle_200k):
@@ -463,7 +473,7 @@ def engine_case(n, controls, orientation, seed):
     return x, Capacity(orientation, family, weights, np.ones(n) @ weights)
 
 
-ENGINE_SIZES = [1, 2, PREFIX_BLOCK - 1, PREFIX_BLOCK, PREFIX_BLOCK + 1, 3 * PREFIX_BLOCK + 17]
+ENGINE_SIZES = [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 17]
 
 
 @pytest.mark.parametrize("n", ENGINE_SIZES)
@@ -472,7 +482,7 @@ def test_sorted_prefix_engine_is_bitwise_dense(n, controls):
     for orientation in ("upper", "lower"):
         x, cap = engine_case(n, controls, orientation, seed=n * 31 + controls)
         assert _SortedSample(x, cap.weights).estimate((cap,))[0][0] == dense_exact(x, cap)
-        if controls > 1 and np.unique(x).size > SIMPLE_FUNCTION_LIMIT:
+        if controls > 1:
             assert choquet_integral(x, cap) == dense_exact(x, cap)
 
 
@@ -494,7 +504,7 @@ def test_influence_matches_dense_reference(n, controls):
     # and one swept with the other side, in either order, gives its bits.
     for orientation in ("upper", "lower"):
         x, cap = engine_case(n, controls, orientation, seed=n * 37 + controls)
-        value, got = next(choquet_estimates(x, (cap,)))
+        value, got = choquet_estimates(x, (cap,))[0]
         ref = dense_influence(x, cap)
         scale = max(np.abs(ref).max(), np.abs(x).max())
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
@@ -515,7 +525,7 @@ def test_joint_estimates_match_dense_references(n, controls):
     # reference, and the single-side functions give the same bits.
     x, upper = engine_case(n, controls, "upper", seed=n * 41 + controls)
     lower = Capacity("lower", upper.family, upper.weights, upper.totals)
-    swept = controls > 1 and np.unique(x).size > SIMPLE_FUNCTION_LIMIT
+    swept = controls > 1
     for cap, (value, influence) in zip((upper, lower), choquet_estimates(x, (upper, lower))):
         if swept:
             assert value == dense_exact(x, cap)
@@ -539,9 +549,9 @@ def test_each_capacity_is_swept_once(monkeypatch):
         return running_sums(self)
 
     monkeypatch.setattr(_SortedSample, "_running_sums", counted)
-    x, upper = engine_case(3 * PREFIX_BLOCK + 17, 29, "upper", seed=3)
+    x, upper = engine_case(3 * ROW_BLOCK + 17, 29, "upper", seed=3)
     lower = Capacity("lower", upper.family, upper.weights, upper.totals)
-    list(choquet_estimates(x, (upper, lower)))
+    choquet_estimates(x, (upper, lower))
     assert len(sweeps) == 1
     sweeps.clear()
     choquet_integral(x, upper)
@@ -552,7 +562,7 @@ def test_joint_estimates_need_one_weight_matrix(caps):
     upper, _ = caps
     other = Capacity("lower", upper.family, upper.weights.copy(), upper.totals)
     with pytest.raises(ValueError, match="one weight matrix"):
-        next(choquet_estimates(np.arange(float(upper.n_paths)), (upper, other)))
+        choquet_estimates(np.arange(float(upper.n_paths)), (upper, other))
 
 
 @pytest.mark.parametrize("orientation", ["upper", "lower"])
@@ -605,18 +615,20 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
     term = bundle.terminal()
     values = np.maximum(term - 100.0, 0.0) if payoff == "call" else np.abs(term - 100.0)
     rng = np.random.default_rng(7)
-    for orientation in ("upper", "lower"):
+    # A resample scales each weight row by its multinomial count; the exact
+    # integrals against those capacities are the resampled estimators, both
+    # sides from one sweep of the resample.
+    boot = np.empty((200, 2))
+    scaled = np.empty_like(weights)
+    for b in range(len(boot)):
+        mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
+        np.multiply(weights, mult[:, None], out=scaled)
+        upper_b = Capacity("upper", family_k01, scaled, np.ones(n) @ scaled)
+        lower_b = Capacity("lower", family_k01, scaled, upper_b.totals)
+        boot[b] = [value for value, _ in _SortedSample(values, scaled).estimate((upper_b, lower_b))]
+    for orientation, spread in zip(("upper", "lower"), boot.std(axis=0, ddof=1)):
         cap = Capacity(orientation, family_k01, weights, np.ones(n) @ weights)
-        # A resample scales each weight row by its multinomial count; the
-        # exact integral against that capacity is the resampled estimator.
-        boot = np.empty(200)
-        scaled = np.empty_like(weights)
-        for b in range(boot.size):
-            mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-            np.multiply(weights, mult[:, None], out=scaled)
-            [(boot[b], _)] = _SortedSample(values, scaled).estimate(
-                (Capacity(orientation, family_k01, scaled, np.ones(n) @ scaled),))
-        ratio = _choquet_std_error(choquet_influence(values, cap)) / boot.std(ddof=1)
+        ratio = _choquet_std_error(choquet_influence(values, cap)) / spread
         assert 0.8 <= ratio <= 1.25, (orientation, ratio)
 
 

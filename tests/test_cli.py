@@ -472,17 +472,18 @@ def test_run_scenario_rejects_unbounded_fd_steps(tmp_path, monkeypatch):
 @pytest.mark.parametrize("extra", [(), ("zsign",)], ids=["no-zsign", "zsign"])
 def test_cli_solves_store_no_surfaces(tmp_path, monkeypatch, extra):
     from nexpect import cli
-    flags = []
+    surfaceless = []
     real = cli.solve_fd
 
     def spy(*args, **kwargs):
-        flags.append(kwargs.get("store_surfaces", True))
-        return real(*args, **kwargs)
+        solution = real(*args, **kwargs)
+        surfaceless.append(solution.value_surface is None and solution.z_surface is None)
+        return solution
 
     monkeypatch.setattr(cli, "solve_fd", spy)
     scn = load_scenario(write_scn(tmp_path, BASE + "checks = comparison\n"))
     report = run_scenario(scn, extra_checks=extra)
-    assert flags == [False] * 5  # upper, lower, and three linear drivers
+    assert surfaceless == [True] * 5  # upper, lower, and three linear drivers
     assert all(c.status == "pass" for c in report.checks)
     assert [c.name for c in report.checks] == ["comparison", *extra]
 
@@ -653,17 +654,18 @@ def test_pipeline_calls_traced_functions_through_module_globals(tmp_path, monkey
 
 
 # Estimates of the digital `fd_put` benchmark scenario at seed 3 (1601
-# nodes, 100k paths): the reweighted extremal upper price sits 0.0053 below
-# the FD value, outside the FD tolerance alone but inside it plus 3 SE.
+# nodes, 100k paths): the reweighted extremal upper price, the minimax
+# profile at +k, sits 0.0053 below the FD value, outside the FD tolerance
+# alone but inside it plus 3 SE.
 DIGITAL_SEED3 = {
-    "choquet_upper": (0.4965800916063296, 0.001553053874154639),
-    "choquet_lower": (0.41748106216697156, 0.001761136197657699),
+    "choquet_upper": (0.49658009160632566, 0.0015898645774613457),
+    "choquet_lower": (0.41748106216696984, 0.0015466276041865453),
     "minimax_upper": (0.49619476089381476, 0.0017166406535267414),
     "minimax_lower": (0.4177894511703169, 0.0014448605150124735),
     "bsde_upper": (0.5014960156706261, 0.0),
     "bsde_lower": (0.4222066964030818, 0.0),
-    "extremal_upper": (0.49619476089381626, 0.001716640653527812),
-    "extremal_lower": (0.4177894511703143, 0.0014448605150131275),
+    "extremal_upper": (0.49619476089381476, 0.0017166406535267414),
+    "extremal_lower": (0.4177894511703169, 0.0014448605150124735),
     "plain": (0.45682, 0.0015752395658428903),
 }
 

@@ -93,8 +93,6 @@ def test_extremal_closed_form_call(acc_model):
     assert report.method == "closed_form"
     assert report.upper == pytest.approx(CALL_ATM_DRIFT_UP, rel=1e-12)
     assert report.lower == pytest.approx(CALL_ATM_DRIFT_DOWN, rel=1e-12)
-    up, low = report
-    assert (up, low) == (report.upper, report.lower)
 
 
 def test_extremal_closed_form_put_swaps_roles(acc_model):
@@ -126,12 +124,11 @@ def test_extremal_reweighting_is_bitwise_dense(acc_model, grid8, n, payoff):
     bundle = simulate_sde(acc_model, generate_brownian(grid8, n, 700 + n))
     x = payoff.map(bundle.terminal())
     k, bt = acc_model.k, bundle.terminal_brownian()
-
-    def dense(theta):
-        products = np.exp(theta * bt - 0.5 * theta * theta * HORIZON) * x
-        return products.mean(), products.std(ddof=1) / np.sqrt(n)
-
-    (hi, hi_se), (lo, lo_se) = dense(k), dense(-k)
+    theta = np.array([k, -k])
+    W2 = np.exp(bt[:, None] * theta - 0.5 * theta * theta * HORIZON)
+    means = (W2 * x[:, None]).mean(axis=0)
+    ses = (W2 * x[:, None]).std(axis=0, ddof=1) / np.sqrt(n)
+    (hi, lo), (hi_se, lo_se) = means.tolist(), ses.tolist()
     if payoff.monotonicity == "decreasing":
         (hi, hi_se), (lo, lo_se) = (lo, lo_se), (hi, hi_se)
     with warnings.catch_warnings():
@@ -139,6 +136,27 @@ def test_extremal_reweighting_is_bitwise_dense(acc_model, grid8, n, payoff):
         warnings.simplefilter("ignore", MartingaleDeviationWarning)
         report = extremal_price(payoff, acc_model, HORIZON, bundle=bundle)
     assert (report.upper, report.upper_se, report.lower, report.lower_se) == (hi, hi_se, lo, lo_se)
+
+
+@pytest.mark.parametrize("n", [4097, 50_000], ids=["4097", "50k"])
+@pytest.mark.parametrize("payoff", [Payoff.digital(100.0), Payoff.put(100.0), Payoff.call(100.0)],
+                         ids=["digital", "put", "call"])
+def test_extremal_price_is_the_minimax_profile_at_k(acc_model, grid8, bundle_50k, n, payoff):
+    # The reweighted extremal band is the +k and -k columns of the minimax
+    # profile over the default family, to the last bit: both reduce those
+    # columns in one multi-column sweep.
+    bundle = bundle_50k if n == 50_000 else simulate_sde(acc_model, generate_brownian(grid8, n, 5))
+    family = default_control_family(acc_model.k)
+    plus = family.index(ThetaControl.constant(acc_model.k, acc_model.k))
+    minus = family.index(ThetaControl.constant(-acc_model.k, acc_model.k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MartingaleDeviationWarning)
+        mm = minimax_expectation(payoff, family, bundle)
+        report = extremal_price(payoff, acc_model, HORIZON, bundle=bundle)
+    hi, lo = (plus, minus) if payoff.monotonicity == "increasing" else (minus, plus)
+    assert (report.upper, report.lower) == (mm.estimates[hi], mm.estimates[lo])
+    assert (report.upper_se, report.lower_se) == (
+        mm.estimate_std_errors[hi], mm.estimate_std_errors[lo])
 
 
 def test_extremal_closed_form_rejects_digital(acc_model):
@@ -217,9 +235,6 @@ def test_minimax_rejects_open_family(bundle_50k):
     assert not closed_under_negation(lopsided)
     with pytest.raises(ValueError, match="negation"):
         minimax_expectation(Payoff.call(100.0), lopsided, bundle_50k)
-    res = minimax_expectation(Payoff.call(100.0), lopsided, bundle_50k,
-                              require_negation_closure=False)
-    assert res.upper == res.lower  # single control: envelope is degenerate
 
 
 def test_minimax_rejects_empty_family(bundle_50k):

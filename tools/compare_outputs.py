@@ -4,14 +4,17 @@
 
 Unpacks REF with `git archive` into a temporary directory, then runs
 `python3 -m nexpect.cli --threads 1` from each tree's `src/` on every
-`scenarios/*.scn` of the working tree and on each benchmark workload at its
-default seed (`perfbench.workloads.scenario_text`), in the csv, text and
-json-like formats.  Both trees read the same scenario files, so only the
-program differs.  Prints each differing line of stdout and stderr, ignoring
-the `runtime:` line and the scenario path, and exits 1 when a CSV or an
-exit code differs, else 0.  The runs are sequential; the acceptance workload
-alone peaks at about 0.47 GB and prices in about 5 s per run (median 5.09 s
-over 10 benchmark runs on a 2-core VM, Python 3.11, numpy 2.4).
+`scenarios/*.scn` of the working tree, on `quick.scn` with `payoff = digital`
+and on each benchmark workload at its default seed
+(`perfbench.workloads.scenario_text`), in the csv, text and json-like
+formats.  Both trees read the same scenario files, so only the program
+differs.  It then runs each tree's own `demos/*.py`, with `se_coverage.py`
+at 3 seeds instead of its default 200 (about 31 s).  Prints each differing
+line of stdout and stderr, ignoring the `runtime:` line, the scenario path
+and a demo's elapsed seconds, and exits 1 when a CSV or an exit code
+differs, else 0.  The runs are sequential; the acceptance workload alone peaks at
+about 0.47 GB and prices in about 5 s per run (median 5.09 s over 10
+benchmark runs on a 2-core VM, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import difflib
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -29,20 +33,35 @@ ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("csv", "text", "json-like")
 
 
-def run(tree: Path, scenario: Path, fmt: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one run, the scenario path masked."""
+def run(tree: Path, args: list[str], mask: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `python3 ARGS` in one tree, with the
+    path `mask` masked."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "nexpect.cli", "--scenario", str(scenario),
-         "--threads", "1", "--format", fmt],
-        cwd=tree, env=env, capture_output=True, text=True)
-    path = str(scenario)
-    return done.returncode, done.stdout.replace(path, "<scenario>"), done.stderr.replace(path, "<scenario>")
+    done = subprocess.run([sys.executable, *args], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout.replace(mask, "<path>"), done.stderr.replace(mask, "<path>")
 
 
 def comparable(stdout: str, stderr: str) -> list[str]:
-    lines = [line for line in stdout.splitlines() if not line.startswith("runtime:")]
+    lines = [re.sub(r", \d+ s$", ", <elapsed> s", line)
+             for line in stdout.splitlines() if not line.startswith("runtime:")]
     return lines + [f"stderr: {line}" for line in stderr.splitlines()]
+
+
+def compare(label: str, a: tuple[int, str, str], b: tuple[int, str, str]) -> tuple[bool, bool]:
+    """Print how run b differs from run a; (exit codes differ, output differs)."""
+    (code_a, out_a, err_a), (code_b, out_b, err_b) = a, b
+    if code_a != code_b:
+        print(f"{label}: exit code {code_a} -> {code_b}")
+    diff = [line for line in difflib.unified_diff(
+        comparable(out_a, err_a), comparable(out_b, err_b), lineterm="", n=0)
+        if not line.startswith(("---", "+++", "@@"))]
+    if diff:
+        print(f"{label}: {len(diff)} lines differ")
+        print("\n".join(f"  {line}" for line in diff))
+    elif code_a == code_b:
+        print(f"{label}: identical (exit {code_b})")
+    return code_a != code_b, bool(diff)
 
 
 def main(argv: list[str]) -> int:
@@ -59,6 +78,10 @@ def main(argv: list[str]) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(ref, filter="data")
         cases = {path.name: path for path in sorted((ROOT / "scenarios").glob("*.scn"))}
+        quick = (ROOT / "scenarios" / "quick.scn").read_text(encoding="utf-8")
+        digital = Path(tmp) / "quick_digital.scn"
+        digital.write_text(re.sub(r"(?m)^payoff\s*=.*$", "payoff = digital", quick), encoding="utf-8")
+        cases["quick.scn, payoff = digital"] = digital
         for name, spec in WORKLOADS.items():
             path = Path(tmp) / f"{name}.scn"
             path.write_text(scenario_text(name, spec["default_seed"]), encoding="utf-8")
@@ -66,21 +89,19 @@ def main(argv: list[str]) -> int:
         failed = False
         for name, scenario in cases.items():
             for fmt in FORMATS:
-                (code_a, out_a, err_a), (code_b, out_b, err_b) = (
-                    run(tree, scenario, fmt) for tree in (ref, ROOT))
-                label = f"{name} [{fmt}]"
-                if code_a != code_b:
-                    print(f"{label}: exit code {code_a} -> {code_b}")
-                    failed = True
-                diff = [line for line in difflib.unified_diff(
-                    comparable(out_a, err_a), comparable(out_b, err_b), lineterm="", n=0)
-                    if not line.startswith(("---", "+++", "@@"))]
-                if diff:
-                    print(f"{label}: {len(diff)} lines differ")
-                    print("\n".join(f"  {line}" for line in diff))
-                    failed |= fmt == "csv"
-                else:
-                    print(f"{label}: identical (exit {code_b})")
+                args = ["-m", "nexpect.cli", "--scenario", str(scenario),
+                        "--threads", "1", "--format", fmt]
+                codes, outputs = compare(f"{name} [{fmt}]",
+                                         *(run(tree, args, str(scenario)) for tree in (ref, ROOT)))
+                failed |= codes or (outputs and fmt == "csv")
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            runs = []
+            for tree in (ref, ROOT):
+                extra = (["--seeds", "3", "--out", str(Path(tmp) / f"coverage_{tree.name}.json")]
+                         if demo.name == "se_coverage.py" else [])
+                runs.append(run(tree, [f"demos/{demo.name}", *extra], str(tree)))
+            codes, _ = compare(f"demos/{demo.name}", *runs)
+            failed |= codes
     return 1 if failed else 0
 
 
