@@ -160,38 +160,38 @@ class GridSolution:
 
 
 def _log_coefficients(model: MarketModel):
-    """Return vectorised (mv, sv) on log-state nodes; constants for GBM."""
+    """Return vectorised (mv, sv, constant) at the states s = e^x of log-state
+    nodes: sv(t, s) = vol(t, s) / s and mv(t, s, half_var) = drift(t, s) / s -
+    half_var, where the caller passes half_var = 0.5 * sv * sv from its own sv,
+    so one vol call serves both.  Constants for GBM."""
     if model.gbm_constants is not None:
         mu, sigma = model.gbm_constants
         mv_const = mu - 0.5 * sigma * sigma
 
-        def mv(t: float, x: np.ndarray) -> np.ndarray:
-            return np.full_like(x, mv_const)
+        def mv(t: float, s: np.ndarray, half_var: np.ndarray) -> np.ndarray:
+            return np.full_like(s, mv_const)
 
-        def sv(t: float, x: np.ndarray) -> np.ndarray:
-            return np.full_like(x, sigma)
+        def sv(t: float, s: np.ndarray) -> np.ndarray:
+            return np.full_like(s, sigma)
 
         return mv, sv, True
 
-    def sv(t: float, x: np.ndarray) -> np.ndarray:
-        s = np.exp(x)
+    def sv(t: float, s: np.ndarray) -> np.ndarray:
         return np.asarray(model.vol(t, s), dtype=float) / s
 
-    def mv(t: float, x: np.ndarray) -> np.ndarray:
-        s = np.exp(x)
-        sig = np.asarray(model.vol(t, s), dtype=float) / s
-        return np.asarray(model.drift(t, s), dtype=float) / s - 0.5 * sig * sig
+    def mv(t: float, s: np.ndarray, half_var: np.ndarray) -> np.ndarray:
+        return np.asarray(model.drift(t, s), dtype=float) / s - half_var
 
     return mv, sv, False
 
 
 def _log_grid(model: MarketModel, sv, horizon: float, nodes: int, width_sds: float):
     """(x0, sigma_ref, x, dx): `nodes` log-state nodes centred at x0 = log(s0),
-    `width_sds` reference standard deviations sigma_ref = sv(0, x0) to each
+    `width_sds` reference standard deviations sigma_ref = sv(0, e^x0) to each
     side; sigma_ref is floored to 1e-8 when not positive.  Raises ValueError
     when the nodes are not distinct in float64."""
     x0 = math.log(model.s0)
-    sigma_ref = float(sv(0.0, np.array([x0]))[0])
+    sigma_ref = float(sv(0.0, np.exp(np.array([x0])))[0])
     if sigma_ref <= 0.0:
         sigma_ref = 1e-8
     half = width_sds * sigma_ref * math.sqrt(horizon)
@@ -203,9 +203,9 @@ def _log_grid(model: MarketModel, sv, horizon: float, nodes: int, width_sds: flo
     return x0, sigma_ref, x, dx
 
 
-def _stable_steps(mv, sv, x: np.ndarray, dx: float, horizon: float,
+def _stable_steps(mv, sv, states: np.ndarray, dx: float, horizon: float,
                   lipschitz_z: float, safety: float) -> int:
-    """Smallest explicit-scheme step count stable on the grid x.
+    """Smallest explicit-scheme step count stable on the grid with nodes e^x = states.
 
     The binding constraint is dt <= safety * dx^2 / max(sv)^2; an advection
     bound dt <= safety * dx / max(|mv| + L * sv) covers degenerate diffusion.
@@ -213,8 +213,9 @@ def _stable_steps(mv, sv, x: np.ndarray, dx: float, horizon: float,
     sv_max = 0.0
     adv_max = 0.0
     for t in np.linspace(0.0, horizon, 5):
-        sv_t = np.abs(np.asarray(sv(float(t), x), dtype=float))
-        mv_t = np.abs(np.asarray(mv(float(t), x), dtype=float))
+        sv_t = np.asarray(sv(float(t), states), dtype=float)
+        mv_t = np.abs(np.asarray(mv(float(t), states, 0.5 * sv_t * sv_t), dtype=float))
+        sv_t = np.abs(sv_t)
         sv_max = max(sv_max, float(sv_t.max()))
         adv_max = max(adv_max, float((mv_t + lipschitz_z * sv_t).max()))
     dt_bounds = []
@@ -245,7 +246,7 @@ def minimal_time_steps(
     """Smallest explicit-scheme step count stable on the grid solve_fd builds."""
     mv, sv, _ = _log_coefficients(model)
     _, _, x, dx = _log_grid(model, sv, horizon, nodes, width_sds)
-    return _stable_steps(mv, sv, x, dx, horizon, lipschitz_z, safety)
+    return _stable_steps(mv, sv, np.exp(x), dx, horizon, lipschitz_z, safety)
 
 
 def solve_fd(
@@ -273,6 +274,15 @@ def solve_fd(
     coefficients and a band that leaves out the boundary columns, each step
     reuses the interior z it computes anyway, which is bitwise the z of the
     row it reads; otherwise z is recomputed on the band of each new row.
+
+    The march works in buffers set up once per solve: the value alternates
+    between two preallocated rows, and d2, d1 and z are refilled in place.
+    Constant coefficients, dx * dx and 2 * dx are computed once per solve;
+    variable ones once per step, from one vol and one drift call on nodes
+    whose exp is taken once per solve.  The driver is called once per step,
+    as generator.g(t, y, z).  Every product and sum keeps its operand order,
+    so each value is bitwise that of a march that allocates fresh arrays at
+    every step (tested).
     """
     if nodes < 5:
         raise ValueError(f"nodes must be >= 5, got {nodes}")
@@ -284,7 +294,8 @@ def solve_fd(
 
     mv_fn, sv_fn, constant_coeffs = _log_coefficients(model)
     x0, sigma_ref, x, dx = _log_grid(model, sv_fn, horizon, nodes, width_sds)
-    m_min = _stable_steps(mv_fn, sv_fn, x, dx, horizon, generator.lipschitz_z, STABILITY_SAFETY)
+    states = np.exp(x)
+    m_min = _stable_steps(mv_fn, sv_fn, states, dx, horizon, generator.lipschitz_z, STABILITY_SAFETY)
     if m_min > MAX_TIME_STEPS:
         raise ValueError(
             f"explicit scheme needs {m_min} time steps on {nodes} nodes, "
@@ -302,24 +313,36 @@ def solve_fd(
         m = time_steps
     dt = horizon / m
 
-    states = np.exp(x)
     u = payoff.map(states)
     y_scale = max(1.0, float(np.abs(u).max()))
     _validate_custom_generator(generator, horizon, y_scale, z_scale=max(1.0, sigma_ref * y_scale))
 
+    # The march's arrays, allocated once.  The operand order of
+    #   u' = mid + dt * ((0.5 * sv * sv * d2 + mv * d1) + g),
+    #   d2 = ((up - 2 * mid) + dn) / (dx * dx),  d1 = (up - dn) / (2 * dx)
+    # must not change: it is what keeps every row bitwise.
+    inner_states = np.exp(x[1:-1])
+    dx2, two_dx = dx * dx, 2.0 * dx
+    rows = np.empty((2, nodes))
+    rows[0] = u
+    cur, nxt = ((row, row[2:], row[1:-1], row[:-2]) for row in rows)
+    d2, d1, z = np.empty((3, nodes - 2))
+    z_full = np.empty(nodes)
     if constant_coeffs:
-        mv_row = mv_fn(0.0, x[1:-1])
-        sv_row = sv_fn(0.0, x[1:-1])
+        sv_row = sv_fn(0.0, inner_states)
+        half_var = 0.5 * sv_row * sv_row
+        mv_row = mv_fn(0.0, inner_states, half_var)
 
     value_surface = np.empty((m + 1, nodes)) if store_surfaces else None
     z_surface = np.empty((m + 1, nodes)) if store_surfaces else None
 
     def z_row(t: float, row: np.ndarray) -> np.ndarray:
-        gz = np.empty_like(row)
-        gz[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
-        gz[0] = (row[1] - row[0]) / dx
-        gz[-1] = (row[-1] - row[-2]) / dx
-        return sv_fn(t, x) * gz
+        """z of `row` at time t, written into z_full."""
+        np.subtract(row[2:], row[:-2], out=z_full[1:-1])
+        np.divide(z_full[1:-1], two_dx, out=z_full[1:-1])
+        z_full[0] = (row[1] - row[0]) / dx
+        z_full[-1] = (row[-1] - row[-2]) / dx
+        return np.multiply(sv_fn(t, states), z_full, out=z_full)
 
     if store_surfaces:
         value_surface[m] = u
@@ -334,33 +357,46 @@ def solve_fd(
         track = np.full(hi - margin, np.inf if fold is np.minimum else -np.inf)
     reuse_z = fold is not None and constant_coeffs and margin >= 1
     recompute_z = fold is not None and not reuse_z
+    z_band, z_full_band = z[margin - 1:hi - 1], z_full[margin:hi]
 
     for step in range(m, 0, -1):
         t_known = step * dt
         if not constant_coeffs:
-            mv_row = mv_fn(t_known, x[1:-1])
-            sv_row = sv_fn(t_known, x[1:-1])
-        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
-        z = sv_row * d1
+            sv_row = sv_fn(t_known, inner_states)
+            half_var = 0.5 * sv_row * sv_row
+            mv_row = mv_fn(t_known, inner_states, half_var)
+        _, up, mid, dn = cur
+        np.multiply(2.0, mid, out=d2)
+        np.subtract(up, d2, out=d2)
+        np.add(d2, dn, out=d2)
+        np.divide(d2, dx2, out=d2)
+        np.subtract(up, dn, out=d1)
+        np.divide(d1, two_dx, out=d1)
+        np.multiply(sv_row, d1, out=z)
         if reuse_z and step < m:
-            fold(track, z[margin - 1:hi - 1], out=track)
-        interior = u[1:-1] + dt * (
-            0.5 * sv_row * sv_row * d2 + mv_row * d1 + generator.g(t_known, u[1:-1], z)
-        )
-        nxt = np.empty_like(u)
-        nxt[1:-1] = interior
-        nxt[0] = 2.0 * nxt[1] - nxt[2]
-        nxt[-1] = 2.0 * nxt[-2] - nxt[-3]
-        u = nxt
+            fold(track, z_band, out=track)
+        g = generator.g(t_known, mid, z)
+        np.multiply(half_var, d2, out=d2)
+        np.multiply(mv_row, d1, out=d1)
+        np.add(d2, d1, out=d2)
+        np.add(d2, g, out=d2)
+        np.multiply(dt, d2, out=d2)
+        row, _, row_mid, _ = nxt
+        np.add(mid, d2, out=row_mid)
+        row[0] = 2.0 * row[1] - row[2]
+        row[-1] = 2.0 * row[-2] - row[-3]
+        cur, nxt = nxt, cur
         if store_surfaces:
-            value_surface[step - 1] = u
-            z_surface[step - 1] = z_row(t_known - dt, u)
+            value_surface[step - 1] = row
+            z_surface[step - 1] = z_row(t_known - dt, row)
         if recompute_z:
-            fold(track, z_row(t_known - dt, u)[margin:hi], out=track)
+            z_row(t_known - dt, row)
+            fold(track, z_full_band, out=track)
 
+    u = cur[0]
     if reuse_z:
-        fold(track, z_row(0.0, u)[margin:hi], out=track)
+        z_row(0.0, u)
+        fold(track, z_full_band, out=track)
 
     if not np.all(np.isfinite(u)):
         raise GridTooCoarseError(

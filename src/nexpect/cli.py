@@ -48,6 +48,7 @@ from .choquet import (
 from .errors import GridTooCoarseError, ScenarioError
 from .measures import ThetaControl, default_control_family, weight_matrix
 from .minimax import (
+    ExtremalReport,
     attainment_check,
     extremal_price,
     minimax_expectation,
@@ -559,8 +560,15 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
                                       "not applicable: payoff lacks a monotone direction")
                        for name in ("extremal_upper", "extremal_lower")]
     else:
-        use_closed = model.gbm_constants is not None and payoff.kind in ("call", "put")
-        ext = extremal_price(payoff, model, scenario.horizon, bundle=bundle, closed_form=use_closed)
+        if model.gbm_constants is not None and payoff.kind in ("call", "put"):
+            ext = extremal_price(payoff, model, scenario.horizon, closed_form=True)
+        else:
+            # The reweighting route's band is bitwise the profile's +k and -k
+            # entries, which the minimax search has already reduced.
+            at_k = [family.index(ThetaControl.constant(theta, scenario.k))
+                    for theta in (scenario.k, -scenario.k)]
+            ext = ExtremalReport.from_profile(payoff.monotonicity, mm.estimates[at_k],
+                                              mm.estimate_std_errors[at_k])
         ext_entries = [
             EstimatorEntry("extremal_upper", ext.upper, ext.upper_se, ext.method),
             EstimatorEntry("extremal_lower", ext.lower, ext.lower_se, ext.method),

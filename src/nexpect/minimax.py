@@ -168,6 +168,18 @@ class ExtremalReport:
     upper_se: float = 0.0
     lower_se: float = 0.0
 
+    @classmethod
+    def from_profile(cls, monotonicity: str, estimates: np.ndarray,
+                     std_errors: np.ndarray) -> "ExtremalReport":
+        """The reweighting band from a profile's (+k, -k) entries and their
+        standard errors; the payoff's direction decides which is the maximiser."""
+        (plus, minus), (plus_se, minus_se) = estimates.tolist(), std_errors.tolist()
+        if monotonicity == "increasing":
+            return cls(upper=plus, lower=minus, method="reweighting",
+                       upper_se=plus_se, lower_se=minus_se)
+        return cls(upper=minus, lower=plus, method="reweighting",
+                   upper_se=minus_se, lower_se=plus_se)
+
 
 def extremal_price(
     payoff: Payoff,
@@ -209,12 +221,7 @@ def extremal_price(
     values = payoff.map(bundle.terminal())
     est, se = expectation_profile(
         values, (ThetaControl.constant(k, k), ThetaControl.constant(-k, k)), bundle)
-    (est_plus, est_minus), (se_plus, se_minus) = est.tolist(), se.tolist()
-    if mono == "increasing":
-        return ExtremalReport(upper=est_plus, lower=est_minus, method="reweighting",
-                              upper_se=se_plus, lower_se=se_minus)
-    return ExtremalReport(upper=est_minus, lower=est_plus, method="reweighting",
-                          upper_se=se_minus, lower_se=se_plus)
+    return ExtremalReport.from_profile(mono, est, se)
 
 
 # ---------------------------------------------------------------------------

@@ -380,3 +380,85 @@ def test_streamed_z_extreme_is_bitwise_surface_extreme(nodes, s0, sigma, mu, k, 
     reference = _surface_extreme(sol)
     assert sol.z_extreme == reference
     assert np.signbit(sol.z_extreme) == np.signbit(reference)
+
+
+def _allocating_march(model, payoff, gen, x, dt, m, horizon):
+    """Reference: the explicit march with fresh arrays at every step and the
+    coefficients evaluated from the log nodes at every call.  Returns the
+    value and z surfaces, row 0 at t = 0."""
+    def coefficients(t, x):
+        if model.gbm_constants is not None:
+            mu, sigma = model.gbm_constants
+            return np.full_like(x, mu - 0.5 * sigma * sigma), np.full_like(x, sigma)
+        s = np.exp(x)
+        sv = np.asarray(model.vol(t, s), dtype=float) / s
+        return np.asarray(model.drift(t, s), dtype=float) / s - 0.5 * sv * sv, sv
+
+    dx = x[1] - x[0]
+
+    def z_row(t, row):
+        gz = np.empty_like(row)
+        gz[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
+        gz[0] = (row[1] - row[0]) / dx
+        gz[-1] = (row[-1] - row[-2]) / dx
+        return coefficients(t, x)[1] * gz
+
+    u = payoff.map(np.exp(x))
+    values, zs = [u], [z_row(horizon, u)]
+    for step in range(m, 0, -1):
+        t = step * dt
+        mv, sv = coefficients(t, x[1:-1])
+        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
+        z = sv * d1
+        u = np.empty_like(u)
+        u[1:-1] = values[-1][1:-1] + dt * (0.5 * sv * sv * d2 + mv * d1 + gen.g(t, values[-1][1:-1], z))
+        u[0] = 2.0 * u[1] - u[2]
+        u[-1] = 2.0 * u[-2] - u[-3]
+        values.append(u)
+        zs.append(z_row(t - dt, u))
+    return np.array(values[::-1]), np.array(zs[::-1])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("nodes", [5, 6, 10, 11, 12, 201])
+@pytest.mark.parametrize("general", [False, True])
+@pytest.mark.parametrize("kind", ["call", "put", "straddle"])
+def test_fd_march_is_bitwise_the_allocating_march(nodes, general, kind):
+    if general:
+        # CEV with beta = 0.5 and the GBM fixture's at-the-money volatility.
+        market = MarketModel.general(100.0, lambda t, s: 0.03 * s,
+                                     lambda t, s: 0.2 * 100.0**0.5 * np.sqrt(s))
+    else:
+        market = MarketModel.gbm(100.0, 0.03, 0.2)
+    payoff = (Payoff.custom("straddle", lambda s: np.abs(s - 100.0)) if kind == "straddle"
+              else getattr(Payoff, kind)(100.0))
+    drivers = [Generator.abs_upper(0.1), Generator.abs_lower(0.1), Generator.abs_upper(0.0),
+               Generator.abs_lower(0.0), Generator.linear(-0.1),
+               Generator.custom(lambda t, y, z: 0.1 * np.sin(z) * np.cos(t + 0.01 * y), 0.1)]
+    # Up to 12 nodes the request holds: odd grids march 8 rows and even
+    # grids 7, so the last row ends in either buffer on both sides of
+    # margin >= 1 (11 and 12 nodes).  201 nodes take the stable count.
+    time_steps = 8 if nodes % 2 else 7
+    margin = int(round(0.5 * (1.0 - Z_SIGN_BAND) * nodes))
+    for gen in drivers:
+        stored = solve_fd(market, payoff, gen, HORIZON, nodes=nodes, time_steps=time_steps,
+                          store_surfaces=True)
+        plain = solve_fd(market, payoff, gen, HORIZON, nodes=nodes, time_steps=time_steps)
+        x = stored.space_grid
+        values, zs = _allocating_march(market, payoff, gen, x, stored.dt, stored.time_steps,
+                                       HORIZON)
+        assert np.array_equal(_bits(stored.value_surface), _bits(values))
+        assert np.array_equal(_bits(stored.z_surface), _bits(zs))
+        u = values[0]
+        y0 = u[(nodes - 1) // 2] if nodes % 2 else np.interp(math.log(100.0), x, u)
+        band = zs[:-1, margin:nodes - margin]
+        extreme = {"increasing": band.min, "decreasing": band.max}.get(payoff.monotonicity,
+                                                                       lambda: math.nan)()
+        for sol in (stored, plain):
+            assert sol.time_steps == stored.time_steps
+            assert _bits(sol.y0) == _bits(y0)
+            assert _bits(sol.z_extreme) == _bits(extreme)

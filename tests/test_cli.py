@@ -488,6 +488,38 @@ def test_cli_solves_store_no_surfaces(tmp_path, monkeypatch, extra):
     assert [c.name for c in report.checks] == ["comparison", *extra]
 
 
+def test_reweighted_extremal_band_is_read_from_the_minimax_profile(tmp_path, monkeypatch):
+    # A digital has no closed form: its extremal band is the minimax profile's
+    # +k and -k entries, identical to a reweighting call on the same paths,
+    # and the pipeline makes no such call.
+    from pathlib import Path
+
+    from nexpect import cli, extremal_price
+    quick = (Path(__file__).resolve().parents[1] / "scenarios" / "quick.scn").read_text()
+    scn = load_scenario(write_scn(tmp_path, re.sub(r"(?m)^payoff\s*=.*$", "payoff = digital", quick)))
+    bundles, calls = [], []
+    real_simulate = cli.simulate_sde
+
+    def keep_bundle(*args, **kwargs):
+        bundles.append(real_simulate(*args, **kwargs))
+        return bundles[-1]
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return extremal_price(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_sde", keep_bundle)
+    monkeypatch.setattr(cli, "extremal_price", spy)
+    report = run_scenario(scn)
+    assert calls == []
+    expected = extremal_price(scn.build_payoff(), scn.build_model(), scn.horizon,
+                              bundle=bundles[0])
+    for side in ("upper", "lower"):
+        entry = report.entry(f"extremal_{side}")
+        assert (entry.value, entry.std_error, entry.note) == (
+            getattr(expected, side), getattr(expected, f"{side}_se"), "reweighting")
+
+
 def test_holder_run_sorts_each_distinct_array_once(tmp_path, monkeypatch):
     # The reported Choquet pair shares one sort.  The holder check's nine
     # integrals are of five distinct arrays: pairs 0 and 1 share Y, and in

@@ -13,8 +13,9 @@ at 3 seeds instead of its default 200 (about 31 s).  Prints each differing
 line of stdout and stderr, ignoring the `runtime:` line, the scenario path
 and a demo's elapsed seconds, and exits 1 when a CSV or an exit code
 differs, else 0.  The runs are sequential; the acceptance workload alone peaks at
-about 0.47 GB and prices in about 5 s per run (median 5.09 s over 10
-benchmark runs on a 2-core VM, Python 3.11, numpy 2.4).
+about 0.47 GB and prices in about 5 s per run, and fd_put in about 4 s
+(medians 5.03 s and 3.94 s over 10 benchmark runs each on a 2-core VM,
+Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
