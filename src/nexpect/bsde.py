@@ -9,17 +9,21 @@ s = e^x.  The driver g(t, y, z) with g = +k|z| gives the upper expectation,
 g = -k|z| the lower one, and a linear driver nu * z reproduces the single
 measure whose drift distortion is nu.
 
-solve_fd marches an explicit scheme backward from the terminal condition;
-solve_tree is an independent recombining-lattice oracle for proportional
-(GBM) coefficients.  Every solve streams the extreme of z on the central
-band that z_sign_check reads, so no caller has to store surfaces for it.
+solve_fd marches an explicit scheme backward from the terminal condition,
+for one driver or for several at once: the drivers of one grid share the
+march, each as one row of its buffers, so the upper, lower and linear
+drivers of a claim cost one pass.  solve_tree is an independent
+recombining-lattice oracle for proportional (GBM) coefficients.  Every solve
+streams the extreme of z on the central band that z_sign_check reads, so no
+caller has to store surfaces for it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -90,14 +94,15 @@ class Generator:
     ) -> "Generator":
         return cls(kind="custom", fn=fn, lipschitz_z=float(lipschitz_z))
 
+    @property
+    def coefficient(self) -> float:
+        """A built-in driver is this times z ("linear") or |z| ("abs_*")."""
+        return {"linear": self.nu, "abs_upper": self.k, "abs_lower": -self.k}[self.kind]
+
     def g(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if self.kind == "linear":
-            return self.nu * z
-        if self.kind == "abs_upper":
-            return self.k * np.abs(z)
-        if self.kind == "abs_lower":
-            return -self.k * np.abs(z)
-        return self.fn(t, y, z)
+        if self.kind == "custom":
+            return self.fn(t, y, z)
+        return self.coefficient * (z if self.kind == "linear" else np.abs(z))
 
 
 def _validate_custom_generator(gen: Generator, horizon: float, y_scale: float, z_scale: float) -> None:
@@ -146,6 +151,11 @@ class GridSolution:
     the terminal one and the central Z_SIGN_BAND of the nodes.  It equals that
     extreme of the stored `z_surface` exactly, and is NaN for payoffs
     without a declared monotonicity.
+
+    A solve of one Generator holds floats and (time, node) surfaces.  A solve
+    of a sequence of drivers holds `y0` and `z_extreme` as arrays in driver
+    order and surfaces of shape (driver, time, node); `driver(i)` is the
+    solution of driver i alone.
     """
 
     model: MarketModel
@@ -153,17 +163,28 @@ class GridSolution:
     space_grid: np.ndarray
     dt: float
     time_steps: int
-    y0: float
-    z_extreme: float
+    y0: float | np.ndarray
+    z_extreme: float | np.ndarray
     value_surface: Optional[np.ndarray] = None
     z_surface: Optional[np.ndarray] = None
 
+    def driver(self, i: int) -> "GridSolution":
+        """The solution of driver i of a solve of several drivers."""
+        return replace(
+            self,
+            y0=float(self.y0[i]),
+            z_extreme=float(self.z_extreme[i]),
+            value_surface=None if self.value_surface is None else self.value_surface[i],
+            z_surface=None if self.z_surface is None else self.z_surface[i],
+        )
+
 
 def _log_coefficients(model: MarketModel):
-    """Return vectorised (mv, sv, constant) at the states s = e^x of log-state
+    """Return vectorised (mv, sv, constants) at the states s = e^x of log-state
     nodes: sv(t, s) = vol(t, s) / s and mv(t, s, half_var) = drift(t, s) / s -
     half_var, where the caller passes half_var = 0.5 * sv * sv from its own sv,
-    so one vol call serves both.  Constants for GBM."""
+    so one vol call serves both.  For GBM `constants` is the pair of scalars
+    (mv, sv) the functions fill their arrays with; otherwise None."""
     if model.gbm_constants is not None:
         mu, sigma = model.gbm_constants
         mv_const = mu - 0.5 * sigma * sigma
@@ -174,7 +195,7 @@ def _log_coefficients(model: MarketModel):
         def sv(t: float, s: np.ndarray) -> np.ndarray:
             return np.full_like(s, sigma)
 
-        return mv, sv, True
+        return mv, sv, (mv_const, sigma)
 
     def sv(t: float, s: np.ndarray) -> np.ndarray:
         return np.asarray(model.vol(t, s), dtype=float) / s
@@ -182,7 +203,7 @@ def _log_coefficients(model: MarketModel):
     def mv(t: float, s: np.ndarray, half_var: np.ndarray) -> np.ndarray:
         return np.asarray(model.drift(t, s), dtype=float) / s - half_var
 
-    return mv, sv, False
+    return mv, sv, None
 
 
 def _log_grid(model: MarketModel, sv, horizon: float, nodes: int, width_sds: float):
@@ -252,7 +273,7 @@ def minimal_time_steps(
 def solve_fd(
     model: MarketModel,
     payoff: Payoff,
-    generator: Generator,
+    generator: Generator | Sequence[Generator],
     horizon: float,
     nodes: int = DEFAULT_NODES,
     time_steps: int = DEFAULT_TIME_STEPS,
@@ -270,20 +291,32 @@ def solve_fd(
     ValueError naming it before any work.  Boundary rows extrapolate
     linearly (zero curvature).
 
+    `generator` is one driver or a sequence of drivers, which march the same
+    grid in one pass and give one GridSolution with a row per driver (see
+    GridSolution).  Every driver marches the step count of the most
+    demanding one, which is each driver's own count whenever the diffusion
+    bound binds, as it does unless sigma is tiny.
+
     The z-sign extreme is folded in as the march goes.  With constant
     coefficients and a band that leaves out the boundary columns, each step
     reuses the interior z it computes anyway, which is bitwise the z of the
     row it reads; otherwise z is recomputed on the band of each new row.
 
-    The march works in buffers set up once per solve: the value alternates
-    between two preallocated rows, and d2, d1 and z are refilled in place.
-    Constant coefficients, dx * dx and 2 * dx are computed once per solve;
-    variable ones once per step, from one vol and one drift call on nodes
-    whose exp is taken once per solve.  The driver is called once per step,
-    as generator.g(t, y, z).  Every product and sum keeps its operand order,
-    so each value is bitwise that of a march that allocates fresh arrays at
-    every step (tested).
+    The march works in buffers set up once per solve.  The drivers' value
+    rows lie end to end in one flat row, so each elementwise operation is
+    one call for all of them; the value alternates between two such rows,
+    and d2, d1, z and g are refilled in place.  Constant coefficients are
+    scalars; variable ones are evaluated once per step, from one vol and
+    one drift call on nodes whose exp is taken once per solve, and shared
+    by every driver.  The built-in drivers are one coefficient times |z| or
+    z; a custom driver is called once per step, as generator.g(t, y, z) on
+    its own row.  Every product and sum keeps its operand order, so each
+    value is bitwise that of a lone driver's march that allocates fresh
+    arrays at every step (tested).
     """
+    drivers = (generator,) if isinstance(generator, Generator) else tuple(generator)
+    if not drivers:
+        raise ValueError("solve_fd needs at least one driver")
     if nodes < 5:
         raise ValueError(f"nodes must be >= 5, got {nodes}")
     if not 1 <= time_steps <= MAX_TIME_STEPS:
@@ -292,10 +325,13 @@ def solve_fd(
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
 
-    mv_fn, sv_fn, constant_coeffs = _log_coefficients(model)
+    mv_fn, sv_fn, constants = _log_coefficients(model)
     x0, sigma_ref, x, dx = _log_grid(model, sv_fn, horizon, nodes, width_sds)
     states = np.exp(x)
-    m_min = _stable_steps(mv_fn, sv_fn, states, dx, horizon, generator.lipschitz_z, STABILITY_SAFETY)
+    # The stable count grows with the Lipschitz constant, so the largest
+    # constant gives the largest of the drivers' own counts.
+    lipschitz_z = max(gen.lipschitz_z for gen in drivers)
+    m_min = _stable_steps(mv_fn, sv_fn, states, dx, horizon, lipschitz_z, STABILITY_SAFETY)
     if m_min > MAX_TIME_STEPS:
         raise ValueError(
             f"explicit scheme needs {m_min} time steps on {nodes} nodes, "
@@ -315,38 +351,83 @@ def solve_fd(
 
     u = payoff.map(states)
     y_scale = max(1.0, float(np.abs(u).max()))
-    _validate_custom_generator(generator, horizon, y_scale, z_scale=max(1.0, sigma_ref * y_scale))
+    for gen in drivers:
+        _validate_custom_generator(gen, horizon, y_scale, z_scale=max(1.0, sigma_ref * y_scale))
 
     # The march's arrays, allocated once.  The operand order of
     #   u' = mid + dt * ((0.5 * sv * sv * d2 + mv * d1) + g),
     #   d2 = ((up - 2 * mid) + dn) / (dx * dx),  d1 = (up - dn) / (2 * dx)
     # must not change: it is what keeps every row bitwise.
-    inner_states = np.exp(x[1:-1])
+    count = len(drivers)
+    width = count * nodes
+    span = width - 2
     dx2, two_dx = dx * dx, 2.0 * dx
-    rows = np.empty((2, nodes))
-    rows[0] = u
-    cur, nxt = ((row, row[2:], row[1:-1], row[:-2]) for row in rows)
-    d2, d1, z = np.empty((3, nodes - 2))
-    z_full = np.empty(nodes)
-    if constant_coeffs:
-        sv_row = sv_fn(0.0, inner_states)
-        half_var = 0.5 * sv_row * sv_row
-        mv_row = mv_fn(0.0, inner_states, half_var)
+    # Driver j's values are row[j * nodes:(j + 1) * nodes], so mid = row[1:-1]
+    # puts its interior at [j * nodes, j * nodes + nodes - 2) of each
+    # `span`-long buffer.  Buffers hold `width` entries so that a (driver,
+    # node) view exists.
+    rows = np.empty((2, width))
+    rows[0].reshape(count, nodes)[:] = u
+    cur, nxt = ((row, row[2:], row[1:-1], row[:-2], row.reshape(count, nodes)[:, 1:-1])
+                for row in rows)
+    stencil = np.zeros((2, width))
+    d2, d1 = stencil[:, :span]
+    z_buf, g_buf = np.zeros((2, width))
+    z, g = z_buf[:span], g_buf[:span]
+    z_rows = z_buf.reshape(count, nodes)[:, :nodes - 2]
+    g_rows = g_buf.reshape(count, nodes)[:, :nodes - 2]
+    z_full = np.empty((count, nodes))
+    # Where two drivers' rows meet, the stencil reads both.  Those seam
+    # entries land on boundary nodes, which the extrapolation overwrites.
+    # Their differences are zeroed before the divisions: a jump between two
+    # rows over dx * dx can overflow where no interior entry does.
+    seams = stencil.reshape(2, count, nodes)[:, :-1, nodes - 2:]
+    z_ends = z_full[:, ::nodes - 1]
+    # Each driver's boundary nodes and the two nodes each extrapolates from.
+    ends = np.arange(0, width, nodes)[:, None] + np.array([0, nodes - 1])
+    inner, outer = ends + np.array([1, -1]), ends + np.array([2, -2])
+    if constants is not None:
+        mv, sv = constants
+        half_var = 0.5 * sv * sv
+    else:
+        inner_states = np.exp(x[1:-1])
+        coeffs = np.zeros((3, width))
+        sv, half_var, mv = coeffs[:, :span]
+        sv_rows, half_var_rows, mv_rows = coeffs.reshape(3, count, nodes)[:, :, :nodes - 2]
 
-    value_surface = np.empty((m + 1, nodes)) if store_surfaces else None
-    z_surface = np.empty((m + 1, nodes)) if store_surfaces else None
+    # A built-in driver is its coefficient times |z| or z, taken over each
+    # run of neighbouring rows of one kind at once; a custom one row by row.
+    coef = np.zeros(width)
+    for j, gen in enumerate(drivers):
+        if gen.kind != "custom":
+            coef[j * nodes:(j + 1) * nodes] = gen.coefficient
+    runs = []
+    abs_kinds = ("abs_upper", "abs_lower")
+    for kind, group in itertools.groupby(
+            range(count), key=lambda j: "abs" if drivers[j].kind in abs_kinds else drivers[j].kind):
+        if kind != "custom":
+            js = list(group)
+            part = slice(js[0] * nodes, js[-1] * nodes + nodes - 2)
+            runs.append((kind == "abs", z[part], g[part], coef[part]))
+    custom = [(j, gen) for j, gen in enumerate(drivers) if gen.kind == "custom"]
+
+    value_surface = np.empty((count, m + 1, nodes)) if store_surfaces else None
+    z_surface = np.empty((count, m + 1, nodes)) if store_surfaces else None
 
     def z_row(t: float, row: np.ndarray) -> np.ndarray:
-        """z of `row` at time t, written into z_full."""
-        np.subtract(row[2:], row[:-2], out=z_full[1:-1])
-        np.divide(z_full[1:-1], two_dx, out=z_full[1:-1])
-        z_full[0] = (row[1] - row[0]) / dx
-        z_full[-1] = (row[-1] - row[-2]) / dx
-        return np.multiply(sv_fn(t, states), z_full, out=z_full)
+        """z of each driver's row at time t, written into z_full."""
+        central, by_driver = z_full.reshape(-1)[1:-1], row.reshape(count, nodes)
+        np.subtract(row[2:], row[:-2], out=central)
+        z_ends.fill(0.0)
+        np.divide(central, two_dx, out=central)
+        np.subtract(by_driver[:, 1], by_driver[:, 0], out=z_full[:, 0])
+        np.subtract(by_driver[:, -1], by_driver[:, -2], out=z_full[:, -1])
+        np.divide(z_ends, dx, out=z_ends)
+        return np.multiply(sv if constants is not None else sv_fn(t, states), z_full, out=z_full)
 
     if store_surfaces:
-        value_surface[m] = u
-        z_surface[m] = z_row(horizon, u)
+        value_surface[:, m] = u
+        z_surface[:, m] = z_row(horizon, rows[0])
 
     # Running elementwise extreme of z on the band, folded once per row
     # before the terminal one; payoffs without monotonicity track nothing.
@@ -354,46 +435,56 @@ def solve_fd(
     margin = int(round(0.5 * (1.0 - Z_SIGN_BAND) * nodes))
     hi = nodes - margin
     if fold is not None:
-        track = np.full(hi - margin, np.inf if fold is np.minimum else -np.inf)
-    reuse_z = fold is not None and constant_coeffs and margin >= 1
+        track = np.full((count, hi - margin), np.inf if fold is np.minimum else -np.inf)
+    reuse_z = fold is not None and constants is not None and margin >= 1
     recompute_z = fold is not None and not reuse_z
-    z_band, z_full_band = z[margin - 1:hi - 1], z_full[margin:hi]
+    z_band, z_full_band = z_buf.reshape(count, nodes)[:, margin - 1:hi - 1], z_full[:, margin:hi]
 
     for step in range(m, 0, -1):
         t_known = step * dt
-        if not constant_coeffs:
-            sv_row = sv_fn(t_known, inner_states)
-            half_var = 0.5 * sv_row * sv_row
-            mv_row = mv_fn(t_known, inner_states, half_var)
-        _, up, mid, dn = cur
+        if constants is None:
+            sv_step = sv_fn(t_known, inner_states)
+            half_var_step = 0.5 * sv_step * sv_step
+            sv_rows[:] = sv_step
+            half_var_rows[:] = half_var_step
+            mv_rows[:] = mv_fn(t_known, inner_states, half_var_step)
+        _, up, mid, dn, mids = cur
         np.multiply(2.0, mid, out=d2)
         np.subtract(up, d2, out=d2)
         np.add(d2, dn, out=d2)
-        np.divide(d2, dx2, out=d2)
         np.subtract(up, dn, out=d1)
+        seams.fill(0.0)
+        np.divide(d2, dx2, out=d2)
         np.divide(d1, two_dx, out=d1)
-        np.multiply(sv_row, d1, out=z)
+        np.multiply(sv, d1, out=z)
         if reuse_z and step < m:
             fold(track, z_band, out=track)
-        g = generator.g(t_known, mid, z)
+        for is_abs, z_part, g_part, c in runs:
+            if is_abs:
+                np.abs(z_part, out=g_part)
+                np.multiply(c, g_part, out=g_part)
+            else:
+                np.multiply(c, z_part, out=g_part)
+        for j, gen in custom:
+            g_rows[j] = gen.g(t_known, mids[j], z_rows[j])
         np.multiply(half_var, d2, out=d2)
-        np.multiply(mv_row, d1, out=d1)
+        np.multiply(mv, d1, out=d1)
         np.add(d2, d1, out=d2)
         np.add(d2, g, out=d2)
         np.multiply(dt, d2, out=d2)
-        row, _, row_mid, _ = nxt
+        row, _, row_mid, _, _ = nxt
         np.add(mid, d2, out=row_mid)
-        row[0] = 2.0 * row[1] - row[2]
-        row[-1] = 2.0 * row[-2] - row[-3]
+        row[ends] = 2.0 * row[inner] - row[outer]
         cur, nxt = nxt, cur
         if store_surfaces:
-            value_surface[step - 1] = row
-            z_surface[step - 1] = z_row(t_known - dt, row)
+            value_surface[:, step - 1] = row.reshape(count, nodes)
+            z_surface[:, step - 1] = z_row(t_known - dt, row)
         if recompute_z:
             z_row(t_known - dt, row)
             fold(track, z_full_band, out=track)
 
     u = cur[0]
+    u_rows = u.reshape(count, nodes)
     if reuse_z:
         z_row(0.0, u)
         fold(track, z_full_band, out=track)
@@ -406,21 +497,23 @@ def solve_fd(
         )
 
     if nodes % 2 == 1:
-        y0 = float(u[(nodes - 1) // 2])
+        y0 = u_rows[:, (nodes - 1) // 2].copy()
     else:
-        y0 = float(np.interp(x0, x, u))
+        y0 = np.array([np.interp(x0, x, values) for values in u_rows])
 
-    return GridSolution(
+    solution = GridSolution(
         model=model,
         payoff=payoff,
         space_grid=x,
         dt=dt,
         time_steps=m,
         y0=y0,
-        z_extreme=math.nan if fold is None else float(fold.reduce(track)),
+        z_extreme=(np.full(count, math.nan) if fold is None
+                   else np.array([fold.reduce(band) for band in track])),
         value_surface=value_surface,
         z_surface=z_surface,
     )
+    return solution.driver(0) if isinstance(generator, Generator) else solution
 
 
 def solve_tree(
@@ -493,8 +586,8 @@ def comparison_check(
 
     First spot-checks generator_low <= generator_high on sampled (t, y, z)
     triples, raising ValueError with a witness when the precondition fails;
-    then solves both equations on the same grid and compares.  The default
-    tolerance is 0.5% of the value scale, covering scheme error only.
+    then solves both equations in one march of one grid and compares.  The
+    default tolerance is 0.5% of the value scale, covering scheme error only.
     """
     _, sv_fn, _ = _log_coefficients(model)
     _, sigma_ref, _, _ = _log_grid(model, sv_fn, horizon, nodes, DEFAULT_WIDTH_SDS)
@@ -517,19 +610,18 @@ def comparison_check(
                     f"low={lo[i]:.6g} > high={hi[i]:.6g}"
                 )
 
-    sol_low = solve_fd(model, payoff, generator_low, horizon, nodes, time_steps,
-                       store_surfaces=compare_surfaces)
-    sol_high = solve_fd(model, payoff, generator_high, horizon, nodes, time_steps,
-                        store_surfaces=compare_surfaces)
-    scale = max(1.0, abs(sol_low.y0), abs(sol_high.y0))
+    both = solve_fd(model, payoff, (generator_low, generator_high), horizon, nodes, time_steps,
+                    store_surfaces=compare_surfaces)
+    y0_low, y0_high = both.y0.tolist()
+    scale = max(1.0, abs(y0_low), abs(y0_high))
     tol = 0.005 * scale if tolerance is None else tolerance
     min_gap = None
     if compare_surfaces:
-        min_gap = float((sol_high.value_surface - sol_low.value_surface).min())
+        min_gap = float((both.value_surface[1] - both.value_surface[0]).min())
     return ComparisonReport(
-        y0_low=sol_low.y0,
-        y0_high=sol_high.y0,
-        gap=sol_high.y0 - sol_low.y0,
+        y0_low=y0_low,
+        y0_high=y0_high,
+        gap=y0_high - y0_low,
         tolerance=tol,
         min_surface_gap=min_gap,
     )
@@ -554,8 +646,9 @@ def z_sign_check(solution: GridSolution, threshold: Optional[float] = None) -> Z
     Increasing payoffs must keep z >= -threshold and decreasing payoffs
     z <= +threshold on the central Z_SIGN_BAND of space nodes at all times
     before the terminal one.  The extreme is the one solve_fd streamed into
-    `solution.z_extreme`, so stored surfaces are not needed.  Payoffs without
-    declared monotonicity yield a not_applicable report.
+    `solution.z_extreme`, so stored surfaces are not needed; a solve of
+    several drivers is checked one driver at a time, as `solution.driver(i)`.
+    Payoffs without declared monotonicity yield a not_applicable report.
     """
     mono = solution.payoff.monotonicity
     thr = 1e-6 * solution.model.s0 if threshold is None else threshold

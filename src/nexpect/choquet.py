@@ -157,7 +157,11 @@ class Capacity:
         ev = np.asarray(event)
         if ev.shape != (self.n_paths,):
             raise ValueError(f"event shape {ev.shape} does not match paths {self.n_paths}")
-        sums = ev.astype(np.float64) @ self.weights
+        return self.from_sums(ev.astype(np.float64) @ self.weights)
+
+    def from_sums(self, sums: np.ndarray) -> float:
+        """Capacity of one event from its weight sums, `event @ weights`,
+        which capacities that share their weights can share."""
         value = self._reduce(sums / self.totals)
         return float(np.clip(value, 0.0, 1.0))
 

@@ -71,6 +71,11 @@ ESTIMATOR_ORDER = (
 # Heavy structural checks run on a deterministic prefix of the paths.
 CHECK_SUBSAMPLE = 100_000
 
+# The FD solve marches the upper and lower drivers +-k|z| and, for the
+# `comparison` check, the linear drivers nu * z with nu = sign * k after them.
+FD_DRIVERS = (Generator.abs_upper, Generator.abs_lower)
+COMPARISON_SIGNS = (-1.0, 0.0, 1.0)
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_SCENARIO = 2
@@ -444,7 +449,7 @@ class RunContext:
     moments: dict  # each weight column's "means" and "ses", from weight_matrix
     cap_upper: Capacity
     cap_lower: Capacity
-    solution_upper: GridSolution
+    fd: GridSolution  # rows: FD_DRIVERS, then COMPARISON_SIGNS with `comparison`
     entries: dict[str, EstimatorEntry]
 
     def subsample(self, limit: int = CHECK_SUBSAMPLE):
@@ -549,11 +554,14 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     fd_note = ""
     if payoff.kind == "digital":
         fd_note = "discontinuous terminal condition: grid bias larger than for smooth payoffs"
-    # The zsign check reads the extreme each solve streams, not a surface.
-    sol_upper, sol_lower = (
-        solve_fd(model, payoff, side(scenario.k), scenario.horizon, nodes=scenario.nodes,
-                 time_steps=scenario.time_steps, substep=scenario.fd_substep)
-        for side in (Generator.abs_upper, Generator.abs_lower))
+    # Every driver marches the one grid in one solve.  The zsign check reads
+    # the extreme the solve streams, not a surface.
+    drivers = [make(scenario.k) for make in FD_DRIVERS]
+    if "comparison" in requested:
+        drivers += [Generator.linear(sign * scenario.k) for sign in COMPARISON_SIGNS]
+    fd = solve_fd(model, payoff, tuple(drivers), scenario.horizon, nodes=scenario.nodes,
+                  time_steps=scenario.time_steps, substep=scenario.fd_substep)
+    bsde_upper, bsde_lower = fd.y0[:len(FD_DRIVERS)].tolist()
 
     if payoff.monotonicity == "none":
         ext_entries = [EstimatorEntry(name, float("nan"), float("nan"),
@@ -584,8 +592,8 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
                                         mm.argmax_control.label()),
         "minimax_lower": EstimatorEntry("minimax_lower", mm.lower, mm.std_errors[1],
                                         mm.argmin_control.label()),
-        "bsde_upper": EstimatorEntry("bsde_upper", sol_upper.y0, 0.0, fd_note),
-        "bsde_lower": EstimatorEntry("bsde_lower", sol_lower.y0, 0.0, fd_note),
+        "bsde_upper": EstimatorEntry("bsde_upper", bsde_upper, 0.0, fd_note),
+        "bsde_lower": EstimatorEntry("bsde_lower", bsde_lower, 0.0, fd_note),
         "extremal_upper": ext_entries[0],
         "extremal_lower": ext_entries[1],
         "plain": EstimatorEntry("plain", plain, plain_se),
@@ -594,7 +602,7 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     ctx = RunContext(
         scenario=scenario, model=model, payoff=payoff, bundle=bundle, values=values,
         family=family, weights=weights, moments=moments, cap_upper=cap_upper,
-        cap_lower=cap_lower, solution_upper=sol_upper, entries=entries,
+        cap_lower=cap_lower, fd=fd, entries=entries,
     )
 
     outcomes = [CHECK_REGISTRY[name](ctx) for name in requested]
@@ -610,7 +618,7 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         "steps": scenario.steps,
         "nodes": scenario.nodes,
         "time_steps_requested": scenario.time_steps,
-        "time_steps_used": sol_upper.time_steps,
+        "time_steps_used": fd.time_steps,
         "theta_grid": scenario.theta_grid,
         "family_size": len(family),
         "threads": threads,
@@ -750,13 +758,13 @@ def _check_sandwich(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_normalization(ctx: RunContext) -> CheckOutcome:
+    # Both capacities hold ctx.weights, so each event is reduced once.
     n = ctx.bundle.n_paths
-    empty = np.zeros(n, dtype=bool)
-    full = np.ones(n, dtype=bool)
-    gaps = []
-    for cap in (ctx.cap_upper, ctx.cap_lower):
-        gaps.append(abs(cap.evaluate(empty) - 0.0))
-        gaps.append(abs(cap.evaluate(full) - 1.0))
+    events = ((np.zeros(n, dtype=bool), 0.0), (np.ones(n, dtype=bool), 1.0))
+    sums = [event.astype(np.float64) @ ctx.weights for event, _ in events]
+    gaps = [abs(cap.from_sums(event_sums) - target)
+            for cap in (ctx.cap_upper, ctx.cap_lower)
+            for event_sums, (_, target) in zip(sums, events)]
     ok = all(g == 0.0 for g in gaps)
     return CheckOutcome("normalization", "pass" if ok else "fail",
                         f"|c(empty)|, |c(full)-1| = {[f'{g:.1e}' for g in gaps]} (must be exactly 0)")
@@ -778,7 +786,7 @@ def _check_martingale(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_zsign(ctx: RunContext) -> CheckOutcome:
-    report = z_sign_check(ctx.solution_upper)
+    report = z_sign_check(ctx.fd.driver(0))
     detail = (f"monotonicity={report.monotonicity}, extreme z = {report.extreme:.3g}, "
               f"threshold {report.threshold:.1e}, band {report.band:.0%}")
     return CheckOutcome("zsign", report.status, detail)
@@ -790,13 +798,14 @@ def _check_comparison(ctx: RunContext) -> CheckOutcome:
     lo = ctx.entries["bsde_lower"].value
     hi = ctx.entries["bsde_upper"].value
     tol = 0.005 * max(1.0, abs(lo), abs(hi))
-    for nu in (-s.k, 0.0, s.k):
-        sol = solve_fd(ctx.model, ctx.payoff, Generator.linear(nu), s.horizon,
-                       nodes=s.nodes, time_steps=s.time_steps, substep=s.fd_substep)
-        if not (lo - tol <= sol.y0 <= hi + tol):
+    # run_scenario marched the linear drivers after the abs ones.
+    linear = ctx.fd.y0[len(FD_DRIVERS):]
+    for sign, y0 in zip(COMPARISON_SIGNS, linear.tolist(), strict=True):
+        nu = sign * s.k
+        if not (lo - tol <= y0 <= hi + tol):
             return CheckOutcome(
                 "comparison", "fail",
-                f"linear driver nu={nu:g} gives y0={sol.y0:.6g} outside "
+                f"linear driver nu={nu:g} gives y0={y0:.6g} outside "
                 f"[{lo:.6g}, {hi:.6g}] +- {tol:.3g}")
     return CheckOutcome("comparison", "pass",
                         f"linear drivers in {{-k, 0, k}} stay within the abs-driver band (tol {tol:.3g})")

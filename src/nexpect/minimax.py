@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .choquet import Payoff
 from .measures import ThetaControl, expectation_profile, weight_matrix
@@ -57,7 +57,7 @@ def lognormal_call_value(s0: float, drift: float, sigma: float, horizon: float, 
     if sigma * math.sqrt(horizon) == 0.0:
         return max(forward - strike, 0.0)
     d1, d2 = _d12(s0, drift, sigma, horizon, strike)
-    return forward * norm.cdf(d1) - strike * norm.cdf(d2)
+    return forward * ndtr(d1) - strike * ndtr(d2)
 
 
 def lognormal_put_value(s0: float, drift: float, sigma: float, horizon: float, strike: float) -> float:
@@ -68,7 +68,7 @@ def lognormal_put_value(s0: float, drift: float, sigma: float, horizon: float, s
     if sigma * math.sqrt(horizon) == 0.0:
         return max(strike - forward, 0.0)
     d1, d2 = _d12(s0, drift, sigma, horizon, strike)
-    return strike * norm.cdf(-d2) - forward * norm.cdf(-d1)
+    return strike * ndtr(-d2) - forward * ndtr(-d1)
 
 
 def lognormal_digital_value(s0: float, drift: float, sigma: float, horizon: float, strike: float) -> float:
@@ -78,7 +78,7 @@ def lognormal_digital_value(s0: float, drift: float, sigma: float, horizon: floa
     if sigma * math.sqrt(horizon) == 0.0:
         return 1.0 if s0 * math.exp(drift * horizon) > strike else 0.0
     _, d2 = _d12(s0, drift, sigma, horizon, strike)
-    return float(norm.cdf(d2))
+    return float(ndtr(d2))
 
 
 # ---------------------------------------------------------------------------

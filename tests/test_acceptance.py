@@ -207,11 +207,9 @@ def test_criterion_05_comparison_ordering(acc_report, market):
     hi = acc_report.entry("bsde_upper").value
     tol = SCHEME_TOL * max(abs(lo), abs(hi))
     nus = np.linspace(-scenario.k, scenario.k, 11)
-    values = [
-        solve_fd(model, payoff, Generator.linear(float(nu)), scenario.horizon,
-                 nodes=scenario.nodes, time_steps=scenario.time_steps).y0
-        for nu in nus
-    ]
+    drivers = tuple(Generator.linear(float(nu)) for nu in nus)
+    values = solve_fd(model, payoff, drivers, scenario.horizon, nodes=scenario.nodes,
+                      time_steps=scenario.time_steps).y0
     for nu, y0 in zip(nus, values):
         assert lo - tol <= y0 <= hi + tol, (nu, y0, lo, hi)
     diffs = np.diff(values)

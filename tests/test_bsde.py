@@ -444,21 +444,80 @@ def test_fd_march_is_bitwise_the_allocating_march(nodes, general, kind):
     # margin >= 1 (11 and 12 nodes).  201 nodes take the stable count.
     time_steps = 8 if nodes % 2 else 7
     margin = int(round(0.5 * (1.0 - Z_SIGN_BAND) * nodes))
-    for gen in drivers:
+    # The six drivers also march as one tuple, in both orders, so that the
+    # custom row sits after the built-in runs and before them.
+    together = {(order, store): solve_fd(market, payoff, tuple(drivers[::order]), HORIZON,
+                                         nodes=nodes, time_steps=time_steps,
+                                         store_surfaces=store)
+                for order in (1, -1) for store in (True, False)}
+    for i, gen in enumerate(drivers):
         stored = solve_fd(market, payoff, gen, HORIZON, nodes=nodes, time_steps=time_steps,
                           store_surfaces=True)
         plain = solve_fd(market, payoff, gen, HORIZON, nodes=nodes, time_steps=time_steps)
         x = stored.space_grid
         values, zs = _allocating_march(market, payoff, gen, x, stored.dt, stored.time_steps,
                                        HORIZON)
-        assert np.array_equal(_bits(stored.value_surface), _bits(values))
-        assert np.array_equal(_bits(stored.z_surface), _bits(zs))
+        rows = [sol.driver(i if order == 1 else len(drivers) - 1 - i)
+                for (order, _), sol in together.items()]
+        for sol in (stored, *rows[::2]):
+            assert np.array_equal(_bits(sol.value_surface), _bits(values))
+            assert np.array_equal(_bits(sol.z_surface), _bits(zs))
+        for sol in rows[1::2]:
+            assert sol.value_surface is None and sol.z_surface is None
         u = values[0]
         y0 = u[(nodes - 1) // 2] if nodes % 2 else np.interp(math.log(100.0), x, u)
         band = zs[:-1, margin:nodes - margin]
         extreme = {"increasing": band.min, "decreasing": band.max}.get(payoff.monotonicity,
                                                                        lambda: math.nan)()
-        for sol in (stored, plain):
+        for sol in (stored, plain, *rows):
             assert sol.time_steps == stored.time_steps
             assert _bits(sol.y0) == _bits(y0)
             assert _bits(sol.z_extreme) == _bits(extreme)
+
+
+def test_drivers_on_one_grid_march_the_largest_stable_count():
+    # With sigma this small the advection bound binds, and it grows with
+    # the driver's Lipschitz constant: linear(0) alone needs fewer steps
+    # than |z| drivers at k = 0.5.  Marched together, every driver takes the
+    # largest count and is bitwise a lone solve asked for that count.
+    market = MarketModel.gbm(100.0, 0.05, 0.01)
+    payoff = Payoff.call(100.0)
+    drivers = (Generator.abs_upper(0.5), Generator.linear(0.0), Generator.abs_lower(0.5))
+    counts = [minimal_time_steps(market, HORIZON, nodes=21, lipschitz_z=gen.lipschitz_z)
+              for gen in drivers]
+    diffusion = minimal_time_steps(MarketModel.gbm(100.0, 0.0, 0.01), HORIZON, nodes=21)
+    assert diffusion < counts[1] < counts[0] == counts[2]
+    together = solve_fd(market, payoff, drivers, HORIZON, nodes=21, time_steps=1)
+    assert together.time_steps == counts[0]
+    assert solve_fd(market, payoff, drivers[1], HORIZON, nodes=21,
+                    time_steps=1).time_steps == counts[1]
+    for i, gen in enumerate(drivers):
+        alone = solve_fd(market, payoff, gen, HORIZON, nodes=21, time_steps=counts[0])
+        assert _bits(together.y0[i]) == _bits(alone.y0)
+        assert _bits(together.z_extreme[i]) == _bits(alone.z_extreme)
+    with pytest.raises(GridTooCoarseError) as err:
+        solve_fd(market, payoff, drivers[1:], HORIZON, nodes=21, time_steps=1, substep=False)
+    assert err.value.minimal_time_steps == counts[0]
+
+
+def test_rows_meeting_in_one_march_cannot_overflow():
+    # Where two drivers' rows meet, the stencil reads the top node of one
+    # and the bottom node of the next: here a jump of about 3e307, which
+    # over 2 * dx (and over dx * dx) overflows.  No entry a lone solve
+    # computes does.
+    payoff = Payoff.custom("steep", lambda s: 1e305 * s, monotonicity="increasing")
+    drivers = (Generator.abs_upper(0.1), Generator.abs_lower(0.1), Generator.linear(0.0))
+    model = MarketModel.gbm(100.0, 0.0, 0.2)
+    with np.errstate(over="raise"):
+        together = solve_fd(model, payoff, drivers, HORIZON, nodes=101, store_surfaces=True)
+        for i, gen in enumerate(drivers):
+            alone = solve_fd(model, payoff, gen, HORIZON, nodes=101, store_surfaces=True)
+            row = together.driver(i)
+            assert _bits(row.y0) == _bits(alone.y0)
+            assert np.array_equal(_bits(row.value_surface), _bits(alone.value_surface))
+            assert np.array_equal(_bits(row.z_surface), _bits(alone.z_surface))
+
+
+def test_solve_fd_needs_a_driver(model):
+    with pytest.raises(ValueError, match="at least one driver"):
+        solve_fd(model, Payoff.call(100.0), (), HORIZON, nodes=11)

@@ -452,6 +452,20 @@ def test_main_bad_inputs_exit_2_without_traceback(tmp_path, args, body):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_main_prices_a_grid_whose_rows_jump_by_more_than_float64(tmp_path, capsys):
+    # The payoff is about 5e302 at the top of the grid and 0 at its bottom
+    # and on every path.  The march puts the drivers' rows end to end, where
+    # that jump over dx * dx (dx = 6e-4) would leave float64; the values
+    # themselves do not.
+    body = BASE.replace("s0 = 100", "s0 = 1").replace("sigma = 0.2", "sigma = 0.05").replace(
+        "payoff = call", "payoff = custom\nmonotonicity = increasing").replace(
+        "strike = 100\n", "expr = 1e304 * max(s - 1.3, 0)\n").replace("nodes = 101", "nodes = 1001")
+    path = write_scn(tmp_path, body + "checks = comparison, zsign\n", name="steep.scn")
+    assert main(["--scenario", path, "--format", "csv", "--paths", "2000"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "bsde_upper,1.36098402027e+295,0\n" in captured.out and captured.err == ""
+
+
 def test_run_scenario_rejects_unbounded_fd_steps(tmp_path, monkeypatch):
     from nexpect import cli
     from nexpect.bsde import MAX_TIME_STEPS, minimal_time_steps
@@ -471,21 +485,38 @@ def test_run_scenario_rejects_unbounded_fd_steps(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("extra", [(), ("zsign",)], ids=["no-zsign", "zsign"])
 def test_cli_solves_store_no_surfaces(tmp_path, monkeypatch, extra):
+    # One march serves every driver: upper and lower, plus the three linear
+    # drivers when `comparison` is requested.
     from nexpect import cli
-    surfaceless = []
+    solves = []
     real = cli.solve_fd
 
-    def spy(*args, **kwargs):
-        solution = real(*args, **kwargs)
-        surfaceless.append(solution.value_surface is None and solution.z_surface is None)
+    def spy(model, payoff, generator, *args, **kwargs):
+        solution = real(model, payoff, generator, *args, **kwargs)
+        solves.append((len(generator),
+                       solution.value_surface is None and solution.z_surface is None))
         return solution
 
     monkeypatch.setattr(cli, "solve_fd", spy)
     scn = load_scenario(write_scn(tmp_path, BASE + "checks = comparison\n"))
     report = run_scenario(scn, extra_checks=extra)
-    assert surfaceless == [True] * 5  # upper, lower, and three linear drivers
+    assert solves == [(5, True)]
     assert all(c.status == "pass" for c in report.checks)
     assert [c.name for c in report.checks] == ["comparison", *extra]
+    solves.clear()
+    report = run_scenario(load_scenario(write_scn(tmp_path, BASE + "checks = chain\n")),
+                          extra_checks=extra)
+    assert solves == [(2, True)]
+    assert [c.name for c in report.checks] == ["chain", *extra]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second and 45 MB at import; the closed forms
+    # need only scipy.special.ndtr.
+    code = "import sys, nexpect.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_reweighted_extremal_band_is_read_from_the_minimax_profile(tmp_path, monkeypatch):
