@@ -29,6 +29,7 @@ from .choquet import (
     is_comonotone,
     random_threshold_pairs,
     submodularity_check,
+    threshold_event,
 )
 from .errors import (
     GridTooCoarseError,
@@ -68,7 +69,7 @@ __all__ = [
     "weight_matrix", "expectation_profile", "default_control_family",
     "Payoff", "Capacity", "build_capacity", "choquet_integral", "choquet_influence",
     "is_comonotone", "submodularity_check", "random_threshold_pairs",
-    "choquet_holder_check", "SubmodularityReport", "HolderReport",
+    "threshold_event", "choquet_holder_check", "SubmodularityReport", "HolderReport",
     "Generator", "GridSolution", "solve_fd", "solve_tree", "minimal_time_steps",
     "comparison_check", "z_sign_check", "ComparisonReport", "ZSignReport",
     "MinimaxResult", "ExtremalReport", "AttainmentReport", "minimax_expectation",

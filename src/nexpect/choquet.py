@@ -8,7 +8,9 @@ of the weights in sorted order, evaluated at every sample, so the in-sample
 integral is exact.  A sample is sorted once for the upper and the lower
 capacity, and one sweep serves both, giving each integral and each path's
 influence on it, hence its standard error (the infinitesimal jackknife).
-Every capacity value is normalised by the capacity's own totals.
+The same sort and running sums weigh every threshold event of a sample, and
+the union and intersection of two, for the submodularity check.  Every
+capacity value is normalised by the capacity's own totals.
 """
 
 from __future__ import annotations
@@ -157,21 +159,13 @@ class Capacity:
         ev = np.asarray(event)
         if ev.shape != (self.n_paths,):
             raise ValueError(f"event shape {ev.shape} does not match paths {self.n_paths}")
-        return self.from_sums(ev.astype(np.float64) @ self.weights)
+        return float(self.from_sums(ev.astype(np.float64) @ self.weights))
 
-    def from_sums(self, sums: np.ndarray) -> float:
-        """Capacity of one event from its weight sums, `event @ weights`,
-        which capacities that share their weights can share."""
-        value = self._reduce(sums / self.totals)
-        return float(np.clip(value, 0.0, 1.0))
-
-    def evaluate_many(self, events: np.ndarray) -> np.ndarray:
-        """Capacities of a stack of events, shape (n_events, n_paths)."""
-        ev = np.asarray(events)
-        if ev.ndim != 2 or ev.shape[1] != self.n_paths:
-            raise ValueError(f"events must have shape (m, {self.n_paths}), got {ev.shape}")
-        sums = ev.astype(np.float64) @ self.weights
-        return np.clip(self._reduce(sums / self.totals[None, :]), 0.0, 1.0)
+    def from_sums(self, sums: np.ndarray):
+        """Capacity of each event from its weight sums, `event @ weights`,
+        along the last axis: a scalar for one event, an array for a stack.
+        Capacities that share their weights can share the sums."""
+        return np.clip(self._reduce(sums / self.totals), 0.0, 1.0)
 
 
 def build_capacity(
@@ -201,7 +195,7 @@ def build_capacity(
 
 class _SortedSample:
     """A payoff sample sorted once, integrable against every capacity on
-    that weight matrix in one sweep.
+    that weight matrix in one sweep, and the prefix engine of its events.
 
     The tail weight of {X > x} per control is a capacity's total minus a
     running sum of the weights in ascending order of X.  Those running sums
@@ -211,7 +205,9 @@ class _SortedSample:
     by the same additions in the same order as one running sum over all n
     rows, and is bitwise equal to it, while only one block is alive at a
     time.  The sums do not depend on the capacity, so each block serves
-    every capacity before the next is gathered.
+    every capacity before the next is gathered.  Any event that is a run of
+    consecutive ranks, such as a threshold event of X, takes its weight sums
+    from two of those running sums (prefix_sums).
     """
 
     def __init__(self, values: np.ndarray, weights: np.ndarray) -> None:
@@ -245,6 +241,23 @@ class _SortedSample:
                 rows[0] = first
             carry = sums[-1].copy()
             yield start, rows, sums
+
+    def prefix_sums(self, ranks: np.ndarray, totals: np.ndarray) -> np.ndarray:
+        """Row i is P[ranks[i]], the weight per control of the ranks[i]
+        smallest samples, for ascending distinct ranks in 0 .. n.  P[0] is 0
+        and P[n] is `totals`, so the empty and the full event are exact; the
+        rows between are running sums, gathered up to the largest rank."""
+        n, m = self.weights.shape
+        done, last = np.searchsorted(ranks, (1, n))
+        out = np.zeros((ranks.size, m))
+        out[last:] = totals
+        blocks = self._running_sums()
+        while done < last:
+            start, _, sums = next(blocks)  # sums[i] is P[start + i + 1]
+            stop = min(np.searchsorted(ranks, start + sums.shape[0], side="right"), last)
+            out[done:stop] = sums[ranks[done:stop] - (start + 1)]
+            done = stop
+        return out
 
     def estimate(self, capacities: tuple[Capacity, ...]) -> list[tuple[float, np.ndarray]]:
         """The exact integral (the smallest sample plus each gap between
@@ -416,46 +429,24 @@ class SubmodularityReport:
 
 def submodularity_check(
     capacity: Capacity,
-    event_pairs: Iterable[tuple[np.ndarray, np.ndarray]],
-    chunk: int = 2,
+    values: np.ndarray,
+    pairs: Iterable[tuple[tuple[float, bool], tuple[float, bool]]],
     tolerance: float = 0.0,
 ) -> SubmodularityReport:
-    """Evaluate the 2-alternating defect on each event pair.
-
-    The four events of each pair are scored in stacks of `chunk` pairs, one
-    float matrix of 4 * chunk rows by n paths at a time, so the check's extra
-    memory is about 4 * chunk * n * 8 bytes (6.4 MB at the default chunk on
-    100k paths).  Every stack has at least four rows, so it goes through the
-    BLAS matrix-matrix product; how the BLAS blocks that product can move a
-    capacity by an ulp between stack heights, far below any tolerance the
-    defects are read against.
+    """Evaluate the 2-alternating defect on each pair of threshold events of
+    the sample `values`, given as ((t_a, above_a), (t_b, above_b)) like
+    random_threshold_pairs yields them (see threshold_event).
 
     For an upper capacity the defect is c(A|B) + c(A&B) - c(A) - c(B), which
     should be <= 0; for a lower capacity the inequality (and so the sign)
     flips.  The report's `violations` are oriented so positive means broken,
-    and `passed` allows the given tolerance.
+    and `passed` allows the given tolerance.  Every event comes from one
+    sort of the sample and one sweep of running sums (_pair_capacities):
+    O(n + ROW_BLOCK * m) extra memory, plus a few weight rows per pair.
     """
-    rows: list[np.ndarray] = []
-    defects: list[np.ndarray] = []
-
-    def flush() -> None:
-        if not rows:
-            return
-        vals = capacity.evaluate_many(np.vstack(rows)).reshape(-1, 4)
-        d = vals[:, 2] + vals[:, 3] - vals[:, 0] - vals[:, 1]
-        defects.append(d if capacity.orientation == "upper" else -d)
-        rows.clear()
-
-    for a, b in event_pairs:
-        a = np.asarray(a, dtype=bool)
-        b = np.asarray(b, dtype=bool)
-        rows.extend([a, b, a | b, a & b])
-        if len(rows) >= 4 * chunk:
-            flush()
-    flush()
-    if not defects:
-        raise ValueError("no event pairs supplied")
-    violations = np.concatenate(defects)
+    vals = _pair_capacities(capacity, values, pairs)
+    d = vals[:, 2] + vals[:, 3] - vals[:, 0] - vals[:, 1]
+    violations = d if capacity.orientation == "upper" else -d
     worst = int(np.argmax(violations))
     return SubmodularityReport(
         orientation=capacity.orientation,
@@ -467,13 +458,63 @@ def submodularity_check(
     )
 
 
+def _pair_capacities(
+    capacity: Capacity,
+    values: np.ndarray,
+    pairs: Iterable[tuple[tuple[float, bool], tuple[float, bool]]],
+) -> np.ndarray:
+    """c(A), c(B), c(A|B) and c(A&B) for each pair of threshold events, one
+    row per pair.
+
+    In the stable rank order of the sample, {x <= t} is the rank run [0, k)
+    and {x > t} is [k, n), with k the count of samples <= t (a sample tied
+    with t falls in {x <= t}, as in threshold_event).  A & B is the overlap
+    of two such runs, empty when they are apart.  A | B is the run spanning
+    both when they overlap or touch; when they are apart, one starts at rank
+    0 and the other ends at n, so it is everything but the gap between
+    them.  A run [l, h) weighs P[h] - P[l] (_SortedSample.prefix_sums), and
+    everything but it weighs the totals less that.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.shape != (capacity.n_paths,):
+        raise ValueError(f"values shape {x.shape} does not match paths {capacity.n_paths}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("values must be finite")
+    spec = np.array([(ta, above_a, tb, above_b) for (ta, above_a), (tb, above_b) in pairs],
+                    dtype=float).reshape(-1, 4)
+    if not spec.shape[0]:
+        raise ValueError("no event pairs supplied")
+    n = x.size
+    sample = _SortedSample(x, capacity.weights)
+    ranks = np.searchsorted(x[sample.order], spec[:, [0, 2]], side="right")
+    above = spec[:, [1, 3]] != 0.0
+    (la, lb), (ha, hb) = np.where(above, ranks, 0).T, np.where(above, n, ranks).T
+    l_meet, h_meet = np.maximum(la, lb), np.minimum(ha, hb)
+    apart = l_meet > h_meet
+    lows = np.stack([la, lb, np.where(apart, h_meet, np.minimum(la, lb)), l_meet], axis=1)
+    highs = np.stack([ha, hb, np.where(apart, l_meet, np.maximum(ha, hb)),
+                      np.maximum(l_meet, h_meet)], axis=1)
+    needed, where = np.unique(np.stack([lows, highs]), return_inverse=True)
+    prefix = sample.prefix_sums(needed, capacity.totals)[where.reshape(2, *lows.shape)]
+    sums = prefix[1] - prefix[0]
+    sums[apart, 2] = capacity.totals - sums[apart, 2]
+    return capacity.from_sums(sums)
+
+
+def threshold_event(values: np.ndarray, threshold: float, above: bool) -> np.ndarray:
+    """The event {x > threshold} if `above`, else {x <= threshold}, as a
+    boolean mask over the sample."""
+    return values > threshold if above else values <= threshold
+
+
 def random_threshold_pairs(
     values: np.ndarray,
     count: int,
     rng: np.random.Generator,
     nested_fraction: float = 0.3,
 ):
-    """Yield (A, B) pairs of threshold events on the given sample values.
+    """Yield ((t_a, above_a), (t_b, above_b)) pairs of threshold events on
+    the given sample values (threshold_event turns one into a mask).
 
     Thresholds sit at random quantiles in [0.05, 0.95]; a `nested_fraction`
     share of pairs uses the same direction on both thresholds so that one
@@ -486,9 +527,7 @@ def random_threshold_pairs(
         same_direction = rng.uniform() < nested_fraction
         dir_a = rng.uniform() < 0.5
         dir_b = dir_a if same_direction else (rng.uniform() < 0.5)
-        a = (x > ta) if dir_a else (x <= ta)
-        b = (x > tb) if dir_b else (x <= tb)
-        yield a, b
+        yield (float(ta), bool(dir_a)), (float(tb), bool(dir_b))
 
 
 @dataclass(frozen=True)

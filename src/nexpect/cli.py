@@ -44,6 +44,7 @@ from .choquet import (
     choquet_holder_checks,
     random_threshold_pairs,
     submodularity_check,
+    threshold_event,
 )
 from .errors import GridTooCoarseError, ScenarioError
 from .measures import ThetaControl, default_control_family, weight_matrix
@@ -698,7 +699,8 @@ def _check_duality(ctx: RunContext) -> CheckOutcome:
 
     rng = _aux_rng(ctx.scenario.seed, _DUALITY_STREAM)
     gap_cap = 0.0
-    for a, _ in random_threshold_pairs(sub_values, 20, rng):
+    for (t, above), _ in random_threshold_pairs(sub_values, 20, rng):
+        a = threshold_event(sub_values, t, above)
         gap_cap = max(gap_cap, abs(cap_l.evaluate(a) - (1.0 - cap_u.evaluate(~a))))
 
     tol = 1e-10 * scale
@@ -829,7 +831,7 @@ def _check_submodularity(ctx: RunContext) -> CheckOutcome:
     rng = _aux_rng(ctx.scenario.seed, _SUBMODULARITY_STREAM)
     pairs = random_threshold_pairs(sub_values, 200, rng)
     tol = 3.0 / math.sqrt(sub_values.size)
-    report = submodularity_check(ctx.sub_capacities[0], pairs, tolerance=tol)
+    report = submodularity_check(ctx.sub_capacities[0], sub_values, pairs, tolerance=tol)
     detail = (f"max 2-alternating defect {report.max_violation:.2e} over {report.count} "
               f"threshold pairs (tol {tol:.2e})")
     return CheckOutcome("submodularity", "pass" if report.passed else "fail", detail)

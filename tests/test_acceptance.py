@@ -36,6 +36,7 @@ from nexpect import (
     simulate_sde,
     solve_fd,
     submodularity_check,
+    threshold_event,
     weight_matrix,
     z_sign_check,
 )
@@ -142,13 +143,13 @@ def test_criterion_03_submodularity(market):
     rng = np.random.default_rng(2025)
     # 3/sqrt(m) bounds 3 pooled standard errors of four probability estimates.
     tol = 3.0 / math.sqrt(m)
-    report = submodularity_check(cap, random_threshold_pairs(term, 1200, rng), tolerance=tol)
+    report = submodularity_check(cap, term, random_threshold_pairs(term, 1200, rng), tolerance=tol)
     assert report.count == 1200
     assert report.passed, report.max_violation
     lo, hi = np.quantile(term, [0.05, 0.95])
     cuts = np.linspace(lo, hi, 201)
-    nested = [((term > a), (term > b)) for a, b in zip(cuts[:-1], cuts[1:])]
-    nested_report = submodularity_check(cap, nested, tolerance=1e-12)
+    nested = [((a, True), (b, True)) for a, b in zip(cuts[:-1], cuts[1:])]
+    nested_report = submodularity_check(cap, term, nested, tolerance=1e-12)
     assert nested_report.max_violation <= 1e-12, nested_report.max_violation
     print(f"criterion 03 (submodularity, 1200 pairs, worst defect "
           f"{report.max_violation:.2e}): PASS")
@@ -294,7 +295,8 @@ def test_criterion_08_duality_identities(market):
     term = bundle.terminal()[:m]
     rng = np.random.default_rng(8)
     worst = 0.0
-    for a, _ in random_threshold_pairs(term, 50, rng):
+    for (t, above), _ in random_threshold_pairs(term, 50, rng):
+        a = threshold_event(term, t, above)
         worst = max(worst, abs(cap_l.evaluate(a) - (1.0 - cap_u.evaluate(~a))))
     assert worst <= EXACT_TOL, worst
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from nexpect import (
     random_threshold_pairs,
     simulate_sde,
     submodularity_check,
+    threshold_event,
     weight_matrix,
 )
-from nexpect.choquet import _SortedSample, choquet_estimates
+from nexpect.choquet import _SortedSample, _pair_capacities, choquet_estimates
 from nexpect.cli import _choquet_std_error
 from nexpect.paths import ROW_BLOCK
 from tests.conftest import CALL_ATM_DRIFT_UP, DIGITAL_ATM_DRIFT_UP
@@ -314,7 +316,7 @@ def test_submodularity_on_threshold_pairs(caps, bundle_200k):
     upper, _ = caps
     term = bundle_200k.terminal()
     rng = np.random.default_rng(13)
-    report = submodularity_check(upper, random_threshold_pairs(term, 300, rng))
+    report = submodularity_check(upper, term, random_threshold_pairs(term, 300, rng))
     assert report.count == 300
     assert report.max_violation <= 1e-12
 
@@ -322,8 +324,8 @@ def test_submodularity_on_threshold_pairs(caps, bundle_200k):
 def test_submodularity_nested_pairs_exact(caps, bundle_200k):
     upper, _ = caps
     term = bundle_200k.terminal()
-    pairs = [(term > a, term > b) for a, b in [(90.0, 100.0), (95.0, 120.0), (100.0, 101.0)]]
-    report = submodularity_check(upper, pairs)
+    pairs = [((a, True), (b, True)) for a, b in [(90.0, 100.0), (95.0, 120.0), (100.0, 101.0)]]
+    report = submodularity_check(upper, term, pairs)
     # For nested events the union/intersection reproduce the pair exactly.
     assert report.max_violation <= 1e-15
 
@@ -332,33 +334,106 @@ def test_lower_capacity_superadditive(caps, bundle_200k):
     _, lower = caps
     term = bundle_200k.terminal()
     rng = np.random.default_rng(17)
-    report = submodularity_check(lower, random_threshold_pairs(term, 300, rng))
+    report = submodularity_check(lower, term, random_threshold_pairs(term, 300, rng))
     assert report.orientation == "lower"
     assert report.max_violation <= 1e-12
 
 
-def test_submodularity_event_stack_is_bounded(family_k01, bundle_50k, weights_50k):
-    # numpy reports its allocations to tracemalloc.  The default stacks of
-    # two pairs hold 8 float event rows of n paths; at 16 pairs they would
-    # hold 64 rows.
+def test_submodularity_memory_is_bounded(family_k01, bundle_50k, weights_50k):
+    # numpy reports its allocations to tracemalloc.  The sweep's peak is a
+    # few n-vectors (the sort) and two ROW_BLOCK x m blocks; ten times the
+    # pairs adds only their few m-wide rows, well inside one block.
     upper = build_capacity("upper", family_k01, None, weights=weights_50k)
     term = bundle_50k.terminal()
-    n = term.size
-    pairs = list(random_threshold_pairs(term, 40, np.random.default_rng(5)))
-    tracemalloc.start()
-    try:
-        report = submodularity_check(upper, pairs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.count == 40
-    assert 8 * n * 8 <= peak <= 1.5 * 8 * n * 8
+    n, block = term.size, ROW_BLOCK * weights_50k.shape[1] * 8
+    peaks = {}
+    for count in (40, 400):
+        pairs = list(random_threshold_pairs(term, count, np.random.default_rng(5)))
+        tracemalloc.start()
+        try:
+            report = submodularity_check(upper, term, pairs)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.count == count
+    assert peaks[400] - peaks[40] <= block // 2, peaks
+    assert peaks[400] <= 4 * n * 8 + 3 * block, peaks
 
 
 def test_submodularity_requires_pairs(caps):
     upper, _ = caps
     with pytest.raises(ValueError):
-        submodularity_check(upper, [])
+        submodularity_check(upper, np.zeros(upper.n_paths), [])
+    with pytest.raises(ValueError, match="finite"):
+        submodularity_check(upper, np.full(upper.n_paths, np.nan), [((0.0, True), (1.0, False))])
+
+
+def test_prefix_sums_match_cumulative_sum():
+    """The check's prefix rows are bitwise rows of the full cumulative sum
+    of the sorted weights, at ranks on both sides of each block seam, and
+    exactly 0 and the totals at the ends."""
+    rng = np.random.default_rng(21)
+    n, m = 3 * ROW_BLOCK + 5, 7
+    values = np.round(rng.standard_normal(n), 2)  # ties across the seams
+    weights = np.exp(0.3 * rng.standard_normal((n, m)))
+    totals = np.ones(n) @ weights
+    sample = _SortedSample(values, weights)
+    full = np.cumsum(weights[sample.order], axis=0)
+    ranks = np.array([0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, n - 1, n])
+    rows = sample.prefix_sums(ranks, totals)
+    for k, row in zip(ranks, rows):
+        expected = totals if k == n else np.zeros(m) if k == 0 else full[k - 1]
+        assert np.array_equal(row, expected), k
+
+
+def _event_kinds(x, rng):
+    """Pairs of threshold events of every kind the check meets: nested above
+    and below, overlapping, touching, apart with a gap, an empty
+    intersection, thresholds outside the sample and on a tied sample."""
+    below_min, above_max = float(x.min()) - 1.0, float(x.max()) + 1.0
+    t1, t2 = sorted(float(v) for v in rng.choice(x, 2))  # sample values, ties included
+    u = float(rng.uniform(x.min(), x.max()))
+    pairs = [
+        ((t1, True), (t2, True)), ((t2, False), (t1, False)),  # nested
+        ((t1, True), (t2, False)),  # overlapping on (t1, t2]
+        ((t1, True), (t1, False)), ((u, False), (u, True)),  # touching, empty meet
+        ((t2, True), (t1, False)),  # apart with a gap unless t1 == t2
+        ((below_min, True), (above_max, False)), ((below_min, False), (above_max, True)),
+        ((below_min, False), (t1, True)), ((above_max, True), (t2, False)),
+        ((u, True), (t2, False)), ((t1, False), (u, True)),
+    ]
+    return pairs + list(random_threshold_pairs(x, 12, rng))
+
+
+@settings(deadline=None, max_examples=30)
+@given(case=st.tuples(
+    st.sampled_from([1, 2, 57, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]),
+    st.integers(1, 9),  # controls
+    st.sampled_from(["digital", "levels", "continuous"]),
+    st.integers(0, 2**32 - 1),  # seed
+))
+@example(case=(ROW_BLOCK + 1, 5, "digital", 0))
+def test_pair_capacities_match_masks(case):
+    """Each event's capacity from the prefix engine agrees with
+    Capacity.evaluate on its boolean mask, on both sides."""
+    n, controls, kind, seed = case
+    rng = np.random.default_rng(seed)
+    if kind == "digital":
+        x = (rng.uniform(size=n) < 0.5).astype(float)
+    elif kind == "levels":
+        x = np.round(rng.standard_normal(n), 1)
+    else:
+        x = rng.standard_normal(n)
+    weights = np.exp(0.3 * rng.standard_normal((n, controls)))
+    family = (ThetaControl.constant(0.0, 0.0),) * controls
+    upper = Capacity("upper", family, weights, np.ones(n) @ weights)
+    pairs = _event_kinds(x, rng)
+    for cap in (upper, replace(upper, orientation="lower")):
+        got = _pair_capacities(cap, x, pairs)
+        for row, ((ta, above_a), (tb, above_b)) in zip(got, pairs):
+            a, b = threshold_event(x, ta, above_a), threshold_event(x, tb, above_b)
+            expected = [cap.evaluate(e) for e in (a, b, a | b, a & b)]
+            assert np.abs(row - expected).max() <= 1e-13, (row, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ at 3 seeds instead of its default 200 (about 31 s).  Prints each differing
 line of stdout and stderr, ignoring the `runtime:` line, the scenario path
 and a demo's elapsed seconds, and exits 1 when a CSV or an exit code
 differs, else 0.  The runs are sequential; the acceptance workload alone peaks at
-about 0.47 GB and prices in about 5 s per run, and fd_put in about 4 s
-(medians 5.03 s and 3.94 s over 10 benchmark runs each on a 2-core VM,
+about 0.42 GB and prices in about 3.3 s per run, and fd_put in about 2 s
+(medians 3.28 s over 5 benchmark runs and 2.04 s over 3, on a 2-core VM,
 Python 3.11, numpy 2.4).
 """
 
