@@ -7,11 +7,9 @@ closed-form extremal-measure values for monotone claims.
 """
 
 from .bsde import (
-    ComparisonReport,
     Generator,
     GridSolution,
     ZSignReport,
-    comparison_check,
     minimal_time_steps,
     solve_fd,
     solve_tree,
@@ -24,9 +22,7 @@ from .choquet import (
     SubmodularityReport,
     build_capacity,
     choquet_holder_check,
-    choquet_influence,
     choquet_integral,
-    is_comonotone,
     random_threshold_pairs,
     submodularity_check,
     threshold_event,
@@ -67,11 +63,11 @@ __all__ = [
     "TimeGrid", "MarketModel", "PathBundle", "generate_brownian", "simulate_sde",
     "ThetaControl", "MartingaleDeviationWarning", "girsanov_weights",
     "weight_matrix", "expectation_profile", "default_control_family",
-    "Payoff", "Capacity", "build_capacity", "choquet_integral", "choquet_influence",
-    "is_comonotone", "submodularity_check", "random_threshold_pairs",
+    "Payoff", "Capacity", "build_capacity", "choquet_integral",
+    "submodularity_check", "random_threshold_pairs",
     "threshold_event", "choquet_holder_check", "SubmodularityReport", "HolderReport",
     "Generator", "GridSolution", "solve_fd", "solve_tree", "minimal_time_steps",
-    "comparison_check", "z_sign_check", "ComparisonReport", "ZSignReport",
+    "z_sign_check", "ZSignReport",
     "MinimaxResult", "ExtremalReport", "AttainmentReport", "minimax_expectation",
     "extremal_price", "attainment_check", "closed_under_negation", "pooled_tolerance",
     "lognormal_call_value", "lognormal_put_value", "lognormal_digital_value",

@@ -7,7 +7,8 @@ The value solves a semilinear parabolic equation in log-state coordinates:
 with sv(t, x) = vol(t, s)/s and mv(t, x) = drift(t, s)/s - 0.5 * sv^2 at
 s = e^x.  The driver g(t, y, z) with g = +k|z| gives the upper expectation,
 g = -k|z| the lower one, and a linear driver nu * z reproduces the single
-measure whose drift distortion is nu.
+measure whose drift distortion is nu.  These three kinds (Generator) are the
+only drivers.
 
 solve_fd marches an explicit scheme backward from the terminal condition,
 for one driver or for several at once: the drivers of one grid share the
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +34,9 @@ from .paths import MarketModel
 
 DEFAULT_NODES = 801
 DEFAULT_TIME_STEPS = 2000
-DEFAULT_WIDTH_SDS = 6.0
+# The grid's half-width in reference standard deviations, and the share of
+# the explicit scheme's stable step that each step takes.
+WIDTH_SDS = 6.0
 STABILITY_SAFETY = 0.9
 # The explicit march needs a step count that grows like 1/sigma^2; solve_fd
 # refuses grids whose stable count exceeds this instead of marching for hours.
@@ -46,18 +49,16 @@ Z_SIGN_BAND = 0.9
 class Generator:
     """Driver g(t, y, z) of the backward equation.
 
-    Kinds: "linear" is nu * z; "abs_upper" is +k|z|; "abs_lower" is -k|z|;
-    "custom" wraps an arbitrary vectorised callable with a declared Lipschitz
-    constant in z.  All drivers must vanish at z = 0 so that constants are
-    fixed points of the expectation; custom ones are sample-checked for this
-    and for the declared Lipschitz bound before a solve runs.
+    Kinds: "linear" is nu * z, a single measure change; "abs_upper" is
+    +k|z| and "abs_lower" is -k|z|, the upper and lower expectations over
+    drift distortions bounded by k.  Each is one coefficient times z or
+    |z|, so it vanishes at z = 0 (constants are fixed points of the
+    expectation) and its Lipschitz constant in z is |coefficient|.
     """
 
     kind: str
     nu: float = 0.0
     k: float = 0.0
-    fn: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
-    lipschitz_z: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind == "linear":
@@ -66,75 +67,32 @@ class Generator:
         elif self.kind in ("abs_upper", "abs_lower"):
             if not np.isfinite(self.k) or self.k < 0.0:
                 raise InvalidGeneratorError(f"bound k must be >= 0, got {self.k}")
-        elif self.kind == "custom":
-            if self.fn is None:
-                raise InvalidGeneratorError("custom generator requires a callable")
-            if not np.isfinite(self.lipschitz_z) or self.lipschitz_z < 0.0:
-                raise InvalidGeneratorError("custom generator requires a Lipschitz constant >= 0")
         else:
             raise InvalidGeneratorError(f"unknown generator kind {self.kind!r}")
 
     @classmethod
     def linear(cls, nu: float) -> "Generator":
-        return cls(kind="linear", nu=float(nu), lipschitz_z=abs(float(nu)))
+        return cls(kind="linear", nu=float(nu))
 
     @classmethod
     def abs_upper(cls, k: float) -> "Generator":
-        return cls(kind="abs_upper", k=float(k), lipschitz_z=float(k))
+        return cls(kind="abs_upper", k=float(k))
 
     @classmethod
     def abs_lower(cls, k: float) -> "Generator":
-        return cls(kind="abs_lower", k=float(k), lipschitz_z=float(k))
-
-    @classmethod
-    def custom(
-        cls,
-        fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-        lipschitz_z: float,
-    ) -> "Generator":
-        return cls(kind="custom", fn=fn, lipschitz_z=float(lipschitz_z))
+        return cls(kind="abs_lower", k=float(k))
 
     @property
     def coefficient(self) -> float:
-        """A built-in driver is this times z ("linear") or |z| ("abs_*")."""
+        """The driver is this times z ("linear") or |z| ("abs_*")."""
         return {"linear": self.nu, "abs_upper": self.k, "abs_lower": -self.k}[self.kind]
 
+    @property
+    def lipschitz_z(self) -> float:
+        return abs(self.coefficient)
+
     def g(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if self.kind == "custom":
-            return self.fn(t, y, z)
         return self.coefficient * (z if self.kind == "linear" else np.abs(z))
-
-
-def _validate_custom_generator(gen: Generator, horizon: float, y_scale: float, z_scale: float) -> None:
-    """Sample-check g(t, y, 0) = 0 and the declared z-Lipschitz bound."""
-    if gen.kind != "custom":
-        return
-    ts = np.linspace(0.0, horizon, 5)
-    ys = np.linspace(-y_scale, y_scale, 5)
-    zs = np.concatenate([-np.geomspace(z_scale, z_scale * 1e-6, 7), [0.0],
-                         np.geomspace(z_scale * 1e-6, z_scale, 7)])
-    tiny = 1e-9 * max(1.0, y_scale)
-    for t in ts:
-        for y in ys:
-            ya = np.full(zs.shape, y)
-            gz = np.asarray(gen.g(float(t), ya, zs), dtype=float)
-            if not np.all(np.isfinite(gz)):
-                raise InvalidGeneratorError("custom generator produced non-finite values")
-            at_zero = float(gen.g(float(t), np.array([y]), np.array([0.0]))[0])
-            if abs(at_zero) > tiny:
-                raise InvalidGeneratorError(
-                    f"custom generator violates g(t, y, 0) = 0 at t={t:.4g}, y={y:.4g}: got {at_zero:.3g}"
-                )
-            # Pairwise Lipschitz check against the declared constant.
-            dz = np.abs(zs[:, None] - zs[None, :])
-            dg = np.abs(gz[:, None] - gz[None, :])
-            mask = dz > 0.0
-            if np.any(dg[mask] > gen.lipschitz_z * dz[mask] * (1.0 + 1e-6) + tiny):
-                i, j = np.unravel_index(int(np.argmax(dg - gen.lipschitz_z * dz)), dg.shape)
-                raise InvalidGeneratorError(
-                    f"custom generator exceeds declared Lipschitz constant {gen.lipschitz_z:.4g} "
-                    f"between z={zs[i]:.4g} and z={zs[j]:.4g} at t={t:.4g}, y={y:.4g}"
-                )
 
 
 @dataclass(frozen=True)
@@ -206,30 +164,31 @@ def _log_coefficients(model: MarketModel):
     return mv, sv, None
 
 
-def _log_grid(model: MarketModel, sv, horizon: float, nodes: int, width_sds: float):
-    """(x0, sigma_ref, x, dx): `nodes` log-state nodes centred at x0 = log(s0),
-    `width_sds` reference standard deviations sigma_ref = sv(0, e^x0) to each
-    side; sigma_ref is floored to 1e-8 when not positive.  Raises ValueError
-    when the nodes are not distinct in float64."""
+def _log_grid(model: MarketModel, sv, horizon: float, nodes: int):
+    """(x0, x, dx): `nodes` log-state nodes centred at x0 = log(s0), WIDTH_SDS
+    reference standard deviations sigma_ref = sv(0, e^x0) to each side;
+    sigma_ref is floored to 1e-8 when not positive.  Raises ValueError when
+    the nodes are not distinct in float64."""
     x0 = math.log(model.s0)
     sigma_ref = float(sv(0.0, np.exp(np.array([x0])))[0])
     if sigma_ref <= 0.0:
         sigma_ref = 1e-8
-    half = width_sds * sigma_ref * math.sqrt(horizon)
+    half = WIDTH_SDS * sigma_ref * math.sqrt(horizon)
     x = x0 + np.linspace(-half, half, nodes)
     dx = x[1] - x[0]
     if not dx > 0.0:
         raise ValueError(f"the log grid collapses: {nodes} nodes within {half:.3g} of "
                          f"log(s0) = {x0:.6g} are not distinct in float64")
-    return x0, sigma_ref, x, dx
+    return x0, x, dx
 
 
 def _stable_steps(mv, sv, states: np.ndarray, dx: float, horizon: float,
-                  lipschitz_z: float, safety: float) -> int:
+                  lipschitz_z: float) -> int:
     """Smallest explicit-scheme step count stable on the grid with nodes e^x = states.
 
-    The binding constraint is dt <= safety * dx^2 / max(sv)^2; an advection
-    bound dt <= safety * dx / max(|mv| + L * sv) covers degenerate diffusion.
+    The binding constraint is dt <= STABILITY_SAFETY * dx^2 / max(sv)^2; an
+    advection bound dt <= STABILITY_SAFETY * dx / max(|mv| + L * sv) covers
+    degenerate diffusion.
     """
     sv_max = 0.0
     adv_max = 0.0
@@ -244,9 +203,9 @@ def _stable_steps(mv, sv, states: np.ndarray, dx: float, horizon: float,
     # rejected below instead of warned about.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if sv_max > 0.0:
-            dt_bounds.append(safety * dx * dx / (sv_max * sv_max))
+            dt_bounds.append(STABILITY_SAFETY * dx * dx / (sv_max * sv_max))
         if adv_max > 0.0:
-            dt_bounds.append(safety * dx / adv_max)
+            dt_bounds.append(STABILITY_SAFETY * dx / adv_max)
         if not dt_bounds:
             return 1
         steps = horizon / min(dt_bounds)
@@ -260,14 +219,12 @@ def minimal_time_steps(
     model: MarketModel,
     horizon: float,
     nodes: int = DEFAULT_NODES,
-    width_sds: float = DEFAULT_WIDTH_SDS,
     lipschitz_z: float = 0.0,
-    safety: float = STABILITY_SAFETY,
 ) -> int:
     """Smallest explicit-scheme step count stable on the grid solve_fd builds."""
     mv, sv, _ = _log_coefficients(model)
-    _, _, x, dx = _log_grid(model, sv, horizon, nodes, width_sds)
-    return _stable_steps(mv, sv, np.exp(x), dx, horizon, lipschitz_z, safety)
+    _, x, dx = _log_grid(model, sv, horizon, nodes)
+    return _stable_steps(mv, sv, np.exp(x), dx, horizon, lipschitz_z)
 
 
 def solve_fd(
@@ -278,12 +235,11 @@ def solve_fd(
     nodes: int = DEFAULT_NODES,
     time_steps: int = DEFAULT_TIME_STEPS,
     substep: bool = True,
-    width_sds: float = DEFAULT_WIDTH_SDS,
     store_surfaces: bool = False,
 ) -> GridSolution:
     """March the semilinear equation backward on an explicit log-space grid.
 
-    The grid is centred at log(s0) with half-width `width_sds` reference
+    The grid is centred at log(s0) with half-width WIDTH_SDS reference
     standard deviations.  When the requested `time_steps` violates the
     stability bound, the scheme substeps to the minimal stable count by
     default; with substep=False it raises GridTooCoarseError naming that
@@ -308,11 +264,10 @@ def solve_fd(
     and d2, d1, z and g are refilled in place.  Constant coefficients are
     scalars; variable ones are evaluated once per step, from one vol and
     one drift call on nodes whose exp is taken once per solve, and shared
-    by every driver.  The built-in drivers are one coefficient times |z| or
-    z; a custom driver is called once per step, as generator.g(t, y, z) on
-    its own row.  Every product and sum keeps its operand order, so each
-    value is bitwise that of a lone driver's march that allocates fresh
-    arrays at every step (tested).
+    by every driver.  Each driver is one coefficient times |z| or z, taken
+    over each run of neighbouring rows of one kind at once.  Every product
+    and sum keeps its operand order, so each value is bitwise that of a
+    lone driver's march that allocates fresh arrays at every step (tested).
     """
     drivers = (generator,) if isinstance(generator, Generator) else tuple(generator)
     if not drivers:
@@ -326,12 +281,12 @@ def solve_fd(
         raise ValueError(f"horizon must be positive, got {horizon}")
 
     mv_fn, sv_fn, constants = _log_coefficients(model)
-    x0, sigma_ref, x, dx = _log_grid(model, sv_fn, horizon, nodes, width_sds)
+    x0, x, dx = _log_grid(model, sv_fn, horizon, nodes)
     states = np.exp(x)
     # The stable count grows with the Lipschitz constant, so the largest
     # constant gives the largest of the drivers' own counts.
     lipschitz_z = max(gen.lipschitz_z for gen in drivers)
-    m_min = _stable_steps(mv_fn, sv_fn, states, dx, horizon, lipschitz_z, STABILITY_SAFETY)
+    m_min = _stable_steps(mv_fn, sv_fn, states, dx, horizon, lipschitz_z)
     if m_min > MAX_TIME_STEPS:
         raise ValueError(
             f"explicit scheme needs {m_min} time steps on {nodes} nodes, "
@@ -350,9 +305,6 @@ def solve_fd(
     dt = horizon / m
 
     u = payoff.map(states)
-    y_scale = max(1.0, float(np.abs(u).max()))
-    for gen in drivers:
-        _validate_custom_generator(gen, horizon, y_scale, z_scale=max(1.0, sigma_ref * y_scale))
 
     # The march's arrays, allocated once.  The operand order of
     #   u' = mid + dt * ((0.5 * sv * sv * d2 + mv * d1) + g),
@@ -368,14 +320,11 @@ def solve_fd(
     # node) view exists.
     rows = np.empty((2, width))
     rows[0].reshape(count, nodes)[:] = u
-    cur, nxt = ((row, row[2:], row[1:-1], row[:-2], row.reshape(count, nodes)[:, 1:-1])
-                for row in rows)
+    cur, nxt = ((row, row[2:], row[1:-1], row[:-2]) for row in rows)
     stencil = np.zeros((2, width))
     d2, d1 = stencil[:, :span]
-    z_buf, g_buf = np.zeros((2, width))
-    z, g = z_buf[:span], g_buf[:span]
-    z_rows = z_buf.reshape(count, nodes)[:, :nodes - 2]
-    g_rows = g_buf.reshape(count, nodes)[:, :nodes - 2]
+    z_buf, g = np.zeros(width), np.zeros(span)
+    z = z_buf[:span]
     z_full = np.empty((count, nodes))
     # Where two drivers' rows meet, the stencil reads both.  Those seam
     # entries land on boundary nodes, which the extrapolation overwrites.
@@ -395,21 +344,14 @@ def solve_fd(
         sv, half_var, mv = coeffs[:, :span]
         sv_rows, half_var_rows, mv_rows = coeffs.reshape(3, count, nodes)[:, :, :nodes - 2]
 
-    # A built-in driver is its coefficient times |z| or z, taken over each
-    # run of neighbouring rows of one kind at once; a custom one row by row.
-    coef = np.zeros(width)
-    for j, gen in enumerate(drivers):
-        if gen.kind != "custom":
-            coef[j * nodes:(j + 1) * nodes] = gen.coefficient
+    # A driver is its coefficient times |z| or z, taken over each run of
+    # neighbouring rows of one kind at once.
+    coef = np.repeat([float(gen.coefficient) for gen in drivers], nodes)
     runs = []
-    abs_kinds = ("abs_upper", "abs_lower")
-    for kind, group in itertools.groupby(
-            range(count), key=lambda j: "abs" if drivers[j].kind in abs_kinds else drivers[j].kind):
-        if kind != "custom":
-            js = list(group)
-            part = slice(js[0] * nodes, js[-1] * nodes + nodes - 2)
-            runs.append((kind == "abs", z[part], g[part], coef[part]))
-    custom = [(j, gen) for j, gen in enumerate(drivers) if gen.kind == "custom"]
+    for is_abs, group in itertools.groupby(range(count), key=lambda j: drivers[j].kind != "linear"):
+        js = list(group)
+        part = slice(js[0] * nodes, js[-1] * nodes + nodes - 2)
+        runs.append((is_abs, z[part], g[part], coef[part]))
 
     value_surface = np.empty((count, m + 1, nodes)) if store_surfaces else None
     z_surface = np.empty((count, m + 1, nodes)) if store_surfaces else None
@@ -448,7 +390,7 @@ def solve_fd(
             sv_rows[:] = sv_step
             half_var_rows[:] = half_var_step
             mv_rows[:] = mv_fn(t_known, inner_states, half_var_step)
-        _, up, mid, dn, mids = cur
+        _, up, mid, dn = cur
         np.multiply(2.0, mid, out=d2)
         np.subtract(up, d2, out=d2)
         np.add(d2, dn, out=d2)
@@ -465,14 +407,12 @@ def solve_fd(
                 np.multiply(c, g_part, out=g_part)
             else:
                 np.multiply(c, z_part, out=g_part)
-        for j, gen in custom:
-            g_rows[j] = gen.g(t_known, mids[j], z_rows[j])
         np.multiply(half_var, d2, out=d2)
         np.multiply(mv, d1, out=d1)
         np.add(d2, d1, out=d2)
         np.add(d2, g, out=d2)
         np.multiply(dt, d2, out=d2)
-        row, _, row_mid, _, _ = nxt
+        row, _, row_mid, _ = nxt
         np.add(mid, d2, out=row_mid)
         row[ends] = 2.0 * row[inner] - row[outer]
         cur, nxt = nxt, cur
@@ -553,78 +493,6 @@ def solve_tree(
             z = np.zeros_like(mid)
         y = mid + dt * generator.g(t, mid, z)
     return float(y[0])
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    y0_low: float
-    y0_high: float
-    gap: float  # y0_high - y0_low
-    tolerance: float
-    min_surface_gap: Optional[float] = None
-
-    @property
-    def passed(self) -> bool:
-        ok = self.gap >= -self.tolerance
-        if self.min_surface_gap is not None:
-            ok = ok and self.min_surface_gap >= -self.tolerance
-        return ok
-
-
-def comparison_check(
-    model: MarketModel,
-    payoff: Payoff,
-    generator_low: Generator,
-    generator_high: Generator,
-    horizon: float,
-    nodes: int = DEFAULT_NODES,
-    time_steps: int = DEFAULT_TIME_STEPS,
-    tolerance: Optional[float] = None,
-    compare_surfaces: bool = False,
-) -> ComparisonReport:
-    """Verify that a pointwise-dominating driver yields a larger value.
-
-    First spot-checks generator_low <= generator_high on sampled (t, y, z)
-    triples, raising ValueError with a witness when the precondition fails;
-    then solves both equations in one march of one grid and compares.  The
-    default tolerance is 0.5% of the value scale, covering scheme error only.
-    """
-    _, sv_fn, _ = _log_coefficients(model)
-    _, sigma_ref, _, _ = _log_grid(model, sv_fn, horizon, nodes, DEFAULT_WIDTH_SDS)
-    spread = 3.0 * sigma_ref * math.sqrt(horizon)
-    sample_states = model.s0 * np.exp(np.linspace(-spread, spread, 9))
-    y_scale = max(1.0, float(np.abs(payoff.map(sample_states)).max()))
-    z_scale = max(1.0, sigma_ref * y_scale)
-    for t in np.linspace(0.0, horizon, 5):
-        for y in np.linspace(-y_scale, y_scale, 7):
-            zs = np.linspace(-z_scale, z_scale, 7)
-            ya = np.full(zs.shape, y)
-            lo = np.asarray(generator_low.g(float(t), ya, zs), dtype=float)
-            hi = np.asarray(generator_high.g(float(t), ya, zs), dtype=float)
-            bad = np.flatnonzero(lo > hi + 1e-12 * max(1.0, z_scale))
-            if bad.size:
-                i = int(bad[0])
-                raise ValueError(
-                    f"generator ordering violated at witness "
-                    f"(t={t:.6g}, y={y:.6g}, z={zs[i]:.6g}): "
-                    f"low={lo[i]:.6g} > high={hi[i]:.6g}"
-                )
-
-    both = solve_fd(model, payoff, (generator_low, generator_high), horizon, nodes, time_steps,
-                    store_surfaces=compare_surfaces)
-    y0_low, y0_high = both.y0.tolist()
-    scale = max(1.0, abs(y0_low), abs(y0_high))
-    tol = 0.005 * scale if tolerance is None else tolerance
-    min_gap = None
-    if compare_surfaces:
-        min_gap = float((both.value_surface[1] - both.value_surface[0]).min())
-    return ComparisonReport(
-        y0_low=y0_low,
-        y0_high=y0_high,
-        gap=y0_high - y0_low,
-        tolerance=tol,
-        min_surface_gap=min_gap,
-    )
 
 
 @dataclass(frozen=True)

@@ -96,11 +96,12 @@ class Payoff:
     ) -> "Payoff":
         return cls(name=name, kind="custom", monotonicity=monotonicity, fn=fn)
 
-    def check_monotonicity(self, samples: np.ndarray, rtol: float = 1e-9) -> None:
+    def check_monotonicity(self, samples: np.ndarray) -> None:
         """Spot-check the declared direction on a sample of states.
 
         Raises ValueError with a witnessing pair when the sampled values move
-        against the declaration.  A "none" declaration always passes.
+        against the declaration by more than 1e-9 of the largest |value|
+        (at least 1).  A "none" declaration always passes.
         """
         if self.monotonicity == "none":
             return
@@ -109,7 +110,7 @@ class Payoff:
             return
         v = self.map(s)
         d = np.diff(v)
-        slack = rtol * max(float(np.abs(v).max()), 1.0)
+        slack = 1e-9 * max(float(np.abs(v).max()), 1.0)
         bad = np.flatnonzero(d < -slack) if self.monotonicity == "increasing" else np.flatnonzero(d > slack)
         if bad.size:
             i = int(bad[0])
@@ -331,10 +332,19 @@ class _SortedSample:
 
 def choquet_estimates(payoff_values: np.ndarray,
                       capacities: Iterable[Capacity]) -> list[tuple[float, np.ndarray]]:
-    """(choquet_integral, choquet_influence) of one payoff sample against
-    each capacity.  The capacities share one weight matrix, as a family's
-    upper and lower capacities do: the sample is sorted once and one sweep
-    of running sums serves them all (_SortedSample.estimate)."""
+    """(integral, influence) of one payoff sample against each capacity.
+
+    The integral is choquet_integral's.  Influence entry l is n times the
+    derivative of the integral when path l's weight row is scaled by
+    1 + eps (the infinitesimal jackknife).  The capacity self-normalises,
+    so the entries sum to zero, and std(IF, ddof=1) / sqrt(n) is the
+    integral's standard error.  A one-member family gives
+    n * w_l / T * (x_l - integral); larger families differentiate the max
+    (or min) at the attaining control (see _SortedSample.estimate).
+
+    The capacities share one weight matrix, as a family's upper and lower
+    capacities do: the sample is sorted once and one sweep of running sums
+    serves them all."""
     capacities = tuple(capacities)
     weights = capacities[0].weights
     if any(c.weights is not weights for c in capacities):
@@ -373,45 +383,9 @@ def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:
     return choquet_estimates(payoff_values, (capacity,))[0][0]
 
 
-def choquet_influence(payoff_values: np.ndarray, capacity: Capacity) -> np.ndarray:
-    """Influence of each path on choquet_integral(payoff_values, capacity).
-
-    Entry l is n times the derivative of the integral when path l's weight
-    row is scaled by 1 + eps (the infinitesimal jackknife).  The capacity
-    self-normalises, so the entries sum to zero, and std(IF, ddof=1) / sqrt(n)
-    is the integral's standard error.  A one-member family gives
-    n * w_l / T * (x_l - integral); larger families differentiate the max
-    (or min) at the attaining control, see _SortedSample.estimate.
-    """
-    return choquet_estimates(payoff_values, (capacity,))[0][1]
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
-
-def is_comonotone(
-    x: np.ndarray, y: np.ndarray
-) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Whether (x_i - x_j)(y_i - y_j) >= 0 for all sample pairs.
-
-    Returns (True, None) or (False, (i, j)) with a witnessing index pair.
-    """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    order = np.lexsort((ya, xa))
-    xs = xa[order]
-    ys = ya[order]
-    drops = np.flatnonzero(np.diff(ys) < 0.0)
-    for i in drops:
-        # lexsort puts equal-x ties in y order, so a drop across distinct x
-        # values is a genuine violation.
-        if xs[i + 1] > xs[i]:
-            return False, (int(order[i]), int(order[i + 1]))
-    return True, None
-
 
 @dataclass(frozen=True)
 class SubmodularityReport:
@@ -511,20 +485,19 @@ def random_threshold_pairs(
     values: np.ndarray,
     count: int,
     rng: np.random.Generator,
-    nested_fraction: float = 0.3,
 ):
     """Yield ((t_a, above_a), (t_b, above_b)) pairs of threshold events on
     the given sample values (threshold_event turns one into a mask).
 
-    Thresholds sit at random quantiles in [0.05, 0.95]; a `nested_fraction`
-    share of pairs uses the same direction on both thresholds so that one
-    event contains the other.
+    Thresholds sit at random quantiles in [0.05, 0.95]; about 30% of pairs
+    use the same direction on both thresholds so that one event contains
+    the other.
     """
     x = np.asarray(values, dtype=float)
     lo, hi = np.quantile(x, [0.05, 0.95])
     for _ in range(count):
         ta, tb = rng.uniform(lo, hi, size=2)
-        same_direction = rng.uniform() < nested_fraction
+        same_direction = rng.uniform() < 0.3
         dir_a = rng.uniform() < 0.5
         dir_b = dir_a if same_direction else (rng.uniform() < 0.5)
         yield (float(ta), bool(dir_a)), (float(tb), bool(dir_b))
@@ -547,24 +520,22 @@ class HolderReport:
 
 
 def choquet_holder_check(x_values: np.ndarray, y_values: np.ndarray, capacity: Capacity,
-                         p: float = 2.0, q: float = 2.0,
-                         relative_slack: float = 1e-3) -> HolderReport:
+                         p: float = 2.0, q: float = 2.0) -> HolderReport:
     """Check integral of |XY| <= (integral |X|^p)^(1/p) (integral |Y|^q)^(1/q).
 
     All three integrals are exact.  The tolerance is three standard errors
-    of the margin plus a small relative slack for rounding.  The standard
-    error comes from the delta method on the integrals' influence
+    of the margin plus 1e-3 of the larger side, a slack for rounding.  The
+    standard error comes from the delta method on the integrals' influence
     functions: with Fx and Fy the integrals of |X|^p and |Y|^q, the margin
     rhs - lhs has influence rhs * (IF_Fx / (p Fx) + IF_Fy / (q Fy)) - IF_lhs
     (a factor whose integral is 0 contributes nothing).  Exponents must be
     conjugate: 1/p + 1/q = 1 with p, q > 1.
     """
-    return choquet_holder_checks([(x_values, y_values)], capacity, p, q, relative_slack)[0]
+    return choquet_holder_checks([(x_values, y_values)], capacity, p, q)[0]
 
 
 def choquet_holder_checks(pairs: Iterable[tuple[np.ndarray, np.ndarray]], capacity: Capacity,
-                          p: float = 2.0, q: float = 2.0,
-                          relative_slack: float = 1e-3) -> list[HolderReport]:
+                          p: float = 2.0, q: float = 2.0) -> list[HolderReport]:
     """choquet_holder_check on each (x, y) pair.  Pairs may share an array
     (the same Y; or X = Y, whose product and powers coincide): each distinct
     array, by its bytes, is integrated once."""
@@ -592,7 +563,7 @@ def choquet_holder_checks(pairs: Iterable[tuple[np.ndarray, np.ndarray]], capaci
             if integral > 0.0:
                 influence += rhs / (e * integral) * if_a
         se = float(influence.std(ddof=1) / np.sqrt(influence.size))
-        tolerance = 3.0 * se + relative_slack * max(abs(rhs), abs(lhs), 1e-12)
+        tolerance = 3.0 * se + 1e-3 * max(abs(rhs), abs(lhs), 1e-12)
         reports.append(HolderReport(p=p, q=q, lhs=lhs, factor_x=factor_x, factor_y=factor_y,
                                     rhs=rhs, margin=rhs - lhs, tolerance=tolerance))
     return reports

@@ -224,7 +224,6 @@ _OPTIONAL_KEYS = (
     "nodes",
     "time_steps",
     "theta_grid",
-    "quantile_levels",
     "fd_substep",
     "checks",
 )
@@ -295,12 +294,6 @@ def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
     if payoff_kind not in ("call", "put", "digital", "custom"):
         raise ScenarioError(f"payoff must be call/put/digital/custom, got {payoff_kind!r}", payoff_line)
 
-    # quantile_levels sized the retired quadrature error bars.  Files that
-    # set it still parse, and are still validated, but the value is unused.
-    if get_int("quantile_levels", 2) < 2:
-        value, lineno = raw["quantile_levels"]
-        raise ScenarioError(f"quantile_levels must be >= 2, got {value}", lineno)
-
     checks: tuple[str, ...] = ()
     if "checks" in raw:
         value, lineno = raw["checks"]
@@ -318,6 +311,17 @@ def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
         if value not in ("increasing", "decreasing", "none"):
             raise ScenarioError(f"monotonicity must be increasing/decreasing/none, got {value!r}", lineno)
         mono = value
+    if payoff_kind != "custom":
+        # A built-in payoff is priced from its own formula in its own
+        # direction; an expr or a contradicting monotonicity would be echoed
+        # in the report without being priced.
+        own = getattr(Payoff, payoff_kind)(1.0).monotonicity
+        if mono not in ("none", own):
+            raise ScenarioError(f"monotonicity {mono} contradicts payoff {payoff_kind}, "
+                                f"which is {own}", raw["monotonicity"][1])
+        if "expr" in raw:
+            raise ScenarioError(f"expr applies to payoff custom only, not {payoff_kind}",
+                                raw["expr"][1])
 
     fields = dict(
         s0=get_float("s0"),
@@ -370,8 +374,8 @@ def _validate_scenario(fields: dict, path: str) -> Scenario:
     if fields["nodes"] < 5:
         raise ScenarioError(f"nodes must be >= 5, got {fields['nodes']}")
     if not 1 <= fields["time_steps"] <= MAX_TIME_STEPS:
-        # The solver marches at least the requested count, five times with
-        # `comparison`, so a huge count would run for hours.
+        # The solver marches at least the requested count, for up to five
+        # driver rows in one march, so a huge count would run for hours.
         raise ScenarioError(f"time_steps must be in [1, {MAX_TIME_STEPS}] (bsde.MAX_TIME_STEPS), "
                             f"got {fields['time_steps']}")
     if fields["theta_grid"] < 2:

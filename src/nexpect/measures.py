@@ -282,11 +282,12 @@ def expectation_profile(
 def default_control_family(
     k: float,
     grid_count: int = 21,
-    bang_bang_count: int = 8,
 ) -> tuple[ThetaControl, ...]:
-    """Constants on a uniform grid over [-k, k] plus paired bang-bang controls.
+    """Constants on a uniform grid over [-k, k] plus four bang-bang controls
+    and their negations.
 
-    The family is closed under negation and contains theta = 0.  With k = 0
+    The family is closed under negation, and contains theta = 0 when
+    grid_count is odd.  With k = 0
     every member collapses to the zero control, so a single one is returned.
     """
     if k < 0.0:
@@ -311,4 +312,4 @@ def default_control_family(
     for times, signs in patterns:
         c = ThetaControl.bang_bang(times, signs, k, k)
         bang.extend([c, c.negated()])
-    return tuple(constants) + tuple(bang[: max(0, int(bang_bang_count))])
+    return tuple(constants) + tuple(bang)

@@ -20,23 +20,10 @@ from .choquet import Payoff
 from .measures import ThetaControl, expectation_profile, weight_matrix
 from .paths import MarketModel, PathBundle
 
-__all__ = [
-    "MinimaxResult",
-    "ExtremalReport",
-    "AttainmentReport",
-    "minimax_expectation",
-    "extremal_price",
-    "attainment_check",
-    "pooled_tolerance",
-    "lognormal_call_value",
-    "lognormal_put_value",
-    "lognormal_digital_value",
-]
-
-
-def pooled_tolerance(std_errors: Sequence[float], factor: float = 3.0) -> float:
-    """Comparison tolerance for estimates with independent-ish noise terms."""
-    return factor * math.sqrt(sum(float(se) ** 2 for se in std_errors))
+def pooled_tolerance(std_errors: Sequence[float]) -> float:
+    """Comparison tolerance for estimates with independent-ish noise terms:
+    three times the root sum of squares of their standard errors."""
+    return 3.0 * math.sqrt(sum(float(se) ** 2 for se in std_errors))
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +72,15 @@ def lognormal_digital_value(s0: float, drift: float, sigma: float, horizon: floa
 # family search
 # ---------------------------------------------------------------------------
 
-def closed_under_negation(family: Sequence[ThetaControl], rtol: float = 1e-12) -> bool:
-    """Whether every control's negation is (numerically) in the family."""
+def closed_under_negation(family: Sequence[ThetaControl]) -> bool:
+    """Whether every control's negation is in the family, to within
+    1e-12 * max(1, bound) in its level."""
     family = tuple(family)
 
     def matches(a: ThetaControl, b: ThetaControl) -> bool:
         if a.kind != b.kind:
             return False
-        slack = rtol * max(1.0, a.bound)
+        slack = 1e-12 * max(1.0, a.bound)
         if a.kind == "constant":
             return abs(a.theta0 - b.theta0) <= slack
         return (

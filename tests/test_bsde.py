@@ -14,7 +14,6 @@ from nexpect import (
     InvalidGeneratorError,
     MarketModel,
     Payoff,
-    comparison_check,
     lognormal_call_value,
     minimal_time_steps,
     solve_fd,
@@ -46,12 +45,9 @@ def test_generator_validation():
     Generator.abs_upper(0.1)
     with pytest.raises(InvalidGeneratorError):
         Generator.abs_upper(-0.1)
-    with pytest.raises(InvalidGeneratorError):
-        Generator(kind="custom", fn=None)
-    with pytest.raises(InvalidGeneratorError):
-        Generator(kind="quadratic")
-    with pytest.raises(InvalidGeneratorError):
-        Generator.custom(lambda t, y, z: z, lipschitz_z=-1.0)
+    for kind in ("custom", "quadratic"):
+        with pytest.raises(InvalidGeneratorError, match="unknown generator kind"):
+            Generator(kind=kind)
 
 
 def test_generator_values():
@@ -62,25 +58,21 @@ def test_generator_values():
     assert np.array_equal(Generator.abs_lower(0.1).g(0.0, y, z), -0.1 * np.abs(z))
 
 
-def test_custom_generator_zero_at_zero_enforced(model):
-    # g(t, y, 0) = 1 != 0 breaks the constant-preservation requirement.
-    bad = Generator.custom(lambda t, y, z: z + 1.0, lipschitz_z=1.0)
-    with pytest.raises(InvalidGeneratorError, match="g\\(t, y, 0\\)"):
-        solve_fd(model, Payoff.call(100.0), bad, HORIZON, nodes=41, time_steps=50)
-
-
-def test_custom_generator_lipschitz_enforced(model):
-    # sqrt growth near zero exceeds any declared Lipschitz constant.
-    bad = Generator.custom(lambda t, y, z: np.sqrt(np.abs(z)), lipschitz_z=1.0)
-    with pytest.raises(InvalidGeneratorError, match="Lipschitz"):
-        solve_fd(model, Payoff.call(100.0), bad, HORIZON, nodes=41, time_steps=50)
-
-
-def test_custom_generator_valid_passes(model):
-    # A smooth bounded-slope driver passes the sampling checks.
-    gen = Generator.custom(lambda t, y, z: 0.1 * np.tanh(z), lipschitz_z=0.1)
-    sol = solve_fd(model, Payoff.call(100.0), gen, HORIZON, nodes=101, time_steps=200)
-    assert math.isfinite(sol.y0)
+def test_direct_generator_has_the_classmethod_lipschitz_constant():
+    # At sigma = 0.002 the advection bound L * sv binds, so a driver whose
+    # Lipschitz constant read 0 marched too few steps.  A Generator built
+    # field by field is the classmethod's and marches like it.
+    market = MarketModel.gbm(100.0, 0.0, 0.002)
+    payoff = Payoff.call(100.0)
+    pairs = [(Generator(kind="abs_upper", k=5.0), Generator.abs_upper(5.0)),
+             (Generator(kind="abs_lower", k=5.0), Generator.abs_lower(5.0)),
+             (Generator(kind="linear", nu=-5.0), Generator.linear(-5.0))]
+    for direct, made in pairs:
+        assert direct.lipschitz_z == made.lipschitz_z == 5.0
+        a, b = (solve_fd(market, payoff, gen, HORIZON, nodes=41, time_steps=1)
+                for gen in (direct, made))
+        assert a.time_steps == b.time_steps > minimal_time_steps(market, HORIZON, nodes=41)
+        assert _bits(a.y0) == _bits(b.y0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +249,25 @@ def test_tree_validation(model):
 # comparison and z-sign checks
 # ---------------------------------------------------------------------------
 
+# Pointwise ordered drivers: -k|z| <= nu z <= +k|z| for |nu| <= k.
+ORDERED_DRIVERS = (Generator.abs_lower(0.1), Generator.linear(-0.1), Generator.linear(0.0),
+                   Generator.linear(0.1), Generator.abs_upper(0.1))
+
+
 def test_comparison_linear_within_band(model):
-    for nu in (-0.1, 0.0, 0.1):
-        report = comparison_check(
-            model, Payoff.call(100.0), Generator.linear(nu), Generator.abs_upper(0.1),
-            HORIZON, nodes=201,
-        )
-        assert report.passed, report
+    # The comparison theorem: each linear driver's value lies in the band.
+    y0 = solve_fd(model, Payoff.call(100.0), ORDERED_DRIVERS, HORIZON, nodes=201).y0
+    tol = 0.005 * max(1.0, *np.abs(y0))
+    assert y0[-1] - y0[0] > 0.0
+    assert np.all(y0[1:-1] >= y0[0] - tol) and np.all(y0[1:-1] <= y0[-1] + tol), y0
 
 
 def test_comparison_lower_vs_upper_with_surfaces(model):
-    report = comparison_check(
-        model, Payoff.call(100.0), Generator.abs_lower(0.1), Generator.abs_upper(0.1),
-        HORIZON, nodes=201, compare_surfaces=True,
-    )
-    assert report.passed
-    assert report.gap > 0.0
-    assert report.min_surface_gap is not None and report.min_surface_gap >= -report.tolerance
-
-
-def test_comparison_precondition_witness(model):
-    with pytest.raises(ValueError, match="witness"):
-        comparison_check(
-            model, Payoff.call(100.0), Generator.abs_upper(0.1), Generator.abs_lower(0.1),
-            HORIZON, nodes=101,
-        )
+    # The order holds on every node at every time, not only at (0, s0).
+    sol = solve_fd(model, Payoff.call(100.0), ORDERED_DRIVERS, HORIZON, nodes=201,
+                   store_surfaces=True)
+    tol = 0.005 * max(1.0, abs(sol.y0[0]), abs(sol.y0[-1]))
+    assert np.diff(sol.value_surface, axis=0).min() >= -tol
 
 
 def test_z_sign_increasing(model):
@@ -437,15 +423,14 @@ def test_fd_march_is_bitwise_the_allocating_march(nodes, general, kind):
     payoff = (Payoff.custom("straddle", lambda s: np.abs(s - 100.0)) if kind == "straddle"
               else getattr(Payoff, kind)(100.0))
     drivers = [Generator.abs_upper(0.1), Generator.abs_lower(0.1), Generator.abs_upper(0.0),
-               Generator.abs_lower(0.0), Generator.linear(-0.1),
-               Generator.custom(lambda t, y, z: 0.1 * np.sin(z) * np.cos(t + 0.01 * y), 0.1)]
+               Generator.abs_lower(0.0), Generator.linear(-0.1)]
     # Up to 12 nodes the request holds: odd grids march 8 rows and even
     # grids 7, so the last row ends in either buffer on both sides of
     # margin >= 1 (11 and 12 nodes).  201 nodes take the stable count.
     time_steps = 8 if nodes % 2 else 7
     margin = int(round(0.5 * (1.0 - Z_SIGN_BAND) * nodes))
-    # The six drivers also march as one tuple, in both orders, so that the
-    # custom row sits after the built-in runs and before them.
+    # The five drivers also march as one tuple, in both orders, so that the
+    # linear row sits after the run of |z| rows and before it.
     together = {(order, store): solve_fd(market, payoff, tuple(drivers[::order]), HORIZON,
                                          nodes=nodes, time_steps=time_steps,
                                          store_surfaces=store)

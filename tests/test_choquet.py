@@ -16,13 +16,11 @@ from nexpect import (
     ThetaControl,
     build_capacity,
     choquet_holder_check,
-    choquet_influence,
     choquet_integral,
     default_control_family,
     expectation_profile,
     generate_brownian,
     girsanov_weights,
-    is_comonotone,
     random_threshold_pairs,
     simulate_sde,
     submodularity_check,
@@ -266,46 +264,20 @@ def test_integral_upper_dominates_lower(caps, bundle_200k):
 # comonotonicity
 # ---------------------------------------------------------------------------
 
-def test_is_comonotone_basic():
-    s = np.array([90.0, 100.0, 110.0, 95.0])
-    call = np.maximum(s - 100.0, 0.0)
-    put = np.maximum(100.0 - s, 0.0)
-    ok, witness = is_comonotone(s, call)
-    assert ok and witness is None
-    ok, witness = is_comonotone(s, put)
-    assert not ok
-    i, j = witness
-    assert (s[i] - s[j]) * (put[i] - put[j]) < 0.0
-
-
-def test_is_comonotone_constants_and_ties():
-    s = np.array([1.0, 2.0, 2.0, 3.0])
-    assert is_comonotone(s, np.zeros(4))[0]
-    # Different values on tied x entries are allowed (their product is zero)
-    # as long as both stay between the neighbouring groups.
-    assert is_comonotone(s, np.array([0.0, 5.0, 3.0, 6.0]))[0]
-    # ...but a tied value below an earlier group is a genuine violation.
-    y = np.array([4.0, 5.0, 3.0, 6.0])
-    ok, witness = is_comonotone(s, y)
-    assert not ok
-    i, j = witness
-    assert (s[i] - s[j]) * (y[i] - y[j]) < 0.0
-    with pytest.raises(ValueError):
-        is_comonotone(s, np.zeros(3))
-
-
 def test_comonotone_additivity_of_upper_integral(caps, bundle_200k):
-    """The integral adds over comonotone payoffs (both optimise the same way)."""
-    upper, _ = caps
+    """Both integrals add over comonotone payoffs: each optimises the same
+    way on both parts.  A digital's two values tie on most paths."""
     term = bundle_200k.terminal()
-    a = Payoff.call(100.0).map(term)
-    b = Payoff.call(115.0).map(term)
-    assert is_comonotone(a, b)[0]
+    call = Payoff.call(100.0).map(term)
+    pairs = [(call, Payoff.call(115.0).map(term)), (call, term),
+             (call, Payoff.digital(105.0).map(term)), (Payoff.put(100.0).map(term), -term)]
     # Comonotone payoffs share one sort, and every tail event of a + b is a
     # tail event of both, so the exact sums agree up to rounding.
-    joint = choquet_integral(a + b, upper)
-    parts = choquet_integral(a, upper) + choquet_integral(b, upper)
-    assert joint == pytest.approx(parts, rel=1e-12)
+    for i, (a, b) in enumerate(pairs):
+        for cap in caps:
+            joint = choquet_integral(a + b, cap)
+            parts = choquet_integral(a, cap) + choquet_integral(b, cap)
+            assert joint == pytest.approx(parts, rel=1e-12), (i, cap.orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +582,7 @@ def test_joint_estimates_match_dense_references(n, controls):
         scale = max(np.abs(ref).max(), np.abs(x).max())
         np.testing.assert_allclose(influence, ref, rtol=1e-12, atol=1e-12 * scale)
         assert value == choquet_integral(x, cap)
-        assert np.array_equal(influence, choquet_influence(x, cap))
+        assert np.array_equal(influence, choquet_estimates(x, (cap,))[0][1])
 
 
 def test_each_capacity_is_swept_once(monkeypatch):
@@ -653,7 +625,7 @@ def test_influence_is_the_weight_derivative(orientation, controls):
     family = (ThetaControl.constant(0.0, 0.0),) * controls
     cap = Capacity(orientation, family, weights, np.ones(n) @ weights)
     base = choquet_integral(x, cap)
-    influence = choquet_influence(x, cap)
+    [(_, influence)] = choquet_estimates(x, (cap,))
     eps = 1e-4
     for l in (0, 7, 1500, n - 1):
         bumped = weights.copy()
@@ -667,7 +639,7 @@ def test_influence_sums_to_zero(caps, bundle_200k):
     term = bundle_200k.terminal()
     for values in (np.maximum(term - 100.0, 0.0), np.abs(term - 100.0), (term > 100.0) * 1.0):
         for cap in caps:
-            influence = choquet_influence(values, cap)
+            [(_, influence)] = choquet_estimates(values, (cap,))
             scale = np.abs(influence).max()
             assert abs(influence.sum()) <= 1e-12 * scale * values.size
 
@@ -678,8 +650,8 @@ def test_choquet_se_at_zero_k_is_plain_se(bundle_50k):
     plain_se = values.std(ddof=1) / math.sqrt(values.size)
     for orientation in ("upper", "lower"):
         cap = build_capacity(orientation, family, bundle_50k)
-        assert _choquet_std_error(choquet_influence(values, cap)) == pytest.approx(
-            plain_se, rel=1e-12)
+        [(_, influence)] = choquet_estimates(values, (cap,))
+        assert _choquet_std_error(influence) == pytest.approx(plain_se, rel=1e-12)
 
 
 @pytest.mark.parametrize("payoff", ["call", "straddle"])
@@ -703,7 +675,8 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
         boot[b] = [value for value, _ in _SortedSample(values, scaled).estimate((upper_b, lower_b))]
     for orientation, spread in zip(("upper", "lower"), boot.std(axis=0, ddof=1)):
         cap = Capacity(orientation, family_k01, weights, np.ones(n) @ weights)
-        ratio = _choquet_std_error(choquet_influence(values, cap)) / spread
+        [(_, influence)] = choquet_estimates(values, (cap,))
+        ratio = _choquet_std_error(influence) / spread
         assert 0.8 <= ratio <= 1.25, (orientation, ratio)
 
 
@@ -720,7 +693,8 @@ def test_error_bars_match_dense_influences(acc_model, grid8, family):
 
     # The Choquet error bar of the report.
     se = dense_influence(values, upper).std(ddof=1) / math.sqrt(n)
-    assert _choquet_std_error(choquet_influence(values, upper)) == pytest.approx(se, rel=1e-12)
+    [(_, influence)] = choquet_estimates(values, (upper,))
+    assert _choquet_std_error(influence) == pytest.approx(se, rel=1e-12)
 
     # The Hoelder tolerance: the delta method on the three integrals, with
     # d rhs / d Fx = rhs / (p Fx) and likewise for Fy.

@@ -49,7 +49,6 @@ seed = 31
 nodes = 101
 time_steps = 200
 theta_grid = 11
-quantile_levels = 129
 """
 
 
@@ -103,7 +102,7 @@ def test_load_scenario_roundtrip(tmp_path):
     assert scn.payoff_kind == "call" and scn.strike == 100.0
     assert scn.n_paths == 20000 and scn.steps == 4 and scn.seed == 31
     assert scn.nodes == 101 and scn.time_steps == 200
-    assert scn.theta_grid == 11 and not hasattr(scn, "quantile_levels")  # parsed, ignored
+    assert scn.theta_grid == 11
     assert scn.fd_substep is True
     assert scn.checks == ("chain", "sandwich")
 
@@ -113,8 +112,6 @@ def test_load_scenario_defaults(tmp_path):
     scn = load_scenario(write_scn(tmp_path, minimal))
     assert scn.nodes == 801 and scn.time_steps == 2000
     assert scn.theta_grid == 21
-    bad = write_scn(tmp_path, BASE.replace("quantile_levels = 129", "quantile_levels = 1"))
-    assert main(["--scenario", bad]) == EXIT_BAD_SCENARIO  # ignored, still validated
     assert scn.fd_substep is True and scn.checks == ()
 
 
@@ -142,6 +139,9 @@ def test_load_scenario_line_numbered_errors(tmp_path):
         load_scenario(write_scn(tmp_path, BASE + "fd_substep = maybe\n"))
     with pytest.raises(ScenarioError, match="unknown check"):
         load_scenario(write_scn(tmp_path, BASE + "checks = chain, wat\n"))
+    # quantile_levels is no longer a key: a file that sets it fails closed.
+    with pytest.raises(ScenarioError, match="line 14: unknown key 'quantile_levels'"):
+        load_scenario(write_scn(tmp_path, BASE + "quantile_levels = 513\n"))
     with pytest.raises(ScenarioError, match="missing required"):
         load_scenario(write_scn(tmp_path, "s0 = 100\n"))
     with pytest.raises(ScenarioError, match="cannot read"):
@@ -378,6 +378,23 @@ def test_main_unknown_check_exit_code(tmp_path, capsys):
     path = write_scn(tmp_path, BASE)
     assert main(["--scenario", path, "--check", "wat"]) == EXIT_BAD_SCENARIO
     assert "unknown check" in capsys.readouterr().err
+
+
+def test_main_rejects_keys_a_built_in_payoff_ignores(tmp_path, capsys):
+    # A built-in payoff is priced from its own formula in its own direction,
+    # so an expr or a contradicting monotonicity would be echoed, not priced.
+    put = BASE.replace("payoff = call", "payoff = put")
+    for base, extra, msg in (
+            (BASE, "monotonicity = decreasing", "contradicts payoff call, which is increasing"),
+            (put, "monotonicity = increasing", "contradicts payoff put, which is decreasing"),
+            (BASE, "expr = 1 / (s - s)", "expr applies to payoff custom only, not call")):
+        path = write_scn(tmp_path, base + extra + "\n")
+        assert main(["--scenario", path]) == EXIT_BAD_SCENARIO
+        err = capsys.readouterr().err
+        assert "line 14: " in err and msg in err, err
+    for extra in ("monotonicity = increasing", "monotonicity = none"):
+        scn = load_scenario(write_scn(tmp_path, BASE + extra + "\n"))
+        assert scn.monotonicity == extra.split(" = ")[1]
 
 
 def test_main_bad_threads_exit_code(tmp_path, capsys):
@@ -822,7 +839,6 @@ FUZZ_VALID = {
     "nodes": ["5", "12", "41"],
     "time_steps": ["1", "60"],
     "theta_grid": ["2", "5"],
-    "quantile_levels": ["2", "513"],
     "fd_substep": ["true", "false"],
     "checks": [", ".join(KNOWN_CHECKS), "chain, holder", "submodularity, duality", "zsign"],
 }
@@ -843,7 +859,6 @@ FUZZ_INVALID = {
     "nodes": ["4", "-1"],
     "time_steps": ["0", "1000001"],
     "theta_grid": ["1", "0"],
-    "quantile_levels": ["1"],
     "fd_substep": ["maybe"],
     "checks": ["wat", ",,"],
 }
@@ -855,6 +870,11 @@ FUZZ_TEXT = st.characters(blacklist_categories=("Nd", "Cs"))
 @st.composite
 def fuzz_scenario_text(draw):
     keys = {key: draw(st.sampled_from(values)) for key, values in FUZZ_VALID.items()}
+    if keys["payoff"] != "custom":
+        # A built-in payoff refuses an expr and a contradicting monotonicity;
+        # leaving both out lets its examples reach the pipeline (the draws
+        # below can still put an invalid one back).
+        del keys["expr"], keys["monotonicity"]
     for _ in range(draw(st.integers(0, 2))):
         key = draw(st.sampled_from(sorted(FUZZ_VALID)))
         action = draw(st.sampled_from(["invalid", "drop", "text"]))

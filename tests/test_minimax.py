@@ -274,7 +274,7 @@ def test_minimax_comonotone_additivity(family_k01, bundle_50k, weights_50k):
 def test_pooled_tolerance_combines_in_quadrature():
     assert pooled_tolerance([0.0, 0.0]) == 0.0
     assert pooled_tolerance([0.01, 0.02]) == pytest.approx(3.0 * math.hypot(0.01, 0.02))
-    assert pooled_tolerance([0.01], factor=2.0) == pytest.approx(0.02)
+    assert pooled_tolerance([0.01]) == pytest.approx(0.03)
 
 
 # ---------------------------------------------------------------------------
