@@ -22,9 +22,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -164,38 +164,31 @@ def parse_payoff_expression(expr: str) -> Callable[[np.ndarray], np.ndarray]:
 # scenario files
 # ---------------------------------------------------------------------------
 
-KNOWN_CHECKS = (
-    "chain",
-    "degeneracy",
-    "duality",
-    "sandwich",
-    "normalization",
-    "martingale",
-    "zsign",
-    "comparison",
-    "attainment",
-    "submodularity",
-    "l2bound",
-    "holder",
-)
+_BUILT_IN = ("call", "put", "digital")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: GBM market, payoff, and estimator settings."""
+    """Validated scenario: GBM market, payoff, and estimator settings.
+
+    The fields are the scenario file's keys (`payoff_kind` is read from the
+    key `payoff`).  A field without a default is a required key; the others
+    are optional with that default.  Each value is parsed by the field's
+    type, and a Literal type lists the values the key accepts.
+    """
 
     s0: float
     mu: float
     sigma: float
     horizon: float
     k: float
-    payoff_kind: str
-    strike: Optional[float]
-    expr: Optional[str]
-    monotonicity: str
+    payoff_kind: Literal[(*_BUILT_IN, "custom")]
     n_paths: int
     steps: int
     seed: int
+    strike: Optional[float] = None
+    expr: Optional[str] = None
+    monotonicity: Literal["increasing", "decreasing", "none"] = "none"
     nodes: int = 801
     time_steps: int = 2000
     theta_grid: int = 21
@@ -203,12 +196,8 @@ class Scenario:
     checks: tuple[str, ...] = ()
 
     def build_payoff(self) -> Payoff:
-        if self.payoff_kind == "call":
-            return Payoff.call(self.strike)
-        if self.payoff_kind == "put":
-            return Payoff.put(self.strike)
-        if self.payoff_kind == "digital":
-            return Payoff.digital(self.strike)
+        if self.payoff_kind in _BUILT_IN:
+            return getattr(Payoff, self.payoff_kind)(self.strike)
         fn = parse_payoff_expression(self.expr)
         return Payoff.custom(name=f"custom({self.expr})", fn=fn, monotonicity=self.monotonicity)
 
@@ -216,26 +205,68 @@ class Scenario:
         return MarketModel.gbm(self.s0, self.mu, self.sigma, self.k)
 
 
-_REQUIRED_KEYS = ("s0", "mu", "sigma", "horizon", "k", "payoff", "n_paths", "steps", "seed")
-_OPTIONAL_KEYS = (
-    "strike",
-    "expr",
-    "monotonicity",
-    "nodes",
-    "time_steps",
-    "theta_grid",
-    "fd_substep",
-    "checks",
-)
+# Each key of a scenario file and the Scenario field it sets, and each
+# field's type resolved from its annotation.
+SCENARIO_KEYS = {("payoff" if f.name == "payoff_kind" else f.name): f for f in fields(Scenario)}
+_FIELD_TYPES = get_type_hints(Scenario)
 
 
-def _parse_bool(raw: str, key: str, line: int) -> bool:
-    low = raw.strip().lower()
+def _parse_number(value: str, key: str, line: int) -> float:
+    try:
+        out = float(value)
+    except ValueError:
+        raise ScenarioError(f"{key} must be a number, got {value!r}", line) from None
+    if not math.isfinite(out):
+        raise ScenarioError(f"{key} must be finite, got {value!r}", line)
+    return out
+
+
+def _parse_integer(value: str, key: str, line: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ScenarioError(f"{key} must be an integer, got {value!r}", line) from None
+
+
+def _parse_bool(value: str, key: str, line: int) -> bool:
+    low = value.lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
-    raise ScenarioError(f"{key} must be true or false, got {raw!r}", line)
+    raise ScenarioError(f"{key} must be true or false, got {value!r}", line)
+
+
+def _require_known_checks(names: tuple[str, ...], line: Optional[int] = None) -> None:
+    for name in names:
+        if name not in CHECK_REGISTRY:
+            raise ScenarioError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}", line)
+
+
+def _parse_checks(value: str, key: str, line: int) -> tuple[str, ...]:
+    names = tuple(part.strip() for part in value.split(",") if part.strip())
+    _require_known_checks(names, line)
+    return names
+
+
+_PARSERS = {
+    float: _parse_number,
+    int: _parse_integer,
+    bool: _parse_bool,
+    str: lambda value, key, line: value,
+    tuple[str, ...]: _parse_checks,
+}
+
+
+def _parse_value(key: str, kind, value: str, line: int) -> object:
+    """One value parsed by its field's type; an Optional field by its inner type."""
+    if get_origin(kind) is Union:
+        kind = get_args(kind)[0]
+    if get_origin(kind) is Literal:
+        if value not in get_args(kind):
+            raise ScenarioError(f"{key} must be {'/'.join(get_args(kind))}, got {value!r}", line)
+        return value
+    return _PARSERS[kind](value, key, line)
 
 
 def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
@@ -259,7 +290,7 @@ def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
         if "=" not in stripped:
             raise ScenarioError(f"expected key = value, got {stripped!r}", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
+        if key not in SCENARIO_KEYS:
             raise ScenarioError(f"unknown key {key!r}", lineno)
         if key in raw:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
@@ -267,134 +298,71 @@ def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
             raise ScenarioError(f"empty value for {key!r}", lineno)
         raw[key] = (value, lineno)
 
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
+    for key, field in SCENARIO_KEYS.items():
+        if field.default is MISSING and key not in raw:
             raise ScenarioError(f"missing required key {key!r} in {path}")
+    scenario = Scenario(**{
+        field.name: _parse_value(key, _FIELD_TYPES[field.name], *raw[key])
+        for key, field in SCENARIO_KEYS.items() if key in raw})
 
-    def get_float(key: str) -> float:
-        value, lineno = raw[key]
-        try:
-            out = float(value)
-        except ValueError:
-            raise ScenarioError(f"{key} must be a number, got {value!r}", lineno) from None
-        if not math.isfinite(out):
-            raise ScenarioError(f"{key} must be finite, got {value!r}", lineno)
-        return out
-
-    def get_int(key: str, default: Optional[int] = None) -> int:
-        if key not in raw:
-            return default
-        value, lineno = raw[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise ScenarioError(f"{key} must be an integer, got {value!r}", lineno) from None
-
-    payoff_kind, payoff_line = raw["payoff"]
-    if payoff_kind not in ("call", "put", "digital", "custom"):
-        raise ScenarioError(f"payoff must be call/put/digital/custom, got {payoff_kind!r}", payoff_line)
-
-    checks: tuple[str, ...] = ()
-    if "checks" in raw:
-        value, lineno = raw["checks"]
-        names = tuple(part.strip() for part in value.split(",") if part.strip())
-        for name in names:
-            if name not in KNOWN_CHECKS:
-                raise ScenarioError(
-                    f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}", lineno
-                )
-        checks = names
-
-    mono = "none"
-    if "monotonicity" in raw:
-        value, lineno = raw["monotonicity"]
-        if value not in ("increasing", "decreasing", "none"):
-            raise ScenarioError(f"monotonicity must be increasing/decreasing/none, got {value!r}", lineno)
-        mono = value
-    if payoff_kind != "custom":
-        # A built-in payoff is priced from its own formula in its own
-        # direction; an expr or a contradicting monotonicity would be echoed
-        # in the report without being priced.
-        own = getattr(Payoff, payoff_kind)(1.0).monotonicity
-        if mono not in ("none", own):
-            raise ScenarioError(f"monotonicity {mono} contradicts payoff {payoff_kind}, "
-                                f"which is {own}", raw["monotonicity"][1])
-        if "expr" in raw:
-            raise ScenarioError(f"expr applies to payoff custom only, not {payoff_kind}",
+    # Keys the payoff would echo in the report without pricing them: a
+    # built-in payoff is priced from its own formula, strike and direction,
+    # a custom one from its expr.
+    kind = scenario.payoff_kind
+    if kind in _BUILT_IN:
+        own = getattr(Payoff, kind)(1.0).monotonicity
+        if scenario.monotonicity not in ("none", own):
+            raise ScenarioError(f"monotonicity {scenario.monotonicity} contradicts payoff "
+                                f"{kind}, which is {own}", raw["monotonicity"][1])
+        if scenario.expr is not None:
+            raise ScenarioError(f"expr applies to payoff custom only, not {kind}",
                                 raw["expr"][1])
-
-    fields = dict(
-        s0=get_float("s0"),
-        mu=get_float("mu"),
-        sigma=get_float("sigma"),
-        horizon=get_float("horizon"),
-        k=get_float("k"),
-        payoff_kind=payoff_kind,
-        strike=get_float("strike") if "strike" in raw else None,
-        expr=raw["expr"][0] if "expr" in raw else None,
-        monotonicity=mono,
-        n_paths=get_int("n_paths"),
-        steps=get_int("steps"),
-        seed=get_int("seed"),
-        nodes=get_int("nodes", 801),
-        time_steps=get_int("time_steps", 2000),
-        theta_grid=get_int("theta_grid", 21),
-        fd_substep=(
-            _parse_bool(raw["fd_substep"][0], "fd_substep", raw["fd_substep"][1])
-            if "fd_substep" in raw
-            else True
-        ),
-        checks=checks,
-    )
+    elif scenario.strike is not None:
+        raise ScenarioError(f"strike applies to payoff {'/'.join(_BUILT_IN)} only, not {kind}",
+                            raw["strike"][1])
 
     if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                fields[key] = value
-
-    scenario = _validate_scenario(fields, path)
+        scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
+    _validate_scenario(scenario)
     return scenario
 
 
-def _validate_scenario(fields: dict, path: str) -> Scenario:
-    if fields["s0"] <= 0:
-        raise ScenarioError(f"s0 must be positive, got {fields['s0']}")
-    if fields["sigma"] <= 0:
-        # At sigma = 0 the solver's grid collapses and its step count explodes.
-        raise ScenarioError(f"sigma must be > 0, got {fields['sigma']}")
-    if fields["horizon"] <= 0:
-        raise ScenarioError(f"horizon must be positive, got {fields['horizon']}")
-    if fields["k"] < 0:
-        raise ScenarioError(f"k must be >= 0, got {fields['k']}")
-    if fields["n_paths"] < 2:
-        # Every standard error needs at least two paths.
-        raise ScenarioError(f"n_paths must be >= 2, got {fields['n_paths']}")
-    if fields["steps"] < 1:
-        raise ScenarioError(f"steps must be >= 1, got {fields['steps']}")
-    if fields["nodes"] < 5:
-        raise ScenarioError(f"nodes must be >= 5, got {fields['nodes']}")
-    if not 1 <= fields["time_steps"] <= MAX_TIME_STEPS:
-        # The solver marches at least the requested count, for up to five
-        # driver rows in one march, so a huge count would run for hours.
-        raise ScenarioError(f"time_steps must be in [1, {MAX_TIME_STEPS}] (bsde.MAX_TIME_STEPS), "
-                            f"got {fields['time_steps']}")
-    if fields["theta_grid"] < 2:
-        raise ScenarioError(f"theta_grid must be >= 2, got {fields['theta_grid']}")
-    kind = fields["payoff_kind"]
-    if kind in ("call", "put", "digital"):
-        if fields["strike"] is None:
-            raise ScenarioError(f"payoff {kind} requires a strike")
-        if fields["strike"] <= 0:
-            raise ScenarioError(f"strike must be positive, got {fields['strike']}")
-        if kind in ("call", "put") and fields["s0"] / fields["strike"] == 0.0:
+# (field, whether a value is in range, the range as the message states it)
+_RANGES = (
+    ("s0", lambda v: v > 0, "positive"),
+    # At sigma = 0 the solver's grid collapses and its step count explodes.
+    ("sigma", lambda v: v > 0, "> 0"),
+    ("horizon", lambda v: v > 0, "positive"),
+    ("k", lambda v: v >= 0, ">= 0"),
+    # Every standard error needs at least two paths.
+    ("n_paths", lambda v: v >= 2, ">= 2"),
+    ("steps", lambda v: v >= 1, ">= 1"),
+    ("nodes", lambda v: v >= 5, ">= 5"),
+    # The solver marches at least the requested count, for up to five
+    # driver rows in one march, so a huge count would run for hours.
+    ("time_steps", lambda v: 1 <= v <= MAX_TIME_STEPS,
+     f"in [1, {MAX_TIME_STEPS}] (bsde.MAX_TIME_STEPS)"),
+    ("theta_grid", lambda v: v >= 2, ">= 2"),
+)
+
+
+def _validate_scenario(s: Scenario) -> None:
+    for name, in_range, bound in _RANGES:
+        if not in_range(getattr(s, name)):
+            raise ScenarioError(f"{name} must be {bound}, got {getattr(s, name)}")
+    if s.payoff_kind in _BUILT_IN:
+        if s.strike is None:
+            raise ScenarioError(f"payoff {s.payoff_kind} requires a strike")
+        if s.strike <= 0:
+            raise ScenarioError(f"strike must be positive, got {s.strike}")
+        if s.payoff_kind in ("call", "put") and s.s0 / s.strike == 0.0:
             # The call and put closed forms take log(s0 / strike).
             raise ScenarioError(f"s0 / strike underflows to 0 in float64 "
-                                f"(s0 = {fields['s0']}, strike = {fields['strike']})")
+                                f"(s0 = {s.s0}, strike = {s.strike})")
     else:
-        if not fields["expr"]:
+        if not s.expr:
             raise ScenarioError("custom payoff requires an expr")
-        parse_payoff_expression(fields["expr"])  # fail-closed on load
-    return Scenario(**fields)
+        parse_payoff_expression(s.expr)  # fail-closed on load
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +425,8 @@ class RunContext:
     fd: GridSolution  # rows: FD_DRIVERS, then COMPARISON_SIGNS with `comparison`
     entries: dict[str, EstimatorEntry]
 
-    def subsample(self, limit: int = CHECK_SUBSAMPLE):
-        m = min(self.bundle.n_paths, limit)
+    def subsample(self):
+        m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
         sub_bundle = PathBundle(
             grid=self.bundle.grid,
             n_paths=m,
@@ -504,12 +472,9 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
                  extra_checks: tuple[str, ...] = ()) -> Report:
     """Execute the full pipeline on a validated scenario."""
     start = time.perf_counter()
-    requested: list[str] = list(scenario.checks)
-    for name in extra_checks:
-        if name not in KNOWN_CHECKS:
-            raise ScenarioError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-        if name not in requested:
-            requested.append(name)
+    _require_known_checks(extra_checks)
+    # Each check named in the file or by --check runs once, in first-seen order.
+    requested = tuple(dict.fromkeys((*scenario.checks, *extra_checks)))
     model = scenario.build_model()
     payoff = scenario.build_payoff()
     # Every solve below uses a driver Lipschitz in z with constant <= k.
@@ -884,6 +849,7 @@ CHECK_REGISTRY = {
     "l2bound": _check_l2bound,
     "holder": _check_holder,
 }
+KNOWN_CHECKS = tuple(CHECK_REGISTRY)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """The documented API exists: the package's export list and the README's
-Modules table name only things that resolve, so a deletion cannot leave
-either of them stale."""
+Modules table name only things that resolve, and its scenario-key table
+names the loader's keys and defaults, so a change cannot leave any of them
+stale."""
 
 from __future__ import annotations
 
 import importlib
 import re
+from dataclasses import MISSING
 from pathlib import Path
 
 import nexpect
+from nexpect.cli import SCENARIO_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # A backticked Python name, dotted or not, optionally called: `solve_fd`,
@@ -47,3 +50,37 @@ def test_modules_table_names_resolve():
             if owner is None:
                 missing.append(f"{module}: {dotted}")
     assert not missing, f"the README Modules table names what is gone: {missing}"
+
+
+def scenario_table_rows():
+    """(backticked keys, default cell) for each row of the scenario-key table."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("### Scenario files", 1)[1].split("\n#", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            rows.append((re.findall(r"`(\w+)`", cells[0]), cells[2]))
+    return rows
+
+
+# A default the table states as a value, not in words: 801, `true`.
+STATED_DEFAULT = re.compile(r"`?(\d+|true|false)`?")
+
+
+def test_scenario_table_matches_the_loader():
+    rows = scenario_table_rows()
+    assert sorted(key for keys, _ in rows for key in keys) == sorted(SCENARIO_KEYS)
+    wrong = []
+    for keys, cell in rows:
+        defaults = [SCENARIO_KEYS[key].default for key in keys]
+        if cell == "required":
+            wrong += [key for key, default in zip(keys, defaults) if default is not MISSING]
+            continue
+        wrong += [key for key, default in zip(keys, defaults) if default is MISSING]
+        stated = [STATED_DEFAULT.fullmatch(part.strip()) for part in cell.split(",")]
+        if all(stated):
+            values = [int(m[1]) if m[1].isdigit() else m[1] == "true" for m in stated]
+            if [(type(v), v) for v in values] != [(type(d), d) for d in defaults]:
+                wrong.append(f"{keys}: {cell} != {defaults}")
+    assert not wrong, f"the README scenario table disagrees with Scenario: {wrong}"

@@ -179,6 +179,73 @@ def test_load_scenario_payoff_validation(tmp_path):
         load_scenario(write_scn(tmp_path, BASE.replace("payoff = call", "payoff = warrant")))
 
 
+# One fault each: (replacements in BASE, a line appended to it, the exact
+# message).  A row whose replacements are None is its appended text alone.
+LOADER_MESSAGES = {
+    "not-a-key-value-line": (None, "s0", "line 1: expected key = value, got 's0'"),
+    "unknown-key": ({}, "wat = 1", "line 14: unknown key 'wat'"),
+    "duplicate-key": ({}, "s0 = 50", "line 14: duplicate key 's0'"),
+    "empty-value": ({}, "checks =", "line 14: empty value for 'checks'"),
+    "missing-required-key": ({"n_paths = 20000\n": ""}, "",
+                             "missing required key 'n_paths' in {path}"),
+    "number": ({"sigma = 0.2": "sigma = big"}, "", "line 3: sigma must be a number, got 'big'"),
+    "finite": ({"mu = 0.0": "mu = inf"}, "", "line 2: mu must be finite, got 'inf'"),
+    "integer": ({"seed = 31": "seed = 3.5"}, "", "line 10: seed must be an integer, got '3.5'"),
+    "true-or-false": ({}, "fd_substep = maybe",
+                      "line 14: fd_substep must be true or false, got 'maybe'"),
+    "payoff-choice": ({"payoff = call": "payoff = warrant"}, "",
+                      "line 6: payoff must be call/put/digital/custom, got 'warrant'"),
+    "monotonicity-choice": ({}, "monotonicity = up",
+                            "line 14: monotonicity must be increasing/decreasing/none, got 'up'"),
+    "unknown-check": ({}, "checks = chain, wat",
+                      "line 14: unknown check 'wat'; known: chain, degeneracy, duality, sandwich, "
+                      "normalization, martingale, zsign, comparison, attainment, submodularity, "
+                      "l2bound, holder"),
+    "s0-range": ({"s0 = 100": "s0 = -5"}, "", "s0 must be positive, got -5.0"),
+    "sigma-range": ({"sigma = 0.2": "sigma = 0"}, "", "sigma must be > 0, got 0.0"),
+    "horizon-range": ({"horizon = 1.0": "horizon = 0"}, "", "horizon must be positive, got 0.0"),
+    "k-range": ({"k = 0.1": "k = -0.1"}, "", "k must be >= 0, got -0.1"),
+    "n_paths-range": ({"n_paths = 20000": "n_paths = 1"}, "", "n_paths must be >= 2, got 1"),
+    "steps-range": ({"steps = 4": "steps = 0"}, "", "steps must be >= 1, got 0"),
+    "nodes-range": ({"nodes = 101": "nodes = 4"}, "", "nodes must be >= 5, got 4"),
+    "time_steps-low": ({"time_steps = 200": "time_steps = 0"}, "",
+                       "time_steps must be in [1, 1000000] (bsde.MAX_TIME_STEPS), got 0"),
+    "time_steps-high": ({"time_steps = 200": "time_steps = 1000001"}, "",
+                        "time_steps must be in [1, 1000000] (bsde.MAX_TIME_STEPS), got 1000001"),
+    "theta_grid-range": ({"theta_grid = 11": "theta_grid = 1"}, "",
+                         "theta_grid must be >= 2, got 1"),
+    "strike-range": ({"strike = 100": "strike = -1"}, "", "strike must be positive, got -1.0"),
+    "strike-missing": ({"strike = 100\n": ""}, "", "payoff call requires a strike"),
+    "s0-over-strike": ({"s0 = 100": "s0 = 1e-300", "strike = 100": "strike = 1e150"}, "",
+                       "s0 / strike underflows to 0 in float64 (s0 = 1e-300, strike = 1e+150)"),
+    "expr-missing": ({"payoff = call": "payoff = custom", "strike = 100\n": ""}, "",
+                     "custom payoff requires an expr"),
+    "expr-disallowed": ({"payoff = call": "payoff = custom", "strike = 100": "expr = s ** 2"}, "",
+                        "disallowed syntax BinOp in payoff expression"),
+    "expr-on-built-in": ({}, "expr = s", "line 14: expr applies to payoff custom only, not call"),
+    "monotonicity-contradicts": ({}, "monotonicity = decreasing",
+                                 "line 14: monotonicity decreasing contradicts payoff call, "
+                                 "which is increasing"),
+    "strike-on-custom": ({"payoff = call": "payoff = custom"}, "expr = max(s - 90, 0)",
+                         "line 7: strike applies to payoff call/put/digital only, not custom"),
+}
+
+
+@pytest.mark.parametrize("edits, extra, message", LOADER_MESSAGES.values(),
+                         ids=LOADER_MESSAGES.keys())
+def test_load_scenario_exact_messages(tmp_path, edits, extra, message):
+    body = extra + "\n"
+    if edits is not None:
+        body = BASE
+        for old, new in edits.items():
+            body = body.replace(old, new)
+        body += extra + "\n" if extra else ""
+    path = write_scn(tmp_path, body)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert str(err.value) == message.format(path=path)
+
+
 # ---------------------------------------------------------------------------
 # pipeline reports
 # ---------------------------------------------------------------------------
@@ -395,6 +462,33 @@ def test_main_rejects_keys_a_built_in_payoff_ignores(tmp_path, capsys):
     for extra in ("monotonicity = increasing", "monotonicity = none"):
         scn = load_scenario(write_scn(tmp_path, BASE + extra + "\n"))
         assert scn.monotonicity == extra.split(" = ")[1]
+
+
+def test_main_rejects_strike_on_custom_payoff(tmp_path, capsys):
+    # A custom payoff is priced from its expr alone, so a strike would be
+    # echoed in the report without being priced.
+    body = BASE.replace("payoff = call", "payoff = custom") + "expr = max(s - 90, 0)\n"
+    assert main(["--scenario", write_scn(tmp_path, body)]) == EXIT_BAD_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.err == ("scenario error: line 7: strike applies to payoff "
+                            "call/put/digital only, not custom\n")
+    assert captured.out == ""
+
+
+def test_main_runs_a_repeated_check_once(tmp_path, capsys):
+    # The file's checks and --check make one list, each name once, in the
+    # order first named.  degeneracy fails at k > 0, so it reaches stderr.
+    path = write_scn(tmp_path, BASE + "checks = degeneracy, martingale, degeneracy\n")
+    argv = ["--scenario", path, "--check", "martingale", "--check", "degeneracy"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    text = capsys.readouterr()
+    checks = text.out.split("\nchecks\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert [line.split()[0] for line in checks] == ["degeneracy", "martingale"]
+    assert text.err.count("check failed: ") == 1 and text.err.startswith("check failed: degeneracy:")
+    assert main([*argv, "--format", "json-like"]) == EXIT_CHECK_FAILED
+    structured = capsys.readouterr()
+    assert [c["name"] for c in json.loads(structured.out)["checks"]] == ["degeneracy", "martingale"]
+    assert structured.err == text.err
 
 
 def test_main_bad_threads_exit_code(tmp_path, capsys):
@@ -870,10 +964,12 @@ FUZZ_TEXT = st.characters(blacklist_categories=("Nd", "Cs"))
 @st.composite
 def fuzz_scenario_text(draw):
     keys = {key: draw(st.sampled_from(values)) for key, values in FUZZ_VALID.items()}
-    if keys["payoff"] != "custom":
-        # A built-in payoff refuses an expr and a contradicting monotonicity;
-        # leaving both out lets its examples reach the pipeline (the draws
-        # below can still put an invalid one back).
+    # A built-in payoff refuses an expr and a contradicting monotonicity, a
+    # custom one a strike; leaving them out lets its examples reach the
+    # pipeline (the draws below can still put an invalid one back).
+    if keys["payoff"] == "custom":
+        del keys["strike"]
+    else:
         del keys["expr"], keys["monotonicity"]
     for _ in range(draw(st.integers(0, 2))):
         key = draw(st.sampled_from(sorted(FUZZ_VALID)))
