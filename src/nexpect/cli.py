@@ -245,6 +245,8 @@ def _require_known_checks(names: tuple[str, ...], line: Optional[int] = None) ->
 
 def _parse_checks(value: str, key: str, line: int) -> tuple[str, ...]:
     names = tuple(part.strip() for part in value.split(",") if part.strip())
+    if not names:
+        raise ScenarioError(f"{key} names no check, got {value!r}", line)
     _require_known_checks(names, line)
     return names
 
@@ -427,13 +429,14 @@ class RunContext:
 
     def subsample(self):
         m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
+        # The first m rows of a draw are the draw of m paths.
         sub_bundle = PathBundle(
             grid=self.bundle.grid,
             n_paths=m,
             seed=self.bundle.seed,
-            brownian_increments=self.bundle.brownian_increments[:m],
             states=self.bundle.states[:m],
-            valid=None if self.bundle.valid is None else self.bundle.valid[:m],
+            valid=self.bundle.valid[:m],
+            brownian_terminal=self.bundle.brownian_terminal[:m],
         )
         return sub_bundle, self.values[:m], self.weights[:m]
 
@@ -489,7 +492,10 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
             f"limit of {MAX_TIME_STEPS}; raise sigma or use fewer nodes")
 
     grid = TimeGrid(scenario.horizon, scenario.steps)
-    bundle = simulate_sde(model, generate_brownian(grid, scenario.n_paths, scenario.seed))
+    family = default_control_family(scenario.k, scenario.theta_grid)
+    # The one draw of the run keeps the functional each bang-bang column needs.
+    bundle = simulate_sde(model, generate_brownian(grid, scenario.n_paths, scenario.seed),
+                          [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"])
     terminal = bundle.terminal()
     # Spot-check the declared direction before anything consumes it.
     probe = np.unique(np.concatenate([
@@ -505,12 +511,13 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    family = default_control_family(scenario.k, scenario.theta_grid)
     moments: dict = {}
     try:
         weights = weight_matrix(family, bundle, threads=threads, moments=moments)
     except ValueError as exc:
         raise ScenarioError(f"{exc}: k or the horizon is too large") from exc
+    # W holds what the functionals were kept for.
+    bundle = replace(bundle, functionals={})
 
     mm = minimax_expectation(payoff, family, bundle, weights=weights)
     cap_upper = build_capacity("upper", family, bundle, weights=weights)

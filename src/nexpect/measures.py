@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidControlError
-from .paths import ROW_BLOCK, PathBundle, TimeGrid
+from .paths import ROW_BLOCK, PathBundle, TimeGrid, with_functionals
 
 __all__ = [
     "ThetaControl",
@@ -186,11 +186,14 @@ def weight_matrix(
 
     The matrix is filled in blocks of ROW_BLOCK contiguous rows.  In each
     block every constant control's log-density is theta0 * B_T - theta0^2 T / 2
-    at once, every bang-bang control's is one matrix-vector product of the
-    block's increments with its theta path, and one exp then writes the
-    block's rows.  Every entry is bitwise what the per-column formula gives.
-    With threads > 1 a pool fills the same blocks, so the result does not
-    depend on the thread count.
+    at once, every bang-bang control's is its functional `increments @ theta`
+    (negated for a control whose negation's functional the bundle keeps)
+    minus theta.theta dt / 2, and one exp then writes the block's rows.
+    Every entry is bitwise what the per-column formula on the dense
+    increments gives.  B_T and the functionals come from the bundle; those
+    it does not keep are made by one sequential redraw of its stream before
+    any block is filled.  With threads > 1 a pool fills the same blocks, so
+    the result does not depend on the thread count.
 
     Raises ValueError unless every weight is finite and strictly positive,
     and warns (without failing) for each column whose sample mean is more
@@ -203,27 +206,24 @@ def weight_matrix(
     grid = bundle.grid
     n = bundle.n_paths
     out = np.empty((n, len(family)))
-    increments = bundle.brownian_increments
     const_cols = [j for j, c in enumerate(family) if c.kind == "constant"]
     theta0 = np.array([family[j].theta0 for j in const_cols])
     const_shift = 0.5 * theta0 * theta0 * grid.horizon
-    bang = []
-    for j, control in enumerate(family):
-        if control.kind != "constant":
-            theta = control.theta_on_grid(grid)
-            bang.append((j, theta, 0.5 * float(theta @ theta) * grid.dt))
-    # Every constant control needs the same B_T; sum the increments once.
-    terminal = bundle.terminal_brownian() if const_cols else None
+    thetas = {j: c.theta_on_grid(grid) for j, c in enumerate(family) if c.kind != "constant"}
+    bundle = with_functionals(bundle, thetas.values())
+    bang = [(j, *bundle.functional(theta), 0.5 * float(theta @ theta) * grid.dt)
+            for j, theta in thetas.items()]
+    terminal = bundle.brownian_terminal
 
     def fill(start: int) -> None:
         rows = slice(start, start + ROW_BLOCK)
         block = out[rows]
         if const_cols:
             block[:, const_cols] = terminal[rows, None] * theta0 - const_shift
-        # One product per column: stacking the thetas into one matmul
-        # would change the bits.
-        for j, theta, shift in bang:
-            block[:, j] = increments[rows] @ theta - shift
+        for j, sign, functional, shift in bang:
+            column = block[:, j]
+            np.multiply(functional[rows], sign, out=column)
+            column -= shift
         np.exp(block, out=block)
         # min > 0 fails on zeros and NaN, max < inf on overflow.
         if not (block.min() > 0.0 and block.max() < np.inf):

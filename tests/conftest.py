@@ -13,6 +13,7 @@ from nexpect import (
     simulate_sde,
     weight_matrix,
 )
+from nexpect.paths import ROW_BLOCK
 
 # Frozen oracle values, computed from the closed-form lognormal expectation
 # E[(S_T - K)+] = s0 e^{mT} N(d1) - K N(d2) and cross-checked by quadrature
@@ -26,6 +27,22 @@ DIGITAL_ATM_DRIFT_UP = 0.5  # P(S_T > 100) at drift +0.02 is N(0) exactly
 MEAN_ST_MU5 = 105.12710963760242  # E[S_T] = 100 e^{0.05}
 MEAN_ST_DRIFT_UP = 102.02013400267558  # E[S_T] = 100 e^{0.02}
 L2_BOUND_ST = 102.53151205244286  # sqrt(E[S_T^2]) e^{k^2 T / 2} at mu = 0, k = 0.1
+
+
+def dense_increments(grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
+    """The whole (n_paths, steps) matrix of a bundle's draw at once: the
+    oracle for every blocked pass over its Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF))
+    return rng.standard_normal((n_paths, grid.steps)) * np.sqrt(grid.dt)
+
+
+def blocked_products(inc: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """inc @ theta taken ROW_BLOCK rows at a time, as every pass over the
+    paths has taken it: BLAS's matrix-vector product can round a row
+    differently when the row sits in a call of another height (a short
+    tail block), so the full product is not the oracle."""
+    return np.concatenate([inc[start:start + ROW_BLOCK] @ theta
+                           for start in range(0, inc.shape[0], ROW_BLOCK)])
 
 
 @pytest.fixture(scope="session")

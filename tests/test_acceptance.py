@@ -46,6 +46,7 @@ from tests.conftest import (
     CALL_ATM_DRIFT_UP,
     PUT_ATM_DRIFT_DOWN,
     PUT_ATM_DRIFT_UP,
+    dense_increments,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,9 +81,9 @@ def prefix_bundle(bundle: PathBundle, m: int) -> PathBundle:
         grid=bundle.grid,
         n_paths=m,
         seed=bundle.seed,
-        brownian_increments=bundle.brownian_increments[:m],
         states=None if bundle.states is None else bundle.states[:m],
         valid=None if bundle.valid is None else bundle.valid[:m],
+        brownian_terminal=dense_increments(bundle.grid, m, bundle.seed).sum(axis=1),
     )
 
 

@@ -9,6 +9,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -197,6 +198,7 @@ LOADER_MESSAGES = {
                       "line 6: payoff must be call/put/digital/custom, got 'warrant'"),
     "monotonicity-choice": ({}, "monotonicity = up",
                             "line 14: monotonicity must be increasing/decreasing/none, got 'up'"),
+    "checks-without-a-name": ({}, "checks = ,,", "line 14: checks names no check, got ',,'"),
     "unknown-check": ({}, "checks = chain, wat",
                       "line 14: unknown check 'wat'; known: chain, degeneracy, duality, sandwich, "
                       "normalization, martingale, zsign, comparison, attainment, submodularity, "
@@ -575,6 +577,44 @@ def test_main_prices_a_grid_whose_rows_jump_by_more_than_float64(tmp_path, capsy
     assert main(["--scenario", path, "--format", "csv", "--paths", "2000"]) == EXIT_OK
     captured = capsys.readouterr()
     assert "bsde_upper,1.36098402027e+295,0\n" in captured.out and captured.err == ""
+
+
+def test_cli_draws_the_path_stream_once(tmp_path, monkeypatch):
+    # One pass over the Philox stream keeps S_T, B_T and each bang-bang
+    # pattern's functional; the weights, the subsample and every check read
+    # those, so nothing draws the stream again.
+    from nexpect import paths
+    draws = []
+    real = paths._increment_blocks
+
+    def counting(bundle):
+        draws.append((bundle.n_paths, bundle.grid.steps))
+        return real(bundle)
+
+    monkeypatch.setattr(paths, "_increment_blocks", counting)
+    checks = ", ".join(name for name in KNOWN_CHECKS if name != "degeneracy")
+    path = write_scn(tmp_path, BASE + f"checks = {checks}\n")
+    assert main(["--scenario", path, "--threads", "2"]) == EXIT_OK
+    assert draws == [(20000, 4)]
+
+
+def test_run_scenario_peaks_at_the_weights_and_a_few_path_columns(tmp_path):
+    # numpy reports its allocations to tracemalloc.  The weight matrix W is
+    # family_size columns of n; the rest of the run, the Choquet sweep's
+    # peak included, may add about eleven columns of n (S_T, B_T, the
+    # payoff, the sweep's sort and prefix sums).  Storing the (n, 8)
+    # increments through the run would add eight more.
+    n = 200_000
+    body = BASE.replace("n_paths = 20000", f"n_paths = {n}").replace("steps = 4", "steps = 8")
+    scenario = load_scenario(write_scn(tmp_path, body.replace("theta_grid = 11", "theta_grid = 21")))
+    tracemalloc.start()
+    try:
+        report = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = peak / (8 * n) - report.metadata["family_size"]
+    assert columns < 13.5, columns
 
 
 def test_run_scenario_rejects_unbounded_fd_steps(tmp_path, monkeypatch):

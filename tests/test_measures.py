@@ -24,7 +24,7 @@ from nexpect import (
 )
 from nexpect.measures import ROW_BLOCK
 from nexpect.minimax import closed_under_negation
-from tests.conftest import CALL_ATM_FLAT, MEAN_ST_DRIFT_UP
+from tests.conftest import CALL_ATM_FLAT, MEAN_ST_DRIFT_UP, blocked_products, dense_increments
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_bang_bang_weights_match_manual():
     bundle = generate_brownian(grid, 1000, 77)
     control = ThetaControl.bang_bang((0.5,), (1, -1), 0.1, 0.1)
     w = girsanov_weights(control, bundle)
-    inc = bundle.brownian_increments
+    inc = dense_increments(grid, 1000, 77)
     theta = np.array([0.1, 0.1, -0.1, -0.1])
     manual = np.exp(inc @ theta - 0.5 * 0.01 * 1.0)
     assert np.allclose(w, manual, rtol=1e-12)
@@ -192,16 +192,18 @@ TWO_KINDS = (
 
 
 def dense_weights(family, bundle):
-    """The per-column density formula, one full column at a time."""
+    """The per-column density formula, one full column at a time, on the
+    bundle's draw made whole."""
     grid = bundle.grid
+    inc = dense_increments(grid, bundle.n_paths, bundle.seed)
     columns = []
     for control in family:
         if control.kind == "constant":
             t = control.theta0
-            log_w = t * bundle.terminal_brownian() - 0.5 * t * t * grid.horizon
+            log_w = t * inc.sum(axis=1) - 0.5 * t * t * grid.horizon
         else:
             theta = control.theta_on_grid(grid)
-            log_w = bundle.brownian_increments @ theta - 0.5 * float(theta @ theta) * grid.dt
+            log_w = blocked_products(inc, theta) - 0.5 * float(theta @ theta) * grid.dt
         columns.append(np.exp(log_w))
     return np.column_stack(columns)
 
@@ -233,12 +235,55 @@ def test_blocked_weight_passes_are_bitwise_dense(n, family, grid8):
 def test_weight_matrix_warns_on_stray_column(grid8):
     base = generate_brownian(grid8, 3 * B + 17, 4242)
     # Shift every increment up, so B_T is no longer centred under the reference.
-    shifted = replace(base, brownian_increments=base.brownian_increments + 0.05)
+    inc = dense_increments(grid8, 3 * B + 17, 4242)
+    shifted = replace(base, brownian_terminal=(inc + 0.05).sum(axis=1))
     family = (ThetaControl.constant(0.0, 0.5), ThetaControl.constant(0.5, 0.5))
     with pytest.warns(MartingaleDeviationWarning, match="theta=") as record:
         weight_matrix(family, shifted)
     messages = [str(w.message) for w in record]
     assert len(messages) == 1 and "theta=+0.5" in messages[0]
+
+
+def family_bundles(family, n, seed, grid):
+    """One draw simulated twice: keeping the family's bang-bang functionals,
+    and keeping none, so weight_matrix redraws them."""
+    model = MarketModel.gbm(100.0, 0.0, 0.2)
+    thetas = [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"]
+    return (simulate_sde(model, generate_brownian(grid, n, seed), thetas),
+            simulate_sde(model, generate_brownian(grid, n, seed)))
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 17])
+def test_negated_bang_bang_columns_share_the_kept_functional(n, grid8):
+    family = default_control_family(0.1)
+    kept, _ = family_bundles(family, n, 3000 + n, grid8)
+    inc = dense_increments(grid8, n, 3000 + n)
+    # Four functionals serve the eight bang-bang members.
+    assert len(kept.functionals) == 4
+    for control in (c for c in family if c.kind == "bang_bang"):
+        theta = control.theta_on_grid(grid8)
+        sign, functional = kept.functional(theta)
+        assert sign == (1 if control.signs[0] > 0 else -1)
+        shift = 0.5 * float(theta @ theta) * grid8.dt
+        column = sign * functional - shift
+        assert np.array_equal(column, blocked_products(inc, theta) - shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MartingaleDeviationWarning)
+        weights = weight_matrix(family, kept)
+    assert np.array_equal(weights, dense_weights(family, kept))
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_kept_functionals_and_the_redraw_give_one_weight_matrix(threads, grid8):
+    family = default_control_family(0.1)
+    kept, plain = family_bundles(family, 3 * B + 17, 4321, grid8)
+    assert plain.functionals == {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MartingaleDeviationWarning)
+        from_kept = weight_matrix(family, kept, threads=threads)
+        redrawn = weight_matrix(family, plain, threads=threads)
+    assert np.array_equal(from_kept, redrawn)
+    assert np.array_equal(from_kept, dense_weights(family, kept))
 
 
 def test_default_family_structure():

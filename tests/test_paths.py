@@ -15,8 +15,15 @@ from nexpect import (
     generate_brownian,
     simulate_sde,
 )
-from nexpect.paths import ROW_BLOCK, _simulate_euler
-from tests.conftest import MEAN_ST_MU5
+from nexpect.paths import ROW_BLOCK, _increment_blocks, _simulate
+from tests.conftest import MEAN_ST_MU5, blocked_products, dense_increments
+
+B = ROW_BLOCK
+
+
+def streamed(bundle):
+    """The bundle's increments as the blocked pass draws them, stacked."""
+    return np.concatenate([block.copy() for _, block in _increment_blocks(bundle)])
 
 
 def test_grid_validation():
@@ -44,8 +51,10 @@ def test_model_validation():
 def test_brownian_shape_and_validation():
     grid = TimeGrid(1.0, 4)
     bundle = generate_brownian(grid, 100, 7)
-    assert bundle.brownian_increments.shape == (100, 4)
-    assert bundle.states is None
+    assert (bundle.grid, bundle.n_paths, bundle.seed) == (grid, 100, 7)
+    assert streamed(bundle).shape == (100, 4)
+    assert bundle.brownian_increments is None
+    assert bundle.states is None and bundle.brownian_terminal is None
     with pytest.raises(ValueError):
         generate_brownian(grid, 0, 7)
 
@@ -53,21 +62,22 @@ def test_brownian_shape_and_validation():
 def test_brownian_moments():
     grid = TimeGrid(1.0, 4)
     bundle = generate_brownian(grid, 200_000, 42)
-    inc = bundle.brownian_increments
+    inc = dense_increments(grid, 200_000, 42)
     # mean ~ 0 within 4 SE; per-column variance within 1% of dt
     se = math.sqrt(grid.dt / inc.size)
     assert abs(inc.mean()) < 4.0 * se
     assert np.allclose(inc.var(axis=0), grid.dt, rtol=0.01)
     bt = bundle.terminal_brownian()
+    assert np.array_equal(bt, inc.sum(axis=1))
     assert abs(bt.mean()) < 4.0 / math.sqrt(bundle.n_paths)
     assert abs(bt.var() - 1.0) < 0.02
 
 
 def test_brownian_determinism():
     grid = TimeGrid(1.0, 8)
-    a = generate_brownian(grid, 1000, 123).brownian_increments
-    b = generate_brownian(grid, 1000, 123).brownian_increments
-    c = generate_brownian(grid, 1000, 124).brownian_increments
+    a = streamed(generate_brownian(grid, 1000, 123))
+    b = streamed(generate_brownian(grid, 1000, 123))
+    c = streamed(generate_brownian(grid, 1000, 124))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -160,27 +170,26 @@ def test_terminal_requires_states():
 # terminal-only simulation: the same bits as the full path matrix
 # ---------------------------------------------------------------------------
 
-def dense_gbm_states(model, bundle):
+def dense_gbm_states(model, grid, inc):
     """The (n, steps + 1) state matrix, filled the way the full-path
     simulation did."""
     mu, sigma = model.gbm_constants
-    log_steps = (mu - 0.5 * sigma * sigma) * bundle.grid.dt + sigma * bundle.brownian_increments
-    states = np.empty((bundle.n_paths, bundle.grid.steps + 1))
+    log_steps = (mu - 0.5 * sigma * sigma) * grid.dt + sigma * inc
+    states = np.empty((inc.shape[0], grid.steps + 1))
     states[:, 0] = model.s0
     states[:, 1:] = model.s0 * np.exp(np.cumsum(log_steps, axis=1))
     return states
 
 
-def dense_euler_states(model, bundle):
+def dense_euler_states(model, grid, inc):
     """The full-matrix Euler loop, kept as the reference for the one-column march."""
-    grid = bundle.grid
     times = grid.times()
-    states = np.empty((bundle.n_paths, grid.steps + 1))
+    states = np.empty((inc.shape[0], grid.steps + 1))
     states[:, 0] = model.s0
-    alive = np.ones(bundle.n_paths, dtype=bool)
+    alive = np.ones(inc.shape[0], dtype=bool)
     for i in range(grid.steps):
         s = states[:, i]
-        step = model.drift(times[i], s) * grid.dt + model.vol(times[i], s) * bundle.brownian_increments[:, i]
+        step = model.drift(times[i], s) * grid.dt + model.vol(times[i], s) * inc[:, i]
         nxt = np.where(alive, s + step, s)
         states[:, i + 1] = nxt
         alive = alive & (nxt > 0.0) & np.isfinite(nxt)
@@ -191,8 +200,9 @@ def dense_euler_states(model, bundle):
 @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 17])
 def test_exact_gbm_terminal_is_bitwise_dense(n, steps):
     model = MarketModel.gbm(100.0, 0.03, 0.25)
-    bundle = simulate_sde(model, generate_brownian(TimeGrid(1.5, steps), n, 1000 + n))
-    dense = dense_gbm_states(model, bundle)
+    grid = TimeGrid(1.5, steps)
+    bundle = simulate_sde(model, generate_brownian(grid, n, 1000 + n))
+    dense = dense_gbm_states(model, grid, dense_increments(grid, n, 1000 + n))
     assert bundle.states.shape == (n,)
     assert np.array_equal(bundle.terminal(), dense[:, -1])
     assert np.all(bundle.valid)
@@ -202,17 +212,19 @@ def test_euler_terminal_is_bitwise_dense_with_frozen_paths():
     # A 0.6-sigma coefficient over 4 steps drives some paths nonpositive
     # mid-way; they stay frozen at the offending value for the later steps.
     model = MarketModel.general(1.0, lambda t, s: 0.05 * s * (1.0 + t), lambda t, s: 0.6 * s)
-    bundle = generate_brownian(TimeGrid(1.0, 4), 20_000, 37)
-    terminal, valid = _simulate_euler(model, bundle)
-    dense, dense_valid = dense_euler_states(model, bundle)
+    grid = TimeGrid(1.0, 4)
+    bundle = generate_brownian(grid, 20_000, 37)
+    inc = dense_increments(grid, 20_000, 37)
+    sim = _simulate(model, bundle)
+    dense, dense_valid = dense_euler_states(model, grid, inc)
     frozen = ~dense_valid & (dense[:, -2] == dense[:, -1])
     assert frozen.sum() > 10
-    assert np.array_equal(valid, dense_valid)
-    assert np.array_equal(terminal, dense[:, -1])
+    assert np.array_equal(sim.valid, dense_valid)
+    assert np.array_equal(sim.terminal(), dense[:, -1])
 
     safe = MarketModel.general(100.0, lambda t, s: 0.02 * s, lambda t, s: 0.2 * s)
     sim = simulate_sde(safe, bundle)
-    dense, dense_valid = dense_euler_states(safe, bundle)
+    dense, dense_valid = dense_euler_states(safe, grid, inc)
     assert np.array_equal(sim.terminal(), dense[:, -1])
     assert np.array_equal(sim.valid, dense_valid)
 
@@ -234,3 +246,70 @@ def test_simulation_memory_is_linear_in_paths(model):
     finally:
         tracemalloc.stop()
     assert n * 8 <= peak < 4 * n * 8 + 4 * ROW_BLOCK * steps * 8
+
+
+# ---------------------------------------------------------------------------
+# the streamed draw: every kept reduction bitwise the dense one
+# ---------------------------------------------------------------------------
+
+STREAM_MODELS = [
+    MarketModel.gbm(100.0, 0.03, 0.25),
+    # Frozen paths: a 0.6-sigma Euler step sends some paths nonpositive.
+    MarketModel.general(1.0, lambda t, s: 0.05 * s * (1.0 + t), lambda t, s: 0.6 * s),
+]
+
+
+def stream_thetas(steps):
+    """Two theta paths and the negation of the first, which shares its functional."""
+    ramp = np.linspace(-0.3, 0.5, steps)
+    signs = np.where(np.arange(steps) % 3 == 0, 0.1, -0.1)
+    return [ramp, signs, -ramp]
+
+
+@pytest.mark.parametrize("steps", [1, 8])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 17])
+def test_stream_blocks_are_the_dense_draw(n, steps):
+    grid = TimeGrid(1.5, steps)
+    assert np.array_equal(streamed(generate_brownian(grid, n, 50 + n)),
+                          dense_increments(grid, n, 50 + n))
+
+
+@pytest.mark.parametrize("steps", [1, 8])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 17])
+@pytest.mark.parametrize("model", STREAM_MODELS, ids=["exact", "euler"])
+def test_kept_reductions_are_bitwise_dense(model, n, steps):
+    grid = TimeGrid(1.5, steps)
+    thetas = stream_thetas(steps)
+    bundle = _simulate(model, generate_brownian(grid, n, 2000 + n), thetas)
+    inc = dense_increments(grid, n, 2000 + n)
+    if model.gbm_constants is not None:
+        dense, dense_valid = dense_gbm_states(model, grid, inc), np.ones(n, dtype=bool)
+    else:
+        dense, dense_valid = dense_euler_states(model, grid, inc)
+    assert np.array_equal(bundle.terminal(), dense[:, -1])
+    assert np.array_equal(bundle.valid, dense_valid)
+    assert np.array_equal(bundle.brownian_terminal, inc.sum(axis=1))
+    # The third theta is the first negated: one functional serves both.
+    assert len(bundle.functionals) == 2
+    for theta, sign in zip(thetas, (1, 1, -1)):
+        got_sign, functional = bundle.functional(theta)
+        assert got_sign == sign
+        assert np.array_equal(sign * functional, blocked_products(inc, theta))
+    assert bundle.functional(np.zeros(steps) + 0.7) is None
+
+
+def test_euler_simulation_with_its_draw_peaks_linear_in_paths():
+    # 256 steps: the (n, steps) matrix of increments would be 102 MB.  The
+    # draw, the march and two kept functionals may hold a few columns of n
+    # and a few ROW_BLOCK-row blocks.
+    n, steps = 50_000, 256
+    model = MarketModel.general(100.0, lambda t, s: 0.0 * s, lambda t, s: 0.2 * s)
+    thetas = stream_thetas(steps)
+    tracemalloc.start()
+    try:
+        bundle = simulate_sde(model, generate_brownian(TimeGrid(1.0, steps), n, 3), thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bundle.functionals) == 2
+    assert 4 * n * 8 <= peak < 8 * n * 8 + 2 * ROW_BLOCK * steps * 8

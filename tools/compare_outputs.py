@@ -12,10 +12,13 @@ differs.  It then runs each tree's own `demos/*.py`, with `se_coverage.py`
 at 3 seeds instead of its default 200 (about 31 s).  Prints each differing
 line of stdout and stderr, ignoring the `runtime:` line, the scenario path
 and a demo's elapsed seconds, and exits 1 when a CSV or an exit code
-differs, else 0.  The runs are sequential; the acceptance workload alone peaks at
-about 0.42 GB and prices in about 3.3 s per run, and fd_put in about 2 s
-(medians 3.28 s over 5 benchmark runs and 2.04 s over 3, on a 2-core VM,
-Python 3.11, numpy 2.4).
+differs, else 0.  For each workload run it also prints the peak RSS of
+both trees' processes, read with `os.wait4` as `perfbench/run.py` reads
+it; that line is information only and never sets the exit status.  The
+runs are sequential; the acceptance workload alone peaks at about 0.37 GB
+(0.42 GB before the increments were streamed) and prices in about 3.3 s
+per run, and fd_put in about 2 s (medians 3.28 s over 5 benchmark runs
+and 2.04 s over 3, on a 2-core VM, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -32,15 +35,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("csv", "text", "json-like")
+BYTES_PER_MB = 1e6
 
 
-def run(tree: Path, args: list[str], mask: str) -> tuple[int, str, str]:
+def run(tree: Path, args: list[str], mask: str) -> tuple[tuple[int, str, str], float]:
     """Exit code, stdout and stderr of `python3 ARGS` in one tree, with the
-    path `mask` masked."""
+    path `mask` masked, and the process's peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run([sys.executable, *args], cwd=tree, env=env,
-                          capture_output=True, text=True)
-    return done.returncode, done.stdout.replace(mask, "<path>"), done.stderr.replace(mask, "<path>")
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, *args], cwd=tree, env=env,
+                                stdin=subprocess.DEVNULL, stdout=out, stderr=err)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        texts = []
+        for stream in (out, err):
+            stream.seek(0)
+            texts.append(stream.read().decode().replace(mask, "<path>"))
+    return (proc.returncode, *texts), usage.ru_maxrss * 1024 / BYTES_PER_MB
 
 
 def comparable(stdout: str, stderr: str) -> list[str]:
@@ -92,15 +108,18 @@ def main(argv: list[str]) -> int:
             for fmt in FORMATS:
                 args = ["-m", "nexpect.cli", "--scenario", str(scenario),
                         "--threads", "1", "--format", fmt]
-                codes, outputs = compare(f"{name} [{fmt}]",
-                                         *(run(tree, args, str(scenario)) for tree in (ref, ROOT)))
+                (ref_run, ref_rss), (run_b, rss_b) = (run(tree, args, str(scenario))
+                                                      for tree in (ref, ROOT))
+                codes, outputs = compare(f"{name} [{fmt}]", ref_run, run_b)
                 failed |= codes or (outputs and fmt == "csv")
+                if name.startswith("workload"):
+                    print(f"{name} [{fmt}]: peak RSS {ref_rss:.1f} -> {rss_b:.1f} MB")
         for demo in sorted((ROOT / "demos").glob("*.py")):
             runs = []
             for tree in (ref, ROOT):
                 extra = (["--seeds", "3", "--out", str(Path(tmp) / f"coverage_{tree.name}.json")]
                          if demo.name == "se_coverage.py" else [])
-                runs.append(run(tree, [f"demos/{demo.name}", *extra], str(tree)))
+                runs.append(run(tree, [f"demos/{demo.name}", *extra], str(tree))[0])
             codes, _ = compare(f"demos/{demo.name}", *runs)
             failed |= codes
     return 1 if failed else 0
