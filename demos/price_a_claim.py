@@ -41,7 +41,11 @@ def main() -> None:
 
     # One shared path bundle: every simulation-based estimate below reuses it.
     grid = TimeGrid(T, 8)
-    bundle = simulate_sde(model, generate_brownian(grid, N_PATHS, SEED))
+    family = default_control_family(K_RADIUS, 21)
+    # Naming the family's bang-bang thetas keeps their functionals from the
+    # one draw, so weight_matrix does not draw the stream again.
+    bundle = simulate_sde(model, generate_brownian(grid, N_PATHS, SEED),
+                          [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"])
     values = payoff.map(bundle.terminal())
 
     print(f"call on lognormal asset, strike {STRIKE:.0f},"
@@ -50,7 +54,6 @@ def main() -> None:
     print()
 
     # Route 1: grid search over constant drift tilts in [-k, k].
-    family = default_control_family(K_RADIUS, 21)
     weights = weight_matrix(family, bundle)
     mm = minimax_expectation(payoff, family, bundle, weights=weights)
     print(f"minimax      upper {mm.upper:9.5f}   lower {mm.lower:9.5f}"

@@ -37,8 +37,11 @@ N_PATHS, SEED = 400_000, 5
 def main() -> None:
     model = MarketModel.gbm(S0, MU, SIGMA, k=K_RADIUS)
     grid = TimeGrid(T, 8)
-    bundle = simulate_sde(model, generate_brownian(grid, N_PATHS, SEED))
     family = default_control_family(K_RADIUS, 21)
+    # Naming the family's bang-bang thetas keeps their functionals from the
+    # one draw, so weight_matrix does not draw the stream again.
+    bundle = simulate_sde(model, generate_brownian(grid, N_PATHS, SEED),
+                          [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"])
     weights = weight_matrix(family, bundle)
     cap_up = build_capacity("upper", family, bundle, weights=weights)
 

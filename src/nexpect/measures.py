@@ -14,7 +14,6 @@ at sample level and not just in the limit.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +233,10 @@ def weight_matrix(
         for start in starts:
             fill(start)
     else:
+        # Imported here: concurrent.futures pulls in logging, which a
+        # single-threaded run has no use for.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             list(pool.map(fill, starts))
 

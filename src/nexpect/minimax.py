@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .choquet import Payoff
 from .measures import ThetaControl, expectation_profile, weight_matrix
@@ -30,6 +29,16 @@ def pooled_tolerance(std_errors: Sequence[float]) -> float:
 # closed-form lognormal prices (no discounting)
 # ---------------------------------------------------------------------------
 
+def _ndtr(a: float) -> float:
+    """Standard normal CDF of a scalar, with cephes' branches: erf near the
+    origin, erfc in the tails, so neither side loses digits to cancellation."""
+    x = a * math.sqrt(0.5)
+    if abs(x) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0.0 else y
+
+
 def _d12(s0: float, drift: float, sigma: float, horizon: float, strike: float):
     width = sigma * math.sqrt(horizon)
     d1 = (math.log(s0 / strike) + (drift + 0.5 * sigma * sigma) * horizon) / width
@@ -44,7 +53,7 @@ def lognormal_call_value(s0: float, drift: float, sigma: float, horizon: float, 
     if sigma * math.sqrt(horizon) == 0.0:
         return max(forward - strike, 0.0)
     d1, d2 = _d12(s0, drift, sigma, horizon, strike)
-    return forward * ndtr(d1) - strike * ndtr(d2)
+    return forward * _ndtr(d1) - strike * _ndtr(d2)
 
 
 def lognormal_put_value(s0: float, drift: float, sigma: float, horizon: float, strike: float) -> float:
@@ -55,7 +64,7 @@ def lognormal_put_value(s0: float, drift: float, sigma: float, horizon: float, s
     if sigma * math.sqrt(horizon) == 0.0:
         return max(strike - forward, 0.0)
     d1, d2 = _d12(s0, drift, sigma, horizon, strike)
-    return strike * ndtr(-d2) - forward * ndtr(-d1)
+    return strike * _ndtr(-d2) - forward * _ndtr(-d1)
 
 
 def lognormal_digital_value(s0: float, drift: float, sigma: float, horizon: float, strike: float) -> float:
@@ -65,7 +74,7 @@ def lognormal_digital_value(s0: float, drift: float, sigma: float, horizon: floa
     if sigma * math.sqrt(horizon) == 0.0:
         return 1.0 if s0 * math.exp(drift * horizon) > strike else 0.0
     _, d2 = _d12(s0, drift, sigma, horizon, strike)
-    return float(ndtr(d2))
+    return _ndtr(d2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from nexpect import (
     Capacity,
+    MarketModel,
     Payoff,
     ThetaControl,
+    TimeGrid,
     build_capacity,
     choquet_holder_check,
     choquet_integral,
@@ -218,32 +220,56 @@ def test_integral_negative_payoff(caps, bundle_200k):
     assert abs(estimate - ref) < max(3.0 * se, 0.02 * abs(ref))
 
 
-@settings(deadline=None, max_examples=20)
-@given(scale=st.floats(min_value=0.1, max_value=10.0))
-def test_integral_positive_homogeneity(scale):
-    rng = np.random.default_rng(7)
-    n = 4000
-    weights = rng.lognormal(0.0, 0.1, size=(n, 3))
-    cap = Capacity("upper", (ThetaControl.constant(0.0, 0.0),) * 3, weights, np.ones(n) @ weights)
-    values = rng.normal(1.0, 2.0, size=n)
-    base = choquet_integral(values, cap)
-    scaled = choquet_integral(scale * values, cap)
-    assert scaled == pytest.approx(scale * base, rel=1e-6, abs=1e-9)
+def bundle_capacities(n, k, seed):
+    """Both capacities of the default family of radius k on a fresh bundle,
+    and a call and a straddle on its terminal states."""
+    model = MarketModel.gbm(100.0, 0.0, 0.2, k=k)
+    grid = TimeGrid(1.0, 8)
+    family = default_control_family(k)
+    bundle = simulate_sde(model, generate_brownian(grid, n, seed),
+                          [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"])
+    weights = weight_matrix(family, bundle)
+    caps = [build_capacity(side, family, bundle, weights=weights) for side in ("upper", "lower")]
+    term = bundle.terminal()
+    return caps, (Payoff.call(100.0).map(term), np.abs(term - 100.0))
 
 
+IDENTITY_CASES = st.tuples(
+    st.sampled_from([2, 57, ROW_BLOCK + 1, 3 * ROW_BLOCK + 17]),  # paths
+    st.floats(0.0, 0.5),  # k
+    st.integers(0, 2**32 - 1),  # seed
+)
+
+
+@pytest.mark.filterwarnings("ignore::nexpect.MartingaleDeviationWarning")
 @settings(deadline=None, max_examples=20)
-@given(shift=st.floats(min_value=-5.0, max_value=5.0))
-def test_integral_translation_covariance(shift):
-    rng = np.random.default_rng(11)
-    n = 4000
-    weights = rng.lognormal(0.0, 0.1, size=(n, 3))
-    cap = Capacity("upper", (ThetaControl.constant(0.0, 0.0),) * 3, weights, np.ones(n) @ weights)
-    values = rng.normal(0.0, 1.5, size=n)
-    base = choquet_integral(values, cap)
-    shifted = choquet_integral(values + shift, cap)
-    # The shift moves the smallest sample and leaves the gaps and the tail
-    # capacities as they are, up to the rounding of the shifted values.
-    assert shifted == pytest.approx(base + shift, rel=1e-9, abs=1e-9)
+@given(case=IDENTITY_CASES, scale=st.floats(min_value=0.01, max_value=100.0))
+@example(case=(ROW_BLOCK + 1, 0.0, 7), scale=3.0)
+def test_integral_positive_homogeneity(case, scale):
+    """C(lambda X) = lambda C(X) on both sides: scaling keeps the sort, and
+    every gap scales by lambda up to one rounding."""
+    caps, payoffs = bundle_capacities(*case)
+    for values in payoffs:
+        for cap in caps:
+            scaled = choquet_integral(scale * values, cap)
+            assert scaled == pytest.approx(scale * choquet_integral(values, cap), rel=1e-12), \
+                cap.orientation
+
+
+@pytest.mark.filterwarnings("ignore::nexpect.MartingaleDeviationWarning")
+@settings(deadline=None, max_examples=20)
+@given(case=IDENTITY_CASES, shift=st.floats(min_value=-50.0, max_value=50.0))
+@example(case=(ROW_BLOCK + 1, 0.0, 7), shift=-2.5)
+def test_integral_translation_covariance(case, shift):
+    """C(X + c) = C(X) + c on both sides: the shift moves the smallest
+    sample and leaves the gaps and the tail capacities as they are, up to
+    the rounding of the shifted values."""
+    caps, payoffs = bundle_capacities(*case)
+    for values in payoffs:
+        for cap in caps:
+            shifted = choquet_integral(values + shift, cap)
+            assert shifted == pytest.approx(choquet_integral(values, cap) + shift, rel=1e-12), \
+                cap.orientation
 
 
 def test_integral_monotone_in_payoff(caps, bundle_200k):

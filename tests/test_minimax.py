@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from nexpect import (
     MarketModel,
@@ -26,7 +27,9 @@ from nexpect import (
     pooled_tolerance,
     simulate_sde,
 )
+from nexpect.cli import load_scenario
 from nexpect.measures import ROW_BLOCK
+from nexpect.minimax import _ndtr
 from tests.conftest import (
     CALL_ATM_DRIFT_DOWN,
     CALL_ATM_DRIFT_UP,
@@ -82,6 +85,64 @@ def test_closed_form_free_strike():
         100.0 * math.exp(0.01))
     assert lognormal_put_value(100.0, 0.01, 0.2, 1.0, 0.0) == 0.0
     assert lognormal_digital_value(100.0, 0.01, 0.2, 1.0, -5.0) == 1.0
+
+
+def test_ndtr_relative_error_against_scipy():
+    # Below about -37.5 scipy's Phi is subnormal or flushed to zero, where a
+    # relative error means nothing; there both sit within the smallest
+    # normal double of each other.
+    x = np.linspace(-38.0, 9.0, 200_001)
+    ref = special.ndtr(x)
+    got = np.array([_ndtr(float(a)) for a in x])
+    normal = ref >= np.finfo(float).tiny
+    assert normal[x > -37.5].all()
+    assert np.max(np.abs(got - ref)[normal] / ref[normal]) <= 2e-13
+    assert np.max(np.abs(got - ref)[~normal]) <= np.finfo(float).tiny
+
+
+def test_ndtr_within_four_ulp_near_the_origin():
+    x = np.linspace(-1.0, 1.0, 100_001)
+    ref = special.ndtr(x)
+    got = np.array([_ndtr(float(a)) for a in x])
+    assert np.max(np.abs(got - ref) / np.spacing(ref)) <= 4.0
+
+
+def test_ndtr_exact_points():
+    assert _ndtr(0.0) == 0.5
+    assert _ndtr(-0.0) == 0.5
+    assert _ndtr(math.inf) == 1.0
+    assert _ndtr(-math.inf) == 0.0
+    assert math.isnan(_ndtr(math.nan))
+
+
+def _shipped_drifts():
+    # Each shipped scenario's market at its own drift and at the two
+    # extremal drifts mu +- sigma k that the closed-form band prices.
+    root = Path(__file__).resolve().parents[1] / "scenarios"
+    markets = set()
+    for path in sorted(root.glob("*.scn")):
+        scn = load_scenario(str(path))
+        for drift in (scn.mu, scn.mu + scn.sigma * scn.k, scn.mu - scn.sigma * scn.k):
+            markets.add((scn.s0, drift, scn.sigma, scn.horizon))
+    return sorted(markets)
+
+
+@pytest.mark.parametrize("strike", [80.0, 100.0, 120.0])
+@pytest.mark.parametrize("market", _shipped_drifts())
+def test_closed_forms_match_scipy_ndtr(market, strike):
+    s0, drift, sigma, horizon = market
+    width = sigma * math.sqrt(horizon)
+    d1 = (math.log(s0 / strike) + (drift + 0.5 * sigma * sigma) * horizon) / width
+    d2 = d1 - width
+    forward = s0 * math.exp(drift * horizon)
+    ndtr = special.ndtr
+    expected = {
+        lognormal_call_value: forward * ndtr(d1) - strike * ndtr(d2),
+        lognormal_put_value: strike * ndtr(-d2) - forward * ndtr(-d1),
+        lognormal_digital_value: ndtr(d2),
+    }
+    for value, reference in expected.items():
+        assert value(s0, drift, sigma, horizon, strike) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ and a demo's elapsed seconds, and exits 1 when a CSV or an exit code
 differs, else 0.  For each workload run it also prints the peak RSS of
 both trees' processes, read with `os.wait4` as `perfbench/run.py` reads
 it; that line is information only and never sets the exit status.  The
-runs are sequential; the acceptance workload alone peaks at about 0.37 GB
-(0.42 GB before the increments were streamed) and prices in about 3.3 s
-per run, and fd_put in about 2 s (medians 3.28 s over 5 benchmark runs
-and 2.04 s over 3, on a 2-core VM, Python 3.11, numpy 2.4).
+runs are sequential; the acceptance workload alone peaks at about 0.35 GB
+(0.37 GB while the package imported scipy, 0.42 GB before the increments
+were streamed) and prices in about 3.3 s per run, straddle peaks at about
+0.11 GB and fd_put at about 0.09 GB and prices in about 2 s (medians 3.28 s
+over 5 benchmark runs and 2.04 s over 3, on a 2-core VM, Python 3.11,
+numpy 2.4).
 """
 
 from __future__ import annotations
