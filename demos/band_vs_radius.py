@@ -43,10 +43,10 @@ def main() -> None:
         bundle = simulate_sde(model, noise, [c.theta_on_grid(grid) for c in family
                                              if c.kind == "bang_bang"])
         weights = weight_matrix(family, bundle)
-        mm = minimax_expectation(payoff, family, bundle, weights=weights)
+        mm = minimax_expectation(payoff.map(bundle.terminal()), family, weights)
         if k == 0.0:
             bundle0, mm0 = bundle, mm
-        cf = extremal_price(payoff, model, T, closed_form=True)
+        cf = extremal_price(payoff, model, T)
         print(f"{k:5.3f}  {mm.lower:9.5f}  {mm.upper:9.5f}  {mm.upper - mm.lower:9.5f}"
               f"  {cf.upper - cf.lower:9.5f}")
 

@@ -55,13 +55,13 @@ def main() -> None:
 
     # Route 1: grid search over constant drift tilts in [-k, k].
     weights = weight_matrix(family, bundle)
-    mm = minimax_expectation(payoff, family, bundle, weights=weights)
+    mm = minimax_expectation(values, family, weights)
     print(f"minimax      upper {mm.upper:9.5f}   lower {mm.lower:9.5f}"
           f"   (argmax tilt {mm.argmax_control.label()})")
 
     # Route 2: Choquet integrals against the family's capacity envelopes.
-    cap_up = build_capacity("upper", family, bundle, weights=weights)
-    cap_lo = build_capacity("lower", family, bundle, weights=weights)
+    cap_up = build_capacity("upper", weights)
+    cap_lo = build_capacity("lower", weights)
     cho_up = choquet_integral(values, cap_up)
     cho_lo = choquet_integral(values, cap_lo)
     print(f"choquet      upper {cho_up:9.5f}   lower {cho_lo:9.5f}")
@@ -76,7 +76,7 @@ def main() -> None:
           f"   ({fd_up.time_steps} time steps used)")
 
     # Route 4: closed form at the two extreme drifts.
-    cf = extremal_price(payoff, model, T, closed_form=True)
+    cf = extremal_price(payoff, model, T)
     print(f"closed form  upper {cf.upper:9.5f}   lower {cf.lower:9.5f}")
 
     print()

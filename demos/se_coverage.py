@@ -44,7 +44,7 @@ def main() -> None:
 
     base = load_scenario(str(ROOT / SCENARIO))
     model, payoff = base.build_model(), base.build_payoff()
-    closed = extremal_price(payoff, model, base.horizon, closed_form=True)
+    closed = extremal_price(payoff, model, base.horizon)
     plain = lognormal_call_value(base.s0, base.mu, base.sigma, base.horizon, base.strike)
     reference = {
         "choquet_upper": closed.upper, "minimax_upper": closed.upper,

@@ -31,7 +31,7 @@ S0, MU, SIGMA, T, K_RADIUS, STRIKE = 100.0, 0.0, 0.2, 1.0, 0.1, 100.0
 def main() -> None:
     model = MarketModel.gbm(S0, MU, SIGMA, k=K_RADIUS)
     payoff = Payoff.call(STRIKE)
-    target = extremal_price(payoff, model, T, closed_form=True).upper
+    target = extremal_price(payoff, model, T).upper
 
     print(f"closed-form upper price: {target:.6f}")
     print()

@@ -43,7 +43,7 @@ def main() -> None:
     bundle = simulate_sde(model, generate_brownian(grid, N_PATHS, SEED),
                           [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"])
     weights = weight_matrix(family, bundle)
-    cap_up = build_capacity("upper", family, bundle, weights=weights)
+    cap_up = build_capacity("upper", weights)
 
     claims = [
         Payoff.call(STRIKE),
@@ -53,13 +53,13 @@ def main() -> None:
                       lambda s: np.maximum(10.0 - np.abs(s - STRIKE), 0.0)),
     ]
 
-    cap_lo = build_capacity("lower", family, bundle, weights=weights)
+    cap_lo = build_capacity("lower", weights)
 
     print("claim       minimax_up   choquet_up    gap_up/se"
           "   minimax_lo   choquet_lo    gap_lo/se")
     for payoff in claims:
         values = payoff.map(bundle.terminal())
-        mm = minimax_expectation(payoff, family, bundle, weights=weights)
+        mm = minimax_expectation(values, family, weights)
         cho_up = choquet_integral(values, cap_up)
         cho_lo = choquet_integral(values, cap_lo)
         gap_up = (cho_up - mm.upper) / mm.std_errors[0]

@@ -20,8 +20,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .measures import ThetaControl, weight_matrix
-from .paths import ROW_BLOCK, PathBundle
+from .paths import ROW_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,8 @@ class Payoff:
 
 @dataclass(frozen=True)
 class Capacity:
-    """Upper or lower envelope of reweighted probabilities over a family.
+    """Upper or lower envelope of reweighted probabilities over a family,
+    given by its weight matrix, one column per control.
 
     Weights are self-normalised per control, so evaluate() returns exactly 0
     on the empty event and exactly 1 on the full event, and values are
@@ -134,17 +134,18 @@ class Capacity:
     """
 
     orientation: str  # "upper" | "lower"
-    family: tuple[ThetaControl, ...]
     weights: np.ndarray  # (n_paths, n_controls)
     totals: np.ndarray  # (n_controls,)
 
     def __post_init__(self) -> None:
         if self.orientation not in ("upper", "lower"):
             raise ValueError(f"orientation must be 'upper' or 'lower', got {self.orientation!r}")
-        if not self.family:
-            raise ValueError("capacity requires a nonempty control family")
-        if self.weights.shape[1] != len(self.family) or self.totals.shape != (len(self.family),):
-            raise ValueError("weight matrix does not match the family")
+        if self.weights.ndim != 2 or not self.weights.shape[1]:
+            raise ValueError(f"capacity requires an (n_paths, n_controls) weight matrix with "
+                             f"at least one control, got shape {self.weights.shape}")
+        if self.totals.shape != self.weights.shape[1:]:
+            raise ValueError(f"totals shape {self.totals.shape} does not match the "
+                             f"weight matrix's {self.weights.shape[1]} controls")
 
     @property
     def n_paths(self) -> int:
@@ -169,25 +170,14 @@ class Capacity:
         return np.clip(self._reduce(sums / self.totals), 0.0, 1.0)
 
 
-def build_capacity(
-    orientation: str,
-    family: tuple[ThetaControl, ...] | list[ThetaControl],
-    bundle: PathBundle | None,
-    weights: np.ndarray | None = None,
-) -> Capacity:
-    """Assemble a capacity from a control family on a simulated bundle.
-
-    A precomputed weight matrix may be passed so that upper and lower
-    capacities (and the minimax search) share one set of densities; the
-    bundle is only read when it is not.
-    """
-    family = tuple(family)
-    if weights is None:
-        weights = weight_matrix(family, bundle)
+def build_capacity(orientation: str, weights: np.ndarray) -> Capacity:
+    """The capacity of a family's weight matrix (measures.weight_matrix), so
+    that upper and lower capacities and the minimax search share one set of
+    densities."""
     # Totals use the same matrix product as evaluate() so that the full event
     # normalises to exactly 1.0 in floating point.
     totals = np.ones(weights.shape[0]) @ weights
-    return Capacity(orientation=orientation, family=family, weights=weights, totals=totals)
+    return Capacity(orientation=orientation, weights=weights, totals=totals)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from typing import Callable, Literal, Optional, Union, get_args, get_origin, get
 import numpy as np
 
 from .bsde import (
+    DEFAULT_NODES,
+    DEFAULT_TIME_STEPS,
     MAX_TIME_STEPS,
     Generator,
     GridSolution,
@@ -167,14 +169,15 @@ def parse_payoff_expression(expr: str) -> Callable[[np.ndarray], np.ndarray]:
 _BUILT_IN = ("call", "put", "digital")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Validated scenario: GBM market, payoff, and estimator settings.
 
     The fields are the scenario file's keys (`payoff_kind` is read from the
-    key `payoff`).  A field without a default is a required key; the others
-    are optional with that default.  Each value is parsed by the field's
-    type, and a Literal type lists the values the key accepts.
+    key `payoff`), in the json-like report's order.  A field without a
+    default is a required key; the others are optional with that default.
+    Each value is parsed by the field's type, and a Literal type lists the
+    values the key accepts.
     """
 
     s0: float
@@ -183,14 +186,14 @@ class Scenario:
     horizon: float
     k: float
     payoff_kind: Literal[(*_BUILT_IN, "custom")]
-    n_paths: int
-    steps: int
-    seed: int
     strike: Optional[float] = None
     expr: Optional[str] = None
     monotonicity: Literal["increasing", "decreasing", "none"] = "none"
-    nodes: int = 801
-    time_steps: int = 2000
+    n_paths: int
+    steps: int
+    seed: int
+    nodes: int = DEFAULT_NODES
+    time_steps: int = DEFAULT_TIME_STEPS
     theta_grid: int = 21
     fd_substep: bool = True
     checks: tuple[str, ...] = ()
@@ -428,6 +431,7 @@ class RunContext:
     entries: dict[str, EstimatorEntry]
 
     def subsample(self):
+        """The bundle, payoff values and weight matrix of the first paths."""
         m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
         # The first m rows of a draw are the draw of m paths.
         sub_bundle = PathBundle(
@@ -443,8 +447,7 @@ class RunContext:
     @cached_property
     def sub_capacities(self) -> tuple[Capacity, Capacity]:
         """The upper and lower capacity on the subsample, sharing its totals."""
-        sub_bundle, _, sub_weights = self.subsample()
-        upper = build_capacity("upper", self.family, sub_bundle, weights=sub_weights)
+        upper = build_capacity("upper", self.subsample()[2])
         return upper, replace(upper, orientation="lower")
 
 
@@ -519,8 +522,8 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     # W holds what the functionals were kept for.
     bundle = replace(bundle, functionals={})
 
-    mm = minimax_expectation(payoff, family, bundle, weights=weights)
-    cap_upper = build_capacity("upper", family, bundle, weights=weights)
+    mm = minimax_expectation(values, family, weights)
+    cap_upper = build_capacity("upper", weights)
     cap_lower = replace(cap_upper, orientation="lower")
     # Both sides from one sort and one sweep of the payoff.  The list of
     # influences is a temporary, freed once both SEs are taken.
@@ -546,10 +549,10 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
                        for name in ("extremal_upper", "extremal_lower")]
     else:
         if model.gbm_constants is not None and payoff.kind in ("call", "put"):
-            ext = extremal_price(payoff, model, scenario.horizon, closed_form=True)
+            ext = extremal_price(payoff, model, scenario.horizon)
         else:
-            # The reweighting route's band is bitwise the profile's +k and -k
-            # entries, which the minimax search has already reduced.
+            # The sampled band is the profile's +k and -k entries, which the
+            # minimax search has already reduced.
             at_k = [family.index(ThetaControl.constant(theta, scenario.k))
                     for theta in (scenario.k, -scenario.k)]
             ext = ExtremalReport.from_profile(payoff.monotonicity, mm.estimates[at_k],
@@ -923,16 +926,11 @@ def emit_structured(report: Report) -> str:
             return None
         return value
 
-    s = report.scenario
     payload = {
         "scenario": {
             "path": report.scenario_path,
-            "s0": s.s0, "mu": s.mu, "sigma": s.sigma, "horizon": s.horizon, "k": s.k,
-            "payoff": s.payoff_kind, "strike": s.strike, "expr": s.expr,
-            "monotonicity": s.monotonicity,
-            "n_paths": s.n_paths, "steps": s.steps, "seed": s.seed,
-            "nodes": s.nodes, "time_steps": s.time_steps,
-            "theta_grid": s.theta_grid,
+            **{key: getattr(report.scenario, f.name) for key, f in SCENARIO_KEYS.items()
+               if key not in ("fd_substep", "checks")},
         },
         "estimators": [
             {"name": e.name, "value": clean(e.value), "std_error": clean(e.std_error),

@@ -255,30 +255,20 @@ def weight_matrix(
     return out
 
 
-def expectation_profile(
-    payoff_values: np.ndarray,
-    family: tuple[ThetaControl, ...] | list[ThetaControl],
-    bundle: PathBundle,
-    weights: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and standard errors of E[payoff] under every family member.
+def expectation_profile(payoff_values: np.ndarray,
+                        weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and standard errors of E[payoff] under every family member,
+    one per column of the family's weight_matrix.
 
     Bitwise equal to (weights * x[:, None]).mean(axis=0) and
     .std(axis=0, ddof=1) / sqrt(n_paths), computed in two sweeps over
     ROW_BLOCK-row blocks with O(ROW_BLOCK * C) extra memory instead of the
     (n_paths, C) products; one-member families use that dense formula.
     """
-    family = tuple(family)
-    if weights is None:
-        weights = weight_matrix(family, bundle)
-    if weights.shape != (bundle.n_paths, len(family)):
-        raise ValueError(
-            f"weight matrix shape {weights.shape} does not match "
-            f"({bundle.n_paths}, {len(family)})"
-        )
     x = np.asarray(payoff_values, dtype=float)
-    if x.shape != (bundle.n_paths,):
-        raise ValueError(f"payoff array shape {x.shape} does not match paths {bundle.n_paths}")
+    if weights.ndim != 2 or x.shape != weights.shape[:1]:
+        raise ValueError(f"payoff array shape {x.shape} does not match "
+                         f"the weight matrix's shape {weights.shape}")
     return _column_moments(weights, x)
 
 

@@ -119,12 +119,12 @@ class MinimaxResult:
 
 
 def minimax_expectation(
-    payoff: Payoff,
+    payoff_values: np.ndarray,
     family: Sequence[ThetaControl],
-    bundle: PathBundle,
-    weights: Optional[np.ndarray] = None,
+    weights: np.ndarray,
 ) -> MinimaxResult:
-    """Maximise and minimise the reweighted expectation over the family.
+    """Maximise and minimise the reweighted expectation of a payoff sample
+    over the family, whose weight_matrix on the sample's paths is `weights`.
 
     Every control is evaluated on the same paths, so upper >= lower holds by
     construction and the duality with the negated payoff is exact.  The
@@ -136,8 +136,10 @@ def minimax_expectation(
         raise ValueError("control family must be nonempty")
     if not closed_under_negation(family):
         raise ValueError("control family is not closed under negation")
-    values = payoff.map(bundle.terminal())
-    estimates, ses = expectation_profile(values, family, bundle, weights=weights)
+    if weights.ndim != 2 or weights.shape[1] != len(family):
+        raise ValueError(f"weight matrix shape {weights.shape} does not give one column "
+                         f"to each of the family's {len(family)} controls")
+    estimates, ses = expectation_profile(payoff_values, weights)
     hi = int(np.argmax(estimates))
     lo = int(np.argmin(estimates))
     return MinimaxResult(
@@ -168,8 +170,9 @@ class ExtremalReport:
     @classmethod
     def from_profile(cls, monotonicity: str, estimates: np.ndarray,
                      std_errors: np.ndarray) -> "ExtremalReport":
-        """The reweighting band from a profile's (+k, -k) entries and their
-        standard errors; the payoff's direction decides which is the maximiser."""
+        """The sampled band from a profile's (+k, -k) entries and their
+        standard errors, such as the minimax profile's; the payoff's
+        direction decides which is the maximiser."""
         (plus, minus), (plus_se, minus_se) = estimates.tolist(), std_errors.tolist()
         if monotonicity == "increasing":
             return cls(upper=plus, lower=minus, method="reweighting",
@@ -178,20 +181,15 @@ class ExtremalReport:
                    upper_se=minus_se, lower_se=plus_se)
 
 
-def extremal_price(
-    payoff: Payoff,
-    model: MarketModel,
-    horizon: float,
-    bundle: Optional[PathBundle] = None,
-    closed_form: bool = False,
-) -> ExtremalReport:
-    """Upper/lower prices at the extreme constant drift distortions +-k.
+def extremal_price(payoff: Payoff, model: MarketModel, horizon: float) -> ExtremalReport:
+    """Closed-form upper/lower prices at the extreme constant drift
+    distortions +-k.
 
     Valid only for payoffs with declared monotone direction; the direction
-    decides which extreme is the maximiser.  The closed-form route requires
-    proportional coefficients and a call or put payoff; otherwise a bundle
-    is reweighted under the two extreme controls at once, bitwise the +k and
-    -k entries of the minimax_expectation profile of default_control_family.
+    decides which extreme is the maximiser.  Requires proportional
+    coefficients and a call or put payoff.  Any other monotone claim takes
+    its sampled band from the +k and -k entries of a minimax profile
+    (ExtremalReport.from_profile).
     """
     mono = payoff.monotonicity
     if mono == "none":
@@ -199,26 +197,18 @@ def extremal_price(
             "extremal pricing requires a monotone payoff; "
             "use minimax_expectation over a control family instead"
         )
+    if model.gbm_constants is None:
+        raise ValueError("the closed form requires proportional (GBM) coefficients")
+    if payoff.kind not in ("call", "put"):
+        raise ValueError(f"the closed form supports call/put payoffs, not {payoff.kind!r}")
     k = model.k
-    if closed_form:
-        if model.gbm_constants is None:
-            raise ValueError("closed-form route requires proportional (GBM) coefficients")
-        if payoff.kind not in ("call", "put"):
-            raise ValueError(f"closed-form route supports call/put payoffs, not {payoff.kind!r}")
-        mu, sigma = model.gbm_constants
-        value = lognormal_call_value if payoff.kind == "call" else lognormal_put_value
-        hi_drift = mu + k * sigma if mono == "increasing" else mu - k * sigma
-        lo_drift = mu - k * sigma if mono == "increasing" else mu + k * sigma
-        upper = value(model.s0, hi_drift, sigma, horizon, payoff.strike)
-        lower = value(model.s0, lo_drift, sigma, horizon, payoff.strike)
-        return ExtremalReport(upper=upper, lower=lower, method="closed_form")
-
-    if bundle is None or bundle.states is None:
-        raise ValueError("reweighting route requires a simulated bundle")
-    values = payoff.map(bundle.terminal())
-    est, se = expectation_profile(
-        values, (ThetaControl.constant(k, k), ThetaControl.constant(-k, k)), bundle)
-    return ExtremalReport.from_profile(mono, est, se)
+    mu, sigma = model.gbm_constants
+    value = lognormal_call_value if payoff.kind == "call" else lognormal_put_value
+    hi_drift = mu + k * sigma if mono == "increasing" else mu - k * sigma
+    lo_drift = mu - k * sigma if mono == "increasing" else mu + k * sigma
+    upper = value(model.s0, hi_drift, sigma, horizon, payoff.strike)
+    lower = value(model.s0, lo_drift, sigma, horizon, payoff.strike)
+    return ExtremalReport(upper=upper, lower=lower, method="closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +246,7 @@ def attainment_check(
     family = tuple(ThetaControl.constant(t, k) for t in thetas)
     weights = weight_matrix(family, bundle)
     values = payoff.map(bundle.terminal())
-    estimates, ses = expectation_profile(values, family, bundle, weights=weights)
+    estimates, ses = expectation_profile(values, weights)
 
     # Paired standard errors of adjacent differences share the same paths.
     n = bundle.n_paths

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from nexpect import (
+    ExtremalReport,
     MarketModel,
+    ThetaControl,
     TimeGrid,
     default_control_family,
     generate_brownian,
+    minimax_expectation,
     simulate_sde,
     weight_matrix,
 )
@@ -43,6 +46,34 @@ def blocked_products(inc: np.ndarray, theta: np.ndarray) -> np.ndarray:
     tail block), so the full product is not the oracle."""
     return np.concatenate([inc[start:start + ROW_BLOCK] @ theta
                            for start in range(0, inc.shape[0], ROW_BLOCK)])
+
+
+def profile_band(monotonicity: str, values: np.ndarray, family, weights: np.ndarray):
+    """The minimax profile of a payoff sample over a family of radius k, and
+    the sampled extremal band read from its +k and -k entries
+    (ExtremalReport.from_profile), as `price` reads a band without a closed
+    form."""
+    k = max(c.bound for c in family)
+    at_k = [family.index(ThetaControl.constant(theta, k)) for theta in (k, -k)]
+    mm = minimax_expectation(values, family, weights)
+    return mm, ExtremalReport.from_profile(monotonicity, mm.estimates[at_k],
+                                           mm.estimate_std_errors[at_k])
+
+
+def dense_band(monotonicity: str, values: np.ndarray, brownian_terminal: np.ndarray,
+               k: float, horizon: float) -> tuple[float, float, float, float]:
+    """(upper, upper_se, lower, lower_se) of the +-k band from the density
+    formula on a dense two-column matrix W: the mean and standard error of
+    each column of W * x, reduced over the whole matrix at once."""
+    theta = np.array([k, -k])
+    W2 = np.exp(brownian_terminal[:, None] * theta - 0.5 * theta * theta * horizon)
+    products = W2 * values[:, None]
+    means = products.mean(axis=0)
+    ses = products.std(axis=0, ddof=1) / np.sqrt(values.size)
+    (hi, lo), (hi_se, lo_se) = means.tolist(), ses.tolist()
+    if monotonicity == "decreasing":
+        (hi, hi_se), (lo, lo_se) = (lo, lo_se), (hi, hi_se)
+    return hi, hi_se, lo, lo_se
 
 
 @pytest.fixture(scope="session")

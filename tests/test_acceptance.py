@@ -47,6 +47,7 @@ from tests.conftest import (
     PUT_ATM_DRIFT_DOWN,
     PUT_ATM_DRIFT_UP,
     dense_increments,
+    profile_band,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,9 +88,9 @@ def prefix_bundle(bundle: PathBundle, m: int) -> PathBundle:
     )
 
 
-def prefix_capacity(orientation, family, weights, m):
+def prefix_capacity(orientation, weights, m):
     w = weights[:m]
-    return Capacity(orientation, family, w, np.ones(m) @ w)
+    return Capacity(orientation, w, np.ones(m) @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,7 @@ def test_criterion_02_degeneracy_at_zero_k():
 def test_criterion_03_submodularity(market):
     _, _, bundle, family, weights = market
     m = 100_000
-    cap = prefix_capacity("upper", family, weights, m)
+    cap = prefix_capacity("upper", weights, m)
     term = bundle.terminal()[:m]
     rng = np.random.default_rng(2025)
     # 3/sqrt(m) bounds 3 pooled standard errors of four probability estimates.
@@ -246,7 +247,7 @@ def test_criterion_06_z_sign(market):
 def test_criterion_07_choquet_holder(market):
     _, _, bundle, family, weights = market
     m = 20_000
-    cap = prefix_capacity("upper", family, weights, m)
+    cap = prefix_capacity("upper", weights, m)
     term = bundle.terminal()[:m]
     rng = np.random.default_rng(77)
     lo, hi = np.quantile(term, [0.05, 0.95])
@@ -281,18 +282,18 @@ def test_criterion_07_choquet_holder(market):
 def test_criterion_08_duality_identities(market):
     scenario, model, bundle, family, weights = market
     call = Payoff.call(scenario.strike)
-    res = minimax_expectation(call, family, bundle, weights=weights)
+    res = minimax_expectation(call.map(bundle.terminal()), family, weights)
     neg_call = Payoff.custom(
         "neg_call", lambda s: -np.maximum(s - scenario.strike, 0.0),
         monotonicity="decreasing")
-    res_neg = minimax_expectation(neg_call, family, bundle, weights=weights)
+    res_neg = minimax_expectation(neg_call.map(bundle.terminal()), family, weights)
     scale = max(1.0, abs(res.upper))
     assert abs(res.lower + res_neg.upper) <= EXACT_TOL * scale
     assert abs(res.upper + res_neg.lower) <= EXACT_TOL * scale
 
     m = 100_000
-    cap_u = prefix_capacity("upper", family, weights, m)
-    cap_l = prefix_capacity("lower", family, weights, m)
+    cap_u = prefix_capacity("upper", weights, m)
+    cap_l = prefix_capacity("lower", weights, m)
     term = bundle.terminal()[:m]
     rng = np.random.default_rng(8)
     worst = 0.0
@@ -308,11 +309,13 @@ def test_criterion_08_duality_identities(market):
     neg_put = Payoff.custom(
         "neg_put", lambda s: -np.maximum(scenario.strike - s, 0.0),
         monotonicity="increasing")
-    ext_put = extremal_price(put, model, scenario.horizon, bundle=sub)
-    ext_neg = extremal_price(neg_put, model, scenario.horizon, bundle=sub)
+    # The sampled extremal band: the minimax profile's +k and -k entries.
+    w = weights[:sub.n_paths]
+    _, ext_put = profile_band(put.monotonicity, put.map(sub.terminal()), family, w)
+    _, ext_neg = profile_band(neg_put.monotonicity, neg_put.map(sub.terminal()), family, w)
     assert abs(ext_put.upper + ext_neg.lower) <= EXACT_TOL * scale
     assert abs(ext_put.lower + ext_neg.upper) <= EXACT_TOL * scale
-    cf = extremal_price(put, model, scenario.horizon, closed_form=True)
+    cf = extremal_price(put, model, scenario.horizon)
     assert cf.upper == pytest.approx(PUT_ATM_DRIFT_DOWN, rel=1e-12)
     assert cf.lower == pytest.approx(PUT_ATM_DRIFT_UP, rel=1e-12)
     print("criterion 08 (duality identities at float precision): PASS")
@@ -327,8 +330,8 @@ def test_criterion_09_sandwich_corpus(market):
     m = 200_000
     sub = prefix_bundle(bundle, m)
     w = weights[:m]
-    cap_u = prefix_capacity("upper", family, weights, m)
-    cap_l = prefix_capacity("lower", family, weights, m)
+    cap_u = prefix_capacity("upper", weights, m)
+    cap_l = prefix_capacity("lower", weights, m)
     strike = scenario.strike
     corpus = [
         Payoff.call(strike),
@@ -342,7 +345,7 @@ def test_criterion_09_sandwich_corpus(market):
     straddle_gap = None
     for payoff in corpus:
         values = payoff.map(sub.terminal())
-        res = minimax_expectation(payoff, family, sub, weights=w)
+        res = minimax_expectation(values, family, w)
         cho_u = choquet_integral(values, cap_u)
         cho_l = choquet_integral(values, cap_l)
         tol = pooled_tolerance(res.std_errors) + 1e-9 * max(1.0, abs(cho_u))

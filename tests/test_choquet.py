@@ -36,9 +36,9 @@ from tests.conftest import CALL_ATM_DRIFT_UP, DIGITAL_ATM_DRIFT_UP
 
 
 @pytest.fixture(scope="module")
-def caps(family_k01, bundle_200k, weights_200k):
-    upper = build_capacity("upper", family_k01, bundle_200k, weights=weights_200k)
-    lower = build_capacity("lower", family_k01, bundle_200k, weights=weights_200k)
+def caps(weights_200k):
+    upper = build_capacity("upper", weights_200k)
+    lower = build_capacity("lower", weights_200k)
     return upper, lower
 
 
@@ -126,7 +126,7 @@ def test_capacity_duality(caps, bundle_200k):
 
 def test_capacity_k0_is_probability(bundle_50k):
     family = (ThetaControl.constant(0.0, 0.0),)
-    cap = build_capacity("upper", family, bundle_50k)
+    cap = build_capacity("upper", weight_matrix(family, bundle_50k))
     event = bundle_50k.terminal() > 100.0
     assert cap.evaluate(event) == event.mean()
 
@@ -136,7 +136,19 @@ def test_capacity_shape_validation(caps):
     with pytest.raises(ValueError):
         upper.evaluate(np.ones(3, dtype=bool))
     with pytest.raises(ValueError):
-        Capacity("sideways", upper.family, upper.weights, upper.totals)
+        Capacity("sideways", upper.weights, upper.totals)
+    # The totals must give one entry per column of the weight matrix.
+    with pytest.raises(ValueError, match="totals"):
+        Capacity("upper", upper.weights, upper.totals[:-1])
+    with pytest.raises(ValueError, match="totals"):
+        Capacity("upper", upper.weights, upper.totals[:, None])
+    # A zero-column matrix is a capacity over an empty family.
+    with pytest.raises(ValueError, match="at least one control"):
+        Capacity("upper", np.ones((5, 0)), np.zeros(0))
+    with pytest.raises(ValueError, match="at least one control"):
+        build_capacity("upper", np.ones((5, 0)))
+    with pytest.raises(ValueError, match="at least one control"):
+        Capacity("upper", upper.weights[:, 0], upper.totals[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +204,7 @@ def test_integral_simple_function_agreement(caps, bundle_200k, case):
         rng = np.random.default_rng(seed)
         values = rng.choice(np.round(rng.standard_normal(levels) * 10.0 ** rng.integers(-2, 4), 3), n)
         weights = np.exp(0.3 * rng.standard_normal((n, controls)))
-        family = (ThetaControl.constant(0.0, 0.0),) * controls
-        pair = [Capacity(side, family, weights, np.ones(n) @ weights) for side in ("upper", "lower")]
+        pair = [Capacity(side, weights, np.ones(n) @ weights) for side in ("upper", "lower")]
     assert np.unique(values).size <= 64
     for cap in pair:
         swept = choquet_integral(values, cap)
@@ -215,7 +226,7 @@ def test_integral_negative_payoff(caps, bundle_200k):
     values = -Payoff.put(100.0).map(bundle_200k.terminal())
     estimate = choquet_integral(values, upper)
     plus = ThetaControl.constant(0.1, 0.1)
-    (ref,), (se,) = expectation_profile(values, (plus,), bundle_200k)
+    (ref,), (se,) = expectation_profile(values, weight_matrix((plus,), bundle_200k))
     assert estimate <= 0.0
     assert abs(estimate - ref) < max(3.0 * se, 0.02 * abs(ref))
 
@@ -229,7 +240,7 @@ def bundle_capacities(n, k, seed):
     bundle = simulate_sde(model, generate_brownian(grid, n, seed),
                           [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"])
     weights = weight_matrix(family, bundle)
-    caps = [build_capacity(side, family, bundle, weights=weights) for side in ("upper", "lower")]
+    caps = [build_capacity(side, weights) for side in ("upper", "lower")]
     term = bundle.terminal()
     return caps, (Payoff.call(100.0).map(term), np.abs(term - 100.0))
 
@@ -337,11 +348,11 @@ def test_lower_capacity_superadditive(caps, bundle_200k):
     assert report.max_violation <= 1e-12
 
 
-def test_submodularity_memory_is_bounded(family_k01, bundle_50k, weights_50k):
+def test_submodularity_memory_is_bounded(bundle_50k, weights_50k):
     # numpy reports its allocations to tracemalloc.  The sweep's peak is a
     # few n-vectors (the sort) and two ROW_BLOCK x m blocks; ten times the
     # pairs adds only their few m-wide rows, well inside one block.
-    upper = build_capacity("upper", family_k01, None, weights=weights_50k)
+    upper = build_capacity("upper", weights_50k)
     term = bundle_50k.terminal()
     n, block = term.size, ROW_BLOCK * weights_50k.shape[1] * 8
     peaks = {}
@@ -423,8 +434,7 @@ def test_pair_capacities_match_masks(case):
     else:
         x = rng.standard_normal(n)
     weights = np.exp(0.3 * rng.standard_normal((n, controls)))
-    family = (ThetaControl.constant(0.0, 0.0),) * controls
-    upper = Capacity("upper", family, weights, np.ones(n) @ weights)
+    upper = Capacity("upper", weights, np.ones(n) @ weights)
     pairs = _event_kinds(x, rng)
     for cap in (upper, replace(upper, orientation="lower")):
         got = _pair_capacities(cap, x, pairs)
@@ -447,8 +457,8 @@ def test_holder_exponent_validation(caps):
         choquet_holder_check(x, x, upper, p=1.0, q=1.0)
 
 
-def test_holder_self_pair_near_equality(family_k01, bundle_50k, weights_50k):
-    upper = build_capacity("upper", family_k01, bundle_50k, weights=weights_50k)
+def test_holder_self_pair_near_equality(bundle_50k, weights_50k):
+    upper = build_capacity("upper", weights_50k)
     x = bundle_50k.terminal() / 100.0
     report = choquet_holder_check(x, x, upper, p=2.0, q=2.0)
     assert report.passed
@@ -456,8 +466,8 @@ def test_holder_self_pair_near_equality(family_k01, bundle_50k, weights_50k):
     assert abs(report.margin) < 0.01 * report.rhs
 
 
-def test_holder_random_pairs(family_k01, bundle_50k, weights_50k):
-    upper = build_capacity("upper", family_k01, bundle_50k, weights=weights_50k)
+def test_holder_random_pairs(bundle_50k, weights_50k):
+    upper = build_capacity("upper", weights_50k)
     term = bundle_50k.terminal()
     pairs = [
         (np.maximum(term - 100.0, 0.0), term / 100.0),
@@ -469,8 +479,8 @@ def test_holder_random_pairs(family_k01, bundle_50k, weights_50k):
         assert report.passed, (report.margin, report.tolerance)
 
 
-def test_holder_asymmetric_exponents(family_k01, bundle_50k, weights_50k):
-    upper = build_capacity("upper", family_k01, bundle_50k, weights=weights_50k)
+def test_holder_asymmetric_exponents(bundle_50k, weights_50k):
+    upper = build_capacity("upper", weights_50k)
     term = bundle_50k.terminal()
     report = choquet_holder_check(
         np.maximum(term - 100.0, 0.0), term / 100.0, upper, p=3.0, q=1.5
@@ -482,14 +492,14 @@ def test_holder_asymmetric_exponents(family_k01, bundle_50k, weights_50k):
 # exact large-sample integration
 # ---------------------------------------------------------------------------
 
-def test_integral_exact_dominates_every_member(family_k01, bundle_50k, weights_50k):
+def test_integral_exact_dominates_every_member(bundle_50k, weights_50k):
     """The envelope integral sits above each member's own expectation.
 
     Each self-normalized member mean is the integral against one measure,
     and the upper envelope dominates it at every level, so the relation is
     structural, not statistical.
     """
-    upper = build_capacity("upper", family_k01, bundle_50k, weights=weights_50k)
+    upper = build_capacity("upper", weights_50k)
     values = np.maximum(bundle_50k.terminal() - 100.0, 0.0)
     total = choquet_integral(values, upper)
     member_means = (values @ weights_50k) / (np.ones(values.size) @ weights_50k)
@@ -542,8 +552,7 @@ def engine_case(n, controls, orientation, seed):
     # Rounded draws tie often; the stable sort must keep tied rows in order.
     x = np.round(rng.standard_normal(n), 1) * 3.0
     weights = np.exp(0.3 * rng.standard_normal((n, controls)))
-    family = (ThetaControl.constant(0.0, 0.0),) * controls
-    return x, Capacity(orientation, family, weights, np.ones(n) @ weights)
+    return x, Capacity(orientation, weights, np.ones(n) @ weights)
 
 
 ENGINE_SIZES = [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 17]
@@ -581,8 +590,7 @@ def test_influence_matches_dense_reference(n, controls):
         ref = dense_influence(x, cap)
         scale = max(np.abs(ref).max(), np.abs(x).max())
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
-        other = Capacity({"upper": "lower", "lower": "upper"}[orientation],
-                         cap.family, cap.weights, cap.totals)
+        other = Capacity({"upper": "lower", "lower": "upper"}[orientation], cap.weights, cap.totals)
         for sides in ((cap, other), (other, cap)):
             [(pair_value, pair_influence)] = [
                 estimate for side, estimate in zip(sides, choquet_estimates(x, sides))
@@ -597,7 +605,7 @@ def test_joint_estimates_match_dense_references(n, controls):
     # Both sides from one sort: each value and influence equals the dense
     # reference, and the single-side functions give the same bits.
     x, upper = engine_case(n, controls, "upper", seed=n * 41 + controls)
-    lower = Capacity("lower", upper.family, upper.weights, upper.totals)
+    lower = Capacity("lower", upper.weights, upper.totals)
     swept = controls > 1
     for cap, (value, influence) in zip((upper, lower), choquet_estimates(x, (upper, lower))):
         if swept:
@@ -623,7 +631,7 @@ def test_each_capacity_is_swept_once(monkeypatch):
 
     monkeypatch.setattr(_SortedSample, "_running_sums", counted)
     x, upper = engine_case(3 * ROW_BLOCK + 17, 29, "upper", seed=3)
-    lower = Capacity("lower", upper.family, upper.weights, upper.totals)
+    lower = Capacity("lower", upper.weights, upper.totals)
     choquet_estimates(x, (upper, lower))
     assert len(sweeps) == 1
     sweeps.clear()
@@ -633,7 +641,7 @@ def test_each_capacity_is_swept_once(monkeypatch):
 
 def test_joint_estimates_need_one_weight_matrix(caps):
     upper, _ = caps
-    other = Capacity("lower", upper.family, upper.weights.copy(), upper.totals)
+    other = Capacity("lower", upper.weights.copy(), upper.totals)
     with pytest.raises(ValueError, match="one weight matrix"):
         choquet_estimates(np.arange(float(upper.n_paths)), (upper, other))
 
@@ -648,15 +656,14 @@ def test_influence_is_the_weight_derivative(orientation, controls):
     n = 3000
     x = rng.standard_normal(n) * 2.0
     weights = np.exp(0.3 * rng.standard_normal((n, controls)))
-    family = (ThetaControl.constant(0.0, 0.0),) * controls
-    cap = Capacity(orientation, family, weights, np.ones(n) @ weights)
+    cap = Capacity(orientation, weights, np.ones(n) @ weights)
     base = choquet_integral(x, cap)
     [(_, influence)] = choquet_estimates(x, (cap,))
     eps = 1e-4
     for l in (0, 7, 1500, n - 1):
         bumped = weights.copy()
         bumped[l] *= 1.0 + eps
-        moved = choquet_integral(x, Capacity(orientation, family, bumped, np.ones(n) @ bumped))
+        moved = choquet_integral(x, Capacity(orientation, bumped, np.ones(n) @ bumped))
         assert (moved - base) / eps * n == pytest.approx(influence[l], rel=1e-5, abs=1e-6)
 
 
@@ -675,7 +682,7 @@ def test_choquet_se_at_zero_k_is_plain_se(bundle_50k):
     values = np.maximum(bundle_50k.terminal() - 100.0, 0.0)
     plain_se = values.std(ddof=1) / math.sqrt(values.size)
     for orientation in ("upper", "lower"):
-        cap = build_capacity(orientation, family, bundle_50k)
+        cap = build_capacity(orientation, weight_matrix(family, bundle_50k))
         [(_, influence)] = choquet_estimates(values, (cap,))
         assert _choquet_std_error(influence) == pytest.approx(plain_se, rel=1e-12)
 
@@ -696,11 +703,11 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
     for b in range(len(boot)):
         mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
         np.multiply(weights, mult[:, None], out=scaled)
-        upper_b = Capacity("upper", family_k01, scaled, np.ones(n) @ scaled)
-        lower_b = Capacity("lower", family_k01, scaled, upper_b.totals)
+        upper_b = Capacity("upper", scaled, np.ones(n) @ scaled)
+        lower_b = Capacity("lower", scaled, upper_b.totals)
         boot[b] = [value for value, _ in _SortedSample(values, scaled).estimate((upper_b, lower_b))]
     for orientation, spread in zip(("upper", "lower"), boot.std(axis=0, ddof=1)):
-        cap = Capacity(orientation, family_k01, weights, np.ones(n) @ weights)
+        cap = Capacity(orientation, weights, np.ones(n) @ weights)
         [(_, influence)] = choquet_estimates(values, (cap,))
         ratio = _choquet_std_error(influence) / spread
         assert 0.8 <= ratio <= 1.25, (orientation, ratio)
@@ -714,7 +721,7 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
 def test_error_bars_match_dense_influences(acc_model, grid8, family):
     n = 3000
     bundle = simulate_sde(acc_model, generate_brownian(grid8, n, 17))
-    upper = build_capacity("upper", family, bundle)
+    upper = build_capacity("upper", weight_matrix(family, bundle))
     values = np.maximum(bundle.terminal() - 100.0, 0.0)
 
     # The Choquet error bar of the report.

@@ -35,6 +35,7 @@ from nexpect.cli import (
     parse_payoff_expression,
     run_scenario,
 )
+from tests.conftest import dense_band
 
 BASE = """\
 s0 = 100
@@ -674,8 +675,8 @@ def test_cli_import_loads_no_scipy_and_no_thread_pool():
 
 def test_reweighted_extremal_band_is_read_from_the_minimax_profile(tmp_path, monkeypatch):
     # A digital has no closed form: its extremal band is the minimax profile's
-    # +k and -k entries, identical to a reweighting call on the same paths,
-    # and the pipeline makes no such call.
+    # +k and -k entries, bitwise the dense two-column reduction of the +k and
+    # -k densities on the same paths, and the pipeline calls no extremal_price.
     from pathlib import Path
 
     from nexpect import cli, extremal_price
@@ -696,12 +697,12 @@ def test_reweighted_extremal_band_is_read_from_the_minimax_profile(tmp_path, mon
     monkeypatch.setattr(cli, "extremal_price", spy)
     report = run_scenario(scn)
     assert calls == []
-    expected = extremal_price(scn.build_payoff(), scn.build_model(), scn.horizon,
-                              bundle=bundles[0])
-    for side in ("upper", "lower"):
-        entry = report.entry(f"extremal_{side}")
-        assert (entry.value, entry.std_error, entry.note) == (
-            getattr(expected, side), getattr(expected, f"{side}_se"), "reweighting")
+    payoff = scn.build_payoff()
+    hi, hi_se, lo, lo_se = dense_band(payoff.monotonicity, payoff.map(bundles[0].terminal()),
+                                      bundles[0].terminal_brownian(), scn.k, scn.horizon)
+    upper, lower = report.entry("extremal_upper"), report.entry("extremal_lower")
+    assert (upper.value, upper.std_error, upper.note) == (hi, hi_se, "reweighting")
+    assert (lower.value, lower.std_error, lower.note) == (lo, lo_se, "reweighting")
 
 
 def test_holder_run_sorts_each_distinct_array_once(tmp_path, monkeypatch):
@@ -831,8 +832,7 @@ def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
     report = run_scenario(scn)
     assert reductions.count(scn.n_paths) == 2
     [ctx] = contexts
-    means, ses = expectation_profile(np.ones(scn.n_paths), ctx.family, ctx.bundle,
-                                     weights=ctx.weights)
+    means, ses = expectation_profile(np.ones(scn.n_paths), ctx.weights)
     assert np.array_equal(ctx.moments["means"], means) and np.array_equal(ctx.moments["ses"], ses)
     expected = real_check(replace(ctx, moments={"means": means, "ses": ses}))
     assert report.checks[0] == expected and expected.status == "pass"

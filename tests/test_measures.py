@@ -77,7 +77,7 @@ def test_zero_control_weights_are_one(bundle_50k):
     control = ThetaControl.constant(0.0, 0.1)
     w = girsanov_weights(control, bundle_50k)
     assert np.all(w == 1.0)
-    (mean,), _ = expectation_profile(np.ones(bundle_50k.n_paths), (control,), bundle_50k)
+    (mean,), _ = expectation_profile(np.ones(bundle_50k.n_paths), weight_matrix((control,), bundle_50k))
     assert mean == 1.0
 
 
@@ -106,7 +106,7 @@ def test_weights_martingale_mean(acc_model, grid8):
     control = ThetaControl.constant(0.1, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a deviation warning would fail the test
-        (mean,), (se,) = expectation_profile(np.ones(bundle.n_paths), (control,), bundle)
+        (mean,), (se,) = expectation_profile(np.ones(bundle.n_paths), weight_matrix((control,), bundle))
     assert abs(mean - 1.0) <= 4.0 * se
 
 
@@ -125,7 +125,7 @@ def test_weights_second_moment_bound(bundle_200k):
 def test_expectation_constant_payoff_exact_at_zero(bundle_50k):
     control = ThetaControl.constant(0.0, 0.1)
     values = np.full(bundle_50k.n_paths, 3.25)
-    (est,), (se,) = expectation_profile(values, (control,), bundle_50k)
+    (est,), (se,) = expectation_profile(values, weight_matrix((control,), bundle_50k))
     assert est == 3.25
     assert se == 0.0
 
@@ -133,14 +133,14 @@ def test_expectation_constant_payoff_exact_at_zero(bundle_50k):
 def test_expectation_drift_shift(bundle_200k):
     # theta = +k on a driftless market prices S_T at 100 e^{+k sigma T}.
     control = ThetaControl.constant(0.1, 0.1)
-    (est,), (se,) = expectation_profile(bundle_200k.terminal(), (control,), bundle_200k)
+    (est,), (se,) = expectation_profile(bundle_200k.terminal(), weight_matrix((control,), bundle_200k))
     assert abs(est - MEAN_ST_DRIFT_UP) < 3.0 * se
 
 
 def test_expectation_flat_call(bundle_200k):
     control = ThetaControl.constant(0.0, 0.1)
     values = np.maximum(bundle_200k.terminal() - 100.0, 0.0)
-    (est,), (se,) = expectation_profile(values, (control,), bundle_200k)
+    (est,), (se,) = expectation_profile(values, weight_matrix((control,), bundle_200k))
     assert abs(est - CALL_ATM_FLAT) < 3.0 * se
 
 
@@ -155,14 +155,18 @@ def test_measure_change_matches_direct_simulation(grid8):
     flat = MarketModel.gbm(100.0, 0.0, 0.2)
     base = simulate_sde(flat, generate_brownian(grid8, 200_000, 556))
     control = ThetaControl.constant(0.1, 0.1)
-    (est,), (se,) = expectation_profile(np.maximum(base.terminal() - 100.0, 0.0), (control,), base)
+    (est,), (se,) = expectation_profile(np.maximum(base.terminal() - 100.0, 0.0),
+                                        weight_matrix((control,), base))
     assert abs(est - direct_est) < 4.0 * math.hypot(se, direct_se)
 
 
 def test_expectation_validation(bundle_50k):
-    control = ThetaControl.constant(0.05, 0.1)
+    weights = weight_matrix((ThetaControl.constant(0.05, 0.1),), bundle_50k)
     with pytest.raises(ValueError):
-        expectation_profile(np.ones(10), (control,), bundle_50k)
+        expectation_profile(np.ones(10), weights)
+    # A density column is not a weight matrix.
+    with pytest.raises(ValueError):
+        expectation_profile(np.ones(bundle_50k.n_paths), weights[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +181,11 @@ def test_weight_matrix_threads_identical(family_k01, bundle_50k):
 
 def test_expectation_profile_shapes(family_k01, bundle_50k, weights_50k):
     values = bundle_50k.terminal()
-    est, ses = expectation_profile(values, family_k01, bundle_50k, weights=weights_50k)
+    est, ses = expectation_profile(values, weights_50k)
     assert est.shape == (len(family_k01),)
     assert np.all(ses > 0.0)
     with pytest.raises(ValueError):
-        expectation_profile(values[:10], family_k01, bundle_50k, weights=weights_50k)
+        expectation_profile(values[:10], weights_50k)
 
 
 B = ROW_BLOCK
@@ -227,7 +231,7 @@ def test_blocked_weight_passes_are_bitwise_dense(n, family, grid8):
 
     x = np.maximum(bundle.terminal_brownian() * 30.0 + 1.0, 0.0)
     products = dense * x[:, None]
-    est, ses = expectation_profile(x, family, bundle, weights=serial)
+    est, ses = expectation_profile(x, serial)
     assert np.array_equal(est, products.mean(axis=0))
     assert np.array_equal(ses, products.std(axis=0, ddof=1) / np.sqrt(n))
 

@@ -26,6 +26,7 @@ from nexpect import (
     minimax_expectation,
     pooled_tolerance,
     simulate_sde,
+    weight_matrix,
 )
 from nexpect.cli import load_scenario
 from nexpect.measures import ROW_BLOCK
@@ -37,6 +38,8 @@ from tests.conftest import (
     DIGITAL_ATM_DRIFT_UP,
     PUT_ATM_DRIFT_DOWN,
     PUT_ATM_DRIFT_UP,
+    dense_band,
+    profile_band,
 )
 
 HORIZON = 1.0
@@ -150,7 +153,7 @@ def test_closed_forms_match_scipy_ndtr(market, strike):
 # ---------------------------------------------------------------------------
 
 def test_extremal_closed_form_call(acc_model):
-    report = extremal_price(Payoff.call(100.0), acc_model, HORIZON, closed_form=True)
+    report = extremal_price(Payoff.call(100.0), acc_model, HORIZON)
     assert report.method == "closed_form"
     assert report.upper == pytest.approx(CALL_ATM_DRIFT_UP, rel=1e-12)
     assert report.lower == pytest.approx(CALL_ATM_DRIFT_DOWN, rel=1e-12)
@@ -158,13 +161,18 @@ def test_extremal_closed_form_call(acc_model):
 
 def test_extremal_closed_form_put_swaps_roles(acc_model):
     # Decreasing payoff: the upper price sits at the downward drift.
-    report = extremal_price(Payoff.put(100.0), acc_model, HORIZON, closed_form=True)
+    report = extremal_price(Payoff.put(100.0), acc_model, HORIZON)
     assert report.upper == pytest.approx(PUT_ATM_DRIFT_DOWN, rel=1e-12)
     assert report.lower == pytest.approx(PUT_ATM_DRIFT_UP, rel=1e-12)
 
 
-def test_extremal_reweighting_route(acc_model, bundle_50k):
-    report = extremal_price(Payoff.call(100.0), acc_model, HORIZON, bundle=bundle_50k)
+# A monotone claim without a closed form takes the sampled band, the +k and
+# -k entries of the minimax profile (ExtremalReport.from_profile).
+
+def test_extremal_reweighting_route(family_k01, bundle_50k, weights_50k):
+    payoff = Payoff.call(100.0)
+    _, report = profile_band(payoff.monotonicity, payoff.map(bundle_50k.terminal()),
+                             family_k01, weights_50k)
     assert report.method == "reweighting"
     assert report.upper_se > 0.0 and report.lower_se > 0.0
     assert abs(report.upper - CALL_ATM_DRIFT_UP) < 3.0 * report.upper_se
@@ -172,8 +180,10 @@ def test_extremal_reweighting_route(acc_model, bundle_50k):
     assert report.upper > report.lower
 
 
-def test_extremal_reweighting_digital(acc_model, bundle_50k):
-    report = extremal_price(Payoff.digital(100.0), acc_model, HORIZON, bundle=bundle_50k)
+def test_extremal_reweighting_digital(family_k01, bundle_50k, weights_50k):
+    payoff = Payoff.digital(100.0)
+    _, report = profile_band(payoff.monotonicity, payoff.map(bundle_50k.terminal()),
+                             family_k01, weights_50k)
     assert abs(report.upper - DIGITAL_ATM_DRIFT_UP) < 3.0 * report.upper_se
     oracle_low = lognormal_digital_value(100.0, -0.02, 0.2, 1.0, 100.0)
     assert abs(report.lower - oracle_low) < 3.0 * report.lower_se
@@ -181,21 +191,16 @@ def test_extremal_reweighting_digital(acc_model, bundle_50k):
 
 @pytest.mark.parametrize("n", [2, ROW_BLOCK - 1, ROW_BLOCK + 1, 50_000])
 @pytest.mark.parametrize("payoff", [Payoff.call(100.0), Payoff.put(100.0)], ids=["call", "put"])
-def test_extremal_reweighting_is_bitwise_dense(acc_model, grid8, n, payoff):
+def test_extremal_reweighting_is_bitwise_dense(acc_model, grid8, family_k01, n, payoff):
     bundle = simulate_sde(acc_model, generate_brownian(grid8, n, 700 + n))
     x = payoff.map(bundle.terminal())
-    k, bt = acc_model.k, bundle.terminal_brownian()
-    theta = np.array([k, -k])
-    W2 = np.exp(bt[:, None] * theta - 0.5 * theta * theta * HORIZON)
-    means = (W2 * x[:, None]).mean(axis=0)
-    ses = (W2 * x[:, None]).std(axis=0, ddof=1) / np.sqrt(n)
-    (hi, lo), (hi_se, lo_se) = means.tolist(), ses.tolist()
-    if payoff.monotonicity == "decreasing":
-        (hi, hi_se), (lo, lo_se) = (lo, lo_se), (hi, hi_se)
+    hi, hi_se, lo, lo_se = dense_band(payoff.monotonicity, x, bundle.terminal_brownian(),
+                                      acc_model.k, HORIZON)
     with warnings.catch_warnings():
         # Tiny samples may stray from the martingale mean.
         warnings.simplefilter("ignore", MartingaleDeviationWarning)
-        report = extremal_price(payoff, acc_model, HORIZON, bundle=bundle)
+        _, report = profile_band(payoff.monotonicity, x, family_k01,
+                                 weight_matrix(family_k01, bundle))
     assert (report.upper, report.upper_se, report.lower, report.lower_se) == (hi, hi_se, lo, lo_se)
 
 
@@ -203,43 +208,42 @@ def test_extremal_reweighting_is_bitwise_dense(acc_model, grid8, n, payoff):
 @pytest.mark.parametrize("payoff", [Payoff.digital(100.0), Payoff.put(100.0), Payoff.call(100.0)],
                          ids=["digital", "put", "call"])
 def test_extremal_price_is_the_minimax_profile_at_k(acc_model, grid8, bundle_50k, n, payoff):
-    # The reweighted extremal band is the +k and -k columns of the minimax
-    # profile over the default family, to the last bit: both reduce those
-    # columns in one multi-column sweep.
+    # The +k and -k entries of the minimax profile over the default family
+    # estimate the extremal prices at drifts mu +- k sigma: the closed form
+    # for a call or put, lognormal_digital_value for a digital.
     bundle = bundle_50k if n == 50_000 else simulate_sde(acc_model, generate_brownian(grid8, n, 5))
     family = default_control_family(acc_model.k)
-    plus = family.index(ThetaControl.constant(acc_model.k, acc_model.k))
-    minus = family.index(ThetaControl.constant(-acc_model.k, acc_model.k))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MartingaleDeviationWarning)
-        mm = minimax_expectation(payoff, family, bundle)
-        report = extremal_price(payoff, acc_model, HORIZON, bundle=bundle)
-    hi, lo = (plus, minus) if payoff.monotonicity == "increasing" else (minus, plus)
-    assert (report.upper, report.lower) == (mm.estimates[hi], mm.estimates[lo])
-    assert (report.upper_se, report.lower_se) == (
-        mm.estimate_std_errors[hi], mm.estimate_std_errors[lo])
+        _, report = profile_band(payoff.monotonicity, payoff.map(bundle.terminal()), family,
+                                 weight_matrix(family, bundle))
+    assert report.method == "reweighting"
+    if payoff.kind == "digital":
+        (mu, sigma), k = acc_model.gbm_constants, acc_model.k
+        closed = [lognormal_digital_value(acc_model.s0, mu + sign * k * sigma, sigma, HORIZON,
+                                          payoff.strike) for sign in (1.0, -1.0)]
+    else:
+        closed_form = extremal_price(payoff, acc_model, HORIZON)
+        closed = [closed_form.upper, closed_form.lower]
+    assert abs(report.upper - closed[0]) < 3.0 * report.upper_se
+    assert abs(report.lower - closed[1]) < 3.0 * report.lower_se
 
 
 def test_extremal_closed_form_rejects_digital(acc_model):
     with pytest.raises(ValueError, match="call/put"):
-        extremal_price(Payoff.digital(100.0), acc_model, HORIZON, closed_form=True)
+        extremal_price(Payoff.digital(100.0), acc_model, HORIZON)
 
 
 def test_extremal_requires_monotonicity(acc_model):
     straddle = Payoff.custom("straddle", lambda s: np.abs(s - 100.0))
     with pytest.raises(ValueError, match="minimax_expectation"):
-        extremal_price(straddle, acc_model, HORIZON, closed_form=True)
-
-
-def test_extremal_needs_bundle_or_closed_form(acc_model):
-    with pytest.raises(ValueError):
-        extremal_price(Payoff.call(100.0), acc_model, HORIZON)
+        extremal_price(straddle, acc_model, HORIZON)
 
 
 def test_extremal_closed_form_requires_gbm():
     general = MarketModel.general(100.0, lambda t, s: 0.0 * s, lambda t, s: 0.2 * s, k=0.1)
     with pytest.raises(ValueError):
-        extremal_price(Payoff.call(100.0), general, HORIZON, closed_form=True)
+        extremal_price(Payoff.call(100.0), general, HORIZON)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,7 @@ def test_extremal_closed_form_requires_gbm():
 
 def test_minimax_constant_payoff_brackets(family_k01, bundle_50k, weights_50k):
     const = Payoff.custom("const", lambda s: np.full_like(s, 7.0))
-    res = minimax_expectation(const, family_k01, bundle_50k, weights=weights_50k)
+    res = minimax_expectation(const.map(bundle_50k.terminal()), family_k01, weights_50k)
     # The zero control reproduces 7 exactly, so the envelope brackets it; the
     # extremes deviate only by the sampling error of the density means.
     assert res.lower <= 7.0 <= res.upper
@@ -261,15 +265,16 @@ def test_minimax_zero_bound_collapses(grid8):
     bundle = simulate_sde(model, generate_brownian(grid8, 20_000, 7))
     family = default_control_family(0.0)
     assert len(family) == 1
-    res = minimax_expectation(Payoff.call(100.0), family, bundle)
+    res = minimax_expectation(Payoff.call(100.0).map(bundle.terminal()), family,
+                              weight_matrix(family, bundle))
     assert res.upper == res.lower
     plain = float(np.maximum(bundle.terminal() - 100.0, 0.0).mean())
     assert res.upper == plain
 
 
 def test_minimax_call_attains_boundary(family_k01, bundle_50k, weights_50k):
-    res = minimax_expectation(Payoff.call(100.0), family_k01, bundle_50k,
-                              weights=weights_50k)
+    res = minimax_expectation(Payoff.call(100.0).map(bundle_50k.terminal()), family_k01,
+                              weights_50k)
     assert res.argmax_control.kind == "constant"
     assert res.argmax_control.theta0 == pytest.approx(0.1)
     assert res.argmin_control.kind == "constant"
@@ -281,11 +286,11 @@ def test_minimax_call_attains_boundary(family_k01, bundle_50k, weights_50k):
 
 def test_minimax_duality_bitwise(family_k01, bundle_50k, weights_50k):
     """lower(X) = -upper(-X) at float precision on shared paths and weights."""
-    res_x = minimax_expectation(Payoff.call(100.0), family_k01, bundle_50k,
-                                weights=weights_50k)
+    res_x = minimax_expectation(Payoff.call(100.0).map(bundle_50k.terminal()), family_k01,
+                                weights_50k)
     neg = Payoff.custom("neg", lambda s: -np.maximum(s - 100.0, 0.0),
                         monotonicity="decreasing")
-    res_n = minimax_expectation(neg, family_k01, bundle_50k, weights=weights_50k)
+    res_n = minimax_expectation(neg.map(bundle_50k.terminal()), family_k01, weights_50k)
     scale = max(1.0, abs(res_x.upper))
     assert abs(res_x.lower + res_n.upper) < 1e-13 * scale
     assert abs(res_x.upper + res_n.lower) < 1e-13 * scale
@@ -294,19 +299,33 @@ def test_minimax_duality_bitwise(family_k01, bundle_50k, weights_50k):
 def test_minimax_rejects_open_family(bundle_50k):
     lopsided = (ThetaControl.constant(0.07, 0.1),)
     assert not closed_under_negation(lopsided)
+    values = Payoff.call(100.0).map(bundle_50k.terminal())
     with pytest.raises(ValueError, match="negation"):
-        minimax_expectation(Payoff.call(100.0), lopsided, bundle_50k)
+        minimax_expectation(values, lopsided, weight_matrix(lopsided, bundle_50k))
 
 
 def test_minimax_rejects_empty_family(bundle_50k):
+    values = Payoff.call(100.0).map(bundle_50k.terminal())
     with pytest.raises(ValueError, match="nonempty"):
-        minimax_expectation(Payoff.call(100.0), (), bundle_50k)
+        minimax_expectation(values, (), np.ones((values.size, 1)))
+
+
+def test_minimax_rejects_a_matrix_of_another_family(family_k01, bundle_50k, weights_50k):
+    # One weight column per control, or the argmax would name the wrong one.
+    values = Payoff.call(100.0).map(bundle_50k.terminal())
+    for weights in (weights_50k[:, :-2], np.hstack([weights_50k, weights_50k[:, :1]]),
+                    weights_50k[:, 0]):
+        with pytest.raises(ValueError, match="one column"):
+            minimax_expectation(values, family_k01, weights)
+    with pytest.raises(ValueError, match="does not match"):
+        minimax_expectation(values[:10], family_k01, weights_50k)
 
 
 def test_minimax_upper_dominates_mean(family_k01, bundle_50k, weights_50k):
     payoff = Payoff.call(100.0)
-    res = minimax_expectation(payoff, family_k01, bundle_50k, weights=weights_50k)
-    plain = float(payoff.map(bundle_50k.terminal()).mean())
+    values = payoff.map(bundle_50k.terminal())
+    res = minimax_expectation(values, family_k01, weights_50k)
+    plain = float(values.mean())
     # The zero control sits in the family, so the envelope brackets the mean.
     assert res.lower <= plain <= res.upper
 
@@ -324,9 +343,8 @@ def test_minimax_comonotone_additivity(family_k01, bundle_50k, weights_50k):
     both = Payoff.custom("sum", lambda s: np.maximum(s - 100.0, 0.0)
                          + (s > 110.0).astype(np.float64),
                          monotonicity="increasing")
-    rx = minimax_expectation(x, family_k01, bundle_50k, weights=weights_50k)
-    ry = minimax_expectation(y, family_k01, bundle_50k, weights=weights_50k)
-    rxy = minimax_expectation(both, family_k01, bundle_50k, weights=weights_50k)
+    rx, ry, rxy = (minimax_expectation(claim.map(bundle_50k.terminal()), family_k01, weights_50k)
+                   for claim in (x, y, both))
     tol = pooled_tolerance(list(rx.std_errors) + list(ry.std_errors) + list(rxy.std_errors))
     assert abs(rxy.upper - (rx.upper + ry.upper)) < tol
     assert abs(rxy.lower - (rx.lower + ry.lower)) < tol

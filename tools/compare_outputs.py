@@ -14,8 +14,10 @@ line of stdout and stderr, ignoring the `runtime:` line, the scenario path
 and a demo's elapsed seconds, and exits 1 when a CSV or an exit code
 differs, else 0.  For each workload run it also prints the peak RSS of
 both trees' processes, read with `os.wait4` as `perfbench/run.py` reads
-it; that line is information only and never sets the exit status.  The
-runs are sequential; the acceptance workload alone peaks at about 0.35 GB
+it, and first it prints the line count of each tree's `src/` Python files
+(`src/ lines: 3176 -> 3139`); those lines are information only and never
+set the exit status.  The runs are sequential; the acceptance workload
+alone peaks at about 0.35 GB
 (0.37 GB while the package imported scipy, 0.42 GB before the increments
 were streamed) and prices in about 3.3 s per run, straddle peaks at about
 0.11 GB and fd_put at about 0.09 GB and prices in about 2 s (medians 3.28 s
@@ -61,6 +63,11 @@ def run(tree: Path, args: list[str], mask: str) -> tuple[tuple[int, str, str], f
     return (proc.returncode, *texts), usage.ru_maxrss * 1024 / BYTES_PER_MB
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the Python files under a tree's `src/`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
 def comparable(stdout: str, stderr: str) -> list[str]:
     lines = [re.sub(r", \d+ s$", ", <elapsed> s", line)
              for line in stdout.splitlines() if not line.startswith("runtime:")]
@@ -96,6 +103,7 @@ def main(argv: list[str]) -> int:
         ref = Path(tmp) / "ref"
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(ref, filter="data")
+        print(f"src/ lines: {src_lines(ref)} -> {src_lines(ROOT)}")
         cases = {path.name: path for path in sorted((ROOT / "scenarios").glob("*.scn"))}
         quick = (ROOT / "scenarios" / "quick.scn").read_text(encoding="utf-8")
         digital = Path(tmp) / "quick_digital.scn"
