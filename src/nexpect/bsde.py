@@ -41,8 +41,10 @@ STABILITY_SAFETY = 0.9
 # The explicit march needs a step count that grows like 1/sigma^2; solve_fd
 # refuses grids whose stable count exceeds this instead of marching for hours.
 MAX_TIME_STEPS = 1_000_000
-# Fraction of space nodes, centred, on which z_sign_check reads z.
+# Fraction of space nodes, centred, on which z_sign_check reads z, and the
+# slack, per unit of s0, that it allows z on the wrong side of 0.
 Z_SIGN_BAND = 0.9
+Z_SIGN_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -508,18 +510,19 @@ class ZSignReport:
         return self.status != "fail"
 
 
-def z_sign_check(solution: GridSolution, threshold: Optional[float] = None) -> ZSignReport:
+def z_sign_check(solution: GridSolution) -> ZSignReport:
     """Check the sign of z implied by the payoff's monotonicity.
 
-    Increasing payoffs must keep z >= -threshold and decreasing payoffs
-    z <= +threshold on the central Z_SIGN_BAND of space nodes at all times
-    before the terminal one.  The extreme is the one solve_fd streamed into
-    `solution.z_extreme`, so stored surfaces are not needed; a solve of
-    several drivers is checked one driver at a time, as `solution.driver(i)`.
-    Payoffs without declared monotonicity yield a not_applicable report.
+    With threshold = Z_SIGN_SLACK * s0, increasing payoffs must keep
+    z >= -threshold and decreasing payoffs z <= +threshold on the central
+    Z_SIGN_BAND of space nodes at all times before the terminal one.  The
+    extreme is the one solve_fd streamed into `solution.z_extreme`, so
+    stored surfaces are not needed; a solve of several drivers is checked
+    one driver at a time, as `solution.driver(i)`.  Payoffs without
+    declared monotonicity yield a not_applicable report.
     """
     mono = solution.payoff.monotonicity
-    thr = 1e-6 * solution.model.s0 if threshold is None else threshold
+    thr = Z_SIGN_SLACK * solution.model.s0
     extreme = solution.z_extreme
     if mono == "none":
         status = "not_applicable"

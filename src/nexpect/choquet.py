@@ -36,8 +36,11 @@ class Payoff:
     the caller to family-search estimators.
     """
 
+    # The kinds made from a strike, each by the classmethod of its name.
+    BUILT_IN = ("call", "put", "digital")
+
     name: str
-    kind: str  # "call" | "put" | "digital" | "custom"
+    kind: str  # one of BUILT_IN, or "custom"
     monotonicity: str  # "increasing" | "decreasing" | "none"
     fn: Callable[[np.ndarray], np.ndarray]
     strike: Optional[float] = None
@@ -45,7 +48,7 @@ class Payoff:
     def __post_init__(self) -> None:
         if self.monotonicity not in ("increasing", "decreasing", "none"):
             raise ValueError(f"unknown monotonicity {self.monotonicity!r}")
-        if self.kind not in ("call", "put", "digital", "custom"):
+        if self.kind not in (*self.BUILT_IN, "custom"):
             raise ValueError(f"unknown payoff kind {self.kind!r}")
 
     def map(self, terminal: np.ndarray) -> np.ndarray:
@@ -383,7 +386,6 @@ class SubmodularityReport:
     count: int
     violations: np.ndarray  # positive entries are violations
     max_violation: float
-    worst_index: int
     tolerance: float
 
     @property
@@ -411,13 +413,11 @@ def submodularity_check(
     vals = _pair_capacities(capacity, values, pairs)
     d = vals[:, 2] + vals[:, 3] - vals[:, 0] - vals[:, 1]
     violations = d if capacity.orientation == "upper" else -d
-    worst = int(np.argmax(violations))
     return SubmodularityReport(
         orientation=capacity.orientation,
         count=violations.size,
         violations=violations,
-        max_violation=float(violations[worst]),
-        worst_index=worst,
+        max_violation=float(violations.max()),
         tolerance=float(tolerance),
     )
 
@@ -493,13 +493,13 @@ def random_threshold_pairs(
         yield (float(ta), bool(dir_a)), (float(tb), bool(dir_b))
 
 
+# Both exponents of the Hoelder check: p = q = 2, a conjugate pair (1/p + 1/q = 1).
+HOLDER_EXPONENT = 2.0
+
+
 @dataclass(frozen=True)
 class HolderReport:
-    p: float
-    q: float
     lhs: float
-    factor_x: float
-    factor_y: float
     rhs: float
     margin: float  # rhs - lhs, negative means violated
     tolerance: float
@@ -509,28 +509,27 @@ class HolderReport:
         return self.margin >= -self.tolerance
 
 
-def choquet_holder_check(x_values: np.ndarray, y_values: np.ndarray, capacity: Capacity,
-                         p: float = 2.0, q: float = 2.0) -> HolderReport:
-    """Check integral of |XY| <= (integral |X|^p)^(1/p) (integral |Y|^q)^(1/q).
+def choquet_holder_check(x_values: np.ndarray, y_values: np.ndarray,
+                         capacity: Capacity) -> HolderReport:
+    """Check integral of |XY| <= (integral |X|^p)^(1/p) (integral |Y|^p)^(1/p)
+    with p = HOLDER_EXPONENT.
 
     All three integrals are exact.  The tolerance is three standard errors
     of the margin plus 1e-3 of the larger side, a slack for rounding.  The
     standard error comes from the delta method on the integrals' influence
-    functions: with Fx and Fy the integrals of |X|^p and |Y|^q, the margin
-    rhs - lhs has influence rhs * (IF_Fx / (p Fx) + IF_Fy / (q Fy)) - IF_lhs
-    (a factor whose integral is 0 contributes nothing).  Exponents must be
-    conjugate: 1/p + 1/q = 1 with p, q > 1.
+    functions: with Fx and Fy the integrals of |X|^p and |Y|^p, the margin
+    rhs - lhs has influence rhs * (IF_Fx / (p Fx) + IF_Fy / (p Fy)) - IF_lhs
+    (a factor whose integral is 0 contributes nothing).
     """
-    return choquet_holder_checks([(x_values, y_values)], capacity, p, q)[0]
+    return choquet_holder_checks([(x_values, y_values)], capacity)[0]
 
 
-def choquet_holder_checks(pairs: Iterable[tuple[np.ndarray, np.ndarray]], capacity: Capacity,
-                          p: float = 2.0, q: float = 2.0) -> list[HolderReport]:
+def choquet_holder_checks(pairs: Iterable[tuple[np.ndarray, np.ndarray]],
+                          capacity: Capacity) -> list[HolderReport]:
     """choquet_holder_check on each (x, y) pair.  Pairs may share an array
     (the same Y; or X = Y, whose product and powers coincide): each distinct
     array, by its bytes, is integrated once."""
-    if not (p > 1.0 and q > 1.0) or abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
-        raise ValueError(f"exponents must be conjugate with p, q > 1, got p={p}, q={q}")
+    p = HOLDER_EXPONENT
     estimates: dict[bytes, tuple[float, np.ndarray]] = {}
 
     def estimate(a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -545,15 +544,13 @@ def choquet_holder_checks(pairs: Iterable[tuple[np.ndarray, np.ndarray]], capaci
         ya = np.abs(np.asarray(y_values, dtype=float))
         if xa.shape != ya.shape:
             raise ValueError("x and y must have equal length")
-        (lhs, if_lhs), (fx, if_fx), (fy, if_fy) = (estimate(a) for a in (xa * ya, xa**p, ya**q))
-        factor_x, factor_y = max(fx, 0.0) ** (1.0 / p), max(fy, 0.0) ** (1.0 / q)
-        rhs = factor_x * factor_y
+        (lhs, if_lhs), (fx, if_fx), (fy, if_fy) = (estimate(a) for a in (xa * ya, xa**p, ya**p))
+        rhs = max(fx, 0.0) ** (1.0 / p) * max(fy, 0.0) ** (1.0 / p)
         influence = -if_lhs
-        for e, integral, if_a in ((p, fx, if_fx), (q, fy, if_fy)):
+        for integral, if_a in ((fx, if_fx), (fy, if_fy)):
             if integral > 0.0:
-                influence += rhs / (e * integral) * if_a
+                influence += rhs / (p * integral) * if_a
         se = float(influence.std(ddof=1) / np.sqrt(influence.size))
         tolerance = 3.0 * se + 1e-3 * max(abs(rhs), abs(lhs), 1e-12)
-        reports.append(HolderReport(p=p, q=q, lhs=lhs, factor_x=factor_x, factor_y=factor_y,
-                                    rhs=rhs, margin=rhs - lhs, tolerance=tolerance))
+        reports.append(HolderReport(lhs=lhs, rhs=rhs, margin=rhs - lhs, tolerance=tolerance))
     return reports

@@ -31,8 +31,13 @@ __all__ = [
 ]
 
 
+# How many standard errors a density's sample mean may stray from 1 before
+# weight_matrix warns and the `martingale` check fails.
+MARTINGALE_LIMIT = 4.0
+
+
 class MartingaleDeviationWarning(UserWarning):
-    """Sample mean of a density strayed more than 4 standard errors from 1."""
+    """Sample mean of a density strayed more than MARTINGALE_LIMIT SEs from 1."""
 
 
 @dataclass(frozen=True)
@@ -196,8 +201,9 @@ def weight_matrix(
 
     Raises ValueError unless every weight is finite and strictly positive,
     and warns (without failing) for each column whose sample mean is more
-    than 4 standard errors from 1.  A `moments` dict receives those "means"
-    and "ses" (bitwise expectation_profile of the payoff 1) for reuse.
+    than MARTINGALE_LIMIT standard errors from 1.  A `moments` dict
+    receives those "means" and "ses" (bitwise expectation_profile of the
+    payoff 1) for reuse.
     """
     family = tuple(family)
     if not family:
@@ -245,10 +251,10 @@ def weight_matrix(
         if moments is not None:
             moments.update(means=means, ses=ses)
         for control, mean, se in zip(family, means, ses):
-            if se > 0.0 and abs(mean - 1.0) > 4.0 * se:
+            if se > 0.0 and abs(mean - 1.0) > MARTINGALE_LIMIT * se:
                 warnings.warn(
-                    f"density mean {mean:.6f} deviates from 1 by more than 4 SE "
-                    f"({se:.2e}) for control {control.label()}",
+                    f"density mean {mean:.6f} deviates from 1 by more than "
+                    f"{MARTINGALE_LIMIT:g} SE ({se:.2e}) for control {control.label()}",
                     MartingaleDeviationWarning,
                     stacklevel=2,
                 )

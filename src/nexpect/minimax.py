@@ -77,6 +77,16 @@ def lognormal_digital_value(s0: float, drift: float, sigma: float, horizon: floa
     return _ndtr(d2)
 
 
+# The payoff kinds with a closed-form extremal band under proportional (GBM)
+# coefficients, and each one's value function.
+CLOSED_FORMS = {"call": lognormal_call_value, "put": lognormal_put_value}
+
+
+def has_closed_form(payoff: Payoff, model: MarketModel) -> bool:
+    """Whether extremal_price prices the claim under the model."""
+    return model.gbm_constants is not None and payoff.kind in CLOSED_FORMS
+
+
 # ---------------------------------------------------------------------------
 # family search
 # ---------------------------------------------------------------------------
@@ -186,10 +196,9 @@ def extremal_price(payoff: Payoff, model: MarketModel, horizon: float) -> Extrem
     distortions +-k.
 
     Valid only for payoffs with declared monotone direction; the direction
-    decides which extreme is the maximiser.  Requires proportional
-    coefficients and a call or put payoff.  Any other monotone claim takes
-    its sampled band from the +k and -k entries of a minimax profile
-    (ExtremalReport.from_profile).
+    decides which extreme is the maximiser.  Requires has_closed_form.  Any
+    other monotone claim takes its sampled band from the +k and -k entries
+    of a minimax profile (ExtremalReport.from_profile).
     """
     mono = payoff.monotonicity
     if mono == "none":
@@ -197,13 +206,12 @@ def extremal_price(payoff: Payoff, model: MarketModel, horizon: float) -> Extrem
             "extremal pricing requires a monotone payoff; "
             "use minimax_expectation over a control family instead"
         )
-    if model.gbm_constants is None:
-        raise ValueError("the closed form requires proportional (GBM) coefficients")
-    if payoff.kind not in ("call", "put"):
-        raise ValueError(f"the closed form supports call/put payoffs, not {payoff.kind!r}")
+    if not has_closed_form(payoff, model):
+        raise ValueError(f"the closed form requires proportional (GBM) coefficients and a "
+                         f"{'/'.join(CLOSED_FORMS)} payoff, not {payoff.kind!r}")
     k = model.k
     mu, sigma = model.gbm_constants
-    value = lognormal_call_value if payoff.kind == "call" else lognormal_put_value
+    value = CLOSED_FORMS[payoff.kind]
     hi_drift = mu + k * sigma if mono == "increasing" else mu - k * sigma
     lo_drift = mu - k * sigma if mono == "increasing" else mu + k * sigma
     upper = value(model.s0, hi_drift, sigma, horizon, payoff.strike)
@@ -214,6 +222,10 @@ def extremal_price(payoff: Payoff, model: MarketModel, horizon: float) -> Extrem
 # ---------------------------------------------------------------------------
 # attainment on a fine constant grid
 # ---------------------------------------------------------------------------
+
+# Constant controls, endpoints included, on which attainment_check profiles.
+ATTAINMENT_GRID = 21
+
 
 @dataclass(frozen=True)
 class AttainmentReport:
@@ -227,22 +239,16 @@ class AttainmentReport:
     violations: tuple[tuple[int, float, float], ...]  # (index, diff, diff_se)
 
 
-def attainment_check(
-    payoff: Payoff,
-    k: float,
-    bundle: PathBundle,
-    fine_grid_count: int = 21,
-) -> AttainmentReport:
-    """Profile the expectation over constant controls on a fine grid.
+def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> AttainmentReport:
+    """Profile the expectation over the ATTAINMENT_GRID constant controls
+    evenly spaced on [-k, k].
 
     For monotone payoffs the profile should be monotone in the control level
     (within 3 paired standard errors per adjacent difference) and attain its
     maximum at an endpoint of [-k, k].  Payoffs without declared direction
     get the profile only.
     """
-    if fine_grid_count < 11:
-        raise ValueError(f"fine_grid_count must be >= 11, got {fine_grid_count}")
-    thetas = np.linspace(-k, k, fine_grid_count)
+    thetas = np.linspace(-k, k, ATTAINMENT_GRID)
     family = tuple(ThetaControl.constant(t, k) for t in thetas)
     weights = weight_matrix(family, bundle)
     values = payoff.map(bundle.terminal())
@@ -271,7 +277,7 @@ def attainment_check(
         # The max must sit at an endpoint, allowing ties within noise.
         end_best = max(estimates[0], estimates[-1])
         slack = pooled_tolerance([ses[hi], max(ses[0], ses[-1])])
-        boundary = hi in (0, fine_grid_count - 1) or estimates[hi] - end_best <= slack
+        boundary = hi in (0, ATTAINMENT_GRID - 1) or estimates[hi] - end_best <= slack
     return AttainmentReport(
         thetas=thetas,
         estimates=estimates,

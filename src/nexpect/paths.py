@@ -157,6 +157,15 @@ class PathBundle:
                 return sign, self.functionals[key]
         return None
 
+    def head(self, m: int) -> "PathBundle":
+        """The draw of the first m paths: each kept array's first m entries."""
+        if int(m) != m or not 1 <= m <= self.n_paths:
+            raise ValueError(f"head needs 1 <= m <= {self.n_paths}, got {m}")
+        kept = {name: getattr(self, name)[:m] for name in ("states", "valid", "brownian_terminal")
+                if getattr(self, name) is not None}
+        return replace(self, n_paths=int(m), **kept,
+                       functionals={key: value[:m] for key, value in self.functionals.items()})
+
 
 def generate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> PathBundle:
     """Name a draw of i.i.d. Gaussian increments with variance dt on the grid.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from nexpect import (
     solve_tree,
     z_sign_check,
 )
-from nexpect.bsde import MAX_TIME_STEPS, Z_SIGN_BAND
+from nexpect.bsde import MAX_TIME_STEPS, Z_SIGN_BAND, Z_SIGN_SLACK
 from tests.conftest import (
     CALL_ATM_DRIFT_DOWN,
     CALL_ATM_DRIFT_UP,
@@ -300,6 +301,22 @@ def test_z_sign_needs_no_surfaces(model):
     streamed = solve_fd(*args, nodes=101)
     assert streamed.z_surface is None and stored.z_surface is not None
     assert z_sign_check(streamed) == z_sign_check(stored)
+
+
+# A z extreme just inside, then just outside, the slack of 1e-6 * s0 = 1e-4
+# on the wrong side of 0.  The slack is written out, so its value is pinned
+# and not only its presence.
+@pytest.mark.parametrize("payoff, extreme, status", [
+    (Payoff.call(100.0), -0.99e-4, "pass"),
+    (Payoff.call(100.0), -1.01e-4, "fail"),
+    (Payoff.put(100.0), 0.99e-4, "pass"),
+    (Payoff.put(100.0), 1.01e-4, "fail"),
+], ids=["increasing-inside", "increasing-outside", "decreasing-inside", "decreasing-outside"])
+def test_z_sign_verdict_at_its_slack(model, payoff, extreme, status):
+    sol = solve_fd(model, payoff, Generator.abs_upper(0.1), HORIZON, nodes=21)
+    report = z_sign_check(replace(sol, z_extreme=extreme))
+    assert report.status == status
+    assert report.threshold == Z_SIGN_SLACK * model.s0 == pytest.approx(1e-4)
 
 
 def _surface_extreme(sol):

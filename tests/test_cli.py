@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nexpect import ScenarioError, expectation_profile
+from nexpect import Payoff, ScenarioError, expectation_profile
 from nexpect.cli import (
     ESTIMATOR_ORDER,
     EXIT_BAD_SCENARIO,
@@ -902,6 +902,48 @@ def test_sandwich_tolerates_extremal_monte_carlo_error(extremal_se, status):
     assert outcome.status == status, outcome.detail
     if status == "fail":
         assert outcome.detail.startswith("bsde_upper <= extremal_upper violated by 0.0053")
+
+
+@pytest.fixture(scope="module")
+def call_context(tmp_path_factory):
+    """The RunContext the checks of a small call run receive."""
+    from nexpect import cli
+    contexts = []
+    real = cli.CHECK_REGISTRY["martingale"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(cli.CHECK_REGISTRY, "martingale",
+                      lambda ctx: contexts.append(ctx) or real(ctx))
+        run_scenario(load_scenario(write_scn(tmp_path_factory.mktemp("scn"),
+                                             BASE + "checks = martingale\n")))
+    [ctx] = contexts
+    return ctx
+
+
+# A pull just under, then just over, the limit of 4 SE.  The limit is
+# written out, so its value is pinned and not only its presence.
+@pytest.mark.parametrize("pull, status", [(3.999, "pass"), (4.001, "fail")])
+def test_martingale_verdict_at_its_limit(call_context, pull, status):
+    from nexpect.cli import _check_martingale
+    count = len(call_context.family)
+    means, ses = np.ones(count), np.full(count, 0.01)
+    means[-1] += pull * 0.01
+    outcome = _check_martingale(replace(call_context, moments={"means": means, "ses": ses}))
+    assert outcome.status == status
+    assert outcome.detail == (f"max |mean - 1| = {pull:.2f} SE at "
+                              f"{call_context.family[-1].label()} (limit 4)")
+
+
+def test_attainment_verdict_fails_on_a_hump_declared_increasing(call_context):
+    from nexpect.cli import _check_attainment
+    assert _check_attainment(call_context).status == "pass"
+    # A tent peaked near the reference median of S_T: its profile over the
+    # constant controls peaks inside [-k, k] and falls by tens of paired SEs
+    # towards +k.
+    hump = Payoff.custom("hump", lambda s: np.maximum(0.0, 10.0 - np.abs(s - 98.0)),
+                         monotonicity="increasing")
+    outcome = _check_attainment(replace(call_context, payoff=hump))
+    assert outcome.status == "fail", outcome.detail
+    assert "monotone profile=False" in outcome.detail
 
 
 def test_known_checks_cover_registry():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -30,7 +31,7 @@ from nexpect import (
 )
 from nexpect.cli import load_scenario
 from nexpect.measures import ROW_BLOCK
-from nexpect.minimax import _ndtr
+from nexpect.minimax import ATTAINMENT_GRID, CLOSED_FORMS, _ndtr, has_closed_form
 from tests.conftest import (
     CALL_ATM_DRIFT_DOWN,
     CALL_ATM_DRIFT_UP,
@@ -246,6 +247,19 @@ def test_extremal_closed_form_requires_gbm():
         extremal_price(Payoff.call(100.0), general, HORIZON)
 
 
+def test_has_closed_form_is_what_extremal_price_prices(acc_model):
+    general = MarketModel.general(100.0, lambda t, s: 0.0 * s, lambda t, s: 0.2 * s, k=0.1)
+    payoffs = [Payoff.call(100.0), Payoff.put(100.0), Payoff.digital(100.0),
+               Payoff.custom("up", lambda s: 2.0 * s, monotonicity="increasing")]
+    for payoff, model in itertools.product(payoffs, (acc_model, general)):
+        if has_closed_form(payoff, model):
+            assert extremal_price(payoff, model, HORIZON).method == "closed_form"
+        else:
+            with pytest.raises(ValueError, match="call/put"):
+                extremal_price(payoff, model, HORIZON)
+    assert [p.kind for p in payoffs if has_closed_form(p, acc_model)] == list(CLOSED_FORMS)
+
+
 # ---------------------------------------------------------------------------
 # minimax over the control family
 # ---------------------------------------------------------------------------
@@ -380,15 +394,13 @@ def test_attainment_decreasing(bundle_50k):
 
 def test_attainment_undeclared_direction_profiles_only(bundle_50k):
     straddle = Payoff.custom("straddle", lambda s: np.abs(s - 100.0))
-    report = attainment_check(straddle, 0.1, bundle_50k, fine_grid_count=11)
+    report = attainment_check(straddle, 0.1, bundle_50k)
     assert report.monotone_profile_ok is None
     assert report.boundary_attained is None
-    assert report.estimates.shape == (11,)
+    assert report.estimates.shape == (ATTAINMENT_GRID,)
     assert np.all(report.std_errors > 0.0)
 
 
 def test_attainment_validation(bundle_50k):
-    with pytest.raises(ValueError):
-        attainment_check(Payoff.call(100.0), 0.1, bundle_50k, fine_grid_count=9)
     with pytest.raises(ValueError):
         attainment_check(Payoff.call(100.0), -0.1, bundle_50k)

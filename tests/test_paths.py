@@ -298,6 +298,26 @@ def test_kept_reductions_are_bitwise_dense(model, n, steps):
     assert bundle.functional(np.zeros(steps) + 0.7) is None
 
 
+@pytest.mark.parametrize("m", [1, B, B + 5])
+@pytest.mark.parametrize("model", STREAM_MODELS, ids=["exact", "euler"])
+def test_head_is_the_draw_of_the_first_paths(model, m):
+    grid = TimeGrid(1.5, 8)
+    thetas = stream_thetas(8)
+    full = _simulate(model, generate_brownian(grid, 3 * B + 17, 9), thetas)
+    head = full.head(m)
+    fresh = _simulate(model, generate_brownian(grid, m, 9), thetas)
+    assert (head.grid, head.n_paths, head.seed) == (grid, m, 9)
+    for name in ("states", "valid", "brownian_terminal"):
+        assert np.array_equal(getattr(head, name), getattr(fresh, name)), name
+    # Every kept functional is sliced, none dropped.
+    assert head.functionals.keys() == full.functionals.keys()
+    for key, functional in head.functionals.items():
+        assert np.array_equal(functional, full.functionals[key][:m])
+    for bad in (0, 3 * B + 18, 1.5):
+        with pytest.raises(ValueError):
+            full.head(bad)
+
+
 def test_euler_simulation_with_its_draw_peaks_linear_in_paths():
     # 256 steps: the (n, steps) matrix of increments would be 102 MB.  The
     # draw, the march and two kept functionals may hold a few columns of n

@@ -4,10 +4,11 @@
 
 Unpacks REF with `git archive` into a temporary directory, then runs
 `python3 -m nexpect.cli --threads 1` from each tree's `src/` on every
-`scenarios/*.scn` of the working tree, on `quick.scn` with `payoff = digital`
-and on each benchmark workload at its default seed
-(`perfbench.workloads.scenario_text`), in the csv, text and json-like
-formats.  Both trees read the same scenario files, so only the program
+`scenarios/*.scn` of the working tree, on `quick.scn` with `payoff = digital`,
+on each benchmark workload at its default seed
+(`perfbench.workloads.scenario_text`) and on the fd_put workload at seed 3
+with `payoff = digital` (whose `sandwich` verdict rests on the sampled
+extremal band's standard errors), in the csv, text and json-like formats.  Both trees read the same scenario files, so only the program
 differs.  It then runs each tree's own `demos/*.py`, with `se_coverage.py`
 at 3 seeds instead of its default 200 (about 31 s).  Prints each differing
 line of stdout and stderr, ignoring the `runtime:` line, the scenario path
@@ -113,6 +114,9 @@ def main(argv: list[str]) -> int:
             path = Path(tmp) / f"{name}.scn"
             path.write_text(scenario_text(name, spec["default_seed"]), encoding="utf-8")
             cases[f"workload {name}"] = path
+        path = Path(tmp) / "fd_put_digital.scn"
+        path.write_text(scenario_text("fd_put", 3, {"payoff": "digital"}), encoding="utf-8")
+        cases["workload fd_put, seed 3, payoff = digital"] = path
         failed = False
         for name, scenario in cases.items():
             for fmt in FORMATS:
