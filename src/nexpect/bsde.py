@@ -292,7 +292,7 @@ def solve_fd(
     if m_min > MAX_TIME_STEPS:
         raise ValueError(
             f"explicit scheme needs {m_min} time steps on {nodes} nodes, "
-            f"above the limit of {MAX_TIME_STEPS}"
+            f"above the limit of {MAX_TIME_STEPS}; raise sigma or use fewer nodes"
         )
     if time_steps < m_min:
         if not substep:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import itertools
 import json
 import math
 import sys
@@ -34,7 +35,6 @@ from .bsde import (
     MAX_TIME_STEPS,
     Generator,
     GridSolution,
-    minimal_time_steps,
     solve_fd,
     z_sign_check,
 )
@@ -49,7 +49,13 @@ from .choquet import (
     threshold_event,
 )
 from .errors import GridTooCoarseError, ScenarioError
-from .measures import MARTINGALE_LIMIT, ThetaControl, default_control_family, weight_matrix
+from .measures import (
+    MARTINGALE_LIMIT,
+    ThetaControl,
+    default_control_family,
+    martingale_pulls,
+    weight_matrix,
+)
 from .minimax import (
     ExtremalReport,
     attainment_check,
@@ -77,6 +83,14 @@ CHECK_SUBSAMPLE = 100_000
 # `comparison` check, the linear drivers nu * z with nu = sign * k after them.
 FD_DRIVERS = (Generator.abs_upper, Generator.abs_lower)
 COMPARISON_SIGNS = (-1.0, 0.0, 1.0)
+
+# The checks' fixed tolerances: an FD value's slack, of the FD scale
+# max(1, |FD values|); `chain`'s relative gap, and its gap for a digital's FD
+# pairs (a discontinuous terminal condition); `duality`'s, of the value scale.
+FD_REL = 0.005
+CHAIN_REL = 0.01
+CHAIN_DIGITAL_FD_REL = 0.03
+DUALITY_REL = 1e-10
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -470,16 +484,18 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     requested = tuple(dict.fromkeys((*scenario.checks, *extra_checks)))
     model = scenario.build_model()
     payoff = scenario.build_payoff()
-    # Every solve below uses a driver Lipschitz in z with constant <= k.
+    # Every driver marches the one grid in one solve, before any path is
+    # drawn: solve_fd alone decides whether the grid is admissible.  The
+    # zsign check reads the extreme the solve streams, not a surface.
+    drivers = [make(scenario.k) for make in FD_DRIVERS]
+    if "comparison" in requested:
+        drivers += [Generator.linear(sign * scenario.k) for sign in COMPARISON_SIGNS]
     try:
-        fd_steps = minimal_time_steps(model, scenario.horizon, scenario.nodes,
-                                      lipschitz_z=scenario.k)
+        fd = solve_fd(model, payoff, tuple(drivers), scenario.horizon, nodes=scenario.nodes,
+                      time_steps=scenario.time_steps, substep=scenario.fd_substep)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    if fd_steps > MAX_TIME_STEPS:
-        raise ScenarioError(
-            f"the FD grid needs {fd_steps} time steps on {scenario.nodes} nodes, above the "
-            f"limit of {MAX_TIME_STEPS}; raise sigma or use fewer nodes")
+    bsde_upper, bsde_lower = fd.y0[:len(FD_DRIVERS)].tolist()
 
     grid = TimeGrid(scenario.horizon, scenario.steps)
     family = default_control_family(scenario.k, scenario.theta_grid)
@@ -521,14 +537,6 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     fd_note = ""
     if payoff.kind == "digital":
         fd_note = "discontinuous terminal condition: grid bias larger than for smooth payoffs"
-    # Every driver marches the one grid in one solve.  The zsign check reads
-    # the extreme the solve streams, not a surface.
-    drivers = [make(scenario.k) for make in FD_DRIVERS]
-    if "comparison" in requested:
-        drivers += [Generator.linear(sign * scenario.k) for sign in COMPARISON_SIGNS]
-    fd = solve_fd(model, payoff, tuple(drivers), scenario.horizon, nodes=scenario.nodes,
-                  time_steps=scenario.time_steps, substep=scenario.fd_substep)
-    bsde_upper, bsde_lower = fd.y0[:len(FD_DRIVERS)].tolist()
 
     if payoff.monotonicity == "none":
         ext_entries = [EstimatorEntry(name, float("nan"), float("nan"),
@@ -605,51 +613,59 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
 # checks
 # ---------------------------------------------------------------------------
 
+def _judge(name: str, relations: list[tuple[float, str]],
+           passed: Optional[str] = None) -> CheckOutcome:
+    """A check's verdict on (excess, detail) relations, each holding when
+    excess <= 0: it fails when an excess is above 0 or NaN.  The detail is
+    the largest excess's (NaN the largest, the first on a tie), or on a pass
+    `passed` when given."""
+    excess, detail = max(relations, key=lambda r: math.inf if math.isnan(r[0]) else r[0])
+    if excess <= 0.0:
+        return CheckOutcome(name, "pass", detail if passed is None else passed)
+    return CheckOutcome(name, "fail", detail)
+
+
+def _fd_slack(*fd_values: float) -> float:
+    """How far an FD value may sit off a relation: FD_REL of the FD scale."""
+    return FD_REL * max(1.0, *(abs(v) for v in fd_values))
+
+
 def _check_chain(ctx: RunContext) -> CheckOutcome:
     """Pairwise agreement of the four upper estimates and the four lower ones."""
-    rel = 0.01
-    fd_rel = 0.03 if ctx.payoff.kind == "digital" else rel
-    worst: tuple[float, str] = (-1.0, "")
+    fd_rel = CHAIN_DIGITAL_FD_REL if ctx.payoff.kind == "digital" else CHAIN_REL
+    relations = []
     for side in ("upper", "lower"):
-        names = [f"choquet_{side}", f"minimax_{side}", f"bsde_{side}", f"extremal_{side}"]
-        entries = [ctx.entries[n] for n in names]
+        entries = [ctx.entries[f"{kind}_{side}"]
+                   for kind in ("choquet", "minimax", "bsde", "extremal")]
         if any(math.isnan(e.value) for e in entries):
             return CheckOutcome("chain", "not_applicable",
                                 "extremal estimates unavailable for non-monotone payoff")
-        for i in range(4):
-            for j in range(i + 1, 4):
-                a, b = entries[i], entries[j]
-                scale = max(abs(a.value), abs(b.value), 1e-8)
-                rel_pair = fd_rel if "bsde" in (a.name + b.name) else rel
-                tol = max(rel_pair * scale, pooled_tolerance([a.std_error, b.std_error]))
-                gap = abs(a.value - b.value)
-                excess = gap - tol
-                if excess > worst[0]:
-                    worst = (excess, f"{a.name} vs {b.name}: |{a.value:.6g} - {b.value:.6g}| "
-                                     f"= {gap:.3g} (tol {tol:.3g})")
-    status = "pass" if worst[0] <= 0.0 else "fail"
-    return CheckOutcome("chain", status, worst[1])
+        for a, b in itertools.combinations(entries, 2):
+            scale = max(abs(a.value), abs(b.value), 1e-8)
+            rel = fd_rel if "bsde" in (a.name + b.name) else CHAIN_REL
+            tol = max(rel * scale, pooled_tolerance([a.std_error, b.std_error]))
+            gap = abs(a.value - b.value)
+            relations.append((gap - tol, f"{a.name} vs {b.name}: |{a.value:.6g} - {b.value:.6g}| "
+                                         f"= {gap:.3g} (tol {tol:.3g})"))
+    return _judge("chain", relations)
 
 
 def _check_degeneracy(ctx: RunContext) -> CheckOutcome:
     """With k = 0 all nine estimates must collapse onto the plain price."""
     plain = ctx.entries["plain"]
-    worst: tuple[float, str] = (-math.inf, "")
-    for name in ESTIMATOR_ORDER:
-        e = ctx.entries[name]
+    scale = max(abs(plain.value), 1.0)
+    k = ctx.scenario.k
+    note = f" [k = {k:g}, degeneracy expected only at k = 0]" if k > 0.0 else ""
+    relations = []
+    for e in map(ctx.entries.get, ESTIMATOR_ORDER):
         if math.isnan(e.value):
             continue
-        scale = max(abs(plain.value), 1.0)
-        tol = max(pooled_tolerance([e.std_error, plain.std_error]), 0.005 * scale if "bsde" in name else 0.0)
-        tol = max(tol, 1e-9 * scale)
-        excess = abs(e.value - plain.value) - tol
-        if excess > worst[0]:
-            worst = (excess, f"{name} = {e.value:.6g} vs plain = {plain.value:.6g} (tol {tol:.3g})")
-    status = "pass" if worst[0] <= 0.0 else "fail"
-    detail = worst[1]
-    if ctx.scenario.k > 0.0:
-        detail += f" [k = {ctx.scenario.k:g}, degeneracy expected only at k = 0]"
-    return CheckOutcome("degeneracy", status, detail)
+        tol = max(pooled_tolerance([e.std_error, plain.std_error]),
+                  _fd_slack(plain.value) if "bsde" in e.name else 0.0, 1e-9 * scale)
+        relations.append((abs(e.value - plain.value) - tol,
+                          f"{e.name} = {e.value:.6g} vs plain = {plain.value:.6g} (tol {tol:.3g})"
+                          + note))
+    return _judge("degeneracy", relations)
 
 
 def _check_duality(ctx: RunContext) -> CheckOutcome:
@@ -664,65 +680,49 @@ def _check_duality(ctx: RunContext) -> CheckOutcome:
     gap_choquet = abs(lower + upper_neg)
 
     rng = _aux_rng(ctx.scenario.seed, _DUALITY_STREAM)
-    gap_cap = 0.0
+    gaps_cap = []
     for (t, above), _ in random_threshold_pairs(sub_values, 20, rng):
         a = threshold_event(sub_values, t, above)
-        gap_cap = max(gap_cap, abs(cap_l.evaluate(a) - (1.0 - cap_u.evaluate(~a))))
+        gaps_cap.append(abs(cap_l.evaluate(a) - (1.0 - cap_u.evaluate(~a))))
 
-    tol = 1e-10 * scale
-    ok = gap_choquet <= tol and gap_cap <= 1e-10
+    tol = DUALITY_REL * scale
     detail = (f"|choquet lower(X) + upper(-X)| = {gap_choquet:.2e} (tol {tol:.1e}) on "
-              f"{sub_values.size} paths; max capacity conjugacy gap = {gap_cap:.2e} over 20 events")
-    return CheckOutcome("duality", "pass" if ok else "fail", detail)
+              f"{sub_values.size} paths; max capacity conjugacy gap = {max(gaps_cap):.2e} "
+              f"over 20 events")
+    return _judge("duality", [(gap_choquet - tol, detail)]
+                  + [(gap - DUALITY_REL, detail) for gap in gaps_cap])
 
 
 def _check_sandwich(ctx: RunContext) -> CheckOutcome:
     """Order relations between the estimator families, with noise tolerances."""
     e = ctx.entries
-    fd_tol = 0.005 * max(1.0, abs(e["bsde_upper"].value), abs(e["bsde_lower"].value))
+    fd_tol = _fd_slack(e["bsde_upper"].value, e["bsde_lower"].value)
 
     def mc_tol(*names: str) -> float:
         return pooled_tolerance([e[n].std_error for n in names])
 
+    def below(lo: str, hi: str, tol: float) -> tuple[float, str]:
+        slack = e[hi].value - e[lo].value
+        return -slack - tol, f"{lo} <= {hi} violated by {-slack:.3g} (tol {tol:.3g})"
+
     # The FD values carry grid error, and an extremal value from the
     # reweighting route carries Monte Carlo error on top (its SE is 0 in
     # closed form); each extremal-vs-BSDE condition tolerates both.
-    conditions = [
-        ("choquet_lower <= minimax_lower",
-         e["minimax_lower"].value - e["choquet_lower"].value,
-         mc_tol("choquet_lower", "minimax_lower")),
-        ("minimax_upper <= choquet_upper",
-         e["choquet_upper"].value - e["minimax_upper"].value,
-         mc_tol("choquet_upper", "minimax_upper")),
-        ("minimax_lower <= minimax_upper",
-         e["minimax_upper"].value - e["minimax_lower"].value, 0.0),
-        ("choquet_lower <= choquet_upper",
-         e["choquet_upper"].value - e["choquet_lower"].value,
-         mc_tol("choquet_lower", "choquet_upper")),
-        ("bsde_lower <= bsde_upper",
-         e["bsde_upper"].value - e["bsde_lower"].value, fd_tol),
+    relations = [
+        below("choquet_lower", "minimax_lower", mc_tol("choquet_lower", "minimax_lower")),
+        below("minimax_upper", "choquet_upper", mc_tol("choquet_upper", "minimax_upper")),
+        below("minimax_lower", "minimax_upper", 0.0),
+        below("choquet_lower", "choquet_upper", mc_tol("choquet_lower", "choquet_upper")),
+        below("bsde_lower", "bsde_upper", fd_tol),
     ]
     if not math.isnan(e["extremal_upper"].value):
-        conditions += [
-            ("extremal_lower <= minimax_lower",
-             e["minimax_lower"].value - e["extremal_lower"].value,
-             mc_tol("extremal_lower", "minimax_lower")),
-            ("minimax_upper <= extremal_upper",
-             e["extremal_upper"].value - e["minimax_upper"].value,
-             mc_tol("extremal_upper", "minimax_upper")),
-            ("bsde_upper <= extremal_upper",
-             e["extremal_upper"].value - e["bsde_upper"].value,
-             fd_tol + mc_tol("extremal_upper")),
-            ("extremal_lower <= bsde_lower",
-             e["bsde_lower"].value - e["extremal_lower"].value,
-             fd_tol + mc_tol("extremal_lower")),
+        relations += [
+            below("extremal_lower", "minimax_lower", mc_tol("extremal_lower", "minimax_lower")),
+            below("minimax_upper", "extremal_upper", mc_tol("extremal_upper", "minimax_upper")),
+            below("bsde_upper", "extremal_upper", fd_tol + mc_tol("extremal_upper")),
+            below("extremal_lower", "bsde_lower", fd_tol + mc_tol("extremal_lower")),
         ]
-    failures = [(name, slack, tol) for name, slack, tol in conditions if slack < -tol]
-    if failures:
-        name, slack, tol = failures[0]
-        return CheckOutcome("sandwich", "fail",
-                            f"{name} violated by {-slack:.3g} (tol {tol:.3g})")
-    return CheckOutcome("sandwich", "pass", f"{len(conditions)} order relations hold")
+    return _judge("sandwich", relations, passed=f"{len(relations)} order relations hold")
 
 
 def _check_normalization(ctx: RunContext) -> CheckOutcome:
@@ -733,25 +733,21 @@ def _check_normalization(ctx: RunContext) -> CheckOutcome:
     gaps = [abs(cap.from_sums(event_sums) - target)
             for cap in (ctx.cap_upper, ctx.cap_lower)
             for event_sums, (_, target) in zip(sums, events)]
-    ok = all(g == 0.0 for g in gaps)
-    return CheckOutcome("normalization", "pass" if ok else "fail",
-                        f"|c(empty)|, |c(full)-1| = {[f'{g:.1e}' for g in gaps]} (must be exactly 0)")
+    detail = f"|c(empty)|, |c(full)-1| = {[f'{g:.1e}' for g in gaps]} (must be exactly 0)"
+    return _judge("normalization", [(g, detail) for g in gaps])
 
 
 def _check_martingale(ctx: RunContext) -> CheckOutcome:
     # The mean of each density column is its expectation of the payoff 1,
     # reduced once by weight_matrix for its own warning.
-    worst = (0.0, "")
-    for control, mean, se in zip(ctx.family, ctx.moments["means"], ctx.moments["ses"]):
-        if se == 0.0:
-            continue
-        pull = abs(mean - 1.0) / se
-        if pull > worst[0]:
-            worst = (pull, control.label())
-    ok = worst[0] <= MARTINGALE_LIMIT
-    return CheckOutcome("martingale", "pass" if ok else "fail",
-                        f"max |mean - 1| = {worst[0]:.2f} SE at {worst[1] or 'n/a'} "
-                        f"(limit {MARTINGALE_LIMIT:g})")
+    def detail(pull: float, at: str) -> str:
+        return f"max |mean - 1| = {pull:.2f} SE at {at} (limit {MARTINGALE_LIMIT:g})"
+
+    # A column with no positive pull ties the first relation, so it names none.
+    pulls = martingale_pulls(ctx.moments["means"], ctx.moments["ses"]).tolist()
+    return _judge("martingale", [(-MARTINGALE_LIMIT, detail(0.0, "n/a"))] + [
+        (pull - MARTINGALE_LIMIT, detail(pull, control.label()))
+        for control, pull in zip(ctx.family, pulls)])
 
 
 def _check_zsign(ctx: RunContext) -> CheckOutcome:
@@ -763,21 +759,18 @@ def _check_zsign(ctx: RunContext) -> CheckOutcome:
 
 def _check_comparison(ctx: RunContext) -> CheckOutcome:
     """Linear-driver values must sit inside the abs-driver band."""
-    s = ctx.scenario
     lo = ctx.entries["bsde_lower"].value
     hi = ctx.entries["bsde_upper"].value
-    tol = 0.005 * max(1.0, abs(lo), abs(hi))
+    tol = _fd_slack(lo, hi)
+    relations = []
     # run_scenario marched the linear drivers after the abs ones.
     linear = ctx.fd.y0[len(FD_DRIVERS):]
     for sign, y0 in zip(COMPARISON_SIGNS, linear.tolist(), strict=True):
-        nu = sign * s.k
-        if not (lo - tol <= y0 <= hi + tol):
-            return CheckOutcome(
-                "comparison", "fail",
-                f"linear driver nu={nu:g} gives y0={y0:.6g} outside "
-                f"[{lo:.6g}, {hi:.6g}] +- {tol:.3g}")
-    return CheckOutcome("comparison", "pass",
-                        f"linear drivers in {{-k, 0, k}} stay within the abs-driver band (tol {tol:.3g})")
+        detail = (f"linear driver nu={sign * ctx.scenario.k:g} gives y0={y0:.6g} outside "
+                  f"[{lo:.6g}, {hi:.6g}] +- {tol:.3g}")
+        relations += [((lo - tol) - y0, detail), (y0 - (hi + tol), detail)]
+    return _judge("comparison", relations, passed=(
+        f"linear drivers in {{-k, 0, k}} stay within the abs-driver band (tol {tol:.3g})"))
 
 
 def _check_attainment(ctx: RunContext) -> CheckOutcome:
@@ -812,11 +805,10 @@ def _check_l2bound(ctx: RunContext) -> CheckOutcome:
     se_bound = 0.0 if m2 == 0.0 else se_m2 / (2.0 * math.sqrt(m2))
     upper = ctx.entries["minimax_upper"]
     tol = pooled_tolerance([upper.std_error, se_bound])
-    ok = upper.value <= bound + tol
     ratio = 0.0 if bound == 0.0 else upper.value / bound
-    return CheckOutcome("l2bound", "pass" if ok else "fail",
-                        f"upper = {upper.value:.6g} vs bound {bound:.6g} "
-                        f"(ratio {ratio:.3f}, tol {tol:.3g})")
+    return _judge("l2bound", [(upper.value - (bound + tol),
+                               f"upper = {upper.value:.6g} vs bound {bound:.6g} "
+                               f"(ratio {ratio:.3f}, tol {tol:.3g})")])
 
 
 def _check_holder(ctx: RunContext) -> CheckOutcome:

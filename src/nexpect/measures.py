@@ -24,6 +24,7 @@ from .paths import ROW_BLOCK, PathBundle, TimeGrid, with_functionals
 __all__ = [
     "ThetaControl",
     "MartingaleDeviationWarning",
+    "martingale_pulls",
     "girsanov_weights",
     "weight_matrix",
     "expectation_profile",
@@ -34,6 +35,13 @@ __all__ = [
 # How many standard errors a density's sample mean may stray from 1 before
 # weight_matrix warns and the `martingale` check fails.
 MARTINGALE_LIMIT = 4.0
+
+
+def martingale_pulls(means: np.ndarray, ses: np.ndarray) -> np.ndarray:
+    """How many SEs each density column's mean strays from 1 (0 where the SE
+    is not positive), the one rule of weight_matrix's warning and the
+    `martingale` check: both act on a pull above MARTINGALE_LIMIT."""
+    return np.divide(np.abs(means - 1.0), ses, out=np.zeros_like(means), where=ses > 0.0)
 
 
 class MartingaleDeviationWarning(UserWarning):
@@ -250,8 +258,8 @@ def weight_matrix(
         means, ses = _column_moments(out, np.ones(n))
         if moments is not None:
             moments.update(means=means, ses=ses)
-        for control, mean, se in zip(family, means, ses):
-            if se > 0.0 and abs(mean - 1.0) > MARTINGALE_LIMIT * se:
+        for control, mean, se, pull in zip(family, means, ses, martingale_pulls(means, ses)):
+            if pull > MARTINGALE_LIMIT:
                 warnings.warn(
                     f"density mean {mean:.6f} deviates from 1 by more than "
                     f"{MARTINGALE_LIMIT:g} SE ({se:.2e}) for control {control.label()}",

@@ -244,9 +244,9 @@ def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> Attainment
     evenly spaced on [-k, k].
 
     For monotone payoffs the profile should be monotone in the control level
-    (within 3 paired standard errors per adjacent difference) and attain its
-    maximum at an endpoint of [-k, k].  Payoffs without declared direction
-    get the profile only.
+    and attain its maximum at an endpoint of [-k, k], each within 3 paired
+    standard errors (the profile's points share their paths).  Payoffs
+    without declared direction get the profile only.
     """
     thetas = np.linspace(-k, k, ATTAINMENT_GRID)
     family = tuple(ThetaControl.constant(t, k) for t in thetas)
@@ -254,13 +254,12 @@ def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> Attainment
     values = payoff.map(bundle.terminal())
     estimates, ses = expectation_profile(values, weights)
 
-    # Paired standard errors of adjacent differences share the same paths.
-    n = bundle.n_paths
+    # The standard error of a difference of two points, from the paired products.
+    def paired_se(i: int, j: int) -> float:
+        return ((weights[:, i] - weights[:, j]) * values).std(ddof=1) / math.sqrt(bundle.n_paths)
+
     diffs = np.diff(estimates)
-    diff_ses = np.empty(diffs.size)
-    for j in range(diffs.size):
-        paired = (weights[:, j + 1] - weights[:, j]) * values
-        diff_ses[j] = paired.std(ddof=1) / math.sqrt(n)
+    diff_ses = np.array([paired_se(j + 1, j) for j in range(diffs.size)])
 
     mono = payoff.monotonicity
     violations: list[tuple[int, float, float]] = []
@@ -274,10 +273,9 @@ def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> Attainment
             if sign * d < -3.0 * se:
                 violations.append((j, float(d), float(se)))
         monotone_ok = not violations
-        # The max must sit at an endpoint, allowing ties within noise.
-        end_best = max(estimates[0], estimates[-1])
-        slack = pooled_tolerance([ses[hi], max(ses[0], ses[-1])])
-        boundary = hi in (0, ATTAINMENT_GRID - 1) or estimates[hi] - end_best <= slack
+        # The max must sit at an endpoint, or tie the better one within noise.
+        end = 0 if estimates[0] >= estimates[-1] else ATTAINMENT_GRID - 1
+        boundary = hi == end or estimates[hi] - estimates[end] <= 3.0 * paired_se(hi, end)
     return AttainmentReport(
         thetas=thetas,
         estimates=estimates,

@@ -635,6 +635,34 @@ def test_run_scenario_rejects_unbounded_fd_steps(tmp_path, monkeypatch):
         run_scenario(scn)
 
 
+def no_paths(*args, **kwargs):
+    raise AssertionError("paths drawn before the FD solve")
+
+
+def test_run_scenario_rejects_a_coarse_grid_before_the_draw(tmp_path, monkeypatch):
+    from nexpect import cli
+    from nexpect.errors import GridTooCoarseError
+
+    body = BASE.replace("nodes = 101", "nodes = 801").replace(
+        "time_steps = 200", "time_steps = 50") + "fd_substep = false\n"
+    monkeypatch.setattr(cli, "generate_brownian", no_paths)
+    with pytest.raises(GridTooCoarseError, match="minimal admissible time_steps"):
+        run_scenario(load_scenario(write_scn(tmp_path, body)))
+
+
+def test_payoff_non_finite_on_the_fd_nodes_is_a_scenario_error(tmp_path, monkeypatch, capsys):
+    # The grid spans 6 SDs of log(s0), about 30 to 332 here, so the payoff is
+    # infinite on its top nodes; it was an internal error when the solve ran
+    # after the draw.
+    from nexpect import cli
+    body = BASE.replace("payoff = call\nstrike = 100\n", "payoff = custom\nexpr = 1/max(300 - s, 0)\n")
+    path = write_scn(tmp_path, body)
+    monkeypatch.setattr(cli, "generate_brownian", no_paths)
+    assert main(["--scenario", path]) == EXIT_BAD_SCENARIO
+    assert capsys.readouterr().err == (
+        "scenario error: payoff 'custom(1/max(300 - s, 0))' produced non-finite values\n")
+
+
 @pytest.mark.parametrize("extra", [(), ("zsign",)], ids=["no-zsign", "zsign"])
 def test_cli_solves_store_no_surfaces(tmp_path, monkeypatch, extra):
     # One march serves every driver: upper and lower, plus the three linear
@@ -944,6 +972,176 @@ def test_attainment_verdict_fails_on_a_hump_declared_increasing(call_context):
     outcome = _check_attainment(replace(call_context, payoff=hump))
     assert outcome.status == "fail", outcome.detail
     assert "monotone profile=False" in outcome.detail
+
+
+def test_judge_names_the_worst_relation_and_fails_on_nan():
+    from nexpect.cli import CheckOutcome, _judge
+    assert _judge("x", [(-2.0, "a"), (-1.0, "b"), (-1.0, "c")]) == CheckOutcome("x", "pass", "b")
+    assert _judge("x", [(-1.0, "a"), (0.0, "b")], passed="ok") == CheckOutcome("x", "pass", "ok")
+    assert _judge("x", [(1.0, "a"), (3.0, "b")], passed="ok") == CheckOutcome("x", "fail", "b")
+    assert _judge("x", [(-1.0, "a"), (5e-324, "b")]) == CheckOutcome("x", "fail", "b")
+    assert _judge("x", [(5.0, "a"), (math.nan, "b")]) == CheckOutcome("x", "fail", "b")
+    assert _judge("x", [(math.nan, "a"), (-1.0, "b")]) == CheckOutcome("x", "fail", "a")
+
+
+def with_entry(ctx, name, **changes):
+    """The context with one estimator entry moved."""
+    return replace(ctx, entries={**ctx.entries, name: replace(ctx.entries[name], **changes)})
+
+
+# Each fixture below puts one input just inside, then just outside, a
+# check's limit.  The limits are written out, so their values are pinned
+# and not only their presence.
+EDGES = [(1.0 - 1e-6, "pass"), (1.0 + 1e-6, "fail")]
+
+
+@pytest.mark.parametrize("factor, status", EDGES)
+@pytest.mark.parametrize("kind, rel", [("call", 0.01), ("digital", 0.03)])
+def test_chain_verdict_at_its_relative_limit(call_context, kind, rel, factor, status):
+    # bsde_upper and the closed-form extremal_upper have no SE, so their gap
+    # may be `rel` of the larger: e - b <= rel * e.  A digital's FD pairs
+    # get 0.03, every other pair 0.01.
+    from nexpect.cli import _check_chain
+    ctx = replace(call_context, payoff=getattr(Payoff, kind)(100.0))
+    b = ctx.entries["bsde_upper"].value
+    outcome = _check_chain(with_entry(ctx, "extremal_upper", value=b / (1.0 - rel) * factor))
+    assert outcome.status == status, outcome.detail
+    assert outcome.detail.startswith("bsde_upper vs extremal_upper: ")
+
+
+def test_chain_detail_names_a_pair_far_inside_its_tolerance(tmp_path):
+    # At s0 = strike = 100000 every pair's excess is below -1.
+    body = BASE.replace("s0 = 100", "s0 = 100000").replace("strike = 100", "strike = 100000")
+    [outcome] = run_scenario(load_scenario(write_scn(tmp_path, body + "checks = chain\n"))).checks
+    assert outcome.status == "pass"
+    assert re.match(r"\w+_(upper|lower) vs \w+_(upper|lower): \|", outcome.detail), outcome.detail
+
+
+@pytest.mark.parametrize("factor, status", EDGES)
+@pytest.mark.parametrize("name, tol", [("bsde_upper", lambda plain: 0.005 * max(1.0, plain)),
+                                       ("extremal_upper", lambda plain: 1e-9 * max(1.0, plain))],
+                         ids=["fd", "exact"])
+def test_degeneracy_verdict_at_its_limits(call_context, name, tol, factor, status):
+    # Every entry collapsed onto a plain price without SE, then one moved:
+    # an FD value may sit 0.005 of the scale off, a sampled one 1e-9.
+    from nexpect.cli import _check_degeneracy
+    plain = call_context.entries["plain"].value
+    ctx = replace(call_context, scenario=replace(call_context.scenario, k=0.0), entries={
+        n: replace(e, value=plain, std_error=0.0 if n == "plain" else e.std_error)
+        for n, e in call_context.entries.items()})
+    outcome = _check_degeneracy(with_entry(ctx, name, value=plain + tol(plain) * factor))
+    assert outcome.status == status, outcome.detail
+    assert status == "pass" or outcome.detail.startswith(f"{name} = ")
+
+
+@pytest.mark.parametrize("factor, status", EDGES)
+def test_sandwich_verdict_at_its_fd_tolerance(call_context, factor, status):
+    # bsde_upper may exceed the closed-form extremal_upper by 0.005 of the
+    # FD scale, here bsde_upper itself: b - e <= 0.005 * b.
+    from nexpect.cli import _check_sandwich
+    e = call_context.entries["extremal_upper"].value
+    outcome = _check_sandwich(with_entry(call_context, "bsde_upper",
+                                         value=e / (1.0 - 0.005) * factor))
+    assert outcome.status == status, outcome.detail
+    expected = "9 order relations hold" if status == "pass" else "bsde_upper <= extremal_upper"
+    assert outcome.detail.startswith(expected)
+
+
+def test_sandwich_names_the_worst_violation(call_context):
+    # The first relation listed fails by a little, a later one by a lot.
+    from nexpect.cli import _check_sandwich
+    e = call_context.entries
+    ctx = with_entry(call_context, "choquet_lower", value=e["minimax_lower"].value + 0.5)
+    ctx = with_entry(ctx, "bsde_upper", value=e["extremal_upper"].value + 5.0)
+    outcome = _check_sandwich(ctx)
+    assert outcome.status == "fail"
+    assert outcome.detail.startswith("bsde_upper <= extremal_upper violated by 5")
+
+
+def test_sandwich_fails_on_a_nan_estimate(call_context):
+    from nexpect.cli import _check_sandwich
+    outcome = _check_sandwich(with_entry(call_context, "choquet_upper", value=math.nan))
+    assert outcome.status == "fail"
+    assert outcome.detail.startswith("minimax_upper <= choquet_upper violated by nan")
+
+
+@pytest.mark.parametrize("factor, status", EDGES)
+@pytest.mark.parametrize("edge", ["lower", "upper"])
+def test_comparison_verdict_at_its_tolerance(call_context, edge, factor, status):
+    # A linear driver's value may sit 0.005 of the FD scale outside the
+    # abs-driver band [lo, hi].
+    from nexpect.cli import _check_comparison
+    hi, lo = call_context.fd.y0.tolist()
+    tol = 0.005 * max(1.0, abs(lo), abs(hi))
+    outside = lo - tol * factor if edge == "lower" else hi + tol * factor
+    linear = [outside, 0.5 * (lo + hi), hi] if edge == "lower" else [lo, 0.5 * (lo + hi), outside]
+    ctx = replace(call_context, fd=replace(call_context.fd, y0=np.array([hi, lo, *linear])))
+    outcome = _check_comparison(ctx)
+    assert outcome.status == status, outcome.detail
+    if status == "fail":
+        nu = "-0.1" if edge == "lower" else "0.1"
+        assert outcome.detail.startswith(f"linear driver nu={nu} gives y0=")
+
+
+@pytest.mark.parametrize("factor, status", [(1.0 - 1e-9, "pass"), (1.0 + 1e-9, "fail")])
+def test_l2bound_verdict_at_its_limit(call_context, factor, status):
+    # The upper price may exceed the bound sqrt(E[X^2]) exp(k^2 T / 2) by 3
+    # pooled SEs of the price and of the bound (delta method).
+    from nexpect.cli import _check_l2bound
+    x, s = call_context.values, call_context.scenario
+    m2 = np.mean(x**2)
+    bound = math.sqrt(m2) * math.exp(0.5 * s.k**2 * s.horizon)
+    se_bound = np.std(x**2, ddof=1) / math.sqrt(x.size) / (2.0 * math.sqrt(m2))
+    se_upper = call_context.entries["minimax_upper"].std_error
+    limit = bound + 3.0 * math.sqrt(se_upper**2 + se_bound**2)
+    outcome = _check_l2bound(with_entry(call_context, "minimax_upper", value=limit * factor))
+    assert outcome.status == status, outcome.detail
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_normalization_verdict_is_exact(call_context, side):
+    # The full event must weigh exactly 1: totals one ulp off fail.
+    from nexpect.cli import _check_normalization
+    assert _check_normalization(call_context).status == "pass"
+    cap = getattr(call_context, f"cap_{side}")
+    moved = replace(cap, totals=cap.totals * (1.0 + 2.0**-52))
+    outcome = _check_normalization(replace(call_context, **{f"cap_{side}": moved}))
+    assert outcome.status == "fail", outcome.detail
+
+
+@pytest.mark.parametrize("factor, status", [(0.99, "pass"), (1.01, "fail")])
+@pytest.mark.parametrize("identity", ["integral", "capacity"])
+def test_duality_verdict_at_its_tolerance(call_context, monkeypatch, identity, factor, status):
+    # The lower side shifted by just under, then just over, the tolerance:
+    # 1e-10 of the value scale max(1, |minimax_upper|) for the integrals,
+    # 1e-10 for capacities.  The unshifted gaps are below 1e-12 of it.
+    from nexpect import cli
+    from nexpect.choquet import Capacity
+    if identity == "integral":
+        shift = factor * 1e-10 * max(1.0, abs(call_context.entries["minimax_upper"].value))
+        real = cli.choquet_estimates
+
+        def shifted(values, capacities):
+            return [(value + shift if cap.orientation == "lower" else value, influence)
+                    for (value, influence), cap in zip(real(values, capacities), capacities)]
+
+        monkeypatch.setattr(cli, "choquet_estimates", shifted)
+    else:
+        shift = factor * 1e-10
+        real = Capacity.evaluate
+        monkeypatch.setattr(Capacity, "evaluate", lambda cap, event: real(cap, event) + (
+            shift if cap.orientation == "lower" else 0.0))
+    outcome = cli._check_duality(replace(call_context))
+    assert outcome.status == status, outcome.detail
+
+
+def test_duality_fails_on_a_nan_capacity_gap(call_context, monkeypatch):
+    from nexpect import cli
+    from nexpect.choquet import Capacity
+    real = Capacity.evaluate
+    monkeypatch.setattr(Capacity, "evaluate", lambda cap, event: (
+        math.nan if cap.orientation == "lower" else real(cap, event)))
+    assert cli._check_duality(replace(call_context)).status == "fail"
 
 
 def test_known_checks_cover_registry():

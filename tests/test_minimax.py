@@ -401,6 +401,30 @@ def test_attainment_undeclared_direction_profiles_only(bundle_50k):
     assert np.all(report.std_errors > 0.0)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 31])
+def test_attainment_boundary_uses_the_paired_error(seed):
+    # A tent peaked near the reference median of S_T, declared increasing:
+    # its profile peaks inside [-k, k], about 0.007 above the -k endpoint.
+    # Every point is taken on the same paths, so the tie allowance is 3 SEs
+    # of the paired difference (about 0.001), not the unpaired 3 pooled SEs
+    # of the two estimates (about 0.09), which would call the peak a tie.
+    from nexpect.paths import TimeGrid
+    hump = Payoff.custom("hump", lambda s: np.maximum(0.0, 10.0 - np.abs(s - 98.0)),
+                         monotonicity="increasing")
+    bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2),
+                          generate_brownian(TimeGrid(1.0, 4), 20_000, seed))
+    report = attainment_check(hump, 0.1, bundle)
+    hi = report.argmax_index
+    gap = report.estimates[hi] - report.estimates[0]
+    assert 0 < hi < ATTAINMENT_GRID - 1 and report.estimates[0] >= report.estimates[-1]
+    weights = weight_matrix([ThetaControl.constant(t, 0.1) for t in report.thetas[[hi, 0]]],
+                            bundle)
+    paired = (weights[:, 0] - weights[:, 1]) * hump.map(bundle.terminal())
+    assert 3.0 * paired.std(ddof=1) / math.sqrt(bundle.n_paths) < gap
+    assert gap < pooled_tolerance(report.std_errors[[hi, 0]])
+    assert not report.boundary_attained
+
+
 def test_attainment_validation(bundle_50k):
     with pytest.raises(ValueError):
         attainment_check(Payoff.call(100.0), -0.1, bundle_50k)
