@@ -35,7 +35,6 @@ from .errors import (
     SimulationFailureError,
 )
 from .measures import (
-    MartingaleDeviationWarning,
     ThetaControl,
     default_control_family,
     expectation_profile,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TimeGrid", "MarketModel", "PathBundle", "generate_brownian", "simulate_sde",
-    "ThetaControl", "MartingaleDeviationWarning", "girsanov_weights",
+    "ThetaControl", "girsanov_weights",
     "weight_matrix", "expectation_profile", "default_control_family",
     "Payoff", "Capacity", "build_capacity", "choquet_integral",
     "submodularity_check", "random_threshold_pairs",

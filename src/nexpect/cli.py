@@ -49,13 +49,7 @@ from .choquet import (
     threshold_event,
 )
 from .errors import GridTooCoarseError, ScenarioError
-from .measures import (
-    MARTINGALE_LIMIT,
-    ThetaControl,
-    default_control_family,
-    martingale_pulls,
-    weight_matrix,
-)
+from .measures import ThetaControl, default_control_family, expectation_profile, weight_matrix
 from .minimax import (
     ExtremalReport,
     attainment_check,
@@ -86,11 +80,13 @@ COMPARISON_SIGNS = (-1.0, 0.0, 1.0)
 
 # The checks' fixed tolerances: an FD value's slack, of the FD scale
 # max(1, |FD values|); `chain`'s relative gap, and its gap for a digital's FD
-# pairs (a discontinuous terminal condition); `duality`'s, of the value scale.
+# pairs (a discontinuous terminal condition); `duality`'s, of the value scale;
+# `martingale`'s, in standard errors of a density's sample mean from 1.
 FD_REL = 0.005
 CHAIN_REL = 0.01
 CHAIN_DIGITAL_FD_REL = 0.03
 DUALITY_REL = 1e-10
+MARTINGALE_LIMIT = 4.0
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -434,7 +430,6 @@ class RunContext:
     values: np.ndarray
     family: tuple[ThetaControl, ...]
     weights: np.ndarray
-    moments: dict  # each weight column's "means" and "ses", from weight_matrix
     cap_upper: Capacity
     cap_lower: Capacity
     fd: GridSolution  # rows: FD_DRIVERS, then COMPARISON_SIGNS with `comparison`
@@ -517,9 +512,8 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    moments: dict = {}
     try:
-        weights = weight_matrix(family, bundle, threads=threads, moments=moments)
+        weights = weight_matrix(family, bundle, threads=threads)
     except ValueError as exc:
         raise ScenarioError(f"{exc}: k or the horizon is too large") from exc
     # W holds what the functionals were kept for.
@@ -576,8 +570,8 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
 
     ctx = RunContext(
         scenario=scenario, model=model, payoff=payoff, bundle=bundle, values=values,
-        family=family, weights=weights, moments=moments, cap_upper=cap_upper,
-        cap_lower=cap_lower, fd=fd, entries=entries,
+        family=family, weights=weights, cap_upper=cap_upper, cap_lower=cap_lower, fd=fd,
+        entries=entries,
     )
 
     outcomes = [CHECK_REGISTRY[name](ctx) for name in requested]
@@ -737,14 +731,21 @@ def _check_normalization(ctx: RunContext) -> CheckOutcome:
     return _judge("normalization", [(g, detail) for g in gaps])
 
 
+def martingale_pulls(means: np.ndarray, ses: np.ndarray) -> np.ndarray:
+    """How many SEs each density column's mean strays from 1 (0 where the SE
+    is not positive); the `martingale` check fails on a pull above
+    MARTINGALE_LIMIT."""
+    return np.divide(np.abs(means - 1.0), ses, out=np.zeros_like(means), where=ses > 0.0)
+
+
 def _check_martingale(ctx: RunContext) -> CheckOutcome:
-    # The mean of each density column is its expectation of the payoff 1,
-    # reduced once by weight_matrix for its own warning.
     def detail(pull: float, at: str) -> str:
         return f"max |mean - 1| = {pull:.2f} SE at {at} (limit {MARTINGALE_LIMIT:g})"
 
+    # The mean of each density column is its expectation of the payoff 1.
     # A column with no positive pull ties the first relation, so it names none.
-    pulls = martingale_pulls(ctx.moments["means"], ctx.moments["ses"]).tolist()
+    means, ses = expectation_profile(np.ones(len(ctx.weights)), ctx.weights)
+    pulls = martingale_pulls(means, ses).tolist()
     return _judge("martingale", [(-MARTINGALE_LIMIT, detail(0.0, "n/a"))] + [
         (pull - MARTINGALE_LIMIT, detail(pull, control.label()))
         for control, pull in zip(ctx.family, pulls)])

@@ -13,7 +13,6 @@ at sample level and not just in the limit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,29 +22,11 @@ from .paths import ROW_BLOCK, PathBundle, TimeGrid, with_functionals
 
 __all__ = [
     "ThetaControl",
-    "MartingaleDeviationWarning",
-    "martingale_pulls",
     "girsanov_weights",
     "weight_matrix",
     "expectation_profile",
     "default_control_family",
 ]
-
-
-# How many standard errors a density's sample mean may stray from 1 before
-# weight_matrix warns and the `martingale` check fails.
-MARTINGALE_LIMIT = 4.0
-
-
-def martingale_pulls(means: np.ndarray, ses: np.ndarray) -> np.ndarray:
-    """How many SEs each density column's mean strays from 1 (0 where the SE
-    is not positive), the one rule of weight_matrix's warning and the
-    `martingale` check: both act on a pull above MARTINGALE_LIMIT."""
-    return np.divide(np.abs(means - 1.0), ses, out=np.zeros_like(means), where=ses > 0.0)
-
-
-class MartingaleDeviationWarning(UserWarning):
-    """Sample mean of a density strayed more than MARTINGALE_LIMIT SEs from 1."""
 
 
 @dataclass(frozen=True)
@@ -140,9 +121,9 @@ def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> np.ndarray:
     """Density of the control's measure against the reference, path by path.
 
     The column weight_matrix builds for the one-member family (control,),
-    with the same validation and martingale warning.  The pricing pipeline
-    does not call it; it is kept as library API for one density, and the
-    benchmark's tracer (perfbench/tracer.py) resolves it by name.
+    with the same validation.  The pricing pipeline does not call it; it is
+    kept as library API for one density, and the benchmark's tracer
+    (perfbench/tracer.py) resolves it by name.
     """
     return weight_matrix((control,), bundle)[:, 0]
 
@@ -191,8 +172,6 @@ def weight_matrix(
     family: tuple[ThetaControl, ...] | list[ThetaControl],
     bundle: PathBundle,
     threads: int = 1,
-    *,
-    moments: dict | None = None,
 ) -> np.ndarray:
     """Stack of density weights, one column per control, shape (n_paths, C).
 
@@ -207,11 +186,9 @@ def weight_matrix(
     any block is filled.  With threads > 1 a pool fills the same blocks, so
     the result does not depend on the thread count.
 
-    Raises ValueError unless every weight is finite and strictly positive,
-    and warns (without failing) for each column whose sample mean is more
-    than MARTINGALE_LIMIT standard errors from 1.  A `moments` dict
-    receives those "means" and "ses" (bitwise expectation_profile of the
-    payoff 1) for reuse.
+    Raises ValueError unless every weight is finite and strictly positive.
+    A column's sample mean, which the CLI's `martingale` check holds near 1,
+    is its expectation_profile of the payoff 1.
     """
     family = tuple(family)
     if not family:
@@ -253,19 +230,6 @@ def weight_matrix(
 
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             list(pool.map(fill, starts))
-
-    if n > 1:
-        means, ses = _column_moments(out, np.ones(n))
-        if moments is not None:
-            moments.update(means=means, ses=ses)
-        for control, mean, se, pull in zip(family, means, ses, martingale_pulls(means, ses)):
-            if pull > MARTINGALE_LIMIT:
-                warnings.warn(
-                    f"density mean {mean:.6f} deviates from 1 by more than "
-                    f"{MARTINGALE_LIMIT:g} SE ({se:.2e}) for control {control.label()}",
-                    MartingaleDeviationWarning,
-                    stacklevel=2,
-                )
     return out
 
 

@@ -139,11 +139,6 @@ class PathBundle:
             raise ValueError("bundle has no simulated states; call simulate_sde first")
         return self.states
 
-    def terminal_brownian(self) -> np.ndarray:
-        """B_T per path, the sum of each row of increments: the kept
-        `brownian_terminal`, or one redraw of the stream."""
-        return with_functionals(self, ()).brownian_terminal
-
     def functional(self, theta: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
         """(sign, L) with `increments @ theta` bitwise `sign * L`, or None.
 

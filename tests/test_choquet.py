@@ -252,7 +252,6 @@ IDENTITY_CASES = st.tuples(
 )
 
 
-@pytest.mark.filterwarnings("ignore::nexpect.MartingaleDeviationWarning")
 @settings(deadline=None, max_examples=20)
 @given(case=IDENTITY_CASES, scale=st.floats(min_value=0.01, max_value=100.0))
 @example(case=(ROW_BLOCK + 1, 0.0, 7), scale=3.0)
@@ -267,7 +266,6 @@ def test_integral_positive_homogeneity(case, scale):
                 cap.orientation
 
 
-@pytest.mark.filterwarnings("ignore::nexpect.MartingaleDeviationWarning")
 @settings(deadline=None, max_examples=20)
 @given(case=IDENTITY_CASES, shift=st.floats(min_value=-50.0, max_value=50.0))
 @example(case=(ROW_BLOCK + 1, 0.0, 7), shift=-2.5)

@@ -727,7 +727,7 @@ def test_reweighted_extremal_band_is_read_from_the_minimax_profile(tmp_path, mon
     assert calls == []
     payoff = scn.build_payoff()
     hi, hi_se, lo, lo_se = dense_band(payoff.monotonicity, payoff.map(bundles[0].terminal()),
-                                      bundles[0].terminal_brownian(), scn.k, scn.horizon)
+                                      bundles[0].brownian_terminal, scn.k, scn.horizon)
     upper, lower = report.entry("extremal_upper"), report.entry("extremal_lower")
     assert (upper.value, upper.std_error, upper.note) == (hi, hi_se, "reweighting")
     assert (lower.value, lower.std_error, lower.note) == (lo, lo_se, "reweighting")
@@ -806,7 +806,6 @@ def duality_outcome(tmp_path, payoff="call", strike=100.0, k=0.1, n=3000, seed=3
        payoff=st.sampled_from(sorted(DUALITY_PAYOFFS)))
 @example(seed=31, strike=100.0, k=0.0, n=3000, payoff="call")
 @example(seed=31, strike=100.0, k=0.1, n=4000, payoff="straddle")
-@pytest.mark.filterwarnings("ignore::nexpect.MartingaleDeviationWarning")  # tiny samples stray
 def test_duality_check_passes(tmp_path, seed, strike, k, n, payoff):
     outcome, gap, tol, cap_gap = duality_outcome(tmp_path, payoff, strike, k, n, seed)
     assert outcome.status == "pass", outcome.detail
@@ -840,8 +839,8 @@ def test_duality_fails_on_a_mutated_lower_sweep(tmp_path, monkeypatch, mutation)
 
 
 def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
-    # The martingale check reads the moments of the matrix's own warning:
-    # the full matrix is reduced by the warning and by minimax only.
+    # Minimax reduces the full matrix once; the martingale check, when it is
+    # asked for, reduces it once more for the mean of each density.
     from nexpect import cli, measures
     reductions, contexts = [], []
     real_moments, real_check = measures._column_moments, cli.CHECK_REGISTRY["martingale"]
@@ -856,14 +855,18 @@ def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(measures, "_column_moments", counted)
     monkeypatch.setitem(cli.CHECK_REGISTRY, "martingale", kept)
-    scn = load_scenario(write_scn(tmp_path, BASE + "checks = martingale, duality\n"))
-    report = run_scenario(scn)
-    assert reductions.count(scn.n_paths) == 2
+    for checks, count in (("duality", 1), ("martingale, duality", 2)):
+        reductions.clear()
+        scn = load_scenario(write_scn(tmp_path, BASE + f"checks = {checks}\n"))
+        report = run_scenario(scn)
+        assert reductions.count(scn.n_paths) == count, checks
     [ctx] = contexts
     means, ses = expectation_profile(np.ones(scn.n_paths), ctx.weights)
-    assert np.array_equal(ctx.moments["means"], means) and np.array_equal(ctx.moments["ses"], ses)
-    expected = real_check(replace(ctx, moments={"means": means, "ses": ses}))
-    assert report.checks[0] == expected and expected.status == "pass"
+    pulls = cli.martingale_pulls(means, ses)
+    worst = int(pulls.argmax())
+    assert report.checks[0] == cli.CheckOutcome(
+        "martingale", "pass",
+        f"max |mean - 1| = {pulls[worst]:.2f} SE at {ctx.family[worst].label()} (limit 4)")
 
 
 # Functions the benchmark's tracer (perfbench/tracer.py) times by replacing
@@ -952,10 +955,11 @@ def call_context(tmp_path_factory):
 @pytest.mark.parametrize("pull, status", [(3.999, "pass"), (4.001, "fail")])
 def test_martingale_verdict_at_its_limit(call_context, pull, status):
     from nexpect.cli import _check_martingale
-    count = len(call_context.family)
-    means, ses = np.ones(count), np.full(count, 0.01)
-    means[-1] += pull * 0.01
-    outcome = _check_martingale(replace(call_context, moments={"means": means, "ses": ses}))
+    # Two paths: every column is 1 on both but the last, 1 + pull * 0.01
+    # +- 0.01, whose mean strays by pull * 0.01 at an SE of 0.01.
+    weights = np.ones((2, len(call_context.family)))
+    weights[:, -1] += pull * 0.01 + np.array([0.01, -0.01])
+    outcome = _check_martingale(replace(call_context, weights=weights))
     assert outcome.status == status
     assert outcome.detail == (f"max |mean - 1| = {pull:.2f} SE at "
                               f"{call_context.family[-1].label()} (limit 4)")
@@ -1142,6 +1146,65 @@ def test_duality_fails_on_a_nan_capacity_gap(call_context, monkeypatch):
     monkeypatch.setattr(Capacity, "evaluate", lambda cap, event: (
         math.nan if cap.orientation == "lower" else real(cap, event)))
     assert cli._check_duality(replace(call_context)).status == "fail"
+
+
+# An upper envelope of probability measures is 2-alternating on every pair
+# of threshold events (each event is a run of ranks), so a capacity on the
+# limit needs a signed density.  The sample is 0, 1 and 2 on 10%, 80% and
+# 10% of the paths, of masses -delta, 0.5 + delta and 0.5.  A pair of an
+# {x <= t} holding the 0s and 1s and an {x > t'} holding the 1s and 2s has
+# the defect c(all) + c(1s) - c(0s, 1s) - c(1s, 2s) = 1 + (0.5 + delta) -
+# 0.5 - 1 = delta (the mass 1 + delta of the 1s and 2s is clipped to 1);
+# every other pair's is 0 or -delta.  The limit is 3 / sqrt(m).
+@pytest.mark.parametrize("factor, status", EDGES)
+def test_submodularity_verdict_at_its_limit(call_context, factor, status):
+    from nexpect.cli import CHECK_SUBSAMPLE, _check_submodularity
+    m = call_context.bundle.n_paths
+    assert m <= CHECK_SUBSAMPLE
+    delta = factor * 3.0 / math.sqrt(m)
+    counts = np.array([m // 10, m - 2 * (m // 10), m // 10])
+    values = np.repeat([0.0, 1.0, 2.0], counts)
+    weights = np.repeat(np.array([-delta, 0.5 + delta, 0.5]) / counts, counts)[:, None]
+    outcome = _check_submodularity(replace(call_context, values=values, weights=weights))
+    assert outcome.status == status, outcome.detail
+    assert outcome.detail.startswith(f"max 2-alternating defect {delta:.2e} over 200 ")
+
+
+# The first pair's margin moved to just inside, then just past, the
+# tolerance of its report: a pair holds while margin >= -tolerance.
+@pytest.mark.parametrize("factor, status", EDGES)
+def test_holder_verdict_at_its_tolerance(call_context, monkeypatch, factor, status):
+    from nexpect import cli
+    real = cli.choquet_holder_checks
+
+    def at_the_edge(pairs, capacity):
+        first, *rest = real(pairs, capacity)
+        return [replace(first, margin=-factor * first.tolerance), *rest]
+
+    monkeypatch.setattr(cli, "choquet_holder_checks", at_the_edge)
+    outcome = cli._check_holder(replace(call_context))
+    assert outcome.status == status, outcome.detail
+
+
+def test_holder_verdict_fails_on_an_envelope_that_is_not_2_alternating(call_context):
+    # X = 1 + 1_A and Y = |S_T| / s0 = 1 + 1_B on four equal cells (A only,
+    # A and B, B only, neither), under the upper envelope of the probability
+    # measures P = (0, 1/4, 0, 3/4) and Q = (1/4, 0, 1/4, 1/2), for which
+    # c(A) = c(B) = c(A & B) = 1/4 and c(A | B) = 1/2.  So
+    # C(XY) = 1 + c(A | B) + 2 c(A & B) = 2, while
+    # C(X^2)^(1/2) C(Y^2)^(1/2) = 1 + 3 c(A) = 1.75.
+    from nexpect.cli import _check_holder
+    m = call_context.bundle.n_paths
+    quarter = m // 4
+    assert 4 * quarter == m
+    in_a = np.repeat([1.0, 1.0, 0.0, 0.0], quarter)
+    in_b = np.repeat([0.0, 1.0, 1.0, 0.0], quarter)
+    envelope = np.repeat([[0.0, 0.25], [0.25, 0.0], [0.0, 0.25], [0.75, 0.5]], quarter, axis=0)
+    states = call_context.scenario.s0 * (1.0 + in_b)
+    outcome = _check_holder(replace(call_context, values=1.0 + in_a, weights=envelope / quarter,
+                                    bundle=replace(call_context.bundle, states=states)))
+    assert outcome.status == "fail"
+    assert outcome.detail.startswith("pair 0: margin -0.25 (tol "), outcome.detail
 
 
 def test_known_checks_cover_registry():

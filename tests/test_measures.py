@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ import pytest
 from nexpect import (
     InvalidControlError,
     MarketModel,
-    MartingaleDeviationWarning,
     ThetaControl,
     TimeGrid,
     default_control_family,
@@ -24,6 +21,7 @@ from nexpect import (
 )
 from nexpect.measures import ROW_BLOCK
 from nexpect.minimax import closed_under_negation
+from nexpect.paths import with_functionals
 from tests.conftest import CALL_ATM_FLAT, MEAN_ST_DRIFT_UP, blocked_products, dense_increments
 
 
@@ -84,7 +82,7 @@ def test_zero_control_weights_are_one(bundle_50k):
 def test_constant_weights_match_formula(bundle_50k):
     k = 0.1
     w = girsanov_weights(ThetaControl.constant(k, k), bundle_50k)
-    bt = bundle_50k.terminal_brownian()
+    bt = bundle_50k.brownian_terminal
     expected = np.exp(k * bt - 0.5 * k * k * bundle_50k.grid.horizon)
     assert np.allclose(w, expected, rtol=1e-12)
     assert np.all(w > 0.0)
@@ -104,9 +102,7 @@ def test_bang_bang_weights_match_manual():
 def test_weights_martingale_mean(acc_model, grid8):
     bundle = simulate_sde(acc_model, generate_brownian(grid8, 500_000, 2024))
     control = ThetaControl.constant(0.1, 0.1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a deviation warning would fail the test
-        (mean,), (se,) = expectation_profile(np.ones(bundle.n_paths), weight_matrix((control,), bundle))
+    (mean,), (se,) = expectation_profile(np.ones(bundle.n_paths), weight_matrix((control,), bundle))
     assert abs(mean - 1.0) <= 4.0 * se
 
 
@@ -219,33 +215,18 @@ def dense_weights(family, bundle):
 def test_blocked_weight_passes_are_bitwise_dense(n, family, grid8):
     bundle = generate_brownian(grid8, n, 1000 + n)
     dense = dense_weights(family, bundle)
-    with warnings.catch_warnings():
-        # Tiny samples may stray; the warning is tested separately.
-        warnings.simplefilter("ignore", MartingaleDeviationWarning)
-        serial = weight_matrix(family, bundle, threads=1)
-        pooled = weight_matrix(family, bundle, threads=2)
-        single = girsanov_weights(family[-1], bundle)
+    serial = weight_matrix(family, bundle, threads=1)
+    pooled = weight_matrix(family, bundle, threads=2)
+    single = girsanov_weights(family[-1], bundle)
     assert np.array_equal(serial, dense)
     assert np.array_equal(pooled, dense)
     assert np.array_equal(single, dense[:, -1])
 
-    x = np.maximum(bundle.terminal_brownian() * 30.0 + 1.0, 0.0)
+    x = np.maximum(with_functionals(bundle, ()).brownian_terminal * 30.0 + 1.0, 0.0)
     products = dense * x[:, None]
     est, ses = expectation_profile(x, serial)
     assert np.array_equal(est, products.mean(axis=0))
     assert np.array_equal(ses, products.std(axis=0, ddof=1) / np.sqrt(n))
-
-
-def test_weight_matrix_warns_on_stray_column(grid8):
-    base = generate_brownian(grid8, 3 * B + 17, 4242)
-    # Shift every increment up, so B_T is no longer centred under the reference.
-    inc = dense_increments(grid8, 3 * B + 17, 4242)
-    shifted = replace(base, brownian_terminal=(inc + 0.05).sum(axis=1))
-    family = (ThetaControl.constant(0.0, 0.5), ThetaControl.constant(0.5, 0.5))
-    with pytest.warns(MartingaleDeviationWarning, match="theta=") as record:
-        weight_matrix(family, shifted)
-    messages = [str(w.message) for w in record]
-    assert len(messages) == 1 and "theta=+0.5" in messages[0]
 
 
 def family_bundles(family, n, seed, grid):
@@ -271,9 +252,7 @@ def test_negated_bang_bang_columns_share_the_kept_functional(n, grid8):
         shift = 0.5 * float(theta @ theta) * grid8.dt
         column = sign * functional - shift
         assert np.array_equal(column, blocked_products(inc, theta) - shift)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MartingaleDeviationWarning)
-        weights = weight_matrix(family, kept)
+    weights = weight_matrix(family, kept)
     assert np.array_equal(weights, dense_weights(family, kept))
 
 
@@ -282,10 +261,8 @@ def test_kept_functionals_and_the_redraw_give_one_weight_matrix(threads, grid8):
     family = default_control_family(0.1)
     kept, plain = family_bundles(family, 3 * B + 17, 4321, grid8)
     assert plain.functionals == {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MartingaleDeviationWarning)
-        from_kept = weight_matrix(family, kept, threads=threads)
-        redrawn = weight_matrix(family, plain, threads=threads)
+    from_kept = weight_matrix(family, kept, threads=threads)
+    redrawn = weight_matrix(family, plain, threads=threads)
     assert np.array_equal(from_kept, redrawn)
     assert np.array_equal(from_kept, dense_weights(family, kept))
 

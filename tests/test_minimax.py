@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,6 @@ from scipy import special, stats
 
 from nexpect import (
     MarketModel,
-    MartingaleDeviationWarning,
     Payoff,
     ThetaControl,
     attainment_check,
@@ -195,13 +193,9 @@ def test_extremal_reweighting_digital(family_k01, bundle_50k, weights_50k):
 def test_extremal_reweighting_is_bitwise_dense(acc_model, grid8, family_k01, n, payoff):
     bundle = simulate_sde(acc_model, generate_brownian(grid8, n, 700 + n))
     x = payoff.map(bundle.terminal())
-    hi, hi_se, lo, lo_se = dense_band(payoff.monotonicity, x, bundle.terminal_brownian(),
+    hi, hi_se, lo, lo_se = dense_band(payoff.monotonicity, x, bundle.brownian_terminal,
                                       acc_model.k, HORIZON)
-    with warnings.catch_warnings():
-        # Tiny samples may stray from the martingale mean.
-        warnings.simplefilter("ignore", MartingaleDeviationWarning)
-        _, report = profile_band(payoff.monotonicity, x, family_k01,
-                                 weight_matrix(family_k01, bundle))
+    _, report = profile_band(payoff.monotonicity, x, family_k01, weight_matrix(family_k01, bundle))
     assert (report.upper, report.upper_se, report.lower, report.lower_se) == (hi, hi_se, lo, lo_se)
 
 
@@ -214,10 +208,8 @@ def test_extremal_price_is_the_minimax_profile_at_k(acc_model, grid8, bundle_50k
     # for a call or put, lognormal_digital_value for a digital.
     bundle = bundle_50k if n == 50_000 else simulate_sde(acc_model, generate_brownian(grid8, n, 5))
     family = default_control_family(acc_model.k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MartingaleDeviationWarning)
-        _, report = profile_band(payoff.monotonicity, payoff.map(bundle.terminal()), family,
-                                 weight_matrix(family, bundle))
+    _, report = profile_band(payoff.monotonicity, payoff.map(bundle.terminal()), family,
+                             weight_matrix(family, bundle))
     assert report.method == "reweighting"
     if payoff.kind == "digital":
         (mu, sigma), k = acc_model.gbm_constants, acc_model.k

@@ -15,7 +15,7 @@ from nexpect import (
     generate_brownian,
     simulate_sde,
 )
-from nexpect.paths import ROW_BLOCK, _increment_blocks, _simulate
+from nexpect.paths import ROW_BLOCK, _increment_blocks, _simulate, with_functionals
 from tests.conftest import MEAN_ST_MU5, blocked_products, dense_increments
 
 B = ROW_BLOCK
@@ -67,7 +67,7 @@ def test_brownian_moments():
     se = math.sqrt(grid.dt / inc.size)
     assert abs(inc.mean()) < 4.0 * se
     assert np.allclose(inc.var(axis=0), grid.dt, rtol=0.01)
-    bt = bundle.terminal_brownian()
+    bt = with_functionals(bundle, ()).brownian_terminal
     assert np.array_equal(bt, inc.sum(axis=1))
     assert abs(bt.mean()) < 4.0 / math.sqrt(bundle.n_paths)
     assert abs(bt.var() - 1.0) < 0.02

@@ -43,10 +43,10 @@ CLI_TESTS = "tests/test_cli.py"
 # (name, file, old snippet, new snippet, tests that should fail)
 MUTANTS = (
     # The verdict of each check, mutated to pass more than it should.
-    ("martingale limit 4 -> 40", "src/nexpect/measures.py",
+    ("martingale limit 4 -> 40", CLI,
      "MARTINGALE_LIMIT = 4.0", "MARTINGALE_LIMIT = 40.0",
      (f"{CLI_TESTS}::test_martingale_verdict_at_its_limit",
-      "tests/test_measures.py::test_weight_matrix_warns_on_stray_column")),
+      f"{CLI_TESTS}::test_weight_moments_are_reduced_once")),
     ("chain rel 0.01 -> 0.5", CLI,
      "CHAIN_REL = 0.01", "CHAIN_REL = 0.5",
      (f"{CLI_TESTS}::test_chain_verdict_at_its_relative_limit",)),
@@ -55,7 +55,7 @@ MUTANTS = (
      (f"{CLI_TESTS}::test_duality_verdict_at_its_tolerance",)),
     ("submodularity tolerance x 10", CLI,
      "tol = 3.0 / math.sqrt(sub_values.size)", "tol = 30.0 / math.sqrt(sub_values.size)",
-     (CLI_TESTS, "tests/test_acceptance.py")),
+     (f"{CLI_TESTS}::test_submodularity_verdict_at_its_limit",)),
     ("comparison tolerance x 100", CLI,
      "    tol = _fd_slack(lo, hi)\n", "    tol = 100 * _fd_slack(lo, hi)\n",
      (f"{CLI_TESTS}::test_comparison_verdict_at_its_tolerance",)),
@@ -67,7 +67,8 @@ MUTANTS = (
      (f"{CLI_TESTS}::test_attainment_verdict_fails_on_a_hump_declared_increasing",)),
     ("holder ok = True", CLI,
      "ok = all(rep.passed for rep in reports)", "ok = True",
-     (CLI_TESTS, "tests/test_acceptance.py")),
+     (f"{CLI_TESTS}::test_holder_verdict_at_its_tolerance",
+      f"{CLI_TESTS}::test_holder_verdict_fails_on_an_envelope_that_is_not_2_alternating")),
     ("l2bound always passes", CLI,
      "(upper.value - (bound + tol),", "(-1.0,",
      (f"{CLI_TESTS}::test_l2bound_verdict_at_its_limit",)),
