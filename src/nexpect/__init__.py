@@ -35,6 +35,7 @@ from .errors import (
     SimulationFailureError,
 )
 from .measures import (
+    DensityRows,
     ThetaControl,
     default_control_family,
     expectation_profile,
@@ -60,7 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TimeGrid", "MarketModel", "PathBundle", "generate_brownian", "simulate_sde",
-    "ThetaControl", "girsanov_weights",
+    "ThetaControl", "girsanov_weights", "DensityRows",
     "weight_matrix", "expectation_profile", "default_control_family",
     "Payoff", "Capacity", "build_capacity", "choquet_integral",
     "submodularity_check", "random_threshold_pairs",

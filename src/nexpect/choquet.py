@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from .measures import DensityRows, weight_rows
 from .paths import ROW_BLOCK
 
 
@@ -129,7 +130,8 @@ class Payoff:
 @dataclass(frozen=True)
 class Capacity:
     """Upper or lower envelope of reweighted probabilities over a family,
-    given by its weight matrix, one column per control.
+    given by its weights, one column per control: the family's DensityRows,
+    or a weight matrix such as weight_matrix returns.
 
     Weights are self-normalised per control, so evaluate() returns exactly 0
     on the empty event and exactly 1 on the full event, and values are
@@ -137,7 +139,7 @@ class Capacity:
     """
 
     orientation: str  # "upper" | "lower"
-    weights: np.ndarray  # (n_paths, n_controls)
+    weights: DensityRows | np.ndarray  # (n_paths, n_controls)
     totals: np.ndarray  # (n_controls,)
 
     def __post_init__(self) -> None:
@@ -164,23 +166,26 @@ class Capacity:
         ev = np.asarray(event)
         if ev.shape != (self.n_paths,):
             raise ValueError(f"event shape {ev.shape} does not match paths {self.n_paths}")
-        return float(self.from_sums(ev.astype(np.float64) @ self.weights))
+        return float(self.from_sums(weight_rows(self.weights).sums(ev.astype(np.float64))))
 
     def from_sums(self, sums: np.ndarray):
-        """Capacity of each event from its weight sums, `event @ weights`,
-        along the last axis: a scalar for one event, an array for a stack.
-        Capacities that share their weights can share the sums."""
+        """Capacity of each event from its weight sums, `event @ weights`
+        reduced as the totals are, along the last axis: a scalar for one
+        event, an array for a stack.  Capacities that share their weights
+        can share the sums."""
         return np.clip(self._reduce(sums / self.totals), 0.0, 1.0)
 
 
-def build_capacity(orientation: str, weights: np.ndarray) -> Capacity:
-    """The capacity of a family's weight matrix (measures.weight_matrix), so
-    that upper and lower capacities and the minimax search share one set of
-    densities."""
-    # Totals use the same matrix product as evaluate() so that the full event
-    # normalises to exactly 1.0 in floating point.
-    totals = np.ones(weights.shape[0]) @ weights
-    return Capacity(orientation=orientation, weights=weights, totals=totals)
+def build_capacity(orientation: str, weights: DensityRows | np.ndarray) -> Capacity:
+    """The capacity of a family's weights (measures.DensityRows, or a matrix
+    such as measures.weight_matrix returns), so that upper and lower
+    capacities and the minimax search share one set of densities."""
+    # The totals are the reduction that evaluate() applies to an event, so
+    # that the full event normalises to exactly 1.0 in floating point: each
+    # block's `ones @ rows` added up in block order for a DensityRows,
+    # `ones @ W` for a matrix.
+    return Capacity(orientation=orientation, weights=weights,
+                    totals=weight_rows(weights).totals)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +199,8 @@ class _SortedSample:
     The tail weight of {X > x} per control is a capacity's total minus a
     running sum of the weights in ascending order of X.  Those running sums
     come from a sweep over blocks of ROW_BLOCK sorted rows: each block
-    gathers its weights, adds the total carried over from the previous block
+    reads its weight rows (rebuilt by a DensityRows, gathered from a stored
+    matrix), adds the total carried over from the previous block
     into its first row and takes its running sum.  Every sum is thus formed
     by the same additions in the same order as one running sum over all n
     rows, and is bitwise equal to it, while only one block is alive at a
@@ -204,8 +210,8 @@ class _SortedSample:
     from two of those running sums (prefix_sums).
     """
 
-    def __init__(self, values: np.ndarray, weights: np.ndarray) -> None:
-        self.values, self.weights = values, weights
+    def __init__(self, values: np.ndarray, weights: DensityRows | np.ndarray) -> None:
+        self.values, self.weights = values, weight_rows(weights)
         self.order = np.argsort(values, kind="stable")
         self.gaps = np.diff(values[self.order])  # the sorted copy is not kept
 
@@ -220,9 +226,7 @@ class _SortedSample:
         carry = None
         for start in range(0, n, ROW_BLOCK):
             idx = self.order[start:start + ROW_BLOCK]
-            # The indices are in range; mode="clip" lets take write straight
-            # into the buffer, which it would not under the default "raise".
-            rows = self.weights.take(idx, axis=0, out=rows_buf[:idx.size], mode="clip")
+            rows = self.weights.rows(idx, rows_buf[:idx.size])
             sums = sums_buf[:idx.size]
             if carry is None:
                 np.cumsum(rows, axis=0, out=sums)
@@ -270,40 +274,51 @@ class _SortedSample:
         sum of gap_i * c_i over those gaps.  T is the capacity's totals, the
         normaliser of capacity.evaluate, and c_i, clipped to [0, 1], is also
         the integral's tail curve.  A / T is carried between blocks like the
-        running sums; B is known only at the end, so its term is one product
-        with the weight matrix.  Every result is bitwise that of a sweep
-        against its capacity alone.
+        running sums; B is known only at the end, so its term takes one more
+        pass over the weight rows in natural order, for every capacity at
+        once.  Capacities that share their totals share each block's tails.
+        Every result is bitwise that of a sweep against its capacity alone.
         """
         n, m = self.weights.shape
         curves = [np.empty(n - 1) for _ in capacities]
         below = [np.zeros(m) for _ in capacities]  # A / T at the next block's first row
         attained = [np.zeros(m) for _ in capacities]  # B so far
         outs = [np.empty(n) for _ in capacities]
-        # A capacity's tails, then its A / T; only the last overwrites the sums.
-        scratch = np.empty((min(n, ROW_BLOCK), m))
+        # The capacities from `last` on share the last totals: their tails
+        # overwrite the sums, which no capacity reads after them.
+        last = len(capacities) - 1
+        while last and capacities[last - 1].totals is capacities[-1].totals:
+            last -= 1
+        tails_buf = np.empty((min(n, ROW_BLOCK), m)) if last else None
         column = np.empty(min(n, ROW_BLOCK))
         for start, rows, sums in self._running_sums():
             size = rows.shape[0]
             g = min(size, n - 1 - start)  # rows with a gap above them
             inner = min(g, size - 1)
             block_gaps = self.gaps[start:start + g]
+            # Prefix rows 1 .. n-1: the last row is the total, whose tail is
+            # empty.  Duplicate positions carry zero width in the dot
+            # product, so they need no special case.  The tail capacities
+            # against T, once per distinct totals (an upper and a lower
+            # capacity share theirs), and the one attained above each gap.
+            picks, tails, shared = [], None, None
             for s, capacity in enumerate(capacities):
-                buf = sums if s == len(capacities) - 1 else scratch
-                total = capacity.totals
-                # Prefix rows 1 .. n-1: the last row is the total, whose tail
-                # is empty.  Duplicate positions carry zero width in the dot
-                # product, so they need no special case.  The tail capacities
-                # against T, and the one attained above each gap.
-                tails = np.subtract(total, sums[:g], out=buf[:g])
-                tails /= total
+                if capacity.totals is not shared:
+                    shared = capacity.totals
+                    buf = sums if s >= last else tails_buf
+                    tails = np.subtract(shared, sums[:g], out=buf[:g])
+                    tails /= shared
                 j = tails.argmax(axis=1) if capacity.orientation == "upper" else tails.argmin(axis=1)
-                c = tails[np.arange(g), j]
+                picks.append((j, tails[np.arange(g), j]))
+            for s, (capacity, (j, c)) in enumerate(zip(capacities, picks)):
+                total = capacity.totals
                 np.clip(c, 0.0, 1.0, out=curves[s][start:start + g])
                 attained[s] += np.bincount(j, weights=block_gaps * c, minlength=m)
-                # A / T at every position of the block: the carried value,
-                # then each gap one row above its own.  Only the columns of
-                # controls attaining in the block (often one) move.
-                carried = buf[:size]
+                # A / T at every position of the block, written over the
+                # sums: the carried value, then each gap one row above its
+                # own.  Only the columns of controls attaining in the block
+                # (often one) move.
+                carried = sums
                 carried[:] = below[s]
                 rise = block_gaps[:inner] / total[j[:inner]]
                 for col in np.flatnonzero(np.bincount(j[:inner], minlength=m)):
@@ -316,9 +331,14 @@ class _SortedSample:
                 outs[s][self.order[start:start + size]] = np.einsum("ij,ij->i", rows, carried)
         values = [float(self.values[self.order[0]]) + float(np.dot(self.gaps, curve))
                   for curve in curves]
-        del curves  # before the n-vectors below
-        for capacity, b, out in zip(capacities, attained, outs):
-            out -= self.weights @ (b / capacity.totals)
+        del curves  # before the pass below
+        # The B term, W @ (B / T), for every capacity from one pass over
+        # the weight rows in natural order.
+        scales = [b / capacity.totals for capacity, b in zip(capacities, attained)]
+        for index, rows in self.weights.blocks():
+            for out, scale in zip(outs, scales):
+                out[index] -= rows @ scale
+        for out in outs:
             out *= n
         return list(zip(values, outs))
 
@@ -335,9 +355,10 @@ def choquet_estimates(payoff_values: np.ndarray,
     n * w_l / T * (x_l - integral); larger families differentiate the max
     (or min) at the attaining control (see _SortedSample.estimate).
 
-    The capacities share one weight matrix, as a family's upper and lower
-    capacities do: the sample is sorted once and one sweep of running sums
-    serves them all."""
+    The capacities share one set of weights, as a family's upper and lower
+    capacities do: the sample is sorted once, one sweep of running sums
+    serves them all, and one more pass over the weight rows in natural
+    order finishes every influence."""
     capacities = tuple(capacities)
     weights = capacities[0].weights
     if any(c.weights is not weights for c in capacities):
@@ -355,8 +376,9 @@ def choquet_estimates(payoff_values: np.ndarray,
         # is exact and keeps a degenerate family consistent with the plain
         # Monte Carlo estimate to the last bit.
         estimates = []
+        w = weight_rows(weights).rows(slice(0, x.size))[:, 0]
         for capacity in capacities:
-            w, total = weights[:, 0], capacity.totals[0]
+            total = capacity.totals[0]
             value = float(np.mean(w * x) * (x.size / float(total)))
             estimates.append((value, x.size * w / total * (x - value)))
         return estimates

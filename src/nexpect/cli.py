@@ -49,7 +49,13 @@ from .choquet import (
     threshold_event,
 )
 from .errors import GridTooCoarseError, ScenarioError
-from .measures import ThetaControl, default_control_family, expectation_profile, weight_matrix
+from .measures import (
+    DensityRows,
+    ThetaControl,
+    default_control_family,
+    density_moments,
+    weight_rows,
+)
 from .minimax import (
     ExtremalReport,
     attainment_check,
@@ -429,21 +435,25 @@ class RunContext:
     bundle: PathBundle
     values: np.ndarray
     family: tuple[ThetaControl, ...]
-    weights: np.ndarray
+    weights: DensityRows | np.ndarray  # a crafted matrix in the verdict fixtures
     cap_upper: Capacity
     cap_lower: Capacity
     fd: GridSolution  # rows: FD_DRIVERS, then COMPARISON_SIGNS with `comparison`
     entries: dict[str, EstimatorEntry]
+    threads: int = 1
 
-    def subsample(self):
-        """The bundle, payoff values and weight matrix of the first paths."""
+    def subsample(self) -> tuple[PathBundle, np.ndarray]:
+        """The bundle and payoff values of the first paths."""
         m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
-        return self.bundle.head(m), self.values[:m], self.weights[:m]
+        return self.bundle.head(m), self.values[:m]
 
     @cached_property
     def sub_capacities(self) -> tuple[Capacity, Capacity]:
-        """The upper and lower capacity on the subsample, sharing its totals."""
-        upper = build_capacity("upper", self.subsample()[2])
+        """The upper and lower capacity on the subsample, sharing its totals.
+        Their weight matrix is the subsample's rows made dense once, by
+        `threads` workers."""
+        m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
+        upper = build_capacity("upper", weight_rows(self.weights).dense(m, self.threads))
         return upper, replace(upper, orientation="lower")
 
 
@@ -512,11 +522,13 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
+    # The weights are rebuilt from B_T and the functionals on every pass
+    # over them; building them checks every weight and sums each column.
     try:
-        weights = weight_matrix(family, bundle, threads=threads)
+        weights = DensityRows(family, bundle)
     except ValueError as exc:
         raise ScenarioError(f"{exc}: k or the horizon is too large") from exc
-    # W holds what the functionals were kept for.
+    # The weights hold what the functionals were kept for.
     bundle = replace(bundle, functionals={})
 
     mm = minimax_expectation(values, family, weights)
@@ -571,7 +583,7 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     ctx = RunContext(
         scenario=scenario, model=model, payoff=payoff, bundle=bundle, values=values,
         family=family, weights=weights, cap_upper=cap_upper, cap_lower=cap_lower, fd=fd,
-        entries=entries,
+        entries=entries, threads=threads,
     )
 
     outcomes = [CHECK_REGISTRY[name](ctx) for name in requested]
@@ -666,7 +678,7 @@ def _check_duality(ctx: RunContext) -> CheckOutcome:
     """Exact conjugacy on the subsample: the Choquet integrals satisfy
     lower(X) = -upper(-X), and lower cap = 1 - upper cap of the complement."""
     scale = max(1.0, abs(ctx.entries["minimax_upper"].value))
-    _, sub_values, _ = ctx.subsample()
+    _, sub_values = ctx.subsample()
     cap_u, cap_l = ctx.sub_capacities
     # Two sorts, -X's ties reversed, and an argmin against an argmax.
     [(lower, _)] = choquet_estimates(sub_values, (cap_l,))
@@ -720,13 +732,13 @@ def _check_sandwich(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_normalization(ctx: RunContext) -> CheckOutcome:
-    # Both capacities hold ctx.weights, so each event is reduced once.
+    # Both capacities hold ctx.weights, so the empty and the full event are
+    # reduced once, together, as their totals were.
     n = ctx.bundle.n_paths
-    events = ((np.zeros(n, dtype=bool), 0.0), (np.ones(n, dtype=bool), 1.0))
-    sums = [event.astype(np.float64) @ ctx.weights for event, _ in events]
+    sums = weight_rows(ctx.weights).sums(np.stack([np.zeros(n), np.ones(n)]))
     gaps = [abs(cap.from_sums(event_sums) - target)
             for cap in (ctx.cap_upper, ctx.cap_lower)
-            for event_sums, (_, target) in zip(sums, events)]
+            for event_sums, target in zip(sums, (0.0, 1.0))]
     detail = f"|c(empty)|, |c(full)-1| = {[f'{g:.1e}' for g in gaps]} (must be exactly 0)"
     return _judge("normalization", [(g, detail) for g in gaps])
 
@@ -742,9 +754,10 @@ def _check_martingale(ctx: RunContext) -> CheckOutcome:
     def detail(pull: float, at: str) -> str:
         return f"max |mean - 1| = {pull:.2f} SE at {at} (limit {MARTINGALE_LIMIT:g})"
 
-    # The mean of each density column is its expectation of the payoff 1.
-    # A column with no positive pull ties the first relation, so it names none.
-    means, ses = expectation_profile(np.ones(len(ctx.weights)), ctx.weights)
+    # The mean of each density column is its total over n, the capacities'
+    # normaliser.  A column with no positive pull ties the first relation,
+    # so it names none.
+    means, ses = density_moments(ctx.weights)
     pulls = martingale_pulls(means, ses).tolist()
     return _judge("martingale", [(-MARTINGALE_LIMIT, detail(0.0, "n/a"))] + [
         (pull - MARTINGALE_LIMIT, detail(pull, control.label()))
@@ -787,7 +800,7 @@ def _check_attainment(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_submodularity(ctx: RunContext) -> CheckOutcome:
-    _, sub_values, _ = ctx.subsample()
+    _, sub_values = ctx.subsample()
     rng = _aux_rng(ctx.scenario.seed, _SUBMODULARITY_STREAM)
     pairs = random_threshold_pairs(sub_values, 200, rng)
     tol = 3.0 / math.sqrt(sub_values.size)
@@ -813,7 +826,7 @@ def _check_l2bound(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_holder(ctx: RunContext) -> CheckOutcome:
-    _, sub_values, _ = ctx.subsample()
+    _, sub_values = ctx.subsample()
     terminal = ctx.bundle.terminal()[:sub_values.size]
     s0 = ctx.scenario.s0
     level = np.abs(terminal) / s0
@@ -943,7 +956,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--theta-grid", type=int, default=None, help="override theta grid size")
     parser.add_argument("--out", default=None, help="write the report to this file instead of stdout")
     parser.add_argument("--format", choices=("text", "csv", "json-like"), default="text")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for family evaluation")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads filling the checks' dense weight matrix")
     parser.add_argument("--check", action="append", default=[], metavar="NAME",
                         help="run a named consistency check (repeatable)")
     args = parser.parse_args(argv)

@@ -9,6 +9,11 @@ a positive unit-mean weight per path.  Reweighting one common set of paths by
 every control in a family gives all the family's expectations with shared
 randomness, which is what makes the order relations between estimators hold
 at sample level and not just in the limit.
+
+The (n_paths, C) matrix of those weights is never stored: DensityRows
+rebuilds any block of its rows from B_T and the kept bang-bang functionals,
+and every reduction here reads the weights block by block, through the
+same row interface for a DensityRows and for a stored matrix (weight_rows).
 """
 
 from __future__ import annotations
@@ -22,8 +27,11 @@ from .paths import ROW_BLOCK, PathBundle, TimeGrid, with_functionals
 
 __all__ = [
     "ThetaControl",
+    "DensityRows",
     "girsanov_weights",
+    "weight_rows",
     "weight_matrix",
+    "density_moments",
     "expectation_profile",
     "default_control_family",
 ]
@@ -128,44 +136,194 @@ def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> np.ndarray:
     return weight_matrix((control,), bundle)[:, 0]
 
 
-def _column_moments(weights: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and standard error of weights * x[:, None].
+def _carried_sum(blocks) -> np.ndarray:
+    """Column sums of a sequence of (rows, C) blocks, each block first
+    adding the sums carried from the one before into its first row.
 
-    The results are bitwise equal to the dense products.mean(axis=0) and
-    products.std(axis=0, ddof=1) / sqrt(n).  numpy reduces axis 0 of a
-    C-ordered (n, C > 1) array with one running sum per column, so two
-    sweeps over ROW_BLOCK rows repeat those additions exactly when each
-    block first adds the column totals carried from the block before into
-    its first row: one sweep sums the products, the other their squared
-    deviations from the mean.  Only one block is alive at a time, so the
-    extra memory is O(ROW_BLOCK * C).  numpy reduces an (n, 1) array
-    pairwise instead, so a single column keeps the dense formula.
+    numpy reduces axis 0 of a C-ordered (rows, C > 1) block with one running
+    sum per column, so the result is bitwise the sum of the stacked blocks
+    along axis 0.  The blocks are overwritten.
     """
-    n = weights.shape[0]
-    if weights.shape[1] == 1:
-        products = weights * x[:, None]
-        return products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(n)
-
-    def blocks():
-        for start in range(0, n, ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            yield weights[rows] * x[rows, None]
-
-    def carried_sum(block: np.ndarray, total: np.ndarray | None) -> np.ndarray:
+    total = None
+    for block in blocks:
         if total is not None:
             block[0] += total
-        return block.sum(axis=0)
+        total = block.sum(axis=0)
+    return total
 
-    total = None
-    for block in blocks():
-        total = carried_sum(block, total)
-    mean = total / n
-    total = None
-    for block in blocks():
-        block -= mean
-        np.square(block, out=block)
-        total = carried_sum(block, total)
-    return mean, np.sqrt(total / (n - 1)) / np.sqrt(n)
+
+class _Rows:
+    """Weight rows, read ROW_BLOCK rows at a time: what every pass over a
+    family's densities needs.  `shape` is (n_paths, C), and rows(index, out)
+    writes the weight rows `index`, a slice or an index array, into `out`
+    (a new array when it is None) and returns it."""
+
+    ndim = 2
+
+    def blocks(self, scratch: bool = False):
+        """(index, rows) per block of ROW_BLOCK rows in natural order.  The
+        rows are one buffer that every block reuses, or, for a stored matrix
+        unless `scratch` asks for a buffer the caller may overwrite, a view
+        of it."""
+        n, m = self.shape
+        buffer = np.empty((min(n, ROW_BLOCK), m))
+        for start in range(0, n, ROW_BLOCK):
+            index = slice(start, min(start + ROW_BLOCK, n))
+            yield index, self.rows(index, buffer[:index.stop - start])
+
+    def weighted_blocks(self, x: np.ndarray):
+        """Each natural block of weight rows times x, row by row, in one
+        buffer that every block reuses and a caller may overwrite."""
+        for index, rows in self.blocks(scratch=True):
+            rows *= x[index, None]
+            yield rows
+
+
+class DensityRows(_Rows):
+    """A family's density weights on a bundle's paths, rebuilt block by
+    block from the paths' statistics instead of stored.
+
+    Row i is exp(stats[i] @ coef - shift).  The statistics are B_T and one
+    kept functional per bang-bang pattern (a pattern and its negation share
+    one), shape (n_paths, 1 + F); coef is (1 + F, C), with theta0 in the B_T
+    row for a constant control and +1 or -1 in its functional's row for a
+    bang-bang one; the shift is theta0^2 T / 2 or theta.theta dt / 2.  Each
+    entry of the product has exactly one nonzero term, so every row is
+    bitwise the per-column formula, whatever order the product sums in.
+    A block of rows is one small product and one exp, for a slice in natural
+    order or an index array in sorted order alike; memory is the statistics
+    (1 + F n-vectors) instead of C.
+
+    Construction makes one natural pass that raises ValueError unless every
+    weight is finite and strictly positive, and keeps each column's sum,
+    `totals`: the blocks' products `ones @ rows`, added up in block order.
+    `sums(x)` reduces x @ W the same way, so the payoff 1 gives the totals
+    bitwise.  Functionals the bundle does not keep are made by one
+    sequential redraw of its stream.
+    """
+
+    def __init__(self, family: tuple[ThetaControl, ...] | list[ThetaControl],
+                 bundle: PathBundle) -> None:
+        family = tuple(family)
+        if not family:
+            raise ValueError("control family must be nonempty")
+        grid = bundle.grid
+        thetas = {j: c.theta_on_grid(grid) for j, c in enumerate(family) if c.kind != "constant"}
+        bundle = with_functionals(bundle, thetas.values())
+        # Each statistic's row of coef, by identity: a functional serves the
+        # pattern it was kept for and that pattern's negation.
+        stats = {id(bundle.brownian_terminal): (0, bundle.brownian_terminal)}
+        entries, shift = [], np.empty(len(family))
+        for j, control in enumerate(family):
+            if control.kind == "constant":
+                t = control.theta0
+                entries.append((0, j, t))
+                shift[j] = 0.5 * t * t * grid.horizon
+            else:
+                sign, functional = bundle.functional(thetas[j])
+                row, _ = stats.setdefault(id(functional), (len(stats), functional))
+                entries.append((row, j, sign))
+                shift[j] = 0.5 * float(thetas[j] @ thetas[j]) * grid.dt
+        self.stats = np.column_stack([a for _, a in sorted(stats.values(), key=lambda s: s[0])])
+        self.coef = np.zeros((len(stats), len(family)))
+        for row, j, value in entries:
+            self.coef[row, j] = value
+        self.shift = shift
+        self.shape = (bundle.n_paths, len(family))
+        [self.totals] = self._sums(np.ones((1, bundle.n_paths)), validate=True)
+
+    def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
+        # take gathers rows about twice as fast as fancy indexing.
+        stats = self.stats[index] if isinstance(index, slice) else self.stats.take(index, axis=0)
+        out = np.matmul(stats, self.coef, out=out)
+        out -= self.shift
+        return np.exp(out, out=out)
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """x @ W for one vector, or for each row of a stack of them in one
+        pass, reduced like the totals."""
+        return self._sums(np.atleast_2d(x)).reshape(np.shape(x)[:-1] + (self.shape[1],))
+
+    def _sums(self, stack: np.ndarray, validate: bool = False) -> np.ndarray:
+        sums = np.zeros((len(stack), self.shape[1]))
+        for index, rows in self.blocks():
+            # min > 0 fails on zeros and NaN, max < inf on overflow.
+            if validate and not (rows.min() > 0.0 and rows.max() < np.inf):
+                raise ValueError("density weights must be finite and strictly positive")
+            for total, x in zip(sums, stack):
+                total += x[index] @ rows
+        return sums
+
+    def dense(self, m: int | None = None, threads: int = 1) -> np.ndarray:
+        """The first m rows (all by default) as one (m, C) array, filled in
+        blocks of ROW_BLOCK rows; with threads > 1 a pool fills the same
+        blocks, so the result does not depend on the thread count."""
+        m = self.shape[0] if m is None else m
+        out = np.empty((m, self.shape[1]))
+
+        def fill(start: int) -> None:
+            index = slice(start, min(start + ROW_BLOCK, m))
+            self.rows(index, out[index])
+
+        starts = range(0, m, ROW_BLOCK)
+        if threads <= 1:
+            for start in starts:
+                fill(start)
+        else:
+            # Imported here: concurrent.futures pulls in logging, which a
+            # single-threaded run has no use for.
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+                list(pool.map(fill, starts))
+        return out
+
+
+class _StoredRows(_Rows):
+    """A weight matrix held in memory, read through the row interface.  Its
+    totals and sums are the matrix products `ones @ W` and `x @ W`, one
+    per event."""
+
+    def __init__(self, weights: np.ndarray) -> None:
+        self.weights, self.shape = weights, weights.shape
+
+    def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
+        if not isinstance(index, slice):
+            # mode="clip" lets take write straight into `out`, which it
+            # would not under the default "raise"; the indices are in range.
+            return self.weights.take(index, axis=0, out=out, mode="clip")
+        if out is None:
+            return self.weights[index].copy()
+        out[...] = self.weights[index]
+        return out
+
+    def blocks(self, scratch: bool = False):
+        if scratch:
+            yield from super().blocks()
+            return
+        n = self.shape[0]
+        for start in range(0, n, ROW_BLOCK):
+            index = slice(start, min(start + ROW_BLOCK, n))
+            yield index, self.weights[index]
+
+    @property
+    def totals(self) -> np.ndarray:
+        return np.ones(self.shape[0]) @ self.weights
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        if np.ndim(x) == 2:
+            return np.array([event @ self.weights for event in x])
+        return x @ self.weights
+
+    def dense(self, m: int | None = None, threads: int = 1) -> np.ndarray:
+        return self.weights[:m]
+
+
+def weight_rows(weights: "DensityRows | np.ndarray") -> "DensityRows | _StoredRows":
+    """The row interface of a family's weights: a DensityRows as it is, an
+    (n_paths, C) matrix wrapped, such as weight_matrix returns or a crafted
+    one (signed, zero) that a test feeds to a check."""
+    return weights if isinstance(weights, DensityRows) else _StoredRows(weights)
 
 
 def weight_matrix(
@@ -173,72 +331,72 @@ def weight_matrix(
     bundle: PathBundle,
     threads: int = 1,
 ) -> np.ndarray:
-    """Stack of density weights, one column per control, shape (n_paths, C).
+    """Stack of density weights, one column per control, shape (n_paths, C):
+    the family's DensityRows made dense.
 
-    The matrix is filled in blocks of ROW_BLOCK contiguous rows.  In each
-    block every constant control's log-density is theta0 * B_T - theta0^2 T / 2
-    at once, every bang-bang control's is its functional `increments @ theta`
-    (negated for a control whose negation's functional the bundle keeps)
-    minus theta.theta dt / 2, and one exp then writes the block's rows.
     Every entry is bitwise what the per-column formula on the dense
-    increments gives.  B_T and the functionals come from the bundle; those
-    it does not keep are made by one sequential redraw of its stream before
-    any block is filled.  With threads > 1 a pool fills the same blocks, so
-    the result does not depend on the thread count.
-
-    Raises ValueError unless every weight is finite and strictly positive.
-    A column's sample mean, which the CLI's `martingale` check holds near 1,
-    is its expectation_profile of the payoff 1.
+    increments gives.  With threads > 1 a pool fills the blocks, so the
+    result does not depend on the thread count.  Raises ValueError unless
+    every weight is finite and strictly positive.
     """
-    family = tuple(family)
-    if not family:
-        raise ValueError("control family must be nonempty")
-    grid = bundle.grid
-    n = bundle.n_paths
-    out = np.empty((n, len(family)))
-    const_cols = [j for j, c in enumerate(family) if c.kind == "constant"]
-    theta0 = np.array([family[j].theta0 for j in const_cols])
-    const_shift = 0.5 * theta0 * theta0 * grid.horizon
-    thetas = {j: c.theta_on_grid(grid) for j, c in enumerate(family) if c.kind != "constant"}
-    bundle = with_functionals(bundle, thetas.values())
-    bang = [(j, *bundle.functional(theta), 0.5 * float(theta @ theta) * grid.dt)
-            for j, theta in thetas.items()]
-    terminal = bundle.brownian_terminal
+    return DensityRows(family, bundle).dense(threads=threads)
 
-    def fill(start: int) -> None:
-        rows = slice(start, start + ROW_BLOCK)
-        block = out[rows]
-        if const_cols:
-            block[:, const_cols] = terminal[rows, None] * theta0 - const_shift
-        for j, sign, functional, shift in bang:
-            column = block[:, j]
-            np.multiply(functional[rows], sign, out=column)
-            column -= shift
-        np.exp(block, out=block)
-        # min > 0 fails on zeros and NaN, max < inf on overflow.
-        if not (block.min() > 0.0 and block.max() < np.inf):
-            raise ValueError("density weights must be finite and strictly positive")
 
-    starts = range(0, n, ROW_BLOCK)
-    if threads <= 1:
-        for start in starts:
-            fill(start)
-    else:
-        # Imported here: concurrent.futures pulls in logging, which a
-        # single-threaded run has no use for.
-        from concurrent.futures import ThreadPoolExecutor
+def _spread(blocks, mean: np.ndarray, n: int) -> np.ndarray:
+    """Standard error of the mean of each column of the stacked blocks,
+    std(ddof=1) / sqrt(n), from one carried sum of squared deviations.  The
+    blocks are overwritten."""
 
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(fill, starts))
-    return out
+    def deviations():
+        for block in blocks:
+            block -= mean
+            yield np.square(block, out=block)
+
+    return np.sqrt(_carried_sum(deviations()) / (n - 1)) / np.sqrt(n)
+
+
+def _column_moments(weights: "DensityRows | np.ndarray",
+                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard error of weights * x[:, None].
+
+    The results are bitwise equal to the dense products.mean(axis=0) and
+    products.std(axis=0, ddof=1) / sqrt(n): one sweep over ROW_BLOCK rows
+    sums the products and one their squared deviations from the mean, each
+    carried from block to block (_carried_sum), so only one block is alive
+    at a time and the extra memory is O(ROW_BLOCK * C).  numpy reduces an
+    (n, 1) array pairwise instead, so a single column keeps the dense
+    formula.
+    """
+    rows = weight_rows(weights)
+    n, m = rows.shape
+    if m == 1:
+        products = rows.rows(slice(0, n)) * x[:, None]
+        return products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(n)
+    mean = _carried_sum(rows.weighted_blocks(x)) / n
+    return mean, _spread(rows.weighted_blocks(x), mean, n)
+
+
+def density_moments(weights: "DensityRows | np.ndarray") -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each density column.
+
+    The means are totals / n, so they are bitwise what normalises the
+    family's capacities, and one sweep takes the squared deviations from
+    them.  expectation_profile of the payoff 1 adds the same weights in
+    another order, so its means may differ in the last bits.
+    """
+    rows = weight_rows(weights)
+    n = rows.shape[0]
+    means = rows.totals / n
+    return means, _spread((block for _, block in rows.blocks(scratch=True)), means, n)
 
 
 def expectation_profile(payoff_values: np.ndarray,
-                        weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                        weights: "DensityRows | np.ndarray") -> tuple[np.ndarray, np.ndarray]:
     """Estimates and standard errors of E[payoff] under every family member,
-    one per column of the family's weight_matrix.
+    one per column of the family's weights (a DensityRows, or a matrix such
+    as weight_matrix returns).
 
-    Bitwise equal to (weights * x[:, None]).mean(axis=0) and
+    Bitwise equal to (W * x[:, None]).mean(axis=0) and
     .std(axis=0, ddof=1) / sqrt(n_paths), computed in two sweeps over
     ROW_BLOCK-row blocks with O(ROW_BLOCK * C) extra memory instead of the
     (n_paths, C) products; one-member families use that dense formula.

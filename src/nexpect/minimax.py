@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .choquet import Payoff
-from .measures import ThetaControl, expectation_profile, weight_matrix
+from .measures import DensityRows, ThetaControl, expectation_profile, weight_matrix
 from .paths import MarketModel, PathBundle
 
 def pooled_tolerance(std_errors: Sequence[float]) -> float:
@@ -131,10 +131,11 @@ class MinimaxResult:
 def minimax_expectation(
     payoff_values: np.ndarray,
     family: Sequence[ThetaControl],
-    weights: np.ndarray,
+    weights: DensityRows | np.ndarray,
 ) -> MinimaxResult:
     """Maximise and minimise the reweighted expectation of a payoff sample
-    over the family, whose weight_matrix on the sample's paths is `weights`.
+    over the family, whose weights on the sample's paths are `weights`: its
+    DensityRows, or its weight_matrix.
 
     Every control is evaluated on the same paths, so upper >= lower holds by
     construction and the duality with the negated payoff is exact.  The

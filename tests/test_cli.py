@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nexpect import Payoff, ScenarioError, expectation_profile
+from nexpect import Payoff, ScenarioError
 from nexpect.cli import (
     ESTIMATOR_ORDER,
     EXIT_BAD_SCENARIO,
@@ -599,23 +599,44 @@ def test_cli_draws_the_path_stream_once(tmp_path, monkeypatch):
     assert draws == [(20000, 4)]
 
 
-def test_run_scenario_peaks_at_the_weights_and_a_few_path_columns(tmp_path):
-    # numpy reports its allocations to tracemalloc.  The weight matrix W is
-    # family_size columns of n; the rest of the run, the Choquet sweep's
-    # peak included, may add about eleven columns of n (S_T, B_T, the
-    # payoff, the sweep's sort and prefix sums).  Storing the (n, 8)
-    # increments through the run would add eight more.
+def test_run_scenario_peak_does_not_grow_with_the_family(tmp_path):
+    # numpy reports its allocations to tracemalloc.  The weights are rebuilt
+    # block by block, never stored: the run keeps a fixed number of columns
+    # of n (S_T, B_T, the five statistics the weights are made from, the
+    # payoff, the Choquet sort, gaps, tail curves and influences, about
+    # seventeen at the peak) and a few blocks of ROW_BLOCK rows by C.  A
+    # stored matrix would add C columns: 30 more from 19 controls to 49.
+    from nexpect.paths import ROW_BLOCK
     n = 200_000
     body = BASE.replace("n_paths = 20000", f"n_paths = {n}").replace("steps = 4", "steps = 8")
-    scenario = load_scenario(write_scn(tmp_path, body.replace("theta_grid = 11", "theta_grid = 21")))
-    tracemalloc.start()
-    try:
-        report = run_scenario(scenario)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    columns = peak / (8 * n) - report.metadata["family_size"]
-    assert columns < 13.5, columns
+    peaks = {}
+    for grid in (11, 41):
+        scenario = load_scenario(write_scn(tmp_path, body.replace("theta_grid = 11",
+                                                                  f"theta_grid = {grid}")))
+        tracemalloc.start()
+        try:
+            report = run_scenario(scenario)
+            peaks[report.metadata["family_size"]] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    block = 8 * ROW_BLOCK * 8  # eight row blocks' bytes per control
+    for size, peak in peaks.items():
+        assert peak < 18 * 8 * n + block * size, (size, peak / (8 * n))
+    (small, low), (large, high) = sorted(peaks.items())
+    assert (small, large) == (19, 49)
+    assert high - low < block * (large - small), (low / (8 * n), high / (8 * n))
+
+
+def test_main_exits_2_when_the_densities_leave_float64(tmp_path, capsys):
+    # At k = 40 the densities of the largest tilts, exp(+-40 B_T - 800), underflow to 0.
+    from pathlib import Path
+    quick = (Path(__file__).resolve().parents[1] / "scenarios" / "quick.scn").read_text()
+    path = write_scn(tmp_path, re.sub(r"(?m)^k\s*=.*$", "k = 40", quick))
+    assert main(["--scenario", path]) == EXIT_BAD_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("scenario error: density weights must be finite and strictly "
+                            "positive: k or the horizon is too large\n")
 
 
 def test_run_scenario_rejects_unbounded_fd_steps(tmp_path, monkeypatch):
@@ -839,29 +860,32 @@ def test_duality_fails_on_a_mutated_lower_sweep(tmp_path, monkeypatch, mutation)
 
 
 def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
-    # Minimax reduces the full matrix once; the martingale check, when it is
-    # asked for, reduces it once more for the mean of each density.
+    # Natural passes over the full weights: building them (the check of
+    # every weight and the totals), minimax's two and the Choquet
+    # influences' one.  The martingale check, when it is asked for, takes
+    # its means from the totals and adds one pass, for the spread.
     from nexpect import cli, measures
-    reductions, contexts = [], []
-    real_moments, real_check = measures._column_moments, cli.CHECK_REGISTRY["martingale"]
+    passes, contexts = [], []
+    real_blocks, real_check = measures.DensityRows.blocks, cli.CHECK_REGISTRY["martingale"]
 
-    def counted(weights, x):
-        reductions.append(weights.shape[0])
-        return real_moments(weights, x)
+    def counted(rows, **kwargs):
+        passes.append(rows.shape[0])
+        return real_blocks(rows, **kwargs)
 
     def kept(ctx):
         contexts.append(ctx)
         return real_check(ctx)
 
-    monkeypatch.setattr(measures, "_column_moments", counted)
+    monkeypatch.setattr(measures.DensityRows, "blocks", counted)
     monkeypatch.setitem(cli.CHECK_REGISTRY, "martingale", kept)
-    for checks, count in (("duality", 1), ("martingale, duality", 2)):
-        reductions.clear()
+    for checks, count in (("duality", 4), ("martingale, duality", 5)):
+        passes.clear()
         scn = load_scenario(write_scn(tmp_path, BASE + f"checks = {checks}\n"))
         report = run_scenario(scn)
-        assert reductions.count(scn.n_paths) == count, checks
+        assert passes == [scn.n_paths] * count, checks
     [ctx] = contexts
-    means, ses = expectation_profile(np.ones(scn.n_paths), ctx.weights)
+    dense = ctx.weights.dense()
+    means, ses = dense.mean(axis=0), dense.std(axis=0, ddof=1) / math.sqrt(scn.n_paths)
     pulls = cli.martingale_pulls(means, ses)
     worst = int(pulls.argmax())
     assert report.checks[0] == cli.CheckOutcome(
@@ -1100,6 +1124,17 @@ def test_l2bound_verdict_at_its_limit(call_context, factor, status):
     limit = bound + 3.0 * math.sqrt(se_upper**2 + se_bound**2)
     outcome = _check_l2bound(with_entry(call_context, "minimax_upper", value=limit * factor))
     assert outcome.status == status, outcome.detail
+
+
+def test_martingale_means_are_the_totals_over_n(call_context):
+    # The martingale check's mean of each density column is the column's
+    # total, the capacities' normaliser, over n: bit for bit, and with one
+    # pass over the weights, for the spread, left to make.
+    from nexpect.measures import density_moments
+    means, _ = density_moments(call_context.weights)
+    totals = call_context.cap_upper.totals
+    assert np.array_equal(means.view(np.int64),
+                          (totals / call_context.bundle.n_paths).view(np.int64))
 
 
 @pytest.mark.parametrize("side", ["upper", "lower"])

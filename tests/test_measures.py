@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nexpect import (
     InvalidControlError,
@@ -19,7 +21,7 @@ from nexpect import (
     simulate_sde,
     weight_matrix,
 )
-from nexpect.measures import ROW_BLOCK
+from nexpect.measures import ROW_BLOCK, DensityRows, density_moments
 from nexpect.minimax import closed_under_negation
 from nexpect.paths import with_functionals
 from tests.conftest import CALL_ATM_FLAT, MEAN_ST_DRIFT_UP, blocked_products, dense_increments
@@ -265,6 +267,81 @@ def test_kept_functionals_and_the_redraw_give_one_weight_matrix(threads, grid8):
     redrawn = weight_matrix(family, plain, threads=threads)
     assert np.array_equal(from_kept, redrawn)
     assert np.array_equal(from_kept, dense_weights(family, kept))
+
+
+FAMILIES = {
+    "default": default_control_family(0.1),
+    "constants": tuple(c for c in default_control_family(0.1) if c.kind == "constant"),
+    "k0": default_control_family(0.0),
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([1, 2, 7, B - 1, B, B + 1, 2 * B + 17]),
+       name=st.sampled_from(sorted(FAMILIES)), kept=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_density_rows_are_the_weight_matrix_bitwise(n, name, kept, seed, data, grid8):
+    # Rows rebuilt from B_T and the functionals, in natural blocks (the last
+    # one short unless B divides n), for any slice, in a random permutation
+    # and in sorted order, are the dense matrix bit for bit, whether the
+    # bundle kept the functionals or they are redrawn.
+    family = FAMILIES[name]
+    thetas = [c.theta_on_grid(grid8) for c in family if c.kind == "bang_bang"] if kept else []
+    bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2),
+                          generate_brownian(grid8, n, seed), thetas)
+    source = DensityRows(family, bundle)
+    dense = weight_matrix(family, bundle)
+    assert same_bits(dense, dense_weights(family, bundle))
+    assert source.shape == dense.shape and source.stats.shape[1] == (5 if name == "default" else 1)
+    blocks = [(index, rows.copy()) for index, rows in source.blocks()]
+    assert [index.stop - index.start for index, _ in blocks][:-1] == [B] * (len(blocks) - 1)
+    assert same_bits(np.concatenate([rows for _, rows in blocks]), dense)
+    start = data.draw(st.integers(0, n - 1))
+    stop = data.draw(st.integers(start + 1, n))
+    assert same_bits(source.rows(slice(start, stop)), dense[start:stop])
+    rng = np.random.default_rng(seed)
+    permutation = rng.permutation(n)
+    assert same_bits(source.rows(permutation), dense[permutation])
+    ascending = np.sort(rng.choice(n, size=min(n, 3 * B // 2)))
+    out = np.empty((ascending.size, len(family)))
+    assert source.rows(ascending, out) is out and same_bits(out, dense[ascending])
+    assert same_bits(source.dense(threads=2), dense)
+    assert same_bits(source.dense(start), dense[:start])
+    # The totals are each block's `ones @ rows`, added up in block order;
+    # the payoff 1 sums to them, and the martingale means are them over n.
+    totals = np.zeros(len(family))
+    for index, _ in blocks:
+        totals += np.ones(index.stop - index.start) @ dense[index]
+    assert same_bits(source.totals, totals)
+    assert same_bits(source.sums(np.ones(n)), totals)
+    assert same_bits(source.sums(np.stack([np.zeros(n), np.ones(n)])),
+                     np.stack([np.zeros(len(family)), totals]))
+    if n > 1:
+        means, ses = density_moments(source)
+        assert same_bits(means, totals / n)
+        np.testing.assert_allclose(ses, dense.std(axis=0, ddof=1) / np.sqrt(n),
+                                   rtol=1e-10, atol=1e-300)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e4, -1e4], ids=["nan", "overflow", "underflow"])
+def test_density_rows_check_every_block(bad, grid8):
+    # One path's B_T in the third of four blocks makes its weight NaN, inf
+    # or 0 under the tilt 0.1; the blocks before it are all valid.
+    n, at = 3 * B + 17, 2 * B + 5
+    bundle = with_functionals(generate_brownian(grid8, n, 77), ())
+    terminal = bundle.brownian_terminal.copy()
+    terminal[at] = bad
+    poisoned = replace(bundle, brownian_terminal=terminal)
+    family = (ThetaControl.constant(-0.05, 0.1), ThetaControl.constant(0.1, 0.1))
+    assert np.all(np.isfinite(weight_matrix(family, bundle)))
+    for build in (DensityRows, weight_matrix):
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^density weights must be finite and strictly positive$"):
+            build(family, poisoned)
 
 
 def test_default_family_structure():

@@ -119,6 +119,23 @@ MUTANTS = (
     ("negated bang-bang member reads +L", "src/nexpect/paths.py",
      "(-1, (-theta).tobytes())", "(1, (-theta).tobytes())",
      ("tests/test_measures.py",)),
+    # The weights rebuilt on demand, and the reductions that must match their totals.
+    ("density rows drop the shift", "src/nexpect/measures.py",
+     "        out -= self.shift\n", "",
+     ("tests/test_measures.py::test_density_rows_are_the_weight_matrix_bitwise",)),
+    ("density validation checks only the first block", "src/nexpect/measures.py",
+     "if validate and not (rows.min() > 0.0 and rows.max() < np.inf):",
+     "if validate and index.start == 0 and not (rows.min() > 0.0 and rows.max() < np.inf):",
+     ("tests/test_measures.py::test_density_rows_check_every_block",)),
+    ("martingale means from the profile's sums, not the totals", "src/nexpect/measures.py",
+     "    means = rows.totals / n\n",
+     "    means = _carried_sum(rows.weighted_blocks(np.ones(n))) / n\n",
+     ("tests/test_measures.py::test_density_rows_are_the_weight_matrix_bitwise",
+      f"{CLI_TESTS}::test_martingale_means_are_the_totals_over_n")),
+    ("normalization reduces its events by one matrix product", CLI,
+     "sums = weight_rows(ctx.weights).sums(np.stack([np.zeros(n), np.ones(n)]))",
+     "sums = np.stack([np.zeros(n), np.ones(n)]) @ weight_rows(ctx.weights).dense()",
+     (f"{CLI_TESTS}::test_normalization_verdict_is_exact",)),
 )
 
 
