@@ -182,8 +182,8 @@ def build_capacity(orientation: str, weights: DensityRows | np.ndarray) -> Capac
     capacities and the minimax search share one set of densities."""
     # The totals are the reduction that evaluate() applies to an event, so
     # that the full event normalises to exactly 1.0 in floating point: each
-    # block's `ones @ rows` added up in block order for a DensityRows,
-    # `ones @ W` for a matrix.
+    # block's `ones @ rows` added up in block order, for a DensityRows and
+    # a stored matrix alike.
     return Capacity(orientation=orientation, weights=weights,
                     totals=weight_rows(weights).totals)
 
@@ -204,8 +204,11 @@ class _SortedSample:
     into its first row and takes its running sum.  Every sum is thus formed
     by the same additions in the same order as one running sum over all n
     rows, and is bitwise equal to it, while only one block is alive at a
-    time.  The sums do not depend on the capacity, so each block serves
-    every capacity before the next is gathered.  Any event that is a run of
+    time.  A prefix needs every running sum, so this sweep carries its sums
+    instead of adding up block products as every other weight pass does
+    (measures._Rows); the full event is the totals themselves
+    (prefix_sums).  The sums do not depend on the capacity, so each block
+    serves every capacity before the next is gathered.  Any event that is a run of
     consecutive ranks, such as a threshold event of X, takes its weight sums
     from two of those running sums (prefix_sums).
     """

@@ -11,14 +11,17 @@ randomness, which is what makes the order relations between estimators hold
 at sample level and not just in the limit.
 
 The (n_paths, C) matrix of those weights is never stored: DensityRows
-rebuilds any block of its rows from B_T and the kept bang-bang functionals,
-and every reduction here reads the weights block by block, through the
-same row interface for a DensityRows and for a stored matrix (weight_rows).
+rebuilds any block of its rows from B_T and the kept bang-bang functionals.
+Every reduction here reads the weights block by block, through the same
+row interface for a DensityRows and for a stored matrix (weight_rows), and
+adds up each block's `x[block] @ rows` in block order, so the two sources
+give the same totals, sums and profiles bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,47 +139,72 @@ def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> np.ndarray:
     return weight_matrix((control,), bundle)[:, 0]
 
 
-def _carried_sum(blocks) -> np.ndarray:
-    """Column sums of a sequence of (rows, C) blocks, each block first
-    adding the sums carried from the one before into its first row.
-
-    numpy reduces axis 0 of a C-ordered (rows, C > 1) block with one running
-    sum per column, so the result is bitwise the sum of the stacked blocks
-    along axis 0.  The blocks are overwritten.
-    """
-    total = None
-    for block in blocks:
-        if total is not None:
-            block[0] += total
-        total = block.sum(axis=0)
-    return total
-
-
 class _Rows:
     """Weight rows, read ROW_BLOCK rows at a time: what every pass over a
-    family's densities needs.  `shape` is (n_paths, C), and rows(index, out)
-    writes the weight rows `index`, a slice or an index array, into `out`
-    (a new array when it is None) and returns it."""
+    family's densities needs.  A subclass gives `shape`, (n_paths, C), and
+    rows(index, out), which writes the weight rows `index`, a slice or an
+    index array, into `out` (a new array when it is None) and returns it.
+
+    Every reduction of the weights takes one rule: each block's
+    `x[block] @ rows`, added up in block order.  So the totals, the sums of
+    any event, the profile's means and the spread's squared deviations are
+    formed the same way whatever holds the rows.
+    """
 
     ndim = 2
 
-    def blocks(self, scratch: bool = False):
-        """(index, rows) per block of ROW_BLOCK rows in natural order.  The
-        rows are one buffer that every block reuses, or, for a stored matrix
-        unless `scratch` asks for a buffer the caller may overwrite, a view
-        of it."""
+    def blocks(self):
+        """(index, rows) per block of ROW_BLOCK rows in natural order, the
+        rows in one buffer that every block reuses."""
         n, m = self.shape
         buffer = np.empty((min(n, ROW_BLOCK), m))
         for start in range(0, n, ROW_BLOCK):
             index = slice(start, min(start + ROW_BLOCK, n))
             yield index, self.rows(index, buffer[:index.stop - start])
 
-    def weighted_blocks(self, x: np.ndarray):
-        """Each natural block of weight rows times x, row by row, in one
-        buffer that every block reuses and a caller may overwrite."""
-        for index, rows in self.blocks(scratch=True):
-            rows *= x[index, None]
-            yield rows
+    def _reduce(self, stack: np.ndarray, blocks) -> np.ndarray:
+        """x @ W for each row x of the stack, from (index, rows) blocks:
+        each block's x[index] @ rows, added up in block order."""
+        sums = np.zeros((len(stack), self.shape[1]))
+        for index, rows in blocks:
+            for total, x in zip(sums, stack):
+                total += x[index] @ rows
+        return sums
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """Each column's sum, the normaliser of the family's capacities."""
+        return self.sums(np.ones(self.shape[0]))
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """x @ W for one vector, or for each row of a stack of them in one
+        pass."""
+        sums = self._reduce(np.atleast_2d(x), self.blocks())
+        return sums.reshape(np.shape(x)[:-1] + (self.shape[1],))
+
+    def dense(self, m: int | None = None, threads: int = 1) -> np.ndarray:
+        """The first m rows (all by default) as one (m, C) array, filled in
+        blocks of ROW_BLOCK rows; with threads > 1 a pool fills the same
+        blocks, so the result does not depend on the thread count."""
+        m = self.shape[0] if m is None else m
+        out = np.empty((m, self.shape[1]))
+
+        def fill(start: int) -> None:
+            index = slice(start, min(start + ROW_BLOCK, m))
+            self.rows(index, out[index])
+
+        starts = range(0, m, ROW_BLOCK)
+        if threads <= 1:
+            for start in starts:
+                fill(start)
+        else:
+            # Imported here: concurrent.futures pulls in logging, which a
+            # single-threaded run has no use for.
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+                list(pool.map(fill, starts))
+        return out
 
 
 class DensityRows(_Rows):
@@ -196,10 +224,8 @@ class DensityRows(_Rows):
 
     Construction makes one natural pass that raises ValueError unless every
     weight is finite and strictly positive, and keeps each column's sum,
-    `totals`: the blocks' products `ones @ rows`, added up in block order.
-    `sums(x)` reduces x @ W the same way, so the payoff 1 gives the totals
-    bitwise.  Functionals the bundle does not keep are made by one
-    sequential redraw of its stream.
+    `totals`, reduced by the rule of every pass (_Rows).  Functionals the
+    bundle does not keep are made by one sequential redraw of its stream.
     """
 
     def __init__(self, family: tuple[ThetaControl, ...] | list[ThetaControl],
@@ -230,7 +256,15 @@ class DensityRows(_Rows):
             self.coef[row, j] = value
         self.shift = shift
         self.shape = (bundle.n_paths, len(family))
-        [self.totals] = self._sums(np.ones((1, bundle.n_paths)), validate=True)
+
+        def checked():
+            for index, rows in self.blocks():
+                # min > 0 fails on zeros and NaN, max < inf on overflow.
+                if not (rows.min() > 0.0 and rows.max() < np.inf):
+                    raise ValueError("density weights must be finite and strictly positive")
+                yield index, rows
+
+        [self.totals] = self._reduce(np.ones((1, bundle.n_paths)), checked())
 
     def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
         # take gathers rows about twice as fast as fancy indexing.
@@ -239,50 +273,9 @@ class DensityRows(_Rows):
         out -= self.shift
         return np.exp(out, out=out)
 
-    def sums(self, x: np.ndarray) -> np.ndarray:
-        """x @ W for one vector, or for each row of a stack of them in one
-        pass, reduced like the totals."""
-        return self._sums(np.atleast_2d(x)).reshape(np.shape(x)[:-1] + (self.shape[1],))
-
-    def _sums(self, stack: np.ndarray, validate: bool = False) -> np.ndarray:
-        sums = np.zeros((len(stack), self.shape[1]))
-        for index, rows in self.blocks():
-            # min > 0 fails on zeros and NaN, max < inf on overflow.
-            if validate and not (rows.min() > 0.0 and rows.max() < np.inf):
-                raise ValueError("density weights must be finite and strictly positive")
-            for total, x in zip(sums, stack):
-                total += x[index] @ rows
-        return sums
-
-    def dense(self, m: int | None = None, threads: int = 1) -> np.ndarray:
-        """The first m rows (all by default) as one (m, C) array, filled in
-        blocks of ROW_BLOCK rows; with threads > 1 a pool fills the same
-        blocks, so the result does not depend on the thread count."""
-        m = self.shape[0] if m is None else m
-        out = np.empty((m, self.shape[1]))
-
-        def fill(start: int) -> None:
-            index = slice(start, min(start + ROW_BLOCK, m))
-            self.rows(index, out[index])
-
-        starts = range(0, m, ROW_BLOCK)
-        if threads <= 1:
-            for start in starts:
-                fill(start)
-        else:
-            # Imported here: concurrent.futures pulls in logging, which a
-            # single-threaded run has no use for.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-                list(pool.map(fill, starts))
-        return out
-
 
 class _StoredRows(_Rows):
-    """A weight matrix held in memory, read through the row interface.  Its
-    totals and sums are the matrix products `ones @ W` and `x @ W`, one
-    per event."""
+    """A weight matrix held in memory, read through the row interface."""
 
     def __init__(self, weights: np.ndarray) -> None:
         self.weights, self.shape = weights, weights.shape
@@ -297,26 +290,13 @@ class _StoredRows(_Rows):
         out[...] = self.weights[index]
         return out
 
-    def blocks(self, scratch: bool = False):
-        if scratch:
-            yield from super().blocks()
-            return
+    def blocks(self):
+        """The natural blocks as views of the matrix: no pass writes to
+        its blocks."""
         n = self.shape[0]
         for start in range(0, n, ROW_BLOCK):
             index = slice(start, min(start + ROW_BLOCK, n))
             yield index, self.weights[index]
-
-    @property
-    def totals(self) -> np.ndarray:
-        return np.ones(self.shape[0]) @ self.weights
-
-    def sums(self, x: np.ndarray) -> np.ndarray:
-        if np.ndim(x) == 2:
-            return np.array([event @ self.weights for event in x])
-        return x @ self.weights
-
-    def dense(self, m: int | None = None, threads: int = 1) -> np.ndarray:
-        return self.weights[:m]
 
 
 def weight_rows(weights: "DensityRows | np.ndarray") -> "DensityRows | _StoredRows":
@@ -342,52 +322,36 @@ def weight_matrix(
     return DensityRows(family, bundle).dense(threads=threads)
 
 
-def _spread(blocks, mean: np.ndarray, n: int) -> np.ndarray:
-    """Standard error of the mean of each column of the stacked blocks,
-    std(ddof=1) / sqrt(n), from one carried sum of squared deviations.  The
-    blocks are overwritten."""
+def _spread(rows: _Rows, x: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Standard error of the mean of each column of W * x[:, None],
+    std(ddof=1) / sqrt(n), from the squared deviations from `means`: one
+    pass that forms each block's deviations in a buffer of its own and
+    reduces them by the rule of the sums."""
+    n, m = rows.shape
+    buffer = np.empty((min(n, ROW_BLOCK), m))
+    ones = np.ones((1, len(buffer)))
 
     def deviations():
-        for block in blocks:
-            block -= mean
-            yield np.square(block, out=block)
+        for index, block in rows.blocks():
+            squares = np.multiply(block, x[index, None], out=buffer[:len(block)])
+            squares -= means
+            yield slice(0, len(block)), np.square(squares, out=squares)
 
-    return np.sqrt(_carried_sum(deviations()) / (n - 1)) / np.sqrt(n)
-
-
-def _column_moments(weights: "DensityRows | np.ndarray",
-                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and standard error of weights * x[:, None].
-
-    The results are bitwise equal to the dense products.mean(axis=0) and
-    products.std(axis=0, ddof=1) / sqrt(n): one sweep over ROW_BLOCK rows
-    sums the products and one their squared deviations from the mean, each
-    carried from block to block (_carried_sum), so only one block is alive
-    at a time and the extra memory is O(ROW_BLOCK * C).  numpy reduces an
-    (n, 1) array pairwise instead, so a single column keeps the dense
-    formula.
-    """
-    rows = weight_rows(weights)
-    n, m = rows.shape
-    if m == 1:
-        products = rows.rows(slice(0, n)) * x[:, None]
-        return products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(n)
-    mean = _carried_sum(rows.weighted_blocks(x)) / n
-    return mean, _spread(rows.weighted_blocks(x), mean, n)
+    [total] = rows._reduce(ones, deviations())
+    return np.sqrt(total / (n - 1)) / np.sqrt(n)
 
 
 def density_moments(weights: "DensityRows | np.ndarray") -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of each density column.
 
-    The means are totals / n, so they are bitwise what normalises the
-    family's capacities, and one sweep takes the squared deviations from
-    them.  expectation_profile of the payoff 1 adds the same weights in
-    another order, so its means may differ in the last bits.
+    The means are totals / n, bitwise what normalises the family's
+    capacities, and the whole result is bitwise expectation_profile of the
+    payoff 1 for a family of two or more members.
     """
     rows = weight_rows(weights)
     n = rows.shape[0]
     means = rows.totals / n
-    return means, _spread((block for _, block in rows.blocks(scratch=True)), means, n)
+    return means, _spread(rows, np.ones(n), means)
 
 
 def expectation_profile(payoff_values: np.ndarray,
@@ -396,16 +360,24 @@ def expectation_profile(payoff_values: np.ndarray,
     one per column of the family's weights (a DensityRows, or a matrix such
     as weight_matrix returns).
 
-    Bitwise equal to (W * x[:, None]).mean(axis=0) and
-    .std(axis=0, ddof=1) / sqrt(n_paths), computed in two sweeps over
-    ROW_BLOCK-row blocks with O(ROW_BLOCK * C) extra memory instead of the
-    (n_paths, C) products; one-member families use that dense formula.
+    The estimates are sums(x) / n and the standard errors std(ddof=1) /
+    sqrt(n) of each column of W * x[:, None], both reduced by the blocks'
+    rule (_Rows) with O(ROW_BLOCK * C) extra memory instead of the
+    (n_paths, C) products.  A one-member family takes the dense
+    .mean(axis=0) and .std(axis=0, ddof=1) / sqrt(n), so with k = 0 the
+    estimate is the plain Monte Carlo mean.
     """
     x = np.asarray(payoff_values, dtype=float)
     if weights.ndim != 2 or x.shape != weights.shape[:1]:
         raise ValueError(f"payoff array shape {x.shape} does not match "
                          f"the weight matrix's shape {weights.shape}")
-    return _column_moments(weights, x)
+    rows = weight_rows(weights)
+    n, m = rows.shape
+    if m == 1:
+        products = rows.rows(slice(0, n)) * x[:, None]
+        return products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(n)
+    means = rows.sums(x) / n
+    return means, _spread(rows, x, means)
 
 
 def default_control_family(

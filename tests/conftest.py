@@ -60,17 +60,33 @@ def profile_band(monotonicity: str, values: np.ndarray, family, weights: np.ndar
                                            mm.estimate_std_errors[at_k])
 
 
-def dense_band(monotonicity: str, values: np.ndarray, brownian_terminal: np.ndarray,
-               k: float, horizon: float) -> tuple[float, float, float, float]:
-    """(upper, upper_se, lower, lower_se) of the +-k band from the density
-    formula on a dense two-column matrix W: the mean and standard error of
-    each column of W * x, reduced over the whole matrix at once."""
-    theta = np.array([k, -k])
-    W2 = np.exp(brownian_terminal[:, None] * theta - 0.5 * theta * theta * horizon)
-    products = W2 * values[:, None]
-    means = products.mean(axis=0)
-    ses = products.std(axis=0, ddof=1) / np.sqrt(values.size)
-    (hi, lo), (hi_se, lo_se) = means.tolist(), ses.tolist()
+def block_moments(weights: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each column of weights * values[:, None]
+    by the rule of every weight pass, on the dense matrix: each ROW_BLOCK
+    block's values[block] @ weights[block] added up in block order, over n,
+    then the squared deviations from those means summed the same way.  A
+    block product can round a column differently in a matrix of another
+    width, so the reference takes the family's whole matrix."""
+    n, m = weights.shape
+    blocks = [slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK)]
+    sums, squares = np.zeros(m), np.zeros(m)
+    for block in blocks:
+        sums += values[block] @ weights[block]
+    means = sums / n
+    for block in blocks:
+        deviations = (weights[block] * values[block, None] - means) ** 2
+        squares += np.ones(len(deviations)) @ deviations
+    return means, np.sqrt(squares / (n - 1)) / np.sqrt(n)
+
+
+def dense_band(monotonicity: str, values: np.ndarray, weights: np.ndarray,
+               family) -> tuple[float, float, float, float]:
+    """(upper, upper_se, lower, lower_se) of the +-k band: the +k and -k
+    columns of block_moments on the family's dense weight matrix."""
+    k = max(c.bound for c in family)
+    at_k = [family.index(ThetaControl.constant(theta, k)) for theta in (k, -k)]
+    means, ses = block_moments(weights, values)
+    (hi, lo), (hi_se, lo_se) = means[at_k].tolist(), ses[at_k].tolist()
     if monotonicity == "decreasing":
         (hi, hi_se), (lo, lo_se) = (lo, lo_se), (hi, hi_se)
     return hi, hi_se, lo, lo_se

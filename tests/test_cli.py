@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nexpect import Payoff, ScenarioError
+from nexpect import Payoff, ScenarioError, default_control_family, weight_matrix
 from nexpect.cli import (
     ESTIMATOR_ORDER,
     EXIT_BAD_SCENARIO,
@@ -35,7 +35,7 @@ from nexpect.cli import (
     parse_payoff_expression,
     run_scenario,
 )
-from tests.conftest import dense_band
+from tests.conftest import profile_band
 
 BASE = """\
 s0 = 100
@@ -724,8 +724,8 @@ def test_cli_import_loads_no_scipy_and_no_thread_pool():
 
 def test_reweighted_extremal_band_is_read_from_the_minimax_profile(tmp_path, monkeypatch):
     # A digital has no closed form: its extremal band is the minimax profile's
-    # +k and -k entries, bitwise the dense two-column reduction of the +k and
-    # -k densities on the same paths, and the pipeline calls no extremal_price.
+    # +k and -k entries, bitwise minimax_expectation's on the family's
+    # weight matrix, and the pipeline calls no extremal_price.
     from pathlib import Path
 
     from nexpect import cli, extremal_price
@@ -746,12 +746,12 @@ def test_reweighted_extremal_band_is_read_from_the_minimax_profile(tmp_path, mon
     monkeypatch.setattr(cli, "extremal_price", spy)
     report = run_scenario(scn)
     assert calls == []
-    payoff = scn.build_payoff()
-    hi, hi_se, lo, lo_se = dense_band(payoff.monotonicity, payoff.map(bundles[0].terminal()),
-                                      bundles[0].brownian_terminal, scn.k, scn.horizon)
+    payoff, family = scn.build_payoff(), default_control_family(scn.k, scn.theta_grid)
+    _, band = profile_band(payoff.monotonicity, payoff.map(bundles[0].terminal()), family,
+                           weight_matrix(family, bundles[0]))
     upper, lower = report.entry("extremal_upper"), report.entry("extremal_lower")
-    assert (upper.value, upper.std_error, upper.note) == (hi, hi_se, "reweighting")
-    assert (lower.value, lower.std_error, lower.note) == (lo, lo_se, "reweighting")
+    assert (upper.value, upper.std_error, upper.note) == (band.upper, band.upper_se, "reweighting")
+    assert (lower.value, lower.std_error, lower.note) == (band.lower, band.lower_se, "reweighting")
 
 
 def test_holder_run_sorts_each_distinct_array_once(tmp_path, monkeypatch):
@@ -868,9 +868,9 @@ def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
     passes, contexts = [], []
     real_blocks, real_check = measures.DensityRows.blocks, cli.CHECK_REGISTRY["martingale"]
 
-    def counted(rows, **kwargs):
+    def counted(rows):
         passes.append(rows.shape[0])
-        return real_blocks(rows, **kwargs)
+        return real_blocks(rows)
 
     def kept(ctx):
         contexts.append(ctx)

@@ -21,10 +21,17 @@ from nexpect import (
     simulate_sde,
     weight_matrix,
 )
-from nexpect.measures import ROW_BLOCK, DensityRows, density_moments
+from nexpect.choquet import build_capacity, choquet_estimates
+from nexpect.measures import ROW_BLOCK, DensityRows, density_moments, weight_rows
 from nexpect.minimax import closed_under_negation
 from nexpect.paths import with_functionals
-from tests.conftest import CALL_ATM_FLAT, MEAN_ST_DRIFT_UP, blocked_products, dense_increments
+from tests.conftest import (
+    CALL_ATM_FLAT,
+    MEAN_ST_DRIFT_UP,
+    block_moments,
+    blocked_products,
+    dense_increments,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +231,17 @@ def test_blocked_weight_passes_are_bitwise_dense(n, family, grid8):
     assert np.array_equal(pooled, dense)
     assert np.array_equal(single, dense[:, -1])
 
+    # The profile takes the blocks' rule at the family's width; a
+    # one-member family takes the dense formula.
     x = np.maximum(with_functionals(bundle, ()).brownian_terminal * 30.0 + 1.0, 0.0)
     products = dense * x[:, None]
     est, ses = expectation_profile(x, serial)
-    assert np.array_equal(est, products.mean(axis=0))
-    assert np.array_equal(ses, products.std(axis=0, ddof=1) / np.sqrt(n))
+    if len(family) == 1:
+        means, errors = products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(n)
+    else:
+        means, errors = block_moments(dense, x)
+    assert np.array_equal(est, means)
+    assert np.array_equal(ses, errors)
 
 
 def family_bundles(family, n, seed, grid):
@@ -342,6 +355,35 @@ def test_density_rows_check_every_block(bad, grid8):
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="^density weights must be finite and strictly positive$"):
             build(family, poisoned)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([2, B - 1, B, B + 1, 2 * B + 17]),
+       name=st.sampled_from(["default", "two kinds", "constants"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stored_and_rebuilt_weights_reduce_alike(n, name, seed, grid8):
+    # A stored weight matrix and the DensityRows it was made from are read
+    # by one reduction rule, so every capacity, sum and profile of one is
+    # the other's bit for bit.
+    family = TWO_KINDS if name == "two kinds" else FAMILIES[name]
+    bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2), generate_brownian(grid8, n, seed))
+    stored, rebuilt = weight_matrix(family, bundle), DensityRows(family, bundle)
+    x = np.maximum(bundle.terminal() - 100.0, 0.0)
+    events = np.random.default_rng(seed).random((3, n)) < 0.5
+    results = []
+    for weights in (stored, rebuilt):
+        upper = build_capacity("upper", weights)
+        lower = replace(upper, orientation="lower")
+        estimates = choquet_estimates(x, (upper, lower))
+        results.append([upper.totals, weight_rows(weights).sums(events.astype(float)),
+                        *expectation_profile(x, weights),
+                        *(np.array([value]) for value, _ in estimates),
+                        *(influence for _, influence in estimates)])
+        for moment, profile in zip(density_moments(weights),
+                                   expectation_profile(np.ones(n), weights)):
+            assert same_bits(moment, profile)
+    for a, b in zip(*results):
+        assert same_bits(a, b)
 
 
 def test_default_family_structure():

@@ -193,9 +193,9 @@ def test_extremal_reweighting_digital(family_k01, bundle_50k, weights_50k):
 def test_extremal_reweighting_is_bitwise_dense(acc_model, grid8, family_k01, n, payoff):
     bundle = simulate_sde(acc_model, generate_brownian(grid8, n, 700 + n))
     x = payoff.map(bundle.terminal())
-    hi, hi_se, lo, lo_se = dense_band(payoff.monotonicity, x, bundle.brownian_terminal,
-                                      acc_model.k, HORIZON)
-    _, report = profile_band(payoff.monotonicity, x, family_k01, weight_matrix(family_k01, bundle))
+    weights = weight_matrix(family_k01, bundle)
+    hi, hi_se, lo, lo_se = dense_band(payoff.monotonicity, x, weights, family_k01)
+    _, report = profile_band(payoff.monotonicity, x, family_k01, weights)
     assert (report.upper, report.upper_se, report.lower, report.lower_se) == (hi, hi_se, lo, lo_se)
 
 

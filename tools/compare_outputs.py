@@ -17,13 +17,12 @@ differs, else 0.  For each workload run it also prints the peak RSS of
 both trees' processes, read with `os.wait4` as `perfbench/run.py` reads
 it, and first it prints the line count of each tree's `src/` Python files
 (`src/ lines: 3176 -> 3139`); those lines are information only and never
-set the exit status.  The runs are sequential; the acceptance workload
-alone peaks at about 0.35 GB
-(0.37 GB while the package imported scipy, 0.42 GB before the increments
-were streamed) and prices in about 3.3 s per run, straddle peaks at about
-0.11 GB and fd_put at about 0.09 GB and prices in about 2 s (medians 3.28 s
-over 5 benchmark runs and 2.04 s over 3, on a 2-core VM, Python 3.11,
-numpy 2.4).
+set the exit status.  The runs are sequential.  The acceptance workload
+peaks at about 162 MB (0.35 GB while the weight matrix was stored), straddle
+at about 94 MB and fd_put at about 78 MB (161.8, 93.7 and 77.6 MB in one
+comparison); acceptance prices in about 2.9 s per run, straddle in about
+1.0 s and fd_put in about 2.0 s (benchmark medians over 10, 9 and 5 runs;
+2-core VM, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations

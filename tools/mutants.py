@@ -124,14 +124,22 @@ MUTANTS = (
      "        out -= self.shift\n", "",
      ("tests/test_measures.py::test_density_rows_are_the_weight_matrix_bitwise",)),
     ("density validation checks only the first block", "src/nexpect/measures.py",
-     "if validate and not (rows.min() > 0.0 and rows.max() < np.inf):",
-     "if validate and index.start == 0 and not (rows.min() > 0.0 and rows.max() < np.inf):",
+     "if not (rows.min() > 0.0 and rows.max() < np.inf):",
+     "if index.start == 0 and not (rows.min() > 0.0 and rows.max() < np.inf):",
      ("tests/test_measures.py::test_density_rows_check_every_block",)),
-    ("martingale means from the profile's sums, not the totals", "src/nexpect/measures.py",
+    ("martingale means from a pass of their own, not the totals", "src/nexpect/measures.py",
      "    means = rows.totals / n\n",
-     "    means = _carried_sum(rows.weighted_blocks(np.ones(n))) / n\n",
-     ("tests/test_measures.py::test_density_rows_are_the_weight_matrix_bitwise",
-      f"{CLI_TESTS}::test_martingale_means_are_the_totals_over_n")),
+     "    means = rows.sums(np.ones(n)) / n\n",
+     (f"{CLI_TESTS}::test_weight_moments_are_reduced_once",)),
+    ("stored matrix reduced by one whole-matrix product", "src/nexpect/measures.py",
+     "            index = slice(start, min(start + ROW_BLOCK, n))\n"
+     "            yield index, self.weights[index]\n",
+     "            yield slice(0, n), self.weights\n"
+     "            break\n",
+     ("tests/test_measures.py::test_stored_and_rebuilt_weights_reduce_alike",)),
+    ("_spread skips subtracting the mean", "src/nexpect/measures.py",
+     "            squares -= means\n", "",
+     ("tests/test_measures.py::test_blocked_weight_passes_are_bitwise_dense",)),
     ("normalization reduces its events by one matrix product", CLI,
      "sums = weight_rows(ctx.weights).sums(np.stack([np.zeros(n), np.ones(n)]))",
      "sums = np.stack([np.zeros(n), np.ones(n)]) @ weight_rows(ctx.weights).dense()",
