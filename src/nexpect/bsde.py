@@ -11,12 +11,12 @@ measure whose drift distortion is nu.  These three kinds (Generator) are the
 only drivers.
 
 solve_fd marches an explicit scheme backward from the terminal condition,
-for one driver or for several at once: the drivers of one grid share the
-march, each as one row of its buffers, so the upper, lower and linear
-drivers of a claim cost one pass.  solve_tree is an independent
-recombining-lattice oracle for proportional (GBM) coefficients.  Every solve
-streams the extreme of z on the central band that z_sign_check reads, so no
-caller has to store surfaces for it.
+one fused three-point stencil per step, for one driver or for several at
+once: the drivers of one grid share the march, each as one row of its
+buffers, so the upper, lower and linear drivers of a claim cost one pass.
+solve_tree is an independent recombining-lattice oracle for proportional
+(GBM) coefficients.  Every solve streams the extreme of z on the central
+band that z_sign_check reads, so no caller has to store surfaces for it.
 """
 
 from __future__ import annotations
@@ -255,21 +255,20 @@ def solve_fd(
     demanding one, which is each driver's own count whenever the diffusion
     bound binds, as it does unless sigma is tiny.
 
-    The z-sign extreme is folded in as the march goes.  With constant
-    coefficients and a band that leaves out the boundary columns, each step
-    reuses the interior z it computes anyway, which is bitwise the z of the
-    row it reads; otherwise z is recomputed on the band of each new row.
+    The z-sign extreme is folded in as the march goes.  With a constant
+    sv > 0 and a band that leaves out the boundary columns, each step folds
+    the d = up - dn its stencil reads anyway, and the extreme is mapped
+    through sv * (d / (2 * dx)) once at the end; otherwise z is recomputed
+    on the band of each new row.
 
     The march works in buffers set up once per solve.  The drivers' value
     rows lie end to end in one flat row, so each elementwise operation is
-    one call for all of them; the value alternates between two such rows,
-    and d2, d1, z and g are refilled in place.  Constant coefficients are
-    scalars; variable ones are evaluated once per step, from one vol and
-    one drift call on nodes whose exp is taken once per solve, and shared
-    by every driver.  Each driver is one coefficient times |z| or z, taken
-    over each run of neighbouring rows of one kind at once.  Every product
-    and sum keeps its operand order, so each value is bitwise that of a
-    lone driver's march that allocates fresh arrays at every step (tested).
+    one call for all of them, and a step is one fused three-point stencil
+    with a coefficient row per term.  The rows are filled once per solve
+    for GBM; otherwise once per time level, from one vol and one drift call
+    shared by every driver.  Every product and sum keeps its operand order,
+    so each value is bitwise that of a lone driver's march that allocates
+    fresh arrays at every step (tested).
     """
     drivers = (generator,) if isinstance(generator, Generator) else tuple(generator)
     if not drivers:
@@ -308,14 +307,17 @@ def solve_fd(
 
     u = payoff.map(states)
 
-    # The march's arrays, allocated once.  The operand order of
-    #   u' = mid + dt * ((0.5 * sv * sv * d2 + mv * d1) + g),
-    #   d2 = ((up - 2 * mid) + dn) / (dx * dx),  d1 = (up - dn) / (2 * dx)
-    # must not change: it is what keeps every row bitwise.
+    # The march's arrays, allocated once.  Each step is the fused stencil
+    #   u' = ((a_mid * mid + b_up * up) + b_dn * dn) + gamma * |up - dn|
+    # with r2 = dt / (dx * dx), r1 = dt / (2 * dx), a = r2 * (0.5 * sv * sv),
+    # b = r1 * mv + (r1 * nu) * sv, a_mid = 1 - 2 * a, b_up = a + b,
+    # b_dn = a - b and gamma = (r1 * c) * |sv|, where a driver is nu * z
+    # (c = 0) or c * |z| (nu = 0).  The operand order must not change: it
+    # is what keeps every row bitwise.
     count = len(drivers)
     width = count * nodes
     span = width - 2
-    dx2, two_dx = dx * dx, 2.0 * dx
+    r2, r1, two_dx = dt / (dx * dx), dt / (2.0 * dx), 2.0 * dx
     # Driver j's values are row[j * nodes:(j + 1) * nodes], so mid = row[1:-1]
     # puts its interior at [j * nodes, j * nodes + nodes - 2) of each
     # `span`-long buffer.  Buffers hold `width` entries so that a (driver,
@@ -323,43 +325,49 @@ def solve_fd(
     rows = np.empty((2, width))
     rows[0].reshape(count, nodes)[:] = u
     cur, nxt = ((row, row[2:], row[1:-1], row[:-2]) for row in rows)
-    stencil = np.zeros((2, width))
-    d2, d1 = stencil[:, :span]
-    z_buf, g = np.zeros(width), np.zeros(span)
-    z = z_buf[:span]
-    z_full = np.empty((count, nodes))
-    # Where two drivers' rows meet, the stencil reads both.  Those seam
-    # entries land on boundary nodes, which the extrapolation overwrites.
-    # Their differences are zeroed before the divisions: a jump between two
-    # rows over dx * dx can overflow where no interior entry does.
-    seams = stencil.reshape(2, count, nodes)[:, :-1, nodes - 2:]
+    # Where two drivers' rows meet, the stencil reads both.  Those entries
+    # land on boundary nodes, which the extrapolation overwrites; their
+    # coefficients stay 0, so no product there can overflow.
+    coeffs = np.zeros((4, width))
+    a_mid, b_up, b_dn, gamma = coeffs[:, :span]
+    coeff_rows = coeffs.reshape(4, count, nodes)
+    a_mid_rows, b_up_rows, b_dn_rows, gamma_rows = coeff_rows[:, :, :nodes - 2]
+    d_buf, work = np.empty(width), np.empty(width)
+    d, term = d_buf[:span], work[:span]
+    # The z of a new row is written where the step's products were.
+    z_full = work.reshape(count, nodes)
     z_ends = z_full[:, ::nodes - 1]
     # Each driver's boundary nodes and the two nodes each extrapolates from.
     ends = np.arange(0, width, nodes)[:, None] + np.array([0, nodes - 1])
     inner, outer = ends + np.array([1, -1]), ends + np.array([2, -2])
-    if constants is not None:
-        mv, sv = constants
+    # r1 * nu and r1 * c of each driver, and each run of neighbouring |z|
+    # rows, which takes its gamma term at once.
+    linear = np.array([[gen.kind == "linear"] for gen in drivers])
+    coefficient = np.array([[gen.coefficient] for gen in drivers])
+    r1_nu_c = r1 * np.stack([np.where(linear, coefficient, 0.0),
+                             np.where(linear, 0.0, coefficient)])
+    runs = [slice(js[0] * nodes, js[-1] * nodes + nodes - 2)
+            for is_abs, group in itertools.groupby(range(count), key=lambda j: not linear[j, 0])
+            if is_abs for js in [list(group)]]
+
+    def fill(t: float, sv_all: float | np.ndarray) -> None:
+        """Coefficient rows at time t from sv on every node (a GBM scalar)."""
+        sv = sv_all if constants is not None else sv_all[1:-1]
         half_var = 0.5 * sv * sv
-    else:
-        inner_states = np.exp(x[1:-1])
-        coeffs = np.zeros((3, width))
-        sv, half_var, mv = coeffs[:, :span]
-        sv_rows, half_var_rows, mv_rows = coeffs.reshape(3, count, nodes)[:, :, :nodes - 2]
+        a = r2 * half_var
+        gamma_rows[:] = np.abs(sv)
+        b_dn_rows[:] = sv
+        b_up_rows[:] = r1 * (constants[0] if constants is not None
+                             else mv_fn(t, states[1:-1], half_var))
+        a_mid_rows[:] = a  # a_mid holds a, and b_dn holds b, until the last line
+        np.multiply(r1_nu_c, coeff_rows[2:], out=coeff_rows[2:])
+        np.add(b_up, b_dn, out=b_dn)
+        np.add(a_mid, b_dn, out=b_up)
+        np.subtract(a_mid, b_dn, out=b_dn)
+        a_mid_rows[:] = 1.0 - 2.0 * a
 
-    # A driver is its coefficient times |z| or z, taken over each run of
-    # neighbouring rows of one kind at once.
-    coef = np.repeat([float(gen.coefficient) for gen in drivers], nodes)
-    runs = []
-    for is_abs, group in itertools.groupby(range(count), key=lambda j: drivers[j].kind != "linear"):
-        js = list(group)
-        part = slice(js[0] * nodes, js[-1] * nodes + nodes - 2)
-        runs.append((is_abs, z[part], g[part], coef[part]))
-
-    value_surface = np.empty((count, m + 1, nodes)) if store_surfaces else None
-    z_surface = np.empty((count, m + 1, nodes)) if store_surfaces else None
-
-    def z_row(t: float, row: np.ndarray) -> np.ndarray:
-        """z of each driver's row at time t, written into z_full."""
+    def z_row(sv: float | np.ndarray, row: np.ndarray) -> None:
+        """z of each driver's row from sv on every node, written into z_full."""
         central, by_driver = z_full.reshape(-1)[1:-1], row.reshape(count, nodes)
         np.subtract(row[2:], row[:-2], out=central)
         z_ends.fill(0.0)
@@ -367,69 +375,60 @@ def solve_fd(
         np.subtract(by_driver[:, 1], by_driver[:, 0], out=z_full[:, 0])
         np.subtract(by_driver[:, -1], by_driver[:, -2], out=z_full[:, -1])
         np.divide(z_ends, dx, out=z_ends)
-        return np.multiply(sv if constants is not None else sv_fn(t, states), z_full, out=z_full)
+        np.multiply(sv, z_full, out=z_full)
 
-    if store_surfaces:
-        value_surface[:, m] = u
-        z_surface[:, m] = z_row(horizon, rows[0])
-
-    # Running elementwise extreme of z on the band, folded once per row
-    # before the terminal one; payoffs without monotonicity track nothing.
+    # sv on every node of the level that cur holds: a constant for GBM,
+    # else one vol call per level at t = level * dt, which serves both the
+    # level's z and the coefficients of the step that reads the level.
+    sv_level = constants[1] if constants is not None else sv_fn(m * dt, states)
+    value_surface = np.empty((count, m + 1, nodes)) if store_surfaces else None
+    z_surface = np.empty((count, m + 1, nodes)) if store_surfaces else None
+    # Running elementwise extreme on the band of every row before the
+    # terminal one; payoffs without monotonicity track nothing.
     fold = {"increasing": np.minimum, "decreasing": np.maximum}.get(payoff.monotonicity)
     margin = int(round(0.5 * (1.0 - Z_SIGN_BAND) * nodes))
     hi = nodes - margin
     if fold is not None:
         track = np.full((count, hi - margin), np.inf if fold is np.minimum else -np.inf)
-    reuse_z = fold is not None and constants is not None and margin >= 1
+    reuse_z = fold is not None and constants is not None and sv_level > 0.0 and margin >= 1
     recompute_z = fold is not None and not reuse_z
-    z_band, z_full_band = z_buf.reshape(count, nodes)[:, margin - 1:hi - 1], z_full[:, margin:hi]
+    d_band, z_full_band = d_buf.reshape(count, nodes)[:, margin - 1:hi - 1], z_full[:, margin:hi]
 
-    for step in range(m, 0, -1):
-        t_known = step * dt
-        if constants is None:
-            sv_step = sv_fn(t_known, inner_states)
-            half_var_step = 0.5 * sv_step * sv_step
-            sv_rows[:] = sv_step
-            half_var_rows[:] = half_var_step
-            mv_rows[:] = mv_fn(t_known, inner_states, half_var_step)
+    for step in range(m, -1, -1):  # cur holds level `step`; its z and d, then the step down
+        if store_surfaces or recompute_z:
+            z_row(sv_level, cur[0])
+        if store_surfaces:
+            value_surface[:, step] = cur[0].reshape(count, nodes)
+            z_surface[:, step] = z_full
+        if recompute_z and step < m:
+            fold(track, z_full_band, out=track)
         _, up, mid, dn = cur
-        np.multiply(2.0, mid, out=d2)
-        np.subtract(up, d2, out=d2)
-        np.add(d2, dn, out=d2)
-        np.subtract(up, dn, out=d1)
-        seams.fill(0.0)
-        np.divide(d2, dx2, out=d2)
-        np.divide(d1, two_dx, out=d1)
-        np.multiply(sv, d1, out=z)
+        np.subtract(up, dn, out=d)
         if reuse_z and step < m:
-            fold(track, z_band, out=track)
-        for is_abs, z_part, g_part, c in runs:
-            if is_abs:
-                np.abs(z_part, out=g_part)
-                np.multiply(c, g_part, out=g_part)
-            else:
-                np.multiply(c, z_part, out=g_part)
-        np.multiply(half_var, d2, out=d2)
-        np.multiply(mv, d1, out=d1)
-        np.add(d2, d1, out=d2)
-        np.add(d2, g, out=d2)
-        np.multiply(dt, d2, out=d2)
+            fold(track, d_band, out=track)
+        if step == 0:
+            break
+        if step == m or constants is None:
+            fill(step * dt, sv_level)
         row, _, row_mid, _ = nxt
-        np.add(mid, d2, out=row_mid)
+        np.multiply(a_mid, mid, out=row_mid)
+        np.multiply(b_up, up, out=term)
+        np.add(row_mid, term, out=row_mid)
+        np.multiply(b_dn, dn, out=term)
+        np.add(row_mid, term, out=row_mid)
+        for part in runs:
+            np.abs(d[part], out=term[part])
+            np.multiply(gamma[part], term[part], out=term[part])
+            np.add(row_mid[part], term[part], out=row_mid[part])
         row[ends] = 2.0 * row[inner] - row[outer]
         cur, nxt = nxt, cur
-        if store_surfaces:
-            value_surface[:, step - 1] = row.reshape(count, nodes)
-            z_surface[:, step - 1] = z_row(t_known - dt, row)
-        if recompute_z:
-            z_row(t_known - dt, row)
-            fold(track, z_full_band, out=track)
+        if constants is None:
+            sv_level = sv_fn((step - 1) * dt, states)
 
     u = cur[0]
     u_rows = u.reshape(count, nodes)
     if reuse_z:
-        z_row(0.0, u)
-        fold(track, z_full_band, out=track)
+        track = sv_level * (track / two_dx)
 
     if not np.all(np.isfinite(u)):
         raise GridTooCoarseError(

@@ -343,8 +343,9 @@ def _surface_extreme(sol):
     time_steps=st.integers(1, 60),
 )
 # Pinned cases: the extreme on row 0 (a falling forward), next to the
-# terminal row (a rising one), in a boundary column of a 7-node grid, and on
-# an inner row of a general model whose time argument differs in the last bit.
+# terminal row (a rising one), in a boundary column of a 7-node grid, on an
+# inner row of a general model whose time argument used to differ in the
+# last bit, and a GBM with sigma = 0, whose z is recomputed on every row.
 @example(nodes=101, s0=100.0, sigma=0.2, mu=-0.1, k=0.1, moneyness=1.0, kind="forward",
          driver="linear", general=False, time_steps=1)
 @example(nodes=101, s0=100.0, sigma=0.2, mu=0.1, k=0.1, moneyness=1.0, kind="forward",
@@ -353,6 +354,8 @@ def _surface_extreme(sol):
          driver="abs_upper", general=False, time_steps=20)
 @example(nodes=11, s0=100.0, sigma=0.2, mu=-0.1, k=0.1, moneyness=1.0, kind="forward",
          driver="linear", general=True, time_steps=29)
+@example(nodes=101, s0=100.0, sigma=0.0, mu=0.0, k=0.1, moneyness=1.0, kind="call",
+         driver="abs_upper", general=False, time_steps=20)
 def test_streamed_z_extreme_is_bitwise_surface_extreme(nodes, s0, sigma, mu, k, moneyness,
                                                          kind, driver, general, time_steps):
     if general:
@@ -385,10 +388,31 @@ def test_streamed_z_extreme_is_bitwise_surface_extreme(nodes, s0, sigma, mu, k, 
     assert np.signbit(sol.z_extreme) == np.signbit(reference)
 
 
-def _allocating_march(model, payoff, gen, x, dt, m, horizon):
+def _fused_step(u, mv, sv, gen, dx, dt):
+    """The interior of the next row by the fused stencil of solve_fd."""
+    r2, r1 = dt / (dx * dx), dt / (2.0 * dx)
+    up, mid, dn = u[2:], u[1:-1], u[:-2]
+    nu, c = (gen.coefficient, 0.0) if gen.kind == "linear" else (0.0, gen.coefficient)
+    a = r2 * (0.5 * sv * sv)
+    b = r1 * mv + (r1 * nu) * sv
+    new = (1.0 - 2.0 * a) * mid + (a + b) * up + (a - b) * dn
+    if gen.kind != "linear":
+        new = new + (r1 * c) * np.abs(sv) * np.abs(up - dn)
+    return new
+
+
+def _textbook_step(u, mv, sv, gen, dx, dt):
+    """The interior of the next row by the textbook form of the same scheme."""
+    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+    d1 = (u[2:] - u[:-2]) / (2.0 * dx)
+    return u[1:-1] + dt * (0.5 * sv * sv * d2 + mv * d1 + gen.g(0.0, u[1:-1], sv * d1))
+
+
+def _allocating_march(model, payoff, gen, x, dt, m, step_rule=_fused_step):
     """Reference: the explicit march with fresh arrays at every step and the
-    coefficients evaluated from the log nodes at every call.  Returns the
-    value and z surfaces, row 0 at t = 0."""
+    coefficients evaluated from the log nodes at every call, at t = level *
+    dt for both a level's z and the step that reads it.  Returns the value
+    and z surfaces, row 0 at t = 0."""
     def coefficients(t, x):
         if model.gbm_constants is not None:
             mu, sigma = model.gbm_constants
@@ -407,30 +431,29 @@ def _allocating_march(model, payoff, gen, x, dt, m, horizon):
         return coefficients(t, x)[1] * gz
 
     u = payoff.map(np.exp(x))
-    values, zs = [u], [z_row(horizon, u)]
+    values, zs = [u], [z_row(m * dt, u)]
     for step in range(m, 0, -1):
-        t = step * dt
-        mv, sv = coefficients(t, x[1:-1])
-        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
-        z = sv * d1
+        mv, sv = coefficients(step * dt, x[1:-1])
         u = np.empty_like(u)
-        u[1:-1] = values[-1][1:-1] + dt * (0.5 * sv * sv * d2 + mv * d1 + gen.g(t, values[-1][1:-1], z))
+        u[1:-1] = step_rule(values[-1], mv, sv, gen, dx, dt)
         u[0] = 2.0 * u[1] - u[2]
         u[-1] = 2.0 * u[-2] - u[-3]
         values.append(u)
-        zs.append(z_row(t - dt, u))
+        zs.append(z_row((step - 1) * dt, u))
     return np.array(values[::-1]), np.array(zs[::-1])
+
+
+def _textbook_march(model, payoff, gen, x, dt, m):
+    """Second reference: the same scheme in its textbook form, through d2, d1 and g."""
+    return _allocating_march(model, payoff, gen, x, dt, m, step_rule=_textbook_step)
 
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-@pytest.mark.parametrize("nodes", [5, 6, 10, 11, 12, 201])
-@pytest.mark.parametrize("general", [False, True])
-@pytest.mark.parametrize("kind", ["call", "put", "straddle"])
-def test_fd_march_is_bitwise_the_allocating_march(nodes, general, kind):
+def _march_case(nodes, general, kind):
+    """Market, payoff, drivers and requested step count of the march tests."""
     if general:
         # CEV with beta = 0.5 and the GBM fixture's at-the-money volatility.
         market = MarketModel.general(100.0, lambda t, s: 0.03 * s,
@@ -444,7 +467,14 @@ def test_fd_march_is_bitwise_the_allocating_march(nodes, general, kind):
     # Up to 12 nodes the request holds: odd grids march 8 rows and even
     # grids 7, so the last row ends in either buffer on both sides of
     # margin >= 1 (11 and 12 nodes).  201 nodes take the stable count.
-    time_steps = 8 if nodes % 2 else 7
+    return market, payoff, drivers, 8 if nodes % 2 else 7
+
+
+@pytest.mark.parametrize("nodes", [5, 6, 10, 11, 12, 201])
+@pytest.mark.parametrize("general", [False, True])
+@pytest.mark.parametrize("kind", ["call", "put", "straddle"])
+def test_fd_march_is_bitwise_the_allocating_march(nodes, general, kind):
+    market, payoff, drivers, time_steps = _march_case(nodes, general, kind)
     margin = int(round(0.5 * (1.0 - Z_SIGN_BAND) * nodes))
     # The five drivers also march as one tuple, in both orders, so that the
     # linear row sits after the run of |z| rows and before it.
@@ -457,8 +487,7 @@ def test_fd_march_is_bitwise_the_allocating_march(nodes, general, kind):
                           store_surfaces=True)
         plain = solve_fd(market, payoff, gen, HORIZON, nodes=nodes, time_steps=time_steps)
         x = stored.space_grid
-        values, zs = _allocating_march(market, payoff, gen, x, stored.dt, stored.time_steps,
-                                       HORIZON)
+        values, zs = _allocating_march(market, payoff, gen, x, stored.dt, stored.time_steps)
         rows = [sol.driver(i if order == 1 else len(drivers) - 1 - i)
                 for (order, _), sol in together.items()]
         for sol in (stored, *rows[::2]):
@@ -475,6 +504,27 @@ def test_fd_march_is_bitwise_the_allocating_march(nodes, general, kind):
             assert sol.time_steps == stored.time_steps
             assert _bits(sol.y0) == _bits(y0)
             assert _bits(sol.z_extreme) == _bits(extreme)
+
+
+@pytest.mark.parametrize("nodes", [5, 6, 10, 11, 12, 201])
+@pytest.mark.parametrize("general", [False, True])
+@pytest.mark.parametrize("kind", ["call", "put", "straddle"])
+def test_fd_march_agrees_with_the_textbook_march(nodes, general, kind):
+    # The fused stencil is the textbook scheme u + dt * (0.5 sv^2 d2 + mv d1
+    # + g) with its coefficients multiplied out, so the two differ only in
+    # rounding: within 1e-12 of each surface's scale.
+    market, payoff, drivers, time_steps = _march_case(nodes, general, kind)
+    sol = solve_fd(market, payoff, drivers, HORIZON, nodes=nodes, time_steps=time_steps,
+                   store_surfaces=True)
+    x = sol.space_grid
+    for i, gen in enumerate(drivers):
+        values, zs = _textbook_march(market, payoff, gen, x, sol.dt, sol.time_steps)
+        row = sol.driver(i)
+        for fused, textbook in ((row.value_surface, values), (row.z_surface, zs)):
+            scale = np.abs(textbook).max()
+            assert np.abs(fused - textbook).max() <= 1e-12 * scale
+        y0 = values[0][(nodes - 1) // 2] if nodes % 2 else np.interp(math.log(100.0), x, values[0])
+        assert abs(row.y0 - y0) <= 1e-12 * np.abs(values).max()
 
 
 def test_drivers_on_one_grid_march_the_largest_stable_count():

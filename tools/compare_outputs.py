@@ -21,7 +21,7 @@ set the exit status.  The runs are sequential.  The acceptance workload
 peaks at about 162 MB (0.35 GB while the weight matrix was stored), straddle
 at about 94 MB and fd_put at about 78 MB (161.8, 93.7 and 77.6 MB in one
 comparison); acceptance prices in about 2.9 s per run, straddle in about
-1.0 s and fd_put in about 2.0 s (benchmark medians over 10, 9 and 5 runs;
+1.0 s and fd_put in about 1.6 s (benchmark medians over 10, 9 and 10 runs;
 2-core VM, Python 3.11, numpy 2.4).
 """
 

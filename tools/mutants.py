@@ -39,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CLI = "src/nexpect/cli.py"
 CLI_TESTS = "tests/test_cli.py"
+BSDE = "src/nexpect/bsde.py"
+BSDE_TESTS = "tests/test_bsde.py"
 
 # (name, file, old snippet, new snippet, tests that should fail)
 MUTANTS = (
@@ -72,9 +74,9 @@ MUTANTS = (
     ("l2bound always passes", CLI,
      "(upper.value - (bound + tol),", "(-1.0,",
      (f"{CLI_TESTS}::test_l2bound_verdict_at_its_limit",)),
-    ("zsign increasing side always passes", "src/nexpect/bsde.py",
+    ("zsign increasing side always passes", BSDE,
      'status = "pass" if extreme >= -thr else "fail"', 'status = "pass"',
-     ("tests/test_bsde.py::test_z_sign_verdict_at_its_slack",)),
+     (f"{BSDE_TESTS}::test_z_sign_verdict_at_its_slack",)),
     ("sandwich collects no failure", CLI,
      "return -slack - tol, f", "return min(-slack - tol, 0.0), f",
      (f"{CLI_TESTS}::test_sandwich_verdict_at_its_fd_tolerance",
@@ -119,6 +121,18 @@ MUTANTS = (
     ("negated bang-bang member reads +L", "src/nexpect/paths.py",
      "(-1, (-theta).tobytes())", "(1, (-theta).tobytes())",
      ("tests/test_measures.py",)),
+    # The fused FD stencil and the z extreme it streams.
+    ("|z| term uses d, not |d|", BSDE,
+     "np.abs(d[part], out=term[part])", "np.positive(d[part], out=term[part])",
+     (f"{BSDE_TESTS}::test_fd_abs_upper_put",
+      f"{BSDE_TESTS}::test_fd_march_is_bitwise_the_allocating_march")),
+    ("b_dn = a + b", BSDE,
+     "np.subtract(a_mid, b_dn, out=b_dn)", "np.add(a_mid, b_dn, out=b_dn)",
+     (f"{BSDE_TESTS}::test_fd_linear_driver_matches_shifted_drift",
+      f"{BSDE_TESTS}::test_fd_march_is_bitwise_the_allocating_march")),
+    ("z extreme left in d units (no sv / (2 dx) map)", BSDE,
+     "track = sv_level * (track / two_dx)", "track = track",
+     (f"{BSDE_TESTS}::test_streamed_z_extreme_is_bitwise_surface_extreme",)),
     # The weights rebuilt on demand, and the reductions that must match their totals.
     ("density rows drop the shift", "src/nexpect/measures.py",
      "        out -= self.shift\n", "",
