@@ -390,8 +390,8 @@ def solve_fd(
     hi = nodes - margin
     if fold is not None:
         track = np.full((count, hi - margin), np.inf if fold is np.minimum else -np.inf)
-    reuse_z = fold is not None and constants is not None and sv_level > 0.0 and margin >= 1
-    recompute_z = fold is not None and not reuse_z
+    fold_d = fold is not None and constants is not None and sv_level > 0.0 and margin >= 1
+    recompute_z = fold is not None and not fold_d
     d_band, z_full_band = d_buf.reshape(count, nodes)[:, margin - 1:hi - 1], z_full[:, margin:hi]
 
     for step in range(m, -1, -1):  # cur holds level `step`; its z and d, then the step down
@@ -404,7 +404,7 @@ def solve_fd(
             fold(track, z_full_band, out=track)
         _, up, mid, dn = cur
         np.subtract(up, dn, out=d)
-        if reuse_z and step < m:
+        if fold_d and step < m:
             fold(track, d_band, out=track)
         if step == 0:
             break
@@ -427,7 +427,7 @@ def solve_fd(
 
     u = cur[0]
     u_rows = u.reshape(count, nodes)
-    if reuse_z:
+    if fold_d:
         track = sv_level * (track / two_dx)
 
     if not np.all(np.isfinite(u)):
