@@ -161,12 +161,15 @@ class Capacity:
             return per_control.max(axis=-1)
         return per_control.min(axis=-1)
 
-    def evaluate(self, event: np.ndarray) -> float:
-        """Capacity of one event given as a boolean path mask."""
+    def evaluate(self, event: np.ndarray):
+        """Capacity of one event given as a boolean path mask, a float; or of
+        each event of a (k, n_paths) stack of masks, an array, from one pass
+        over the weights with one `mask[block] @ rows` product per event."""
         ev = np.asarray(event)
-        if ev.shape != (self.n_paths,):
+        if ev.ndim not in (1, 2) or ev.shape[-1] != self.n_paths:
             raise ValueError(f"event shape {ev.shape} does not match paths {self.n_paths}")
-        return float(self.from_sums(weight_rows(self.weights).sums(ev.astype(np.float64))))
+        capacities = self.from_sums(weight_rows(self.weights).sums(ev))
+        return float(capacities) if ev.ndim == 1 else capacities
 
     def from_sums(self, sums: np.ndarray):
         """Capacity of each event from its weight sums, `event @ weights`
@@ -261,10 +264,18 @@ class _SortedSample:
         return out
 
     def estimate(self, capacities: tuple[Capacity, ...]) -> list[tuple[float, np.ndarray]]:
+        """(integral, influence) against each capacity: the sweep, and its
+        influences finished by a pass of their own."""
+        values, influences = self.sweep(capacities)
+        self.weights.reduce(influences)
+        return list(zip(values, influences.influences))
+
+    def sweep(self, capacities: tuple[Capacity, ...]) -> tuple[list[float], "Influences"]:
         """The exact integral (the smallest sample plus each gap between
         consecutive sorted samples times the capacity of the tail above it)
         against each capacity, and each path's influence on it in the paths'
-        own order, from one sweep whose every block serves each capacity.
+        own order, from one sweep whose every block serves each capacity;
+        the influences' last term waits for a natural pass (Influences).
 
         Scaling path l's weights by 1 + eps moves the tail capacity c_i above
         gap i by eps * w_lj / T_j * ([l lies above gap i] - c_i), taken at
@@ -277,9 +288,10 @@ class _SortedSample:
         sum of gap_i * c_i over those gaps.  T is the capacity's totals, the
         normaliser of capacity.evaluate, and c_i, clipped to [0, 1], is also
         the integral's tail curve.  A / T is carried between blocks like the
-        running sums; B is known only at the end, so its term takes one more
-        pass over the weight rows in natural order, for every capacity at
-        once.  Capacities that share their totals share each block's tails.
+        running sums; B is known only at the end, so its term takes a pass
+        over the weight rows in natural order, for every capacity at once,
+        which other reductions can share.  Capacities that share their
+        totals share each block's tails.
         Every result is bitwise that of a sweep against its capacity alone.
         """
         n, m = self.weights.shape
@@ -334,34 +346,39 @@ class _SortedSample:
                 outs[s][self.order[start:start + size]] = np.einsum("ij,ij->i", rows, carried)
         values = [float(self.values[self.order[0]]) + float(np.dot(self.gaps, curve))
                   for curve in curves]
-        del curves  # before the pass below
-        # The B term, W @ (B / T), for every capacity from one pass over
-        # the weight rows in natural order.
         scales = [b / capacity.totals for capacity, b in zip(capacities, attained)]
-        for index, rows in self.weights.blocks():
-            for out, scale in zip(outs, scales):
-                out[index] -= rows @ scale
-        for out in outs:
-            out *= n
-        return list(zip(values, outs))
+        return values, Influences(outs, scales)
 
 
-def choquet_estimates(payoff_values: np.ndarray,
-                      capacities: Iterable[Capacity]) -> list[tuple[float, np.ndarray]]:
-    """(integral, influence) of one payoff sample against each capacity.
+class Influences:
+    """Each capacity's influences, left by the sorted sweep without their
+    last term, the B term W @ (B / T), and finished as a reduction
+    (measures._Rows.reduce): each block of rows in natural order takes
+    `rows @ (B / T)` from its paths' entries for every capacity, which are
+    then scaled by n.  `influences` holds the finished arrays after the
+    pass; a one-member family's are finished from the start (`scales` is
+    empty)."""
 
-    The integral is choquet_integral's.  Influence entry l is n times the
-    derivative of the integral when path l's weight row is scaled by
-    1 + eps (the infinitesimal jackknife).  The capacity self-normalises,
-    so the entries sum to zero, and std(IF, ddof=1) / sqrt(n) is the
-    integral's standard error.  A one-member family gives
-    n * w_l / T * (x_l - integral); larger families differentiate the max
-    (or min) at the attaining control (see _SortedSample.estimate).
+    def __init__(self, influences: list[np.ndarray], scales: list[np.ndarray]) -> None:
+        self.influences, self.scales = influences, scales
+
+    def __call__(self, index, rows: np.ndarray) -> None:
+        for out, scale in zip(self.influences, self.scales):
+            out[index] -= rows @ scale
+            out[index] *= out.size
+
+
+def choquet_sweep(payoff_values: np.ndarray,
+                  capacities: Iterable[Capacity]) -> tuple[list[float], Influences]:
+    """The integral of one payoff sample against each capacity, and the
+    influences that one more pass over the weight rows in natural order
+    finishes (Influences, a reduction that may share that pass).
 
     The capacities share one set of weights, as a family's upper and lower
-    capacities do: the sample is sorted once, one sweep of running sums
-    serves them all, and one more pass over the weight rows in natural
-    order finishes every influence."""
+    capacities do: the sample is sorted once and one sweep of running sums
+    serves them all.  A one-member family's integral is the normalized
+    weighted mean, and its influences need no further pass.
+    """
     capacities = tuple(capacities)
     weights = capacities[0].weights
     if any(c.weights is not weights for c in capacities):
@@ -378,14 +395,37 @@ def choquet_estimates(payoff_values: np.ndarray,
         # collapses to the normalized weighted mean.  Computing it directly
         # is exact and keeps a degenerate family consistent with the plain
         # Monte Carlo estimate to the last bit.
-        estimates = []
+        values, influences = [], []
         w = weight_rows(weights).rows(slice(0, x.size))[:, 0]
         for capacity in capacities:
             total = capacity.totals[0]
             value = float(np.mean(w * x) * (x.size / float(total)))
-            estimates.append((value, x.size * w / total * (x - value)))
-        return estimates
-    return _SortedSample(x, weights).estimate(capacities)
+            values.append(value)
+            influences.append(x.size * w / total * (x - value))
+        return values, Influences(influences, [])
+    return _SortedSample(x, weights).sweep(capacities)
+
+
+def choquet_estimates(payoff_values: np.ndarray,
+                      capacities: Iterable[Capacity]) -> list[tuple[float, np.ndarray]]:
+    """(integral, influence) of one payoff sample against each capacity.
+
+    The integral is choquet_integral's.  Influence entry l is n times the
+    derivative of the integral when path l's weight row is scaled by
+    1 + eps (the infinitesimal jackknife).  The capacity self-normalises,
+    so the entries sum to zero, and std(IF, ddof=1) / sqrt(n) is the
+    integral's standard error.  A one-member family gives
+    n * w_l / T * (x_l - integral); larger families differentiate the max
+    (or min) at the attaining control (see _SortedSample.sweep).
+
+    The capacities share one set of weights (choquet_sweep), and one more
+    pass over the weight rows in natural order finishes every influence.
+    """
+    capacities = tuple(capacities)
+    values, influences = choquet_sweep(payoff_values, capacities)
+    if influences.scales:
+        weight_rows(capacities[0].weights).reduce(influences)
+    return list(zip(values, influences.influences))
 
 
 def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:

@@ -44,6 +44,7 @@ from .choquet import (
     build_capacity,
     choquet_estimates,
     choquet_holder_checks,
+    choquet_sweep,
     random_threshold_pairs,
     submodularity_check,
     threshold_event,
@@ -51,6 +52,8 @@ from .choquet import (
 from .errors import GridTooCoarseError, ScenarioError
 from .measures import (
     DensityRows,
+    Spread,
+    Sums,
     ThetaControl,
     default_control_family,
     density_moments,
@@ -440,7 +443,6 @@ class RunContext:
     cap_lower: Capacity
     fd: GridSolution  # rows: FD_DRIVERS, then COMPARISON_SIGNS with `comparison`
     entries: dict[str, EstimatorEntry]
-    threads: int = 1
 
     def subsample(self) -> tuple[PathBundle, np.ndarray]:
         """The bundle and payoff values of the first paths."""
@@ -450,11 +452,24 @@ class RunContext:
     @cached_property
     def sub_capacities(self) -> tuple[Capacity, Capacity]:
         """The upper and lower capacity on the subsample, sharing its totals.
-        Their weight matrix is the subsample's rows made dense once, by
-        `threads` workers."""
+        Their weights are the head of the run's rows: the first paths'
+        statistics, a view, with totals reduced over those rows alone (a
+        crafted stored matrix keeps its first rows)."""
         m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
-        upper = build_capacity("upper", weight_rows(self.weights).dense(m, self.threads))
+        upper = build_capacity("upper", weight_rows(self.weights).head(m))
         return upper, replace(upper, orientation="lower")
+
+    # The reductions of two checks.  run_scenario sets them from the passes
+    # it shares; a context made otherwise (a replace) reduces its own.
+    @cached_property
+    def empty_sums(self) -> np.ndarray:
+        """The weight sums of the empty event, for `normalization`."""
+        return weight_rows(self.weights).sums(np.zeros(self.bundle.n_paths, dtype=bool))
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each density's mean and standard error, for `martingale`."""
+        return density_moments(self.weights)
 
 
 # Spawn keys of the auxiliary streams, one per check that draws events.
@@ -523,22 +538,39 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         raise ScenarioError(str(exc)) from exc
 
     # The weights are rebuilt from B_T and the functionals on every pass
-    # over them; building them checks every weight and sums each column.
+    # over them, so each reduction of the run is planned into one of three
+    # passes.  1. Building them checks every weight and sums each column,
+    # the totals; it also sums the payoff, for minimax's means, and with
+    # `normalization` the empty event (the full event's sums are the
+    # totals).
+    n = bundle.n_paths
+    payoff_sums = Sums(values, len(family))
+    empty_sums = (Sums(np.zeros(n, dtype=bool), len(family))
+                  if "normalization" in requested else None)
     try:
-        weights = DensityRows(family, bundle)
+        weights = DensityRows(family, bundle, *filter(None, (payoff_sums, empty_sums)))
     except ValueError as exc:
         raise ScenarioError(f"{exc}: k or the horizon is too large") from exc
     # The weights hold what the functionals were kept for.
     bundle = replace(bundle, functionals={})
-
-    mm = minimax_expectation(values, family, weights)
     cap_upper = build_capacity("upper", weights)
     cap_lower = replace(cap_upper, orientation="lower")
-    # Both sides from one sort and one sweep of the payoff.  The list of
-    # influences is a temporary, freed once both SEs are taken.
-    (cho_upper, cho_upper_se), (cho_lower, cho_lower_se) = [
-        (value, _choquet_std_error(influence))
-        for value, influence in choquet_estimates(values, (cap_upper, cap_lower))]
+    # 2. One sort and one sweep of the payoff give both Choquet integrals
+    # and all but the last term of their influences.
+    (cho_upper, cho_lower), influences = choquet_sweep(values, (cap_upper, cap_lower))
+    # 3. One natural pass takes that last term, minimax's spread and the
+    # `martingale` spread, whose means are the totals over n.
+    means = payoff_sums.result / n
+    spread = Spread(weights.shape, values, means)
+    moments = (Spread(weights.shape, None, weights.totals / n)
+               if "martingale" in requested else None)
+    weights.reduce(*filter(None, (influences, spread, moments)))
+    # A one-member family's profile takes the dense formula instead.
+    mm = minimax_expectation(values, family, weights,
+                             profile=(means, spread.result) if len(family) > 1 else None)
+    # The influences are temporaries, freed once both SEs are taken.
+    cho_upper_se, cho_lower_se = map(_choquet_std_error, influences.influences)
+    del influences
 
     fd_note = ""
     if payoff.kind == "digital":
@@ -583,8 +615,12 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     ctx = RunContext(
         scenario=scenario, model=model, payoff=payoff, bundle=bundle, values=values,
         family=family, weights=weights, cap_upper=cap_upper, cap_lower=cap_lower, fd=fd,
-        entries=entries, threads=threads,
+        entries=entries,
     )
+    if empty_sums is not None:
+        ctx.empty_sums = empty_sums.result
+    if moments is not None:
+        ctx.moments = (weights.totals / n, moments.result)
 
     outcomes = [CHECK_REGISTRY[name](ctx) for name in requested]
 
@@ -685,11 +721,11 @@ def _check_duality(ctx: RunContext) -> CheckOutcome:
     [(upper_neg, _)] = choquet_estimates(-sub_values, (cap_u,))
     gap_choquet = abs(lower + upper_neg)
 
+    # Each side weighs its 20 events in one pass.
     rng = _aux_rng(ctx.scenario.seed, _DUALITY_STREAM)
-    gaps_cap = []
-    for (t, above), _ in random_threshold_pairs(sub_values, 20, rng):
-        a = threshold_event(sub_values, t, above)
-        gaps_cap.append(abs(cap_l.evaluate(a) - (1.0 - cap_u.evaluate(~a))))
+    events = np.stack([threshold_event(sub_values, t, above)
+                       for (t, above), _ in random_threshold_pairs(sub_values, 20, rng)])
+    gaps_cap = np.abs(cap_l.evaluate(events) - (1.0 - cap_u.evaluate(~events))).tolist()
 
     tol = DUALITY_REL * scale
     detail = (f"|choquet lower(X) + upper(-X)| = {gap_choquet:.2e} (tol {tol:.1e}) on "
@@ -732,10 +768,9 @@ def _check_sandwich(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_normalization(ctx: RunContext) -> CheckOutcome:
-    # Both capacities hold ctx.weights, so the empty and the full event are
-    # reduced once, together, as their totals were.
-    n = ctx.bundle.n_paths
-    sums = weight_rows(ctx.weights).sums(np.stack([np.zeros(n), np.ones(n)]))
+    # Both capacities hold ctx.weights: the empty event's sums are reduced
+    # as their totals were, and the full event's sums are those totals.
+    sums = (ctx.empty_sums, weight_rows(ctx.weights).totals)
     gaps = [abs(cap.from_sums(event_sums) - target)
             for cap in (ctx.cap_upper, ctx.cap_lower)
             for event_sums, target in zip(sums, (0.0, 1.0))]
@@ -757,7 +792,7 @@ def _check_martingale(ctx: RunContext) -> CheckOutcome:
     # The mean of each density column is its total over n, the capacities'
     # normaliser.  A column with no positive pull ties the first relation,
     # so it names none.
-    means, ses = density_moments(ctx.weights)
+    means, ses = ctx.moments
     pulls = martingale_pulls(means, ses).tolist()
     return _judge("martingale", [(-MARTINGALE_LIMIT, detail(0.0, "n/a"))] + [
         (pull - MARTINGALE_LIMIT, detail(pull, control.label()))
@@ -957,7 +992,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", default=None, help="write the report to this file instead of stdout")
     parser.add_argument("--format", choices=("text", "csv", "json-like"), default="text")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads filling the checks' dense weight matrix")
+                        help="recorded in the report; no stage of the run uses more "
+                             "than one thread of its own")
     parser.add_argument("--check", action="append", default=[], metavar="NAME",
                         help="run a named consistency check (repeatable)")
     args = parser.parse_args(argv)

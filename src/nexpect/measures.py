@@ -33,6 +33,8 @@ __all__ = [
     "DensityRows",
     "girsanov_weights",
     "weight_rows",
+    "Sums",
+    "Spread",
     "weight_matrix",
     "density_moments",
     "expectation_profile",
@@ -141,14 +143,16 @@ def girsanov_weights(control: ThetaControl, bundle: PathBundle) -> np.ndarray:
 
 class _Rows:
     """Weight rows, read ROW_BLOCK rows at a time: what every pass over a
-    family's densities needs.  A subclass gives `shape`, (n_paths, C), and
+    family's densities needs.  A subclass gives `shape`, (n_paths, C),
     rows(index, out), which writes the weight rows `index`, a slice or an
-    index array, into `out` (a new array when it is None) and returns it.
+    index array, into `out` (a new array when it is None) and returns it,
+    and head(m), the rows of the first m paths.
 
     Every reduction of the weights takes one rule: each block's
-    `x[block] @ rows`, added up in block order.  So the totals, the sums of
-    any event, the profile's means and the spread's squared deviations are
-    formed the same way whatever holds the rows.
+    `x[block] @ rows`, added up in block order (Sums, Spread).  So the
+    totals, the sums of any event, the profile's means and the spread's
+    squared deviations are formed the same way whatever holds the rows,
+    and whichever pass serves them (reduce).
     """
 
     ndim = 2
@@ -162,25 +166,26 @@ class _Rows:
             index = slice(start, min(start + ROW_BLOCK, n))
             yield index, self.rows(index, buffer[:index.stop - start])
 
-    def _reduce(self, stack: np.ndarray, blocks) -> np.ndarray:
-        """x @ W for each row x of the stack, from (index, rows) blocks:
-        each block's x[index] @ rows, added up in block order."""
-        sums = np.zeros((len(stack), self.shape[1]))
-        for index, rows in blocks:
-            for total, x in zip(sums, stack):
-                total += x[index] @ rows
-        return sums
+    def reduce(self, *reductions) -> None:
+        """One pass in natural order: each block of rows is read once and
+        handed to every reduction, `reduction(index, rows)`, in turn.  No
+        reduction writes to the rows, so several can share the pass."""
+        for index, rows in self.blocks():
+            for reduction in reductions:
+                reduction(index, rows)
 
     @cached_property
     def totals(self) -> np.ndarray:
-        """Each column's sum, the normaliser of the family's capacities."""
-        return self.sums(np.ones(self.shape[0]))
+        """Each column's sum, the full event's sums: the normaliser of the
+        family's capacities."""
+        return self.sums(np.ones(self.shape[0], dtype=bool))
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         """x @ W for one vector, or for each row of a stack of them in one
         pass."""
-        sums = self._reduce(np.atleast_2d(x), self.blocks())
-        return sums.reshape(np.shape(x)[:-1] + (self.shape[1],))
+        sums = Sums(x, self.shape[1])
+        self.reduce(sums)
+        return sums.result
 
     def dense(self, m: int | None = None, threads: int = 1) -> np.ndarray:
         """The first m rows (all by default) as one (m, C) array, filled in
@@ -207,6 +212,57 @@ class _Rows:
         return out
 
 
+class Sums:
+    """A reduction (_Rows.reduce) of x @ W for one vector x, or for each row
+    of a (k, n_paths) stack, boolean masks included: each block's
+    `x[block] @ rows`, one product per row of the stack, added up in block
+    order.  The stack is read as it is, never copied to floats.  `result`
+    has x's leading shape and one entry per column."""
+
+    def __init__(self, x: np.ndarray, width: int) -> None:
+        self.stack = np.atleast_2d(x)
+        self.shape = np.shape(x)[:-1] + (width,)
+        self.totals = np.zeros((len(self.stack), width))
+
+    def __call__(self, index, rows: np.ndarray) -> None:
+        for total, x in zip(self.totals, self.stack):
+            total += x[index] @ rows
+
+    @property
+    def result(self) -> np.ndarray:
+        return self.totals.reshape(self.shape)
+
+
+class Spread:
+    """A reduction (_Rows.reduce) of the standard error of the mean of each
+    column of W * x[:, None], std(ddof=1) / sqrt(n), from the squared
+    deviations from `means`: each block's deviations are formed in a
+    buffer of their own and reduced by the rule of the sums.  x None is
+    the payoff 1, whose products are the rows themselves and take no
+    multiply."""
+
+    def __init__(self, shape: tuple[int, int], x: np.ndarray | None, means: np.ndarray) -> None:
+        n, m = shape
+        self.n, self.x, self.means = n, x, means
+        self.buffer = np.empty((min(n, ROW_BLOCK), m))
+        self.ones = np.ones(len(self.buffer))
+        self.total = np.zeros(m)
+
+    def __call__(self, index, rows: np.ndarray) -> None:
+        squares = self.buffer[:len(rows)]
+        if self.x is None:
+            np.subtract(rows, self.means, out=squares)
+        else:
+            np.multiply(rows, self.x[index, None], out=squares)
+            squares -= self.means
+        np.square(squares, out=squares)
+        self.total += self.ones[:len(rows)] @ squares
+
+    @property
+    def result(self) -> np.ndarray:
+        return np.sqrt(self.total / (self.n - 1)) / np.sqrt(self.n)
+
+
 class DensityRows(_Rows):
     """A family's density weights on a bundle's paths, rebuilt block by
     block from the paths' statistics instead of stored.
@@ -224,12 +280,13 @@ class DensityRows(_Rows):
 
     Construction makes one natural pass that raises ValueError unless every
     weight is finite and strictly positive, and keeps each column's sum,
-    `totals`, reduced by the rule of every pass (_Rows).  Functionals the
+    `totals`, reduced by the rule of every pass (_Rows); the `reductions`
+    given, such as a payoff's Sums, share that pass.  Functionals the
     bundle does not keep are made by one sequential redraw of its stream.
     """
 
     def __init__(self, family: tuple[ThetaControl, ...] | list[ThetaControl],
-                 bundle: PathBundle) -> None:
+                 bundle: PathBundle, *reductions) -> None:
         family = tuple(family)
         if not family:
             raise ValueError("control family must be nonempty")
@@ -257,14 +314,14 @@ class DensityRows(_Rows):
         self.shift = shift
         self.shape = (bundle.n_paths, len(family))
 
-        def checked():
-            for index, rows in self.blocks():
-                # min > 0 fails on zeros and NaN, max < inf on overflow.
-                if not (rows.min() > 0.0 and rows.max() < np.inf):
-                    raise ValueError("density weights must be finite and strictly positive")
-                yield index, rows
+        def check(index, rows):
+            # min > 0 fails on zeros and NaN, max < inf on overflow.
+            if not (rows.min() > 0.0 and rows.max() < np.inf):
+                raise ValueError("density weights must be finite and strictly positive")
 
-        [self.totals] = self._reduce(np.ones((1, bundle.n_paths)), checked())
+        totals = Sums(np.ones(bundle.n_paths, dtype=bool), len(family))
+        self.reduce(check, totals, *reductions)
+        self.totals = totals.result
 
     def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
         # take gathers rows about twice as fast as fancy indexing.
@@ -273,12 +330,30 @@ class DensityRows(_Rows):
         out -= self.shift
         return np.exp(out, out=out)
 
+    def column(self, j: int) -> np.ndarray:
+        """Column j of the weights, bitwise that column of the rows: each
+        entry has one nonzero term, whatever product forms it."""
+        out = self.stats @ self.coef[:, j]
+        out -= self.shift[j]
+        return np.exp(out, out=out)
+
+    def head(self, m: int) -> "DensityRows":
+        """The rows of the first m paths: a view of their statistics, whose
+        totals are reduced over those m rows when first read."""
+        head = object.__new__(DensityRows)
+        head.stats, head.coef, head.shift = self.stats[:m], self.coef, self.shift
+        head.shape = (m, self.shape[1])
+        return head
+
 
 class _StoredRows(_Rows):
     """A weight matrix held in memory, read through the row interface."""
 
     def __init__(self, weights: np.ndarray) -> None:
         self.weights, self.shape = weights, weights.shape
+
+    def head(self, m: int) -> "_StoredRows":
+        return _StoredRows(self.weights[:m])
 
     def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
         if not isinstance(index, slice):
@@ -299,11 +374,12 @@ class _StoredRows(_Rows):
             yield index, self.weights[index]
 
 
-def weight_rows(weights: "DensityRows | np.ndarray") -> "DensityRows | _StoredRows":
-    """The row interface of a family's weights: a DensityRows as it is, an
-    (n_paths, C) matrix wrapped, such as weight_matrix returns or a crafted
-    one (signed, zero) that a test feeds to a check."""
-    return weights if isinstance(weights, DensityRows) else _StoredRows(weights)
+def weight_rows(weights: "_Rows | np.ndarray") -> _Rows:
+    """The row interface of a family's weights: rows (a DensityRows, or a
+    head of rows) as they are, an (n_paths, C) matrix wrapped, such as
+    weight_matrix returns or a crafted one (signed, zero) that a test feeds
+    to a check."""
+    return weights if isinstance(weights, _Rows) else _StoredRows(weights)
 
 
 def weight_matrix(
@@ -322,26 +398,7 @@ def weight_matrix(
     return DensityRows(family, bundle).dense(threads=threads)
 
 
-def _spread(rows: _Rows, x: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Standard error of the mean of each column of W * x[:, None],
-    std(ddof=1) / sqrt(n), from the squared deviations from `means`: one
-    pass that forms each block's deviations in a buffer of its own and
-    reduces them by the rule of the sums."""
-    n, m = rows.shape
-    buffer = np.empty((min(n, ROW_BLOCK), m))
-    ones = np.ones((1, len(buffer)))
-
-    def deviations():
-        for index, block in rows.blocks():
-            squares = np.multiply(block, x[index, None], out=buffer[:len(block)])
-            squares -= means
-            yield slice(0, len(block)), np.square(squares, out=squares)
-
-    [total] = rows._reduce(ones, deviations())
-    return np.sqrt(total / (n - 1)) / np.sqrt(n)
-
-
-def density_moments(weights: "DensityRows | np.ndarray") -> tuple[np.ndarray, np.ndarray]:
+def density_moments(weights: "_Rows | np.ndarray") -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of each density column.
 
     The means are totals / n, bitwise what normalises the family's
@@ -349,9 +406,10 @@ def density_moments(weights: "DensityRows | np.ndarray") -> tuple[np.ndarray, np
     payoff 1 for a family of two or more members.
     """
     rows = weight_rows(weights)
-    n = rows.shape[0]
-    means = rows.totals / n
-    return means, _spread(rows, np.ones(n), means)
+    means = rows.totals / rows.shape[0]
+    spread = Spread(rows.shape, None, means)
+    rows.reduce(spread)
+    return means, spread.result
 
 
 def expectation_profile(payoff_values: np.ndarray,
@@ -377,7 +435,9 @@ def expectation_profile(payoff_values: np.ndarray,
         products = rows.rows(slice(0, n)) * x[:, None]
         return products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(n)
     means = rows.sums(x) / n
-    return means, _spread(rows, x, means)
+    spread = Spread(rows.shape, x, means)
+    rows.reduce(spread)
+    return means, spread.result
 
 
 def default_control_family(

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .choquet import Payoff
-from .measures import DensityRows, ThetaControl, expectation_profile, weight_matrix
+from .measures import DensityRows, ThetaControl, expectation_profile
 from .paths import MarketModel, PathBundle
 
 def pooled_tolerance(std_errors: Sequence[float]) -> float:
@@ -132,11 +132,15 @@ def minimax_expectation(
     payoff_values: np.ndarray,
     family: Sequence[ThetaControl],
     weights: DensityRows | np.ndarray,
+    profile: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> MinimaxResult:
     """Maximise and minimise the reweighted expectation of a payoff sample
     over the family, whose weights on the sample's paths are `weights`: its
     DensityRows, or its weight_matrix.
 
+    The profile is expectation_profile(payoff_values, weights), or
+    `profile` when the caller has reduced it already, by the same Sums and
+    Spread, in passes shared with other work (as run_scenario does).
     Every control is evaluated on the same paths, so upper >= lower holds by
     construction and the duality with the negated payoff is exact.  The
     family must be nonempty and closed under negation, which is what makes
@@ -150,7 +154,7 @@ def minimax_expectation(
     if weights.ndim != 2 or weights.shape[1] != len(family):
         raise ValueError(f"weight matrix shape {weights.shape} does not give one column "
                          f"to each of the family's {len(family)} controls")
-    estimates, ses = expectation_profile(payoff_values, weights)
+    estimates, ses = expectation_profile(payoff_values, weights) if profile is None else profile
     hi = int(np.argmax(estimates))
     lo = int(np.argmin(estimates))
     return MinimaxResult(
@@ -251,16 +255,22 @@ def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> Attainment
     """
     thetas = np.linspace(-k, k, ATTAINMENT_GRID)
     family = tuple(ThetaControl.constant(t, k) for t in thetas)
-    weights = weight_matrix(family, bundle)
+    weights = DensityRows(family, bundle)
     values = payoff.map(bundle.terminal())
     estimates, ses = expectation_profile(values, weights)
 
-    # The standard error of a difference of two points, from the paired products.
-    def paired_se(i: int, j: int) -> float:
-        return ((weights[:, i] - weights[:, j]) * values).std(ddof=1) / math.sqrt(bundle.n_paths)
+    # The standard error of a difference of two points, from the paired
+    # products of two rebuilt columns.
+    def paired_se(upper: np.ndarray, lower: np.ndarray) -> float:
+        return ((upper - lower) * values).std(ddof=1) / math.sqrt(bundle.n_paths)
 
     diffs = np.diff(estimates)
-    diff_ses = np.array([paired_se(j + 1, j) for j in range(diffs.size)])
+    columns = map(weights.column, range(ATTAINMENT_GRID))
+    below = next(columns)
+    diff_ses = []
+    for above in columns:
+        diff_ses.append(paired_se(above, below))
+        below = above
 
     mono = payoff.monotonicity
     violations: list[tuple[int, float, float]] = []
@@ -276,7 +286,8 @@ def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> Attainment
         monotone_ok = not violations
         # The max must sit at an endpoint, or tie the better one within noise.
         end = 0 if estimates[0] >= estimates[-1] else ATTAINMENT_GRID - 1
-        boundary = hi == end or estimates[hi] - estimates[end] <= 3.0 * paired_se(hi, end)
+        boundary = hi == end or (estimates[hi] - estimates[end]
+                                 <= 3.0 * paired_se(weights.column(hi), weights.column(end)))
     return AttainmentReport(
         thetas=thetas,
         estimates=estimates,

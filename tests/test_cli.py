@@ -860,30 +860,49 @@ def test_duality_fails_on_a_mutated_lower_sweep(tmp_path, monkeypatch, mutation)
 
 
 def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
-    # Natural passes over the full weights: building them (the check of
-    # every weight and the totals), minimax's two and the Choquet
-    # influences' one.  The martingale check, when it is asked for, takes
-    # its means from the totals and adds one pass, for the spread.
-    from nexpect import cli, measures
+    # Three full passes over the run's own rows serve every reduction of
+    # the run: building them (the check of every weight, the totals, the
+    # payoff's sums for minimax and the empty event's for normalization),
+    # the Choquet sweep in sorted order, and one natural pass for the
+    # influences' last term, minimax's spread and the martingale spread.
+    # The checks' subsample has rows of its own, counted apart: for duality
+    # its totals, two integrals (a sweep and a natural pass each) and one
+    # pass per side for the 20 capacity events.
+    from nexpect import choquet, cli, measures
     passes, contexts = [], []
-    real_blocks, real_check = measures.DensityRows.blocks, cli.CHECK_REGISTRY["martingale"]
+    real_blocks, real_sweep = measures.DensityRows.blocks, choquet._SortedSample._running_sums
+    real_check = cli.CHECK_REGISTRY["duality"]
 
-    def counted(rows):
-        passes.append(rows.shape[0])
+    def natural(rows):
+        passes.append(("natural", rows))
         return real_blocks(rows)
+
+    def in_order(sample):
+        passes.append(("sorted", sample.weights))
+        return real_sweep(sample)
 
     def kept(ctx):
         contexts.append(ctx)
         return real_check(ctx)
 
-    monkeypatch.setattr(measures.DensityRows, "blocks", counted)
-    monkeypatch.setitem(cli.CHECK_REGISTRY, "martingale", kept)
-    for checks, count in (("duality", 4), ("martingale, duality", 5)):
+    monkeypatch.setattr(measures.DensityRows, "blocks", natural)
+    monkeypatch.setattr(choquet._SortedSample, "_running_sums", in_order)
+    monkeypatch.setitem(cli.CHECK_REGISTRY, "duality", kept)
+    for checks in ("duality", "martingale, normalization, duality"):
         passes.clear()
         scn = load_scenario(write_scn(tmp_path, BASE + f"checks = {checks}\n"))
         report = run_scenario(scn)
-        assert passes == [scn.n_paths] * count, checks
-    [ctx] = contexts
+        ctx = contexts[-1]
+        head = ctx.sub_capacities[0].weights
+        assert [kind for kind, rows in passes if rows is ctx.weights] == [
+            "natural", "sorted", "natural"], checks
+        assert [kind for kind, rows in passes if rows is head] == [
+            "natural", "sorted", "natural", "sorted", "natural", "natural", "natural"], checks
+        assert all(rows is ctx.weights or rows is head for _, rows in passes)
+        assert ctx.weights.shape[0] == scn.n_paths and head.shape[0] == scn.n_paths
+    assert [c.status for c in report.checks] == ["pass"] * 3
+    # The moments the martingale check judged are the dense ones: the
+    # totals over n, and the spread from a pass of its own.
     dense = ctx.weights.dense()
     means, ses = dense.mean(axis=0), dense.std(axis=0, ddof=1) / math.sqrt(scn.n_paths)
     pulls = cli.martingale_pulls(means, ses)
@@ -891,11 +910,40 @@ def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
     assert report.checks[0] == cli.CheckOutcome(
         "martingale", "pass",
         f"max |mean - 1| = {pulls[worst]:.2f} SE at {ctx.family[worst].label()} (limit 4)")
+    for moment, alone in zip(ctx.moments, measures.density_moments(ctx.weights)):
+        assert np.array_equal(moment.view(np.int64), alone.view(np.int64))
+
+
+def test_pipeline_fills_no_dense_weights(tmp_path, monkeypatch):
+    # Every consumer reads rows rebuilt from B_T and the functionals: a
+    # run with every check makes no weight matrix, of the run or of any
+    # check's subsample.
+    from nexpect import measures
+    made = []
+    real_dense, real_matrix = measures._Rows.dense, measures.weight_matrix
+
+    def dense(*args, **kwargs):
+        made.append("dense")
+        return real_dense(*args, **kwargs)
+
+    def matrix(*args, **kwargs):
+        made.append("weight_matrix")
+        return real_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(measures._Rows, "dense", dense)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nexpect") and getattr(module, "weight_matrix", None) is real_matrix:
+            monkeypatch.setattr(module, "weight_matrix", matrix)
+    body = BASE + f"checks = {', '.join(KNOWN_CHECKS)}\n"
+    report = run_scenario(load_scenario(write_scn(tmp_path, body), {"n_paths": 3000}))
+    assert len(report.checks) == len(KNOWN_CHECKS)
+    assert made == []
 
 
 # Functions the benchmark's tracer (perfbench/tracer.py) times by replacing
-# them wherever a `nexpect` module holds them.
-TRACED = (("measures", "weight_matrix"), ("choquet", "build_capacity"),
+# them wherever a `nexpect` module holds them.  It times
+# `measures.weight_matrix` too, which the pipeline no longer calls.
+TRACED = (("choquet", "build_capacity"),
           ("minimax", "minimax_expectation"), ("measures", "expectation_profile"),
           ("bsde", "solve_fd"), ("choquet", "submodularity_check"), ("cli", "_choquet_std_error"))
 

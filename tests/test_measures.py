@@ -21,7 +21,7 @@ from nexpect import (
     simulate_sde,
     weight_matrix,
 )
-from nexpect.choquet import build_capacity, choquet_estimates
+from nexpect.choquet import _SortedSample, build_capacity, choquet_estimates
 from nexpect.measures import ROW_BLOCK, DensityRows, density_moments, weight_rows
 from nexpect.minimax import closed_under_negation
 from nexpect.paths import with_functionals
@@ -384,6 +384,55 @@ def test_stored_and_rebuilt_weights_reduce_alike(n, name, seed, grid8):
             assert same_bits(moment, profile)
     for a, b in zip(*results):
         assert same_bits(a, b)
+
+    # The head of the rows, a view of the first m paths' statistics with
+    # totals of its own, is the stored matrix's first m rows bit for bit, as
+    # is the head of the stored matrix.
+    for m in sorted({m for m in (1, B - 1, B, B + 1, n) if m <= n}):
+        ranks = np.unique([0, 1, m // 3, m // 2, m - 1, m])
+        results = []
+        for weights in (stored[:m], rebuilt.head(m), weight_rows(stored).head(m)):
+            upper = build_capacity("upper", weights)
+            lower = replace(upper, orientation="lower")
+            estimates = choquet_estimates(x[:m], (upper, lower))
+            results.append([upper.totals, upper.evaluate(events[:, :m]),
+                            lower.evaluate(events[:, :m]),
+                            *(np.array([value]) for value, _ in estimates),
+                            *(influence for _, influence in estimates),
+                            _SortedSample(x[:m], weights).prefix_sums(ranks, upper.totals)])
+        for dense_result, *heads in zip(*results):
+            assert all(same_bits(dense_result, head) for head in heads), m
+
+
+@pytest.mark.parametrize("name", ["default", "constants"])
+@pytest.mark.parametrize("stored", [False, True], ids=["rows", "stored"])
+def test_capacity_weighs_a_stack_of_events_as_each_alone(name, stored, grid8):
+    # One pass with one `mask[block] @ rows` product per event: bitwise
+    # each event evaluated alone, and its mask taken as floats.
+    n = 2 * B + 17
+    family = FAMILIES[name]
+    bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2), generate_brownian(grid8, n, 8))
+    weights = weight_matrix(family, bundle) if stored else DensityRows(family, bundle)
+    events = np.random.default_rng(8).random((7, n)) < np.linspace(0.05, 0.95, 7)[:, None]
+    for orientation in ("upper", "lower"):
+        capacity = replace(build_capacity("upper", weights), orientation=orientation)
+        stacked = capacity.evaluate(events)
+        alone = np.array([capacity.evaluate(event) for event in events])
+        floats = np.array([capacity.evaluate(event.astype(float)) for event in events])
+        assert stacked.shape == (7,) and same_bits(stacked, alone) and same_bits(alone, floats)
+    with pytest.raises(ValueError, match="does not match paths"):
+        capacity.evaluate(events[:, 1:])
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B + 1])
+def test_rebuilt_column_is_the_dense_column(n, grid8):
+    family = default_control_family(0.1)
+    bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2), generate_brownian(grid8, n, 9),
+                          [c.theta_on_grid(grid8) for c in family if c.kind == "bang_bang"])
+    rows = DensityRows(family, bundle)
+    dense = rows.dense()
+    for j in range(len(family)):
+        assert same_bits(rows.column(j), np.ascontiguousarray(dense[:, j]))
 
 
 def test_default_family_structure():

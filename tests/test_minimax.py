@@ -17,6 +17,7 @@ from nexpect import (
     attainment_check,
     closed_under_negation,
     default_control_family,
+    expectation_profile,
     extremal_price,
     generate_brownian,
     lognormal_call_value,
@@ -415,6 +416,47 @@ def test_attainment_boundary_uses_the_paired_error(seed):
     assert 3.0 * paired.std(ddof=1) / math.sqrt(bundle.n_paths) < gap
     assert gap < pooled_tolerance(report.std_errors[[hi, 0]])
     assert not report.boundary_attained
+
+
+def dense_attainment(payoff, k, bundle):
+    """attainment_check's report taken on the stored weight matrix: the
+    profile of its columns and the paired standard errors of two of them."""
+    thetas = np.linspace(-k, k, ATTAINMENT_GRID)
+    weights = weight_matrix([ThetaControl.constant(t, k) for t in thetas], bundle)
+    values = payoff.map(bundle.terminal())
+    estimates, ses = expectation_profile(values, weights)
+
+    def paired_se(i, j):
+        return ((weights[:, i] - weights[:, j]) * values).std(ddof=1) / math.sqrt(bundle.n_paths)
+
+    diffs = np.diff(estimates)
+    sign = 1.0 if payoff.monotonicity == "increasing" else -1.0
+    violations = tuple((j, float(d), float(paired_se(j + 1, j))) for j, d in enumerate(diffs)
+                       if sign * d < -3.0 * paired_se(j + 1, j))
+    hi = int(np.argmax(estimates))
+    end = 0 if estimates[0] >= estimates[-1] else ATTAINMENT_GRID - 1
+    boundary = hi == end or estimates[hi] - estimates[end] <= 3.0 * paired_se(hi, end)
+    return estimates, ses, hi, int(np.argmin(estimates)), violations, boundary
+
+
+@pytest.mark.parametrize("kind", ["call", "put", "hump"])
+def test_attainment_check_on_rows_is_the_dense_route(kind):
+    # The profile on rebuilt rows and the paired errors on rebuilt columns
+    # are the stored matrix's bit for bit, so every field of the report is.
+    from nexpect.paths import TimeGrid
+    payoff = (Payoff.custom("hump", lambda s: np.maximum(0.0, 10.0 - np.abs(s - 98.0)),
+                            monotonicity="increasing")
+              if kind == "hump" else getattr(Payoff, kind)(100.0))
+    bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2),
+                          generate_brownian(TimeGrid(1.0, 4), 3 * ROW_BLOCK + 17, 5))
+    report = attainment_check(payoff, 0.1, bundle)
+    estimates, ses, hi, lo, violations, boundary = dense_attainment(payoff, 0.1, bundle)
+    assert np.array_equal(report.estimates.view(np.int64), estimates.view(np.int64))
+    assert np.array_equal(report.std_errors.view(np.int64), ses.view(np.int64))
+    assert (report.argmax_index, report.argmin_index) == (hi, lo)
+    assert report.violations == violations and (kind == "hump") == bool(violations)
+    assert report.monotone_profile_ok == (not violations)
+    assert report.boundary_attained == boundary
 
 
 def test_attainment_validation(bundle_50k):

@@ -104,7 +104,8 @@ MUTANTS = (
      "1e-9 * scale", "1e-6 * scale",
      (f"{CLI_TESTS}::test_degeneracy_verdict_at_its_limits",)),
     ("attainment boundary on the unpaired tolerance", "src/nexpect/minimax.py",
-     "3.0 * paired_se(hi, end)", "pooled_tolerance([ses[hi], ses[end]])",
+     "3.0 * paired_se(weights.column(hi), weights.column(end))",
+     "pooled_tolerance([ses[hi], ses[end]])",
      ("tests/test_minimax.py::test_attainment_boundary_uses_the_paired_error",)),
     # Library code behind the checks.
     ("lower Choquet sweep takes the argmax", "src/nexpect/choquet.py",
@@ -141,9 +142,9 @@ MUTANTS = (
      "if not (rows.min() > 0.0 and rows.max() < np.inf):",
      "if index.start == 0 and not (rows.min() > 0.0 and rows.max() < np.inf):",
      ("tests/test_measures.py::test_density_rows_check_every_block",)),
-    ("martingale means from a pass of their own, not the totals", "src/nexpect/measures.py",
-     "    means = rows.totals / n\n",
-     "    means = rows.sums(np.ones(n)) / n\n",
+    ("martingale means from a pass of their own, not the totals", CLI,
+     "moments = (Spread(weights.shape, None, weights.totals / n)",
+     "moments = (Spread(weights.shape, None, weights.sums(np.ones(n)) / n)",
      (f"{CLI_TESTS}::test_weight_moments_are_reduced_once",)),
     ("stored matrix reduced by one whole-matrix product", "src/nexpect/measures.py",
      "            index = slice(start, min(start + ROW_BLOCK, n))\n"
@@ -151,13 +152,31 @@ MUTANTS = (
      "            yield slice(0, n), self.weights\n"
      "            break\n",
      ("tests/test_measures.py::test_stored_and_rebuilt_weights_reduce_alike",)),
-    ("_spread skips subtracting the mean", "src/nexpect/measures.py",
-     "            squares -= means\n", "",
+    ("spread skips subtracting the mean", "src/nexpect/measures.py",
+     "            squares -= self.means\n", "",
      ("tests/test_measures.py::test_blocked_weight_passes_are_bitwise_dense",)),
-    ("normalization reduces its events by one matrix product", CLI,
-     "sums = weight_rows(ctx.weights).sums(np.stack([np.zeros(n), np.ones(n)]))",
-     "sums = np.stack([np.zeros(n), np.ones(n)]) @ weight_rows(ctx.weights).dense()",
+    ("normalization reduces its full event by one matrix product", CLI,
+     "sums = (ctx.empty_sums, weight_rows(ctx.weights).totals)",
+     "sums = (ctx.empty_sums, np.ones(ctx.bundle.n_paths) @ weight_rows(ctx.weights).dense())",
      (f"{CLI_TESTS}::test_normalization_verdict_is_exact",)),
+    # Rows rebuilt for every consumer, and the passes they share.
+    ("head totals reduced over all n rows", "src/nexpect/measures.py",
+     "        head.shape = (m, self.shape[1])\n",
+     "        head.shape, head.totals = (m, self.shape[1]), self.totals\n",
+     ("tests/test_measures.py::test_stored_and_rebuilt_weights_reduce_alike",)),
+    ("event stack reduced by one stacked (k, B) @ rows product", "src/nexpect/measures.py",
+     "        for total, x in zip(self.totals, self.stack):\n"
+     "            total += x[index] @ rows\n",
+     "        self.totals += self.stack[:, index] @ rows\n",
+     ("tests/test_measures.py::test_capacity_weighs_a_stack_of_events_as_each_alone",)),
+    ("fused martingale spread subtracts the payoff's means", CLI,
+     "moments = (Spread(weights.shape, None, weights.totals / n)",
+     "moments = (Spread(weights.shape, None, means)",
+     (f"{CLI_TESTS}::test_weight_moments_are_reduced_once",)),
+    ("B term taken with the other capacity's scale", "src/nexpect/choquet.py",
+     "for out, scale in zip(self.influences, self.scales):",
+     "for out, scale in zip(self.influences, self.scales[::-1]):",
+     ("tests/test_choquet.py::test_joint_estimates_match_dense_references",)),
 )
 
 
