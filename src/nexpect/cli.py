@@ -551,8 +551,9 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         weights = DensityRows(family, bundle, *filter(None, (payoff_sums, empty_sums)))
     except ValueError as exc:
         raise ScenarioError(f"{exc}: k or the horizon is too large") from exc
-    # The weights hold what the functionals were kept for.
-    bundle = replace(bundle, functionals={})
+    # The weights hold what the functionals were kept for, and the bundle
+    # reads B_T from their copy of it.
+    bundle = replace(bundle, functionals={}, brownian_terminal=weights.stats[:, 0])
     cap_upper = build_capacity("upper", weights)
     cap_lower = replace(cap_upper, orientation="lower")
     # 2. One sort and one sweep of the payoff give both Choquet integrals

@@ -900,6 +900,8 @@ def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
             "natural", "sorted", "natural", "sorted", "natural", "natural", "natural"], checks
         assert all(rows is ctx.weights or rows is head for _, rows in passes)
         assert ctx.weights.shape[0] == scn.n_paths and head.shape[0] == scn.n_paths
+        # B_T is kept once: the bundle reads it from the rows' statistics.
+        assert np.shares_memory(ctx.bundle.brownian_terminal, ctx.weights.stats)
     assert [c.status for c in report.checks] == ["pass"] * 3
     # The moments the martingale check judged are the dense ones: the
     # totals over n, and the spread from a pass of its own.

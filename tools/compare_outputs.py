@@ -18,11 +18,11 @@ both trees' processes, read with `os.wait4` as `perfbench/run.py` reads
 it, and first it prints the line count of each tree's `src/` Python files
 (`src/ lines: 3176 -> 3139`); those lines are information only and never
 set the exit status.  The runs are sequential.  The acceptance workload
-peaks at about 162 MB (0.35 GB while the weight matrix was stored), straddle
-at about 72 MB and fd_put at about 56 MB (161.3, 72.4 and 56.3 MB in one
-comparison; 94 and 78 MB while the checks' subsample was made dense);
-acceptance prices in about 2.3 s per run, straddle in about 0.9 s and fd_put
-in about 1.4 s (benchmark medians over 10 runs each; 2-core VM, Python 3.11,
+peaks at about 154 MB (0.35 GB while the weight matrix was stored), straddle
+at about 71 MB and fd_put at about 56 MB (153.2, 70.7 and 54.6 MB in one
+comparison; 162, 94 and 78 MB while the checks' subsample was made dense);
+acceptance prices in about 1.8 s per run, straddle in about 0.7 s and fd_put
+in about 1.1 s (benchmark medians over 10 runs each; 2-core VM, Python 3.11,
 numpy 2.4).
 """
 
