@@ -12,6 +12,7 @@ Run:  python3 demos/band_vs_radius.py
 import numpy as np
 
 from nexpect import (
+    DensityRows,
     MarketModel,
     Payoff,
     TimeGrid,
@@ -20,7 +21,6 @@ from nexpect import (
     generate_brownian,
     minimax_expectation,
     simulate_sde,
-    weight_matrix,
 )
 
 S0, MU, SIGMA, T, STRIKE = 100.0, 0.0, 0.2, 1.0, 100.0
@@ -39,10 +39,10 @@ def main() -> None:
         model = MarketModel.gbm(S0, MU, SIGMA, k=k)
         family = default_control_family(k, 21)
         # Naming the bang-bang thetas keeps their functionals from the one
-        # draw, so weight_matrix does not draw the noise again.
+        # draw, so DensityRows does not draw the noise again.
         bundle = simulate_sde(model, noise, [c.theta_on_grid(grid) for c in family
                                              if c.kind == "bang_bang"])
-        weights = weight_matrix(family, bundle)
+        weights = DensityRows(family, bundle)
         mm = minimax_expectation(payoff.map(bundle.terminal()), family, weights)
         if k == 0.0:
             bundle0, mm0 = bundle, mm

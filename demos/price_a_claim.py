@@ -16,6 +16,7 @@ Run:  python3 demos/price_a_claim.py
 """
 
 from nexpect import (
+    DensityRows,
     Generator,
     MarketModel,
     Payoff,
@@ -28,7 +29,6 @@ from nexpect import (
     minimax_expectation,
     simulate_sde,
     solve_fd,
-    weight_matrix,
 )
 
 S0, MU, SIGMA, T, K_RADIUS, STRIKE = 100.0, 0.0, 0.2, 1.0, 0.1, 100.0
@@ -43,7 +43,7 @@ def main() -> None:
     grid = TimeGrid(T, 8)
     family = default_control_family(K_RADIUS, 21)
     # Naming the family's bang-bang thetas keeps their functionals from the
-    # one draw, so weight_matrix does not draw the stream again.
+    # one draw, so DensityRows does not draw the stream again.
     bundle = simulate_sde(model, generate_brownian(grid, N_PATHS, SEED),
                           [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"])
     values = payoff.map(bundle.terminal())
@@ -54,7 +54,7 @@ def main() -> None:
     print()
 
     # Route 1: grid search over constant drift tilts in [-k, k].
-    weights = weight_matrix(family, bundle)
+    weights = DensityRows(family, bundle)
     mm = minimax_expectation(values, family, weights)
     print(f"minimax      upper {mm.upper:9.5f}   lower {mm.lower:9.5f}"
           f"   (argmax tilt {mm.argmax_control.label()})")

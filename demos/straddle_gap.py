@@ -18,6 +18,7 @@ Run:  python3 demos/straddle_gap.py
 import numpy as np
 
 from nexpect import (
+    DensityRows,
     MarketModel,
     Payoff,
     TimeGrid,
@@ -27,7 +28,6 @@ from nexpect import (
     generate_brownian,
     minimax_expectation,
     simulate_sde,
-    weight_matrix,
 )
 
 S0, MU, SIGMA, T, K_RADIUS, STRIKE = 100.0, 0.0, 0.2, 1.0, 0.1, 100.0
@@ -39,10 +39,10 @@ def main() -> None:
     grid = TimeGrid(T, 8)
     family = default_control_family(K_RADIUS, 21)
     # Naming the family's bang-bang thetas keeps their functionals from the
-    # one draw, so weight_matrix does not draw the stream again.
+    # one draw, so DensityRows does not draw the stream again.
     bundle = simulate_sde(model, generate_brownian(grid, N_PATHS, SEED),
                           [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"])
-    weights = weight_matrix(family, bundle)
+    weights = DensityRows(family, bundle)
     cap_up = build_capacity("upper", weights)
 
     claims = [

@@ -7,7 +7,9 @@ over negative levels.  Every payoff, tied or not, goes through running sums
 of the weights in sorted order, evaluated at every sample, so the in-sample
 integral is exact.  A sample is sorted once for the upper and the lower
 capacity, and one sweep serves both, giving each integral and each path's
-influence on it, hence its standard error (the infinitesimal jackknife).
+influence on it, hence its standard error (the infinitesimal jackknife);
+one natural pass over the weights finishes the influences and serves any
+other reductions the caller hands over (choquet_estimates).
 The same sort and running sums weigh every threshold event of a sample, and
 the union and intersection of two, for the submodularity check.  Every
 capacity value is normalised by the capacity's own totals.
@@ -196,8 +198,9 @@ def build_capacity(orientation: str, weights: DensityRows | np.ndarray) -> Capac
 # ---------------------------------------------------------------------------
 
 class _SortedSample:
-    """A payoff sample sorted once, integrable against every capacity on
-    that weight matrix in one sweep, and the prefix engine of its events.
+    """A payoff sample sorted once, integrable in one sweep against every
+    capacity on that weight matrix and its totals, and the prefix engine
+    of its events.
 
     The tail weight of {X > x} per control is a capacity's total minus a
     running sum of the weights in ascending order of X.  Those running sums
@@ -210,10 +213,10 @@ class _SortedSample:
     time.  A prefix needs every running sum, so this sweep carries its sums
     instead of adding up block products as every other weight pass does
     (measures._Rows); the full event is the totals themselves
-    (prefix_sums).  The sums do not depend on the capacity, so each block
-    serves every capacity before the next is gathered.  Any event that is a run of
-    consecutive ranks, such as a threshold event of X, takes its weight sums
-    from two of those running sums (prefix_sums).
+    (prefix_sums).  The sums do not depend on the capacity, so each block's
+    tails serve every capacity before the next is gathered.  Any event that
+    is a run of consecutive ranks, such as a threshold event of X, takes its
+    weight sums from two of those running sums (prefix_sums).
     """
 
     def __init__(self, values: np.ndarray, weights: DensityRows | np.ndarray) -> None:
@@ -263,13 +266,6 @@ class _SortedSample:
             done = stop
         return out
 
-    def estimate(self, capacities: tuple[Capacity, ...]) -> list[tuple[float, np.ndarray]]:
-        """(integral, influence) against each capacity: the sweep, and its
-        influences finished by a pass of their own."""
-        values, influences = self.sweep(capacities)
-        self.weights.reduce(influences)
-        return list(zip(values, influences.influences))
-
     def sweep(self, capacities: tuple[Capacity, ...]) -> tuple[list[float], "Influences"]:
         """The exact integral (the smallest sample plus each gap between
         consecutive sorted samples times the capacity of the tail above it)
@@ -290,21 +286,16 @@ class _SortedSample:
         the integral's tail curve.  A / T is carried between blocks like the
         running sums; B is known only at the end, so its term takes a pass
         over the weight rows in natural order, for every capacity at once,
-        which other reductions can share.  Capacities that share their
-        totals share each block's tails.
+        which other reductions can share.  The capacities share their
+        totals, so each block's tails are taken once, for all of them.
         Every result is bitwise that of a sweep against its capacity alone.
         """
         n, m = self.weights.shape
+        total = capacities[0].totals
         curves = [np.empty(n - 1) for _ in capacities]
         below = [np.zeros(m) for _ in capacities]  # A / T at the next block's first row
         attained = [np.zeros(m) for _ in capacities]  # B so far
         outs = [np.empty(n) for _ in capacities]
-        # The capacities from `last` on share the last totals: their tails
-        # overwrite the sums, which no capacity reads after them.
-        last = len(capacities) - 1
-        while last and capacities[last - 1].totals is capacities[-1].totals:
-            last -= 1
-        tails_buf = np.empty((min(n, ROW_BLOCK), m)) if last else None
         column = np.empty(min(n, ROW_BLOCK))
         for start, rows, sums in self._running_sums():
             size = rows.shape[0]
@@ -314,19 +305,15 @@ class _SortedSample:
             # Prefix rows 1 .. n-1: the last row is the total, whose tail is
             # empty.  Duplicate positions carry zero width in the dot
             # product, so they need no special case.  The tail capacities
-            # against T, once per distinct totals (an upper and a lower
-            # capacity share theirs), and the one attained above each gap.
-            picks, tails, shared = [], None, None
-            for s, capacity in enumerate(capacities):
-                if capacity.totals is not shared:
-                    shared = capacity.totals
-                    buf = sums if s >= last else tails_buf
-                    tails = np.subtract(shared, sums[:g], out=buf[:g])
-                    tails /= shared
+            # against T, written over the sums, and the one each capacity
+            # attains above each gap.
+            tails = np.subtract(total, sums[:g], out=sums[:g])
+            tails /= total
+            picks = []
+            for capacity in capacities:
                 j = tails.argmax(axis=1) if capacity.orientation == "upper" else tails.argmin(axis=1)
                 picks.append((j, tails[np.arange(g), j]))
-            for s, (capacity, (j, c)) in enumerate(zip(capacities, picks)):
-                total = capacity.totals
+            for s, (j, c) in enumerate(picks):
                 np.clip(c, 0.0, 1.0, out=curves[s][start:start + g])
                 attained[s] += np.bincount(j, weights=block_gaps * c, minlength=m)
                 # A / T at every position of the block, written over the
@@ -346,7 +333,7 @@ class _SortedSample:
                 outs[s][self.order[start:start + size]] = np.einsum("ij,ij->i", rows, carried)
         values = [float(self.values[self.order[0]]) + float(np.dot(self.gaps, curve))
                   for curve in curves]
-        scales = [b / capacity.totals for capacity, b in zip(capacities, attained)]
+        scales = [b / total for b in attained]
         return values, Influences(outs, scales)
 
 
@@ -368,46 +355,8 @@ class Influences:
             out[index] *= out.size
 
 
-def choquet_sweep(payoff_values: np.ndarray,
-                  capacities: Iterable[Capacity]) -> tuple[list[float], Influences]:
-    """The integral of one payoff sample against each capacity, and the
-    influences that one more pass over the weight rows in natural order
-    finishes (Influences, a reduction that may share that pass).
-
-    The capacities share one set of weights, as a family's upper and lower
-    capacities do: the sample is sorted once and one sweep of running sums
-    serves them all.  A one-member family's integral is the normalized
-    weighted mean, and its influences need no further pass.
-    """
-    capacities = tuple(capacities)
-    weights = capacities[0].weights
-    if any(c.weights is not weights for c in capacities):
-        raise ValueError("capacities must share one weight matrix")
-    x = np.asarray(payoff_values, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("payoff_values must be a nonempty 1-d array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("payoff_values must be finite")
-    if x.size != weights.shape[0]:
-        raise ValueError(f"payoff array length {x.size} does not match paths {weights.shape[0]}")
-    if weights.shape[1] == 1:
-        # A one-member family makes the capacity additive, so the integral
-        # collapses to the normalized weighted mean.  Computing it directly
-        # is exact and keeps a degenerate family consistent with the plain
-        # Monte Carlo estimate to the last bit.
-        values, influences = [], []
-        w = weight_rows(weights).rows(slice(0, x.size))[:, 0]
-        for capacity in capacities:
-            total = capacity.totals[0]
-            value = float(np.mean(w * x) * (x.size / float(total)))
-            values.append(value)
-            influences.append(x.size * w / total * (x - value))
-        return values, Influences(influences, [])
-    return _SortedSample(x, weights).sweep(capacities)
-
-
-def choquet_estimates(payoff_values: np.ndarray,
-                      capacities: Iterable[Capacity]) -> list[tuple[float, np.ndarray]]:
+def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity],
+                      *reductions) -> list[tuple[float, np.ndarray]]:
     """(integral, influence) of one payoff sample against each capacity.
 
     The integral is choquet_integral's.  Influence entry l is n times the
@@ -418,13 +367,40 @@ def choquet_estimates(payoff_values: np.ndarray,
     n * w_l / T * (x_l - integral); larger families differentiate the max
     (or min) at the attaining control (see _SortedSample.sweep).
 
-    The capacities share one set of weights (choquet_sweep), and one more
-    pass over the weight rows in natural order finishes every influence.
+    The capacities share one weight matrix and equal totals, as a family's
+    upper and lower capacities do: the sample is sorted once and one sweep
+    of running sums serves them all.  One more pass over the weight rows in
+    natural order finishes every influence, and the `reductions` given
+    (measures._Rows.reduce), such as a payoff's Spread, share that pass;
+    their results are bitwise those of a pass of their own.
     """
     capacities = tuple(capacities)
-    values, influences = choquet_sweep(payoff_values, capacities)
-    if influences.scales:
-        weight_rows(capacities[0].weights).reduce(influences)
+    weights, totals = capacities[0].weights, capacities[0].totals
+    if any(c.weights is not weights or not np.array_equal(c.totals, totals)
+           for c in capacities[1:]):
+        raise ValueError("capacities must share one weight matrix and its totals")
+    x = np.asarray(payoff_values, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("payoff_values must be a nonempty 1-d array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("payoff_values must be finite")
+    if x.size != weights.shape[0]:
+        raise ValueError(f"payoff array length {x.size} does not match paths {weights.shape[0]}")
+    rows = weight_rows(weights)
+    if weights.shape[1] == 1:
+        # A one-member family makes the capacity additive, so the integral
+        # collapses to the normalized weighted mean.  Computing it directly
+        # is exact and keeps a degenerate family consistent with the plain
+        # Monte Carlo estimate to the last bit.  Its influences need no
+        # further pass.
+        w, total = rows.rows(slice(0, x.size))[:, 0], totals[0]
+        value = float(np.mean(w * x) * (x.size / float(total)))
+        values = [value] * len(capacities)
+        influences = Influences([x.size * w / total * (x - value) for _ in capacities], [])
+    else:
+        values, influences = _SortedSample(x, weights).sweep(capacities)
+    if influences.scales or reductions:
+        rows.reduce(influences, *reductions)
     return list(zip(values, influences.influences))
 
 

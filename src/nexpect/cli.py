@@ -44,7 +44,6 @@ from .choquet import (
     build_capacity,
     choquet_estimates,
     choquet_holder_checks,
-    choquet_sweep,
     random_threshold_pairs,
     submodularity_check,
     threshold_event,
@@ -557,21 +556,21 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     cap_upper = build_capacity("upper", weights)
     cap_lower = replace(cap_upper, orientation="lower")
     # 2. One sort and one sweep of the payoff give both Choquet integrals
-    # and all but the last term of their influences.
-    (cho_upper, cho_lower), influences = choquet_sweep(values, (cap_upper, cap_lower))
-    # 3. One natural pass takes that last term, minimax's spread and the
-    # `martingale` spread, whose means are the totals over n.
+    # and all but the last term of their influences.  3. One natural pass
+    # takes that last term, minimax's spread and the `martingale` spread,
+    # whose means are the totals over n.
     means = payoff_sums.result / n
     spread = Spread(weights.shape, values, means)
     moments = (Spread(weights.shape, None, weights.totals / n)
                if "martingale" in requested else None)
-    weights.reduce(*filter(None, (influences, spread, moments)))
+    (cho_upper, if_upper), (cho_lower, if_lower) = choquet_estimates(
+        values, (cap_upper, cap_lower), *filter(None, (spread, moments)))
     # A one-member family's profile takes the dense formula instead.
     mm = minimax_expectation(values, family, weights,
                              profile=(means, spread.result) if len(family) > 1 else None)
     # The influences are temporaries, freed once both SEs are taken.
-    cho_upper_se, cho_lower_se = map(_choquet_std_error, influences.influences)
-    del influences
+    cho_upper_se, cho_lower_se = map(_choquet_std_error, (if_upper, if_lower))
+    del if_upper, if_lower
 
     fd_note = ""
     if payoff.kind == "digital":

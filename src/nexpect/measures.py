@@ -159,7 +159,8 @@ class _Rows:
 
     def blocks(self):
         """(index, rows) per block of ROW_BLOCK rows in natural order, the
-        rows in one buffer that every block reuses."""
+        rows in one buffer that every block reuses, rebuilt or copied from
+        a stored matrix alike."""
         n, m = self.shape
         buffer = np.empty((min(n, ROW_BLOCK), m))
         for start in range(0, n, ROW_BLOCK):
@@ -187,18 +188,18 @@ class _Rows:
         self.reduce(sums)
         return sums.result
 
-    def dense(self, m: int | None = None, threads: int = 1) -> np.ndarray:
-        """The first m rows (all by default) as one (m, C) array, filled in
-        blocks of ROW_BLOCK rows; with threads > 1 a pool fills the same
-        blocks, so the result does not depend on the thread count."""
-        m = self.shape[0] if m is None else m
-        out = np.empty((m, self.shape[1]))
+    def dense(self, threads: int = 1) -> np.ndarray:
+        """The rows as one (n_paths, C) array, filled in blocks of ROW_BLOCK
+        rows; with threads > 1 a pool fills the same blocks, so the result
+        does not depend on the thread count."""
+        n = self.shape[0]
+        out = np.empty(self.shape)
 
         def fill(start: int) -> None:
-            index = slice(start, min(start + ROW_BLOCK, m))
+            index = slice(start, min(start + ROW_BLOCK, n))
             self.rows(index, out[index])
 
-        starts = range(0, m, ROW_BLOCK)
+        starts = range(0, n, ROW_BLOCK)
         if threads <= 1:
             for start in starts:
                 fill(start)
@@ -364,14 +365,6 @@ class _StoredRows(_Rows):
             return self.weights[index].copy()
         out[...] = self.weights[index]
         return out
-
-    def blocks(self):
-        """The natural blocks as views of the matrix: no pass writes to
-        its blocks."""
-        n = self.shape[0]
-        for start in range(0, n, ROW_BLOCK):
-            index = slice(start, min(start + ROW_BLOCK, n))
-            yield index, self.weights[index]
 
 
 def weight_rows(weights: "_Rows | np.ndarray") -> _Rows:

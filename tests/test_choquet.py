@@ -543,7 +543,7 @@ ENGINE_SIZES = [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 1
 def test_sorted_prefix_engine_is_bitwise_dense(n, controls):
     for orientation in ("upper", "lower"):
         x, cap = engine_case(n, controls, orientation, seed=n * 31 + controls)
-        assert _SortedSample(x, cap.weights).estimate((cap,))[0][0] == dense_exact(x, cap)
+        assert _SortedSample(x, cap.weights).sweep((cap,))[0][0] == dense_exact(x, cap)
         if controls > 1:
             assert choquet_integral(x, cap) == dense_exact(x, cap)
 
@@ -624,6 +624,15 @@ def test_joint_estimates_need_one_weight_matrix(caps):
     other = Capacity("lower", upper.weights.copy(), upper.totals)
     with pytest.raises(ValueError, match="one weight matrix"):
         choquet_estimates(np.arange(float(upper.n_paths)), (upper, other))
+    # One weight matrix is not enough: the pair shares its totals too, equal
+    # if not the same array.
+    unequal = Capacity("lower", upper.weights, upper.totals * (1.0 + 2.0**-52))
+    with pytest.raises(ValueError, match="one weight matrix"):
+        choquet_estimates(np.arange(float(upper.n_paths)), (upper, unequal))
+    x, small = engine_case(ROW_BLOCK + 1, 29, "upper", seed=5)
+    lower = replace(small, orientation="lower")
+    copied = replace(lower, totals=small.totals.copy())
+    assert choquet_estimates(x, (small, copied))[1][0] == choquet_estimates(x, (lower,))[0][0]
 
 
 @pytest.mark.parametrize("orientation", ["upper", "lower"])
@@ -685,7 +694,7 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
         np.multiply(weights, mult[:, None], out=scaled)
         upper_b = Capacity("upper", scaled, np.ones(n) @ scaled)
         lower_b = Capacity("lower", scaled, upper_b.totals)
-        boot[b] = [value for value, _ in _SortedSample(values, scaled).estimate((upper_b, lower_b))]
+        boot[b] = _SortedSample(values, scaled).sweep((upper_b, lower_b))[0]
     for orientation, spread in zip(("upper", "lower"), boot.std(axis=0, ddof=1)):
         cap = Capacity(orientation, weights, np.ones(n) @ weights)
         [(_, influence)] = choquet_estimates(values, (cap,))

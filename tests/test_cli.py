@@ -834,14 +834,17 @@ def test_duality_check_passes(tmp_path, seed, strike, k, n, payoff):
 
 
 def mutate_lower_sweeps(monkeypatch, mutation):
-    """Make every Choquet sweep the pipeline runs take the lower capacity
-    as `mutation` changes it.  Capacity.evaluate, and so the capacity
-    half of the duality check, is left alone."""
+    """Make every one-capacity Choquet sweep the pipeline runs, the duality
+    check's, take the lower capacity as `mutation` changes it.  The run's
+    own pair, and Capacity.evaluate, so the capacity half of the duality
+    check, are left alone."""
     from nexpect import cli
     real = cli.choquet_estimates
 
-    def mutated(values, capacities):
-        return real(values, [mutation(c) if c.orientation == "lower" else c for c in capacities])
+    def mutated(values, capacities, *reductions):
+        if len(capacities) == 1:
+            capacities = [mutation(c) if c.orientation == "lower" else c for c in capacities]
+        return real(values, capacities, *reductions)
 
     monkeypatch.setattr(cli, "choquet_estimates", mutated)
 

@@ -22,7 +22,7 @@ from nexpect import (
     weight_matrix,
 )
 from nexpect.choquet import _SortedSample, build_capacity, choquet_estimates
-from nexpect.measures import ROW_BLOCK, DensityRows, density_moments, weight_rows
+from nexpect.measures import ROW_BLOCK, DensityRows, Spread, Sums, density_moments, weight_rows
 from nexpect.minimax import closed_under_negation
 from nexpect.paths import with_functionals
 from tests.conftest import (
@@ -323,7 +323,7 @@ def test_density_rows_are_the_weight_matrix_bitwise(n, name, kept, seed, data, g
     out = np.empty((ascending.size, len(family)))
     assert source.rows(ascending, out) is out and same_bits(out, dense[ascending])
     assert same_bits(source.dense(threads=2), dense)
-    assert same_bits(source.dense(start), dense[:start])
+    assert same_bits(source.head(start).dense(), dense[:start])
     # The totals are each block's `ones @ rows`, added up in block order;
     # the payoff 1 sums to them, and the martingale means are them over n.
     totals = np.zeros(len(family))
@@ -402,6 +402,38 @@ def test_stored_and_rebuilt_weights_reduce_alike(n, name, seed, grid8):
                             _SortedSample(x[:m], weights).prefix_sums(ranks, upper.totals)])
         for dense_result, *heads in zip(*results):
             assert all(same_bits(dense_result, head) for head in heads), m
+
+
+@pytest.mark.parametrize("family", [(ThetaControl.constant(0.05, 0.1),), FAMILIES["default"]],
+                         ids=["one-member", "29-member"])
+@pytest.mark.parametrize("stored", [False, True], ids=["rows", "stored"])
+def test_estimates_serve_the_reductions_they_are_handed(family, stored, grid8):
+    # Reductions handed to choquet_estimates share the natural pass that
+    # finishes the influences (a one-member family's pass serves them
+    # alone).  Every value and influence is bitwise that of the estimates
+    # without them, and every reduction's result that of its own pass.
+    n = 2 * B + 17
+    bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2), generate_brownian(grid8, n, 12))
+    weights = weight_matrix(family, bundle) if stored else DensityRows(family, bundle)
+    rows = weight_rows(weights)
+    x = np.maximum(bundle.terminal() - 100.0, 0.0)
+    events = np.random.default_rng(12).random((3, n)) < 0.5
+    upper = build_capacity("upper", weights)
+    pair = (upper, replace(upper, orientation="lower"))
+    means = rows.sums(x) / n
+    spread, moments = Spread(rows.shape, x, means), Spread(rows.shape, None, rows.totals / n)
+    sums = Sums(events, rows.shape[1])
+    shared = choquet_estimates(x, pair, spread, moments, sums)
+    for (value, influence), (alone, alone_influence) in zip(shared, choquet_estimates(x, pair)):
+        assert same_bits(np.array([value]), np.array([alone]))
+        assert same_bits(influence, alone_influence)
+    own = Spread(rows.shape, x, means)
+    rows.reduce(own)
+    assert same_bits(spread.result, own.result)
+    if len(family) > 1:
+        assert same_bits(spread.result, expectation_profile(x, weights)[1])
+    assert same_bits(moments.result, density_moments(weights)[1])
+    assert same_bits(sums.result, rows.sums(events))
 
 
 @pytest.mark.parametrize("name", ["default", "constants"])

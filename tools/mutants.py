@@ -147,10 +147,11 @@ MUTANTS = (
      "moments = (Spread(weights.shape, None, weights.sums(np.ones(n)) / n)",
      (f"{CLI_TESTS}::test_weight_moments_are_reduced_once",)),
     ("stored matrix reduced by one whole-matrix product", "src/nexpect/measures.py",
-     "            index = slice(start, min(start + ROW_BLOCK, n))\n"
-     "            yield index, self.weights[index]\n",
+     "        buffer = np.empty((min(n, ROW_BLOCK), m))\n",
+     "        buffer = np.empty((min(n, ROW_BLOCK), m))\n"
+     "        if isinstance(self, _StoredRows):\n"
      "            yield slice(0, n), self.weights\n"
-     "            break\n",
+     "            return\n",
      ("tests/test_measures.py::test_stored_and_rebuilt_weights_reduce_alike",)),
     ("spread skips subtracting the mean", "src/nexpect/measures.py",
      "            squares -= self.means\n", "",
@@ -177,6 +178,15 @@ MUTANTS = (
      "for out, scale in zip(self.influences, self.scales):",
      "for out, scale in zip(self.influences, self.scales[::-1]):",
      ("tests/test_choquet.py::test_joint_estimates_match_dense_references",)),
+    # One entry point to the sorted sweep, and the natural pass it shares.
+    ("choquet_estimates drops the reductions it was handed", "src/nexpect/choquet.py",
+     "rows.reduce(influences, *reductions)", "rows.reduce(influences)",
+     (f"{CLI_TESTS}::test_weight_moments_are_reduced_once",
+      "tests/test_measures.py::test_estimates_serve_the_reductions_they_are_handed")),
+    ("choquet_estimates accepts unequal totals", "src/nexpect/choquet.py",
+     "c.weights is not weights or not np.array_equal(c.totals, totals)",
+     "c.weights is not weights",
+     ("tests/test_choquet.py::test_joint_estimates_need_one_weight_matrix",)),
 )
 
 
