@@ -432,7 +432,6 @@ class RunContext:
     """Everything the checks need, computed once."""
 
     scenario: Scenario
-    model: MarketModel
     payoff: Payoff
     bundle: PathBundle
     values: np.ndarray
@@ -613,7 +612,7 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     }
 
     ctx = RunContext(
-        scenario=scenario, model=model, payoff=payoff, bundle=bundle, values=values,
+        scenario=scenario, payoff=payoff, bundle=bundle, values=values,
         family=family, weights=weights, cap_upper=cap_upper, cap_lower=cap_lower, fd=fd,
         entries=entries,
     )

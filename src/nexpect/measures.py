@@ -188,29 +188,9 @@ class _Rows:
         self.reduce(sums)
         return sums.result
 
-    def dense(self, threads: int = 1) -> np.ndarray:
-        """The rows as one (n_paths, C) array, filled in blocks of ROW_BLOCK
-        rows; with threads > 1 a pool fills the same blocks, so the result
-        does not depend on the thread count."""
-        n = self.shape[0]
-        out = np.empty(self.shape)
-
-        def fill(start: int) -> None:
-            index = slice(start, min(start + ROW_BLOCK, n))
-            self.rows(index, out[index])
-
-        starts = range(0, n, ROW_BLOCK)
-        if threads <= 1:
-            for start in starts:
-                fill(start)
-        else:
-            # Imported here: concurrent.futures pulls in logging, which a
-            # single-threaded run has no use for.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-                list(pool.map(fill, starts))
-        return out
+    def dense(self) -> np.ndarray:
+        """The rows as one (n_paths, C) array."""
+        return self.rows(slice(0, self.shape[0]))
 
 
 class Sums:
@@ -378,17 +358,22 @@ def weight_rows(weights: "_Rows | np.ndarray") -> _Rows:
 def weight_matrix(
     family: tuple[ThetaControl, ...] | list[ThetaControl],
     bundle: PathBundle,
-    threads: int = 1,
 ) -> np.ndarray:
     """Stack of density weights, one column per control, shape (n_paths, C):
     the family's DensityRows made dense.
 
-    Every entry is bitwise what the per-column formula on the dense
-    increments gives.  With threads > 1 a pool fills the blocks, so the
-    result does not depend on the thread count.  Raises ValueError unless
-    every weight is finite and strictly positive.
+    Each block is written into the result by the pass that builds the rows
+    and checks them, so the matrix takes one natural pass.  Every entry is
+    bitwise what the per-column formula on the dense increments gives.
+    Raises ValueError unless every weight is finite and strictly positive.
     """
-    return DensityRows(family, bundle).dense(threads=threads)
+    out = np.empty((bundle.n_paths, len(family)))
+
+    def fill(index, rows):
+        out[index] = rows
+
+    DensityRows(family, bundle, fill)
+    return out
 
 
 def density_moments(weights: "_Rows | np.ndarray") -> tuple[np.ndarray, np.ndarray]:

@@ -228,7 +228,8 @@ def extremal_price(payoff: Payoff, model: MarketModel, horizon: float) -> Extrem
 # attainment on a fine constant grid
 # ---------------------------------------------------------------------------
 
-# Constant controls, endpoints included, on which attainment_check profiles.
+# Constant controls, endpoints included, evenly spaced on [-k, k]; the
+# distinct ones are those attainment_check profiles.
 ATTAINMENT_GRID = 21
 
 
@@ -245,15 +246,16 @@ class AttainmentReport:
 
 
 def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> AttainmentReport:
-    """Profile the expectation over the ATTAINMENT_GRID constant controls
-    evenly spaced on [-k, k].
+    """Profile the expectation over the distinct constant controls of the
+    ATTAINMENT_GRID evenly spaced on [-k, k]: all of them for k > 0, the
+    one control 0 for k = 0.
 
     For monotone payoffs the profile should be monotone in the control level
     and attain its maximum at an endpoint of [-k, k], each within 3 paired
     standard errors (the profile's points share their paths).  Payoffs
     without declared direction get the profile only.
     """
-    thetas = np.linspace(-k, k, ATTAINMENT_GRID)
+    thetas = np.unique(np.linspace(-k, k, ATTAINMENT_GRID))
     family = tuple(ThetaControl.constant(t, k) for t in thetas)
     weights = DensityRows(family, bundle)
     values = payoff.map(bundle.terminal())
@@ -265,7 +267,7 @@ def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> Attainment
         return ((upper - lower) * values).std(ddof=1) / math.sqrt(bundle.n_paths)
 
     diffs = np.diff(estimates)
-    columns = map(weights.column, range(ATTAINMENT_GRID))
+    columns = map(weights.column, range(thetas.size))
     below = next(columns)
     diff_ses = []
     for above in columns:
@@ -285,7 +287,7 @@ def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> Attainment
                 violations.append((j, float(d), float(se)))
         monotone_ok = not violations
         # The max must sit at an endpoint, or tie the better one within noise.
-        end = 0 if estimates[0] >= estimates[-1] else ATTAINMENT_GRID - 1
+        end = 0 if estimates[0] >= estimates[-1] else thetas.size - 1
         boundary = hi == end or (estimates[hi] - estimates[end]
                                  <= 3.0 * paired_se(weights.column(hi), weights.column(end)))
     return AttainmentReport(

@@ -713,13 +713,22 @@ def test_cli_solves_store_no_surfaces(tmp_path, monkeypatch, extra):
 
 def test_cli_import_loads_no_scipy_and_no_thread_pool():
     # The package runs on numpy and the standard library: importing scipy
-    # would cost a third of a second and 20 MB per run, and the thread pool
-    # (with the logging it pulls in) is imported only when threads > 1.
+    # would cost a third of a second and 20 MB per run, and the package has
+    # no thread pool (concurrent.futures pulls in logging as well).
     code = ("import sys, nexpect.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_degenerate_scenario_passes_attainment_off_its_seed(capsys):
+    # At k = 0 the attainment profile is one tilt, so no rounding between
+    # copies of theta = 0 can fail the check.
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "degenerate.scn"
+    assert main(["--scenario", str(path), "--paths", "20000", "--seed", "1"]) == EXIT_OK
+    assert "attainment" in capsys.readouterr().out
 
 
 def test_reweighted_extremal_band_is_read_from_the_minimax_profile(tmp_path, monkeypatch):

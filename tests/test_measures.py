@@ -178,12 +178,6 @@ def test_expectation_validation(bundle_50k):
 # family machinery
 # ---------------------------------------------------------------------------
 
-def test_weight_matrix_threads_identical(family_k01, bundle_50k):
-    a = weight_matrix(family_k01, bundle_50k, threads=1)
-    b = weight_matrix(family_k01, bundle_50k, threads=4)
-    assert np.array_equal(a, b)
-
-
 def test_expectation_profile_shapes(family_k01, bundle_50k, weights_50k):
     values = bundle_50k.terminal()
     est, ses = expectation_profile(values, weights_50k)
@@ -224,11 +218,9 @@ def dense_weights(family, bundle):
 def test_blocked_weight_passes_are_bitwise_dense(n, family, grid8):
     bundle = generate_brownian(grid8, n, 1000 + n)
     dense = dense_weights(family, bundle)
-    serial = weight_matrix(family, bundle, threads=1)
-    pooled = weight_matrix(family, bundle, threads=2)
+    serial = weight_matrix(family, bundle)
     single = girsanov_weights(family[-1], bundle)
     assert np.array_equal(serial, dense)
-    assert np.array_equal(pooled, dense)
     assert np.array_equal(single, dense[:, -1])
 
     # The profile takes the blocks' rule at the family's width; a
@@ -271,13 +263,12 @@ def test_negated_bang_bang_columns_share_the_kept_functional(n, grid8):
     assert np.array_equal(weights, dense_weights(family, kept))
 
 
-@pytest.mark.parametrize("threads", [1, 8])
-def test_kept_functionals_and_the_redraw_give_one_weight_matrix(threads, grid8):
+def test_kept_functionals_and_the_redraw_give_one_weight_matrix(grid8):
     family = default_control_family(0.1)
     kept, plain = family_bundles(family, 3 * B + 17, 4321, grid8)
     assert plain.functionals == {}
-    from_kept = weight_matrix(family, kept, threads=threads)
-    redrawn = weight_matrix(family, plain, threads=threads)
+    from_kept = weight_matrix(family, kept)
+    redrawn = weight_matrix(family, plain)
     assert np.array_equal(from_kept, redrawn)
     assert np.array_equal(from_kept, dense_weights(family, kept))
 
@@ -322,7 +313,7 @@ def test_density_rows_are_the_weight_matrix_bitwise(n, name, kept, seed, data, g
     ascending = np.sort(rng.choice(n, size=min(n, 3 * B // 2)))
     out = np.empty((ascending.size, len(family)))
     assert source.rows(ascending, out) is out and same_bits(out, dense[ascending])
-    assert same_bits(source.dense(threads=2), dense)
+    assert same_bits(source.dense(), dense)
     assert same_bits(source.head(start).dense(), dense[:start])
     # The totals are each block's `ones @ rows`, added up in block order;
     # the payoff 1 sums to them, and the martingale means are them over n.
@@ -355,6 +346,32 @@ def test_density_rows_check_every_block(bad, grid8):
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="^density weights must be finite and strictly positive$"):
             build(family, poisoned)
+
+
+@pytest.mark.parametrize("n", [1, B, B + 1, 3 * B + 17])
+def test_weight_matrix_rebuilds_each_block_once(n, grid8, monkeypatch):
+    # The pass that builds the rows and checks them also writes them into
+    # the matrix: one rebuild per block, not a second pass to fill it.
+    calls = []
+    rows = DensityRows.rows
+
+    def counted(self, index, out=None):
+        calls.append(index)
+        return rows(self, index, out)
+
+    monkeypatch.setattr(DensityRows, "rows", counted)
+    bundle = with_functionals(generate_brownian(grid8, n, 88), ())
+    weights = weight_matrix(TWO_KINDS, bundle)
+    assert len(calls) == math.ceil(n / B)
+    assert np.array_equal(weights, dense_weights(TWO_KINDS, bundle))
+    # A non-finite weight still raises, from the block that holds it.
+    terminal = bundle.brownian_terminal.copy()
+    terminal[-1] = np.nan
+    poisoned = replace(bundle, brownian_terminal=terminal)
+    calls.clear()
+    with pytest.raises(ValueError, match="^density weights must be finite and strictly positive$"):
+        weight_matrix(TWO_KINDS[:1], poisoned)
+    assert len(calls) == math.ceil(n / B)
 
 
 @settings(max_examples=20, deadline=None)

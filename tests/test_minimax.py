@@ -385,6 +385,16 @@ def test_attainment_decreasing(bundle_50k):
     assert report.thetas[report.argmin_index] == pytest.approx(0.1)
 
 
+def test_attainment_at_zero_k_profiles_one_tilt(bundle_50k):
+    # At k = 0 the grid's tilts are all 0: the profile is one point, not 21
+    # copies whose blocked products round apart while their paired standard
+    # error is exactly 0.
+    report = attainment_check(Payoff.call(100.0), 0.0, bundle_50k)
+    assert report.violations == ()
+    assert report.monotone_profile_ok and report.boundary_attained
+    assert report.thetas.tolist() == [0.0] and report.estimates.shape == (1,)
+
+
 def test_attainment_undeclared_direction_profiles_only(bundle_50k):
     straddle = Payoff.custom("straddle", lambda s: np.abs(s - 100.0))
     report = attainment_check(straddle, 0.1, bundle_50k)

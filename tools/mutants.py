@@ -187,6 +187,14 @@ MUTANTS = (
      "c.weights is not weights or not np.array_equal(c.totals, totals)",
      "c.weights is not weights",
      ("tests/test_choquet.py::test_joint_estimates_need_one_weight_matrix",)),
+    ("weight_matrix rebuilds its rows in a second pass", "src/nexpect/measures.py",
+     "    DensityRows(family, bundle, fill)\n    return out\n",
+     "    return DensityRows(family, bundle).dense()\n",
+     ("tests/test_measures.py::test_weight_matrix_rebuilds_each_block_once",)),
+    ("attainment profiles duplicate tilts", "src/nexpect/minimax.py",
+     "np.unique(np.linspace(-k, k, ATTAINMENT_GRID))", "np.linspace(-k, k, ATTAINMENT_GRID)",
+     ("tests/test_minimax.py::test_attainment_at_zero_k_profiles_one_tilt",
+      f"{CLI_TESTS}::test_degenerate_scenario_passes_attainment_off_its_seed")),
 )
 
 
