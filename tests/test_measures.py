@@ -263,9 +263,11 @@ def test_negated_bang_bang_columns_share_the_kept_functional(n, grid8):
     assert np.array_equal(weights, dense_weights(family, kept))
 
 
-def test_kept_functionals_and_the_redraw_give_one_weight_matrix(grid8):
+@pytest.mark.parametrize("blocks", [1, 8])
+def test_kept_functionals_and_the_redraw_give_one_weight_matrix(blocks, grid8):
+    # One and eight full row blocks, each followed by a short one.
     family = default_control_family(0.1)
-    kept, plain = family_bundles(family, 3 * B + 17, 4321, grid8)
+    kept, plain = family_bundles(family, blocks * B + 17, 4321, grid8)
     assert plain.functionals == {}
     from_kept = weight_matrix(family, kept)
     redrawn = weight_matrix(family, plain)
