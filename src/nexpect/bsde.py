@@ -45,6 +45,8 @@ MAX_TIME_STEPS = 1_000_000
 # slack, per unit of s0, that it allows z on the wrong side of 0.
 Z_SIGN_BAND = 0.9
 Z_SIGN_SLACK = 1e-6
+# The march's buffer rows each start on a page of this many bytes.
+PAGE_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -217,6 +219,17 @@ def _stable_steps(mv, sv, states: np.ndarray, dx: float, horizon: float,
     return max(1, int(math.ceil(steps)))
 
 
+def _page_rows(count: int, width: int) -> np.ndarray:
+    """A (count, width) float view of one block whose rows each start on a
+    page, the stride between rows padded to whole pages.  The march's speed
+    then does not depend on where the heap puts its buffers."""
+    per_page = PAGE_BYTES // 8
+    stride = -(-width // per_page) * per_page
+    block = np.empty(count * stride + per_page)
+    start = (-block.ctypes.data % PAGE_BYTES) // 8
+    return block[start:start + count * stride].reshape(count, stride)[:, :width]
+
+
 def minimal_time_steps(
     model: MarketModel,
     horizon: float,
@@ -321,22 +334,22 @@ def solve_fd(
     # Driver j's values are row[j * nodes:(j + 1) * nodes], so mid = row[1:-1]
     # puts its interior at [j * nodes, j * nodes + nodes - 2) of each
     # `span`-long buffer.  Buffers hold `width` entries so that a (driver,
-    # node) view exists.
-    rows = np.empty((2, width))
+    # node) view exists; all are rows of one page-aligned block.
+    rows, coeffs, (d_buf, work) = np.split(_page_rows(8, width), (2, 6))
     rows[0].reshape(count, nodes)[:] = u
     cur, nxt = ((row, row[2:], row[1:-1], row[:-2]) for row in rows)
     # Where two drivers' rows meet, the stencil reads both.  Those entries
     # land on boundary nodes, which the extrapolation overwrites; their
     # coefficients stay 0, so no product there can overflow.
-    coeffs = np.zeros((4, width))
+    coeffs.fill(0.0)
     a_mid, b_up, b_dn, gamma = coeffs[:, :span]
     coeff_rows = coeffs.reshape(4, count, nodes)
     a_mid_rows, b_up_rows, b_dn_rows, gamma_rows = coeff_rows[:, :, :nodes - 2]
-    d_buf, work = np.empty(width), np.empty(width)
     d, term = d_buf[:span], work[:span]
-    # The z of a new row is written where the step's products were.
+    # The z of a new row is written where the step's products were, its
+    # interior from each driver's own entries of d.
     z_full = work.reshape(count, nodes)
-    z_ends = z_full[:, ::nodes - 1]
+    z_ends, d_rows = z_full[:, ::nodes - 1], d_buf.reshape(count, nodes)[:, :-2]
     # Each driver's boundary nodes and the two nodes each extrapolates from.
     ends = np.arange(0, width, nodes)[:, None] + np.array([0, nodes - 1])
     inner, outer = ends + np.array([1, -1]), ends + np.array([2, -2])
@@ -367,11 +380,10 @@ def solve_fd(
         a_mid_rows[:] = 1.0 - 2.0 * a
 
     def z_row(sv: float | np.ndarray, row: np.ndarray) -> None:
-        """z of each driver's row from sv on every node, written into z_full."""
-        central, by_driver = z_full.reshape(-1)[1:-1], row.reshape(count, nodes)
-        np.subtract(row[2:], row[:-2], out=central)
-        z_ends.fill(0.0)
-        np.divide(central, two_dx, out=central)
+        """z of each driver's row from sv on every node and the row's
+        differences d = up - dn, written into z_full."""
+        by_driver = row.reshape(count, nodes)
+        np.divide(d_rows, two_dx, out=z_full[:, 1:-1])
         np.subtract(by_driver[:, 1], by_driver[:, 0], out=z_full[:, 0])
         np.subtract(by_driver[:, -1], by_driver[:, -2], out=z_full[:, -1])
         np.divide(z_ends, dx, out=z_ends)
@@ -394,7 +406,9 @@ def solve_fd(
     recompute_z = fold is not None and not fold_d
     d_band, z_full_band = d_buf.reshape(count, nodes)[:, margin - 1:hi - 1], z_full[:, margin:hi]
 
-    for step in range(m, -1, -1):  # cur holds level `step`; its z and d, then the step down
+    for step in range(m, -1, -1):  # cur holds level `step`; its d and z, then the step down
+        _, up, mid, dn = cur
+        np.subtract(up, dn, out=d)
         if store_surfaces or recompute_z:
             z_row(sv_level, cur[0])
         if store_surfaces:
@@ -402,8 +416,6 @@ def solve_fd(
             z_surface[:, step] = z_full
         if recompute_z and step < m:
             fold(track, z_full_band, out=track)
-        _, up, mid, dn = cur
-        np.subtract(up, dn, out=d)
         if fold_d and step < m:
             fold(track, d_band, out=track)
         if step == 0:

@@ -12,7 +12,9 @@ one natural pass over the weights finishes the influences and serves any
 other reductions the caller hands over (choquet_estimates).
 The same sort and running sums weigh every threshold event of a sample, and
 the union and intersection of two, for the submodularity check.  Every
-capacity value is normalised by the capacity's own totals.
+capacity value is normalised by the capacity's own totals.  A capacity's
+weights are a family's rows (measures.DensityRows), rebuilt block by block
+for every pass; no weight matrix is stored.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .measures import DensityRows, weight_rows
+from .measures import DensityRows, _Rows
 from .paths import ROW_BLOCK
 
 
@@ -129,11 +131,16 @@ class Payoff:
 # capacities
 # ---------------------------------------------------------------------------
 
+def _require_rows(weights) -> None:
+    if not isinstance(weights, _Rows):
+        raise TypeError(f"capacity weights must be DensityRows, got {type(weights).__name__}")
+
+
 @dataclass(frozen=True)
 class Capacity:
     """Upper or lower envelope of reweighted probabilities over a family,
-    given by its weights, one column per control: the family's DensityRows,
-    or a weight matrix such as weight_matrix returns.
+    given by its weight rows (measures.DensityRows, or a head of them), one
+    column per control.
 
     Weights are self-normalised per control, so evaluate() returns exactly 0
     on the empty event and exactly 1 on the full event, and values are
@@ -141,18 +148,18 @@ class Capacity:
     """
 
     orientation: str  # "upper" | "lower"
-    weights: DensityRows | np.ndarray  # (n_paths, n_controls)
+    weights: DensityRows  # (n_paths, n_controls)
     totals: np.ndarray  # (n_controls,)
 
     def __post_init__(self) -> None:
         if self.orientation not in ("upper", "lower"):
             raise ValueError(f"orientation must be 'upper' or 'lower', got {self.orientation!r}")
-        if self.weights.ndim != 2 or not self.weights.shape[1]:
-            raise ValueError(f"capacity requires an (n_paths, n_controls) weight matrix with "
-                             f"at least one control, got shape {self.weights.shape}")
+        _require_rows(self.weights)
+        if not self.weights.shape[1]:
+            raise ValueError("capacity requires at least one control")
         if self.totals.shape != self.weights.shape[1:]:
             raise ValueError(f"totals shape {self.totals.shape} does not match the "
-                             f"weight matrix's {self.weights.shape[1]} controls")
+                             f"weight rows' {self.weights.shape[1]} controls")
 
     @property
     def n_paths(self) -> int:
@@ -170,7 +177,7 @@ class Capacity:
         ev = np.asarray(event)
         if ev.ndim not in (1, 2) or ev.shape[-1] != self.n_paths:
             raise ValueError(f"event shape {ev.shape} does not match paths {self.n_paths}")
-        capacities = self.from_sums(weight_rows(self.weights).sums(ev))
+        capacities = self.from_sums(self.weights.sums(ev))
         return float(capacities) if ev.ndim == 1 else capacities
 
     def from_sums(self, sums: np.ndarray):
@@ -181,16 +188,14 @@ class Capacity:
         return np.clip(self._reduce(sums / self.totals), 0.0, 1.0)
 
 
-def build_capacity(orientation: str, weights: DensityRows | np.ndarray) -> Capacity:
-    """The capacity of a family's weights (measures.DensityRows, or a matrix
-    such as measures.weight_matrix returns), so that upper and lower
+def build_capacity(orientation: str, weights: DensityRows) -> Capacity:
+    """The capacity of a family's weight rows, so that upper and lower
     capacities and the minimax search share one set of densities."""
     # The totals are the reduction that evaluate() applies to an event, so
     # that the full event normalises to exactly 1.0 in floating point: each
-    # block's `ones @ rows` added up in block order, for a DensityRows and
-    # a stored matrix alike.
-    return Capacity(orientation=orientation, weights=weights,
-                    totals=weight_rows(weights).totals)
+    # block's `ones @ rows` added up in block order.
+    _require_rows(weights)
+    return Capacity(orientation=orientation, weights=weights, totals=weights.totals)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +204,14 @@ def build_capacity(orientation: str, weights: DensityRows | np.ndarray) -> Capac
 
 class _SortedSample:
     """A payoff sample sorted once, integrable in one sweep against every
-    capacity on that weight matrix and its totals, and the prefix engine
+    capacity on those weight rows and their totals, and the prefix engine
     of its events.
 
     The tail weight of {X > x} per control is a capacity's total minus a
     running sum of the weights in ascending order of X.  Those running sums
     come from a sweep over blocks of ROW_BLOCK sorted rows: each block
-    reads its weight rows (rebuilt by a DensityRows, gathered from a stored
-    matrix), adds the total carried over from the previous block
-    into its first row and takes its running sum.  Every sum is thus formed
+    rebuilds its weight rows, adds the total carried over from the previous
+    block into its first row and takes its running sum.  Every sum is thus formed
     by the same additions in the same order as one running sum over all n
     rows, and is bitwise equal to it, while only one block is alive at a
     time.  A prefix needs every running sum, so this sweep carries its sums
@@ -219,8 +223,8 @@ class _SortedSample:
     weight sums from two of those running sums (prefix_sums).
     """
 
-    def __init__(self, values: np.ndarray, weights: DensityRows | np.ndarray) -> None:
-        self.values, self.weights = values, weight_rows(weights)
+    def __init__(self, values: np.ndarray, weights: DensityRows) -> None:
+        self.values, self.weights = values, weights
         self.order = np.argsort(values, kind="stable")
         self.gaps = np.diff(values[self.order])  # the sorted copy is not kept
 
@@ -386,21 +390,20 @@ def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity],
         raise ValueError("payoff_values must be finite")
     if x.size != weights.shape[0]:
         raise ValueError(f"payoff array length {x.size} does not match paths {weights.shape[0]}")
-    rows = weight_rows(weights)
     if weights.shape[1] == 1:
         # A one-member family makes the capacity additive, so the integral
         # collapses to the normalized weighted mean.  Computing it directly
         # is exact and keeps a degenerate family consistent with the plain
         # Monte Carlo estimate to the last bit.  Its influences need no
         # further pass.
-        w, total = rows.rows(slice(0, x.size))[:, 0], totals[0]
+        w, total = weights.rows(slice(0, x.size))[:, 0], totals[0]
         value = float(np.mean(w * x) * (x.size / float(total)))
         values = [value] * len(capacities)
         influences = Influences([x.size * w / total * (x - value) for _ in capacities], [])
     else:
         values, influences = _SortedSample(x, weights).sweep(capacities)
     if influences.scales or reductions:
-        rows.reduce(influences, *reductions)
+        weights.reduce(influences, *reductions)
     return list(zip(values, influences.influences))
 
 

@@ -56,7 +56,6 @@ from .measures import (
     ThetaControl,
     default_control_family,
     density_moments,
-    weight_rows,
 )
 from .minimax import (
     ExtremalReport,
@@ -436,7 +435,7 @@ class RunContext:
     bundle: PathBundle
     values: np.ndarray
     family: tuple[ThetaControl, ...]
-    weights: DensityRows | np.ndarray  # a crafted matrix in the verdict fixtures
+    weights: DensityRows
     cap_upper: Capacity
     cap_lower: Capacity
     fd: GridSolution  # rows: FD_DRIVERS, then COMPARISON_SIGNS with `comparison`
@@ -451,10 +450,9 @@ class RunContext:
     def sub_capacities(self) -> tuple[Capacity, Capacity]:
         """The upper and lower capacity on the subsample, sharing its totals.
         Their weights are the head of the run's rows: the first paths'
-        statistics, a view, with totals reduced over those rows alone (a
-        crafted stored matrix keeps its first rows)."""
+        statistics, a view, with totals reduced over those rows alone."""
         m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
-        upper = build_capacity("upper", weight_rows(self.weights).head(m))
+        upper = build_capacity("upper", self.weights.head(m))
         return upper, replace(upper, orientation="lower")
 
     # The reductions of two checks.  run_scenario sets them from the passes
@@ -462,7 +460,7 @@ class RunContext:
     @cached_property
     def empty_sums(self) -> np.ndarray:
         """The weight sums of the empty event, for `normalization`."""
-        return weight_rows(self.weights).sums(np.zeros(self.bundle.n_paths, dtype=bool))
+        return self.weights.sums(np.zeros(self.bundle.n_paths, dtype=bool))
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -769,7 +767,7 @@ def _check_sandwich(ctx: RunContext) -> CheckOutcome:
 def _check_normalization(ctx: RunContext) -> CheckOutcome:
     # Both capacities hold ctx.weights: the empty event's sums are reduced
     # as their totals were, and the full event's sums are those totals.
-    sums = (ctx.empty_sums, weight_rows(ctx.weights).totals)
+    sums = (ctx.empty_sums, ctx.weights.totals)
     gaps = [abs(cap.from_sums(event_sums) - target)
             for cap in (ctx.cap_upper, ctx.cap_lower)
             for event_sums, target in zip(sums, (0.0, 1.0))]

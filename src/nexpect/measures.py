@@ -11,11 +11,12 @@ randomness, which is what makes the order relations between estimators hold
 at sample level and not just in the limit.
 
 The (n_paths, C) matrix of those weights is never stored: DensityRows
-rebuilds any block of its rows from B_T and the kept bang-bang functionals.
-Every reduction here reads the weights block by block, through the same
-row interface for a DensityRows and for a stored matrix (weight_rows), and
-adds up each block's `x[block] @ rows` in block order, so the two sources
-give the same totals, sums and profiles bit for bit.
+rebuilds any block of its rows from B_T and the kept bang-bang functionals,
+and it is the one weight type that capacities, the integral, the profile
+and the checks read.  Every reduction here reads the weights block by
+block, through the row interface (_Rows), and adds up each block's
+`x[block] @ rows` in block order.  weight_matrix and girsanov_weights make
+the rows dense, as an oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "ThetaControl",
     "DensityRows",
     "girsanov_weights",
-    "weight_rows",
     "Sums",
     "Spread",
     "weight_matrix",
@@ -155,12 +155,9 @@ class _Rows:
     and whichever pass serves them (reduce).
     """
 
-    ndim = 2
-
     def blocks(self):
         """(index, rows) per block of ROW_BLOCK rows in natural order, the
-        rows in one buffer that every block reuses, rebuilt or copied from
-        a stored matrix alike."""
+        rows in one buffer that every block reuses."""
         n, m = self.shape
         buffer = np.empty((min(n, ROW_BLOCK), m))
         for start in range(0, n, ROW_BLOCK):
@@ -327,34 +324,6 @@ class DensityRows(_Rows):
         return head
 
 
-class _StoredRows(_Rows):
-    """A weight matrix held in memory, read through the row interface."""
-
-    def __init__(self, weights: np.ndarray) -> None:
-        self.weights, self.shape = weights, weights.shape
-
-    def head(self, m: int) -> "_StoredRows":
-        return _StoredRows(self.weights[:m])
-
-    def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
-        if not isinstance(index, slice):
-            # mode="clip" lets take write straight into `out`, which it
-            # would not under the default "raise"; the indices are in range.
-            return self.weights.take(index, axis=0, out=out, mode="clip")
-        if out is None:
-            return self.weights[index].copy()
-        out[...] = self.weights[index]
-        return out
-
-
-def weight_rows(weights: "_Rows | np.ndarray") -> _Rows:
-    """The row interface of a family's weights: rows (a DensityRows, or a
-    head of rows) as they are, an (n_paths, C) matrix wrapped, such as
-    weight_matrix returns or a crafted one (signed, zero) that a test feeds
-    to a check."""
-    return weights if isinstance(weights, _Rows) else _StoredRows(weights)
-
-
 def weight_matrix(
     family: tuple[ThetaControl, ...] | list[ThetaControl],
     bundle: PathBundle,
@@ -376,25 +345,23 @@ def weight_matrix(
     return out
 
 
-def density_moments(weights: "_Rows | np.ndarray") -> tuple[np.ndarray, np.ndarray]:
+def density_moments(weights: DensityRows) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of each density column.
 
     The means are totals / n, bitwise what normalises the family's
     capacities, and the whole result is bitwise expectation_profile of the
     payoff 1 for a family of two or more members.
     """
-    rows = weight_rows(weights)
-    means = rows.totals / rows.shape[0]
-    spread = Spread(rows.shape, None, means)
-    rows.reduce(spread)
+    means = weights.totals / weights.shape[0]
+    spread = Spread(weights.shape, None, means)
+    weights.reduce(spread)
     return means, spread.result
 
 
 def expectation_profile(payoff_values: np.ndarray,
-                        weights: "DensityRows | np.ndarray") -> tuple[np.ndarray, np.ndarray]:
+                        weights: DensityRows) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and standard errors of E[payoff] under every family member,
-    one per column of the family's weights (a DensityRows, or a matrix such
-    as weight_matrix returns).
+    one per column of the family's weight rows.
 
     The estimates are sums(x) / n and the standard errors std(ddof=1) /
     sqrt(n) of each column of W * x[:, None], both reduced by the blocks'
@@ -404,17 +371,16 @@ def expectation_profile(payoff_values: np.ndarray,
     estimate is the plain Monte Carlo mean.
     """
     x = np.asarray(payoff_values, dtype=float)
-    if weights.ndim != 2 or x.shape != weights.shape[:1]:
+    if x.shape != weights.shape[:1]:
         raise ValueError(f"payoff array shape {x.shape} does not match "
-                         f"the weight matrix's shape {weights.shape}")
-    rows = weight_rows(weights)
-    n, m = rows.shape
+                         f"the weight rows' shape {weights.shape}")
+    n, m = weights.shape
     if m == 1:
-        products = rows.rows(slice(0, n)) * x[:, None]
+        products = weights.rows(slice(0, n)) * x[:, None]
         return products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(n)
-    means = rows.sums(x) / n
-    spread = Spread(rows.shape, x, means)
-    rows.reduce(spread)
+    means = weights.sums(x) / n
+    spread = Spread(weights.shape, x, means)
+    weights.reduce(spread)
     return means, spread.result
 
 

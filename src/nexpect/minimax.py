@@ -131,12 +131,12 @@ class MinimaxResult:
 def minimax_expectation(
     payoff_values: np.ndarray,
     family: Sequence[ThetaControl],
-    weights: DensityRows | np.ndarray,
+    weights: DensityRows,
     profile: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> MinimaxResult:
     """Maximise and minimise the reweighted expectation of a payoff sample
-    over the family, whose weights on the sample's paths are `weights`: its
-    DensityRows, or its weight_matrix.
+    over the family, whose weights on the sample's paths are the rows
+    `weights`.
 
     The profile is expectation_profile(payoff_values, weights), or
     `profile` when the caller has reduced it already, by the same Sums and
@@ -151,8 +151,8 @@ def minimax_expectation(
         raise ValueError("control family must be nonempty")
     if not closed_under_negation(family):
         raise ValueError("control family is not closed under negation")
-    if weights.ndim != 2 or weights.shape[1] != len(family):
-        raise ValueError(f"weight matrix shape {weights.shape} does not give one column "
+    if weights.shape[1] != len(family):
+        raise ValueError(f"weight rows of shape {weights.shape} do not give one column "
                          f"to each of the family's {len(family)} controls")
     estimates, ses = expectation_profile(payoff_values, weights) if profile is None else profile
     hi = int(np.argmax(estimates))

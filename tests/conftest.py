@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nexpect import (
+    Capacity,
     ExtremalReport,
     MarketModel,
     ThetaControl,
@@ -16,6 +17,7 @@ from nexpect import (
     simulate_sde,
     weight_matrix,
 )
+from nexpect.measures import _Rows
 from nexpect.paths import ROW_BLOCK
 
 # Frozen oracle values, computed from the closed-form lognormal expectation
@@ -30,6 +32,40 @@ DIGITAL_ATM_DRIFT_UP = 0.5  # P(S_T > 100) at drift +0.02 is N(0) exactly
 MEAN_ST_MU5 = 105.12710963760242  # E[S_T] = 100 e^{0.05}
 MEAN_ST_DRIFT_UP = 102.02013400267558  # E[S_T] = 100 e^{0.02}
 L2_BOUND_ST = 102.53151205244286  # sqrt(E[S_T^2]) e^{k^2 T / 2} at mu = 0, k = 0.1
+
+
+class StoredRows(_Rows):
+    """A weight matrix held in memory, read through the row interface that
+    every weight consumer takes: the dense reference of the stored-versus-
+    rebuilt comparisons, and the crafted (signed, zero, resampled) weights
+    that no family's densities give.  `matrix` is the array itself."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix, self.shape = matrix, matrix.shape
+
+    def head(self, m: int) -> "StoredRows":
+        return StoredRows(self.matrix[:m])
+
+    def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
+        if not isinstance(index, slice):
+            # mode="clip" lets take write straight into `out`, which it
+            # would not under the default "raise"; the indices are in range.
+            return self.matrix.take(index, axis=0, out=out, mode="clip")
+        if out is None:
+            return self.matrix[index].copy()
+        out[...] = self.matrix[index]
+        return out
+
+
+def stored_weights(family, bundle) -> StoredRows:
+    """The family's weight_matrix on the bundle, as stored rows."""
+    return StoredRows(weight_matrix(family, bundle))
+
+
+def stored_capacity(orientation: str, matrix: np.ndarray) -> Capacity:
+    """The capacity of a crafted weight matrix, normalised by its dense
+    column sums."""
+    return Capacity(orientation, StoredRows(matrix), np.ones(len(matrix)) @ matrix)
 
 
 def dense_increments(grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
@@ -118,10 +154,10 @@ def family_k01():
 
 
 @pytest.fixture(scope="session")
-def weights_200k(family_k01, bundle_200k) -> np.ndarray:
-    return weight_matrix(family_k01, bundle_200k)
+def weights_200k(family_k01, bundle_200k) -> StoredRows:
+    return stored_weights(family_k01, bundle_200k)
 
 
 @pytest.fixture(scope="session")
-def weights_50k(family_k01, bundle_50k) -> np.ndarray:
-    return weight_matrix(family_k01, bundle_50k)
+def weights_50k(family_k01, bundle_50k) -> StoredRows:
+    return stored_weights(family_k01, bundle_50k)

@@ -45,7 +45,9 @@ from tests.conftest import (
     CALL_ATM_DRIFT_UP,
     PUT_ATM_DRIFT_DOWN,
     PUT_ATM_DRIFT_UP,
+    StoredRows,
     profile_band,
+    stored_capacity,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,13 +73,12 @@ def market():
     grid = TimeGrid(scenario.horizon, scenario.steps)
     bundle = simulate_sde(model, generate_brownian(grid, scenario.n_paths, scenario.seed))
     family = default_control_family(scenario.k, scenario.theta_grid)
-    weights = weight_matrix(family, bundle)
+    weights = StoredRows(weight_matrix(family, bundle))
     return scenario, model, bundle, family, weights
 
 
 def prefix_capacity(orientation, weights, m):
-    w = weights[:m]
-    return Capacity(orientation, w, np.ones(m) @ w)
+    return stored_capacity(orientation, weights.matrix[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def test_criterion_04_l2_bound(market):
     scenario, _, bundle, _, weights = market
     m = 200_000
     term = bundle.terminal()[:m]
-    w = weights[:m]
+    w = weights.matrix[:m]
     w2 = w * w
     growth = math.exp(0.5 * scenario.k**2 * scenario.horizon)
     rng = np.random.default_rng(413)
@@ -295,7 +296,7 @@ def test_criterion_08_duality_identities(market):
         "neg_put", lambda s: -np.maximum(scenario.strike - s, 0.0),
         monotonicity="increasing")
     # The sampled extremal band: the minimax profile's +k and -k entries.
-    w = weights[:sub.n_paths]
+    w = weights.head(sub.n_paths)
     _, ext_put = profile_band(put.monotonicity, put.map(sub.terminal()), family, w)
     _, ext_neg = profile_band(neg_put.monotonicity, neg_put.map(sub.terminal()), family, w)
     assert abs(ext_put.upper + ext_neg.lower) <= EXACT_TOL * scale
@@ -314,7 +315,7 @@ def test_criterion_09_sandwich_corpus(market):
     scenario, _, bundle, family, weights = market
     m = 200_000
     sub = bundle.head(m)
-    w = weights[:m]
+    w = weights.head(m)
     cap_u = prefix_capacity("upper", weights, m)
     cap_l = prefix_capacity("lower", weights, m)
     strike = scenario.strike

@@ -21,7 +21,7 @@ from nexpect import (
     solve_tree,
     z_sign_check,
 )
-from nexpect.bsde import MAX_TIME_STEPS, Z_SIGN_BAND, Z_SIGN_SLACK
+from nexpect.bsde import MAX_TIME_STEPS, PAGE_BYTES, Z_SIGN_BAND, Z_SIGN_SLACK, _page_rows
 from tests.conftest import (
     CALL_ATM_DRIFT_DOWN,
     CALL_ATM_DRIFT_UP,
@@ -568,6 +568,21 @@ def test_rows_meeting_in_one_march_cannot_overflow():
             assert _bits(row.y0) == _bits(alone.y0)
             assert np.array_equal(_bits(row.value_surface), _bits(alone.value_surface))
             assert np.array_equal(_bits(row.z_surface), _bits(alone.z_surface))
+
+
+@pytest.mark.parametrize("count, nodes", [(1, 11), (2, 256), (5, 801), (5, 1601)])
+def test_march_buffers_are_page_aligned_rows_of_one_block(count, nodes):
+    # Every buffer row of the march starts on a page, wherever the heap puts
+    # the block, and no two rows share memory.  The coefficient rows split
+    # into (driver, node) views.
+    width = count * nodes
+    block = _page_rows(8, width)
+    assert block.shape == (8, width)
+    assert all(row.ctypes.data % PAGE_BYTES == 0 for row in block)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(block) for b in block[i + 1:])
+    coeff_rows = block[2:6].reshape(4, count, nodes)
+    coeff_rows[3, -1, -1] = 7.0
+    assert block[5, -1] == 7.0
 
 
 def test_solve_fd_needs_a_driver(model):

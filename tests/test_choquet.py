@@ -32,7 +32,13 @@ from nexpect import (
 from nexpect.choquet import _SortedSample, _pair_capacities, choquet_estimates
 from nexpect.cli import _choquet_std_error
 from nexpect.paths import ROW_BLOCK
-from tests.conftest import CALL_ATM_DRIFT_UP, DIGITAL_ATM_DRIFT_UP
+from tests.conftest import (
+    CALL_ATM_DRIFT_UP,
+    DIGITAL_ATM_DRIFT_UP,
+    StoredRows,
+    stored_capacity,
+    stored_weights,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +132,7 @@ def test_capacity_duality(caps, bundle_200k):
 
 def test_capacity_k0_is_probability(bundle_50k):
     family = (ThetaControl.constant(0.0, 0.0),)
-    cap = build_capacity("upper", weight_matrix(family, bundle_50k))
+    cap = build_capacity("upper", stored_weights(family, bundle_50k))
     event = bundle_50k.terminal() > 100.0
     assert cap.evaluate(event) == event.mean()
 
@@ -144,11 +150,20 @@ def test_capacity_shape_validation(caps):
         Capacity("upper", upper.weights, upper.totals[:, None])
     # A zero-column matrix is a capacity over an empty family.
     with pytest.raises(ValueError, match="at least one control"):
-        Capacity("upper", np.ones((5, 0)), np.zeros(0))
+        Capacity("upper", StoredRows(np.ones((5, 0))), np.zeros(0))
     with pytest.raises(ValueError, match="at least one control"):
-        build_capacity("upper", np.ones((5, 0)))
-    with pytest.raises(ValueError, match="at least one control"):
-        Capacity("upper", upper.weights[:, 0], upper.totals[:1])
+        build_capacity("upper", StoredRows(np.ones((5, 0))))
+
+
+def test_capacity_rejects_a_bare_matrix(bundle_50k, family_k01):
+    # Weights are rows; a matrix such as weight_matrix returns, or one of its
+    # columns, is named as the wrong type before anything reads it.
+    matrix = weight_matrix(family_k01, bundle_50k)
+    for weights in (matrix, matrix[:, 0]):
+        with pytest.raises(TypeError, match="^capacity weights must be DensityRows, got ndarray$"):
+            build_capacity("upper", weights)
+        with pytest.raises(TypeError, match="DensityRows"):
+            Capacity("upper", weights, np.ones(len(family_k01)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +219,7 @@ def test_integral_simple_function_agreement(caps, bundle_200k, case):
         rng = np.random.default_rng(seed)
         values = rng.choice(np.round(rng.standard_normal(levels) * 10.0 ** rng.integers(-2, 4), 3), n)
         weights = np.exp(0.3 * rng.standard_normal((n, controls)))
-        pair = [Capacity(side, weights, np.ones(n) @ weights) for side in ("upper", "lower")]
+        pair = [stored_capacity(side, weights) for side in ("upper", "lower")]
     assert np.unique(values).size <= 64
     for cap in pair:
         swept = choquet_integral(values, cap)
@@ -226,7 +241,7 @@ def test_integral_negative_payoff(caps, bundle_200k):
     values = -Payoff.put(100.0).map(bundle_200k.terminal())
     estimate = choquet_integral(values, upper)
     plus = ThetaControl.constant(0.1, 0.1)
-    (ref,), (se,) = expectation_profile(values, weight_matrix((plus,), bundle_200k))
+    (ref,), (se,) = expectation_profile(values, stored_weights((plus,), bundle_200k))
     assert estimate <= 0.0
     assert abs(estimate - ref) < max(3.0 * se, 0.02 * abs(ref))
 
@@ -239,7 +254,7 @@ def bundle_capacities(n, k, seed):
     family = default_control_family(k)
     bundle = simulate_sde(model, generate_brownian(grid, n, seed),
                           [c.theta_on_grid(grid) for c in family if c.kind == "bang_bang"])
-    weights = weight_matrix(family, bundle)
+    weights = stored_weights(family, bundle)
     caps = [build_capacity(side, weights) for side in ("upper", "lower")]
     term = bundle.terminal()
     return caps, (Payoff.call(100.0).map(term), np.abs(term - 100.0))
@@ -384,7 +399,7 @@ def test_prefix_sums_match_cumulative_sum():
     values = np.round(rng.standard_normal(n), 2)  # ties across the seams
     weights = np.exp(0.3 * rng.standard_normal((n, m)))
     totals = np.ones(n) @ weights
-    sample = _SortedSample(values, weights)
+    sample = _SortedSample(values, StoredRows(weights))
     full = np.cumsum(weights[sample.order], axis=0)
     ranks = np.array([0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, n - 1, n])
     rows = sample.prefix_sums(ranks, totals)
@@ -432,7 +447,7 @@ def test_pair_capacities_match_masks(case):
     else:
         x = rng.standard_normal(n)
     weights = np.exp(0.3 * rng.standard_normal((n, controls)))
-    upper = Capacity("upper", weights, np.ones(n) @ weights)
+    upper = stored_capacity("upper", weights)
     pairs = _event_kinds(x, rng)
     for cap in (upper, replace(upper, orientation="lower")):
         got = _pair_capacities(cap, x, pairs)
@@ -482,7 +497,7 @@ def test_integral_exact_dominates_every_member(bundle_50k, weights_50k):
     upper = build_capacity("upper", weights_50k)
     values = np.maximum(bundle_50k.terminal() - 100.0, 0.0)
     total = choquet_integral(values, upper)
-    member_means = (values @ weights_50k) / (np.ones(values.size) @ weights_50k)
+    member_means = (values @ weights_50k.matrix) / (np.ones(values.size) @ weights_50k.matrix)
     slack = 1e-10 * max(1.0, abs(total))
     assert total >= member_means.max() - slack
     # For an increasing payoff the boundary member attains the envelope at
@@ -503,7 +518,7 @@ def dense_prefix(x, weights):
 
 def dense_exact(x, cap):
     sorted_x = np.sort(x, kind="stable")
-    prefix = dense_prefix(x, cap.weights)
+    prefix = dense_prefix(x, cap.weights.matrix)
     denom = cap.totals
     curve = np.clip(cap._reduce((denom[None, :] - prefix[1:-1]) / denom[None, :]), 0.0, 1.0)
     return float(sorted_x[0]) + float(np.dot(np.diff(sorted_x), curve))
@@ -513,17 +528,18 @@ def dense_influence(x, cap):
     """IF_l = n * sum_j w_lj / T_j * (A_j(l) - B_j) from the full prefix table
     and an argmax (argmin) per row, with the capacity's totals as T."""
     n, m = cap.weights.shape
+    weights = cap.weights.matrix
     order = np.argsort(x, kind="stable")
     gaps = np.diff(x[order])
     denom = cap.totals
-    tails = (denom[None, :] - dense_prefix(x, cap.weights)[1:-1]) / denom[None, :]
+    tails = (denom[None, :] - dense_prefix(x, weights)[1:-1]) / denom[None, :]
     attain = tails.argmax(axis=1) if cap.orientation == "upper" else tails.argmin(axis=1)
     hits = np.zeros((n - 1, m))
     hits[np.arange(n - 1), attain] = gaps
     below = np.vstack([np.zeros((1, m)), np.cumsum(hits, axis=0)])  # A_j at each position
     attained = hits.T @ tails[np.arange(n - 1), attain]  # B_j
     out = np.empty(n)
-    out[order] = n * ((cap.weights[order] / denom) * (below - attained)).sum(axis=1)
+    out[order] = n * ((weights[order] / denom) * (below - attained)).sum(axis=1)
     return out
 
 
@@ -532,7 +548,7 @@ def engine_case(n, controls, orientation, seed):
     # Rounded draws tie often; the stable sort must keep tied rows in order.
     x = np.round(rng.standard_normal(n), 1) * 3.0
     weights = np.exp(0.3 * rng.standard_normal((n, controls)))
-    return x, Capacity(orientation, weights, np.ones(n) @ weights)
+    return x, stored_capacity(orientation, weights)
 
 
 ENGINE_SIZES = [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 17]
@@ -621,7 +637,7 @@ def test_each_capacity_is_swept_once(monkeypatch):
 
 def test_joint_estimates_need_one_weight_matrix(caps):
     upper, _ = caps
-    other = Capacity("lower", upper.weights.copy(), upper.totals)
+    other = Capacity("lower", StoredRows(upper.weights.matrix.copy()), upper.totals)
     with pytest.raises(ValueError, match="one weight matrix"):
         choquet_estimates(np.arange(float(upper.n_paths)), (upper, other))
     # One weight matrix is not enough: the pair shares its totals too, equal
@@ -645,14 +661,14 @@ def test_influence_is_the_weight_derivative(orientation, controls):
     n = 3000
     x = rng.standard_normal(n) * 2.0
     weights = np.exp(0.3 * rng.standard_normal((n, controls)))
-    cap = Capacity(orientation, weights, np.ones(n) @ weights)
+    cap = stored_capacity(orientation, weights)
     base = choquet_integral(x, cap)
     [(_, influence)] = choquet_estimates(x, (cap,))
     eps = 1e-4
     for l in (0, 7, 1500, n - 1):
         bumped = weights.copy()
         bumped[l] *= 1.0 + eps
-        moved = choquet_integral(x, Capacity(orientation, bumped, np.ones(n) @ bumped))
+        moved = choquet_integral(x, stored_capacity(orientation, bumped))
         assert (moved - base) / eps * n == pytest.approx(influence[l], rel=1e-5, abs=1e-6)
 
 
@@ -671,7 +687,7 @@ def test_choquet_se_at_zero_k_is_plain_se(bundle_50k):
     values = np.maximum(bundle_50k.terminal() - 100.0, 0.0)
     plain_se = values.std(ddof=1) / math.sqrt(values.size)
     for orientation in ("upper", "lower"):
-        cap = build_capacity(orientation, weight_matrix(family, bundle_50k))
+        cap = build_capacity(orientation, stored_weights(family, bundle_50k))
         [(_, influence)] = choquet_estimates(values, (cap,))
         assert _choquet_std_error(influence) == pytest.approx(plain_se, rel=1e-12)
 
@@ -692,11 +708,11 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
     for b in range(len(boot)):
         mult = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
         np.multiply(weights, mult[:, None], out=scaled)
-        upper_b = Capacity("upper", scaled, np.ones(n) @ scaled)
-        lower_b = Capacity("lower", scaled, upper_b.totals)
-        boot[b] = _SortedSample(values, scaled).sweep((upper_b, lower_b))[0]
+        upper_b = stored_capacity("upper", scaled)
+        lower_b = replace(upper_b, orientation="lower")
+        boot[b] = _SortedSample(values, upper_b.weights).sweep((upper_b, lower_b))[0]
     for orientation, spread in zip(("upper", "lower"), boot.std(axis=0, ddof=1)):
-        cap = Capacity(orientation, weights, np.ones(n) @ weights)
+        cap = stored_capacity(orientation, weights)
         [(_, influence)] = choquet_estimates(values, (cap,))
         ratio = _choquet_std_error(influence) / spread
         assert 0.8 <= ratio <= 1.25, (orientation, ratio)
@@ -710,7 +726,7 @@ def test_influence_se_matches_exact_bootstrap(acc_model, grid8, family_k01, payo
 def test_error_bars_match_dense_influences(acc_model, grid8, family):
     n = 3000
     bundle = simulate_sde(acc_model, generate_brownian(grid8, n, 17))
-    upper = build_capacity("upper", weight_matrix(family, bundle))
+    upper = build_capacity("upper", stored_weights(family, bundle))
     values = np.maximum(bundle.terminal() - 100.0, 0.0)
 
     # The Choquet error bar of the report.

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nexpect import Payoff, ScenarioError, default_control_family, weight_matrix
+from nexpect import Payoff, ScenarioError, default_control_family
 from nexpect.cli import (
     ESTIMATOR_ORDER,
     EXIT_BAD_SCENARIO,
@@ -35,7 +35,7 @@ from nexpect.cli import (
     parse_payoff_expression,
     run_scenario,
 )
-from tests.conftest import profile_band
+from tests.conftest import StoredRows, profile_band, stored_weights
 
 BASE = """\
 s0 = 100
@@ -757,7 +757,7 @@ def test_reweighted_extremal_band_is_read_from_the_minimax_profile(tmp_path, mon
     assert calls == []
     payoff, family = scn.build_payoff(), default_control_family(scn.k, scn.theta_grid)
     _, band = profile_band(payoff.monotonicity, payoff.map(bundles[0].terminal()), family,
-                           weight_matrix(family, bundles[0]))
+                           stored_weights(family, bundles[0]))
     upper, lower = report.entry("extremal_upper"), report.entry("extremal_lower")
     assert (upper.value, upper.std_error, upper.note) == (band.upper, band.upper_se, "reweighting")
     assert (lower.value, lower.std_error, lower.note) == (band.lower, band.lower_se, "reweighting")
@@ -1045,7 +1045,7 @@ def test_martingale_verdict_at_its_limit(call_context, pull, status):
     # +- 0.01, whose mean strays by pull * 0.01 at an SE of 0.01.
     weights = np.ones((2, len(call_context.family)))
     weights[:, -1] += pull * 0.01 + np.array([0.01, -0.01])
-    outcome = _check_martingale(replace(call_context, weights=weights))
+    outcome = _check_martingale(replace(call_context, weights=StoredRows(weights)))
     assert outcome.status == status
     assert outcome.detail == (f"max |mean - 1| = {pull:.2f} SE at "
                               f"{call_context.family[-1].label()} (limit 4)")
@@ -1262,7 +1262,8 @@ def test_submodularity_verdict_at_its_limit(call_context, factor, status):
     counts = np.array([m // 10, m - 2 * (m // 10), m // 10])
     values = np.repeat([0.0, 1.0, 2.0], counts)
     weights = np.repeat(np.array([-delta, 0.5 + delta, 0.5]) / counts, counts)[:, None]
-    outcome = _check_submodularity(replace(call_context, values=values, weights=weights))
+    outcome = _check_submodularity(replace(call_context, values=values,
+                                           weights=StoredRows(weights)))
     assert outcome.status == status, outcome.detail
     assert outcome.detail.startswith(f"max 2-alternating defect {delta:.2e} over 200 ")
 
@@ -1298,7 +1299,8 @@ def test_holder_verdict_fails_on_an_envelope_that_is_not_2_alternating(call_cont
     in_b = np.repeat([0.0, 1.0, 1.0, 0.0], quarter)
     envelope = np.repeat([[0.0, 0.25], [0.25, 0.0], [0.0, 0.25], [0.75, 0.5]], quarter, axis=0)
     states = call_context.scenario.s0 * (1.0 + in_b)
-    outcome = _check_holder(replace(call_context, values=1.0 + in_a, weights=envelope / quarter,
+    outcome = _check_holder(replace(call_context, values=1.0 + in_a,
+                                    weights=StoredRows(envelope / quarter),
                                     bundle=replace(call_context.bundle, states=states)))
     assert outcome.status == "fail"
     assert outcome.detail.startswith("pair 0: margin -0.25 (tol "), outcome.detail

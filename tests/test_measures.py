@@ -22,15 +22,17 @@ from nexpect import (
     weight_matrix,
 )
 from nexpect.choquet import _SortedSample, build_capacity, choquet_estimates
-from nexpect.measures import ROW_BLOCK, DensityRows, Spread, Sums, density_moments, weight_rows
+from nexpect.measures import ROW_BLOCK, DensityRows, Spread, Sums, density_moments
 from nexpect.minimax import closed_under_negation
 from nexpect.paths import with_functionals
 from tests.conftest import (
     CALL_ATM_FLAT,
     MEAN_ST_DRIFT_UP,
+    StoredRows,
     block_moments,
     blocked_products,
     dense_increments,
+    stored_weights,
 )
 
 
@@ -84,7 +86,7 @@ def test_zero_control_weights_are_one(bundle_50k):
     control = ThetaControl.constant(0.0, 0.1)
     w = girsanov_weights(control, bundle_50k)
     assert np.all(w == 1.0)
-    (mean,), _ = expectation_profile(np.ones(bundle_50k.n_paths), weight_matrix((control,), bundle_50k))
+    (mean,), _ = expectation_profile(np.ones(bundle_50k.n_paths), stored_weights((control,), bundle_50k))
     assert mean == 1.0
 
 
@@ -111,7 +113,7 @@ def test_bang_bang_weights_match_manual():
 def test_weights_martingale_mean(acc_model, grid8):
     bundle = simulate_sde(acc_model, generate_brownian(grid8, 500_000, 2024))
     control = ThetaControl.constant(0.1, 0.1)
-    (mean,), (se,) = expectation_profile(np.ones(bundle.n_paths), weight_matrix((control,), bundle))
+    (mean,), (se,) = expectation_profile(np.ones(bundle.n_paths), stored_weights((control,), bundle))
     assert abs(mean - 1.0) <= 4.0 * se
 
 
@@ -130,7 +132,7 @@ def test_weights_second_moment_bound(bundle_200k):
 def test_expectation_constant_payoff_exact_at_zero(bundle_50k):
     control = ThetaControl.constant(0.0, 0.1)
     values = np.full(bundle_50k.n_paths, 3.25)
-    (est,), (se,) = expectation_profile(values, weight_matrix((control,), bundle_50k))
+    (est,), (se,) = expectation_profile(values, stored_weights((control,), bundle_50k))
     assert est == 3.25
     assert se == 0.0
 
@@ -138,14 +140,14 @@ def test_expectation_constant_payoff_exact_at_zero(bundle_50k):
 def test_expectation_drift_shift(bundle_200k):
     # theta = +k on a driftless market prices S_T at 100 e^{+k sigma T}.
     control = ThetaControl.constant(0.1, 0.1)
-    (est,), (se,) = expectation_profile(bundle_200k.terminal(), weight_matrix((control,), bundle_200k))
+    (est,), (se,) = expectation_profile(bundle_200k.terminal(), stored_weights((control,), bundle_200k))
     assert abs(est - MEAN_ST_DRIFT_UP) < 3.0 * se
 
 
 def test_expectation_flat_call(bundle_200k):
     control = ThetaControl.constant(0.0, 0.1)
     values = np.maximum(bundle_200k.terminal() - 100.0, 0.0)
-    (est,), (se,) = expectation_profile(values, weight_matrix((control,), bundle_200k))
+    (est,), (se,) = expectation_profile(values, stored_weights((control,), bundle_200k))
     assert abs(est - CALL_ATM_FLAT) < 3.0 * se
 
 
@@ -161,17 +163,14 @@ def test_measure_change_matches_direct_simulation(grid8):
     base = simulate_sde(flat, generate_brownian(grid8, 200_000, 556))
     control = ThetaControl.constant(0.1, 0.1)
     (est,), (se,) = expectation_profile(np.maximum(base.terminal() - 100.0, 0.0),
-                                        weight_matrix((control,), base))
+                                        stored_weights((control,), base))
     assert abs(est - direct_est) < 4.0 * math.hypot(se, direct_se)
 
 
 def test_expectation_validation(bundle_50k):
-    weights = weight_matrix((ThetaControl.constant(0.05, 0.1),), bundle_50k)
-    with pytest.raises(ValueError):
+    weights = stored_weights((ThetaControl.constant(0.05, 0.1),), bundle_50k)
+    with pytest.raises(ValueError, match="does not match"):
         expectation_profile(np.ones(10), weights)
-    # A density column is not a weight matrix.
-    with pytest.raises(ValueError):
-        expectation_profile(np.ones(bundle_50k.n_paths), weights[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def test_blocked_weight_passes_are_bitwise_dense(n, family, grid8):
     # one-member family takes the dense formula.
     x = np.maximum(with_functionals(bundle, ()).brownian_terminal * 30.0 + 1.0, 0.0)
     products = dense * x[:, None]
-    est, ses = expectation_profile(x, serial)
+    est, ses = expectation_profile(x, StoredRows(serial))
     if len(family) == 1:
         means, errors = products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(n)
     else:
@@ -386,7 +385,7 @@ def test_stored_and_rebuilt_weights_reduce_alike(n, name, seed, grid8):
     # the other's bit for bit.
     family = TWO_KINDS if name == "two kinds" else FAMILIES[name]
     bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2), generate_brownian(grid8, n, seed))
-    stored, rebuilt = weight_matrix(family, bundle), DensityRows(family, bundle)
+    stored, rebuilt = stored_weights(family, bundle), DensityRows(family, bundle)
     x = np.maximum(bundle.terminal() - 100.0, 0.0)
     events = np.random.default_rng(seed).random((3, n)) < 0.5
     results = []
@@ -394,7 +393,7 @@ def test_stored_and_rebuilt_weights_reduce_alike(n, name, seed, grid8):
         upper = build_capacity("upper", weights)
         lower = replace(upper, orientation="lower")
         estimates = choquet_estimates(x, (upper, lower))
-        results.append([upper.totals, weight_rows(weights).sums(events.astype(float)),
+        results.append([upper.totals, weights.sums(events.astype(float)),
                         *expectation_profile(x, weights),
                         *(np.array([value]) for value, _ in estimates),
                         *(influence for _, influence in estimates)])
@@ -405,12 +404,11 @@ def test_stored_and_rebuilt_weights_reduce_alike(n, name, seed, grid8):
         assert same_bits(a, b)
 
     # The head of the rows, a view of the first m paths' statistics with
-    # totals of its own, is the stored matrix's first m rows bit for bit, as
-    # is the head of the stored matrix.
+    # totals of its own, is the stored matrix's first m rows bit for bit.
     for m in sorted({m for m in (1, B - 1, B, B + 1, n) if m <= n}):
         ranks = np.unique([0, 1, m // 3, m // 2, m - 1, m])
         results = []
-        for weights in (stored[:m], rebuilt.head(m), weight_rows(stored).head(m)):
+        for weights in (stored.head(m), rebuilt.head(m)):
             upper = build_capacity("upper", weights)
             lower = replace(upper, orientation="lower")
             estimates = choquet_estimates(x[:m], (upper, lower))
@@ -419,8 +417,8 @@ def test_stored_and_rebuilt_weights_reduce_alike(n, name, seed, grid8):
                             *(np.array([value]) for value, _ in estimates),
                             *(influence for _, influence in estimates),
                             _SortedSample(x[:m], weights).prefix_sums(ranks, upper.totals)])
-        for dense_result, *heads in zip(*results):
-            assert all(same_bits(dense_result, head) for head in heads), m
+        for dense_result, head in zip(*results):
+            assert same_bits(dense_result, head), m
 
 
 @pytest.mark.parametrize("family", [(ThetaControl.constant(0.05, 0.1),), FAMILIES["default"]],
@@ -433,11 +431,10 @@ def test_estimates_serve_the_reductions_they_are_handed(family, stored, grid8):
     # without them, and every reduction's result that of its own pass.
     n = 2 * B + 17
     bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2), generate_brownian(grid8, n, 12))
-    weights = weight_matrix(family, bundle) if stored else DensityRows(family, bundle)
-    rows = weight_rows(weights)
+    rows = stored_weights(family, bundle) if stored else DensityRows(family, bundle)
     x = np.maximum(bundle.terminal() - 100.0, 0.0)
     events = np.random.default_rng(12).random((3, n)) < 0.5
-    upper = build_capacity("upper", weights)
+    upper = build_capacity("upper", rows)
     pair = (upper, replace(upper, orientation="lower"))
     means = rows.sums(x) / n
     spread, moments = Spread(rows.shape, x, means), Spread(rows.shape, None, rows.totals / n)
@@ -450,8 +447,8 @@ def test_estimates_serve_the_reductions_they_are_handed(family, stored, grid8):
     rows.reduce(own)
     assert same_bits(spread.result, own.result)
     if len(family) > 1:
-        assert same_bits(spread.result, expectation_profile(x, weights)[1])
-    assert same_bits(moments.result, density_moments(weights)[1])
+        assert same_bits(spread.result, expectation_profile(x, rows)[1])
+    assert same_bits(moments.result, density_moments(rows)[1])
     assert same_bits(sums.result, rows.sums(events))
 
 
@@ -463,7 +460,7 @@ def test_capacity_weighs_a_stack_of_events_as_each_alone(name, stored, grid8):
     n = 2 * B + 17
     family = FAMILIES[name]
     bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2), generate_brownian(grid8, n, 8))
-    weights = weight_matrix(family, bundle) if stored else DensityRows(family, bundle)
+    weights = stored_weights(family, bundle) if stored else DensityRows(family, bundle)
     events = np.random.default_rng(8).random((7, n)) < np.linspace(0.05, 0.95, 7)[:, None]
     for orientation in ("upper", "lower"):
         capacity = replace(build_capacity("upper", weights), orientation=orientation)

@@ -38,8 +38,10 @@ from tests.conftest import (
     DIGITAL_ATM_DRIFT_UP,
     PUT_ATM_DRIFT_DOWN,
     PUT_ATM_DRIFT_UP,
+    StoredRows,
     dense_band,
     profile_band,
+    stored_weights,
 )
 
 HORIZON = 1.0
@@ -196,7 +198,7 @@ def test_extremal_reweighting_is_bitwise_dense(acc_model, grid8, family_k01, n, 
     x = payoff.map(bundle.terminal())
     weights = weight_matrix(family_k01, bundle)
     hi, hi_se, lo, lo_se = dense_band(payoff.monotonicity, x, weights, family_k01)
-    _, report = profile_band(payoff.monotonicity, x, family_k01, weights)
+    _, report = profile_band(payoff.monotonicity, x, family_k01, StoredRows(weights))
     assert (report.upper, report.upper_se, report.lower, report.lower_se) == (hi, hi_se, lo, lo_se)
 
 
@@ -210,7 +212,7 @@ def test_extremal_price_is_the_minimax_profile_at_k(acc_model, grid8, bundle_50k
     bundle = bundle_50k if n == 50_000 else simulate_sde(acc_model, generate_brownian(grid8, n, 5))
     family = default_control_family(acc_model.k)
     _, report = profile_band(payoff.monotonicity, payoff.map(bundle.terminal()), family,
-                             weight_matrix(family, bundle))
+                             stored_weights(family, bundle))
     assert report.method == "reweighting"
     if payoff.kind == "digital":
         (mu, sigma), k = acc_model.gbm_constants, acc_model.k
@@ -273,7 +275,7 @@ def test_minimax_zero_bound_collapses(grid8):
     family = default_control_family(0.0)
     assert len(family) == 1
     res = minimax_expectation(Payoff.call(100.0).map(bundle.terminal()), family,
-                              weight_matrix(family, bundle))
+                              stored_weights(family, bundle))
     assert res.upper == res.lower
     plain = float(np.maximum(bundle.terminal() - 100.0, 0.0).mean())
     assert res.upper == plain
@@ -308,22 +310,22 @@ def test_minimax_rejects_open_family(bundle_50k):
     assert not closed_under_negation(lopsided)
     values = Payoff.call(100.0).map(bundle_50k.terminal())
     with pytest.raises(ValueError, match="negation"):
-        minimax_expectation(values, lopsided, weight_matrix(lopsided, bundle_50k))
+        minimax_expectation(values, lopsided, stored_weights(lopsided, bundle_50k))
 
 
 def test_minimax_rejects_empty_family(bundle_50k):
     values = Payoff.call(100.0).map(bundle_50k.terminal())
     with pytest.raises(ValueError, match="nonempty"):
-        minimax_expectation(values, (), np.ones((values.size, 1)))
+        minimax_expectation(values, (), StoredRows(np.ones((values.size, 1))))
 
 
 def test_minimax_rejects_a_matrix_of_another_family(family_k01, bundle_50k, weights_50k):
     # One weight column per control, or the argmax would name the wrong one.
     values = Payoff.call(100.0).map(bundle_50k.terminal())
-    for weights in (weights_50k[:, :-2], np.hstack([weights_50k, weights_50k[:, :1]]),
-                    weights_50k[:, 0]):
+    matrix = weights_50k.matrix
+    for weights in (matrix[:, :-2], np.hstack([matrix, matrix[:, :1]])):
         with pytest.raises(ValueError, match="one column"):
-            minimax_expectation(values, family_k01, weights)
+            minimax_expectation(values, family_k01, StoredRows(weights))
     with pytest.raises(ValueError, match="does not match"):
         minimax_expectation(values[:10], family_k01, weights_50k)
 
@@ -434,7 +436,7 @@ def dense_attainment(payoff, k, bundle):
     thetas = np.linspace(-k, k, ATTAINMENT_GRID)
     weights = weight_matrix([ThetaControl.constant(t, k) for t in thetas], bundle)
     values = payoff.map(bundle.terminal())
-    estimates, ses = expectation_profile(values, weights)
+    estimates, ses = expectation_profile(values, StoredRows(weights))
 
     def paired_se(i, j):
         return ((weights[:, i] - weights[:, j]) * values).std(ddof=1) / math.sqrt(bundle.n_paths)

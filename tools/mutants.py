@@ -134,6 +134,17 @@ MUTANTS = (
     ("z extreme left in d units (no sv / (2 dx) map)", BSDE,
      "track = sv_level * (track / two_dx)", "track = track",
      (f"{BSDE_TESTS}::test_streamed_z_extreme_is_bitwise_surface_extreme",)),
+    ("z divides the level above's d", BSDE,
+     "        np.subtract(up, dn, out=d)\n"
+     "        if store_surfaces or recompute_z:\n"
+     "            z_row(sv_level, cur[0])\n",
+     "        if store_surfaces or recompute_z:\n"
+     "            z_row(sv_level, cur[0])\n"
+     "        np.subtract(up, dn, out=d)\n",
+     (f"{BSDE_TESTS}::test_fd_march_is_bitwise_the_allocating_march",)),
+    ("march buffers lose their page padding", BSDE,
+     "stride = -(-width // per_page) * per_page", "stride = width",
+     (f"{BSDE_TESTS}::test_march_buffers_are_page_aligned_rows_of_one_block",)),
     # The weights rebuilt on demand, and the reductions that must match their totals.
     ("density rows drop the shift", "src/nexpect/measures.py",
      "        out -= self.shift\n", "",
@@ -146,19 +157,19 @@ MUTANTS = (
      "moments = (Spread(weights.shape, None, weights.totals / n)",
      "moments = (Spread(weights.shape, None, weights.sums(np.ones(n)) / n)",
      (f"{CLI_TESTS}::test_weight_moments_are_reduced_once",)),
-    ("stored matrix reduced by one whole-matrix product", "src/nexpect/measures.py",
+    ("rows other than DensityRows reduced by one whole-matrix product", "src/nexpect/measures.py",
      "        buffer = np.empty((min(n, ROW_BLOCK), m))\n",
      "        buffer = np.empty((min(n, ROW_BLOCK), m))\n"
-     "        if isinstance(self, _StoredRows):\n"
-     "            yield slice(0, n), self.weights\n"
+     "        if not isinstance(self, DensityRows):\n"
+     "            yield slice(0, n), self.dense()\n"
      "            return\n",
      ("tests/test_measures.py::test_stored_and_rebuilt_weights_reduce_alike",)),
     ("spread skips subtracting the mean", "src/nexpect/measures.py",
      "            squares -= self.means\n", "",
      ("tests/test_measures.py::test_blocked_weight_passes_are_bitwise_dense",)),
     ("normalization reduces its full event by one matrix product", CLI,
-     "sums = (ctx.empty_sums, weight_rows(ctx.weights).totals)",
-     "sums = (ctx.empty_sums, np.ones(ctx.bundle.n_paths) @ weight_rows(ctx.weights).dense())",
+     "sums = (ctx.empty_sums, ctx.weights.totals)",
+     "sums = (ctx.empty_sums, np.ones(ctx.bundle.n_paths) @ ctx.weights.dense())",
      (f"{CLI_TESTS}::test_normalization_verdict_is_exact",)),
     # Rows rebuilt for every consumer, and the passes they share.
     ("head totals reduced over all n rows", "src/nexpect/measures.py",
@@ -180,7 +191,7 @@ MUTANTS = (
      ("tests/test_choquet.py::test_joint_estimates_match_dense_references",)),
     # One entry point to the sorted sweep, and the natural pass it shares.
     ("choquet_estimates drops the reductions it was handed", "src/nexpect/choquet.py",
-     "rows.reduce(influences, *reductions)", "rows.reduce(influences)",
+     "weights.reduce(influences, *reductions)", "weights.reduce(influences)",
      (f"{CLI_TESTS}::test_weight_moments_are_reduced_once",
       "tests/test_measures.py::test_estimates_serve_the_reductions_they_are_handed")),
     ("choquet_estimates accepts unequal totals", "src/nexpect/choquet.py",
