@@ -12,7 +12,7 @@ one natural pass over the weights finishes the influences and serves any
 other reductions the caller hands over (choquet_estimates).
 The same sort and running sums weigh every threshold event of a sample, and
 the union and intersection of two, for the submodularity check.  Every
-capacity value is normalised by the capacity's own totals.  A capacity's
+capacity value is normalised by its weight rows' totals.  A capacity's
 weights are a family's rows (measures.DensityRows), rebuilt block by block
 for every pass; no weight matrix is stored.
 """
@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .measures import DensityRows, _Rows
+from .measures import DensityRows, _require_rows
 from .paths import ROW_BLOCK
 
 
@@ -131,25 +131,20 @@ class Payoff:
 # capacities
 # ---------------------------------------------------------------------------
 
-def _require_rows(weights) -> None:
-    if not isinstance(weights, _Rows):
-        raise TypeError(f"capacity weights must be DensityRows, got {type(weights).__name__}")
-
-
 @dataclass(frozen=True)
 class Capacity:
     """Upper or lower envelope of reweighted probabilities over a family,
     given by its weight rows (measures.DensityRows, or a head of them), one
     column per control.
 
-    Weights are self-normalised per control, so evaluate() returns exactly 0
-    on the empty event and exactly 1 on the full event, and values are
-    clipped to [0, 1] against last-ulp rounding.
+    Weights are self-normalised per control by the rows' own totals, the
+    reduction that evaluate() applies to an event, so evaluate() returns
+    exactly 0 on the empty event and exactly 1 on the full event, and values
+    are clipped to [0, 1] against last-ulp rounding.
     """
 
     orientation: str  # "upper" | "lower"
     weights: DensityRows  # (n_paths, n_controls)
-    totals: np.ndarray  # (n_controls,)
 
     def __post_init__(self) -> None:
         if self.orientation not in ("upper", "lower"):
@@ -157,9 +152,11 @@ class Capacity:
         _require_rows(self.weights)
         if not self.weights.shape[1]:
             raise ValueError("capacity requires at least one control")
-        if self.totals.shape != self.weights.shape[1:]:
-            raise ValueError(f"totals shape {self.totals.shape} does not match the "
-                             f"weight rows' {self.weights.shape[1]} controls")
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Each control's weight total, the normaliser: the rows' totals."""
+        return self.weights.totals
 
     @property
     def n_paths(self) -> int:
@@ -191,11 +188,7 @@ class Capacity:
 def build_capacity(orientation: str, weights: DensityRows) -> Capacity:
     """The capacity of a family's weight rows, so that upper and lower
     capacities and the minimax search share one set of densities."""
-    # The totals are the reduction that evaluate() applies to an event, so
-    # that the full event normalises to exactly 1.0 in floating point: each
-    # block's `ones @ rows` added up in block order.
-    _require_rows(weights)
-    return Capacity(orientation=orientation, weights=weights, totals=weights.totals)
+    return Capacity(orientation, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +197,7 @@ def build_capacity(orientation: str, weights: DensityRows) -> Capacity:
 
 class _SortedSample:
     """A payoff sample sorted once, integrable in one sweep against every
-    capacity on those weight rows and their totals, and the prefix engine
-    of its events.
+    capacity on those weight rows, and the prefix engine of its events.
 
     The tail weight of {X > x} per control is a capacity's total minus a
     running sum of the weights in ascending order of X.  Those running sums
@@ -285,13 +277,14 @@ class _SortedSample:
             IF_l = n * sum_j w_lj / T_j * (A_j(l) - B_j),
 
         with A_j(l) the sum of the gaps below l where j attains and B_j the
-        sum of gap_i * c_i over those gaps.  T is the capacity's totals, the
+        sum of gap_i * c_i over those gaps.  T is the rows' totals, the
         normaliser of capacity.evaluate, and c_i, clipped to [0, 1], is also
         the integral's tail curve.  A / T is carried between blocks like the
         running sums; B is known only at the end, so its term takes a pass
         over the weight rows in natural order, for every capacity at once,
-        which other reductions can share.  The capacities share their
-        totals, so each block's tails are taken once, for all of them.
+        which other reductions can share.  The capacities share their rows,
+        hence their totals, so each block's tails are taken once, for all of
+        them.
         Every result is bitwise that of a sweep against its capacity alone.
         """
         n, m = self.weights.shape
@@ -371,18 +364,17 @@ def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity],
     n * w_l / T * (x_l - integral); larger families differentiate the max
     (or min) at the attaining control (see _SortedSample.sweep).
 
-    The capacities share one weight matrix and equal totals, as a family's
-    upper and lower capacities do: the sample is sorted once and one sweep
+    The capacities share one weight matrix, as a family's upper and lower
+    capacities do, and so its totals: the sample is sorted once and one sweep
     of running sums serves them all.  One more pass over the weight rows in
     natural order finishes every influence, and the `reductions` given
     (measures._Rows.reduce), such as a payoff's Spread, share that pass;
     their results are bitwise those of a pass of their own.
     """
     capacities = tuple(capacities)
-    weights, totals = capacities[0].weights, capacities[0].totals
-    if any(c.weights is not weights or not np.array_equal(c.totals, totals)
-           for c in capacities[1:]):
-        raise ValueError("capacities must share one weight matrix and its totals")
+    weights = capacities[0].weights
+    if any(c.weights is not weights for c in capacities[1:]):
+        raise ValueError("capacities must share one weight matrix")
     x = np.asarray(payoff_values, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("payoff_values must be a nonempty 1-d array")
@@ -396,7 +388,7 @@ def choquet_estimates(payoff_values: np.ndarray, capacities: Iterable[Capacity],
         # is exact and keeps a degenerate family consistent with the plain
         # Monte Carlo estimate to the last bit.  Its influences need no
         # further pass.
-        w, total = weights.rows(slice(0, x.size))[:, 0], totals[0]
+        w, total = weights.rows(slice(0, x.size))[:, 0], weights.totals[0]
         value = float(np.mean(w * x) * (x.size / float(total)))
         values = [value] * len(capacities)
         influences = Influences([x.size * w / total * (x - value) for _ in capacities], [])

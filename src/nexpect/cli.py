@@ -55,7 +55,6 @@ from .measures import (
     Sums,
     ThetaControl,
     default_control_family,
-    density_moments,
 )
 from .minimax import (
     ExtremalReport,
@@ -428,7 +427,11 @@ class Report:
 
 @dataclass
 class RunContext:
-    """Everything the checks need, computed once."""
+    """Everything the checks need, computed once.  Two checks' reductions
+    come from the run's shared passes, when the check is requested:
+    `empty_sums`, the empty event's weight sums, for `normalization`, and
+    `moments`, each density's mean (its total over n) and standard error,
+    for `martingale`; each is None otherwise."""
 
     scenario: Scenario
     payoff: Payoff
@@ -440,6 +443,8 @@ class RunContext:
     cap_lower: Capacity
     fd: GridSolution  # rows: FD_DRIVERS, then COMPARISON_SIGNS with `comparison`
     entries: dict[str, EstimatorEntry]
+    empty_sums: Optional[np.ndarray] = None
+    moments: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def subsample(self) -> tuple[PathBundle, np.ndarray]:
         """The bundle and payoff values of the first paths."""
@@ -454,18 +459,6 @@ class RunContext:
         m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
         upper = build_capacity("upper", self.weights.head(m))
         return upper, replace(upper, orientation="lower")
-
-    # The reductions of two checks.  run_scenario sets them from the passes
-    # it shares; a context made otherwise (a replace) reduces its own.
-    @cached_property
-    def empty_sums(self) -> np.ndarray:
-        """The weight sums of the empty event, for `normalization`."""
-        return self.weights.sums(np.zeros(self.bundle.n_paths, dtype=bool))
-
-    @cached_property
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each density's mean and standard error, for `martingale`."""
-        return density_moments(self.weights)
 
 
 # Spawn keys of the auxiliary streams, one per check that draws events.
@@ -612,12 +605,9 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     ctx = RunContext(
         scenario=scenario, payoff=payoff, bundle=bundle, values=values,
         family=family, weights=weights, cap_upper=cap_upper, cap_lower=cap_lower, fd=fd,
-        entries=entries,
+        entries=entries, empty_sums=None if empty_sums is None else empty_sums.result,
+        moments=None if moments is None else (weights.totals / n, moments.result),
     )
-    if empty_sums is not None:
-        ctx.empty_sums = empty_sums.result
-    if moments is not None:
-        ctx.moments = (weights.totals / n, moments.result)
 
     outcomes = [CHECK_REGISTRY[name](ctx) for name in requested]
 

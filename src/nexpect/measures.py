@@ -36,7 +36,6 @@ __all__ = [
     "Sums",
     "Spread",
     "weight_matrix",
-    "density_moments",
     "expectation_profile",
     "default_control_family",
 ]
@@ -188,6 +187,13 @@ class _Rows:
     def dense(self) -> np.ndarray:
         """The rows as one (n_paths, C) array."""
         return self.rows(slice(0, self.shape[0]))
+
+
+def _require_rows(weights) -> None:
+    """Raise TypeError unless `weights` are weight rows (_Rows): the one
+    weight type of every consumer."""
+    if not isinstance(weights, _Rows):
+        raise TypeError(f"weights must be DensityRows, got {type(weights).__name__}")
 
 
 class Sums:
@@ -345,19 +351,6 @@ def weight_matrix(
     return out
 
 
-def density_moments(weights: DensityRows) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of each density column.
-
-    The means are totals / n, bitwise what normalises the family's
-    capacities, and the whole result is bitwise expectation_profile of the
-    payoff 1 for a family of two or more members.
-    """
-    means = weights.totals / weights.shape[0]
-    spread = Spread(weights.shape, None, means)
-    weights.reduce(spread)
-    return means, spread.result
-
-
 def expectation_profile(payoff_values: np.ndarray,
                         weights: DensityRows) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and standard errors of E[payoff] under every family member,
@@ -370,6 +363,7 @@ def expectation_profile(payoff_values: np.ndarray,
     .mean(axis=0) and .std(axis=0, ddof=1) / sqrt(n), so with k = 0 the
     estimate is the plain Monte Carlo mean.
     """
+    _require_rows(weights)
     x = np.asarray(payoff_values, dtype=float)
     if x.shape != weights.shape[:1]:
         raise ValueError(f"payoff array shape {x.shape} does not match "

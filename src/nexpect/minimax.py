@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .choquet import Payoff
-from .measures import DensityRows, ThetaControl, expectation_profile
+from .measures import DensityRows, ThetaControl, _require_rows, expectation_profile
 from .paths import MarketModel, PathBundle
 
 def pooled_tolerance(std_errors: Sequence[float]) -> float:
@@ -151,6 +151,7 @@ def minimax_expectation(
         raise ValueError("control family must be nonempty")
     if not closed_under_negation(family):
         raise ValueError("control family is not closed under negation")
+    _require_rows(weights)
     if weights.shape[1] != len(family):
         raise ValueError(f"weight rows of shape {weights.shape} do not give one column "
                          f"to each of the family's {len(family)} controls")

@@ -38,10 +38,14 @@ class StoredRows(_Rows):
     """A weight matrix held in memory, read through the row interface that
     every weight consumer takes: the dense reference of the stored-versus-
     rebuilt comparisons, and the crafted (signed, zero, resampled) weights
-    that no family's densities give.  `matrix` is the array itself."""
+    that no family's densities give.  `matrix` is the array itself; given
+    `totals` replace the column sums the row interface reduces, so a
+    capacity on these rows is normalised by them."""
 
-    def __init__(self, matrix: np.ndarray) -> None:
+    def __init__(self, matrix: np.ndarray, totals: np.ndarray | None = None) -> None:
         self.matrix, self.shape = matrix, matrix.shape
+        if totals is not None:
+            self.totals = totals
 
     def head(self, m: int) -> "StoredRows":
         return StoredRows(self.matrix[:m])
@@ -65,7 +69,7 @@ def stored_weights(family, bundle) -> StoredRows:
 def stored_capacity(orientation: str, matrix: np.ndarray) -> Capacity:
     """The capacity of a crafted weight matrix, normalised by its dense
     column sums."""
-    return Capacity(orientation, StoredRows(matrix), np.ones(len(matrix)) @ matrix)
+    return Capacity(orientation, StoredRows(matrix, np.ones(len(matrix)) @ matrix))
 
 
 def dense_increments(grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:

@@ -21,6 +21,7 @@ import pytest
 
 from nexpect import (
     Capacity,
+    DensityRows,
     Generator,
     Payoff,
     TimeGrid,
@@ -57,6 +58,7 @@ DEGENERATE_SCN = ROOT / "scenarios" / "degenerate.scn"
 REL_CHAIN = 0.01          # cross-estimator relative agreement
 SCHEME_TOL = 0.005        # backward-solver relative tolerance
 EXACT_TOL = 1e-12         # shared-randomness identities, per unit of scale
+SUB_PATHS = 200_000       # the most rows of the stored weights a criterion reads
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +69,16 @@ def acc_report():
 
 @pytest.fixture(scope="module")
 def market():
-    """The acceptance market rebuilt once for the statistical sweeps."""
+    """The acceptance market rebuilt once for the statistical sweeps.  The
+    criteria read at most the first SUB_PATHS rows of the stored weights,
+    so only those are stored: each entry has one term, so they are bitwise
+    the full matrix's first rows."""
     scenario = load_scenario(str(ACCEPTANCE_SCN))
     model = scenario.build_model()
     grid = TimeGrid(scenario.horizon, scenario.steps)
     bundle = simulate_sde(model, generate_brownian(grid, scenario.n_paths, scenario.seed))
     family = default_control_family(scenario.k, scenario.theta_grid)
-    weights = StoredRows(weight_matrix(family, bundle))
+    weights = StoredRows(weight_matrix(family, bundle.head(SUB_PATHS)))
     return scenario, model, bundle, family, weights
 
 
@@ -151,9 +156,9 @@ def test_criterion_03_submodularity(market):
 
 def test_criterion_04_l2_bound(market):
     scenario, _, bundle, _, weights = market
-    m = 200_000
+    m = SUB_PATHS
     term = bundle.terminal()[:m]
-    w = weights.matrix[:m]
+    w = weights.matrix
     w2 = w * w
     growth = math.exp(0.5 * scenario.k**2 * scenario.horizon)
     rng = np.random.default_rng(413)
@@ -267,12 +272,14 @@ def test_criterion_07_choquet_holder(market):
 
 def test_criterion_08_duality_identities(market):
     scenario, model, bundle, family, weights = market
+    # The full market's rows, rebuilt on every pass instead of stored.
+    rows = DensityRows(family, bundle)
     call = Payoff.call(scenario.strike)
-    res = minimax_expectation(call.map(bundle.terminal()), family, weights)
+    res = minimax_expectation(call.map(bundle.terminal()), family, rows)
     neg_call = Payoff.custom(
         "neg_call", lambda s: -np.maximum(s - scenario.strike, 0.0),
         monotonicity="decreasing")
-    res_neg = minimax_expectation(neg_call.map(bundle.terminal()), family, weights)
+    res_neg = minimax_expectation(neg_call.map(bundle.terminal()), family, rows)
     scale = max(1.0, abs(res.upper))
     assert abs(res.lower + res_neg.upper) <= EXACT_TOL * scale
     assert abs(res.upper + res_neg.lower) <= EXACT_TOL * scale
@@ -290,15 +297,14 @@ def test_criterion_08_duality_identities(market):
 
     # Decreasing-payoff role swap: pricing the put equals pricing the negated
     # (increasing) claim with the extremes exchanged, on the same paths.
-    sub = bundle.head(200_000)
+    sub = bundle.head(SUB_PATHS)
     put = Payoff.put(scenario.strike)
     neg_put = Payoff.custom(
         "neg_put", lambda s: -np.maximum(scenario.strike - s, 0.0),
         monotonicity="increasing")
     # The sampled extremal band: the minimax profile's +k and -k entries.
-    w = weights.head(sub.n_paths)
-    _, ext_put = profile_band(put.monotonicity, put.map(sub.terminal()), family, w)
-    _, ext_neg = profile_band(neg_put.monotonicity, neg_put.map(sub.terminal()), family, w)
+    _, ext_put = profile_band(put.monotonicity, put.map(sub.terminal()), family, weights)
+    _, ext_neg = profile_band(neg_put.monotonicity, neg_put.map(sub.terminal()), family, weights)
     assert abs(ext_put.upper + ext_neg.lower) <= EXACT_TOL * scale
     assert abs(ext_put.lower + ext_neg.upper) <= EXACT_TOL * scale
     cf = extremal_price(put, model, scenario.horizon)
@@ -313,9 +319,8 @@ def test_criterion_08_duality_identities(market):
 
 def test_criterion_09_sandwich_corpus(market):
     scenario, _, bundle, family, weights = market
-    m = 200_000
+    m = SUB_PATHS
     sub = bundle.head(m)
-    w = weights.head(m)
     cap_u = prefix_capacity("upper", weights, m)
     cap_l = prefix_capacity("lower", weights, m)
     strike = scenario.strike
@@ -331,7 +336,7 @@ def test_criterion_09_sandwich_corpus(market):
     straddle_gap = None
     for payoff in corpus:
         values = payoff.map(sub.terminal())
-        res = minimax_expectation(values, family, w)
+        res = minimax_expectation(values, family, weights)
         cho_u = choquet_integral(values, cap_u)
         cho_l = choquet_integral(values, cap_l)
         tol = pooled_tolerance(res.std_errors) + 1e-9 * max(1.0, abs(cho_u))

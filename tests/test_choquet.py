@@ -142,15 +142,10 @@ def test_capacity_shape_validation(caps):
     with pytest.raises(ValueError):
         upper.evaluate(np.ones(3, dtype=bool))
     with pytest.raises(ValueError):
-        Capacity("sideways", upper.weights, upper.totals)
-    # The totals must give one entry per column of the weight matrix.
-    with pytest.raises(ValueError, match="totals"):
-        Capacity("upper", upper.weights, upper.totals[:-1])
-    with pytest.raises(ValueError, match="totals"):
-        Capacity("upper", upper.weights, upper.totals[:, None])
+        Capacity("sideways", upper.weights)
     # A zero-column matrix is a capacity over an empty family.
     with pytest.raises(ValueError, match="at least one control"):
-        Capacity("upper", StoredRows(np.ones((5, 0))), np.zeros(0))
+        Capacity("upper", StoredRows(np.ones((5, 0))))
     with pytest.raises(ValueError, match="at least one control"):
         build_capacity("upper", StoredRows(np.ones((5, 0))))
 
@@ -160,10 +155,10 @@ def test_capacity_rejects_a_bare_matrix(bundle_50k, family_k01):
     # columns, is named as the wrong type before anything reads it.
     matrix = weight_matrix(family_k01, bundle_50k)
     for weights in (matrix, matrix[:, 0]):
-        with pytest.raises(TypeError, match="^capacity weights must be DensityRows, got ndarray$"):
+        with pytest.raises(TypeError, match="^weights must be DensityRows, got ndarray$"):
             build_capacity("upper", weights)
         with pytest.raises(TypeError, match="DensityRows"):
-            Capacity("upper", weights, np.ones(len(family_k01)))
+            Capacity("upper", weights)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +581,7 @@ def test_influence_matches_dense_reference(n, controls):
         ref = dense_influence(x, cap)
         scale = max(np.abs(ref).max(), np.abs(x).max())
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
-        other = Capacity({"upper": "lower", "lower": "upper"}[orientation], cap.weights, cap.totals)
+        other = Capacity({"upper": "lower", "lower": "upper"}[orientation], cap.weights)
         for sides in ((cap, other), (other, cap)):
             [(pair_value, pair_influence)] = [
                 estimate for side, estimate in zip(sides, choquet_estimates(x, sides))
@@ -601,7 +596,7 @@ def test_joint_estimates_match_dense_references(n, controls):
     # Both sides from one sort: each value and influence equals the dense
     # reference, and the single-side functions give the same bits.
     x, upper = engine_case(n, controls, "upper", seed=n * 41 + controls)
-    lower = Capacity("lower", upper.weights, upper.totals)
+    lower = Capacity("lower", upper.weights)
     swept = controls > 1
     for cap, (value, influence) in zip((upper, lower), choquet_estimates(x, (upper, lower))):
         if swept:
@@ -627,7 +622,7 @@ def test_each_capacity_is_swept_once(monkeypatch):
 
     monkeypatch.setattr(_SortedSample, "_running_sums", counted)
     x, upper = engine_case(3 * ROW_BLOCK + 17, 29, "upper", seed=3)
-    lower = Capacity("lower", upper.weights, upper.totals)
+    lower = Capacity("lower", upper.weights)
     choquet_estimates(x, (upper, lower))
     assert len(sweeps) == 1
     sweeps.clear()
@@ -637,18 +632,11 @@ def test_each_capacity_is_swept_once(monkeypatch):
 
 def test_joint_estimates_need_one_weight_matrix(caps):
     upper, _ = caps
-    other = Capacity("lower", StoredRows(upper.weights.matrix.copy()), upper.totals)
-    with pytest.raises(ValueError, match="one weight matrix"):
+    # Equal rows held apart are not one weight matrix: each holds its own
+    # totals.
+    other = Capacity("lower", StoredRows(upper.weights.matrix.copy()))
+    with pytest.raises(ValueError, match="^capacities must share one weight matrix$"):
         choquet_estimates(np.arange(float(upper.n_paths)), (upper, other))
-    # One weight matrix is not enough: the pair shares its totals too, equal
-    # if not the same array.
-    unequal = Capacity("lower", upper.weights, upper.totals * (1.0 + 2.0**-52))
-    with pytest.raises(ValueError, match="one weight matrix"):
-        choquet_estimates(np.arange(float(upper.n_paths)), (upper, unequal))
-    x, small = engine_case(ROW_BLOCK + 1, 29, "upper", seed=5)
-    lower = replace(small, orientation="lower")
-    copied = replace(lower, totals=small.totals.copy())
-    assert choquet_estimates(x, (small, copied))[1][0] == choquet_estimates(x, (lower,))[0][0]
 
 
 @pytest.mark.parametrize("orientation", ["upper", "lower"])

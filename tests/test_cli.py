@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nexpect import Payoff, ScenarioError, default_control_family
+from nexpect import Capacity, Payoff, ScenarioError, default_control_family, expectation_profile
 from nexpect.cli import (
     ESTIMATOR_ORDER,
     EXIT_BAD_SCENARIO,
@@ -861,8 +861,10 @@ def mutate_lower_sweeps(monkeypatch, mutation):
 @pytest.mark.parametrize("mutation", [
     # The sweep reads the orientation only to take the argmax or the argmin.
     lambda c: replace(c, orientation="upper"),
-    # Tails divided by the path count, a plain mean's normaliser.
-    lambda c: replace(c, totals=np.full_like(c.totals, c.n_paths)),
+    # Tails divided by the path count, a plain mean's normaliser: the same
+    # rows, held with those totals.
+    lambda c: Capacity(c.orientation, StoredRows(c.weights.dense(),
+                                                 np.full_like(c.totals, c.n_paths))),
 ], ids=["argmax-on-the-lower-side", "tail-normalised-by-the-wrong-total"])
 def test_duality_fails_on_a_mutated_lower_sweep(tmp_path, monkeypatch, mutation):
     mutate_lower_sweeps(monkeypatch, mutation)
@@ -924,7 +926,7 @@ def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
     assert report.checks[0] == cli.CheckOutcome(
         "martingale", "pass",
         f"max |mean - 1| = {pulls[worst]:.2f} SE at {ctx.family[worst].label()} (limit 4)")
-    for moment, alone in zip(ctx.moments, measures.density_moments(ctx.weights)):
+    for moment, alone in zip(ctx.moments, expectation_profile(np.ones(scn.n_paths), ctx.weights)):
         assert np.array_equal(moment.view(np.int64), alone.view(np.int64))
 
 
@@ -1023,7 +1025,8 @@ def test_sandwich_tolerates_extremal_monte_carlo_error(extremal_se, status):
 
 @pytest.fixture(scope="module")
 def call_context(tmp_path_factory):
-    """The RunContext the checks of a small call run receive."""
+    """The RunContext the checks of a small call run receive, with the
+    reductions of `martingale` and `normalization`."""
     from nexpect import cli
     contexts = []
     real = cli.CHECK_REGISTRY["martingale"]
@@ -1031,7 +1034,7 @@ def call_context(tmp_path_factory):
         patch.setitem(cli.CHECK_REGISTRY, "martingale",
                       lambda ctx: contexts.append(ctx) or real(ctx))
         run_scenario(load_scenario(write_scn(tmp_path_factory.mktemp("scn"),
-                                             BASE + "checks = martingale\n")))
+                                             BASE + "checks = martingale, normalization\n")))
     [ctx] = contexts
     return ctx
 
@@ -1045,7 +1048,9 @@ def test_martingale_verdict_at_its_limit(call_context, pull, status):
     # +- 0.01, whose mean strays by pull * 0.01 at an SE of 0.01.
     weights = np.ones((2, len(call_context.family)))
     weights[:, -1] += pull * 0.01 + np.array([0.01, -0.01])
-    outcome = _check_martingale(replace(call_context, weights=StoredRows(weights)))
+    rows = StoredRows(weights)
+    moments = expectation_profile(np.ones(2), rows)
+    outcome = _check_martingale(replace(call_context, weights=rows, moments=moments))
     assert outcome.status == status
     assert outcome.detail == (f"max |mean - 1| = {pull:.2f} SE at "
                               f"{call_context.family[-1].label()} (limit 4)")
@@ -1190,10 +1195,8 @@ def test_l2bound_verdict_at_its_limit(call_context, factor, status):
 
 def test_martingale_means_are_the_totals_over_n(call_context):
     # The martingale check's mean of each density column is the column's
-    # total, the capacities' normaliser, over n: bit for bit, and with one
-    # pass over the weights, for the spread, left to make.
-    from nexpect.measures import density_moments
-    means, _ = density_moments(call_context.weights)
+    # total, the capacities' normaliser, over n: bit for bit.
+    means, _ = call_context.moments
     totals = call_context.cap_upper.totals
     assert np.array_equal(means.view(np.int64),
                           (totals / call_context.bundle.n_paths).view(np.int64))
@@ -1205,7 +1208,7 @@ def test_normalization_verdict_is_exact(call_context, side):
     from nexpect.cli import _check_normalization
     assert _check_normalization(call_context).status == "pass"
     cap = getattr(call_context, f"cap_{side}")
-    moved = replace(cap, totals=cap.totals * (1.0 + 2.0**-52))
+    moved = Capacity(side, StoredRows(cap.weights.dense(), cap.totals * (1.0 + 2.0**-52)))
     outcome = _check_normalization(replace(call_context, **{f"cap_{side}": moved}))
     assert outcome.status == "fail", outcome.detail
 

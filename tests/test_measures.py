@@ -21,9 +21,9 @@ from nexpect import (
     simulate_sde,
     weight_matrix,
 )
-from nexpect.choquet import _SortedSample, build_capacity, choquet_estimates
-from nexpect.measures import ROW_BLOCK, DensityRows, Spread, Sums, density_moments
-from nexpect.minimax import closed_under_negation
+from nexpect.choquet import Capacity, _SortedSample, build_capacity, choquet_estimates
+from nexpect.measures import ROW_BLOCK, DensityRows, Spread, Sums
+from nexpect.minimax import closed_under_negation, minimax_expectation
 from nexpect.paths import with_functionals
 from tests.conftest import (
     CALL_ATM_FLAT,
@@ -171,6 +171,21 @@ def test_expectation_validation(bundle_50k):
     weights = stored_weights((ThetaControl.constant(0.05, 0.1),), bundle_50k)
     with pytest.raises(ValueError, match="does not match"):
         expectation_profile(np.ones(10), weights)
+
+
+@pytest.mark.parametrize("consumer", ["Capacity", "expectation_profile", "minimax_expectation"])
+def test_weight_consumers_reject_a_bare_matrix(consumer, family_k01):
+    # Every consumer names the one weight type before it reads the weights:
+    # a matrix such as weight_matrix returns is a TypeError, not an
+    # AttributeError from inside a pass.
+    matrix, x = np.ones((5, len(family_k01))), np.arange(5.0)
+    consume = {
+        "Capacity": lambda: Capacity("upper", matrix),
+        "expectation_profile": lambda: expectation_profile(x, matrix),
+        "minimax_expectation": lambda: minimax_expectation(x, family_k01, matrix),
+    }[consumer]
+    with pytest.raises(TypeError, match="^weights must be DensityRows, got ndarray$"):
+        consume()
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +341,12 @@ def test_density_rows_are_the_weight_matrix_bitwise(n, name, kept, seed, data, g
     assert same_bits(source.sums(np.stack([np.zeros(n), np.ones(n)])),
                      np.stack([np.zeros(len(family)), totals]))
     if n > 1:
-        means, ses = density_moments(source)
-        assert same_bits(means, totals / n)
+        # The martingale moments are the profile of the payoff 1 (a
+        # one-member family's profile takes the dense formula).
+        means, ses = expectation_profile(np.ones(n), source)
+        if len(family) > 1:
+            assert same_bits(means, totals / n)
+        np.testing.assert_allclose(means, totals / n, rtol=1e-15)
         np.testing.assert_allclose(ses, dense.std(axis=0, ddof=1) / np.sqrt(n),
                                    rtol=1e-10, atol=1e-300)
 
@@ -397,7 +416,11 @@ def test_stored_and_rebuilt_weights_reduce_alike(n, name, seed, grid8):
                         *expectation_profile(x, weights),
                         *(np.array([value]) for value, _ in estimates),
                         *(influence for _, influence in estimates)])
-        for moment, profile in zip(density_moments(weights),
+        # The martingale moments as the run reduces them, the totals over n
+        # and their spread, are the profile of the payoff 1.
+        spread = Spread(weights.shape, None, weights.totals / n)
+        weights.reduce(spread)
+        for moment, profile in zip((weights.totals / n, spread.result),
                                    expectation_profile(np.ones(n), weights)):
             assert same_bits(moment, profile)
     for a, b in zip(*results):
@@ -443,12 +466,13 @@ def test_estimates_serve_the_reductions_they_are_handed(family, stored, grid8):
     for (value, influence), (alone, alone_influence) in zip(shared, choquet_estimates(x, pair)):
         assert same_bits(np.array([value]), np.array([alone]))
         assert same_bits(influence, alone_influence)
-    own = Spread(rows.shape, x, means)
-    rows.reduce(own)
-    assert same_bits(spread.result, own.result)
+    for shared_spread, own in ((spread, Spread(rows.shape, x, means)),
+                               (moments, Spread(rows.shape, None, rows.totals / n))):
+        rows.reduce(own)
+        assert same_bits(shared_spread.result, own.result)
     if len(family) > 1:
         assert same_bits(spread.result, expectation_profile(x, rows)[1])
-    assert same_bits(moments.result, density_moments(rows)[1])
+        assert same_bits(moments.result, expectation_profile(np.ones(n), rows)[1])
     assert same_bits(sums.result, rows.sums(events))
 
 

@@ -22,6 +22,8 @@ for example `--tests tests` for the full tier-1 suite (about a minute per row on
 0 when every row run is killed, else 1.  Rows run in sequence, one pytest
 process at a time.  The tool runs pytest in subprocesses, so it is not
 part of tier-1; run it when a change moves the code a row mutates.
+tests/test_mutants.py checks in tier-1, without running any row, that
+every row's snippet occurs once and every test it names exists.
 """
 
 from __future__ import annotations
@@ -194,10 +196,11 @@ MUTANTS = (
      "weights.reduce(influences, *reductions)", "weights.reduce(influences)",
      (f"{CLI_TESTS}::test_weight_moments_are_reduced_once",
       "tests/test_measures.py::test_estimates_serve_the_reductions_they_are_handed")),
-    ("choquet_estimates accepts unequal totals", "src/nexpect/choquet.py",
-     "c.weights is not weights or not np.array_equal(c.totals, totals)",
-     "c.weights is not weights",
-     ("tests/test_choquet.py::test_joint_estimates_need_one_weight_matrix",)),
+    # One weight type, checked by every consumer.
+    ("expectation_profile takes a bare matrix", "src/nexpect/measures.py",
+     "    _require_rows(weights)\n    x = np.asarray(payoff_values, dtype=float)\n",
+     "    x = np.asarray(payoff_values, dtype=float)\n",
+     ("tests/test_measures.py::test_weight_consumers_reject_a_bare_matrix",)),
     ("weight_matrix rebuilds its rows in a second pass", "src/nexpect/measures.py",
      "    DensityRows(family, bundle, fill)\n    return out\n",
      "    return DensityRows(family, bundle).dense()\n",
