@@ -19,7 +19,6 @@ from .choquet import (
     Capacity,
     HolderReport,
     Payoff,
-    SubmodularityReport,
     build_capacity,
     choquet_holder_check,
     choquet_integral,
@@ -65,7 +64,7 @@ __all__ = [
     "weight_matrix", "expectation_profile", "default_control_family",
     "Payoff", "Capacity", "build_capacity", "choquet_integral",
     "submodularity_check", "random_threshold_pairs",
-    "threshold_event", "choquet_holder_check", "SubmodularityReport", "HolderReport",
+    "threshold_event", "choquet_holder_check", "HolderReport",
     "Generator", "GridSolution", "solve_fd", "solve_tree", "minimal_time_steps",
     "z_sign_check", "ZSignReport",
     "MinimaxResult", "ExtremalReport", "AttainmentReport", "minimax_expectation",

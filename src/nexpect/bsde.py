@@ -510,36 +510,24 @@ def solve_tree(
 
 @dataclass(frozen=True)
 class ZSignReport:
-    status: str  # "pass" | "fail" | "not_applicable"
     monotonicity: str
     extreme: float
     threshold: float
     band: float
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
 
 def z_sign_check(solution: GridSolution) -> ZSignReport:
-    """Check the sign of z implied by the payoff's monotonicity.
+    """The extreme of z against the sign the payoff's monotonicity implies.
 
-    With threshold = Z_SIGN_SLACK * s0, increasing payoffs must keep
+    With threshold = Z_SIGN_SLACK * s0, increasing payoffs should keep
     z >= -threshold and decreasing payoffs z <= +threshold on the central
-    Z_SIGN_BAND of space nodes at all times before the terminal one.  The
-    extreme is the one solve_fd streamed into `solution.z_extreme`, so
-    stored surfaces are not needed; a solve of several drivers is checked
-    one driver at a time, as `solution.driver(i)`.  Payoffs without
-    declared monotonicity yield a not_applicable report.
+    Z_SIGN_BAND of space nodes at all times before the terminal one (cli's
+    `zsign` check judges it).  The extreme is the one solve_fd streamed into
+    `solution.z_extreme`, so stored surfaces are not needed; a solve of
+    several drivers is measured one driver at a time, as
+    `solution.driver(i)`.  Payoffs without declared monotonicity have a NaN
+    extreme.
     """
-    mono = solution.payoff.monotonicity
-    thr = Z_SIGN_SLACK * solution.model.s0
-    extreme = solution.z_extreme
-    if mono == "none":
-        status = "not_applicable"
-    elif mono == "increasing":
-        status = "pass" if extreme >= -thr else "fail"
-    else:
-        status = "pass" if extreme <= thr else "fail"
-    return ZSignReport(status=status, monotonicity=mono, extreme=extreme,
-                       threshold=thr, band=Z_SIGN_BAND)
+    return ZSignReport(monotonicity=solution.payoff.monotonicity,
+                       extreme=solution.z_extreme,
+                       threshold=Z_SIGN_SLACK * solution.model.s0, band=Z_SIGN_BAND)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .measures import DensityRows, _require_rows
+from .measures import DensityRows, _require_rows, standard_error
 from .paths import ROW_BLOCK
 
 
@@ -416,46 +416,25 @@ def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:
 # structural checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubmodularityReport:
-    orientation: str
-    count: int
-    violations: np.ndarray  # positive entries are violations
-    max_violation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= self.tolerance
-
-
 def submodularity_check(
     capacity: Capacity,
     values: np.ndarray,
     pairs: Iterable[tuple[tuple[float, bool], tuple[float, bool]]],
-    tolerance: float = 0.0,
-) -> SubmodularityReport:
-    """Evaluate the 2-alternating defect on each pair of threshold events of
-    the sample `values`, given as ((t_a, above_a), (t_b, above_b)) like
+) -> np.ndarray:
+    """The 2-alternating defect on each pair of threshold events of the
+    sample `values`, given as ((t_a, above_a), (t_b, above_b)) like
     random_threshold_pairs yields them (see threshold_event).
 
     For an upper capacity the defect is c(A|B) + c(A&B) - c(A) - c(B), which
     should be <= 0; for a lower capacity the inequality (and so the sign)
-    flips.  The report's `violations` are oriented so positive means broken,
-    and `passed` allows the given tolerance.  Every event comes from one
-    sort of the sample and one sweep of running sums (_pair_capacities):
-    O(n + ROW_BLOCK * m) extra memory, plus a few weight rows per pair.
+    flips.  The defects are oriented so positive means broken.  Every event
+    comes from one sort of the sample and one sweep of running sums
+    (_pair_capacities): O(n + ROW_BLOCK * m) extra memory, plus a few
+    weight rows per pair.
     """
     vals = _pair_capacities(capacity, values, pairs)
     d = vals[:, 2] + vals[:, 3] - vals[:, 0] - vals[:, 1]
-    violations = d if capacity.orientation == "upper" else -d
-    return SubmodularityReport(
-        orientation=capacity.orientation,
-        count=violations.size,
-        violations=violations,
-        max_violation=float(violations.max()),
-        tolerance=float(tolerance),
-    )
+    return d if capacity.orientation == "upper" else -d
 
 
 def _pair_capacities(
@@ -538,17 +517,13 @@ class HolderReport:
     lhs: float
     rhs: float
     margin: float  # rhs - lhs, negative means violated
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.margin >= -self.tolerance
+    tolerance: float  # the margin's error bar
 
 
 def choquet_holder_check(x_values: np.ndarray, y_values: np.ndarray,
                          capacity: Capacity) -> HolderReport:
-    """Check integral of |XY| <= (integral |X|^p)^(1/p) (integral |Y|^p)^(1/p)
-    with p = HOLDER_EXPONENT.
+    """The margin of integral |XY| <= (integral |X|^p)^(1/p) (integral |Y|^p)^(1/p)
+    with p = HOLDER_EXPONENT, and its error bar.
 
     All three integrals are exact.  The tolerance is three standard errors
     of the margin plus 1e-3 of the larger side, a slack for rounding.  The
@@ -586,7 +561,6 @@ def choquet_holder_checks(pairs: Iterable[tuple[np.ndarray, np.ndarray]],
         for integral, if_a in ((fx, if_fx), (fy, if_fy)):
             if integral > 0.0:
                 influence += rhs / (p * integral) * if_a
-        se = float(influence.std(ddof=1) / np.sqrt(influence.size))
-        tolerance = 3.0 * se + 1e-3 * max(abs(rhs), abs(lhs), 1e-12)
+        tolerance = 3.0 * standard_error(influence) + 1e-3 * max(abs(rhs), abs(lhs), 1e-12)
         reports.append(HolderReport(lhs=lhs, rhs=rhs, margin=rhs - lhs, tolerance=tolerance))
     return reports

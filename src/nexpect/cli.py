@@ -55,6 +55,7 @@ from .measures import (
     Sums,
     ThetaControl,
     default_control_family,
+    standard_error,
 )
 from .minimax import (
     ExtremalReport,
@@ -481,7 +482,7 @@ def _aux_rng(seed: int, stream: int) -> np.random.Generator:
 def _choquet_std_error(influence: np.ndarray) -> float:
     """Standard error of the exact integral: the spread of each path's
     influence on it (the infinitesimal jackknife), over sqrt(n)."""
-    return float(influence.std(ddof=1) / math.sqrt(influence.size))
+    return standard_error(influence)
 
 
 def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: int = 1,
@@ -586,7 +587,7 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         ]
 
     plain = float(values.mean())
-    plain_se = float(values.std(ddof=1) / math.sqrt(values.size))
+    plain_se = standard_error(values)
 
     entries = {
         "choquet_upper": EstimatorEntry("choquet_upper", cho_upper, cho_upper_se),
@@ -790,7 +791,10 @@ def _check_zsign(ctx: RunContext) -> CheckOutcome:
     report = z_sign_check(ctx.fd.driver(0))
     detail = (f"monotonicity={report.monotonicity}, extreme z = {report.extreme:.3g}, "
               f"threshold {report.threshold:.1e}, band {report.band:.0%}")
-    return CheckOutcome("zsign", report.status, detail)
+    if report.monotonicity == "none":
+        return CheckOutcome("zsign", "not_applicable", detail)
+    sign = 1.0 if report.monotonicity == "increasing" else -1.0
+    return _judge("zsign", [(-report.threshold - sign * report.extreme, detail)])
 
 
 def _check_comparison(ctx: RunContext) -> CheckOutcome:
@@ -810,15 +814,22 @@ def _check_comparison(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_attainment(ctx: RunContext) -> CheckOutcome:
+    """The profile over constant controls moves with the payoff's direction
+    at every step, and its maximum ties the better endpoint, each within 3
+    paired SEs."""
     if ctx.payoff.monotonicity == "none":
         return CheckOutcome("attainment", "not_applicable",
                             "payoff lacks a monotone direction")
+    sign = 1.0 if ctx.payoff.monotonicity == "increasing" else -1.0
     report = attainment_check(ctx.payoff, ctx.scenario.k, ctx.subsample()[0])
-    ok = bool(report.boundary_attained) and bool(report.monotone_profile_ok)
-    detail = (f"argmax at theta={report.thetas[report.argmax_index]:+.4g}, "
-              f"boundary={report.boundary_attained}, monotone profile={report.monotone_profile_ok}, "
-              f"{len(report.violations)} violations")
-    return CheckOutcome("attainment", "pass" if ok else "fail", detail)
+    hi, end = report.argmax_index, report.boundary_index
+    boundary = (report.estimates[hi] - report.estimates[end]) - 3.0 * report.boundary_std_error
+    steps = [-3.0 * se - sign * step for step, se in
+             zip(np.diff(report.estimates).tolist(), report.diff_std_errors.tolist())]
+    violations = sum(not excess <= 0.0 for excess in steps)
+    detail = (f"argmax at theta={report.thetas[hi]:+.4g}, boundary={boundary <= 0.0}, "
+              f"monotone profile={not violations}, {violations} violations")
+    return _judge("attainment", [(boundary, detail)] + [(excess, detail) for excess in steps])
 
 
 def _check_submodularity(ctx: RunContext) -> CheckOutcome:
@@ -826,17 +837,17 @@ def _check_submodularity(ctx: RunContext) -> CheckOutcome:
     rng = _aux_rng(ctx.scenario.seed, _SUBMODULARITY_STREAM)
     pairs = random_threshold_pairs(sub_values, 200, rng)
     tol = 3.0 / math.sqrt(sub_values.size)
-    report = submodularity_check(ctx.sub_capacities[0], sub_values, pairs, tolerance=tol)
-    detail = (f"max 2-alternating defect {report.max_violation:.2e} over {report.count} "
-              f"threshold pairs (tol {tol:.2e})")
-    return CheckOutcome("submodularity", "pass" if report.passed else "fail", detail)
+    defects = submodularity_check(ctx.sub_capacities[0], sub_values, pairs)
+    worst = float(defects.max())
+    detail = (f"max 2-alternating defect {worst:.2e} over {defects.size} threshold pairs "
+              f"(tol {tol:.2e})")
+    return _judge("submodularity", [(worst - tol, detail)])
 
 
 def _check_l2bound(ctx: RunContext) -> CheckOutcome:
-    values = ctx.values
-    n = values.size
-    m2 = float(np.mean(values**2))
-    se_m2 = float(np.std(values**2, ddof=1) / math.sqrt(n))
+    squares = ctx.values**2
+    m2 = float(np.mean(squares))
+    se_m2 = standard_error(squares)
     bound = math.sqrt(m2) * math.exp(0.5 * ctx.scenario.k**2 * ctx.scenario.horizon)
     se_bound = 0.0 if m2 == 0.0 else se_m2 / (2.0 * math.sqrt(m2))
     upper = ctx.entries["minimax_upper"]
@@ -854,10 +865,9 @@ def _check_holder(ctx: RunContext) -> CheckOutcome:
     level = np.abs(terminal) / s0
     pairs = [(sub_values, level), (np.abs(terminal - s0), level), (sub_values, sub_values)]
     reports = choquet_holder_checks(pairs, ctx.sub_capacities[0])
-    ok = all(rep.passed for rep in reports)
     detail = "; ".join(f"pair {i}: margin {rep.margin:.3g} (tol {rep.tolerance:.3g})"
                        for i, rep in enumerate(reports))
-    return CheckOutcome("holder", "pass" if ok else "fail", detail)
+    return _judge("holder", [(-rep.tolerance - rep.margin, detail) for rep in reports])
 
 
 CHECK_REGISTRY = {

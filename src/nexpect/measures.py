@@ -37,6 +37,7 @@ __all__ = [
     "Spread",
     "weight_matrix",
     "expectation_profile",
+    "standard_error",
     "default_control_family",
 ]
 
@@ -376,6 +377,11 @@ def expectation_profile(payoff_values: np.ndarray,
     spread = Spread(weights.shape, x, means)
     weights.reduce(spread)
     return means, spread.result
+
+
+def standard_error(sample: np.ndarray) -> float:
+    """The standard error of a sample's mean: its std(ddof=1) over sqrt(n)."""
+    return float(sample.std(ddof=1) / np.sqrt(sample.size))
 
 
 def default_control_family(

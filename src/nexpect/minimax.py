@@ -4,7 +4,7 @@ The upper value is the largest reweighted expectation over the family, the
 lower value the smallest.  For claims monotone in the terminal state the
 optimum sits at a constant control of maximal modulus, which gives a
 closed-form price band under proportional coefficients; `attainment_check`
-verifies that boundary attainment empirically on a fine constant grid.
+measures that boundary attainment empirically on a fine constant grid.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .choquet import Payoff
-from .measures import DensityRows, ThetaControl, _require_rows, expectation_profile
+from .measures import DensityRows, ThetaControl, _require_rows, expectation_profile, standard_error
 from .paths import MarketModel, PathBundle
 
 def pooled_tolerance(std_errors: Sequence[float]) -> float:
@@ -241,9 +241,9 @@ class AttainmentReport:
     std_errors: np.ndarray
     argmax_index: int
     argmin_index: int
-    boundary_attained: Optional[bool]
-    monotone_profile_ok: Optional[bool]
-    violations: tuple[tuple[int, float, float], ...]  # (index, diff, diff_se)
+    diff_std_errors: np.ndarray  # paired, of each step estimates[j + 1] - estimates[j]
+    boundary_index: int  # the endpoint with the larger estimate
+    boundary_std_error: float  # paired, of the argmax against that endpoint
 
 
 def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> AttainmentReport:
@@ -253,8 +253,11 @@ def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> Attainment
 
     For monotone payoffs the profile should be monotone in the control level
     and attain its maximum at an endpoint of [-k, k], each within 3 paired
-    standard errors (the profile's points share their paths).  Payoffs
-    without declared direction get the profile only.
+    standard errors (cli's `attainment` check judges it).  The profile's
+    points share their paths, so the report carries the standard error of
+    each step's difference and of the argmax's gap from the better
+    endpoint (0 when they coincide), from the paired products of two
+    rebuilt columns.
     """
     thetas = np.unique(np.linspace(-k, k, ATTAINMENT_GRID))
     family = tuple(ThetaControl.constant(t, k) for t in thetas)
@@ -262,42 +265,26 @@ def attainment_check(payoff: Payoff, k: float, bundle: PathBundle) -> Attainment
     values = payoff.map(bundle.terminal())
     estimates, ses = expectation_profile(values, weights)
 
-    # The standard error of a difference of two points, from the paired
-    # products of two rebuilt columns.
     def paired_se(upper: np.ndarray, lower: np.ndarray) -> float:
-        return ((upper - lower) * values).std(ddof=1) / math.sqrt(bundle.n_paths)
+        return standard_error((upper - lower) * values)
 
-    diffs = np.diff(estimates)
+    # Two rebuilt columns alive at a time: each upper one is the next lower.
     columns = map(weights.column, range(thetas.size))
     below = next(columns)
     diff_ses = []
     for above in columns:
         diff_ses.append(paired_se(above, below))
         below = above
-
-    mono = payoff.monotonicity
-    violations: list[tuple[int, float, float]] = []
-    monotone_ok: Optional[bool] = None
-    boundary: Optional[bool] = None
     hi = int(np.argmax(estimates))
-    lo = int(np.argmin(estimates))
-    if mono in ("increasing", "decreasing"):
-        sign = 1.0 if mono == "increasing" else -1.0
-        for j, (d, se) in enumerate(zip(diffs, diff_ses)):
-            if sign * d < -3.0 * se:
-                violations.append((j, float(d), float(se)))
-        monotone_ok = not violations
-        # The max must sit at an endpoint, or tie the better one within noise.
-        end = 0 if estimates[0] >= estimates[-1] else thetas.size - 1
-        boundary = hi == end or (estimates[hi] - estimates[end]
-                                 <= 3.0 * paired_se(weights.column(hi), weights.column(end)))
+    end = 0 if estimates[0] >= estimates[-1] else thetas.size - 1
     return AttainmentReport(
         thetas=thetas,
         estimates=estimates,
         std_errors=ses,
         argmax_index=hi,
-        argmin_index=lo,
-        boundary_attained=boundary,
-        monotone_profile_ok=monotone_ok,
-        violations=tuple(violations),
+        argmin_index=int(np.argmin(estimates)),
+        diff_std_errors=np.array(diff_ses),
+        boundary_index=end,
+        boundary_std_error=(0.0 if hi == end
+                            else paired_se(weights.column(hi), weights.column(end))),
     )

@@ -138,16 +138,16 @@ def test_criterion_03_submodularity(market):
     rng = np.random.default_rng(2025)
     # 3/sqrt(m) bounds 3 pooled standard errors of four probability estimates.
     tol = 3.0 / math.sqrt(m)
-    report = submodularity_check(cap, term, random_threshold_pairs(term, 1200, rng), tolerance=tol)
-    assert report.count == 1200
-    assert report.passed, report.max_violation
+    defects = submodularity_check(cap, term, random_threshold_pairs(term, 1200, rng))
+    assert defects.shape == (1200,)
+    assert defects.max() <= tol, defects.max()
     lo, hi = np.quantile(term, [0.05, 0.95])
     cuts = np.linspace(lo, hi, 201)
     nested = [((a, True), (b, True)) for a, b in zip(cuts[:-1], cuts[1:])]
-    nested_report = submodularity_check(cap, term, nested, tolerance=1e-12)
-    assert nested_report.max_violation <= 1e-12, nested_report.max_violation
+    nested_defects = submodularity_check(cap, term, nested)
+    assert nested_defects.max() <= 1e-12, nested_defects.max()
     print(f"criterion 03 (submodularity, 1200 pairs, worst defect "
-          f"{report.max_violation:.2e}): PASS")
+          f"{defects.max():.2e}): PASS")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_criterion_06_z_sign(market):
                        nodes=scenario.nodes, time_steps=scenario.time_steps)
         report = z_sign_check(sol)
         assert report.threshold == threshold
-        assert report.status == "pass", (side, report)
+        assert report.monotonicity == payoff.monotonicity, (side, report)
         if side == "call":
             assert report.extreme >= -threshold
         else:
@@ -260,7 +260,7 @@ def test_criterion_07_choquet_holder(market):
     violations = []
     for i in range(100):
         report = choquet_holder_check(random_payoff(), random_payoff(), cap)
-        if not report.passed:
+        if not report.margin >= -report.tolerance:
             violations.append((i, report.margin, report.tolerance))
     assert violations == [], violations
     print("criterion 07 (Hoelder sweep, 100 pairs, p = q = 2): PASS")

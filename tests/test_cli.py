@@ -1059,6 +1059,7 @@ def test_martingale_verdict_at_its_limit(call_context, pull, status):
 def test_attainment_verdict_fails_on_a_hump_declared_increasing(call_context):
     from nexpect.cli import _check_attainment
     assert _check_attainment(call_context).status == "pass"
+    assert _check_attainment(replace(call_context, payoff=Payoff.put(100.0))).status == "pass"
     # A tent peaked near the reference median of S_T: its profile over the
     # constant controls peaks inside [-k, k] and falls by tens of paired SEs
     # towards +k.
@@ -1067,6 +1068,25 @@ def test_attainment_verdict_fails_on_a_hump_declared_increasing(call_context):
     outcome = _check_attainment(replace(call_context, payoff=hump))
     assert outcome.status == "fail", outcome.detail
     assert "monotone profile=False" in outcome.detail
+
+
+# A z extreme just inside, then just outside, the slack of 1e-6 * s0 = 1e-4
+# on the wrong side of 0, carried by the context's solve.  The slack is
+# written out, so its value is pinned and not only its presence.
+@pytest.mark.parametrize("payoff, extreme, status", [
+    (Payoff.call(100.0), -0.99e-4, "pass"),
+    (Payoff.call(100.0), -1.01e-4, "fail"),
+    (Payoff.put(100.0), 0.99e-4, "pass"),
+    (Payoff.put(100.0), 1.01e-4, "fail"),
+], ids=["increasing-inside", "increasing-outside", "decreasing-inside", "decreasing-outside"])
+def test_z_sign_verdict_at_its_slack(call_context, payoff, extreme, status):
+    from nexpect.cli import _check_zsign
+    assert call_context.scenario.s0 == 100.0
+    fd = replace(call_context.fd, payoff=payoff, z_extreme=np.array([extreme, math.nan]))
+    outcome = _check_zsign(replace(call_context, payoff=payoff, fd=fd))
+    assert outcome.status == status, outcome.detail
+    assert outcome.detail == (f"monotonicity={payoff.monotonicity}, extreme z = {extreme:.3g}, "
+                              f"threshold 1.0e-04, band 90%")
 
 
 def test_judge_names_the_worst_relation_and_fails_on_nan():
@@ -1307,6 +1327,79 @@ def test_holder_verdict_fails_on_an_envelope_that_is_not_2_alternating(call_cont
                                     bundle=replace(call_context.bundle, states=states)))
     assert outcome.status == "fail"
     assert outcome.detail.startswith("pair 0: margin -0.25 (tol "), outcome.detail
+
+
+# The four checks whose verdict the library used to give now hand their
+# measurements to the judge.  Each relation's excess keeps the sign of the
+# old comparison, written out below, on measurements at the limit, one ulp
+# to either side of it, signed zeros, NaN or anywhere.
+def near(limit: float):
+    limit = float(limit)
+    return st.sampled_from([limit, float(np.nextafter(limit, math.inf)),
+                            float(np.nextafter(limit, -math.inf)), -0.0, 0.0, math.nan]) | \
+        st.floats(-10.0, 10.0)
+
+
+def verdict_with(ctx, check: str, library: str, measurement) -> str:
+    """The check's status when its library call returns `measurement`."""
+    from nexpect import cli
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, library, lambda *args: measurement)
+        return cli.CHECK_REGISTRY[check](ctx).status
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mono=st.sampled_from(["increasing", "decreasing"]),
+       threshold=st.floats(0.0, 1.0))
+def test_zsign_verdict_is_the_old_comparison(call_context, data, mono, threshold):
+    from nexpect.bsde import ZSignReport
+    extreme = data.draw(near(-threshold if mono == "increasing" else threshold))
+    old = extreme >= -threshold if mono == "increasing" else extreme <= threshold
+    status = verdict_with(call_context, "zsign", "z_sign_check",
+                          ZSignReport(mono, extreme, threshold, 0.9))
+    assert status == ("pass" if old else "fail")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), tolerances=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_holder_verdict_is_the_old_comparison(call_context, data, tolerances):
+    from nexpect.choquet import HolderReport
+    reports = [HolderReport(1.0, 1.0, data.draw(near(-tol)), tol) for tol in tolerances]
+    old = all(rep.margin >= -rep.tolerance for rep in reports)
+    status = verdict_with(call_context, "holder", "choquet_holder_checks", reports)
+    assert status == ("pass" if old else "fail")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), count=st.integers(1, 4))
+def test_submodularity_verdict_is_the_old_comparison(call_context, data, count):
+    tol = 3.0 / math.sqrt(call_context.bundle.n_paths)
+    defects = np.array([data.draw(near(tol)) for _ in range(count)])
+    old = float(defects.max()) <= tol
+    status = verdict_with(call_context, "submodularity", "submodularity_check", defects)
+    assert status == ("pass" if old else "fail")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), payoff=st.sampled_from([Payoff.call(100.0), Payoff.put(100.0)]),
+       estimates=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
+def test_attainment_verdict_is_the_old_comparison(call_context, data, payoff, estimates):
+    from nexpect.minimax import AttainmentReport
+    sign = 1.0 if payoff.monotonicity == "increasing" else -1.0
+    est = np.array(estimates)
+    diffs = np.diff(est)
+    diff_ses = np.array([data.draw(near(-sign * d / 3.0)) for d in diffs.tolist()])
+    hi, end = int(np.argmax(est)), 0 if est[0] >= est[-1] else est.size - 1
+    boundary_se = 0.0 if hi == end else data.draw(near((est[hi] - est[end]) / 3.0))
+    violations = [j for j, (d, se) in enumerate(zip(diffs, diff_ses)) if sign * d < -3.0 * se]
+    boundary = hi == end or est[hi] - est[end] <= 3.0 * boundary_se
+    # The one change: a NaN step used to pass, and now fails.
+    old = boundary and not violations and not np.isnan(diff_ses).any()
+    report = AttainmentReport(np.linspace(-0.1, 0.1, est.size), est, np.zeros(est.size), hi,
+                              int(np.argmin(est)), diff_ses, end, boundary_se)
+    status = verdict_with(replace(call_context, payoff=payoff), "attainment",
+                          "attainment_check", report)
+    assert status == ("pass" if old else "fail")
 
 
 def test_known_checks_cover_registry():

@@ -371,9 +371,9 @@ def test_pooled_tolerance_combines_in_quadrature():
 
 def test_attainment_increasing(bundle_50k):
     report = attainment_check(Payoff.call(100.0), 0.1, bundle_50k)
-    assert report.monotone_profile_ok
-    assert report.boundary_attained
-    assert report.violations == ()
+    # Every step rises within 3 paired SEs, and the maximum is the +k end.
+    assert np.all(np.diff(report.estimates) >= -3.0 * report.diff_std_errors)
+    assert report.boundary_index == report.argmax_index and report.boundary_std_error == 0.0
     assert report.thetas.shape == (21,)
     assert report.thetas[report.argmax_index] == pytest.approx(0.1)
     assert report.thetas[report.argmin_index] == pytest.approx(-0.1)
@@ -381,8 +381,8 @@ def test_attainment_increasing(bundle_50k):
 
 def test_attainment_decreasing(bundle_50k):
     report = attainment_check(Payoff.put(100.0), 0.1, bundle_50k)
-    assert report.monotone_profile_ok
-    assert report.boundary_attained
+    assert np.all(-np.diff(report.estimates) >= -3.0 * report.diff_std_errors)
+    assert report.boundary_index == report.argmax_index and report.boundary_std_error == 0.0
     assert report.thetas[report.argmax_index] == pytest.approx(-0.1)
     assert report.thetas[report.argmin_index] == pytest.approx(0.1)
 
@@ -392,18 +392,22 @@ def test_attainment_at_zero_k_profiles_one_tilt(bundle_50k):
     # copies whose blocked products round apart while their paired standard
     # error is exactly 0.
     report = attainment_check(Payoff.call(100.0), 0.0, bundle_50k)
-    assert report.violations == ()
-    assert report.monotone_profile_ok and report.boundary_attained
+    assert report.diff_std_errors.shape == (0,)
+    assert report.argmax_index == report.boundary_index == 0
+    assert report.boundary_std_error == 0.0
     assert report.thetas.tolist() == [0.0] and report.estimates.shape == (1,)
 
 
 def test_attainment_undeclared_direction_profiles_only(bundle_50k):
-    straddle = Payoff.custom("straddle", lambda s: np.abs(s - 100.0))
-    report = attainment_check(straddle, 0.1, bundle_50k)
-    assert report.monotone_profile_ok is None
-    assert report.boundary_attained is None
+    # The report measures; it does not read the direction (the cli's
+    # `attainment` check is not_applicable without one).
+    fn = lambda s: np.abs(s - 100.0)  # noqa: E731
+    report = attainment_check(Payoff.custom("straddle", fn), 0.1, bundle_50k)
+    declared = attainment_check(Payoff.custom("straddle", fn, "increasing"), 0.1, bundle_50k)
     assert report.estimates.shape == (ATTAINMENT_GRID,)
-    assert np.all(report.std_errors > 0.0)
+    assert np.all(report.std_errors > 0.0) and np.all(report.diff_std_errors > 0.0)
+    for name in ("estimates", "diff_std_errors", "boundary_index", "boundary_std_error"):
+        assert np.array_equal(getattr(report, name), getattr(declared, name)), name
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 31])
@@ -425,9 +429,9 @@ def test_attainment_boundary_uses_the_paired_error(seed):
     weights = weight_matrix([ThetaControl.constant(t, 0.1) for t in report.thetas[[hi, 0]]],
                             bundle)
     paired = (weights[:, 0] - weights[:, 1]) * hump.map(bundle.terminal())
-    assert 3.0 * paired.std(ddof=1) / math.sqrt(bundle.n_paths) < gap
-    assert gap < pooled_tolerance(report.std_errors[[hi, 0]])
-    assert not report.boundary_attained
+    se = paired.std(ddof=1) / math.sqrt(bundle.n_paths)
+    assert report.boundary_index == 0 and report.boundary_std_error == se
+    assert 3.0 * report.boundary_std_error < gap < pooled_tolerance(report.std_errors[[hi, 0]])
 
 
 def dense_attainment(payoff, k, bundle):
@@ -441,14 +445,11 @@ def dense_attainment(payoff, k, bundle):
     def paired_se(i, j):
         return ((weights[:, i] - weights[:, j]) * values).std(ddof=1) / math.sqrt(bundle.n_paths)
 
-    diffs = np.diff(estimates)
-    sign = 1.0 if payoff.monotonicity == "increasing" else -1.0
-    violations = tuple((j, float(d), float(paired_se(j + 1, j))) for j, d in enumerate(diffs)
-                       if sign * d < -3.0 * paired_se(j + 1, j))
+    diff_ses = np.array([paired_se(j + 1, j) for j in range(ATTAINMENT_GRID - 1)])
     hi = int(np.argmax(estimates))
     end = 0 if estimates[0] >= estimates[-1] else ATTAINMENT_GRID - 1
-    boundary = hi == end or estimates[hi] - estimates[end] <= 3.0 * paired_se(hi, end)
-    return estimates, ses, hi, int(np.argmin(estimates)), violations, boundary
+    boundary_se = 0.0 if hi == end else paired_se(hi, end)
+    return estimates, ses, hi, int(np.argmin(estimates)), diff_ses, end, boundary_se
 
 
 @pytest.mark.parametrize("kind", ["call", "put", "hump"])
@@ -462,13 +463,15 @@ def test_attainment_check_on_rows_is_the_dense_route(kind):
     bundle = simulate_sde(MarketModel.gbm(100.0, 0.0, 0.2),
                           generate_brownian(TimeGrid(1.0, 4), 3 * ROW_BLOCK + 17, 5))
     report = attainment_check(payoff, 0.1, bundle)
-    estimates, ses, hi, lo, violations, boundary = dense_attainment(payoff, 0.1, bundle)
+    estimates, ses, hi, lo, diff_ses, end, boundary_se = dense_attainment(payoff, 0.1, bundle)
     assert np.array_equal(report.estimates.view(np.int64), estimates.view(np.int64))
     assert np.array_equal(report.std_errors.view(np.int64), ses.view(np.int64))
     assert (report.argmax_index, report.argmin_index) == (hi, lo)
-    assert report.violations == violations and (kind == "hump") == bool(violations)
-    assert report.monotone_profile_ok == (not violations)
-    assert report.boundary_attained == boundary
+    assert np.array_equal(report.diff_std_errors.view(np.int64), diff_ses.view(np.int64))
+    assert (report.boundary_index, report.boundary_std_error) == (end, boundary_se)
+    # Only the hump steps against its declared direction by more than 3 SEs.
+    sign = 1.0 if payoff.monotonicity == "increasing" else -1.0
+    assert (kind == "hump") == bool(np.any(sign * np.diff(estimates) < -3.0 * diff_ses))
 
 
 def test_attainment_validation(bundle_50k):

@@ -67,18 +67,29 @@ MUTANTS = (
      "[(g, detail) for g in gaps]", "[(0.0, detail) for g in gaps]",
      (f"{CLI_TESTS}::test_normalization_verdict_is_exact",)),
     ("attainment ok = True", CLI,
-     "ok = bool(report.boundary_attained) and bool(report.monotone_profile_ok)", "ok = True",
+     'return _judge("attainment", [(boundary, detail)] + [(excess, detail) for excess in steps])',
+     'return CheckOutcome("attainment", "pass", detail)',
      (f"{CLI_TESTS}::test_attainment_verdict_fails_on_a_hump_declared_increasing",)),
+    ("attainment step ignores the payoff's direction", CLI,
+     "-3.0 * se - sign * step", "-3.0 * se - step",
+     (f"{CLI_TESTS}::test_attainment_verdict_fails_on_a_hump_declared_increasing",
+      f"{CLI_TESTS}::test_attainment_verdict_is_the_old_comparison")),
     ("holder ok = True", CLI,
-     "ok = all(rep.passed for rep in reports)", "ok = True",
+     "[(-rep.tolerance - rep.margin, detail) for rep in reports]",
+     "[(-1.0, detail) for rep in reports]",
      (f"{CLI_TESTS}::test_holder_verdict_at_its_tolerance",
       f"{CLI_TESTS}::test_holder_verdict_fails_on_an_envelope_that_is_not_2_alternating")),
     ("l2bound always passes", CLI,
      "(upper.value - (bound + tol),", "(-1.0,",
      (f"{CLI_TESTS}::test_l2bound_verdict_at_its_limit",)),
-    ("zsign increasing side always passes", BSDE,
-     'status = "pass" if extreme >= -thr else "fail"', 'status = "pass"',
-     (f"{BSDE_TESTS}::test_z_sign_verdict_at_its_slack",)),
+    ("zsign increasing side always passes", CLI,
+     "(-report.threshold - sign * report.extreme, detail)",
+     "(-report.threshold - sign * report.extreme if sign < 0.0 else -1.0, detail)",
+     (f"{CLI_TESTS}::test_z_sign_verdict_at_its_slack",)),
+    ("zsign decreasing side always passes", CLI,
+     "(-report.threshold - sign * report.extreme, detail)",
+     "(-report.threshold - sign * report.extreme if sign > 0.0 else -1.0, detail)",
+     (f"{CLI_TESTS}::test_z_sign_verdict_at_its_slack",)),
     ("sandwich collects no failure", CLI,
      "return -slack - tol, f", "return min(-slack - tol, 0.0), f",
      (f"{CLI_TESTS}::test_sandwich_verdict_at_its_fd_tolerance",
@@ -106,9 +117,11 @@ MUTANTS = (
      "1e-9 * scale", "1e-6 * scale",
      (f"{CLI_TESTS}::test_degeneracy_verdict_at_its_limits",)),
     ("attainment boundary on the unpaired tolerance", "src/nexpect/minimax.py",
-     "3.0 * paired_se(weights.column(hi), weights.column(end))",
-     "pooled_tolerance([ses[hi], ses[end]])",
+     "paired_se(weights.column(hi), weights.column(end))", "math.hypot(ses[hi], ses[end])",
      ("tests/test_minimax.py::test_attainment_boundary_uses_the_paired_error",)),
+    ("attainment boundary allowance of the pooled SEs", CLI,
+     "- 3.0 * report.boundary_std_error", "- pooled_tolerance(report.std_errors[[hi, end]])",
+     (f"{CLI_TESTS}::test_attainment_verdict_is_the_old_comparison",)),
     # Library code behind the checks.
     ("lower Choquet sweep takes the argmax", "src/nexpect/choquet.py",
      'tails.argmax(axis=1) if capacity.orientation == "upper" else tails.argmin(axis=1)',
