@@ -9,7 +9,10 @@ integral is exact.  A sample is sorted once for the upper and the lower
 capacity, and one sweep serves both, giving each integral and each path's
 influence on it, hence its standard error (the infinitesimal jackknife);
 one natural pass over the weights finishes the influences and serves any
-other reductions the caller hands over (choquet_estimates).
+other reductions the caller hands over (choquet_estimates).  Per path, an
+estimate holds only the sort order and each capacity's influences: the
+gaps and the tail curve are taken block by block, and each integral adds
+up its blocks' dot products in block order, the rule of every weight pass.
 The same sort and running sums weigh every threshold event of a sample, and
 the union and intersection of two, for the submodularity check.  Every
 capacity value is normalised by its weight rows' totals.  A capacity's
@@ -206,19 +209,20 @@ class _SortedSample:
     block into its first row and takes its running sum.  Every sum is thus formed
     by the same additions in the same order as one running sum over all n
     rows, and is bitwise equal to it, while only one block is alive at a
-    time.  A prefix needs every running sum, so this sweep carries its sums
-    instead of adding up block products as every other weight pass does
-    (measures._Rows); the full event is the totals themselves
-    (prefix_sums).  The sums do not depend on the capacity, so each block's
-    tails serve every capacity before the next is gathered.  Any event that
-    is a run of consecutive ranks, such as a threshold event of X, takes its
-    weight sums from two of those running sums (prefix_sums).
+    time.  The sample keeps only its stable sort order, an n-vector of
+    indices: no sorted copy of the values, and no gaps.  A prefix needs
+    every running sum, so this sweep carries its sums instead of adding up
+    block products as every other weight pass does (measures._Rows); the
+    full event is the totals themselves (prefix_sums).  The sums do not
+    depend on the capacity, so each block's tails serve every capacity
+    before the next is gathered.  Any event that is a run of consecutive
+    ranks, such as a threshold event of X, takes its weight sums from two
+    of those running sums (prefix_sums).
     """
 
     def __init__(self, values: np.ndarray, weights: DensityRows) -> None:
         self.values, self.weights = values, weights
         self.order = np.argsort(values, kind="stable")
-        self.gaps = np.diff(values[self.order])  # the sorted copy is not kept
 
     def _running_sums(self):
         """Yield (start, rows, sums) per block: rows[i] is the weight row of
@@ -268,6 +272,11 @@ class _SortedSample:
         against each capacity, and each path's influence on it in the paths'
         own order, from one sweep whose every block serves each capacity;
         the influences' last term waits for a natural pass (Influences).
+        Each block takes its own gaps from its sorted values and clips its
+        tail curve into a block buffer, and each integral adds the block's
+        `gaps @ curve` in block order, as every weight pass adds its
+        blocks' products (measures._Rows).  So per path the sweep holds
+        only the order and one influence array per capacity.
 
         Scaling path l's weights by 1 + eps moves the tail capacity c_i above
         gap i by eps * w_lj / T_j * ([l lies above gap i] - c_i), taken at
@@ -289,16 +298,17 @@ class _SortedSample:
         """
         n, m = self.weights.shape
         total = capacities[0].totals
-        curves = [np.empty(n - 1) for _ in capacities]
+        integrals = [0.0 for _ in capacities]  # the gaps' part, block by block
         below = [np.zeros(m) for _ in capacities]  # A / T at the next block's first row
         attained = [np.zeros(m) for _ in capacities]  # B so far
         outs = [np.empty(n) for _ in capacities]
         column = np.empty(min(n, ROW_BLOCK))
+        curve = np.empty_like(column)
         for start, rows, sums in self._running_sums():
             size = rows.shape[0]
             g = min(size, n - 1 - start)  # rows with a gap above them
             inner = min(g, size - 1)
-            block_gaps = self.gaps[start:start + g]
+            block_gaps = np.diff(self.values[self.order[start:start + g + 1]])
             # Prefix rows 1 .. n-1: the last row is the total, whose tail is
             # empty.  Duplicate positions carry zero width in the dot
             # product, so they need no special case.  The tail capacities
@@ -311,7 +321,8 @@ class _SortedSample:
                 j = tails.argmax(axis=1) if capacity.orientation == "upper" else tails.argmin(axis=1)
                 picks.append((j, tails[np.arange(g), j]))
             for s, (j, c) in enumerate(picks):
-                np.clip(c, 0.0, 1.0, out=curves[s][start:start + g])
+                np.clip(c, 0.0, 1.0, out=curve[:g])
+                integrals[s] += float(block_gaps @ curve[:g])
                 attained[s] += np.bincount(j, weights=block_gaps * c, minlength=m)
                 # A / T at every position of the block, written over the
                 # sums: the carried value, then each gap one row above its
@@ -328,8 +339,7 @@ class _SortedSample:
                 if g == size:
                     below[s][j[-1]] += block_gaps[-1] / total[j[-1]]
                 outs[s][self.order[start:start + size]] = np.einsum("ij,ij->i", rows, carried)
-        values = [float(self.values[self.order[0]]) + float(np.dot(self.gaps, curve))
-                  for curve in curves]
+        values = [float(self.values[self.order[0]]) + integral for integral in integrals]
         scales = [b / total for b in attained]
         return values, Influences(outs, scales)
 
@@ -407,7 +417,8 @@ def choquet_integral(payoff_values: np.ndarray, capacity: Capacity) -> float:
     with no discretization error at any sample size.  A one-member family
     gives the normalized weighted mean, and any other a sweep of running
     sums over the stably sorted sample (see _SortedSample): O(n m) time for
-    n paths and m controls, O(ROW_BLOCK * m) extra memory.
+    n paths and m controls; extra memory is the sort order and the
+    influence array, two n-vectors, plus O(ROW_BLOCK * m) for the blocks.
     """
     return choquet_estimates(payoff_values, (capacity,))[0][0]
 
@@ -538,24 +549,42 @@ def choquet_holder_check(x_values: np.ndarray, y_values: np.ndarray,
 def choquet_holder_checks(pairs: Iterable[tuple[np.ndarray, np.ndarray]],
                           capacity: Capacity) -> list[HolderReport]:
     """choquet_holder_check on each (x, y) pair.  Pairs may share an array
-    (the same Y; or X = Y, whose product and powers coincide): each distinct
-    array, by its bytes, is integrated once."""
+    (the same Y; or X = Y, whose product is its power, since p = 2):
+    inputs equal in value are one input, and each integrand, |x y| or
+    |x|^p, is named by its inputs and integrated once.  Only each
+    integrand's (integral, influence) is kept, not its values."""
     p = HOLDER_EXPONENT
-    estimates: dict[bytes, tuple[float, np.ndarray]] = {}
+    inputs: list[np.ndarray] = []  # the caller's arrays, one per value
+    estimates: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
 
-    def estimate(a: np.ndarray) -> tuple[float, np.ndarray]:
-        key = a.tobytes()
+    def distinct(values: np.ndarray) -> int:
+        a = np.asarray(values, dtype=float)
+        for i, b in enumerate(inputs):
+            if a is b or (a.shape == b.shape and np.array_equal(a, b)):
+                return i
+        inputs.append(a)
+        return len(inputs) - 1
+
+    def estimate(i: int, j: int) -> tuple[float, np.ndarray]:
+        """The integral of |x_i x_j|, or of |x_i|^p when i == j: |x| |y|
+        and |x y| round alike."""
+        key = (min(i, j), max(i, j))
         if key not in estimates:
+            if i == j:
+                a = np.abs(inputs[i])
+                a **= p
+            else:
+                a = np.multiply(inputs[i], inputs[j])
+                np.abs(a, out=a)
             [estimates[key]] = choquet_estimates(a, (capacity,))
         return estimates[key]
 
     reports = []
     for x_values, y_values in pairs:
-        xa = np.abs(np.asarray(x_values, dtype=float))
-        ya = np.abs(np.asarray(y_values, dtype=float))
-        if xa.shape != ya.shape:
+        if np.shape(x_values) != np.shape(y_values):
             raise ValueError("x and y must have equal length")
-        (lhs, if_lhs), (fx, if_fx), (fy, if_fy) = (estimate(a) for a in (xa * ya, xa**p, ya**p))
+        i, j = distinct(x_values), distinct(y_values)
+        (lhs, if_lhs), (fx, if_fx), (fy, if_fy) = (estimate(*key) for key in ((i, j), (i, i), (j, j)))
         rhs = max(fx, 0.0) ** (1.0 / p) * max(fy, 0.0) ** (1.0 / p)
         influence = -if_lhs
         for integral, if_a in ((fx, if_fx), (fy, if_fy)):

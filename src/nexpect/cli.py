@@ -428,11 +428,14 @@ class Report:
 
 @dataclass
 class RunContext:
-    """Everything the checks need, computed once.  Two checks' reductions
-    come from the run's shared passes, when the check is requested:
-    `empty_sums`, the empty event's weight sums, for `normalization`, and
-    `moments`, each density's mean (its total over n) and standard error,
-    for `martingale`; each is None otherwise."""
+    """Everything the checks need, computed once.  `bundle` is the draw of
+    the checks' first paths (PathBundle.head of at most CHECK_SUBSAMPLE),
+    its S_T and `valid` copies, so that the run's n-path arrays are not
+    held; its B_T and functionals are views of the weights' statistics.
+    Two checks' reductions come from the run's shared passes, when the
+    check is requested: `empty_sums`, the empty event's weight sums, for
+    `normalization`, and `moments`, each density's mean (its total over n)
+    and standard error, for `martingale`; each is None otherwise."""
 
     scenario: Scenario
     payoff: Payoff
@@ -449,16 +452,14 @@ class RunContext:
 
     def subsample(self) -> tuple[PathBundle, np.ndarray]:
         """The bundle and payoff values of the first paths."""
-        m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
-        return self.bundle.head(m), self.values[:m]
+        return self.bundle, self.values[:self.bundle.n_paths]
 
     @cached_property
     def sub_capacities(self) -> tuple[Capacity, Capacity]:
         """The upper and lower capacity on the subsample, sharing its totals.
         Their weights are the head of the run's rows: the first paths'
         statistics, a view, with totals reduced over those rows alone."""
-        m = min(self.bundle.n_paths, CHECK_SUBSAMPLE)
-        upper = build_capacity("upper", self.weights.head(m))
+        upper = build_capacity("upper", self.weights.head(self.bundle.n_paths))
         return upper, replace(upper, orientation="lower")
 
 
@@ -526,14 +527,20 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         values = payoff.map(terminal)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+    # Only the checks read S_T and `valid` from here on, on their first
+    # paths: a copy of those is kept and the full arrays are freed.
+    n = bundle.n_paths
+    head = bundle.head(min(n, CHECK_SUBSAMPLE))
+    head = replace(head, states=head.states.copy(), valid=head.valid.copy())
+    bundle = replace(bundle, states=None, valid=None)
+    del terminal
 
     # The weights are rebuilt from B_T and the functionals on every pass
     # over them, so each reduction of the run is planned into one of three
     # passes.  1. Building them checks every weight and sums each column,
     # the totals; it also sums the payoff, for minimax's means, and with
     # `normalization` the empty event (the full event's sums are the
-    # totals).
-    n = bundle.n_paths
+    # totals).  They adopt the bundle's matrix of B_T and the functionals.
     payoff_sums = Sums(values, len(family))
     empty_sums = (Sums(np.zeros(n, dtype=bool), len(family))
                   if "normalization" in requested else None)
@@ -541,9 +548,7 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
         weights = DensityRows(family, bundle, *filter(None, (payoff_sums, empty_sums)))
     except ValueError as exc:
         raise ScenarioError(f"{exc}: k or the horizon is too large") from exc
-    # The weights hold what the functionals were kept for, and the bundle
-    # reads B_T from their copy of it.
-    bundle = replace(bundle, functionals={}, brownian_terminal=weights.stats[:, 0])
+    del bundle
     cap_upper = build_capacity("upper", weights)
     cap_lower = replace(cap_upper, orientation="lower")
     # 2. One sort and one sweep of the payoff give both Choquet integrals
@@ -604,7 +609,7 @@ def run_scenario(scenario: Scenario, scenario_path: str = "<memory>", threads: i
     }
 
     ctx = RunContext(
-        scenario=scenario, payoff=payoff, bundle=bundle, values=values,
+        scenario=scenario, payoff=payoff, bundle=head, values=values,
         family=family, weights=weights, cap_upper=cap_upper, cap_lower=cap_lower, fd=fd,
         entries=entries, empty_sums=None if empty_sums is None else empty_sums.result,
         moments=None if moments is None else (weights.totals / n, moments.result),
@@ -859,11 +864,16 @@ def _check_l2bound(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_holder(ctx: RunContext) -> CheckOutcome:
-    _, sub_values = ctx.subsample()
-    terminal = ctx.bundle.terminal()[:sub_values.size]
+    sub_bundle, sub_values = ctx.subsample()
+    terminal = sub_bundle.terminal()
     s0 = ctx.scenario.s0
     level = np.abs(terminal) / s0
-    pairs = [(sub_values, level), (np.abs(terminal - s0), level), (sub_values, sub_values)]
+    spread = np.abs(terminal - s0)
+    if np.array_equal(spread, sub_values):
+        # A straddle at s0: one array, so no equal copy is held while the
+        # integrals run.
+        spread = sub_values
+    pairs = [(sub_values, level), (spread, level), (sub_values, sub_values)]
     reports = choquet_holder_checks(pairs, ctx.sub_capacities[0])
     detail = "; ".join(f"pair {i}: margin {rep.margin:.3g} (tol {rep.tolerance:.3g})"
                        for i, rep in enumerate(reports))

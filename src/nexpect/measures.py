@@ -252,12 +252,14 @@ class DensityRows(_Rows):
     """A family's density weights on a bundle's paths, rebuilt block by
     block from the paths' statistics instead of stored.
 
-    Row i is exp(stats[i] @ coef - shift).  The statistics are B_T and one
-    kept functional per bang-bang pattern (a pattern and its negation share
-    one), shape (n_paths, 1 + F); coef is (1 + F, C), with theta0 in the B_T
-    row for a constant control and +1 or -1 in its functional's row for a
-    bang-bang one; the shift is theta0^2 T / 2 or theta.theta dt / 2.  Each
-    entry of the product has exactly one nonzero term, so every row is
+    Row i is exp(stats[i] @ coef - shift).  The statistics are the
+    bundle's matrix of B_T and its kept functionals (PathBundle.statistics),
+    adopted, not copied: shape (n_paths, 1 + F), with one functional per
+    bang-bang pattern (a pattern and its negation share one).  coef is
+    (1 + F, C), with theta0 in the B_T row for a constant control, +1 or -1
+    in its functional's row for a bang-bang one and 0 in a row the family
+    does not read; the shift is theta0^2 T / 2 or theta.theta dt / 2.  Each
+    entry of the product has at most one nonzero term, so every row is
     bitwise the per-column formula, whatever order the product sums in.
     A block of rows is one small product and one exp, for a slice in natural
     order or an index array in sorted order alike; memory is the statistics
@@ -278,9 +280,11 @@ class DensityRows(_Rows):
         grid = bundle.grid
         thetas = {j: c.theta_on_grid(grid) for j, c in enumerate(family) if c.kind != "constant"}
         bundle = with_functionals(bundle, thetas.values())
-        # Each statistic's row of coef, by identity: a functional serves the
-        # pattern it was kept for and that pattern's negation.
-        stats = {id(bundle.brownian_terminal): (0, bundle.brownian_terminal)}
+        # Each statistic's row of coef is its column of the bundle's
+        # matrix, found by identity: a functional serves the pattern it was
+        # kept for and that pattern's negation.
+        kept = [bundle.brownian_terminal, *bundle.functionals.values()]
+        column = {id(a): i for i, a in enumerate(kept)}
         entries, shift = [], np.empty(len(family))
         for j, control in enumerate(family):
             if control.kind == "constant":
@@ -289,11 +293,10 @@ class DensityRows(_Rows):
                 shift[j] = 0.5 * t * t * grid.horizon
             else:
                 sign, functional = bundle.functional(thetas[j])
-                row, _ = stats.setdefault(id(functional), (len(stats), functional))
-                entries.append((row, j, sign))
+                entries.append((column[id(functional)], j, sign))
                 shift[j] = 0.5 * float(thetas[j] @ thetas[j]) * grid.dt
-        self.stats = np.column_stack([a for _, a in sorted(stats.values(), key=lambda s: s[0])])
-        self.coef = np.zeros((len(stats), len(family)))
+        self.stats = bundle.statistics()
+        self.coef = np.zeros((len(kept), len(family)))
         for row, j, value in entries:
             self.coef[row, j] = value
         self.shift = shift

@@ -119,9 +119,13 @@ class PathBundle:
     only through it), `valid` flags the paths whose Euler iteration stayed
     positive (exact simulation leaves it all-True), `brownian_terminal` is
     B_T, and `functionals` maps each kept theta path (by its bytes) to
-    `increments @ theta`.  `brownian_increments` is always None, since the
-    increments are never stored; the field stays for code that sums a
-    bundle's array sizes (perfbench/tracer.py).
+    `increments @ theta`.  The pass writes B_T and the functionals, in that
+    order, as the columns of one (n_paths, 1 + F) matrix, `stats`, and the
+    two fields are views of its columns, so the weights (measures.DensityRows)
+    adopt the matrix instead of copying it (statistics).
+    `brownian_increments` is always None, since the increments are never
+    stored; the field stays for code that sums a bundle's array sizes
+    (perfbench/tracer.py).
     """
 
     grid: TimeGrid
@@ -131,6 +135,7 @@ class PathBundle:
     valid: Optional[np.ndarray] = None
     brownian_terminal: Optional[np.ndarray] = None
     functionals: dict = field(default_factory=dict)
+    stats: Optional[np.ndarray] = field(default=None, repr=False)
     brownian_increments: None = field(default=None, init=False, repr=False)
 
     def terminal(self) -> np.ndarray:
@@ -152,14 +157,33 @@ class PathBundle:
                 return sign, self.functionals[key]
         return None
 
+    def statistics(self) -> np.ndarray:
+        """B_T and the kept functionals, in the order of `functionals`, as
+        the columns of one (n_paths, 1 + F) matrix: `stats` itself when the
+        bundle's arrays are its columns, as the simulation leaves them, else
+        (a bundle assembled from arrays of its own) their stack."""
+        kept = [self.brownian_terminal, *self.functionals.values()]
+        stats = self.stats
+        if stats is not None and stats.shape[1] == len(kept) and all(
+                _is_column(a, stats, i) for i, a in enumerate(kept)):
+            return stats
+        return np.column_stack(kept)
+
     def head(self, m: int) -> "PathBundle":
         """The draw of the first m paths: each kept array's first m entries."""
         if int(m) != m or not 1 <= m <= self.n_paths:
             raise ValueError(f"head needs 1 <= m <= {self.n_paths}, got {m}")
-        kept = {name: getattr(self, name)[:m] for name in ("states", "valid", "brownian_terminal")
+        kept = {name: getattr(self, name)[:m]
+                for name in ("states", "valid", "brownian_terminal", "stats")
                 if getattr(self, name) is not None}
         return replace(self, n_paths=int(m), **kept,
                        functionals={key: value[:m] for key, value in self.functionals.items()})
+
+
+def _is_column(a: np.ndarray, matrix: np.ndarray, i: int) -> bool:
+    """Whether `a` is column i of `matrix`, the same memory and not a copy."""
+    return (a.shape == matrix.shape[:1] and a.strides == matrix.strides[:1]
+            and a.ctypes.data == matrix.ctypes.data + i * matrix.strides[1])
 
 
 def generate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> PathBundle:
@@ -211,40 +235,46 @@ def _sweep(
     bundle: PathBundle,
     thetas: dict,
     step: Optional[Callable[[slice, np.ndarray], None]] = None,
-) -> tuple[np.ndarray, dict]:
-    """One pass over the draw: B_T and `increments @ theta` for each theta.
+) -> PathBundle:
+    """The bundle with B_T and `increments @ theta` for each theta, from one
+    pass over the draw, as the columns of one matrix (PathBundle.stats).
 
     `step(rows, block)` sees each block of increments first.  A row sum
     is the same pairwise sum as on the full matrix.  A product with theta
     is taken per ROW_BLOCK rows, as every pass over the paths has taken it:
     BLAS can round a row differently in a call of another height, such as
-    a short last block.
+    a short last block.  Each is written into a contiguous buffer and then
+    copied into its column, so no reduction writes a strided output.
     """
-    terminal = np.empty(bundle.n_paths)
-    kept = {key: np.empty(bundle.n_paths) for key in thetas}
+    stats = np.empty((bundle.n_paths, 1 + len(thetas)))
+    buffer = np.empty(min(bundle.n_paths, ROW_BLOCK))
     for rows, block in _increment_blocks(bundle):
         if step is not None:
             step(rows, block)
-        block.sum(axis=1, out=terminal[rows])
+        out = buffer[:len(block)]
+        block.sum(axis=1, out=out)
+        stats[rows, 0] = out
         # One product per theta: stacking the thetas into one matmul would
         # change the bits.
-        for key, theta in thetas.items():
-            np.matmul(block, theta, out=kept[key][rows])
-    return terminal, kept
+        for column, theta in enumerate(thetas.values(), 1):
+            np.matmul(block, theta, out=out)
+            stats[rows, column] = out
+    return replace(bundle, stats=stats, brownian_terminal=stats[:, 0],
+                   functionals={key: stats[:, column] for column, key in enumerate(thetas, 1)})
 
 
 def with_functionals(bundle: PathBundle, thetas: Iterable[np.ndarray]) -> PathBundle:
     """The bundle with B_T and a functional, up to sign, for every theta path.
 
     Returns the bundle itself when it keeps them all; otherwise one
-    sequential redraw of the stream adds the missing ones.
+    sequential redraw of the stream makes a new statistics matrix with
+    B_T, the functionals the bundle kept and the missing ones.
     """
     missing = _one_per_sign(bundle, thetas)
     if not missing and bundle.brownian_terminal is not None:
         return bundle
-    terminal, kept = _sweep(bundle, missing)
-    return replace(bundle, brownian_terminal=terminal,
-                   functionals={**bundle.functionals, **kept})
+    kept = {key: np.frombuffer(key) for key in bundle.functionals}
+    return _sweep(bundle, {**kept, **missing})
 
 
 def _exact_gbm_step(model: MarketModel, grid: TimeGrid, states: np.ndarray):
@@ -295,10 +325,9 @@ def _simulate(model: MarketModel, bundle: PathBundle,
         step = _exact_gbm_step(model, bundle.grid, states)
     else:
         step = _euler_step(model, bundle.grid, states, valid)
-    draw = replace(bundle, states=None, valid=None, brownian_terminal=None, functionals={})
-    terminal, functionals = _sweep(draw, _one_per_sign(draw, thetas), step)
-    return replace(draw, states=states, valid=valid, brownian_terminal=terminal,
-                   functionals=functionals)
+    draw = replace(bundle, states=None, valid=None, brownian_terminal=None, functionals={},
+                   stats=None)
+    return replace(_sweep(draw, _one_per_sign(draw, thetas), step), states=states, valid=valid)
 
 
 def simulate_sde(model: MarketModel, bundle: PathBundle,

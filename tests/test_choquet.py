@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nexpect import (
     Capacity,
+    DensityRows,
     MarketModel,
     Payoff,
     ThetaControl,
@@ -515,11 +516,18 @@ def dense_prefix(x, weights):
 
 
 def dense_exact(x, cap):
+    # The tail curve from the full prefix table; the gaps times the curve
+    # are added up as each ROW_BLOCK block of sorted ranks' dot product, in
+    # block order.
     sorted_x = np.sort(x, kind="stable")
     prefix = dense_prefix(x, cap.weights.matrix)
     denom = cap.totals
     curve = np.clip(cap._reduce((denom[None, :] - prefix[1:-1]) / denom[None, :]), 0.0, 1.0)
-    return float(sorted_x[0]) + float(np.dot(np.diff(sorted_x), curve))
+    diff = np.diff(sorted_x)
+    integral = 0.0
+    for b in range(0, diff.size, ROW_BLOCK):
+        integral += float(diff[b:b + ROW_BLOCK] @ curve[b:b + ROW_BLOCK])
+    return float(sorted_x[0]) + integral
 
 
 def dense_influence(x, cap):
@@ -631,6 +639,27 @@ def test_each_capacity_is_swept_once(monkeypatch):
     sweeps.clear()
     choquet_integral(x, upper)
     assert len(sweeps) == 1
+
+
+def test_sweep_holds_only_the_order_and_the_influences(family_k01, bundle_200k):
+    # numpy reports its allocations to tracemalloc.  Per path, the estimate
+    # of both sides holds the sort order and the two influences; the rest
+    # is a few ROW_BLOCK x m blocks.  The gaps or a tail curve per capacity
+    # would each add an n-vector.
+    weights = DensityRows(family_k01, bundle_200k)
+    upper = build_capacity("upper", weights)
+    lower = replace(upper, orientation="lower")
+    values = np.maximum(bundle_200k.terminal() - 100.0, 0.0)
+    n, m = weights.shape
+    assert m == 29
+    tracemalloc.start()
+    try:
+        estimates = choquet_estimates(values, (upper, lower))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 2
+    assert peak <= 3 * n * 8 + 4 * ROW_BLOCK * m * 8, peak
 
 
 def test_joint_estimates_need_one_weight_matrix(caps):

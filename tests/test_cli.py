@@ -781,6 +781,25 @@ def test_holder_run_sorts_each_distinct_array_once(tmp_path, monkeypatch):
     assert len(sorts) == 1 + 5
 
 
+def test_holder_run_on_a_straddle_sorts_three_arrays(tmp_path, monkeypatch):
+    # A straddle at s0 is X = |S_T - s0|, the second pair's X too: |XY|,
+    # |X|^2 and |Y|^2 are the three distinct integrands of all three pairs.
+    from nexpect import choquet
+    sorts = []
+
+    class CountingSample(choquet._SortedSample):
+        def __init__(self, values, weights):
+            sorts.append(values.size)
+            super().__init__(values, weights)
+
+    monkeypatch.setattr(choquet, "_SortedSample", CountingSample)
+    body = BASE.replace("payoff = call\nstrike = 100\n",
+                        "payoff = custom\nexpr = max(s - 100, 100 - s)\n")
+    report = run_scenario(load_scenario(write_scn(tmp_path, body + "checks = holder\n")))
+    assert [c.status for c in report.checks] == ["pass"]
+    assert len(sorts) == 1 + 3
+
+
 def test_holder_check_reports_equal_single_pair_checks(tmp_path, monkeypatch):
     from nexpect import cli
     from nexpect.choquet import choquet_holder_check
@@ -928,6 +947,51 @@ def test_weight_moments_are_reduced_once(tmp_path, monkeypatch):
         f"max |mean - 1| = {pulls[worst]:.2f} SE at {ctx.family[worst].label()} (limit 4)")
     for moment, alone in zip(ctx.moments, expectation_profile(np.ones(scn.n_paths), ctx.weights)):
         assert np.array_equal(moment.view(np.int64), alone.view(np.int64))
+
+
+def kept_run(tmp_path, monkeypatch, checks="duality"):
+    """The bundle simulate_sde returned and the RunContext of one run."""
+    from nexpect import cli
+    bundles, contexts = [], []
+    real_simulate, real_check = cli.simulate_sde, cli.CHECK_REGISTRY["duality"]
+    monkeypatch.setattr(cli, "simulate_sde",
+                        lambda *args: bundles.append(real_simulate(*args)) or bundles[-1])
+    monkeypatch.setitem(cli.CHECK_REGISTRY, "duality",
+                        lambda ctx: contexts.append(ctx) or real_check(ctx))
+    run_scenario(load_scenario(write_scn(tmp_path, BASE + f"checks = {checks}\n")))
+    [bundle], [ctx] = bundles, contexts
+    return bundle, ctx
+
+
+def test_run_weights_adopt_the_simulated_statistics(tmp_path, monkeypatch):
+    # The simulation writes B_T and the functionals as one matrix, and the
+    # run's weights read that matrix itself: nothing stacks a copy.
+    stacked = []
+    real_stack = np.column_stack
+    monkeypatch.setattr(np, "column_stack", lambda *a: stacked.append(1) or real_stack(*a))
+    bundle, ctx = kept_run(tmp_path, monkeypatch, "duality, attainment, holder")
+    assert ctx.weights.stats is bundle.stats
+    assert np.shares_memory(ctx.weights.stats, bundle.brownian_terminal)
+    assert all(np.shares_memory(ctx.weights.stats, f) for f in bundle.functionals.values())
+    assert bundle.stats.shape == (bundle.n_paths, 5)
+    assert stacked == []
+
+
+def test_run_context_keeps_only_the_checks_states(tmp_path, monkeypatch):
+    # After the payoff map, the checks' first paths are all that is kept
+    # of S_T and `valid`, as copies, so the run's n-vectors can go.
+    from nexpect import cli
+    from nexpect.paths import ROW_BLOCK
+    m = ROW_BLOCK + 17
+    monkeypatch.setattr(cli, "CHECK_SUBSAMPLE", m)
+    bundle, ctx = kept_run(tmp_path, monkeypatch)
+    assert bundle.n_paths == 20000 and ctx.bundle.n_paths == m
+    for name in ("states", "valid"):
+        kept = getattr(ctx.bundle, name)
+        assert kept.shape == (m,) and kept.base is None, name
+        assert np.array_equal(kept, getattr(bundle, name)[:m]), name
+    assert ctx.values.size == 20000 and ctx.weights.shape[0] == 20000
+    assert np.shares_memory(ctx.bundle.brownian_terminal, ctx.weights.stats)
 
 
 def test_pipeline_fills_no_dense_weights(tmp_path, monkeypatch):

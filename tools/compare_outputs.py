@@ -15,13 +15,17 @@ line of stdout and stderr, ignoring the `runtime:` line, the scenario path
 and a demo's elapsed seconds, and exits 1 when a CSV or an exit code
 differs, else 0.  For each workload run it also prints the peak RSS of
 both trees' processes, read with `os.wait4` as `perfbench/run.py` reads
-it, and first it prints the line count of each tree's `src/` Python files
+it, with the relative change, marked when it is a rise above the
+benchmark's bound (BENCHMARK.json's `peak_rss_mb`, 5%).  First it prints
+the line count of each tree's `src/` Python files
 (`src/ lines: 3176 -> 3139`) and the count of those lines that hold code,
-without docstrings, comments and blank lines; those lines are information
-only and never set the exit status.  The runs are sequential.  The acceptance workload
-peaks at about 154 MB (0.35 GB while the weight matrix was stored), straddle
-at about 71 MB and fd_put at about 56 MB (153.2, 70.7 and 54.6 MB in one
-comparison; 162, 94 and 78 MB while the checks' subsample was made dense);
+without docstrings, comments and blank lines.  The RSS and line figures
+are information only and never set the exit status.  The runs are sequential.  The acceptance workload
+peaks at about 121 MB (154 MB while the weights copied the statistics and
+the sweep kept its gaps and tail curves; 0.35 GB while the weight matrix
+was stored), straddle at about 61 MB and fd_put at about 54 MB (120.5, 60.9
+and 53.7 MB in one comparison, against 153.6, 70.0 and 54.2 MB before;
+162, 94 and 78 MB while the checks' subsample was made dense);
 acceptance prices in about 1.8 s per run, straddle in about 0.7 s and fd_put
 in about 1.1 s (benchmark medians over 10 runs each; 2-core VM, Python 3.11,
 numpy 2.4).
@@ -32,6 +36,7 @@ from __future__ import annotations
 import ast
 import difflib
 import io
+import json
 import os
 import re
 import subprocess
@@ -92,6 +97,14 @@ def code_lines(tree: Path) -> int:
     return count
 
 
+def rss_rise_bound() -> float:
+    """The benchmark's bound on a relative rise in peak RSS
+    (BENCHMARK.json, end-to-end metric `peak_rss_mb`)."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    [bound] = [m["bound"] for m in spec["end_to_end"] if m["name"] == "peak_rss_mb"]
+    return float(bound)
+
+
 def comparable(stdout: str, stderr: str) -> list[str]:
     lines = [re.sub(r", \d+ s$", ", <elapsed> s", line)
              for line in stdout.splitlines() if not line.startswith("runtime:")]
@@ -120,6 +133,7 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, str(ROOT))
     from perfbench.workloads import WORKLOADS, scenario_text
+    rss_bound = rss_rise_bound()
 
     archive = subprocess.run(["git", "archive", "--format=tar", argv[0]], cwd=ROOT,
                              capture_output=True, check=True).stdout
@@ -152,7 +166,10 @@ def main(argv: list[str]) -> int:
                 codes, outputs = compare(f"{name} [{fmt}]", ref_run, run_b)
                 failed |= codes or (outputs and fmt == "csv")
                 if name.startswith("workload"):
-                    print(f"{name} [{fmt}]: peak RSS {ref_rss:.1f} -> {rss_b:.1f} MB")
+                    change = rss_b / ref_rss - 1.0
+                    mark = f"  RISE above the {rss_bound:.0%} bound" if change > rss_bound else ""
+                    print(f"{name} [{fmt}]: peak RSS {ref_rss:.1f} -> {rss_b:.1f} MB "
+                          f"({change:+.1%}){mark}")
         for demo in sorted((ROOT / "demos").glob("*.py")):
             runs = []
             for tree in (ref, ROOT):

@@ -128,9 +128,14 @@ MUTANTS = (
      "tails.argmax(axis=1)",
      ("tests/test_choquet.py",)),
     ("Choquet sweep drops its smallest value", "src/nexpect/choquet.py",
-     "float(self.values[self.order[0]]) + float(np.dot(self.gaps, curve))",
-     "float(np.dot(self.gaps, curve))",
+     "float(self.values[self.order[0]]) + integral for integral in integrals",
+     "integral for integral in integrals",
      ("tests/test_choquet.py",)),
+    ("integral keeps only the last block's dot", "src/nexpect/choquet.py",
+     "integrals[s] += float(block_gaps @ curve[:g])",
+     "integrals[s] = float(block_gaps @ curve[:g])",
+     ("tests/test_choquet.py::test_sorted_prefix_engine_is_bitwise_dense",
+      "tests/test_choquet.py::test_joint_estimates_match_dense_references")),
     ("_ndtr without its reflection", "src/nexpect/minimax.py",
      "return 1.0 - y if x > 0.0 else y", "return y",
      ("tests/test_minimax.py",)),
@@ -184,7 +189,7 @@ MUTANTS = (
      ("tests/test_measures.py::test_blocked_weight_passes_are_bitwise_dense",)),
     ("normalization reduces its full event by one matrix product", CLI,
      "sums = (ctx.empty_sums, ctx.weights.totals)",
-     "sums = (ctx.empty_sums, np.ones(ctx.bundle.n_paths) @ ctx.weights.dense())",
+     "sums = (ctx.empty_sums, np.ones(ctx.weights.shape[0]) @ ctx.weights.dense())",
      (f"{CLI_TESTS}::test_normalization_verdict_is_exact",)),
     # Rows rebuilt for every consumer, and the passes they share.
     ("head totals reduced over all n rows", "src/nexpect/measures.py",
