@@ -85,10 +85,11 @@ CHECK_SUBSAMPLE = 100_000
 FD_DRIVERS = (Generator.abs_upper, Generator.abs_lower)
 COMPARISON_SIGNS = (-1.0, 0.0, 1.0)
 
-# The checks' fixed tolerances: an FD value's slack, of the FD scale
-# max(1, |FD values|); `chain`'s relative gap, and its gap for a digital's FD
-# pairs (a discontinuous terminal condition); `duality`'s, of the value scale;
-# `martingale`'s, in standard errors of a density's sample mean from 1.
+# The checks' fixed tolerances: an FD value's grid error, of the FD scale
+# max(1, |bsde_upper|, |bsde_lower|) (see _tolerance); `chain`'s relative
+# floor, and its floor for a digital's FD pairs (a discontinuous terminal
+# condition); `duality`'s, of the value scale; `martingale`'s, in standard
+# errors of a density's sample mean from 1.
 FD_REL = 0.005
 CHAIN_REL = 0.01
 CHAIN_DIGITAL_FD_REL = 0.03
@@ -660,14 +661,32 @@ def _judge(name: str, relations: list[tuple[float, str]],
     return CheckOutcome(name, "fail", detail)
 
 
-def _fd_slack(*fd_values: float) -> float:
-    """How far an FD value may sit off a relation: FD_REL of the FD scale."""
-    return FD_REL * max(1.0, *(abs(v) for v in fd_values))
+def _tolerance(entries: dict[str, EstimatorEntry], a: EstimatorEntry, b: EstimatorEntry,
+               floor: float = 0.0, *, grid: bool = False, widen: bool = False) -> float:
+    """How far entries a and b may miss in one relation, the one rule of
+    every check that relates two estimates.  Three terms:
+
+    - three pooled standard errors of their Monte Carlo errors;
+    - when the check counts grid error (`grid`) and an FD entry (`bsde_*`)
+      takes part, FD_REL of the FD scale max(1, |bsde_upper|, |bsde_lower|),
+      read from `entries`: that term, not its SE, is the FD entry's error;
+    - at least the check's `floor`.
+
+    Each entry's kind of error is read from the entry, so an entry moved
+    or built by hand is judged by its own value and SE.  A NaN SE makes the
+    allowance NaN, and the relation fail, unless the floor is one that the
+    SEs only `widen` (`chain`'s), which a NaN SE leaves as it is."""
+    tol = pooled_tolerance([e.std_error for e in (a, b) if not (grid and "bsde" in e.name)])
+    if grid and "bsde" in a.name + b.name:
+        tol += FD_REL * max(1.0, *(abs(entries[n].value) for n in ("bsde_upper", "bsde_lower")))
+    return max(floor, tol) if widen else max(tol, floor)
 
 
 def _check_chain(ctx: RunContext) -> CheckOutcome:
-    """Pairwise agreement of the four upper estimates and the four lower ones."""
-    fd_rel = CHAIN_DIGITAL_FD_REL if ctx.payoff.kind == "digital" else CHAIN_REL
+    """Pairwise agreement of the four upper estimates and the four lower ones,
+    each pair within CHAIN_REL of its scale (a digital's FD pairs within
+    CHAIN_DIGITAL_FD_REL), widened to three pooled SEs."""
+    digital = ctx.payoff.kind == "digital"
     relations = []
     for side in ("upper", "lower"):
         entries = [ctx.entries[f"{kind}_{side}"]
@@ -676,9 +695,9 @@ def _check_chain(ctx: RunContext) -> CheckOutcome:
             return CheckOutcome("chain", "not_applicable",
                                 "extremal estimates unavailable for non-monotone payoff")
         for a, b in itertools.combinations(entries, 2):
-            scale = max(abs(a.value), abs(b.value), 1e-8)
-            rel = fd_rel if "bsde" in (a.name + b.name) else CHAIN_REL
-            tol = max(rel * scale, pooled_tolerance([a.std_error, b.std_error]))
+            rel = CHAIN_DIGITAL_FD_REL if digital and "bsde" in a.name + b.name else CHAIN_REL
+            tol = _tolerance(ctx.entries, a, b, rel * max(abs(a.value), abs(b.value), 1e-8),
+                             widen=True)
             gap = abs(a.value - b.value)
             relations.append((gap - tol, f"{a.name} vs {b.name}: |{a.value:.6g} - {b.value:.6g}| "
                                          f"= {gap:.3g} (tol {tol:.3g})"))
@@ -686,17 +705,19 @@ def _check_chain(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_degeneracy(ctx: RunContext) -> CheckOutcome:
-    """With k = 0 all nine estimates must collapse onto the plain price."""
+    """With k = 0 all nine estimates must collapse onto the plain price: within
+    three pooled SEs, at least FD_REL of the plain scale for an FD value and
+    1e-9 of it for any other."""
     plain = ctx.entries["plain"]
     scale = max(abs(plain.value), 1.0)
+    fd_floor = FD_REL * max(1.0, abs(plain.value))
     k = ctx.scenario.k
     note = f" [k = {k:g}, degeneracy expected only at k = 0]" if k > 0.0 else ""
     relations = []
     for e in map(ctx.entries.get, ESTIMATOR_ORDER):
         if math.isnan(e.value):
             continue
-        tol = max(pooled_tolerance([e.std_error, plain.std_error]),
-                  _fd_slack(plain.value) if "bsde" in e.name else 0.0, 1e-9 * scale)
+        tol = _tolerance(ctx.entries, e, plain, fd_floor if "bsde" in e.name else 1e-9 * scale)
         relations.append((abs(e.value - plain.value) - tol,
                           f"{e.name} = {e.value:.6g} vs plain = {plain.value:.6g} (tol {tol:.3g})"
                           + note))
@@ -729,33 +750,32 @@ def _check_duality(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_sandwich(ctx: RunContext) -> CheckOutcome:
-    """Order relations between the estimator families, with noise tolerances."""
+    """Order relations between the estimator families, each within the
+    allowance of its two entries' errors, grid error counted."""
     e = ctx.entries
-    fd_tol = _fd_slack(e["bsde_upper"].value, e["bsde_lower"].value)
 
-    def mc_tol(*names: str) -> float:
-        return pooled_tolerance([e[n].std_error for n in names])
-
-    def below(lo: str, hi: str, tol: float) -> tuple[float, str]:
+    def below(lo: str, hi: str, exact: bool = False) -> tuple[float, str]:
+        tol = 0.0 if exact else _tolerance(e, e[lo], e[hi], grid=True)
         slack = e[hi].value - e[lo].value
         return -slack - tol, f"{lo} <= {hi} violated by {-slack:.3g} (tol {tol:.3g})"
 
     # The FD values carry grid error, and an extremal value from the
     # reweighting route carries Monte Carlo error on top (its SE is 0 in
-    # closed form); each extremal-vs-BSDE condition tolerates both.
+    # closed form); each extremal-vs-BSDE condition tolerates both.  The
+    # minimax band is a min and a max over one profile, so it holds exactly.
     relations = [
-        below("choquet_lower", "minimax_lower", mc_tol("choquet_lower", "minimax_lower")),
-        below("minimax_upper", "choquet_upper", mc_tol("choquet_upper", "minimax_upper")),
-        below("minimax_lower", "minimax_upper", 0.0),
-        below("choquet_lower", "choquet_upper", mc_tol("choquet_lower", "choquet_upper")),
-        below("bsde_lower", "bsde_upper", fd_tol),
+        below("choquet_lower", "minimax_lower"),
+        below("minimax_upper", "choquet_upper"),
+        below("minimax_lower", "minimax_upper", exact=True),
+        below("choquet_lower", "choquet_upper"),
+        below("bsde_lower", "bsde_upper"),
     ]
     if not math.isnan(e["extremal_upper"].value):
         relations += [
-            below("extremal_lower", "minimax_lower", mc_tol("extremal_lower", "minimax_lower")),
-            below("minimax_upper", "extremal_upper", mc_tol("extremal_upper", "minimax_upper")),
-            below("bsde_upper", "extremal_upper", fd_tol + mc_tol("extremal_upper")),
-            below("extremal_lower", "bsde_lower", fd_tol + mc_tol("extremal_lower")),
+            below("extremal_lower", "minimax_lower"),
+            below("minimax_upper", "extremal_upper"),
+            below("bsde_upper", "extremal_upper"),
+            below("extremal_lower", "bsde_lower"),
         ]
     return _judge("sandwich", relations, passed=f"{len(relations)} order relations hold")
 
@@ -803,14 +823,13 @@ def _check_zsign(ctx: RunContext) -> CheckOutcome:
 
 
 def _check_comparison(ctx: RunContext) -> CheckOutcome:
-    """Linear-driver values must sit inside the abs-driver band."""
-    lo = ctx.entries["bsde_lower"].value
-    hi = ctx.entries["bsde_upper"].value
-    tol = _fd_slack(lo, hi)
+    """Linear-driver values must sit inside the abs-driver band, within the
+    grid error of the FD values."""
+    lower, upper = ctx.entries["bsde_lower"], ctx.entries["bsde_upper"]
+    lo, hi, tol = lower.value, upper.value, _tolerance(ctx.entries, lower, upper, grid=True)
     relations = []
     # run_scenario marched the linear drivers after the abs ones.
-    linear = ctx.fd.y0[len(FD_DRIVERS):]
-    for sign, y0 in zip(COMPARISON_SIGNS, linear.tolist(), strict=True):
+    for sign, y0 in zip(COMPARISON_SIGNS, ctx.fd.y0[len(FD_DRIVERS):].tolist(), strict=True):
         detail = (f"linear driver nu={sign * ctx.scenario.k:g} gives y0={y0:.6g} outside "
                   f"[{lo:.6g}, {hi:.6g}] +- {tol:.3g}")
         relations += [((lo - tol) - y0, detail), (y0 - (hi + tol), detail)]
@@ -852,11 +871,10 @@ def _check_submodularity(ctx: RunContext) -> CheckOutcome:
 def _check_l2bound(ctx: RunContext) -> CheckOutcome:
     squares = ctx.values**2
     m2 = float(np.mean(squares))
-    se_m2 = standard_error(squares)
     bound = math.sqrt(m2) * math.exp(0.5 * ctx.scenario.k**2 * ctx.scenario.horizon)
-    se_bound = 0.0 if m2 == 0.0 else se_m2 / (2.0 * math.sqrt(m2))
+    se_bound = 0.0 if m2 == 0.0 else standard_error(squares) / (2.0 * math.sqrt(m2))
     upper = ctx.entries["minimax_upper"]
-    tol = pooled_tolerance([upper.std_error, se_bound])
+    tol = _tolerance(ctx.entries, upper, EstimatorEntry("l2_bound", bound, se_bound))
     ratio = 0.0 if bound == 0.0 else upper.value / bound
     return _judge("l2bound", [(upper.value - (bound + tol),
                                f"upper = {upper.value:.6g} vs bound {bound:.6g} "

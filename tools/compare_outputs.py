@@ -6,9 +6,12 @@ Unpacks REF with `git archive` into a temporary directory, then runs
 `python3 -m nexpect.cli --threads 1` from each tree's `src/` on every
 `scenarios/*.scn` of the working tree, on `quick.scn` with `payoff = digital`,
 on each benchmark workload at its default seed
-(`perfbench.workloads.scenario_text`) and on the fd_put workload at seed 3
+(`perfbench.workloads.scenario_text`), on the fd_put workload at seed 3
 with `payoff = digital` (whose `sandwich` verdict rests on the sampled
-extremal band's standard errors), in the csv, text and json-like formats.  Both trees read the same scenario files, so only the program
+extremal band's standard errors), and on the two FALSE_ALARMS, valid
+scenarios on which a check fails (so a failing relation's detail line, and
+a `sandwich` tolerance, are compared), in the csv, text and json-like
+formats.  Both trees read the same scenario files, so only the program
 differs.  It then runs each tree's own `demos/*.py`, with `se_coverage.py`
 at 3 seeds instead of its default 200 (about 31 s).  Prints each differing
 line of stdout and stderr, ignoring the `runtime:` line, the scenario path
@@ -49,6 +52,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("csv", "text", "json-like")
 BYTES_PER_MB = 1e6
+
+# Valid scenarios that exit 1 on a false alarm of the checks' fixed
+# allowances (ROADMAP item 16).  The first fails `degeneracy` on a
+# digital's FD grid bias, 0.472085 against a plain price of 0.4597 at
+# tol 0.0106, where `chain` allows the same pair 0.0142.  The second fails
+# `sandwich` on rounding alone: no path reaches the put's strike, so every
+# Monte Carlo entry is 0 with an SE of 0, and the closed-form
+# extremal_lower of 1.1e-119 sits above minimax_lower at tol 0.
+_MARKET = """s0 = 100
+mu = 0.0
+sigma = 0.2
+horizon = 1.0
+n_paths = 20000
+steps = 4
+seed = 5
+nodes = 201
+time_steps = 500
+"""
+FALSE_ALARMS = {
+    "k = 0 digital, degeneracy and chain":
+        _MARKET + "k = 0\npayoff = digital\nstrike = 100\nchecks = degeneracy, chain\n",
+    "put at strike 1, sandwich":
+        _MARKET + "k = 0.1\npayoff = put\nstrike = 1\nchecks = sandwich\n",
+}
 
 
 def run(tree: Path, args: list[str], mask: str) -> tuple[tuple[int, str, str], float]:
@@ -156,6 +183,10 @@ def main(argv: list[str]) -> int:
         path = Path(tmp) / "fd_put_digital.scn"
         path.write_text(scenario_text("fd_put", 3, {"payoff": "digital"}), encoding="utf-8")
         cases["workload fd_put, seed 3, payoff = digital"] = path
+        for i, (name, text) in enumerate(FALSE_ALARMS.items()):
+            path = Path(tmp) / f"false_alarm_{i}.scn"
+            path.write_text(text, encoding="utf-8")
+            cases[f"false alarm: {name}"] = path
         failed = False
         for name, scenario in cases.items():
             for fmt in FORMATS:

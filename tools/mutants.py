@@ -61,8 +61,10 @@ MUTANTS = (
      "tol = 3.0 / math.sqrt(sub_values.size)", "tol = 30.0 / math.sqrt(sub_values.size)",
      (f"{CLI_TESTS}::test_submodularity_verdict_at_its_limit",)),
     ("comparison tolerance x 100", CLI,
-     "    tol = _fd_slack(lo, hi)\n", "    tol = 100 * _fd_slack(lo, hi)\n",
-     (f"{CLI_TESTS}::test_comparison_verdict_at_its_tolerance",)),
+     "upper.value, _tolerance(ctx.entries, lower, upper, grid=True)",
+     "upper.value, 100 * _tolerance(ctx.entries, lower, upper, grid=True)",
+     (f"{CLI_TESTS}::test_comparison_verdict_at_its_tolerance",
+      f"{CLI_TESTS}::test_comparison_verdict_is_the_old_comparison")),
     ("normalization always passes", CLI,
      "[(g, detail) for g in gaps]", "[(0.0, detail) for g in gaps]",
      (f"{CLI_TESTS}::test_normalization_verdict_is_exact",)),
@@ -116,6 +118,16 @@ MUTANTS = (
     ("degeneracy exact tolerance 1e-9 -> 1e-6", CLI,
      "1e-9 * scale", "1e-6 * scale",
      (f"{CLI_TESTS}::test_degeneracy_verdict_at_its_limits",)),
+    # The one rule for a relation between two estimates.
+    ("rule drops the FD term from a relation of an FD and another entry", CLI,
+     'if grid and "bsde" in a.name + b.name:', 'if grid and "bsde" in a.name and "bsde" in b.name:',
+     (f"{CLI_TESTS}::test_sandwich_verdict_at_its_fd_tolerance",
+      f"{CLI_TESTS}::test_sandwich_tolerates_extremal_monte_carlo_error",
+      f"{CLI_TESTS}::test_sandwich_verdict_is_the_old_comparison")),
+    ("rule takes the FD scale from the relation's own FD entry", CLI,
+     'abs(entries[n].value) for n in ("bsde_upper", "bsde_lower")',
+     'abs(e.value) for e in (a, b) if "bsde" in e.name',
+     (f"{CLI_TESTS}::test_sandwich_verdict_is_the_old_comparison",)),
     ("attainment boundary on the unpaired tolerance", "src/nexpect/minimax.py",
      "paired_se(weights.column(hi), weights.column(end))", "math.hypot(ses[hi], ses[end])",
      ("tests/test_minimax.py::test_attainment_boundary_uses_the_paired_error",)),
